@@ -268,15 +268,11 @@ let micro_benchmarks () =
       Test.make ~name:"span-root-disabled" (Staged.stage root_guarded);
     ];
   if span_was_active then Bftspan.Tracer.enable ();
-  (* Flight-recorder hook cost with no doctor attached. The recorder's
-     bus and metrics paths are already covered by the guards above (it
-     rides Bus.subscribe and Registry.snapshot); what it adds of its
-     own is the [Recorder.active] guard at prospective call sites and
-     the tracer's close-hook dispatch in [Tracer.finish]. Both must
-     stay in the same < ~10 ns ballpark as the other disabled hooks. *)
-  let recorder_guarded () =
-    if Bftdoctor.Recorder.active () then ignore (Sys.opaque_identity 0)
-  in
+  (* Flight-recorder hook cost with no doctor attached: the recorder
+     rides Bus.subscribe and Registry.snapshot (covered above); what it
+     adds of its own is the tracer's close-hook dispatch in
+     [Tracer.finish], which must stay in the same < ~10 ns ballpark as
+     the other disabled hooks. *)
   let close_hook_dispatch () =
     match Bftspan.Tracer.close_hook () with
     | Some _ -> ignore (Sys.opaque_identity 1)
@@ -284,7 +280,6 @@ let micro_benchmarks () =
   in
   run_tests
     [
-      Test.make ~name:"doctor-hook-disabled" (Staged.stage recorder_guarded);
       Test.make ~name:"doctor-span-close-disabled"
         (Staged.stage close_hook_dispatch);
     ];

@@ -1,119 +1,13 @@
-open Dessim
-open Bftcrypto
-open Bftnet
-open Pbftcore.Types
+include Pbftcore.Client_core.Open_loop (struct
+  type msg = Node.msg
+  type ext = unit
 
-type pending = {
-  sent_at : Time.t;
-  span : int;  (* root span id of the traced request; -1 if unsampled *)
-  mutable replies : (int * string) list;
-  mutable done_ : bool;
-}
+  let ext () = ()
+  let targets = Pbftcore.Client_core.All
+  let request () desc = Node.Request { desc; sig_valid = true }
+  let request_size = Node.request_size
 
-type t = {
-  engine : Engine.t;
-  net : Node.msg Network.t;
-  f : int;
-  id : int;
-  payload_size : int;
-  mutable rid : int;
-  mutable rate : float;
-  mutable rate_epoch : int;
-  pending : pending Request_id_table.t;
-  mutable sent : int;
-  mutable completed : int;
-  latencies : Bftmetrics.Hist.t;
-  rng : Rng.t;
-}
-
-let id t = t.id
-let sent t = t.sent
-let completed t = t.completed
-let latencies t = t.latencies
-
-let on_reply t (id : request_id) ~node ~result =
-  match Request_id_table.find_opt t.pending id with
-  | None -> ()
-  | Some p when p.done_ -> ()
-  | Some p ->
-    if not (List.mem_assoc node p.replies) then begin
-      p.replies <- (node, result) :: p.replies;
-      let matching =
-        List.length (List.filter (fun (_, r) -> String.equal r result) p.replies)
-      in
-      if matching >= t.f + 1 then begin
-        p.done_ <- true;
-        t.completed <- t.completed + 1;
-        let now = Engine.now t.engine in
-        Bftmetrics.Hist.add t.latencies (Time.to_sec_f (Time.sub now p.sent_at));
-        Bftspan.Tracer.finish p.span ~t1:now;
-        Request_id_table.remove t.pending id
-      end
-    end
-
-let create engine net ~f ~id ?(payload_size = 8) () =
-  let t =
-    {
-      engine;
-      net;
-      f;
-      id;
-      payload_size;
-      rid = 0;
-      rate = 0.0;
-      rate_epoch = 0;
-      pending = Request_id_table.create 256;
-      sent = 0;
-      completed = 0;
-      latencies = Bftmetrics.Hist.create ();
-      rng = Engine.fresh_rng engine;
-    }
-  in
-  Network.register_client net id (fun d ->
-      if d.Network.corrupted then ()  (* failed authenticator: ignore *)
-      else
-      match d.Network.payload with
-      | Node.Reply { id; result; node } -> on_reply t id ~node ~result
-      | Node.Request _ | Node.Order _ -> ());
-  t
-
-let send_one t =
-  t.rid <- t.rid + 1;
-  let op = String.make t.payload_size 'x' in
-  let desc = desc_of_op ~client:t.id ~rid:t.rid op in
-  let msg = Node.Request { desc; sig_valid = true } in
-  let n = (3 * t.f) + 1 in
-  let size = 16 + desc.op_size + Keys.signature_size + (n * Keys.mac_tag_size) in
-  let now = Engine.now t.engine in
-  let span =
-    if Bftspan.Tracer.sampled ~rid:desc.id.rid then
-      Bftspan.Tracer.root ~client:t.id ~rid:desc.id.rid ~node:(-1) ~instance:(-1)
-        ~tag:Bftspan.Tag.Client ~t0:now
-    else -1
-  in
-  Request_id_table.replace t.pending desc.id
-    { sent_at = now; span; replies = []; done_ = false };
-  t.sent <- t.sent + 1;
-  for node = 0 to n - 1 do
-    Network.send ~span t.net ~src:(Principal.client t.id) ~dst:(Principal.node node)
-      ~size msg
-  done
-
-let set_rate t r =
-  t.rate <- r;
-  t.rate_epoch <- t.rate_epoch + 1;
-  let epoch = t.rate_epoch in
-  if r > 0.0 then begin
-    let rec loop () =
-      if t.rate_epoch = epoch && t.rate > 0.0 then begin
-        let gap = Rng.exponential t.rng ~mean:(1.0 /. t.rate) in
-        ignore
-          (Engine.after t.engine (Time.of_sec_f gap) (fun () ->
-               if t.rate_epoch = epoch && t.rate > 0.0 then begin
-                 send_one t;
-                 loop ()
-               end))
-      end
-    in
-    loop ()
-  end
+  let reply = function
+    | Node.Reply { id; result; node } -> Some (id, node, result)
+    | Node.Request _ | Node.Order _ -> None
+end)

@@ -1,67 +1,18 @@
-open Dessim
+include Pbftcore.Cluster_core.Make (struct
+  type config = Node.config
+  type msg = Node.msg
+  type t = Node.t
+  type client = Client.t
 
-type t = {
-  engine : Engine.t;
-  net : Node.msg Bftnet.Network.t;
-  nodes : Node.t array;
-  clients : Client.t array;
-}
+  let n (cfg : config) = (3 * cfg.f) + 1
+  let transport = Bftnet.Network.Tcp
+  let create = Node.create
 
-let create ?(seed = 42L) ?(clients = 0) ?(payload_size = 8)
-    ?(service = fun () -> Bftapp.Null_service.create ()) (cfg : Node.config) =
-  let engine = Engine.create ~seed () in
-  let n = (3 * cfg.Node.f) + 1 in
-  let net = Bftnet.Network.create engine (Bftnet.Network.default_config ~nodes:n) in
-  let nodes =
-    Array.init n (fun id -> Node.create engine net cfg ~id ~service:(service ()))
-  in
-  let clients =
-    Array.init clients (fun id ->
-        Client.create engine net ~f:cfg.Node.f ~id ~payload_size ())
-  in
-  Array.iter Node.start nodes;
-  { engine; net; nodes; clients }
+  let create_client engine net (cfg : config) ~id ~payload_size =
+    Client.create engine net ~f:cfg.f ~id ~payload_size ()
 
-let engine t = t.engine
-let network t = t.net
-let node t i = t.nodes.(i)
-let nodes t = t.nodes
-let client t i = t.clients.(i)
-let clients t = t.clients
-
-let run_for t d =
-  let target = Time.add (Engine.now t.engine) d in
-  Engine.run ~until:target t.engine
-
-(* Measure system progress at the most advanced node: a Byzantine or
-   lagging node must not distort throughput readings. *)
-let most_advanced t =
-  Array.fold_left
-    (fun best node ->
-      if Node.executed_count node > Node.executed_count best then node else best)
-    t.nodes.(0) t.nodes
-
-let total_executed t = Node.executed_count (most_advanced t)
-
-let throughput_between t start stop =
-  Bftmetrics.Throughput.rate_between
-    (Node.executed_counter (most_advanced t))
-    start stop
-
-let agreement_ok t ~faulty =
-  let correct =
-    Array.to_list t.nodes
-    |> List.filter (fun n ->
-           (not (List.mem (Node.id n) faulty))
-           (* see Rbft.Cluster.agreement_ok: state-transferred nodes
-              adopt checkpoints wholesale and execute a shorter log *)
-           && Pbftcore.Replica.state_transfers (Node.replica n) = 0)
-  in
-  match correct with
-  | [] -> true
-  | first :: rest ->
-    List.for_all
-      (fun n ->
-        Node.executed_count n = Node.executed_count first
-        && String.equal (Node.execution_digest n) (Node.execution_digest first))
-      rest
+  let start = Node.start
+  let id = Node.id
+  let ledger = Node.ledger
+  let skips_agreement node = Pbftcore.Replica.state_transfers (Node.replica node) <> 0
+end)

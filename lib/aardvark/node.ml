@@ -37,6 +37,18 @@ let default_config ~f =
     body_copy_factor = 6.0;
   }
 
+let simulation_config ~f =
+  {
+    (default_config ~f) with
+    policy =
+      {
+        (Policy.default_config ~n:((3 * f) + 1)) with
+        Policy.grace = Time.of_sec_f 1.2;
+        view_warmup = Time.ms 500;
+      };
+    post_vc_quiet = Time.ms 120;
+  }
+
 type faults = { mutable track_required : bool; mutable attack_margin : float }
 
 type t = {
@@ -54,9 +66,7 @@ type t = {
   faults : faults;
   sig_checked : unit Request_id_table.t;
   executed : string Request_id_table.t;
-  exec_counter : Bftmetrics.Throughput.t;
-  mutable exec_count : int;
-  mutable exec_digest : string;
+  ledger : Pbftcore.Ledger.t;
   mutable attack_delay : Time.t;
   mutable started : bool;
 }
@@ -65,9 +75,10 @@ let id t = t.id
 let faults t = t.faults
 let replica t = match t.replica with Some r -> r | None -> assert false
 let policy t = t.policy
-let executed_count t = t.exec_count
-let executed_counter t = t.exec_counter
-let execution_digest t = t.exec_digest
+let ledger t = t.ledger
+let executed_count t = Pbftcore.Ledger.count t.ledger
+let executed_counter t = Pbftcore.Ledger.counter t.ledger
+let execution_digest t = Pbftcore.Ledger.digest t.ledger
 let view_changes t = Pbftcore.Replica.view_changes_completed (replica t)
 
 let set_clock_factor t k = Clock.set_factor t.clock k
@@ -77,10 +88,12 @@ let set_cpu_factor t s =
 
 let n_nodes t = (3 * t.cfg.f) + 1
 
+let request_size ~n (desc : request_desc) =
+  16 + desc.op_size + Keys.signature_size + (n * Keys.mac_tag_size)
+
 let msg_size t m =
   match m with
-  | Request { desc; _ } ->
-    16 + desc.op_size + Keys.signature_size + (n_nodes t * Keys.mac_tag_size)
+  | Request { desc; _ } -> request_size ~n:(n_nodes t) desc
   | Order om ->
     16
     + Pbftcore.Messages.wire_size ~n:(n_nodes t)
@@ -146,17 +159,8 @@ let execute_batch t descs =
             if not (Request_id_table.mem t.executed desc.id) then begin
               let result = t.service.Service.execute desc.op in
               Request_id_table.replace t.executed desc.id result;
-              t.exec_count <- t.exec_count + 1;
-              if Bftaudit.Bus.active () then
-                audit t
-                  (Bftaudit.Event.Executed
-                     {
-                       client = desc.id.client;
-                       rid = desc.id.rid;
-                       digest = desc.digest;
-                     });
-              Bftmetrics.Throughput.record t.exec_counter ~now:(Engine.now t.engine);
-              t.exec_digest <- Sha256.digest_string (t.exec_digest ^ desc.digest);
+              Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id
+                ~instance:0 desc;
               Resource.charge t.execution
                 (Costmodel.mac_gen t.cfg.costs ~bytes:(String.length result + 16));
               reply_to ~span:espan t desc.id result
@@ -290,9 +294,7 @@ let create engine net cfg ~id ~service =
       faults = { track_required = false; attack_margin = 1.10 };
       sig_checked = Request_id_table.create 4096;
       executed = Request_id_table.create 4096;
-      exec_counter = Bftmetrics.Throughput.create ();
-      exec_count = 0;
-      exec_digest = "genesis";
+      ledger = Pbftcore.Ledger.create ();
       attack_delay = Time.zero;
       started = false;
     }

@@ -40,6 +40,17 @@ type config = {
 
 val default_config : f:int -> config
 
+val simulation_config : f:int -> config
+(** [default_config] with the policy times compressed for simulation:
+    1.2 s grace, 500 ms view warm-up, 120 ms post-view-change quiet.
+    The paper's 5 s grace would make every figure run tens of
+    simulated seconds; ratios are unaffected because fault-free and
+    attacked runs use the same compression. *)
+
+val request_size : n:int -> Pbftcore.Types.request_desc -> int
+(** Wire size of a client REQUEST: signed, MAC-authenticated for every
+    node. *)
+
 type faults = {
   mutable track_required : bool;
       (** malicious primary shadows the requirement (Figure 2 attack) *)
@@ -57,6 +68,7 @@ val id : t -> int
 val faults : t -> faults
 val replica : t -> Pbftcore.Replica.t
 val policy : t -> Policy.t
+val ledger : t -> Pbftcore.Ledger.t
 val executed_count : t -> int
 val executed_counter : t -> Bftmetrics.Throughput.t
 val execution_digest : t -> string

@@ -11,10 +11,7 @@
 
     Sinks (the auditor, trace captures, ad-hoc listeners) subscribe
     and unsubscribe dynamically; events are delivered to every sink in
-    subscription order.  While at least one sink is subscribed, the
-    legacy [Dessim.Trace] string stream is bridged onto the bus as
-    {!Event.Log} events, so old-style [Trace.emitf] call sites surface
-    in structured traces too. *)
+    subscription order. *)
 
 type token = int
 
@@ -28,28 +25,7 @@ let active () = !enabled
 
 let emit ev = List.iter (fun (_, f) -> f ev) !sinks
 
-(* Bridge: while the bus is live, legacy string traces become Log
-   events. The node/instance of a free-form string trace are unknown,
-   hence -1. *)
-let bridge (e : Dessim.Trace.event) =
-  emit
-    {
-      Event.time = e.Dessim.Trace.time;
-      node = -1;
-      instance = -1;
-      kind =
-        Log
-          {
-            level = Dessim.Trace.level_name e.Dessim.Trace.level;
-            component = e.Dessim.Trace.component;
-            message = e.Dessim.Trace.message;
-          };
-    }
-
-let sync () =
-  let live = !sinks <> [] in
-  enabled := live;
-  Dessim.Trace.set_forward (if live then Some bridge else None)
+let sync () = enabled := !sinks <> []
 
 let subscribe f =
   incr next_token;

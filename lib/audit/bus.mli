@@ -11,9 +11,7 @@
 
     Sinks (the auditor, trace captures, the metrics bridge, ad-hoc
     listeners) subscribe and unsubscribe dynamically; events are
-    delivered to every sink in subscription order.  While at least one
-    sink is subscribed, the legacy [Dessim.Trace] string stream is
-    bridged onto the bus as {!Event.Log} events. *)
+    delivered to every sink in subscription order. *)
 
 type token
 (** Identifies one subscription; pass it back to {!unsubscribe}. *)

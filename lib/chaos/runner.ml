@@ -25,185 +25,74 @@ type sys = {
 let sum_totals sent completed clients =
   Array.fold_left (fun (s, c) cl -> (s + sent cl, c + completed cl)) (0, 0) clients
 
-let build_rbft ~transport ?(ordering = Rbft.Params.Redundant) (s : Scenario.t) =
-  let params =
-    {
-      (Rbft.Params.default ~f:s.Scenario.f) with
-      Rbft.Params.lambda = s.Scenario.lambda;
-      ordering;
-      ic_quorum =
-        (match s.Scenario.mutation with
-         | Some Scenario.Ic_quorum_low -> Some 1
-         | None -> None);
-    }
-  in
-  let cluster =
-    Rbft.Cluster.create ~seed:s.Scenario.seed ~transport
-      ~clients:s.Scenario.workload.Scenario.clients
-      ~payload_size:s.Scenario.workload.Scenario.payload params
-  in
-  let net = Rbft.Cluster.network cluster in
+let sys (type c) (module S : Pbftcore.Cluster_core.STACK with type Cluster.t = c)
+    (cluster : c) ~f ~describe ~context =
+  let node i = S.Cluster.node cluster i in
   {
     hooks =
       {
-        Injector.engine = Rbft.Cluster.engine cluster;
-        n = (3 * s.Scenario.f) + 1;
-        set_fault_hook = Bftnet.Network.set_fault_hook net;
-        set_cpu_factor =
-          (fun ~node k -> Rbft.Node.set_cpu_factor (Rbft.Cluster.node cluster node) k);
-        set_clock_factor =
-          (fun ~node k ->
-            Rbft.Node.set_clock_factor (Rbft.Cluster.node cluster node) k);
+        Injector.engine = S.Cluster.engine cluster;
+        n = (3 * f) + 1;
+        set_fault_hook = Bftnet.Network.set_fault_hook (S.Cluster.network cluster);
+        set_cpu_factor = (fun ~node:i k -> S.Node.set_cpu_factor (node i) k);
+        set_clock_factor = (fun ~node:i k -> S.Node.set_clock_factor (node i) k);
       };
-    run_for = Rbft.Cluster.run_for cluster;
+    run_for = S.Cluster.run_for cluster;
     set_rates =
-      (fun r -> Array.iter (fun c -> Rbft.Client.set_rate c r) (Rbft.Cluster.clients cluster));
+      (fun r -> Array.iter (fun c -> S.Client.set_rate c r) (S.Cluster.clients cluster));
     totals =
-      (fun () ->
-        sum_totals Rbft.Client.sent Rbft.Client.completed (Rbft.Cluster.clients cluster));
-    executed = (fun () -> Rbft.Cluster.total_executed cluster);
-    describe = Rbft.Cluster.describe cluster;
-    context =
-      Some
-        (fun () ->
-          [
-            ( "master_primary",
-              string_of_int (Rbft.Cluster.master_primary cluster) );
-          ]);
-  }
-
-(* Aardvark's paper policy times (5 s grace) dwarf a chaos scenario;
-   compress them the same way the harness experiments do so that the
-   protocol can actually react within the run. *)
-let aardvark_config ~f =
-  {
-    (Aardvark.Node.default_config ~f) with
-    Aardvark.Node.policy =
-      {
-        (Aardvark.Policy.default_config ~n:((3 * f) + 1)) with
-        Aardvark.Policy.grace = Time.of_sec_f 1.2;
-        view_warmup = Time.ms 500;
-      };
-    post_vc_quiet = Time.ms 120;
-  }
-
-let build_aardvark (s : Scenario.t) =
-  let cluster =
-    Aardvark.Cluster.create ~seed:s.Scenario.seed
-      ~clients:s.Scenario.workload.Scenario.clients
-      ~payload_size:s.Scenario.workload.Scenario.payload
-      (aardvark_config ~f:s.Scenario.f)
-  in
-  let net = Aardvark.Cluster.network cluster in
-  {
-    hooks =
-      {
-        Injector.engine = Aardvark.Cluster.engine cluster;
-        n = (3 * s.Scenario.f) + 1;
-        set_fault_hook = Bftnet.Network.set_fault_hook net;
-        set_cpu_factor =
-          (fun ~node k ->
-            Aardvark.Node.set_cpu_factor (Aardvark.Cluster.node cluster node) k);
-        set_clock_factor =
-          (fun ~node k ->
-            Aardvark.Node.set_clock_factor (Aardvark.Cluster.node cluster node) k);
-      };
-    run_for = Aardvark.Cluster.run_for cluster;
-    set_rates =
-      (fun r ->
-        Array.iter
-          (fun c -> Aardvark.Client.set_rate c r)
-          (Aardvark.Cluster.clients cluster));
-    totals =
-      (fun () ->
-        sum_totals Aardvark.Client.sent Aardvark.Client.completed
-          (Aardvark.Cluster.clients cluster));
-    executed = (fun () -> Aardvark.Cluster.total_executed cluster);
-    describe =
-      [ ("protocol", "aardvark"); ("f", string_of_int s.Scenario.f) ];
-    context = None;
-  }
-
-let build_spinning (s : Scenario.t) =
-  let cluster =
-    Spinning.Cluster.create ~seed:s.Scenario.seed
-      ~clients:s.Scenario.workload.Scenario.clients
-      ~payload_size:s.Scenario.workload.Scenario.payload
-      (Spinning.Node.default_config ~f:s.Scenario.f)
-  in
-  let net = Spinning.Cluster.network cluster in
-  {
-    hooks =
-      {
-        Injector.engine = Spinning.Cluster.engine cluster;
-        n = (3 * s.Scenario.f) + 1;
-        set_fault_hook = Bftnet.Network.set_fault_hook net;
-        set_cpu_factor =
-          (fun ~node k ->
-            Spinning.Node.set_cpu_factor (Spinning.Cluster.node cluster node) k);
-        set_clock_factor =
-          (fun ~node k ->
-            Spinning.Node.set_clock_factor (Spinning.Cluster.node cluster node) k);
-      };
-    run_for = Spinning.Cluster.run_for cluster;
-    set_rates =
-      (fun r ->
-        Array.iter
-          (fun c -> Spinning.Client.set_rate c r)
-          (Spinning.Cluster.clients cluster));
-    totals =
-      (fun () ->
-        sum_totals Spinning.Client.sent Spinning.Client.completed
-          (Spinning.Cluster.clients cluster));
-    executed = (fun () -> Spinning.Cluster.total_executed cluster);
-    describe =
-      [ ("protocol", "spinning"); ("f", string_of_int s.Scenario.f) ];
-    context = None;
-  }
-
-let build_prime (s : Scenario.t) =
-  let cluster =
-    Prime.Cluster.create ~seed:s.Scenario.seed
-      ~clients:s.Scenario.workload.Scenario.clients
-      ~payload_size:s.Scenario.workload.Scenario.payload
-      (Prime.Node.default_config ~f:s.Scenario.f)
-  in
-  let net = Prime.Cluster.network cluster in
-  {
-    hooks =
-      {
-        Injector.engine = Prime.Cluster.engine cluster;
-        n = (3 * s.Scenario.f) + 1;
-        set_fault_hook = Bftnet.Network.set_fault_hook net;
-        set_cpu_factor =
-          (fun ~node k -> Prime.Node.set_cpu_factor (Prime.Cluster.node cluster node) k);
-        set_clock_factor =
-          (fun ~node k ->
-            Prime.Node.set_clock_factor (Prime.Cluster.node cluster node) k);
-      };
-    run_for = Prime.Cluster.run_for cluster;
-    set_rates =
-      (fun r ->
-        Array.iter (fun c -> Prime.Client.set_rate c r) (Prime.Cluster.clients cluster));
-    totals =
-      (fun () ->
-        sum_totals Prime.Client.sent Prime.Client.completed
-          (Prime.Cluster.clients cluster));
-    executed = (fun () -> Prime.Cluster.total_executed cluster);
-    describe = [ ("protocol", "prime"); ("f", string_of_int s.Scenario.f) ];
-    context = None;
+      (fun () -> sum_totals S.Client.sent S.Client.completed (S.Cluster.clients cluster));
+    executed = (fun () -> S.Cluster.total_executed cluster);
+    describe;
+    context;
   }
 
 let build (s : Scenario.t) =
+  let f = s.Scenario.f and seed = s.Scenario.seed in
+  let clients = s.Scenario.workload.Scenario.clients
+  and payload_size = s.Scenario.workload.Scenario.payload in
+  let rbft ~transport ?(ordering = Rbft.Params.Redundant) () =
+    let params =
+      {
+        (Rbft.Params.default ~f) with
+        Rbft.Params.lambda = s.Scenario.lambda;
+        ordering;
+        ic_quorum =
+          (match s.Scenario.mutation with
+           | Some Scenario.Ic_quorum_low -> Some 1
+           | None -> None);
+      }
+    in
+    let cluster = Rbft.Cluster.create ~seed ~transport ~clients ~payload_size params in
+    sys (module Rbft) cluster ~f ~describe:(Rbft.Cluster.describe cluster)
+      ~context:
+        (Some
+           (fun () ->
+             [ ("master_primary", string_of_int (Rbft.Cluster.master_primary cluster)) ]))
+  in
+  let baseline name = [ ("protocol", name); ("f", string_of_int f) ] in
   match s.Scenario.protocol with
-  | Scenario.Rbft -> build_rbft ~transport:Bftnet.Network.Tcp s
-  | Scenario.Rbft_udp -> build_rbft ~transport:Bftnet.Network.Udp s
+  | Scenario.Rbft -> rbft ~transport:Bftnet.Network.Tcp ()
+  | Scenario.Rbft_udp -> rbft ~transport:Bftnet.Network.Udp ()
   | Scenario.Rbft_concurrent ->
-    build_rbft ~transport:Bftnet.Network.Tcp
-      ~ordering:Rbft.Params.Concurrent s
-  | Scenario.Aardvark -> build_aardvark s
-  | Scenario.Spinning -> build_spinning s
-  | Scenario.Prime -> build_prime s
+    rbft ~transport:Bftnet.Network.Tcp ~ordering:Rbft.Params.Concurrent ()
+  | Scenario.Aardvark ->
+    (* Aardvark's paper policy times (5 s grace) dwarf a chaos
+       scenario; the compressed times let the protocol react within
+       the run. *)
+    sys (module Aardvark)
+      (Aardvark.Cluster.create ~seed ~clients ~payload_size
+         (Aardvark.Node.simulation_config ~f))
+      ~f ~describe:(baseline "aardvark") ~context:None
+  | Scenario.Spinning ->
+    sys (module Spinning)
+      (Spinning.Cluster.create ~seed ~clients ~payload_size
+         (Spinning.Node.default_config ~f))
+      ~f ~describe:(baseline "spinning") ~context:None
+  | Scenario.Prime ->
+    sys (module Prime)
+      (Prime.Cluster.create ~seed ~clients ~payload_size (Prime.Node.default_config ~f))
+      ~f ~describe:(baseline "prime") ~context:None
 
 (* Triggers for chaos runs: dump on any safety-relevant edge, and on a
    liveness stall well inside the drain bound so the bundle still holds

@@ -2,6 +2,7 @@ open Dessim
 open Bftcrypto
 open Bftnet
 open Pbftcore.Types
+module Core = Pbftcore.Client_core
 
 type behaviour = {
   mutable sig_valid : bool;
@@ -11,37 +12,23 @@ type behaviour = {
   mutable make_op : (int -> string) option;
 }
 
-type pending = {
-  sent_at : Time.t;
-  span : int;  (* root span id of the traced request; -1 if unsampled *)
-  req : Messages.request;  (* retained for BUSY-triggered retries *)
-  mutable replies : (int * string) list;  (* node, result *)
-  mutable done_ : bool;
-  (* Backpressure state: distinct nodes that answered BUSY since the
-     last (re)send, the largest retry hint among them, and how many
-     retries happened (drives the exponential backoff). *)
+(* Per-request state on top of the core's: the request itself, retained
+   for retries, and the backpressure state — distinct nodes that
+   answered BUSY since the last (re)send, the largest retry hint among
+   them, and how many retries happened (drives the exponential
+   backoff). *)
+type retry = {
+  req : Messages.request;
   mutable busy_from : int list;
   mutable busy_hint : Time.t;
   mutable attempt : int;
 }
 
-type t = {
-  engine : Engine.t;
-  net : Messages.t Network.t;
+type state = {
   params : Params.t;
-  id : int;
-  payload_size : int;
   behaviour : behaviour;
-  mutable rid : int;
-  mutable rate : float;
-  mutable rate_epoch : int;
   mutable closed_loop : int;  (* outstanding-request window; 0 = open loop *)
-  pending : pending Request_id_table.t;
-  mutable sent : int;
-  mutable completed : int;
-  latencies : Bftmetrics.Hist.t;
   completions : Bftmetrics.Throughput.t;
-  rng : Rng.t;
   (* Lazily created on the first BUSY so runs that never shed draw
      exactly the same random streams as before the gate existed. *)
   mutable backoff : Bftflow.Backoff.t option;
@@ -49,62 +36,48 @@ type t = {
   mutable retries : int;
 }
 
-let id t = t.id
-let behaviour t = t.behaviour
-let sent t = t.sent
-let completed t = t.completed
-let latencies t = t.latencies
-let pending_count t = Request_id_table.length t.pending
-let completion_counter t = t.completions
-let busy_replies t = t.busy_replies
-let retries t = t.retries
+type t = (Messages.t, state, retry) Core.t
 
-let backoff_of t =
-  match t.backoff with
+let id = Core.id
+let sent = Core.sent
+let completed = Core.completed
+let latencies = Core.latencies
+let pending_count = Core.pending_count
+let behaviour (t : t) = t.ext.behaviour
+let completion_counter (t : t) = t.ext.completions
+let busy_replies (t : t) = t.ext.busy_replies
+let retries (t : t) = t.ext.retries
+
+let backoff_of (t : t) =
+  match t.ext.backoff with
   | Some b -> b
   | None ->
     let b =
-      Bftflow.Backoff.create ~base:t.params.Params.busy_retry_base
-        (Rng.split t.rng)
+      Bftflow.Backoff.create ~base:t.ext.params.Params.busy_retry_base (Rng.split t.rng)
     in
-    t.backoff <- Some b;
+    t.ext.backoff <- Some b;
     b
 
-let rec on_reply t (id : request_id) ~node ~result =
-  match Request_id_table.find_opt t.pending id with
-  | None -> ()
-  | Some p when p.done_ -> ()
-  | Some p ->
-    if not (List.mem_assoc node p.replies) then begin
-      p.replies <- (node, result) :: p.replies;
-      let matching =
-        List.length (List.filter (fun (_, r) -> String.equal r result) p.replies)
-      in
-      if matching >= t.params.Params.f + 1 then begin
-        p.done_ <- true;
-        t.completed <- t.completed + 1;
-        let now = Engine.now t.engine in
-        Bftmetrics.Hist.add t.latencies (Time.to_sec_f (Time.sub now p.sent_at));
-        Bftmetrics.Throughput.record t.completions ~now;
-        Bftspan.Tracer.finish p.span ~t1:now;
-        Request_id_table.remove t.pending id;
-        (* Closed loop: each completion funds the next request. *)
-        if t.closed_loop > 0 then send_one t
-      end
-    end
+let rec on_reply (t : t) (id : request_id) ~node ~result =
+  if Core.on_reply t id ~node ~result then begin
+    Bftmetrics.Throughput.record t.ext.completions ~now:(Engine.now t.engine);
+    (* Closed loop: each completion funds the next request. *)
+    if t.ext.closed_loop > 0 then send_one t
+  end
 
-and transmit t ~span (req : Messages.request) =
+and transmit (t : t) ~span (req : Messages.request) =
   let msg = Messages.Request req in
-  let size = Messages.request_wire_size req ~n:(Params.n t.params) in
+  let n = Params.n t.ext.params in
+  let size = Messages.request_wire_size req ~n in
   let targets =
-    match t.behaviour.send_only_to with
-    | [] -> List.init (Params.n t.params) (fun i -> i)
+    match t.ext.behaviour.send_only_to with
+    | [] -> List.init n (fun i -> i)
     | subset -> subset
   in
   List.iter
     (fun node ->
-      Network.send ~span t.net ~src:(Principal.client t.id)
-        ~dst:(Principal.node node) ~size msg)
+      Network.send ~span t.net ~src:(Principal.client t.id) ~dst:(Principal.node node)
+        ~size msg)
     targets
 
 (* Retransmit watchdog, armed only when the admission gate exists
@@ -118,59 +91,39 @@ and transmit t ~span (req : Messages.request) =
    doubling timer; retransmits are idempotent (admitted nodes treat
    them as duplicates) and a fresh competitor for a slot everywhere
    the request was shed. *)
-and arm_watchdog t (p : pending) ~rto =
+and arm_watchdog (t : t) (p : retry Core.pending) ~rto =
   ignore
     (Engine.after t.engine rto (fun () ->
          if not p.done_ then begin
-           t.retries <- t.retries + 1;
-           transmit t ~span:p.span p.req;
-           let cap = Time.mul_f t.params.Params.busy_retry_base 128.0 in
+           t.ext.retries <- t.ext.retries + 1;
+           transmit t ~span:p.span p.data.req;
+           let cap = Time.mul_f t.ext.params.Params.busy_retry_base 128.0 in
            arm_watchdog t p ~rto:(Time.min cap (Time.mul_f rto 2.0))
          end))
 
-and send_one t =
+and send_one (t : t) =
   let req = make_request t in
-  let now = Engine.now t.engine in
-  let span =
-    if Bftspan.Tracer.sampled ~rid:req.Messages.desc.id.rid then
-      Bftspan.Tracer.root ~client:t.id ~rid:req.Messages.desc.id.rid ~node:(-1)
-        ~instance:(-1) ~tag:Bftspan.Tag.Client ~t0:now
-    else -1
-  in
   let p =
-    {
-      sent_at = now;
-      span;
-      req;
-      replies = [];
-      done_ = false;
-      busy_from = [];
-      busy_hint = Time.zero;
-      attempt = 0;
-    }
+    Core.track t req.Messages.desc.id
+      { req; busy_from = []; busy_hint = Time.zero; attempt = 0 }
   in
-  Request_id_table.replace t.pending req.Messages.desc.id p;
-  t.sent <- t.sent + 1;
-  transmit t ~span req;
-  if t.params.Params.admission_budget > 0 then
-    arm_watchdog t p ~rto:(Time.mul_f t.params.Params.busy_retry_base 16.0)
+  transmit t ~span:p.span req;
+  if t.ext.params.Params.admission_budget > 0 then
+    arm_watchdog t p ~rto:(Time.mul_f t.ext.params.Params.busy_retry_base 16.0)
 
-and make_request t =
+and make_request (t : t) =
   t.rid <- t.rid + 1;
+  let b = t.ext.behaviour in
   let op =
-    match t.behaviour.make_op with
+    match b.make_op with
     | Some f -> f t.rid
     | None ->
       let payload = String.make t.payload_size 'x' in
-      if t.behaviour.heavy then Bftapp.Null_service.heavy_op ~payload
+      if b.heavy then Bftapp.Null_service.heavy_op ~payload
       else Bftapp.Null_service.normal_op ~payload
   in
   let desc = desc_of_op ~client:t.id ~rid:t.rid op in
-  {
-    Messages.desc;
-    sig_valid = t.behaviour.sig_valid;
-    mac_invalid_for = t.behaviour.mac_invalid_for;
-  }
+  { Messages.desc; sig_valid = b.sig_valid; mac_invalid_for = b.mac_invalid_for }
 
 (* BUSY backpressure: a single refusal proves nothing (a Byzantine node
    can always say BUSY), but f+1 distinct refusals include one from a
@@ -181,33 +134,33 @@ and make_request t =
    idempotent. The wait is the server hint floored exponential backoff
    of {!Bftflow.Backoff}, drawn from this client's own stream for
    determinism. *)
-let on_busy t (id : request_id) ~node ~retry_after =
+let on_busy (t : t) (id : request_id) ~node ~retry_after =
   match Request_id_table.find_opt t.pending id with
   | None -> ()
   | Some p when p.done_ -> ()
   | Some p ->
-    if not (List.mem node p.busy_from) then begin
-      p.busy_from <- node :: p.busy_from;
-      p.busy_hint <- Time.max p.busy_hint retry_after;
-      t.busy_replies <- t.busy_replies + 1;
-      if List.length p.busy_from >= t.params.Params.f + 1 then begin
+    let r = p.data in
+    if not (List.mem node r.busy_from) then begin
+      r.busy_from <- node :: r.busy_from;
+      r.busy_hint <- Time.max r.busy_hint retry_after;
+      t.ext.busy_replies <- t.ext.busy_replies + 1;
+      if List.length r.busy_from >= t.f + 1 then begin
         let delay =
-          Bftflow.Backoff.delay (backoff_of t) ~attempt:p.attempt
-            ~hint:p.busy_hint
+          Bftflow.Backoff.delay (backoff_of t) ~attempt:r.attempt ~hint:r.busy_hint
         in
-        p.attempt <- p.attempt + 1;
-        p.busy_from <- [];
-        p.busy_hint <- Time.zero;
-        t.retries <- t.retries + 1;
+        r.attempt <- r.attempt + 1;
+        r.busy_from <- [];
+        r.busy_hint <- Time.zero;
+        t.ext.retries <- t.ext.retries + 1;
         let now = Engine.now t.engine in
         (* Attribute the idle wait to its own tag so the latency
            breakdown shows backoff instead of blaming net transit. *)
         ignore
-          (Bftspan.Tracer.span ~parent:p.span ~tag:Bftspan.Tag.Backoff
-             ~node:(-1) ~instance:(-1) ~t0:now ~t1:(Time.add now delay));
+          (Bftspan.Tracer.span ~parent:p.span ~tag:Bftspan.Tag.Backoff ~node:(-1)
+             ~instance:(-1) ~t0:now ~t1:(Time.add now delay));
         ignore
           (Engine.after t.engine delay (fun () ->
-               if not p.done_ then transmit t ~span:p.span p.req))
+               if not p.done_ then transmit t ~span:p.span r.req))
       end
     end
 
@@ -216,75 +169,45 @@ let send_burst t ~count =
     send_one t
   done
 
-let set_closed_loop t ~outstanding =
-  t.rate <- 0.0;
-  t.rate_epoch <- t.rate_epoch + 1;
-  t.closed_loop <- outstanding;
+let set_rate (t : t) r =
+  t.ext.closed_loop <- 0;
+  Core.set_rate t r ~send:send_one
+
+let set_closed_loop (t : t) ~outstanding =
+  Core.set_rate t 0.0 ~send:send_one;
+  t.ext.closed_loop <- outstanding;
   (* Top up to the window, counting requests already in flight. *)
-  let in_flight = Request_id_table.length t.pending in
-  for _ = 1 to Stdlib.max 0 (outstanding - in_flight) do
+  for _ = 1 to Stdlib.max 0 (outstanding - pending_count t) do
     send_one t
   done
 
+let handle t (m : Messages.t) =
+  match m with
+  | Messages.Reply { id; result; node } -> on_reply t id ~node ~result
+  | Messages.Busy { id; retry_after; node } -> on_busy t id ~node ~retry_after
+  | Messages.Request _ | Messages.Propagate _ | Messages.Propagate_batch _
+  | Messages.Instance _ | Messages.Instance_change _ ->
+    ()
+
 let create engine net params ~id ?(payload_size = 8) () =
   let t =
-    {
-      engine;
-      net;
-      params;
-      id;
-      payload_size;
-      behaviour =
-        {
-          sig_valid = true;
-          mac_invalid_for = [];
-          heavy = false;
-          send_only_to = [];
-          make_op = None;
-        };
-      rid = 0;
-      rate = 0.0;
-      rate_epoch = 0;
-      closed_loop = 0;
-      pending = Request_id_table.create 8;  (* grows on demand; 10^5-client populations exist *)
-      sent = 0;
-      completed = 0;
-      latencies = Bftmetrics.Hist.create ();
-      completions = Bftmetrics.Throughput.create ();
-      rng = Engine.fresh_rng engine;
-      backoff = None;
-      busy_replies = 0;
-      retries = 0;
-    }
+    Core.create engine net ~f:params.Params.f ~id ~payload_size
+      {
+        params;
+        behaviour =
+          {
+            sig_valid = true;
+            mac_invalid_for = [];
+            heavy = false;
+            send_only_to = [];
+            make_op = None;
+          };
+        closed_loop = 0;
+        completions = Bftmetrics.Throughput.create ();
+        backoff = None;
+        busy_replies = 0;
+        retries = 0;
+      }
   in
-  Network.register_client net id (fun d ->
-      if d.Network.corrupted then ()  (* failed authenticator: ignore *)
-      else
-      match d.Network.payload with
-      | Messages.Reply { id; result; node } -> on_reply t id ~node ~result
-      | Messages.Busy { id; retry_after; node } ->
-        on_busy t id ~node ~retry_after
-      | Messages.Request _ | Messages.Propagate _ | Messages.Propagate_batch _
-      | Messages.Instance _ | Messages.Instance_change _ ->
-        ());
+  Core.listen t handle;
   t
-
-let set_rate t r =
-  t.closed_loop <- 0;
-  t.rate <- r;
-  t.rate_epoch <- t.rate_epoch + 1;
-  let epoch = t.rate_epoch in
-  if r > 0.0 then begin
-    let rec loop () =
-      if t.rate_epoch = epoch && t.rate > 0.0 then begin
-        let gap = Rng.exponential t.rng ~mean:(1.0 /. t.rate) in
-        ignore
-          (Engine.after t.engine (Time.of_sec_f gap) (fun () ->
-               if t.rate_epoch = epoch && t.rate > 0.0 then begin
-                 send_one t;
-                 loop ()
-               end))
-      end
-    in
-    loop ()
-  end

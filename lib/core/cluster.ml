@@ -1,145 +1,96 @@
-open Dessim
 open Bftapp
 
-type t = {
-  engine : Engine.t;
-  net : Messages.t Bftnet.Network.t;
-  params : Params.t;
-  nodes : Node.t array;
-  clients : Client.t array;
-  seed : int64;
-  transport : Bftnet.Network.transport;
-}
+include Pbftcore.Cluster_core.Make (struct
+  type config = Params.t
+  type msg = Messages.t
+  type t = Node.t
+  type client = Client.t
+
+  let n = Params.n
+  let transport = Bftnet.Network.Tcp
+  let create = Node.create
+
+  let create_client engine net params ~id ~payload_size =
+    Client.create engine net params ~id ~payload_size ()
+
+  let start = Node.start
+  let id = Node.id
+  let ledger = Node.ledger
+
+  (* In redundant mode only the master instance executes, so only its
+     state transfers matter; in concurrent mode every instance feeds
+     the merge. *)
+  let skips_agreement node =
+    let transferred i =
+      Pbftcore.Replica.state_transfers (Node.replica node ~instance:i) <> 0
+    in
+    match Node.ordering node with
+    | Params.Redundant -> transferred (Node.master_instance node)
+    | Params.Concurrent ->
+      List.exists transferred (List.init (Params.instances (Node.params node)) Fun.id)
+end)
+
+let params = config
 
 let create ?(seed = 42L) ?(transport = Bftnet.Network.Tcp) ?net_config
-    ?(service = fun () -> Null_service.create ()) ?(clients = 0)
+    ?(service = fun () -> Null_service.create ()) ?clients:(n_clients = 0)
     ?(payload_size = 8) params =
-  let engine = Engine.create ~seed () in
-  let n = Params.n params in
-  let cfg =
+  let net_config =
     match net_config with
     | Some cfg -> cfg
-    | None -> { (Bftnet.Network.default_config ~nodes:n) with transport }
+    | None -> { (Bftnet.Network.default_config ~nodes:(Params.n params)) with transport }
   in
-  let net = Bftnet.Network.create engine cfg in
-  let nodes =
-    Array.init n (fun id -> Node.create engine net params ~id ~service:(service ()))
-  in
-  let clients =
-    Array.init clients (fun id ->
-        Client.create engine net params ~id ~payload_size ())
-  in
-  Array.iter Node.start nodes;
+  let t = assemble ~seed ~net_config ~service ~clients:n_clients ~payload_size params in
+  let engine = engine t in
   (* Engine-level gauges are callback-backed: read only at sample or
      export time, and re-registering rebinds them to the newest
      cluster's engine. *)
   Bftmetrics.Registry.gauge_fn Bftmetrics.Registry.default
     "dessim_events_processed"
     ~help:"Events processed by the simulation engine" ~labels:[]
-    (fun () -> float_of_int (Engine.events_processed engine));
+    (fun () -> float_of_int (Dessim.Engine.events_processed engine));
   Bftmetrics.Registry.gauge_fn Bftmetrics.Registry.default "dessim_queue_size"
     ~help:"Pending events in the simulation engine queue" ~labels:[]
-    (fun () -> float_of_int (Engine.queue_size engine));
+    (fun () -> float_of_int (Dessim.Engine.queue_size engine));
   (* Cluster-level capacity probes: the engine's event heap and the
      population's aggregate reply-collection tables. Entries-only (no
      deep root) — both are spread across structures the per-node
      probes already cover or the engine owns privately. *)
   ignore
     (Bftcap.Footprint.register ~owner:"cluster" ~name:"engine.queue"
-       ~entries:(fun () -> Engine.queue_size engine)
+       ~entries:(fun () -> Dessim.Engine.queue_size engine)
        ~root:(fun () -> None)
        ());
+  let clients = clients t in
   ignore
     (Bftcap.Footprint.register ~owner:"cluster" ~name:"clients.pending"
        ~entries:(fun () ->
          Array.fold_left (fun acc c -> acc + Client.pending_count c) 0 clients)
        ~root:(fun () -> None)
        ());
-  { engine; net; params; nodes; clients; seed; transport }
-
-let engine t = t.engine
-let network t = t.net
-let params t = t.params
-let node t i = t.nodes.(i)
-let nodes t = t.nodes
-let client t i = t.clients.(i)
-let clients t = t.clients
+  t
 
 (* Incident-bundle hooks: a stable textual identity for the run
    (recorded once at doctor attach) and the node currently acting as
    master primary (re-read at dump time, after any instance change). *)
 let describe t =
+  let params = params t in
   [
     ("protocol", "rbft");
-    ("ordering", Params.ordering_name t.params.Params.ordering);
-    ("n", string_of_int (Params.n t.params));
-    ("f", string_of_int t.params.Params.f);
-    ("instances", string_of_int (Params.instances t.params));
-    ("clients", string_of_int (Array.length t.clients));
-    ("seed", Int64.to_string t.seed);
+    ("ordering", Params.ordering_name params.Params.ordering);
+    ("n", string_of_int (Params.n params));
+    ("f", string_of_int params.Params.f);
+    ("instances", string_of_int (Params.instances params));
+    ("clients", string_of_int (Array.length (clients t)));
+    ("seed", Int64.to_string (seed t));
     ( "transport",
-      match t.transport with Bftnet.Network.Tcp -> "tcp" | Udp -> "udp" );
+      match (Bftnet.Network.config (network t)).Bftnet.Network.transport with
+      | Bftnet.Network.Tcp -> "tcp"
+      | Udp -> "udp" );
   ]
 
 let master_primary t =
-  let node0 = t.nodes.(0) in
+  let node0 = node t 0 in
   let mi = Node.master_instance node0 in
   let view = Pbftcore.Replica.view (Node.replica node0 ~instance:mi) in
-  Params.primary_of t.params ~instance:mi ~view
-
-let run_for t d =
-  let target = Dessim.Time.add (Engine.now t.engine) d in
-  Engine.run ~until:target t.engine
-
-(* Measure system progress at the most advanced node: a Byzantine or
-   lagging node must not distort throughput readings. *)
-let most_advanced t =
-  Array.fold_left
-    (fun best node ->
-      if Node.executed_count node > Node.executed_count best then node else best)
-    t.nodes.(0) t.nodes
-
-let total_executed t = Node.executed_count (most_advanced t)
-
-let throughput_between t start stop =
-  Bftmetrics.Throughput.rate_between
-    (Node.executed_counter (most_advanced t))
-    start stop
-
-let agreement_ok t ~faulty =
-  (* A node that state-transferred adopted checkpointed state wholesale
-     instead of executing the skipped batches; in a real deployment the
-     application snapshot travels with the checkpoint, so the node is
-     consistent but its local execution log is shorter. In redundant
-     mode only the master instance executes, so only its transfers
-     matter; in concurrent mode every instance feeds the merge. *)
-  let skips_agreement node =
-    match Node.ordering node with
-    | Params.Redundant ->
-      Pbftcore.Replica.state_transfers
-        (Node.replica node ~instance:(Node.master_instance node))
-      <> 0
-    | Params.Concurrent ->
-      let skips = ref false in
-      for i = 0 to Params.instances t.params - 1 do
-        if Pbftcore.Replica.state_transfers (Node.replica node ~instance:i) <> 0
-        then skips := true
-      done;
-      !skips
-  in
-  let correct =
-    Array.to_list t.nodes
-    |> List.filter (fun node ->
-           (not (List.mem (Node.id node) faulty)) && not (skips_agreement node))
-  in
-  match correct with
-  | [] -> true
-  | first :: rest ->
-    (* Digests must agree up to the shortest execution prefix; since
-       executions advance together in quiescent states, compare counts
-       first and digests when equal. *)
-    List.for_all
-      (fun node ->
-        Node.executed_count node = Node.executed_count first
-        && String.equal (Node.execution_digest node) (Node.execution_digest first))
-      rest
+  Params.primary_of (params t) ~instance:mi ~view

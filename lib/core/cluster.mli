@@ -2,10 +2,13 @@
     set of clients. The entry point used by examples, tests and the
     benchmark harness. *)
 
-open Dessim
 open Bftapp
 
-type t
+include
+  Pbftcore.Cluster_core.S
+    with type node = Node.t
+     and type client = Client.t
+     and type msg = Messages.t
 
 val create :
   ?seed:int64 ->
@@ -23,14 +26,7 @@ val create :
     network configuration (it wins over [transport]); the model checker
     passes a zero-jitter config so no per-send randomness survives. *)
 
-val engine : t -> Engine.t
-val network : t -> Messages.t Bftnet.Network.t
 val params : t -> Params.t
-
-val node : t -> int -> Node.t
-val nodes : t -> Node.t array
-val client : t -> int -> Client.t
-val clients : t -> Client.t array
 
 val describe : t -> (string * string) list
 (** Stable textual identity of the deployment — protocol, n, f,
@@ -40,16 +36,3 @@ val describe : t -> (string * string) list
 val master_primary : t -> int
 (** The node currently acting as primary of node 0's master instance
     (re-read at incident-dump time, after any instance change). *)
-
-val run_for : t -> Time.t -> unit
-(** Advance virtual time by the given duration. *)
-
-val total_executed : t -> int
-(** Sum of requests executed by node 0 (all correct nodes execute the
-    same sequence). *)
-
-val throughput_between : t -> Time.t -> Time.t -> float
-(** Executed requests per second at node 0 over a window. *)
-
-val agreement_ok : t -> faulty:int list -> bool
-(** All non-faulty nodes have identical execution digests. *)

@@ -152,9 +152,7 @@ type t = {
   (* Footprint probe over [requests], noted on insertion so peaks are
      exact between sampler ticks; bound in [create]. *)
   mutable fp_requests : Bftcap.Footprint.t option;
-  exec_counter : Bftmetrics.Throughput.t;
-  mutable exec_count : int;
-  mutable exec_digest : string;
+  ledger : Pbftcore.Ledger.t;
   mutable blacklist : int list;  (* clients *)
   (* Protocol instance change state. *)
   mutable cpi : int;
@@ -183,9 +181,10 @@ let faults t = t.faults
 let replica t ~instance = t.replicas.(instance)
 let monitoring t = t.monitoring
 let master_instance t = t.master_instance
-let executed_count t = t.exec_count
-let executed_counter t = t.exec_counter
-let execution_digest t = t.exec_digest
+let ledger t = t.ledger
+let executed_count t = Pbftcore.Ledger.count t.ledger
+let executed_counter t = Pbftcore.Ledger.counter t.ledger
+let execution_digest t = Pbftcore.Ledger.digest t.ledger
 let cpi t = t.cpi
 let instance_changes t = t.instance_changes
 let blacklisted_clients t = t.blacklist
@@ -723,16 +722,8 @@ let execute_request t ~span (desc : request_desc) =
             let result = t.service.Service.execute desc.op in
             Replycache.mark t.executed ~client:desc.id.client
               ~rid:desc.id.rid ~result;
-            t.exec_count <- t.exec_count + 1;
-            if Bftaudit.Bus.active () then
-              audit t ~instance:t.master_instance
-                (Bftaudit.Event.Executed
-                   {
-                     client = desc.id.client;
-                     rid = desc.id.rid;
-                     digest = desc.digest;
-                   });
-            Bftmetrics.Throughput.record t.exec_counter ~now:(Engine.now t.engine);
+            Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id
+              ~instance:t.master_instance desc;
             if Bftmetrics.Registry.active () then begin
               Bftmetrics.Registry.Counter.inc t.m.nm_executed;
               match Request_id_table.find_opt t.requests desc.id with
@@ -742,8 +733,6 @@ let execute_request t ~span (desc : request_desc) =
                      (Time.sub (Engine.now t.engine) state.dispatch_time))
               | Some _ | None -> ()
             end;
-            t.exec_digest <-
-              Sha256.digest_string (t.exec_digest ^ desc.digest);
             release_admission t desc.id;
             Resource.charge t.execution
               (Costmodel.mac_gen (costs t) ~bytes:(String.length result + 16));
@@ -758,7 +747,7 @@ let execute_request t ~span (desc : request_desc) =
          lane as far as ordering is concerned: per-lane FIFO, total
          order only per key). *)
       Request_id_table.replace t.exec_started desc.id ();
-      t.exec_digest <- Sha256.digest_string (t.exec_digest ^ desc.digest);
+      Pbftcore.Ledger.chain t.ledger desc;
       let lane =
         match t.service.Service.shard_key desc.op with
         | Some key ->
@@ -775,16 +764,8 @@ let execute_request t ~span (desc : request_desc) =
              the started-marker is dead weight: drop it to keep the
              table O(in-flight) instead of O(ever-executed). *)
           Request_id_table.remove t.exec_started desc.id;
-          t.exec_count <- t.exec_count + 1;
-          if Bftaudit.Bus.active () then
-            audit t ~instance:t.master_instance
-              (Bftaudit.Event.Executed
-                 {
-                   client = desc.id.client;
-                   rid = desc.id.rid;
-                   digest = desc.digest;
-                 });
-          Bftmetrics.Throughput.record t.exec_counter ~now:(Engine.now t.engine);
+          Pbftcore.Ledger.complete t.ledger ~now:(Engine.now t.engine) ~node:t.id
+            ~instance:t.master_instance desc;
           if Bftmetrics.Registry.active () then begin
             Bftmetrics.Registry.Counter.inc t.m.nm_executed;
             match Request_id_table.find_opt t.requests desc.id with
@@ -1199,9 +1180,7 @@ let create engine net params ~id ~service =
       requests = Request_id_table.create 4096;
       executed = Replycache.create ~window:params.Params.reply_cache_window ();
       fp_requests = None;
-      exec_counter = Bftmetrics.Throughput.create ();
-      exec_count = 0;
-      exec_digest = "genesis";
+      ledger = Pbftcore.Ledger.create ();
       blacklist = [];
       cpi = 0;
       suspicious = false;
@@ -1409,7 +1388,7 @@ let mc_fingerprint t =
     (String.concat ","
        (Array.to_list (Array.map string_of_int t.ic_vote_cpi)))
     (Pbftcore.Voteset.count t.ic_votes);
-  add "exec=%d/%s;" t.exec_count (hex_short t.exec_digest);
+  add "exec=%d/%s;" (executed_count t) (hex_short (execution_digest t));
   add "bl=%s;"
     (String.concat "," (List.map string_of_int (List.sort compare t.blacklist)));
   add "inv=%s;"

@@ -65,6 +65,10 @@ val master_instance : t -> int
 (** Which instance is currently master (always [0] under
     [Change_primaries]; moves under the [Switch_master] extension). *)
 
+val ledger : t -> Pbftcore.Ledger.t
+(** Executed count, throughput counter and chained execution digest;
+    the three accessors below read it. *)
+
 val executed_count : t -> int
 (** Requests executed (master-ordered), the node-level throughput
     counter used by the harness. *)

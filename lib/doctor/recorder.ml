@@ -18,10 +18,9 @@
     per-node clock skew cannot drift it.
 
     Zero-cost when disabled, like every hook layer in this codebase:
-    while no recorder is attached, {!active} is one ref read, the bus
-    stays silent, and the tracer close hook is [None] — each guarded
-    site costs a few nanoseconds (pinned by the Bechamel rows
-    [doctor-hook-disabled] / [doctor-span-close-disabled]). *)
+    while no recorder is attached the bus stays silent and the tracer
+    close hook is [None] — the dispatch costs a few nanoseconds (pinned
+    by the Bechamel row [doctor-span-close-disabled]). *)
 
 open Dessim
 module Registry = Bftmetrics.Registry
@@ -55,10 +54,6 @@ type seq_stall = {
   s_age : Time.t;
   s_pending : int;
 }
-
-(* Global gate, same discipline as Bus/Registry/Tracer. *)
-let enabled = ref false
-let active () = !enabled
 
 type t = {
   engine : Engine.t;
@@ -212,7 +207,6 @@ let attach ?(audit_cap = 4096) ?(span_cap = 4096) ?(metrics_cap = 16)
          handle_close t s));
   sample_now t;
   arm t;
-  enabled := true;
   t
 
 let detach t =
@@ -223,8 +217,7 @@ let detach t =
       Bftaudit.Bus.unsubscribe tok;
       t.token <- None
     | None -> ());
-    Bftspan.Tracer.set_close_hook t.saved_close_hook;
-    enabled := false
+    Bftspan.Tracer.set_close_hook t.saved_close_hook
   end
 
 let set_on_event t f = t.on_event <- f

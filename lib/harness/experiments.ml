@@ -6,25 +6,11 @@ let request_sizes ~quick =
 
 let scale ~quick t = if quick then Time.mul_f t 0.5 else t
 
-(* Aardvark's policy times, compressed for simulation (the paper's 5 s
-   grace period would make every figure run tens of simulated seconds;
-   ratios are unaffected because both the fault-free and the attacked
-   runs use the same compression). *)
-let aardvark_config ~f =
-  {
-    (Aardvark.Node.default_config ~f) with
-    Aardvark.Node.policy =
-      {
-        (Aardvark.Policy.default_config ~n:((3 * f) + 1)) with
-        Aardvark.Policy.grace = Time.of_sec_f 1.2;
-        view_warmup = Time.ms 500;
-      };
-    post_vc_quiet = Time.ms 120;
-  }
+(* ------------------------------------------------------------------ *)
+(* One static/dynamic runner for every protocol                       *)
+(* ------------------------------------------------------------------ *)
 
-(* ------------------------------------------------------------------ *)
-(* Generic static/dynamic runners per protocol                        *)
-(* ------------------------------------------------------------------ *)
+module type STACK = Pbftcore.Cluster_core.STACK
 
 (* Average executed throughput at a correct node over [from_, until]. *)
 let window_rate counter ~from_ ~until =
@@ -45,76 +31,40 @@ let dynamic_shape ~quick ~rate =
     ~step:(scale ~quick (Time.ms 300))
     ~rate:(0.022 *. rate) ()
 
-let run_shape_rbft ?seed ?(transport = Bftnet.Network.Tcp) ?(tweak = fun p -> p)
-    ~f ~payload ~shape ~attack () =
-  Audit.begin_run ~n:((3 * f) + 1) ~f;
-  let params = tweak (Rbft.Params.default ~f) in
-  let cluster =
-    Rbft.Cluster.create ?seed ~transport ~clients:(Loadshape.max_clients shape)
-      ~payload_size:payload params
-  in
-  attack cluster;
-  let engine = Rbft.Cluster.engine cluster in
-  Loadshape.apply engine shape ~set_rate:(fun c r ->
-      Rbft.Client.set_rate (Rbft.Cluster.client cluster c) r);
-  let total = Loadshape.total_duration shape in
-  Rbft.Cluster.run_for cluster (Time.add total (Time.ms 200));
-  (* Measure at a correct node: under worst-attack-2, node 0 is
-     faulty. The highest-indexed node is correct in attack-2 (faulty =
-     node 0 ..) and faulty in attack-1 (faulty = last f nodes); node 1
-     is correct in both for f = 1; use node 1 and node 2 for f = 2
-     safety. *)
-  let correct_node = Rbft.Cluster.node cluster 1 in
-  let counter = Rbft.Node.executed_counter correct_node in
-  (window_rate counter ~from_:(Time.ms 200) ~until:total, cluster)
+(* Measure at a correct node: under worst-attack-2, node 0 is faulty.
+   The highest-indexed node is correct in attack-2 (faulty = node 0 ..)
+   and faulty in attack-1 (faulty = last f nodes); node 1 is correct in
+   both. *)
+let executed_counter (type c) (module S : STACK with type Cluster.t = c) (cluster : c) =
+  Pbftcore.Ledger.counter (S.Node.ledger (S.Cluster.node cluster 1))
 
-let run_shape_aardvark ?seed ?(tweak = fun c -> c) ~f ~payload ~shape ~attack () =
+(* [create] builds the cluster for the shape's client count. *)
+let run_shape (type c) (module S : STACK with type Cluster.t = c) ~f ~shape ~attack
+    (create : int -> c) =
   Audit.begin_run ~n:((3 * f) + 1) ~f;
-  let cfg = tweak (aardvark_config ~f) in
-  let cluster =
-    Aardvark.Cluster.create ?seed ~clients:(Loadshape.max_clients shape)
-      ~payload_size:payload cfg
-  in
+  let cluster = create (Loadshape.max_clients shape) in
   attack cluster;
-  let engine = Aardvark.Cluster.engine cluster in
-  Loadshape.apply engine shape ~set_rate:(fun c r ->
-      Aardvark.Client.set_rate (Aardvark.Cluster.client cluster c) r);
+  Loadshape.apply (S.Cluster.engine cluster) shape ~set_rate:(fun c r ->
+      S.Client.set_rate (S.Cluster.client cluster c) r);
   let total = Loadshape.total_duration shape in
-  Aardvark.Cluster.run_for cluster (Time.add total (Time.ms 200));
-  let counter = Aardvark.Node.executed_counter (Aardvark.Cluster.node cluster 1) in
-  (window_rate counter ~from_:(Time.ms 200) ~until:total, cluster)
+  S.Cluster.run_for cluster (Time.add total (Time.ms 200));
+  (window_rate (executed_counter (module S) cluster) ~from_:(Time.ms 200) ~until:total, cluster)
 
-let run_shape_spinning ?seed ~f ~payload ~shape ~attack () =
-  Audit.begin_run ~n:((3 * f) + 1) ~f;
-  let cfg = Spinning.Node.default_config ~f in
-  let cluster =
-    Spinning.Cluster.create ?seed ~clients:(Loadshape.max_clients shape)
-      ~payload_size:payload cfg
-  in
-  attack cluster;
-  let engine = Spinning.Cluster.engine cluster in
-  Loadshape.apply engine shape ~set_rate:(fun c r ->
-      Spinning.Client.set_rate (Spinning.Cluster.client cluster c) r);
-  let total = Loadshape.total_duration shape in
-  Spinning.Cluster.run_for cluster (Time.add total (Time.ms 200));
-  let counter = Spinning.Node.executed_counter (Spinning.Cluster.node cluster 1) in
-  (window_rate counter ~from_:(Time.ms 200) ~until:total, cluster)
+let rbft ?seed ?(transport = Bftnet.Network.Tcp) ?(tweak = fun p -> p) ~f ~payload clients =
+  Rbft.Cluster.create ?seed ~transport ~clients ~payload_size:payload
+    (tweak (Rbft.Params.default ~f))
 
-let run_shape_prime ?seed ?(exec_cost = Time.us 100) ~f ~payload ~shape ~attack () =
-  Audit.begin_run ~n:((3 * f) + 1) ~f;
-  let cfg = { (Prime.Node.default_config ~f) with Prime.Node.exec_cost = exec_cost } in
-  let cluster =
-    Prime.Cluster.create ?seed ~clients:(Loadshape.max_clients shape)
-      ~payload_size:payload cfg
-  in
-  attack cluster;
-  let engine = Prime.Cluster.engine cluster in
-  Loadshape.apply engine shape ~set_rate:(fun c r ->
-      Prime.Client.set_rate (Prime.Cluster.client cluster c) r);
-  let total = Loadshape.total_duration shape in
-  Prime.Cluster.run_for cluster (Time.add total (Time.ms 200));
-  let counter = Prime.Node.executed_counter (Prime.Cluster.node cluster 1) in
-  (window_rate counter ~from_:(Time.ms 200) ~until:total, cluster)
+let aardvark ?seed ?(tweak = fun c -> c) ~f ~payload clients =
+  Aardvark.Cluster.create ?seed ~clients ~payload_size:payload
+    (tweak (Aardvark.Node.simulation_config ~f))
+
+let spinning ?seed ~f ~payload clients =
+  Spinning.Cluster.create ?seed ~clients ~payload_size:payload
+    (Spinning.Node.default_config ~f)
+
+let prime ?seed ?(exec_cost = Time.us 100) ~f ~payload clients =
+  Prime.Cluster.create ?seed ~clients ~payload_size:payload
+    { (Prime.Node.default_config ~f) with Prime.Node.exec_cost }
 
 (* ------------------------------------------------------------------ *)
 (* Figures 1-3 and Table I                                            *)
@@ -152,7 +102,7 @@ let fig1 ~quick =
       Loadshape.paper_dynamic ~step:(scale ~quick (Time.ms 300)) ~rate:(0.05 *. rate) ()
     in
     let measure shape attack =
-      fst (run_shape_prime ~f:1 ~payload:size ~shape ~attack ())
+      fst (run_shape (module Prime) ~f:1 ~shape ~attack (prime ~f:1 ~payload:size))
     in
     let rel shape =
       let ff = measure shape (fun _ -> ()) in
@@ -213,10 +163,10 @@ let fig2 ~quick =
     in
     let measure_windowed shape a ~from_ ~until =
       let _, cluster =
-        run_shape_aardvark ~tweak:long_grace ~f:1 ~payload:size ~shape ~attack:a ()
+        run_shape (module Aardvark) ~f:1 ~shape ~attack:a
+          (aardvark ~tweak:long_grace ~f:1 ~payload:size)
       in
-      let counter = Aardvark.Node.executed_counter (Aardvark.Cluster.node cluster 1) in
-      window_rate counter ~from_ ~until
+      window_rate (executed_counter (module Aardvark) cluster) ~from_ ~until
     in
     let rel_static =
       let window a =
@@ -229,8 +179,8 @@ let fig2 ~quick =
     let rel_dynamic =
       let measure a =
         fst
-          (run_shape_aardvark ~tweak:long_grace ~f:1 ~payload:size ~shape:dynamic
-             ~attack:a ())
+          (run_shape (module Aardvark) ~f:1 ~shape:dynamic ~attack:a
+             (aardvark ~tweak:long_grace ~f:1 ~payload:size))
       in
       let ff = measure (fun _ -> ()) in
       let att = measure attack in
@@ -266,7 +216,9 @@ let fig3 ~quick =
     let rate = Calibrate.saturating_rate Calibrate.Spinning ~size in
     let static = static_shape ~quick ~duration:(Time.of_sec_f 3.0) ~rate in
     let dynamic = dynamic_shape ~quick ~rate in
-    let measure shape a = fst (run_shape_spinning ~f:1 ~payload:size ~shape ~attack:a ()) in
+    let measure shape a =
+      fst (run_shape (module Spinning) ~f:1 ~shape ~attack:a (spinning ~f:1 ~payload:size))
+    in
     let rel shape =
       let ff = measure shape (fun _ -> ()) in
       let att = measure shape attack in
@@ -327,59 +279,27 @@ let fig7_point ~proto ~payload ~fraction ~quick =
   in
   let shape = Loadshape.static ~duration ~clients ~rate:(offered /. float_of_int clients) in
   let warm = Time.ms 400 in
+  let point (type c) (module S : STACK with type Cluster.t = c) create =
+    let _, cluster = run_shape (module S) ~f:1 ~shape ~attack:(fun _ -> ()) create in
+    let achieved =
+      window_rate (executed_counter (module S) cluster) ~from_:warm
+        ~until:(Loadshape.total_duration shape)
+    in
+    let lat = Bftmetrics.Stats.create () in
+    Array.iter
+      (fun c ->
+        let h = S.Client.latencies c in
+        if Bftmetrics.Hist.count h > 0 then Bftmetrics.Stats.add lat (Bftmetrics.Hist.mean h))
+      (S.Cluster.clients cluster);
+    { offered; achieved; latency_ms = 1e3 *. Bftmetrics.Stats.mean lat }
+  in
   match proto with
-  | Calibrate.Rbft | Calibrate.Rbft_udp | Calibrate.Rbft_concurrent ->
-    let transport =
-      match proto with Calibrate.Rbft_udp -> Bftnet.Network.Udp | _ -> Bftnet.Network.Tcp
-    in
-    let rate, cluster =
-      run_shape_rbft ~transport ~f:1 ~payload ~shape ~attack:(fun _ -> ()) ()
-    in
-    ignore rate;
-    let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
-    let achieved = window_rate counter ~from_:warm ~until:(Loadshape.total_duration shape) in
-    let lat = Bftmetrics.Stats.create () in
-    Array.iter
-      (fun c ->
-        let h = Rbft.Client.latencies c in
-        if Bftmetrics.Hist.count h > 0 then Bftmetrics.Stats.add lat (Bftmetrics.Hist.mean h))
-      (Rbft.Cluster.clients cluster);
-    { offered; achieved; latency_ms = 1e3 *. Bftmetrics.Stats.mean lat }
-  | Calibrate.Aardvark ->
-    let _, cluster = run_shape_aardvark ~f:1 ~payload ~shape ~attack:(fun _ -> ()) () in
-    let counter = Aardvark.Node.executed_counter (Aardvark.Cluster.node cluster 1) in
-    let achieved = window_rate counter ~from_:warm ~until:(Loadshape.total_duration shape) in
-    let lat = Bftmetrics.Stats.create () in
-    Array.iter
-      (fun c ->
-        let h = Aardvark.Client.latencies c in
-        if Bftmetrics.Hist.count h > 0 then Bftmetrics.Stats.add lat (Bftmetrics.Hist.mean h))
-      (Aardvark.Cluster.clients cluster);
-    { offered; achieved; latency_ms = 1e3 *. Bftmetrics.Stats.mean lat }
-  | Calibrate.Spinning ->
-    let _, cluster = run_shape_spinning ~f:1 ~payload ~shape ~attack:(fun _ -> ()) () in
-    let counter = Spinning.Node.executed_counter (Spinning.Cluster.node cluster 1) in
-    let achieved = window_rate counter ~from_:warm ~until:(Loadshape.total_duration shape) in
-    let lat = Bftmetrics.Stats.create () in
-    Array.iter
-      (fun c ->
-        let h = Spinning.Client.latencies c in
-        if Bftmetrics.Hist.count h > 0 then Bftmetrics.Stats.add lat (Bftmetrics.Hist.mean h))
-      (Spinning.Cluster.clients cluster);
-    { offered; achieved; latency_ms = 1e3 *. Bftmetrics.Stats.mean lat }
-  | Calibrate.Prime ->
-    let _, cluster =
-      run_shape_prime ~exec_cost:(Time.us 1) ~f:1 ~payload ~shape ~attack:(fun _ -> ()) ()
-    in
-    let counter = Prime.Node.executed_counter (Prime.Cluster.node cluster 1) in
-    let achieved = window_rate counter ~from_:warm ~until:(Loadshape.total_duration shape) in
-    let lat = Bftmetrics.Stats.create () in
-    Array.iter
-      (fun c ->
-        let h = Prime.Client.latencies c in
-        if Bftmetrics.Hist.count h > 0 then Bftmetrics.Stats.add lat (Bftmetrics.Hist.mean h))
-      (Prime.Cluster.clients cluster);
-    { offered; achieved; latency_ms = 1e3 *. Bftmetrics.Stats.mean lat }
+  | Calibrate.Rbft | Calibrate.Rbft_concurrent -> point (module Rbft) (rbft ~f:1 ~payload)
+  | Calibrate.Rbft_udp ->
+    point (module Rbft) (rbft ~transport:Bftnet.Network.Udp ~f:1 ~payload)
+  | Calibrate.Aardvark -> point (module Aardvark) (aardvark ~f:1 ~payload)
+  | Calibrate.Spinning -> point (module Spinning) (spinning ~f:1 ~payload)
+  | Calibrate.Prime -> point (module Prime) (prime ~exec_cost:(Time.us 1) ~f:1 ~payload)
 
 let fig7_table ~quick ~payload ~id ~paper_note =
   let protos =
@@ -431,7 +351,7 @@ let rbft_relative ~quick ~f ~attack_fn ~size ~dynamic =
     if dynamic then dynamic_shape ~quick ~rate
     else static_shape ~quick ~duration:(Time.of_sec_f 2.5) ~rate
   in
-  let measure attack = run_shape_rbft ~f ~payload:size ~shape ~attack () in
+  let measure attack = run_shape (module Rbft) ~f ~shape ~attack (rbft ~f ~payload:size) in
   let ff, _ = measure (fun _ -> ()) in
   let att, cluster = measure attack_fn in
   ((if ff <= 0.0 then 0.0 else att /. ff), cluster)
@@ -466,7 +386,9 @@ let fig_monitoring ~quick ~attack_fn ~correct_nodes ~id ~title ~paper_note =
   let f = 1 in
   let rate = Calibrate.saturating_rate ~f Calibrate.Rbft ~size in
   let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.5) ~rate in
-  let _, cluster = run_shape_rbft ~f ~payload:size ~shape ~attack:attack_fn () in
+  let _, cluster =
+    run_shape (module Rbft) ~f ~shape ~attack:attack_fn (rbft ~f ~payload:size)
+  in
   let rows =
     List.map
       (fun node_id ->
@@ -610,9 +532,12 @@ let fig12 ~quick =
 let peak_of ~quick ~tweak ~transport ~payload =
   let rate = Calibrate.saturating_rate Calibrate.Rbft ~size:payload in
   let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.0) ~rate in
-  let _, cluster = run_shape_rbft ~transport ~tweak ~f:1 ~payload ~shape ~attack:(fun _ -> ()) () in
-  let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
-  window_rate counter ~from_:(Time.ms 400) ~until:(Loadshape.total_duration shape)
+  let _, cluster =
+    run_shape (module Rbft) ~f:1 ~shape ~attack:(fun _ -> ())
+      (rbft ~transport ~tweak ~f:1 ~payload)
+  in
+  window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
+    ~until:(Loadshape.total_duration shape)
 
 let ablation_ordering ~quick =
   let full = peak_of ~quick ~transport:Bftnet.Network.Tcp ~payload:4096
@@ -653,21 +578,22 @@ let ablation_view_changes ~quick =
   let rate = Calibrate.saturating_rate Calibrate.Rbft ~size:8 in
   let shape = static_shape ~quick ~duration:(Time.of_sec_f 3.0) ~rate in
   let measure attack =
-    let _, cluster = run_shape_rbft ~f:1 ~payload:8 ~shape ~attack () in
-    let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
-    window_rate counter ~from_:(Time.ms 400) ~until:(Loadshape.total_duration shape)
+    let _, cluster = run_shape (module Rbft) ~f:1 ~shape ~attack (rbft ~f:1 ~payload:8) in
+    window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
+      ~until:(Loadshape.total_duration shape)
   in
   let normal = measure (fun _ -> ()) in
   let forced = measure with_forced in
   (* Aardvark-style changes also pay a recovery pause. *)
   let forced_with_recovery =
     let _, cluster =
-      run_shape_rbft
-        ~tweak:(fun p -> { p with Rbft.Params.post_vc_quiet = Time.ms 120 })
-        ~f:1 ~payload:8 ~shape ~attack:with_forced ()
+      run_shape (module Rbft) ~f:1 ~shape ~attack:with_forced
+        (rbft
+           ~tweak:(fun p -> { p with Rbft.Params.post_vc_quiet = Time.ms 120 })
+           ~f:1 ~payload:8)
     in
-    let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
-    window_rate counter ~from_:(Time.ms 400) ~until:(Loadshape.total_duration shape)
+    window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
+      ~until:(Loadshape.total_duration shape)
   in
   {
     Report.id = "ablation-viewchange";
@@ -696,9 +622,10 @@ let ablation_delta ~quick =
         let rate = Calibrate.saturating_rate Calibrate.Rbft ~size:8 in
         let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.0) ~rate in
         let measure attack =
-          let _, cluster = run_shape_rbft ~tweak ~f:1 ~payload:8 ~shape ~attack () in
-          let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
-          ( window_rate counter ~from_:(Time.ms 400)
+          let _, cluster =
+            run_shape (module Rbft) ~f:1 ~shape ~attack (rbft ~tweak ~f:1 ~payload:8)
+          in
+          ( window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
               ~until:(Loadshape.total_duration shape),
             Rbft.Node.instance_changes (Rbft.Cluster.node cluster 1) )
         in
@@ -734,9 +661,11 @@ let ablation_switch_master ~quick =
       .Pbftcore.Replica.pp_rate_limit <- (fun () -> 0.3 *. rate)
   in
   let measure tweak =
-    let _, cluster = run_shape_rbft ~tweak ~f:1 ~payload:8 ~shape ~attack:slow_master () in
-    let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
-    ( window_rate counter ~from_:(Time.ms 400) ~until:(Loadshape.total_duration shape),
+    let _, cluster =
+      run_shape (module Rbft) ~f:1 ~shape ~attack:slow_master (rbft ~tweak ~f:1 ~payload:8)
+    in
+    ( window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
+        ~until:(Loadshape.total_duration shape),
       Rbft.Node.master_instance (Rbft.Cluster.node cluster 1) )
   in
   let tput_change, _ = measure (fun p -> { p with Rbft.Params.delta = 0.9 }) in
@@ -845,19 +774,17 @@ let seed_sweep ~quick ~seeds =
     let seed = Int64.of_int seed in
     let rate = Calibrate.saturating_rate proto ~size in
     let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.0) ~rate in
+    let measure (type c) (module S : STACK with type Cluster.t = c) create =
+      fst (run_shape (module S) ~f:1 ~shape ~attack:no_attack create)
+    in
     match proto with
     | Calibrate.Rbft | Calibrate.Rbft_concurrent ->
-      fst (run_shape_rbft ~seed ~f:1 ~payload:size ~shape ~attack:no_attack ())
+      measure (module Rbft) (rbft ~seed ~f:1 ~payload:size)
     | Calibrate.Rbft_udp ->
-      fst
-        (run_shape_rbft ~seed ~transport:Bftnet.Network.Udp ~f:1 ~payload:size
-           ~shape ~attack:no_attack ())
-    | Calibrate.Aardvark ->
-      fst (run_shape_aardvark ~seed ~f:1 ~payload:size ~shape ~attack:no_attack ())
-    | Calibrate.Spinning ->
-      fst (run_shape_spinning ~seed ~f:1 ~payload:size ~shape ~attack:no_attack ())
-    | Calibrate.Prime ->
-      fst (run_shape_prime ~seed ~f:1 ~payload:size ~shape ~attack:no_attack ())
+      measure (module Rbft) (rbft ~seed ~transport:Bftnet.Network.Udp ~f:1 ~payload:size)
+    | Calibrate.Aardvark -> measure (module Aardvark) (aardvark ~seed ~f:1 ~payload:size)
+    | Calibrate.Spinning -> measure (module Spinning) (spinning ~seed ~f:1 ~payload:size)
+    | Calibrate.Prime -> measure (module Prime) (prime ~seed ~f:1 ~payload:size)
   in
   let row proto =
     let samples = List.init seeds (fun s -> run proto (s + 1)) in

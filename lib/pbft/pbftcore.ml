@@ -1,8 +1,12 @@
 (** The PBFT-style ordering instance used by RBFT (one per protocol
-    instance) and by the Aardvark baseline. *)
+    instance) and by the Aardvark baseline, plus the client, execution
+    ledger and cluster scaffold all four stacks share. *)
 
 module Types = Types
 module Voteset = Voteset
 module Messages = Messages
 module Replica = Replica
 module Codec = Codec
+module Ledger = Ledger
+module Client_core = Client_core
+module Cluster_core = Cluster_core

@@ -72,9 +72,7 @@ type t = {
   suspects : Pbftcore.Voteset.t;  (* replicas voting against current view *)
   mutable suspects_seen : int;
   executed : string Request_id_table.t;
-  exec_counter : Bftmetrics.Throughput.t;
-  mutable exec_count : int;
-  mutable exec_digest : string;
+  ledger : Pbftcore.Ledger.t;
   mutable ping_nonce : int;
   pings_inflight : (int, Time.t) Hashtbl.t;
   (* Traced requests: request id -> (parent span, arrival time). The
@@ -88,9 +86,10 @@ let id t = t.id
 let faults t = t.faults
 let monitor t = t.monitor
 let view t = t.view
-let executed_count t = t.exec_count
-let executed_counter t = t.exec_counter
-let execution_digest t = t.exec_digest
+let ledger t = t.ledger
+let executed_count t = Pbftcore.Ledger.count t.ledger
+let executed_counter t = Pbftcore.Ledger.counter t.ledger
+let execution_digest t = Pbftcore.Ledger.digest t.ledger
 let suspects_seen t = t.suspects_seen
 
 let set_clock_factor t k = Clock.set_factor t.clock k
@@ -102,9 +101,12 @@ let is_primary t = primary t = t.id
 
 let sig_size = Keys.signature_size
 
+(* Prime clients sign their requests; there is no per-node authenticator. *)
+let request_size ~n:_ (desc : request_desc) = 16 + desc.op_size + sig_size
+
 let msg_size t m =
   match m with
-  | Request { desc; _ } -> 16 + desc.op_size + sig_size
+  | Request { desc; _ } -> request_size ~n:(n_nodes t) desc
   | Po_request { desc; _ } -> 24 + desc.op_size + sig_size
   | Pre_prepare { vector; _ } -> 24 + (8 * Array.length vector) + sig_size
   | Prepare _ | Commit _ -> 24 + Sha256.size + sig_size
@@ -232,13 +234,8 @@ let execute_one t (desc : request_desc) =
     Resource.charge t.main cost;
     let result = t.service.Service.execute desc.op in
     Request_id_table.replace t.executed desc.id result;
-    t.exec_count <- t.exec_count + 1;
-    if Bftaudit.Bus.active () then
-      audit t
-        (Bftaudit.Event.Executed
-           { client = desc.id.client; rid = desc.id.rid; digest = desc.digest });
-    Bftmetrics.Throughput.record t.exec_counter ~now:(Engine.now t.engine);
-    t.exec_digest <- Sha256.digest_string (t.exec_digest ^ desc.digest);
+    Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id ~instance:0
+      desc;
     send_from ~span:espan ~span_tag:Bftspan.Tag.Reply t
       ~dst:(Principal.client desc.id.client)
       (Reply { id = desc.id; result; node = t.id })
@@ -531,9 +528,7 @@ let create engine net cfg ~id ~service =
       suspects = Pbftcore.Voteset.create ~n;
       suspects_seen = 0;
       executed = Request_id_table.create 4096;
-      exec_counter = Bftmetrics.Throughput.create ();
-      exec_count = 0;
-      exec_digest = "genesis";
+      ledger = Pbftcore.Ledger.create ();
       ping_nonce = 0;
       pings_inflight = Hashtbl.create 16;
       span_in = Request_id_table.create 64;

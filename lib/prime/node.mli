@@ -45,6 +45,10 @@ type config = {
 
 val default_config : f:int -> config
 
+val request_size : n:int -> Pbftcore.Types.request_desc -> int
+(** Wire size of a client REQUEST: signed, with no per-node
+    authenticator (so [n] does not enter). *)
+
 type faults = {
   mutable delay_to_limit : bool;
       (** malicious primary: stretch the PRE-PREPARE period to a
@@ -62,6 +66,7 @@ val id : t -> int
 val faults : t -> faults
 val monitor : t -> Monitor.t
 val view : t -> int
+val ledger : t -> Pbftcore.Ledger.t
 val executed_count : t -> int
 val executed_counter : t -> Bftmetrics.Throughput.t
 val execution_digest : t -> string

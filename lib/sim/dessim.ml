@@ -9,4 +9,3 @@ module Heap = Heap
 module Engine = Engine
 module Resource = Resource
 module Clock = Clock
-module Trace = Trace

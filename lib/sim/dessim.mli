@@ -28,7 +28,3 @@ module Resource = Resource
 module Clock = Clock
 (** Skewable wrapper over {!Engine.after} for local periodic timers;
     the chaos engine stretches it to model clock drift. *)
-
-module Trace = Trace
-(** Legacy free-form string tracing, bridged onto the structured
-    {!Bftaudit.Bus} while any sink is live. *)

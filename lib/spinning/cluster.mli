@@ -1,8 +1,10 @@
 (** Assemble a Spinning deployment. *)
 
-open Dessim
-
-type t
+include
+  Pbftcore.Cluster_core.S
+    with type node = Node.t
+     and type client = Client.t
+     and type msg = Node.msg
 
 val create :
   ?seed:int64 ->
@@ -11,14 +13,3 @@ val create :
   ?service:(unit -> Bftapp.Service.t) ->
   Node.config ->
   t
-
-val engine : t -> Engine.t
-val network : t -> Node.msg Bftnet.Network.t
-val node : t -> int -> Node.t
-val nodes : t -> Node.t array
-val client : t -> int -> Client.t
-val clients : t -> Client.t array
-val run_for : t -> Time.t -> unit
-val total_executed : t -> int
-val throughput_between : t -> Time.t -> Time.t -> float
-val agreement_ok : t -> faulty:int list -> bool

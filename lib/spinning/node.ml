@@ -47,17 +47,16 @@ type t = {
   mutable replica : Replica.t option;
   faults : faults;
   executed : string Request_id_table.t;
-  exec_counter : Bftmetrics.Throughput.t;
-  mutable exec_count : int;
-  mutable exec_digest : string;
+  ledger : Pbftcore.Ledger.t;
 }
 
 let id t = t.id
 let faults t = t.faults
 let replica t = match t.replica with Some r -> r | None -> assert false
-let executed_count t = t.exec_count
-let executed_counter t = t.exec_counter
-let execution_digest t = t.exec_digest
+let ledger t = t.ledger
+let executed_count t = Pbftcore.Ledger.count t.ledger
+let executed_counter t = Pbftcore.Ledger.counter t.ledger
+let execution_digest t = Pbftcore.Ledger.digest t.ledger
 
 let set_clock_factor t k = Clock.set_factor t.clock k
 
@@ -66,10 +65,12 @@ let set_cpu_factor t s =
 
 let n_nodes t = (3 * t.cfg.f) + 1
 
+let request_size ~n (desc : request_desc) = 16 + desc.op_size + (n * Keys.mac_tag_size)
+
 let msg_size t m =
   let mac_auth = n_nodes t * Keys.mac_tag_size in
   match m with
-  | Request { desc } -> 16 + desc.op_size + mac_auth
+  | Request { desc } -> request_size ~n:(n_nodes t) desc
   | Order (Replica.Pre_prepare { descs; _ }) ->
     (* Spinning's ordering messages carry the full requests. *)
     16 + List.fold_left (fun acc d -> acc + id_wire_size + d.op_size) 0 descs + mac_auth
@@ -123,17 +124,8 @@ let execute_batch t descs =
             if not (Request_id_table.mem t.executed desc.id) then begin
               let result = t.service.Service.execute desc.op in
               Request_id_table.replace t.executed desc.id result;
-              t.exec_count <- t.exec_count + 1;
-              if Bftaudit.Bus.active () then
-                audit t
-                  (Bftaudit.Event.Executed
-                     {
-                       client = desc.id.client;
-                       rid = desc.id.rid;
-                       digest = desc.digest;
-                     });
-              Bftmetrics.Throughput.record t.exec_counter ~now:(Engine.now t.engine);
-              t.exec_digest <- Sha256.digest_string (t.exec_digest ^ desc.digest);
+              Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id
+                ~instance:0 desc;
               Resource.charge t.execution
                 (Costmodel.mac_gen t.cfg.costs ~bytes:(String.length result + 16));
               send_from ~span:espan ~span_tag:Bftspan.Tag.Reply t t.execution
@@ -218,9 +210,7 @@ let create engine net cfg ~id ~service =
       replica = None;
       faults = { delay_fraction = 0.0 };
       executed = Request_id_table.create 4096;
-      exec_counter = Bftmetrics.Throughput.create ();
-      exec_count = 0;
-      exec_digest = "genesis";
+      ledger = Pbftcore.Ledger.create ();
     }
   in
   let r = make_replica t in

@@ -31,6 +31,10 @@ type config = {
 
 val default_config : f:int -> config
 
+val request_size : n:int -> Pbftcore.Types.request_desc -> int
+(** Wire size of a client REQUEST: MAC-authenticated for every node,
+    unsigned. *)
+
 type faults = {
   mutable delay_fraction : float;
       (** when > 0, this replica delays each of its proposals by this
@@ -47,6 +51,7 @@ val start : t -> unit
 val id : t -> int
 val faults : t -> faults
 val replica : t -> Replica.t
+val ledger : t -> Pbftcore.Ledger.t
 val executed_count : t -> int
 val executed_counter : t -> Bftmetrics.Throughput.t
 val execution_digest : t -> string

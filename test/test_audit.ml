@@ -1,6 +1,6 @@
-(* Tests for the bftaudit subsystem: bus dispatch and the legacy-trace
-   bridge, trace capture (digest determinism, JSONL / Chrome export)
-   and the online safety auditor (clean runs stay clean, forged
+(* Tests for the bftaudit subsystem: bus dispatch, trace capture
+   (digest determinism, JSONL / Chrome export) and the online safety
+   auditor (clean runs stay clean, forged
    violations are caught). *)
 
 open Dessim
@@ -19,24 +19,17 @@ let test_bus_zero_cost_when_disabled () =
   Bftaudit.Bus.unsubscribe tok;
   Alcotest.(check bool) "inactive again" false (Bftaudit.Bus.active ())
 
-let test_bus_dispatch_and_trace_bridge () =
+let test_bus_dispatch () =
   let got = ref [] in
   let tok = Bftaudit.Bus.subscribe (fun ev -> got := ev :: !got) in
   Bftaudit.Bus.emit
     (mk_event (Bftaudit.Event.Ordered { seq = 1; count = 1; digest = "d" }));
-  (* Legacy string traces are forwarded onto the bus as Log events. *)
-  let engine = Engine.create () in
-  Trace.emitf engine Trace.Info ~component:"test" "hello %d" 42;
   Bftaudit.Bus.unsubscribe tok;
-  match List.rev !got with
-  | [ first; second ] ->
-    (match first.Bftaudit.Event.kind with
-     | Bftaudit.Event.Ordered { seq = 1; _ } -> ()
-     | _ -> Alcotest.fail "expected the Ordered event first");
-    (match second.Bftaudit.Event.kind with
-     | Bftaudit.Event.Log { component = "test"; message = "hello 42"; _ } -> ()
-     | _ -> Alcotest.fail "expected the bridged Log event")
-  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
+  Bftaudit.Bus.emit
+    (mk_event (Bftaudit.Event.Ordered { seq = 2; count = 1; digest = "d" }));
+  match !got with
+  | [ { Bftaudit.Event.kind = Bftaudit.Event.Ordered { seq = 1; _ }; _ } ] -> ()
+  | evs -> Alcotest.failf "expected the one Ordered event, got %d" (List.length evs)
 
 (* ------------------------------------------------------------------ *)
 (* Capture: export formats and digest determinism                     *)
@@ -177,8 +170,7 @@ let suites =
       [
         Alcotest.test_case "bus zero-cost when disabled" `Quick
           test_bus_zero_cost_when_disabled;
-        Alcotest.test_case "bus dispatch + legacy trace bridge" `Quick
-          test_bus_dispatch_and_trace_bridge;
+        Alcotest.test_case "bus dispatch" `Quick test_bus_dispatch;
         Alcotest.test_case "capture export (jsonl + chrome)" `Quick
           test_capture_export;
         Alcotest.test_case "same-seed digests are identical" `Quick

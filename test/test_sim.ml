@@ -490,46 +490,6 @@ let prop_resource_backlog_matches_fold =
       check ();
       !ok && Resource.backlog r = Time.zero && Resource.depth r = 0)
 
-(* ------------------------------------------------------------------ *)
-(* Trace                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_trace_sink_receives () =
-  let e = Engine.create () in
-  let ring = Trace.Ring.create ~capacity:8 () in
-  Trace.set_sink (Some (Trace.Ring.sink ring));
-  ignore (Engine.after e (Time.ms 2) (fun () ->
-      Trace.emit e Trace.Info ~component:"test" "hello"));
-  ignore (Engine.after e (Time.ms 3) (fun () ->
-      Trace.emitf e Trace.Warn ~component:"test" "x=%d" 42));
-  Engine.run e;
-  Trace.set_sink None;
-  match Trace.Ring.events ring with
-  | [ a; b ] ->
-    check_int "first time" (Time.ms 2) a.Trace.time;
-    Alcotest.(check string) "first msg" "hello" a.Trace.message;
-    Alcotest.(check string) "second msg" "x=42" b.Trace.message;
-    Alcotest.(check string) "level" "warn" (Trace.level_name b.Trace.level)
-  | other -> Alcotest.failf "expected 2 events, got %d" (List.length other)
-
-let test_trace_ring_wraps () =
-  let ring = Trace.Ring.create ~capacity:3 () in
-  let e = Engine.create () in
-  Trace.set_sink (Some (Trace.Ring.sink ring));
-  for i = 1 to 5 do
-    Trace.emitf e Trace.Debug ~component:"t" "%d" i
-  done;
-  Trace.set_sink None;
-  let msgs = List.map (fun ev -> ev.Trace.message) (Trace.Ring.events ring) in
-  Alcotest.(check (list string)) "keeps the newest" [ "3"; "4"; "5" ] msgs
-
-let test_trace_no_sink_noop () =
-  let e = Engine.create () in
-  Trace.set_sink None;
-  (* Must not raise and must not build messages eagerly. *)
-  Trace.emitf e Trace.Debug ~component:"t" "%d" 1;
-  Trace.emit e Trace.Info ~component:"t" "x"
-
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suites =
@@ -584,12 +544,6 @@ let suites =
           test_choice_release_clamps_past_keys;
         Alcotest.test_case "cancel while parked" `Quick
           test_choice_cancel_while_parked;
-      ] );
-    ( "sim.trace",
-      [
-        Alcotest.test_case "sink receives events" `Quick test_trace_sink_receives;
-        Alcotest.test_case "ring wraps" `Quick test_trace_ring_wraps;
-        Alcotest.test_case "no sink is a no-op" `Quick test_trace_no_sink_noop;
       ] );
     ( "sim.resource",
       [
