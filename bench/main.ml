@@ -405,11 +405,11 @@ let () =
           Printf.printf "  (%s took %.1fs)\n%!" label (Unix.gettimeofday () -. t)
         end)
       groups;
-    Printf.printf "\nTotal experiment time: %.1fs\n%!" (Unix.gettimeofday () -. t0);
-    match Audit.summary () with
-    | Some s -> Printf.printf "Safety audit: %s\n%!" s
-    | None -> ()
+    Printf.printf "\nTotal experiment time: %.1fs\n%!" (Unix.gettimeofday () -. t0)
   end;
+  (* The last experiment's auditor must not see the micro-benchmarks'
+     or the sweeps' fresh replicas and clients. *)
+  Audit.end_run ();
   if (not !skip_micro) && !only = [] && !seeds = 0 && !scale = None
      && !clients = None
   then
@@ -422,6 +422,9 @@ let () =
    | None -> ());
   (match !clients with
    | Some path -> Perfreport.write_clients ~quick ~path
+   | None -> ());
+  (match Audit.summary () with
+   | Some s -> Printf.printf "Safety audit: %s\n%!" s
    | None -> ());
   (match !prom with
    | Some path ->

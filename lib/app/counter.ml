@@ -16,5 +16,4 @@ let service t =
         | _ -> "error");
     exec_cost = (fun _ -> Dessim.Time.us 1);
     state_digest = (fun () -> "counter:" ^ string_of_int t.value);
-    shard_key = Service.no_shard;
   }

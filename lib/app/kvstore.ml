@@ -48,11 +48,6 @@ let decode_op s =
   | v -> v
   | exception Wire.Reader.Truncated -> None
 
-let op_key = function
-  | Get k | Delete k -> k
-  | Put (k, _) -> k
-  | Cas (k, _, _) -> k
-
 type t = {
   mutable store : string Map.Make(String).t;
   exec_cost : Dessim.Time.t;
@@ -104,9 +99,4 @@ let service t =
         | Some op -> apply t op);
     exec_cost = (fun _ -> t.exec_cost);
     state_digest = (fun () -> digest t);
-    shard_key =
-      (fun encoded ->
-        match decode_op encoded with
-        | Some op -> Some (op_key op)
-        | None -> None);
   }

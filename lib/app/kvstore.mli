@@ -14,11 +14,6 @@ type op =
 val encode_op : op -> string
 val decode_op : string -> op option
 
-val op_key : op -> string
-(** The key an operation touches. Operations on distinct keys commute,
-    which is what makes the store safe to execute on sharded execution
-    lanes ({!Service.t.shard_key}). *)
-
 type t
 
 val create : ?exec_cost:Dessim.Time.t -> unit -> t

@@ -19,5 +19,4 @@ let create ?(exec_cost = Time.us 1) () =
     exec_cost =
       (fun op -> if is_heavy op then Time.mul_f exec_cost 10.0 else exec_cost);
     state_digest = (fun () -> Printf.sprintf "null:%d" !executed);
-    shard_key = Service.no_shard;
   }

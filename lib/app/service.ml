@@ -2,15 +2,11 @@ type t = {
   execute : string -> string;
   exec_cost : string -> Dessim.Time.t;
   state_digest : unit -> string;
-  shard_key : string -> string option;
 }
-
-let no_shard _ = None
 
 let noop =
   {
     execute = (fun _ -> "");
     exec_cost = (fun _ -> Dessim.Time.zero);
     state_digest = (fun () -> "noop");
-    shard_key = no_shard;
   }

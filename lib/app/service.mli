@@ -14,18 +14,7 @@ type t = {
       (** Virtual CPU time charged to the execution thread. *)
   state_digest : unit -> string;
       (** Digest of the current state, for checkpoints. *)
-  shard_key : string -> string option;
-      (** [shard_key op] names the piece of state [op] touches, when
-          operations on distinct keys commute — the declaration that
-          lets a node execute independent-key operations on parallel
-          execution lanes ({!Params.exec_shards}) without changing any
-          observable result. [None] means the operation must execute on
-          the serial lane (the safe default for services whose
-          operations do not commute, and for undecodable operations). *)
 }
-
-val no_shard : string -> string option
-(** Constant [None]: the shard-key function of unsharded services. *)
 
 val noop : t
 (** A service that ignores operations; zero-cost, constant digest. *)

@@ -2,13 +2,12 @@ open Dessim
 
 let for_all_clients cluster f = Array.iter f (Cluster.clients cluster)
 
-let flood_rate_for cluster ~aggressive =
+let flood_rate_for ~aggressive =
   (* The NIC-closing threshold admits [flood_threshold] invalid
      messages per monitoring period; a smart attacker floods just
      below it, a brute-force one well above. *)
-  let params = Cluster.params cluster in
-  let per_period = float_of_int params.Params.flood_threshold in
-  let period = Time.to_sec_f params.Params.monitoring_period in
+  let per_period = float_of_int Params.flood_threshold in
+  let period = Time.to_sec_f Params.monitoring_period in
   if aggressive then 4.0 *. per_period /. period else 0.8 *. per_period /. period
 
 let worst_attack_1 cluster =
@@ -27,7 +26,7 @@ let worst_attack_1 cluster =
       (* (ii)+(iii) flood the master-primary node with junk of maximal
          size; it will close the offending NICs. *)
       faults.Node.flood_targets <- [ master_primary_node ];
-      faults.Node.flood_rate <- flood_rate_for cluster ~aggressive:true;
+      faults.Node.flood_rate <- flood_rate_for ~aggressive:true;
       (* (iv) the faulty master-instance replicas stop participating;
          backup replicas keep running at full speed. *)
       (Pbftcore.Replica.adversary (Node.replica node ~instance:Params.master_instance))
@@ -47,7 +46,7 @@ let install_delta_tracker cluster ~node ~instance ~margin =
     (fun () -> !cap);
   let rec loop () =
     ignore
-      (Engine.after engine params.Params.monitoring_period (fun () ->
+      (Engine.after engine Params.monitoring_period (fun () ->
            (* The faulty node reads its own monitoring module — the
               same data correct nodes use for the Δ test. The cap is
               one window stale, so a smart attacker only throttles
@@ -96,7 +95,7 @@ let worst_attack_2 cluster =
          threshold: closing the faulty node's NIC would also cut off
          the master primary's ordering messages and end the attack. *)
       faults.Node.flood_targets <- correct;
-      faults.Node.flood_rate <- flood_rate_for cluster ~aggressive:false;
+      faults.Node.flood_rate <- flood_rate_for ~aggressive:false;
       faults.Node.no_propagate <- true;
       (* (iii) backup-instance replicas on faulty nodes stay silent. *)
       for i = 0 to Params.instances params - 1 do

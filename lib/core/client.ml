@@ -58,8 +58,8 @@ let backoff_of (t : t) =
     t.ext.backoff <- Some b;
     b
 
-let rec on_reply (t : t) (id : request_id) ~node ~result =
-  if Core.on_reply t id ~node ~result then begin
+let rec on_reply (t : t) (id : request_id) ~src ~node ~result =
+  if Core.on_reply t id ~src ~node ~result then begin
     Bftmetrics.Throughput.record t.ext.completions ~now:(Engine.now t.engine);
     (* Closed loop: each completion funds the next request. *)
     if t.ext.closed_loop > 0 then send_one t
@@ -134,10 +134,10 @@ and make_request (t : t) =
    idempotent. The wait is the server hint floored exponential backoff
    of {!Bftflow.Backoff}, drawn from this client's own stream for
    determinism. *)
-let on_busy (t : t) (id : request_id) ~node ~retry_after =
+let on_busy (t : t) (id : request_id) ~src ~node ~retry_after =
   match Request_id_table.find_opt t.pending id with
   | None -> ()
-  | Some p when p.done_ -> ()
+  | Some p when p.done_ || not (Core.sent_by ~src node) -> ()
   | Some p ->
     let r = p.data in
     if not (List.mem node r.busy_from) then begin
@@ -181,10 +181,10 @@ let set_closed_loop (t : t) ~outstanding =
     send_one t
   done
 
-let handle t (m : Messages.t) =
+let handle t ~src (m : Messages.t) =
   match m with
-  | Messages.Reply { id; result; node } -> on_reply t id ~node ~result
-  | Messages.Busy { id; retry_after; node } -> on_busy t id ~node ~retry_after
+  | Messages.Reply { id; result; node } -> on_reply t id ~src ~node ~result
+  | Messages.Busy { id; retry_after; node } -> on_busy t id ~src ~node ~retry_after
   | Messages.Request _ | Messages.Propagate _ | Messages.Propagate_batch _
   | Messages.Instance _ | Messages.Instance_change _ ->
     ()

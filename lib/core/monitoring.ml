@@ -113,10 +113,9 @@ let min_meaningful_rate = 50.0
 let prune_idle_clients t =
   let prune = t.params.Params.monitoring_idle_prune in
   if prune > Time.zero then begin
-    let period = Time.to_sec_f t.params.Params.monitoring_period in
+    let period = Time.to_sec_f Params.monitoring_period in
     let keep_ticks =
-      if period <= 0.0 then 1
-      else Stdlib.max 1 (int_of_float (ceil (Time.to_sec_f prune /. period)))
+      Stdlib.max 1 (int_of_float (ceil (Time.to_sec_f prune /. period)))
     in
     let stale =
       Hashtbl.fold

@@ -129,20 +129,12 @@ type t = {
   propagation : Resource.t;
   dispatch : Resource.t;
   execution : Resource.t;
-  (* Sharded execution lanes ([params.exec_shards] > 1): requests whose
-     service declares a shard key execute on the key's lane instead of
-     the serial execution thread. Empty in the default configuration. *)
-  execution_shards : Resource.t array;
   admission : Bftflow.Admission.t;
   (* Requests holding an admission-gate slot ({!Bftflow.Admission}),
      keyed at ingress triage time — before any tracking state exists —
      and released exactly once when the request executes, is dropped,
      or its client is blacklisted. Empty while the gate is disabled. *)
   admission_held : unit Request_id_table.t;
-  (* Sharded mode: requests whose execution has been submitted (and
-     whose digest is already chained); the dedup the serial path gets
-     from checking [executed] at completion time. *)
-  exec_started : unit Request_id_table.t;
   replica_threads : Resource.t array;
   mutable replicas : Pbftcore.Replica.t array;
   faults : faults;
@@ -222,13 +214,11 @@ let set_cpu_factor t s =
   List.iter
     (fun r -> Resource.set_speed r s)
     ([ t.verification; t.propagation; t.dispatch; t.execution ]
-    @ Array.to_list t.execution_shards
     @ Array.to_list t.replica_threads)
 
 let admission_inflight t = Bftflow.Admission.inflight t.admission
 let admission_shed t = Bftflow.Admission.shed_total t.admission
 
-let costs t = t.params.Params.costs
 let n_nodes t = Params.n t.params
 let instance_count t = Params.instances t.params
 
@@ -276,17 +266,17 @@ let cost_bytes t msg =
 
 let send_from ?(span = -1) ?span_tag t thread ~dst msg =
   let size = msg_size t msg in
-  Resource.charge thread (Costmodel.send (costs t) ~bytes:(cost_bytes t msg));
+  Resource.charge thread (Costmodel.send Params.costs ~bytes:(cost_bytes t msg));
   Network.send ~span ?span_tag t.net ~src:(self t) ~dst ~size msg
 
 let broadcast_nodes_from ?(span = -1) t thread msg =
   let size = msg_size t msg in
   (* One MAC authenticator covers all destinations. *)
   Resource.charge thread
-    (Costmodel.authenticator_gen (costs t) ~bytes:size ~count:(n_nodes t));
+    (Costmodel.authenticator_gen Params.costs ~bytes:size ~count:(n_nodes t));
   for dst = 0 to n_nodes t - 1 do
     if dst <> t.id then begin
-      Resource.charge thread (Costmodel.send (costs t) ~bytes:(cost_bytes t msg));
+      Resource.charge thread (Costmodel.send Params.costs ~bytes:(cost_bytes t msg));
       Network.send ~span t.net ~src:(self t) ~dst:(Principal.node dst) ~size msg
     end
   done
@@ -400,13 +390,13 @@ let buffer_propagate t rcc (req : Messages.request) =
   in
   rcc.prop_buf.(owner) <- req :: rcc.prop_buf.(owner);
   rcc.prop_len.(owner) <- rcc.prop_len.(owner) + 1;
-  if rcc.prop_len.(owner) >= t.params.Params.propagate_batch then
+  if rcc.prop_len.(owner) >= Params.propagate_batch then
     Resource.submit t.replica_threads.(owner) ~cost:(Time.ns 200) (fun () ->
         flush_prop t rcc owner)
   else if not rcc.prop_timer.(owner) then begin
     rcc.prop_timer.(owner) <- true;
     ignore
-      (Clock.after t.clock t.params.Params.propagate_batch_delay (fun () ->
+      (Clock.after t.clock Params.propagate_batch_delay (fun () ->
            rcc.prop_timer.(owner) <- false;
            Resource.submit t.replica_threads.(owner) ~cost:(Time.ns 200)
              (fun () -> flush_prop t rcc owner)))
@@ -437,18 +427,14 @@ let propagate_request t (req : Messages.request) =
 let note_invalid_from t peer =
   if peer >= 0 && peer < n_nodes t then begin
     t.invalid_counts.(peer) <- t.invalid_counts.(peer) + 1;
-    if t.invalid_counts.(peer) > t.params.Params.flood_threshold then begin
+    if t.invalid_counts.(peer) > Params.flood_threshold then begin
       t.invalid_counts.(peer) <- 0;
       if Bftaudit.Bus.active () then
         audit t
           (Bftaudit.Event.Nic_closed
-             {
-               peer;
-               until =
-                 Time.add (Engine.now t.engine) t.params.Params.flood_close_time;
-             });
+             { peer; until = Time.add (Engine.now t.engine) Params.flood_close_time });
       Network.close_nic t.net ~node:t.id ~peer:(Principal.node peer)
-        ~for_:t.params.Params.flood_close_time
+        ~for_:Params.flood_close_time
     end
   end
 
@@ -456,9 +442,8 @@ let note_invalid_from t peer =
 (* Verification module (step 1)                                       *)
 (* ------------------------------------------------------------------ *)
 
-let reply_to ?(span = -1) ?thread t (id : request_id) result =
-  let thread = match thread with Some r -> r | None -> t.execution in
-  send_from ~span ~span_tag:Bftspan.Tag.Reply t thread
+let reply_to ?(span = -1) t (id : request_id) result =
+  send_from ~span ~span_tag:Bftspan.Tag.Reply t t.execution
     ~dst:(Principal.client id.client)
     (Messages.Reply { id; result; node = t.id })
 
@@ -503,7 +488,7 @@ let verify_signature_once t (req : Messages.request) =
         ~instance:(-1) ~now:(Engine.now t.engine)
     in
     Resource.submit ~span:vspan thread
-      ~cost:(Costmodel.sig_verify (costs t) ~bytes:req.desc.op_size)
+      ~cost:(Costmodel.sig_verify Params.costs ~bytes:req.desc.op_size)
       (fun () ->
         state.sig_inflight <- false;
         if req.sig_valid then begin
@@ -661,8 +646,7 @@ let perform_instance_change t target_cpi =
          end)
        rcc.degraded;
      rcc.quiet_until <-
-       Time.add t.last_change_at
-         (Time.mul_f t.params.Params.monitoring_period 4.0)
+       Time.add t.last_change_at (Time.mul_f Params.monitoring_period 4.0)
    | Some _, Params.Switch_master | None, _ -> ());
   match t.params.Params.recovery with
   | Params.Change_primaries ->
@@ -711,60 +695,17 @@ let execute_request t ~span (desc : request_desc) =
     Replycache.seen t.executed ~client:desc.id.client ~rid:desc.id.rid
   in
   if not (seen ()) then begin
-    let cost = Time.max t.params.Params.exec_cost (t.service.Service.exec_cost desc.op) in
+    let cost = Time.max Params.exec_cost (t.service.Service.exec_cost desc.op) in
     let espan =
       Spans.job ~parent:span ~tag:Bftspan.Tag.Execution ~node:t.id
         ~instance:t.master_instance ~now:(Engine.now t.engine)
     in
-    if Array.length t.execution_shards = 0 then
-      Resource.submit ~span:espan t.execution ~cost (fun () ->
-          if not (seen ()) then begin
-            let result = t.service.Service.execute desc.op in
-            Replycache.mark t.executed ~client:desc.id.client
-              ~rid:desc.id.rid ~result;
-            Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id
-              ~instance:t.master_instance desc;
-            if Bftmetrics.Registry.active () then begin
-              Bftmetrics.Registry.Counter.inc t.m.nm_executed;
-              match Request_id_table.find_opt t.requests desc.id with
-              | Some state when state.dispatched ->
-                Bftmetrics.Hist.add t.m.nm_execution_latency
-                  (Time.to_sec_f
-                     (Time.sub (Engine.now t.engine) state.dispatch_time))
-              | Some _ | None -> ()
-            end;
-            release_admission t desc.id;
-            Resource.charge t.execution
-              (Costmodel.mac_gen (costs t) ~bytes:(String.length result + 16));
-            reply_to ~span:espan t desc.id result
-          end)
-    else if not (Request_id_table.mem t.exec_started desc.id) then begin
-      (* Sharded execution. The digest is chained here, at submission
-         time on the dispatch thread: submissions happen in total order
-         on every correct node, so the chains stay equal across nodes
-         even though completions interleave per shard. Requests without
-         a shard key fall back to the serial execution thread (itself a
-         lane as far as ordering is concerned: per-lane FIFO, total
-         order only per key). *)
-      Request_id_table.replace t.exec_started desc.id ();
-      Pbftcore.Ledger.chain t.ledger desc;
-      let lane =
-        match t.service.Service.shard_key desc.op with
-        | Some key ->
-          t.execution_shards.(Bftflow.Shard.index
-                                ~shards:(Array.length t.execution_shards)
-                                key)
-        | None -> t.execution
-      in
-      Resource.submit ~span:espan lane ~cost (fun () ->
+    Resource.submit ~span:espan t.execution ~cost (fun () ->
+        if not (seen ()) then begin
           let result = t.service.Service.execute desc.op in
           Replycache.mark t.executed ~client:desc.id.client ~rid:desc.id.rid
             ~result;
-          (* The reply cache now answers post-completion duplicates, so
-             the started-marker is dead weight: drop it to keep the
-             table O(in-flight) instead of O(ever-executed). *)
-          Request_id_table.remove t.exec_started desc.id;
-          Pbftcore.Ledger.complete t.ledger ~now:(Engine.now t.engine) ~node:t.id
+          Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id
             ~instance:t.master_instance desc;
           if Bftmetrics.Registry.active () then begin
             Bftmetrics.Registry.Counter.inc t.m.nm_executed;
@@ -776,10 +717,10 @@ let execute_request t ~span (desc : request_desc) =
             | Some _ | None -> ()
           end;
           release_admission t desc.id;
-          Resource.charge lane
-            (Costmodel.mac_gen (costs t) ~bytes:(String.length result + 16));
-          reply_to ~span:espan ~thread:lane t desc.id result)
-    end
+          Resource.charge t.execution
+            (Costmodel.mac_gen Params.costs ~bytes:(String.length result + 16));
+          reply_to ~span:espan t desc.id result
+        end)
   end
 
 (* Concurrent ordering: the sequencer's emit callback. Every correct
@@ -865,8 +806,7 @@ let on_ordered t ~instance ~seq descs =
       rcc.degraded.(instance) <- false;
       (* The verdict averages the last 3 windows; one extra covers the
          partially-contaminated window in flight. *)
-      rcc.quiet_until <-
-        Time.add now (Time.mul_f t.params.Params.monitoring_period 4.0);
+      rcc.quiet_until <- Time.add now (Time.mul_f Params.monitoring_period 4.0);
       if Bftaudit.Bus.active () then
         audit t ~instance
           (Bftaudit.Event.Degrade_changed { instance; active = false })
@@ -886,10 +826,10 @@ let make_replica t ~instance thread =
       replica_id = t.id;
       instance;
       primary_of_view = (fun view -> Params.primary_of t.params ~instance ~view);
-      batch_size = t.params.Params.batch_size;
+      batch_size = Params.batch_size;
       batch_delay = t.params.Params.batch_delay;
-      checkpoint_interval = t.params.Params.checkpoint_interval;
-      watermark_window = t.params.Params.watermark_window;
+      checkpoint_interval = Params.checkpoint_interval;
+      watermark_window = Params.watermark_window;
       order_full_requests = t.params.Params.order_full_requests;
       post_vc_quiet = t.params.Params.post_vc_quiet;
     }
@@ -909,17 +849,36 @@ let make_replica t ~instance thread =
 (* ------------------------------------------------------------------ *)
 
 let on_delivery t (d : Messages.t Network.delivery) =
-  let recv_cost = Costmodel.recv (costs t) ~bytes:(cost_bytes t d.Network.payload) in
-  let mac_cost = Costmodel.mac_verify (costs t) ~bytes:d.Network.size in
+  let recv_cost = Costmodel.recv Params.costs ~bytes:(cost_bytes t d.Network.payload) in
+  let mac_cost = Costmodel.mac_verify Params.costs ~bytes:d.Network.size in
   let base = Time.add recv_cost mac_cost in
-  if d.Network.corrupted then
-    (* Chaos-corrupted on the wire: the authenticator check fails. The
-       node still pays the verification cost, and invalid traffic from a
-       peer node feeds the flood defence exactly like junk messages. *)
+  (* The authenticated sender's node id, or -1 for a client. *)
+  let src_id =
+    match d.Network.src with
+    | Principal.Node i -> i
+    | Principal.Client _ -> -1
+  in
+  (* Node messages that name their sender in the payload must name the
+     authenticated source; otherwise one Byzantine node could cast
+     other nodes' instance-change votes or get a correct peer's NIC
+     closed with junk in its name. *)
+  let forged =
+    match d.Network.payload with
+    | Messages.Propagate { from; _ }
+    | Messages.Propagate_batch { from; _ }
+    | Messages.Instance_change { node = from; _ } ->
+      src_id < 0 || from <> src_id
+    | Messages.Request _ | Messages.Instance _ | Messages.Reply _
+    | Messages.Busy _ ->
+      false
+  in
+  if d.Network.corrupted || forged then
+    (* Chaos-corrupted on the wire, or forged: the authenticator check
+       fails. The node still pays the verification cost, and invalid
+       traffic from a peer node feeds the flood defence exactly like
+       junk messages. *)
     Resource.submit t.verification ~cost:base (fun () ->
-        match d.Network.src with
-        | Principal.Node i -> note_invalid_from t i
-        | Principal.Client _ -> ())
+        if src_id >= 0 then note_invalid_from t src_id)
   else
   match d.Network.payload with
   | Messages.Request req ->
@@ -983,9 +942,7 @@ let on_delivery t (d : Messages.t Network.delivery) =
        per request, so a lying [owner] field only misdirects CPU cost,
        never partition membership. *)
     Resource.submit t.verification ~cost:recv_cost (fun () ->
-        if from >= 0 && from < n_nodes t && owner >= 0
-           && owner < instance_count t
-        then
+        if owner >= 0 && owner < instance_count t then
           Resource.submit t.replica_threads.(owner) ~cost:mac_cost (fun () ->
               List.iter
                 (fun req -> handle_propagate t ~span:(-1) ~from req ~junk:false)
@@ -993,14 +950,9 @@ let on_delivery t (d : Messages.t Network.delivery) =
   | Messages.Instance { instance; msg } ->
     if instance < instance_count t then begin
       let thread = t.replica_threads.(instance) in
-      let from =
-        match d.Network.src with
-        | Principal.Node i -> i
-        | Principal.Client _ -> -1
-      in
-      if from >= 0 then
+      if src_id >= 0 then
         Resource.submit thread ~cost:base (fun () ->
-            Pbftcore.Replica.receive t.replicas.(instance) ~from msg)
+            Pbftcore.Replica.receive t.replicas.(instance) ~from:src_id msg)
     end
   | Messages.Instance_change { cpi; node } ->
     Resource.submit t.dispatch ~cost:base (fun () ->
@@ -1090,9 +1042,7 @@ let monitoring_tick t =
            { waiting_on; age; pending = st.Bftrcc.Sequencer.pending })
     end;
     (match stall with
-     | Some (_, age)
-       when t.params.Params.stall_change > Time.zero
-            && age >= t.params.Params.stall_change ->
+     | Some (_, age) when age >= Params.stall_change ->
        t.suspicious <- true;
        if t.ic_sent_for >= t.cpi then t.ic_sent_for <- t.cpi - 1;
        send_instance_change t
@@ -1100,7 +1050,7 @@ let monitoring_tick t =
 
 let rec arm_monitoring t =
   ignore
-    (Clock.after t.clock t.params.Params.monitoring_period (fun () ->
+    (Clock.after t.clock Params.monitoring_period (fun () ->
          Resource.submit t.dispatch ~cost:(Time.us 2) (fun () -> monitoring_tick t);
          arm_monitoring t))
 
@@ -1155,16 +1105,10 @@ let create engine net params ~id ~service =
       propagation = mk "propagation";
       dispatch = mk "dispatch";
       execution = mk "execution";
-      execution_shards =
-        (if params.Params.exec_shards > 1 then
-           Array.init params.Params.exec_shards (fun i ->
-               mk (Printf.sprintf "exec%d" i))
-         else [||]);
       admission_held = Request_id_table.create 256;
       admission =
         Bftflow.Admission.create ~budget:params.Params.admission_budget
           ~retry_base:params.Params.busy_retry_base;
-      exec_started = Request_id_table.create 4096;
       replica_threads =
         Array.init instances (fun i -> mk (Printf.sprintf "replica%d" i));
       replicas = [||];
@@ -1178,7 +1122,7 @@ let create engine net params ~id ~service =
         };
       monitoring = Monitoring.create params;
       requests = Request_id_table.create 4096;
-      executed = Replycache.create ~window:params.Params.reply_cache_window ();
+      executed = Replycache.create ~window:Params.reply_cache_window ();
       fp_requests = None;
       ledger = Pbftcore.Ledger.create ();
       blacklist = [];
@@ -1241,7 +1185,7 @@ let create engine net params ~id ~service =
                 | None -> false));
          Pbftcore.Replica.set_noop_gate r
            (Some (fun () -> Bftrcc.Sequencer.backlog sequencer ~instance:i = 0));
-         Pbftcore.Replica.set_noop_interval r params.Params.noop_interval)
+         Pbftcore.Replica.set_noop_interval r Params.noop_interval)
        t.replicas;
      Bftmetrics.Registry.gauge_fn Bftmetrics.Registry.default
        "bft_seq_pending_batches"
@@ -1264,7 +1208,7 @@ let create engine net params ~id ~service =
      the pipeline, plus the replica's own lane. *)
   if params.Params.adaptive_batching then begin
     let planner =
-      Bftflow.Batcher.make ~batch_size:params.Params.batch_size
+      Bftflow.Batcher.make ~batch_size:Params.batch_size
         ~batch_delay:params.Params.batch_delay ()
     in
     Array.iteri
@@ -1318,10 +1262,6 @@ let create engine net params ~id ~service =
      ]
     @ Array.to_list
         (Array.mapi
-           (fun i r -> (Printf.sprintf "exec%d" i, r))
-           t.execution_shards)
-    @ Array.to_list
-        (Array.mapi
            (fun i r -> (Printf.sprintf "replica%d" i, r))
            t.replica_threads));
   (* Capacity probes ({!Bftcap.Footprint}) over every O(clients) /
@@ -1343,11 +1283,6 @@ let create engine net params ~id ~service =
      (Bftcap.Footprint.register ~owner ~name:"node.admission_held"
         ~entries:(fun () -> Request_id_table.length t.admission_held)
         ~root:(fun () -> Some (Obj.repr t.admission_held))
-        ());
-   ignore
-     (Bftcap.Footprint.register ~owner ~name:"node.exec_started"
-        ~entries:(fun () -> Request_id_table.length t.exec_started)
-        ~root:(fun () -> Some (Obj.repr t.exec_started))
         ());
    Monitoring.register_probes t.monitoring ~owner;
    Array.iteri

@@ -9,32 +9,18 @@ let ordering_name = function
 
 type t = {
   f : int;
-  monitoring_period : Time.t;
   delta : float;
   lambda : Time.t;
   omega : Time.t;
-  batch_size : int;
   batch_delay : Time.t;
-  checkpoint_interval : int;
-  watermark_window : int;
   order_full_requests : bool;
-  flood_threshold : int;
-  flood_close_time : Time.t;
   recovery : recovery;
   post_vc_quiet : Time.t;
-  exec_cost : Time.t;
-  costs : Bftcrypto.Costmodel.t;
   ic_quorum : int option;
   ordering : ordering;
-  noop_interval : Time.t;
-  propagate_batch : int;
-  propagate_batch_delay : Time.t;
-  stall_change : Time.t;
   admission_budget : int;
   busy_retry_base : Time.t;
   adaptive_batching : bool;
-  exec_shards : int;
-  reply_cache_window : int;
   request_gc_age : Time.t;
   monitoring_idle_prune : Time.t;
 }
@@ -42,35 +28,35 @@ type t = {
 let default ~f =
   {
     f;
-    monitoring_period = Time.ms 100;
     delta = 0.95;
     lambda = Time.zero;
     omega = Time.zero;
-    batch_size = 64;
     batch_delay = Time.ms 1;
-    checkpoint_interval = 128;
-    watermark_window = 1024;
     order_full_requests = false;
-    flood_threshold = 64;
-    flood_close_time = Time.ms 500;
     recovery = Change_primaries;
     post_vc_quiet = Time.zero;
-    exec_cost = Time.us 1;
-    costs = Bftcrypto.Costmodel.default;
     ic_quorum = None;
     ordering = Redundant;
-    noop_interval = Time.ms 1;
-    propagate_batch = 16;
-    propagate_batch_delay = Time.us 300;
-    stall_change = Time.ms 250;
     admission_budget = 0;
     busy_retry_base = Time.ms 10;
     adaptive_batching = false;
-    exec_shards = 1;
-    reply_cache_window = 4;
     request_gc_age = Time.zero;
     monitoring_idle_prune = Time.zero;
   }
+
+let monitoring_period = Time.ms 100
+let batch_size = 64
+let checkpoint_interval = 128
+let watermark_window = 1024
+let flood_threshold = 64
+let flood_close_time = Time.ms 500
+let exec_cost = Time.us 1
+let costs = Bftcrypto.Costmodel.default
+let reply_cache_window = 4
+let noop_interval = Time.ms 1
+let propagate_batch = 16
+let propagate_batch_delay = Time.us 300
+let stall_change = Time.ms 250
 
 let n t = (3 * t.f) + 1
 let instances t = t.f + 1

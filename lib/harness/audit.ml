@@ -15,7 +15,11 @@ type stats = { mutable runs : int; mutable events : int }
 let stats = { runs = 0; events = 0 }
 let current : Bftaudit.Auditor.t option ref = ref None
 
-let finish_current () =
+(** End the current audited run: fold its event count into the
+    totals and detach its auditor, so nothing that runs afterwards
+    (micro-benchmarks, unaudited sweeps) reaches it. No-op when no run
+    is attached. *)
+let end_run () =
   match !current with
   | Some a ->
     stats.events <- stats.events + Bftaudit.Auditor.events_checked a;
@@ -28,7 +32,7 @@ let finish_current () =
     Byzantine-node registry that attack installers repopulate. *)
 let begin_run ~n ~f =
   if !enabled then begin
-    finish_current ();
+    end_run ();
     Bftaudit.Auditor.reset_declared ();
     current := Some (Bftaudit.Auditor.attach ~n ~f ());
     stats.runs <- stats.runs + 1
@@ -39,7 +43,7 @@ let begin_run ~n ~f =
 let declare_faulty nodes = Bftaudit.Auditor.declare_faulty nodes
 
 let summary () =
-  finish_current ();
+  end_run ();
   if !enabled then
     Some
       (Printf.sprintf "%d run(s) audited, %d events checked, 0 violations"

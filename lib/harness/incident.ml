@@ -42,12 +42,8 @@ let default_triggers ?(epsilon = 0.04) (cluster : Rbft.Cluster.t) =
   match params.Rbft.Params.ordering with
   | Rbft.Params.Redundant -> []
   | Rbft.Params.Concurrent ->
-    let stall_change = params.Rbft.Params.stall_change in
-    let bound =
-      if stall_change > Time.zero then Time.mul_f stall_change 0.5
-      else Time.ms 150
-    in
-    [ Trigger.spec (Trigger.Seq_stall { age = bound }) ~cooldown:(Time.sec 2) ]
+    let age = Time.mul_f Rbft.Params.stall_change 0.5 in
+    [ Trigger.spec (Trigger.Seq_stall { age }) ~cooldown:(Time.sec 2) ]
 
 let config ?dir ?triggers ?epsilon ?scenario ?(extra_fields = [])
     (cluster : Rbft.Cluster.t) =

@@ -71,6 +71,7 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
         adaptive_batching = true }
     else { (Rbft.Params.default ~f) with Rbft.Params.ordering }
   in
+  Audit.begin_run ~n:(Rbft.Params.n params) ~f;
   let cluster =
     Rbft.Cluster.create ~clients:(Loadshape.max_clients shape)
       ~payload_size:payload params
@@ -81,6 +82,7 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
       Rbft.Client.set_rate (Rbft.Cluster.client cluster c) r);
   let total = Loadshape.total_duration shape in
   Rbft.Cluster.run_for cluster (Time.add total (Time.ms 200));
+  Audit.end_run ();
   if span_sample > 0 then Bftspan.Tracer.disable ();
   let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
   let throughput =

@@ -222,9 +222,9 @@ let egress_of t ~src ~dst =
   match src with
   | Principal.Node i ->
     (match dst with
-     | Principal.Node j -> Some t.node_ports.(i).egress_to_node.(j)
-     | Principal.Client _ -> Some t.node_ports.(i).client_egress)
-  | Principal.Client c -> Some (client_port t c).c_egress
+     | Principal.Node j -> t.node_ports.(i).egress_to_node.(j)
+     | Principal.Client _ -> t.node_ports.(i).client_egress)
+  | Principal.Client c -> (client_port t c).c_egress
 
 let deliver_to t ~src ~dst =
   match dst with
@@ -243,120 +243,107 @@ let deliver_to t ~src ~dst =
      | None -> None
      | Some handler -> Some (port.c_ingress, handler))
 
-(* Audited from the receiver's perspective: [node] is the destination
-   (or -1 for a client), [src] names the sender whose traffic was
-   dropped. *)
-let audit_drop t ~src ~dst ~reason =
-  Bftaudit.Bus.emit
-    {
-      Bftaudit.Event.time = Engine.now t.engine;
-      node = (match dst with Principal.Node j -> j | Principal.Client _ -> -1);
-      instance = -1;
-      kind = Net_dropped { src = Principal.to_string src; reason };
-    }
+(* Every dropped message: counted, metered per channel, and audited
+   from the receiver's perspective ([node] is the destination, or -1
+   for a client; [src] names the sender whose traffic was dropped). *)
+let drop t ~src ~dst ~reason =
+  t.dropped <- t.dropped + 1;
+  if Bftmetrics.Registry.active () then
+    Bftmetrics.Registry.Counter.inc (chan_of t ~src ~dst).m_drops;
+  if Bftaudit.Bus.active () then
+    Bftaudit.Bus.emit
+      {
+        Bftaudit.Event.time = Engine.now t.engine;
+        node = (match dst with Principal.Node j -> j | Principal.Client _ -> -1);
+        instance = -1;
+        kind = Net_dropped { src = Principal.to_string src; reason };
+      }
 
 let send_copy t ~src ~dst ~size ~corrupt ~extra_delay ~span ~span_tag payload =
-  match egress_of t ~src ~dst with
-  | None ->
-    t.dropped <- t.dropped + 1;
-    if Bftmetrics.Registry.active () then
-      Bftmetrics.Registry.Counter.inc (chan_of t ~src ~dst).m_drops
-  | Some egress ->
-    let sent_at = Engine.now t.engine in
-    let ser = serialization_time t ~size in
-    Resource.submit egress ~cost:ser (fun () ->
-        let delay = Time.add (propagation_delay t) extra_delay in
-        let delay =
-          match t.cfg.transport with
-          | Udp -> delay
-          | Tcp ->
-            (* FIFO per connection: never arrive before the previous
-               message of the same pair. *)
-            let key = (src, dst) in
-            let arrival = Time.add (Engine.now t.engine) delay in
-            let arrival =
-              match Hashtbl.find_opt t.last_arrival key with
-              | Some prev when prev > arrival -> prev
-              | Some _ | None -> arrival
-            in
-            Hashtbl.replace t.last_arrival key arrival;
-            Time.sub arrival (Engine.now t.engine)
-        in
-        let deliver () =
-          match deliver_to t ~src ~dst with
-               | None ->
-                 t.dropped <- t.dropped + 1;
-                 if Bftmetrics.Registry.active () then
-                   Bftmetrics.Registry.Counter.inc (chan_of t ~src ~dst).m_drops;
-                 if Bftaudit.Bus.active () then
-                   audit_drop t ~src ~dst ~reason:"no-handler"
-               | Some (ingress, handler) ->
-                 let closed =
-                   match dst with
-                   | Principal.Node j -> nic_closed t ~node:j ~peer:src
-                   | Principal.Client _ -> false
-                 in
-                 if closed then begin
-                   t.dropped <- t.dropped + 1;
-                   if Bftmetrics.Registry.active () then
-                     Bftmetrics.Registry.Counter.inc (chan_of t ~src ~dst).m_drops;
-                   if Bftaudit.Bus.active () then
-                     audit_drop t ~src ~dst ~reason:"nic-closed"
-                 end
-                 else
-                   Resource.submit ingress ~cost:ser (fun () ->
-                       t.delivered <- t.delivered + 1;
-                       t.bytes <- t.bytes + size;
-                       if Bftmetrics.Registry.active () then begin
-                         let cm = chan_of t ~src ~dst in
-                         Bftmetrics.Registry.Counter.inc cm.m_msgs;
-                         Bftmetrics.Registry.Counter.add cm.m_bytes size
-                       end;
-                       let now = Engine.now t.engine in
-                       (* Traced message: the whole wire time — sender
-                          serialization + propagation + ingress — is one
-                          transit span, attributed to the receiver. *)
-                       let span' =
-                         if span >= 0 && Bftspan.Tracer.active () then
-                           Bftspan.Tracer.span ~parent:span ~tag:span_tag
-                             ~node:
-                               (match dst with
-                               | Principal.Node j -> j
-                               | Principal.Client _ -> -1)
-                             ~instance:(-1) ~t0:sent_at ~t1:now
-                         else -1
-                       in
-                       handler
-                         {
-                           src;
-                           dst;
-                           size;
-                           payload;
-                           sent_at;
-                           delivered_at = now;
-                           corrupted = corrupt;
-                           span = span';
-                         })
-        in
-        (* Node-bound deliveries are scheduling choices for the model
-           checker; everything else (and every delivery when capture is
-           off) keeps the ordinary timestamp-ordered path. *)
-        (match dst with
-         | Principal.Node j when Engine.choice_capture t.engine ->
-           let src_id =
-             match src with
-             | Principal.Node i -> i
-             | Principal.Client c -> -(c + 1)
-           in
-           let label =
-             match t.describe with Some f -> f payload | None -> ""
-           in
-           ignore
-             (Engine.at_choice t.engine
-                (Time.add (Engine.now t.engine) delay)
-                ~src:src_id ~dst:j ~label deliver)
-         | Principal.Node _ | Principal.Client _ ->
-           ignore (Engine.after t.engine delay deliver)))
+  let sent_at = Engine.now t.engine in
+  let ser = serialization_time t ~size in
+  Resource.submit (egress_of t ~src ~dst) ~cost:ser (fun () ->
+      let delay = Time.add (propagation_delay t) extra_delay in
+      let delay =
+        match t.cfg.transport with
+        | Udp -> delay
+        | Tcp ->
+          (* FIFO per connection: never arrive before the previous
+             message of the same pair. *)
+          let key = (src, dst) in
+          let arrival = Time.add (Engine.now t.engine) delay in
+          let arrival =
+            match Hashtbl.find_opt t.last_arrival key with
+            | Some prev when prev > arrival -> prev
+            | Some _ | None -> arrival
+          in
+          Hashtbl.replace t.last_arrival key arrival;
+          Time.sub arrival (Engine.now t.engine)
+      in
+      let deliver () =
+        match deliver_to t ~src ~dst with
+        | None -> drop t ~src ~dst ~reason:"no-handler"
+        | Some (ingress, handler) ->
+          let closed =
+            match dst with
+            | Principal.Node j -> nic_closed t ~node:j ~peer:src
+            | Principal.Client _ -> false
+          in
+          if closed then drop t ~src ~dst ~reason:"nic-closed"
+          else
+            Resource.submit ingress ~cost:ser (fun () ->
+                t.delivered <- t.delivered + 1;
+                t.bytes <- t.bytes + size;
+                if Bftmetrics.Registry.active () then begin
+                  let cm = chan_of t ~src ~dst in
+                  Bftmetrics.Registry.Counter.inc cm.m_msgs;
+                  Bftmetrics.Registry.Counter.add cm.m_bytes size
+                end;
+                let now = Engine.now t.engine in
+                (* Traced message: the whole wire time — sender
+                   serialization + propagation + ingress — is one
+                   transit span, attributed to the receiver. *)
+                let span' =
+                  if span >= 0 && Bftspan.Tracer.active () then
+                    Bftspan.Tracer.span ~parent:span ~tag:span_tag
+                      ~node:
+                        (match dst with
+                        | Principal.Node j -> j
+                        | Principal.Client _ -> -1)
+                      ~instance:(-1) ~t0:sent_at ~t1:now
+                  else -1
+                in
+                handler
+                  {
+                    src;
+                    dst;
+                    size;
+                    payload;
+                    sent_at;
+                    delivered_at = now;
+                    corrupted = corrupt;
+                    span = span';
+                  })
+      in
+      (* Node-bound deliveries are scheduling choices for the model
+         checker; everything else (and every delivery when capture is
+         off) keeps the ordinary timestamp-ordered path. *)
+      (match dst with
+       | Principal.Node j when Engine.choice_capture t.engine ->
+         let src_id =
+           match src with
+           | Principal.Node i -> i
+           | Principal.Client c -> -(c + 1)
+         in
+         let label =
+           match t.describe with Some f -> f payload | None -> ""
+         in
+         ignore
+           (Engine.at_choice t.engine
+              (Time.add (Engine.now t.engine) delay)
+              ~src:src_id ~dst:j ~label deliver)
+       | Principal.Node _ | Principal.Client _ ->
+         ignore (Engine.after t.engine delay deliver)))
 
 let send ?(span = -1) ?(span_tag = Bftspan.Tag.Net_transit) t ~src ~dst ~size
     payload =
@@ -366,12 +353,7 @@ let send ?(span = -1) ?(span_tag = Bftspan.Tag.Net_transit) t ~src ~dst ~size
       ~span_tag payload
   | Some hook ->
     let v = hook ~src ~dst ~size in
-    if v.fv_drop then begin
-      t.dropped <- t.dropped + 1;
-      if Bftmetrics.Registry.active () then
-        Bftmetrics.Registry.Counter.inc (chan_of t ~src ~dst).m_drops;
-      if Bftaudit.Bus.active () then audit_drop t ~src ~dst ~reason:"chaos"
-    end
+    if v.fv_drop then drop t ~src ~dst ~reason:"chaos"
     else
       for _ = 0 to v.fv_duplicates do
         send_copy t ~src ~dst ~size ~corrupt:v.fv_corrupt

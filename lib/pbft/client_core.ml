@@ -57,10 +57,15 @@ let create engine net ~f ~id ~payload_size ext =
   }
 
 (** Register the client on the network. Deliveries whose authenticator
-    failed ([corrupted]) are ignored; the rest go to [handle]. *)
+    failed ([corrupted]) are ignored; the rest go to [handle] with their
+    authenticated source. *)
 let listen t handle =
   Network.register_client t.net t.id (fun d ->
-      if not d.Network.corrupted then handle t d.Network.payload)
+      if not d.Network.corrupted then handle t ~src:d.Network.src d.Network.payload)
+
+(** Whether a REPLY or BUSY that names [node] really comes from it: a
+    node writing another node's id must not count as that node. *)
+let sent_by ~src node = Principal.equal src (Principal.node node)
 
 let id t = t.id
 let sent t = t.rid
@@ -82,14 +87,17 @@ let track t (id : request_id) data =
   Request_id_table.replace t.pending id p;
   p
 
-(** Count one REPLY. Each node counts once per request; the request
-    completes when f+1 replies carry the same result, which records its
-    latency, closes its span and removes it from the pending table.
-    [true] exactly when this reply completed the request. *)
-let on_reply t (id : request_id) ~node ~result =
+(** Count one REPLY from [src] naming [node]. Each node counts once per
+    request, and only when it is the source; the request completes when
+    f+1 replies carry the same result, which records its latency, closes
+    its span and removes it from the pending table. [true] exactly when
+    this reply completed the request. *)
+let on_reply t (id : request_id) ~src ~node ~result =
   match Request_id_table.find_opt t.pending id with
   | None -> false
-  | Some p when p.done_ || List.mem_assoc node p.replies -> false
+  | Some p
+    when p.done_ || (not (sent_by ~src node)) || List.mem_assoc node p.replies ->
+    false
   | Some p ->
     p.replies <- (node, result) :: p.replies;
     let matching =
@@ -156,9 +164,9 @@ end
 module Open_loop (S : PARTS) = struct
   type nonrec t = (S.msg, S.ext, unit) t
 
-  let handle t m =
+  let handle t ~src m =
     match S.reply m with
-    | Some (id, node, result) -> ignore (on_reply t id ~node ~result)
+    | Some (id, node, result) -> ignore (on_reply t id ~src ~node ~result)
     | None -> ()
 
   let create engine net ~f ~id ?(payload_size = 8) () : t =

@@ -1,8 +1,7 @@
 (* Tests for the flow-control layer ({!Bftflow}): the adaptive batch
    planner, the bounded-admission gate, deterministic client backoff,
-   shard placement, and the cluster behaviours they combine into —
-   flash-crowd shedding under an admission budget and sharded kvstore
-   execution. *)
+   and the cluster behaviours they combine into — flash-crowd shedding
+   under an admission budget — plus a cluster serving a kvstore. *)
 
 open Dessim
 
@@ -117,31 +116,6 @@ let test_backoff_growth_cap_and_hint () =
   Alcotest.(check bool) "server hint is a floor" true (d >= Time.sec 3)
 
 (* ------------------------------------------------------------------ *)
-(* Shard placement                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_shard_index () =
-  for shards = 1 to 8 do
-    for k = 0 to 200 do
-      let key = Printf.sprintf "key-%d" k in
-      let i = Bftflow.Shard.index ~shards key in
-      Alcotest.(check bool) "in range" true (i >= 0 && i < max 1 shards);
-      Alcotest.(check int) "stable" i (Bftflow.Shard.index ~shards key)
-    done
-  done;
-  Alcotest.(check int) "single shard" 0 (Bftflow.Shard.index ~shards:1 "anything");
-  (* djb2 must actually spread: 200 keys over 4 shards, none empty. *)
-  let counts = Array.make 4 0 in
-  for k = 0 to 199 do
-    let i = Bftflow.Shard.index ~shards:4 (Printf.sprintf "key-%d" k) in
-    counts.(i) <- counts.(i) + 1
-  done;
-  Array.iteri
-    (fun i c ->
-      Alcotest.(check bool) (Printf.sprintf "shard %d used" i) true (c > 10))
-    counts
-
-(* ------------------------------------------------------------------ *)
 (* Cluster: flash crowd against the admission gate                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -213,19 +187,16 @@ let test_gate_off_is_silent () =
     (Rbft.Cluster.clients cluster)
 
 (* ------------------------------------------------------------------ *)
-(* Cluster: sharded kvstore execution                                 *)
+(* Cluster: kvstore execution                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Four execution lanes over a kvstore. Each client writes its own key
-   space (distinct keys commute), replicas route by the deterministic
-   key hash, and the submission-time digest chain must keep all nodes
-   in agreement. *)
-let test_sharded_kvstore_agreement () =
-  let params = { (mk_params ()) with Rbft.Params.exec_shards = 4 } in
+(* An RBFT cluster serving a kvstore: every write completes and all
+   nodes agree on the executed sequence. *)
+let test_kvstore_agreement () =
   let cluster =
     Rbft.Cluster.create
       ~service:(fun () -> Bftapp.Kvstore.service (Bftapp.Kvstore.create ()))
-      ~clients:4 params
+      ~clients:4 (mk_params ())
   in
   Array.iter
     (fun c ->
@@ -249,40 +220,8 @@ let test_sharded_kvstore_agreement () =
     (Rbft.Cluster.clients cluster);
   Alcotest.(check bool) "sent something" true
     (Rbft.Client.sent (Rbft.Cluster.client cluster 0) > 0);
-  Alcotest.(check bool) "sharded agreement" true
+  Alcotest.(check bool) "agreement" true
     (Rbft.Cluster.agreement_ok cluster ~faulty:[])
-
-(* Sharding plus the admission gate together, under a burst. *)
-let test_sharded_kvstore_with_admission () =
-  let params =
-    { (mk_params ()) with
-      Rbft.Params.exec_shards = 4;
-      admission_budget = 16;
-      busy_retry_base = Time.ms 2 }
-  in
-  let cluster =
-    Rbft.Cluster.create
-      ~service:(fun () -> Bftapp.Kvstore.service (Bftapp.Kvstore.create ()))
-      ~clients:4 params
-  in
-  Array.iter
-    (fun c ->
-      let id = Rbft.Client.id c in
-      (Rbft.Client.behaviour c).Rbft.Client.make_op <-
-        Some
-          (fun rid ->
-            Bftapp.Kvstore.encode_op
-              (Bftapp.Kvstore.Put (Printf.sprintf "c%d-k%d" id rid, "v")));
-      Rbft.Client.send_burst c ~count:30)
-    (Rbft.Cluster.clients cluster);
-  Rbft.Cluster.run_for cluster (Time.sec 4);
-  Array.iter
-    (fun c ->
-      Alcotest.(check int)
-        (Printf.sprintf "client %d completed" (Rbft.Client.id c))
-        (Rbft.Client.sent c) (Rbft.Client.completed c))
-    (Rbft.Cluster.clients cluster);
-  Alcotest.(check bool) "agreement" true (Rbft.Cluster.agreement_ok cluster ~faulty:[])
 
 let suites =
   [
@@ -304,16 +243,11 @@ let suites =
         Alcotest.test_case "growth, cap, hint" `Quick
           test_backoff_growth_cap_and_hint;
       ] );
-    ( "flow.shard",
-      [ Alcotest.test_case "index placement" `Quick test_shard_index ] );
     ( "flow.cluster",
       [
         Alcotest.test_case "flash crowd sheds and recovers" `Quick
           test_flash_crowd_sheds_and_recovers;
         Alcotest.test_case "gate off is silent" `Quick test_gate_off_is_silent;
-        Alcotest.test_case "sharded kvstore agreement" `Quick
-          test_sharded_kvstore_agreement;
-        Alcotest.test_case "sharded kvstore with admission" `Quick
-          test_sharded_kvstore_with_admission;
+        Alcotest.test_case "kvstore agreement" `Quick test_kvstore_agreement;
       ] );
   ]

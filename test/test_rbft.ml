@@ -270,6 +270,28 @@ let test_flood_closes_nic () =
     (Bftnet.Network.nic_closed (Rbft.Cluster.network cluster) ~node:0
        ~peer:(Bftcrypto.Principal.node 3))
 
+(* Junk PROPAGATEs from node 3 that claim to come from node 1, past the
+   flood threshold within one monitoring period: node 0 must not blame
+   (and cut off) the correct node 1. *)
+let test_forged_junk_spares_named_peer () =
+  let cluster = Rbft.Cluster.create ~clients:1 (mk_params ()) in
+  Rbft.Cluster.run_for cluster (Time.ms 1);
+  let desc = Pbftcore.Types.desc_of_op ~client:(-1) ~rid:0 "junk" in
+  let junk =
+    Rbft.Messages.Propagate
+      { req = { desc; sig_valid = false; mac_invalid_for = [] }; from = 1; junk = true }
+  in
+  for _ = 1 to 2 * Rbft.Params.flood_threshold do
+    Bftnet.Network.send
+      (Rbft.Cluster.network cluster)
+      ~src:(Bftcrypto.Principal.node 3) ~dst:(Bftcrypto.Principal.node 0)
+      ~size:64 junk
+  done;
+  Rbft.Cluster.run_for cluster (Time.ms 20);
+  Alcotest.(check bool) "node 1's NIC stays open" false
+    (Bftnet.Network.nic_closed (Rbft.Cluster.network cluster) ~node:0
+       ~peer:(Bftcrypto.Principal.node 1))
+
 let test_unfair_primary_lambda_triggers_change () =
   (* Figure 12's mechanism: the master primary delays one client's
      requests beyond Λ; nodes vote a protocol instance change. *)
@@ -444,6 +466,18 @@ let test_ic_out_of_range_voter_ignored () =
   Alcotest.(check int) "legitimate vote still lands" 1
     (Rbft.Node.ic_vote_count n0)
 
+(* One Byzantine node casting votes in three nodes' names must not make
+   a 2f+1 quorum: only its own vote counts. *)
+let test_ic_forged_voters_ignored () =
+  let cluster = ic_idle_cluster () in
+  let n0 = Rbft.Cluster.node cluster 0 in
+  ic_vote cluster ~src:3 ~voter:1 ~cpi:0;
+  ic_vote cluster ~src:3 ~voter:2 ~cpi:0;
+  ic_vote cluster ~src:3 ~voter:3 ~cpi:0;
+  Alcotest.(check int) "only the sender's own vote counts" 1
+    (Rbft.Node.ic_vote_count n0);
+  Alcotest.(check int) "no instance change" 0 (Rbft.Node.instance_changes n0)
+
 let test_ic_bitset_rebuild_after_advance () =
   let cluster = ic_idle_cluster () in
   let n0 = Rbft.Cluster.node cluster 0 in
@@ -537,6 +571,8 @@ let suites =
           test_ic_duplicate_votes_counted_once;
         Alcotest.test_case "out-of-range voter ignored" `Quick
           test_ic_out_of_range_voter_ignored;
+        Alcotest.test_case "forged voter ids ignored" `Quick
+          test_ic_forged_voters_ignored;
         Alcotest.test_case "bitset rebuilt on cpi advance" `Quick
           test_ic_bitset_rebuild_after_advance;
       ] );
@@ -549,6 +585,8 @@ let suites =
         Alcotest.test_case "worst-attack-1 resisted" `Quick
           test_worst_attack_1_no_instance_change;
         Alcotest.test_case "flood closes NIC" `Quick test_flood_closes_nic;
+        Alcotest.test_case "forged junk spares the named peer" `Quick
+          test_forged_junk_spares_named_peer;
         Alcotest.test_case "unfair primary evicted (Fig 12)" `Quick
           test_unfair_primary_lambda_triggers_change;
         Alcotest.test_case "invalid signature blacklists" `Quick
