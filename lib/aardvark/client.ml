@@ -8,6 +8,6 @@ include Pbftcore.Client_core.Open_loop (struct
   let request_size = Node.request_size
 
   let reply = function
-    | Node.Reply { id; result; node } -> Some (id, node, result)
+    | Node.Reply { id; result } -> Some (id, result)
     | Node.Request _ | Node.Order _ -> None
 end)

@@ -8,7 +8,7 @@ module Spans = Bftspan.Tracer
 type msg =
   | Request of { desc : request_desc; sig_valid : bool }
   | Order of Pbftcore.Messages.t
-  | Reply of { id : request_id; result : string; node : int }
+  | Reply of { id : request_id; result : string }
 
 type config = {
   f : int;
@@ -67,7 +67,6 @@ type t = {
   sig_checked : unit Request_id_table.t;
   executed : string Request_id_table.t;
   ledger : Pbftcore.Ledger.t;
-  mutable attack_delay : Time.t;
   mutable started : bool;
 }
 
@@ -131,7 +130,7 @@ let broadcast_nodes t thread m =
 let reply_to ?(span = -1) t (id : request_id) result =
   send_from ~span ~span_tag:Bftspan.Tag.Reply t t.execution
     ~dst:(Principal.client id.client)
-    (Reply { id; result; node = t.id })
+    (Reply { id; result })
 
 (* Single-instance protocol: every audit event is instance 0; the
    ordering-phase events come from the shared Pbftcore.Replica. *)
@@ -197,14 +196,11 @@ let submit_for_ordering t ~span (desc : request_desc) =
       Pbftcore.Replica.submit ~span:dspan (replica t) desc)
 
 let handle_request t ~span (desc : request_desc) ~sig_valid =
-  if Request_id_table.mem t.executed desc.id then begin
-    match Request_id_table.find_opt t.executed desc.id with
-    | Some result -> reply_to t desc.id result
-    | None -> ()
-  end
-  else if Request_id_table.mem t.sig_checked desc.id then
+  match Request_id_table.find_opt t.executed desc.id with
+  | Some result -> reply_to t desc.id result
+  | None when Request_id_table.mem t.sig_checked desc.id ->
     submit_for_ordering t ~span desc
-  else begin
+  | None ->
     if Bftaudit.Bus.active () then
       audit t
         (Bftaudit.Event.Request_received
@@ -215,7 +211,6 @@ let handle_request t ~span (desc : request_desc) ~sig_valid =
       Request_id_table.replace t.sig_checked desc.id ();
       submit_for_ordering t ~span desc
     end
-  end
 
 let on_delivery t (d : msg Network.delivery) =
   let bytes = cost_bytes t d.Network.payload in
@@ -224,8 +219,14 @@ let on_delivery t (d : msg Network.delivery) =
       (Costmodel.recv t.cfg.costs ~bytes)
       (Costmodel.mac_verify t.cfg.costs ~bytes:d.Network.size)
   in
-  if d.Network.corrupted then
-    (* Failed authenticator: pay the verification cost, then drop. *)
+  let from = Network.src_node d in
+  let authentic =
+    (not d.Network.corrupted)
+    && match d.Network.payload with Order _ -> from >= 0 | Request _ | Reply _ -> true
+  in
+  if not authentic then
+    (* Failed authenticator, or ordering traffic from a client: pay the
+       verification cost, then drop. *)
     Resource.submit t.verification ~cost:base (fun () -> ())
   else
   match d.Network.payload with
@@ -237,12 +238,8 @@ let on_delivery t (d : msg Network.delivery) =
     Resource.submit ~span:vspan t.verification ~cost:base (fun () ->
         handle_request t ~span:vspan desc ~sig_valid)
   | Order m ->
-    let from =
-      match d.Network.src with Principal.Node i -> i | Principal.Client _ -> -1
-    in
-    if from >= 0 then
-      Resource.submit t.ordering ~cost:base (fun () ->
-          Pbftcore.Replica.receive (replica t) ~from m)
+    Resource.submit t.ordering ~cost:base (fun () ->
+        Pbftcore.Replica.receive (replica t) ~from m)
   | Reply _ -> ()
 
 (* The Figure 2 adversary: when this node is the primary, it caps its
@@ -295,7 +292,6 @@ let create engine net cfg ~id ~service =
       sig_checked = Request_id_table.create 4096;
       executed = Request_id_table.create 4096;
       ledger = Pbftcore.Ledger.create ();
-      attack_delay = Time.zero;
       started = false;
     }
   in

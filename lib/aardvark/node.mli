@@ -16,7 +16,7 @@ open Bftapp
 type msg =
   | Request of { desc : Pbftcore.Types.request_desc; sig_valid : bool }
   | Order of Pbftcore.Messages.t
-  | Reply of { id : Pbftcore.Types.request_id; result : string; node : int }
+  | Reply of { id : Pbftcore.Types.request_id; result : string }
 
 type config = {
   f : int;

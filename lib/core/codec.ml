@@ -37,38 +37,36 @@ let encode ~order_full_requests msg =
    | Messages.Request req ->
      Wire.Writer.u8 w tag_request;
      encode_request w req
-   | Messages.Propagate { req; from; junk } ->
+   | Messages.Propagate { req; junk } ->
      Wire.Writer.u8 w tag_propagate;
-     Wire.Writer.u32 w from;
      Wire.Writer.u8 w (if junk then 1 else 0);
-     if junk then Wire.Writer.varint w req.Messages.desc.op_size
+     if junk then begin
+       Wire.Writer.u64 w req.Messages.desc.id.rid;
+       Wire.Writer.varint w req.Messages.desc.op_size
+     end
      else encode_request w req
-   | Messages.Propagate_batch { reqs; owner; from } ->
+   | Messages.Propagate_batch { reqs; owner } ->
      Wire.Writer.u8 w tag_propagate_batch;
      Wire.Writer.u8 w owner;
-     Wire.Writer.u32 w from;
      Wire.Writer.list w (encode_request w) reqs
    | Messages.Instance { instance; msg } ->
      Wire.Writer.u8 w tag_instance;
      Wire.Writer.u8 w instance;
      Wire.Writer.string w (Pbftcore.Codec.encode ~order_full_requests msg)
-   | Messages.Instance_change { cpi; node } ->
+   | Messages.Instance_change { cpi } ->
      Wire.Writer.u8 w tag_instance_change;
-     Wire.Writer.u64 w cpi;
-     Wire.Writer.u32 w node
-   | Messages.Reply { id; result; node } ->
+     Wire.Writer.u64 w cpi
+   | Messages.Reply { id; result } ->
      Wire.Writer.u8 w tag_reply;
      Wire.Writer.u32 w id.client;
      Wire.Writer.u64 w id.rid;
-     Wire.Writer.string w result;
-     Wire.Writer.u32 w node
-   | Messages.Busy { id; retry_after; node } ->
+     Wire.Writer.string w result
+   | Messages.Busy { id; retry_after } ->
      Wire.Writer.u8 w tag_busy;
      Wire.Writer.u32 w id.client;
      Wire.Writer.u64 w id.rid;
      (* Virtual time is an integer nanosecond count. *)
-     Wire.Writer.u64 w retry_after;
-     Wire.Writer.u32 w node);
+     Wire.Writer.u64 w retry_after);
   Wire.Writer.contents w
 
 let decode ~order_full_requests s =
@@ -78,24 +76,23 @@ let decode ~order_full_requests s =
     let msg =
       if tag = tag_request then Some (Messages.Request (decode_request r))
       else if tag = tag_propagate then begin
-        let from = Wire.Reader.u32 r in
         let junk = Wire.Reader.u8 r = 1 in
         if junk then begin
+          let rid = Wire.Reader.u64 r in
           let op_size = Wire.Reader.varint r in
-          let desc = { (desc_of_op ~client:(-1) ~rid:from "junk") with op_size } in
+          let desc = { (desc_of_op ~client:(-1) ~rid "junk") with op_size } in
           Some
             (Messages.Propagate
-               { req = { desc; sig_valid = false; mac_invalid_for = [] }; from; junk })
+               { req = { desc; sig_valid = false; mac_invalid_for = [] }; junk })
         end
         else
           let req = decode_request r in
-          Some (Messages.Propagate { req; from; junk })
+          Some (Messages.Propagate { req; junk })
       end
       else if tag = tag_propagate_batch then begin
         let owner = Wire.Reader.u8 r in
-        let from = Wire.Reader.u32 r in
         let reqs = Wire.Reader.list r decode_request in
-        Some (Messages.Propagate_batch { reqs; owner; from })
+        Some (Messages.Propagate_batch { reqs; owner })
       end
       else if tag = tag_instance then begin
         let instance = Wire.Reader.u8 r in
@@ -106,22 +103,19 @@ let decode ~order_full_requests s =
       end
       else if tag = tag_instance_change then begin
         let cpi = Wire.Reader.u64 r in
-        let node = Wire.Reader.u32 r in
-        Some (Messages.Instance_change { cpi; node })
+        Some (Messages.Instance_change { cpi })
       end
       else if tag = tag_reply then begin
         let client = Wire.Reader.u32 r in
         let rid = Wire.Reader.u64 r in
         let result = Wire.Reader.string r in
-        let node = Wire.Reader.u32 r in
-        Some (Messages.Reply { id = { client; rid }; result; node })
+        Some (Messages.Reply { id = { client; rid }; result })
       end
       else if tag = tag_busy then begin
         let client = Wire.Reader.u32 r in
         let rid = Wire.Reader.u64 r in
         let retry_after = Wire.Reader.u64 r in
-        let node = Wire.Reader.u32 r in
-        Some (Messages.Busy { id = { client; rid }; retry_after; node })
+        Some (Messages.Busy { id = { client; rid }; retry_after })
       end
       else None
     in

@@ -5,8 +5,9 @@
     Authentication material travels as placeholder bytes of the real
     size (a signature slot and a one-byte validity marker standing for
     the simulator's validity flags); the tests check the encoded
-    length matches {!Messages.wire_size} up to the MAC authenticator
-    the network frames add. *)
+    length matches {!Messages.wire_size} up to the authenticated
+    envelope the network frames add: the MAC authenticator and the
+    sender's id. *)
 
 val encode : order_full_requests:bool -> Messages.t -> string
 val decode : order_full_requests:bool -> string -> Messages.t option

@@ -8,17 +8,17 @@ type request = {
 
 type t =
   | Request of request
-  | Propagate of { req : request; from : int; junk : bool }
-  | Propagate_batch of { reqs : request list; owner : int; from : int }
+  | Propagate of { req : request; junk : bool }
+  | Propagate_batch of { reqs : request list; owner : int }
       (** concurrent (bftrcc) mode: requests of one partition coalesced
           into a single PROPAGATE, amortising per-message handling and
           carrying one batch authenticator instead of one MAC vector
           per request (receivers authenticate the forwarded requests by
           their client signatures) *)
   | Instance of { instance : int; msg : Pbftcore.Messages.t }
-  | Instance_change of { cpi : int; node : int }
-  | Reply of { id : request_id; result : string; node : int }
-  | Busy of { id : request_id; retry_after : Dessim.Time.t; node : int }
+  | Instance_change of { cpi : int }
+  | Reply of { id : request_id; result : string }
+  | Busy of { id : request_id; retry_after : Dessim.Time.t }
 
 let header = 16
 

@@ -5,7 +5,11 @@
     charges the CPU cost of MAC/signature checks through the cost
     model, and the flags say what the check would conclude. Faulty
     clients and nodes produce messages with [false] flags (invalid
-    signatures, junk floods); correct ones always produce [true]. *)
+    signatures, junk floods); correct ones always produce [true].
+
+    No message names its sender: a message's sender is its
+    authenticated source, the delivery's [src]. A node therefore cannot
+    speak for another node, whatever it writes in a payload. *)
 
 open Pbftcore.Types
 
@@ -19,20 +23,20 @@ type request = {
 
 type t =
   | Request of request  (** client → all nodes (step 1) *)
-  | Propagate of { req : request; from : int; junk : bool }
+  | Propagate of { req : request; junk : bool }
       (** node → nodes (step 2); [junk] marks flood padding whose MAC
           can never verify *)
-  | Propagate_batch of { reqs : request list; owner : int; from : int }
+  | Propagate_batch of { reqs : request list; owner : int }
       (** concurrent (bftrcc) ordering: all of a node's pending
           PROPAGATEs for the partition [owner] owns, authenticated by
           one batch MAC authenticator instead of per-request vectors *)
   | Instance of { instance : int; msg : Pbftcore.Messages.t }
       (** replica → replica of the same instance (steps 3–5) *)
-  | Instance_change of { cpi : int; node : int }
+  | Instance_change of { cpi : int }
       (** monitoring protocol (Section IV-D) *)
-  | Reply of { id : request_id; result : string; node : int }
+  | Reply of { id : request_id; result : string }
       (** node → client (step 6) *)
-  | Busy of { id : request_id; retry_after : Dessim.Time.t; node : int }
+  | Busy of { id : request_id; retry_after : Dessim.Time.t }
       (** node → client backpressure: the admission gate
           ({!Bftflow.Admission}) refused the request because the node's
           in-flight budget is exhausted; [retry_after] hints when a

@@ -381,7 +381,7 @@ let flush_prop t rcc owner =
     rcc.prop_buf.(owner) <- [];
     rcc.prop_len.(owner) <- 0;
     broadcast_nodes_from t t.replica_threads.(owner)
-      (Messages.Propagate_batch { reqs; owner; from = t.id })
+      (Messages.Propagate_batch { reqs; owner })
   end
 
 let buffer_propagate t rcc (req : Messages.request) =
@@ -415,7 +415,7 @@ let propagate_request t (req : Messages.request) =
       | Some rcc -> buffer_propagate t rcc req
       | None ->
         broadcast_nodes_from ~span:state.span t t.propagation
-          (Messages.Propagate { req; from = t.id; junk = false })
+          (Messages.Propagate { req; junk = false })
     end
   end;
   note_sender t state t.id (Some req)
@@ -445,7 +445,7 @@ let note_invalid_from t peer =
 let reply_to ?(span = -1) t (id : request_id) result =
   send_from ~span ~span_tag:Bftspan.Tag.Reply t t.execution
     ~dst:(Principal.client id.client)
-    (Messages.Reply { id; result; node = t.id })
+    (Messages.Reply { id; result })
 
 (* Backpressure reply (admission gate). Charged to the propagation
    thread, not verification: the whole point of shedding is to keep the
@@ -454,7 +454,7 @@ let reply_to ?(span = -1) t (id : request_id) result =
 let busy_to t (id : request_id) retry_after =
   send_from t t.propagation
     ~dst:(Principal.client id.client)
-    (Messages.Busy { id; retry_after; node = t.id })
+    (Messages.Busy { id; retry_after })
 
 (* Release the admission slot a request holds, exactly once. *)
 let release_admission t (id : request_id) =
@@ -674,7 +674,7 @@ let send_instance_change t =
       audit t ~instance:t.master_instance
         (Bftaudit.Event.Instance_change_vote { cpi = t.cpi });
     broadcast_nodes_from t t.dispatch
-      (Messages.Instance_change { cpi = t.cpi; node = t.id });
+      (Messages.Instance_change { cpi = t.cpi });
     check_ic_quorum t
   end
 
@@ -852,33 +852,22 @@ let on_delivery t (d : Messages.t Network.delivery) =
   let recv_cost = Costmodel.recv Params.costs ~bytes:(cost_bytes t d.Network.payload) in
   let mac_cost = Costmodel.mac_verify Params.costs ~bytes:d.Network.size in
   let base = Time.add recv_cost mac_cost in
-  (* The authenticated sender's node id, or -1 for a client. *)
-  let src_id =
-    match d.Network.src with
-    | Principal.Node i -> i
-    | Principal.Client _ -> -1
-  in
-  (* Node messages that name their sender in the payload must name the
-     authenticated source; otherwise one Byzantine node could cast
-     other nodes' instance-change votes or get a correct peer's NIC
-     closed with junk in its name. *)
-  let forged =
+  let from = Network.src_node d in
+  let authentic =
+    (not d.Network.corrupted)
+    &&
     match d.Network.payload with
-    | Messages.Propagate { from; _ }
-    | Messages.Propagate_batch { from; _ }
-    | Messages.Instance_change { node = from; _ } ->
-      src_id < 0 || from <> src_id
-    | Messages.Request _ | Messages.Instance _ | Messages.Reply _
-    | Messages.Busy _ ->
-      false
+    | Messages.Request _ | Messages.Reply _ | Messages.Busy _ -> true
+    | Messages.Propagate _ | Messages.Propagate_batch _ | Messages.Instance _
+    | Messages.Instance_change _ ->
+      from >= 0
   in
-  if d.Network.corrupted || forged then
-    (* Chaos-corrupted on the wire, or forged: the authenticator check
-       fails. The node still pays the verification cost, and invalid
-       traffic from a peer node feeds the flood defence exactly like
-       junk messages. *)
-    Resource.submit t.verification ~cost:base (fun () ->
-        if src_id >= 0 then note_invalid_from t src_id)
+  if not authentic then
+    (* Chaos-corrupted on the wire, or a node message from a client:
+       the authenticator check fails. The node still pays the
+       verification cost, and invalid traffic from a peer node feeds
+       the flood defence exactly like junk messages. *)
+    Resource.submit t.verification ~cost:base (fun () -> note_invalid_from t from)
   else
   match d.Network.payload with
   | Messages.Request req ->
@@ -922,7 +911,7 @@ let on_delivery t (d : Messages.t Network.delivery) =
        in
        Resource.submit ~span:vspan t.verification ~cost:base (fun () ->
            handle_client_request t ~span:vspan req))
-  | Messages.Propagate { req; from; junk } ->
+  | Messages.Propagate { req; junk } ->
     let pspan =
       Spans.job ~parent:d.Network.span ~tag:Bftspan.Tag.Propagate ~node:t.id
         ~instance:(-1) ~now:(Engine.now t.engine)
@@ -935,7 +924,7 @@ let on_delivery t (d : Messages.t Network.delivery) =
     in
     Resource.submit ~span:pspan thread ~cost:base (fun () ->
         handle_propagate t ~span:pspan ~from req ~junk)
-  | Messages.Propagate_batch { reqs; owner; from } ->
+  | Messages.Propagate_batch { reqs; owner } ->
     (* Ingress demux reads the bytes on the verification thread; the
        batch authenticator and the per-request work are charged to the
        claimed owner's lane. The partitioner re-derives the real owner
@@ -949,14 +938,12 @@ let on_delivery t (d : Messages.t Network.delivery) =
                 reqs))
   | Messages.Instance { instance; msg } ->
     if instance < instance_count t then begin
-      let thread = t.replica_threads.(instance) in
-      if src_id >= 0 then
-        Resource.submit thread ~cost:base (fun () ->
-            Pbftcore.Replica.receive t.replicas.(instance) ~from:src_id msg)
+      Resource.submit t.replica_threads.(instance) ~cost:base (fun () ->
+          Pbftcore.Replica.receive t.replicas.(instance) ~from msg)
     end
-  | Messages.Instance_change { cpi; node } ->
+  | Messages.Instance_change { cpi } ->
     Resource.submit t.dispatch ~cost:base (fun () ->
-        handle_instance_change t ~from:node ~cpi)
+        handle_instance_change t ~from ~cpi)
   | Messages.Reply _ | Messages.Busy _ -> (* nodes never receive replies *) ()
 
 (* ------------------------------------------------------------------ *)
@@ -1067,7 +1054,6 @@ let start_flooding t =
             sig_valid = false;
             mac_invalid_for = [];
           };
-        from = t.id;
         junk = true;
       }
   in

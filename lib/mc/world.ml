@@ -46,45 +46,43 @@ let hex8 s =
 
 (* Content-based delivery labels: enough to identify the message in a
    counterexample listing and to distinguish deliveries in state
-   fingerprints, with no timestamps or other schedule-dependent data. *)
+   fingerprints, with no timestamps or other schedule-dependent data.
+   The sender is not part of the label: the delivery's [src] already
+   sits next to it in both places. *)
 let describe (m : Rbft.Messages.t) =
   match m with
   | Rbft.Messages.Request r ->
     Printf.sprintf "req:c%d.%d" r.Rbft.Messages.desc.id.client
       r.Rbft.Messages.desc.id.rid
-  | Rbft.Messages.Propagate { req; from; junk } ->
-    Printf.sprintf "prop:c%d.%d@%d%s" req.Rbft.Messages.desc.id.client
-      req.Rbft.Messages.desc.id.rid from
+  | Rbft.Messages.Propagate { req; junk } ->
+    Printf.sprintf "prop:c%d.%d%s" req.Rbft.Messages.desc.id.client
+      req.Rbft.Messages.desc.id.rid
       (if junk then "!" else "")
-  | Rbft.Messages.Propagate_batch { reqs; owner; from } ->
+  | Rbft.Messages.Propagate_batch { reqs; owner } ->
     (* Not reachable in checked configurations (the checker runs the
        redundant ordering only), but labelled for completeness. *)
-    Printf.sprintf "propb:i%d.%d@%d" owner (List.length reqs) from
+    Printf.sprintf "propb:i%d.%d" owner (List.length reqs)
   | Rbft.Messages.Instance { instance; msg } ->
     let detail =
       match msg with
       | Pbftcore.Messages.Pre_prepare { view; seq; descs } ->
         Printf.sprintf "pp.v%d.s%d.%d" view seq (List.length descs)
-      | Pbftcore.Messages.Prepare { view; seq; digest; replica } ->
-        Printf.sprintf "p.v%d.s%d.r%d.%s" view seq replica (hex8 digest)
-      | Pbftcore.Messages.Commit { view; seq; digest; replica } ->
-        Printf.sprintf "c.v%d.s%d.r%d.%s" view seq replica (hex8 digest)
-      | Pbftcore.Messages.Checkpoint { seq; state_digest; replica } ->
-        Printf.sprintf "ck.s%d.r%d.%s" seq replica (hex8 state_digest)
-      | Pbftcore.Messages.View_change { new_view; replica; _ } ->
-        Printf.sprintf "vc.v%d.r%d" new_view replica
-      | Pbftcore.Messages.New_view { view; replica; _ } ->
-        Printf.sprintf "nv.v%d.r%d" view replica
+      | Pbftcore.Messages.Prepare { view; seq; digest } ->
+        Printf.sprintf "p.v%d.s%d.%s" view seq (hex8 digest)
+      | Pbftcore.Messages.Commit { view; seq; digest } ->
+        Printf.sprintf "c.v%d.s%d.%s" view seq (hex8 digest)
+      | Pbftcore.Messages.Checkpoint { seq; state_digest } ->
+        Printf.sprintf "ck.s%d.%s" seq (hex8 state_digest)
+      | Pbftcore.Messages.View_change { new_view; _ } -> Printf.sprintf "vc.v%d" new_view
+      | Pbftcore.Messages.New_view { view; _ } -> Printf.sprintf "nv.v%d" view
     in
     Printf.sprintf "i%d.%s" instance detail
-  | Rbft.Messages.Instance_change { cpi; node } ->
-    Printf.sprintf "ic:%d.n%d" cpi node
-  | Rbft.Messages.Reply { id; node; _ } ->
-    Printf.sprintf "rep:c%d.%d.n%d" id.client id.rid node
-  | Rbft.Messages.Busy { id; node; _ } ->
+  | Rbft.Messages.Instance_change { cpi } -> Printf.sprintf "ic:%d" cpi
+  | Rbft.Messages.Reply { id; _ } -> Printf.sprintf "rep:c%d.%d" id.client id.rid
+  | Rbft.Messages.Busy { id; _ } ->
     (* Not reachable in checked configurations (admission is off by
        default), but labelled for completeness. *)
-    Printf.sprintf "busy:c%d.%d.n%d" id.client id.rid node
+    Printf.sprintf "busy:c%d.%d" id.client id.rid
 
 let correct_nodes cfg =
   let n = (3 * cfg.f) + 1 in

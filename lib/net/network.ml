@@ -35,6 +35,8 @@ type 'a delivery = {
   span : int;
 }
 
+let src_node d = match d.src with Principal.Node i -> i | Principal.Client _ -> -1
+
 (* Chaos interposition: an installed hook rules on every message at
    send time. The default verdict lets everything through untouched. *)
 type fault_verdict = {

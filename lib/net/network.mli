@@ -54,6 +54,12 @@ type 'a delivery = {
           crosses node boundaries. *)
 }
 
+val src_node : 'a delivery -> int
+(** The sending node's id, or [-1] when a client sent the message.
+    [src] is the authenticated source (it stands for the MAC or
+    signature envelope), so this is the only sender a receiver may
+    count: no payload names its sender. *)
+
 (** {2 Fault interposition}
 
     The chaos engine ({!Bftchaos}) installs a single hook that rules on

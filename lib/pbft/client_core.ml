@@ -57,15 +57,13 @@ let create engine net ~f ~id ~payload_size ext =
   }
 
 (** Register the client on the network. Deliveries whose authenticator
-    failed ([corrupted]) are ignored; the rest go to [handle] with their
-    authenticated source. *)
+    failed ([corrupted]) are ignored, and so is anything a client sent;
+    the rest go to [handle] with [~from], the sending node's id. A
+    message's sender is its authenticated source: no payload names it. *)
 let listen t handle =
   Network.register_client t.net t.id (fun d ->
-      if not d.Network.corrupted then handle t ~src:d.Network.src d.Network.payload)
-
-(** Whether a REPLY or BUSY that names [node] really comes from it: a
-    node writing another node's id must not count as that node. *)
-let sent_by ~src node = Principal.equal src (Principal.node node)
+      let from = Network.src_node d in
+      if from >= 0 && not d.Network.corrupted then handle t ~from d.Network.payload)
 
 let id t = t.id
 let sent t = t.rid
@@ -87,19 +85,17 @@ let track t (id : request_id) data =
   Request_id_table.replace t.pending id p;
   p
 
-(** Count one REPLY from [src] naming [node]. Each node counts once per
-    request, and only when it is the source; the request completes when
-    f+1 replies carry the same result, which records its latency, closes
-    its span and removes it from the pending table. [true] exactly when
-    this reply completed the request. *)
-let on_reply t (id : request_id) ~src ~node ~result =
+(** Count one REPLY from node [from]. Each node counts once per
+    request; the request completes when f+1 replies carry the same
+    result, which records its latency, closes its span and removes it
+    from the pending table. [true] exactly when this reply completed the
+    request. *)
+let on_reply t (id : request_id) ~from ~result =
   match Request_id_table.find_opt t.pending id with
   | None -> false
-  | Some p
-    when p.done_ || (not (sent_by ~src node)) || List.mem_assoc node p.replies ->
-    false
+  | Some p when p.done_ || List.mem_assoc from p.replies -> false
   | Some p ->
-    p.replies <- (node, result) :: p.replies;
+    p.replies <- (from, result) :: p.replies;
     let matching =
       List.length (List.filter (fun (_, r) -> String.equal r result) p.replies)
     in
@@ -157,16 +153,16 @@ module type PARTS = sig
   val request_size : n:int -> request_desc -> int
   (** The node's wire size of that REQUEST. *)
 
-  val reply : msg -> (request_id * int * string) option
-  (** [Some (id, node, result)] when the message is a REPLY. *)
+  val reply : msg -> (request_id * string) option
+  (** [Some (id, result)] when the message is a REPLY. *)
 end
 
 module Open_loop (S : PARTS) = struct
   type nonrec t = (S.msg, S.ext, unit) t
 
-  let handle t ~src m =
+  let handle t ~from m =
     match S.reply m with
-    | Some (id, node, result) -> ignore (on_reply t id ~src ~node ~result)
+    | Some (id, result) -> ignore (on_reply t id ~from ~result)
     | None -> ()
 
   let create engine net ~f ~id ?(payload_size = 8) () : t =

@@ -47,24 +47,21 @@ let encode ~order_full_requests msg =
    | Messages.Pre_prepare pp ->
      Wire.Writer.u8 w tag_pre_prepare;
      encode_pp ~order_full_requests w pp
-   | Messages.Prepare { view; seq; digest; replica } ->
+   | Messages.Prepare { view; seq; digest } ->
      Wire.Writer.u8 w tag_prepare;
      Wire.Writer.u32 w view;
      Wire.Writer.u64 w seq;
-     Wire.Writer.bytes w digest;
-     Wire.Writer.u32 w replica
-   | Messages.Commit { view; seq; digest; replica } ->
+     Wire.Writer.bytes w digest
+   | Messages.Commit { view; seq; digest } ->
      Wire.Writer.u8 w tag_commit;
      Wire.Writer.u32 w view;
      Wire.Writer.u64 w seq;
-     Wire.Writer.bytes w digest;
-     Wire.Writer.u32 w replica
-   | Messages.Checkpoint { seq; state_digest; replica } ->
+     Wire.Writer.bytes w digest
+   | Messages.Checkpoint { seq; state_digest } ->
      Wire.Writer.u8 w tag_checkpoint;
      Wire.Writer.u64 w seq;
-     Wire.Writer.string w state_digest;
-     Wire.Writer.u32 w replica
-   | Messages.View_change { new_view; last_stable; prepared; replica } ->
+     Wire.Writer.string w state_digest
+   | Messages.View_change { new_view; last_stable; prepared } ->
      Wire.Writer.u8 w tag_view_change;
      Wire.Writer.u32 w new_view;
      Wire.Writer.u64 w last_stable;
@@ -77,14 +74,12 @@ let encode ~order_full_requests msg =
          Wire.Writer.list w
            (encode_desc ~order_full_requests:false w)
            p.pdescs)
-       prepared;
-     Wire.Writer.u32 w replica
-   | Messages.New_view { view; pre_prepares; replica } ->
+       prepared
+   | Messages.New_view { view; pre_prepares } ->
      Wire.Writer.u8 w tag_new_view;
      Wire.Writer.u32 w view;
      (* Re-proposed batches always travel as identifiers. *)
-     Wire.Writer.list w (encode_pp ~order_full_requests:false w) pre_prepares;
-     Wire.Writer.u32 w replica);
+     Wire.Writer.list w (encode_pp ~order_full_requests:false w) pre_prepares);
   Wire.Writer.contents w
 
 let decode ~order_full_requests s =
@@ -98,21 +93,18 @@ let decode ~order_full_requests s =
         let view = Wire.Reader.u32 r in
         let seq = Wire.Reader.u64 r in
         let digest = Wire.Reader.bytes r Bftcrypto.Sha256.size in
-        let replica = Wire.Reader.u32 r in
-        Some (Messages.Prepare { view; seq; digest; replica })
+        Some (Messages.Prepare { view; seq; digest })
       end
       else if tag = tag_commit then begin
         let view = Wire.Reader.u32 r in
         let seq = Wire.Reader.u64 r in
         let digest = Wire.Reader.bytes r Bftcrypto.Sha256.size in
-        let replica = Wire.Reader.u32 r in
-        Some (Messages.Commit { view; seq; digest; replica })
+        Some (Messages.Commit { view; seq; digest })
       end
       else if tag = tag_checkpoint then begin
         let seq = Wire.Reader.u64 r in
         let state_digest = Wire.Reader.string r in
-        let replica = Wire.Reader.u32 r in
-        Some (Messages.Checkpoint { seq; state_digest; replica })
+        Some (Messages.Checkpoint { seq; state_digest })
       end
       else if tag = tag_view_change then begin
         let new_view = Wire.Reader.u32 r in
@@ -127,14 +119,12 @@ let decode ~order_full_requests s =
               in
               { Messages.pseq; pview; pdigest; pdescs })
         in
-        let replica = Wire.Reader.u32 r in
-        Some (Messages.View_change { new_view; last_stable; prepared; replica })
+        Some (Messages.View_change { new_view; last_stable; prepared })
       end
       else if tag = tag_new_view then begin
         let view = Wire.Reader.u32 r in
         let pre_prepares = Wire.Reader.list r (decode_pp ~order_full_requests:false) in
-        let replica = Wire.Reader.u32 r in
-        Some (Messages.New_view { view; pre_prepares; replica })
+        Some (Messages.New_view { view; pre_prepares })
       end
       else None
     in

@@ -16,16 +16,15 @@ type prepared_proof = {
 
 type t =
   | Pre_prepare of pre_prepare
-  | Prepare of { view : view; seq : seqno; digest : string; replica : int }
-  | Commit of { view : view; seq : seqno; digest : string; replica : int }
-  | Checkpoint of { seq : seqno; state_digest : string; replica : int }
+  | Prepare of { view : view; seq : seqno; digest : string }
+  | Commit of { view : view; seq : seqno; digest : string }
+  | Checkpoint of { seq : seqno; state_digest : string }
   | View_change of {
       new_view : view;
       last_stable : seqno;
       prepared : prepared_proof list;
-      replica : int;
     }
-  | New_view of { view : view; pre_prepares : pre_prepare list; replica : int }
+  | New_view of { view : view; pre_prepares : pre_prepare list }
 
 let batch_digest descs =
   let buf = Buffer.create (List.length descs * 48) in
@@ -38,7 +37,9 @@ let batch_digest descs =
     descs;
   Bftcrypto.Sha256.digest_string (Buffer.contents buf)
 
-let header_size = 16 (* type tag, view, seq, replica id *)
+(* Type tag, view, seq and the sender's replica id. The id rides in the
+   authenticated envelope (the delivery's source), not in [t]. *)
+let header_size = 16
 
 let mac_auth_size ~n = n * Bftcrypto.Keys.mac_tag_size
 
@@ -81,13 +82,9 @@ let type_tag = function
 let pp fmt = function
   | Pre_prepare { view; seq; descs } ->
     Format.fprintf fmt "PRE-PREPARE(v=%d,s=%d,|b|=%d)" view seq (List.length descs)
-  | Prepare { view; seq; replica; _ } ->
-    Format.fprintf fmt "PREPARE(v=%d,s=%d,r=%d)" view seq replica
-  | Commit { view; seq; replica; _ } ->
-    Format.fprintf fmt "COMMIT(v=%d,s=%d,r=%d)" view seq replica
-  | Checkpoint { seq; replica; _ } ->
-    Format.fprintf fmt "CHECKPOINT(s=%d,r=%d)" seq replica
-  | View_change { new_view; replica; _ } ->
-    Format.fprintf fmt "VIEW-CHANGE(v=%d,r=%d)" new_view replica
+  | Prepare { view; seq; _ } -> Format.fprintf fmt "PREPARE(v=%d,s=%d)" view seq
+  | Commit { view; seq; _ } -> Format.fprintf fmt "COMMIT(v=%d,s=%d)" view seq
+  | Checkpoint { seq; _ } -> Format.fprintf fmt "CHECKPOINT(s=%d)" seq
+  | View_change { new_view; _ } -> Format.fprintf fmt "VIEW-CHANGE(v=%d)" new_view
   | New_view { view; pre_prepares; _ } ->
     Format.fprintf fmt "NEW-VIEW(v=%d,|pp|=%d)" view (List.length pre_prepares)

@@ -4,7 +4,11 @@
 
     Every constructor stores only what the real message carries; the
     [wire_size] function computes the on-the-wire footprint (including
-    the MAC authenticator) that the network substrate charges for. *)
+    the MAC authenticator) that the network substrate charges for.
+
+    No constructor names its sender. A message's sender is its
+    authenticated source: the replica that receives it is told who sent
+    it ({!Replica.receive}'s [~from]), and counts one vote per source. *)
 
 open Types
 
@@ -32,16 +36,15 @@ type prepared_proof = {
 
 type t =
   | Pre_prepare of pre_prepare
-  | Prepare of { view : view; seq : seqno; digest : string; replica : int }
-  | Commit of { view : view; seq : seqno; digest : string; replica : int }
-  | Checkpoint of { seq : seqno; state_digest : string; replica : int }
+  | Prepare of { view : view; seq : seqno; digest : string }
+  | Commit of { view : view; seq : seqno; digest : string }
+  | Checkpoint of { seq : seqno; state_digest : string }
   | View_change of {
       new_view : view;
       last_stable : seqno;
       prepared : prepared_proof list;
-      replica : int;
     }
-  | New_view of { view : view; pre_prepares : pre_prepare list; replica : int }
+  | New_view of { view : view; pre_prepares : pre_prepare list }
 
 val batch_digest : request_desc list -> string
 (** Digest binding a batch's identifiers; what PREPARE/COMMIT refer

@@ -334,7 +334,7 @@ let gc_below t seq =
   remove_keys_below t.entries seq;
   remove_keys_below t.checkpoints seq
 
-let accept_checkpoint t ~seq ~state_digest ~replica =
+let accept_checkpoint t ~from ~seq ~state_digest =
   if seq > t.last_stable then begin
     let votes =
       match Hashtbl.find_opt t.checkpoints seq with
@@ -352,7 +352,7 @@ let accept_checkpoint t ~seq ~state_digest ~replica =
         votes := (state_digest, voters) :: !votes;
         voters
     in
-    ignore (Voteset.add voters replica);
+    ignore (Voteset.add voters from);
     if Voteset.count voters >= (2 * t.cfg.f) + 1 then begin
       t.last_stable <- seq;
       if Bftaudit.Bus.active () then
@@ -376,10 +376,8 @@ let accept_checkpoint t ~seq ~state_digest ~replica =
 
 (* A replica's own checkpoint counts towards the 2f+1 quorum. *)
 let take_checkpoint t seq =
-  broadcast t
-    (Messages.Checkpoint
-       { seq; state_digest = t.chain_digest; replica = t.cfg.replica_id });
-  accept_checkpoint t ~seq ~state_digest:t.chain_digest ~replica:t.cfg.replica_id
+  broadcast t (Messages.Checkpoint { seq; state_digest = t.chain_digest });
+  accept_checkpoint t ~from:t.cfg.replica_id ~seq ~state_digest:t.chain_digest
 
 (* Per-sampled-request ordering phases, derived from the entry's phase
    stamps at the moment the batch is delivered. Timestamps are clamped
@@ -478,9 +476,7 @@ let maybe_send_commit t seq (e : entry) =
     e.sent_commit <- true;
     e.t_prepared <- Engine.now t.engine;
     ignore (Voteset.Tagged.add e.commits ~replica:t.cfg.replica_id ~digest:e.digest);
-    broadcast t
-      (Messages.Commit
-         { view = t.view; seq; digest = e.digest; replica = t.cfg.replica_id });
+    broadcast t (Messages.Commit { view = t.view; seq; digest = e.digest });
     try_deliver t
   end
 
@@ -663,9 +659,7 @@ let maybe_send_prepare t (pp : Messages.pre_prepare) =
     else if have_all_requests t pp then begin
       e.sent_prepare <- true;
       ignore (Voteset.Tagged.add e.prepares ~replica:t.cfg.replica_id ~digest:e.digest);
-      broadcast t
-        (Messages.Prepare
-           { view = t.view; seq = pp.seq; digest = e.digest; replica = t.cfg.replica_id });
+      broadcast t (Messages.Prepare { view = t.view; seq = pp.seq; digest = e.digest });
       maybe_send_commit t pp.seq e
     end
     else t.waiting_pps <- pp :: t.waiting_pps
@@ -739,22 +733,8 @@ let accept_pp t ~from (pp : Messages.pre_prepare) =
          votes are exactly what the re-proposer is missing. *)
       if pp.view > e.pp_view && digest = e.digest then begin
         e.pp_view <- pp.view;
-        broadcast t
-          (Messages.Prepare
-             {
-               view = t.view;
-               seq = pp.seq;
-               digest = e.digest;
-               replica = t.cfg.replica_id;
-             });
-        broadcast t
-          (Messages.Commit
-             {
-               view = t.view;
-               seq = pp.seq;
-               digest = e.digest;
-               replica = t.cfg.replica_id;
-             })
+        broadcast t (Messages.Prepare { view = t.view; seq = pp.seq; digest = e.digest });
+        broadcast t (Messages.Commit { view = t.view; seq = pp.seq; digest = e.digest })
       end
     | Some _ when e.sent_prepare ->
       () (* duplicate of an already-acknowledged batch *)
@@ -764,19 +744,19 @@ let accept_pp t ~from (pp : Messages.pre_prepare) =
       adopt ()
   end
 
-let accept_prepare t ~view ~seq ~digest ~replica =
+let accept_prepare t ~from ~view ~seq ~digest =
   if view = t.view && (not t.in_vc) && in_window t seq then begin
     let e = entry_for t seq in
     (* Prepares may arrive before the PRE-PREPARE: store them with the
        digest they endorse; only matching ones are counted. *)
-    if Voteset.Tagged.add e.prepares ~replica ~digest then
+    if Voteset.Tagged.add e.prepares ~replica:from ~digest then
       maybe_send_commit t seq e
   end
 
-let accept_commit t ~view ~seq ~digest ~replica =
+let accept_commit t ~from ~view ~seq ~digest =
   if view = t.view && (not t.in_vc) && in_window t seq then begin
     let e = entry_for t seq in
-    if Voteset.Tagged.add e.commits ~replica ~digest then
+    if Voteset.Tagged.add e.commits ~replica:from ~digest then
       if Voteset.Tagged.matching e.commits >= (2 * t.cfg.f) + 1 then
         try_deliver t
   end
@@ -816,12 +796,7 @@ let rec start_view_change t target =
     cancel_batch_timer t;
     let msg =
       Messages.View_change
-        {
-          new_view = target;
-          last_stable = t.last_stable;
-          prepared = prepared_proofs t;
-          replica = t.cfg.replica_id;
-        }
+        { new_view = target; last_stable = t.last_stable; prepared = prepared_proofs t }
     in
     ignore (Voteset.add (vc_votes_for t target) t.cfg.replica_id);
     broadcast t msg;
@@ -939,7 +914,7 @@ and new_primary_repropose t v =
      synchronisation): fresh batches wait for the quiet period. *)
   t.pp_release <- Time.add (Engine.now t.engine) t.cfg.post_vc_quiet;
   List.iter (fun pp -> record_pp t pp) pps;
-  broadcast t (Messages.New_view { view = v; pre_prepares = pps; replica = t.cfg.replica_id });
+  broadcast t (Messages.New_view { view = v; pre_prepares = pps });
   (* Treat own re-issued PPs as accepted. *)
   List.iter
     (fun pp ->
@@ -1027,15 +1002,13 @@ let submit ?(span = -1) t desc =
 let receive t ~from msg =
   match msg with
     | Messages.Pre_prepare pp -> accept_pp t ~from pp
-    | Messages.Prepare { view; seq; digest; replica } ->
-      accept_prepare t ~view ~seq ~digest ~replica
-    | Messages.Commit { view; seq; digest; replica } ->
-      accept_commit t ~view ~seq ~digest ~replica
-    | Messages.Checkpoint { seq; state_digest; replica } ->
-      accept_checkpoint t ~seq ~state_digest ~replica
+    | Messages.Prepare { view; seq; digest } -> accept_prepare t ~from ~view ~seq ~digest
+    | Messages.Commit { view; seq; digest } -> accept_commit t ~from ~view ~seq ~digest
+    | Messages.Checkpoint { seq; state_digest } ->
+      accept_checkpoint t ~from ~seq ~state_digest
     | Messages.View_change { new_view; prepared; _ } ->
       accept_view_change t ~from ~new_view ~prepared
-    | Messages.New_view { view; pre_prepares; _ } ->
+    | Messages.New_view { view; pre_prepares } ->
       accept_new_view t ~from view pre_prepares
 
 (* Normally the next view; once wedged mid view-change, the view after

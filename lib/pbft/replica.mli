@@ -142,8 +142,9 @@ val take_span : t -> id:request_id -> int
     here. *)
 
 val receive : t -> from:int -> Messages.t -> unit
-(** An instance message arrived from peer replica [from] (already
-    authenticated by the node). *)
+(** An instance message arrived from peer replica [from], the
+    message's authenticated source. Every vote (PREPARE, COMMIT,
+    CHECKPOINT, VIEW-CHANGE) counts for [from], once per quorum. *)
 
 val force_view_change : t -> unit
 (** Start moving to the next view. Safe to call repeatedly; subsequent

@@ -13,7 +13,7 @@ include Pbftcore.Client_core.Open_loop (struct
   let request_size = Node.request_size
 
   let reply = function
-    | Node.Reply { id; result; node } -> Some (id, node, result)
+    | Node.Reply { id; result } -> Some (id, result)
     | Node.Request _ | Node.Po_request _ | Node.Pre_prepare _ | Node.Prepare _
     | Node.Commit _ | Node.Ping _ | Node.Pong _ | Node.Suspect _ ->
       None

@@ -7,14 +7,14 @@ module Spans = Bftspan.Tracer
 
 type msg =
   | Request of { desc : request_desc; sig_valid : bool }
-  | Po_request of { desc : request_desc; origin : int; po_seq : int }
+  | Po_request of { desc : request_desc; po_seq : int }
   | Pre_prepare of { view : int; seq : int; vector : int array }
-  | Prepare of { view : int; seq : int; digest : string; replica : int }
-  | Commit of { view : int; seq : int; digest : string; replica : int }
-  | Ping of { from : int; nonce : int }
-  | Pong of { to_ : int; nonce : int; sent_at : Time.t }
-  | Suspect of { view : int; replica : int }
-  | Reply of { id : request_id; result : string; node : int }
+  | Prepare of { view : int; seq : int; digest : string }
+  | Commit of { view : int; seq : int; digest : string }
+  | Ping of { nonce : int }
+  | Pong of { nonce : int }
+  | Suspect of { view : int }
+  | Reply of { id : request_id; result : string }
 
 type config = {
   f : int;
@@ -112,7 +112,7 @@ let msg_size t m =
   | Prepare _ | Commit _ -> 24 + Sha256.size + sig_size
   | Ping _ | Pong _ -> 24 + sig_size
   | Suspect _ -> 24 + sig_size
-  | Reply { result; _ } -> 16 + String.length result + (n_nodes t * 0) + sig_size
+  | Reply { result; _ } -> 16 + String.length result + sig_size
 
 (* The PO-REQUEST dissemination copies full request bodies through
    the replica's buffers several times. *)
@@ -238,7 +238,7 @@ let execute_one t (desc : request_desc) =
       desc;
     send_from ~span:espan ~span_tag:Bftspan.Tag.Reply t
       ~dst:(Principal.client desc.id.client)
-      (Reply { id = desc.id; result; node = t.id })
+      (Reply { id = desc.id; result })
   end
 
 let rec try_deliver t =
@@ -282,7 +282,6 @@ let rec try_deliver t =
              })
       end;
       t.next_deliver <- t.next_deliver + 1;
-      let exec_start = Engine.now t.engine in
       let buffers = !(t.po_buffers) in
       let total_exec = ref Time.zero in
       Array.iteri
@@ -296,7 +295,6 @@ let rec try_deliver t =
           done;
           t.ordered_vector.(origin) <- Stdlib.max t.ordered_vector.(origin) upto)
         vector;
-      ignore exec_start;
       Monitor.note_batch_exec t.monitor !total_exec;
       try_deliver t
     end
@@ -313,7 +311,7 @@ let maybe_commit t seq (e : seq_entry) =
   then begin
     e.sent_commit <- true;
     ignore (Pbftcore.Voteset.add e.commits t.id);
-    broadcast_signed t (Commit { view = t.view; seq; digest = e.digest; replica = t.id });
+    broadcast_signed t (Commit { view = t.view; seq; digest = e.digest });
     try_deliver t
   end
 
@@ -327,8 +325,7 @@ let accept_pp t ~from ~view ~seq vector =
       if from <> t.id then begin
         e.sent_prepare <- true;
         ignore (Pbftcore.Voteset.add e.prepares t.id);
-        broadcast_signed t
-          (Prepare { view; seq; digest = e.digest; replica = t.id })
+        broadcast_signed t (Prepare { view; seq; digest = e.digest })
       end
       else e.sent_prepare <- true;
       maybe_commit t seq e
@@ -379,9 +376,9 @@ let enter_view t v =
     if is_primary t then t.next_seq <- Stdlib.max t.next_seq t.next_deliver
   end
 
-let note_suspect t ~replica ~view =
+let note_suspect t ~from ~view =
   if view = t.view then begin
-    if Pbftcore.Voteset.add t.suspects replica then
+    if Pbftcore.Voteset.add t.suspects from then
       t.suspects_seen <- t.suspects_seen + 1;
     if Pbftcore.Voteset.count t.suspects >= (2 * t.cfg.f) + 1 then
       enter_view t (t.view + 1)
@@ -391,7 +388,7 @@ let check_suspicion t =
   if (not (is_primary t)) && Monitor.suspicious t.monitor ~now:(Engine.now t.engine)
   then
     if Pbftcore.Voteset.add t.suspects t.id then begin
-      broadcast_signed t (Suspect { view = t.view; replica = t.id });
+      broadcast_signed t (Suspect { view = t.view });
       if Pbftcore.Voteset.count t.suspects >= (2 * t.cfg.f) + 1 then
         enter_view t (t.view + 1)
     end
@@ -406,7 +403,7 @@ let rec arm_ping_loop t =
          Resource.submit t.main ~cost:(Time.us 2) (fun () ->
              t.ping_nonce <- t.ping_nonce + 1;
              Hashtbl.replace t.pings_inflight t.ping_nonce (Engine.now t.engine);
-             broadcast_signed t (Ping { from = t.id; nonce = t.ping_nonce });
+             broadcast_signed t (Ping { nonce = t.ping_nonce });
              check_suspicion t;
              arm_ping_loop t)))
 
@@ -415,31 +412,36 @@ let rec arm_ping_loop t =
 (* ------------------------------------------------------------------ *)
 
 let handle_request t ~span (desc : request_desc) ~sig_valid =
-  if Request_id_table.mem t.executed desc.id then begin
-    match Request_id_table.find_opt t.executed desc.id with
-    | Some result ->
-      send_from t ~dst:(Principal.client desc.id.client)
-        (Reply { id = desc.id; result; node = t.id })
-    | None -> ()
-  end
-  else begin
+  match Request_id_table.find_opt t.executed desc.id with
+  | Some result ->
+    send_from t ~dst:(Principal.client desc.id.client) (Reply { id = desc.id; result })
+  | None ->
     Resource.charge t.main (Costmodel.sig_verify t.cfg.costs ~bytes:desc.op_size);
     if sig_valid then begin
       if span >= 0 && not (Request_id_table.mem t.span_in desc.id) then
         Request_id_table.replace t.span_in desc.id (span, Engine.now t.engine);
       t.my_po_seq <- t.my_po_seq + 1;
       store_po t ~origin:t.id ~po_seq:t.my_po_seq desc;
-      broadcast_signed ~span t
-        (Po_request { desc; origin = t.id; po_seq = t.my_po_seq })
+      broadcast_signed ~span t (Po_request { desc; po_seq = t.my_po_seq })
     end
-  end
 
 let on_delivery t (d : msg Network.delivery) =
   let base = Costmodel.recv t.cfg.costs ~bytes:(cost_bytes t d.Network.payload) in
   let verify = Costmodel.sig_verify t.cfg.costs ~bytes:d.Network.size in
   let with_sig = Time.add base verify in
-  if d.Network.corrupted then
-    (* Failed signature check: pay the verification cost, then drop. *)
+  let from = Network.src_node d in
+  let authentic =
+    (not d.Network.corrupted)
+    &&
+    match d.Network.payload with
+    | Request _ | Reply _ -> true
+    | Po_request _ | Pre_prepare _ | Prepare _ | Commit _ | Ping _ | Pong _
+    | Suspect _ ->
+      from >= 0
+  in
+  if not authentic then
+    (* Failed signature check, or replica traffic from a client: pay
+       the verification cost, then drop. *)
     Resource.submit t.main ~cost:with_sig (fun () -> ())
   else
   match d.Network.payload with
@@ -450,7 +452,7 @@ let on_delivery t (d : msg Network.delivery) =
     in
     Resource.submit ~span:vspan t.main ~cost:base (fun () ->
         handle_request t ~span:vspan desc ~sig_valid)
-  | Po_request { desc; origin; po_seq } ->
+  | Po_request { desc; po_seq } ->
     let pspan =
       Spans.job ~parent:d.Network.span ~tag:Bftspan.Tag.Propagate ~node:t.id
         ~instance:0 ~now:(Engine.now t.engine)
@@ -462,46 +464,40 @@ let on_delivery t (d : msg Network.delivery) =
           && not (Request_id_table.mem t.span_in desc.id)
         then
           Request_id_table.replace t.span_in desc.id (pspan, Engine.now t.engine);
-        store_po t ~origin ~po_seq desc;
+        store_po t ~origin:from ~po_seq desc;
         try_deliver t)
   | Pre_prepare { view; seq; vector } ->
-    let from =
-      match d.Network.src with Principal.Node i -> i | Principal.Client _ -> -1
-    in
-    Resource.submit t.main ~cost:with_sig (fun () ->
-        if from >= 0 then accept_pp t ~from ~view ~seq vector)
-  | Prepare { view; seq; digest; replica } ->
+    Resource.submit t.main ~cost:with_sig (fun () -> accept_pp t ~from ~view ~seq vector)
+  | Prepare { view; seq; digest } ->
     Resource.submit t.main ~cost:with_sig (fun () ->
         if view = t.view then begin
           let e = entry_for t seq in
           if
             (e.vector = None || String.equal e.digest digest)
-            && Pbftcore.Voteset.add e.prepares replica
+            && Pbftcore.Voteset.add e.prepares from
           then maybe_commit t seq e
         end)
-  | Commit { view; seq; digest; replica } ->
+  | Commit { view; seq; digest } ->
     Resource.submit t.main ~cost:with_sig (fun () ->
         if view = t.view then begin
           let e = entry_for t seq in
           if
             (e.vector = None || String.equal e.digest digest)
-            && Pbftcore.Voteset.add e.commits replica
+            && Pbftcore.Voteset.add e.commits from
           then try_deliver t
         end)
-  | Ping { from; nonce } ->
+  | Ping { nonce } ->
     Resource.submit t.main ~cost:with_sig (fun () ->
-        send_from t ~dst:(Principal.node from)
-          (Pong { to_ = from; nonce; sent_at = Time.zero }))
-  | Pong { to_; nonce; _ } ->
+        send_from t ~dst:(Principal.node from) (Pong { nonce }))
+  | Pong { nonce } ->
     Resource.submit t.main ~cost:with_sig (fun () ->
-        if to_ = t.id then
-          match Hashtbl.find_opt t.pings_inflight nonce with
-          | Some sent ->
-            Hashtbl.remove t.pings_inflight nonce;
-            Monitor.note_rtt t.monitor (Time.sub (Engine.now t.engine) sent)
-          | None -> ())
-  | Suspect { view; replica } ->
-    Resource.submit t.main ~cost:with_sig (fun () -> note_suspect t ~replica ~view)
+        match Hashtbl.find_opt t.pings_inflight nonce with
+        | Some sent ->
+          Hashtbl.remove t.pings_inflight nonce;
+          Monitor.note_rtt t.monitor (Time.sub (Engine.now t.engine) sent)
+        | None -> ())
+  | Suspect { view } ->
+    Resource.submit t.main ~cost:with_sig (fun () -> note_suspect t ~from ~view)
   | Reply _ -> ()
 
 let create engine net cfg ~id ~service =

@@ -20,14 +20,14 @@ open Bftapp
 
 type msg =
   | Request of { desc : Pbftcore.Types.request_desc; sig_valid : bool }
-  | Po_request of { desc : Pbftcore.Types.request_desc; origin : int; po_seq : int }
+  | Po_request of { desc : Pbftcore.Types.request_desc; po_seq : int }
   | Pre_prepare of { view : int; seq : int; vector : int array }
-  | Prepare of { view : int; seq : int; digest : string; replica : int }
-  | Commit of { view : int; seq : int; digest : string; replica : int }
-  | Ping of { from : int; nonce : int }
-  | Pong of { to_ : int; nonce : int; sent_at : Time.t }
-  | Suspect of { view : int; replica : int }
-  | Reply of { id : Pbftcore.Types.request_id; result : string; node : int }
+  | Prepare of { view : int; seq : int; digest : string }
+  | Commit of { view : int; seq : int; digest : string }
+  | Ping of { nonce : int }
+  | Pong of { nonce : int }
+  | Suspect of { view : int }
+  | Reply of { id : Pbftcore.Types.request_id; result : string }
 
 type config = {
   f : int;

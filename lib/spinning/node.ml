@@ -8,7 +8,7 @@ module Spans = Bftspan.Tracer
 type msg =
   | Request of { desc : request_desc }
   | Order of Replica.msg
-  | Reply of { id : request_id; result : string; node : int }
+  | Reply of { id : request_id; result : string }
 
 type config = {
   f : int;
@@ -130,7 +130,7 @@ let execute_batch t descs =
                 (Costmodel.mac_gen t.cfg.costs ~bytes:(String.length result + 16));
               send_from ~span:espan ~span_tag:Bftspan.Tag.Reply t t.execution
                 ~dst:(Principal.client desc.id.client)
-                (Reply { id = desc.id; result; node = t.id })
+                (Reply { id = desc.id; result })
             end)
       end)
     descs
@@ -154,8 +154,14 @@ let on_delivery t (d : msg Network.delivery) =
       (Costmodel.recv t.cfg.costs ~bytes:(cost_bytes t d.Network.payload))
       (Costmodel.mac_verify t.cfg.costs ~bytes:d.Network.size)
   in
-  if d.Network.corrupted then
-    (* Failed authenticator: pay the verification cost, then drop. *)
+  let from = Network.src_node d in
+  let authentic =
+    (not d.Network.corrupted)
+    && match d.Network.payload with Order _ -> from >= 0 | Request _ | Reply _ -> true
+  in
+  if not authentic then
+    (* Failed authenticator, or ordering traffic from a client: pay the
+       verification cost, then drop. *)
     Resource.submit t.ordering ~cost:base (fun () -> ())
   else
   match d.Network.payload with
@@ -168,14 +174,11 @@ let on_delivery t (d : msg Network.delivery) =
     in
     Resource.submit ~span:vspan t.ordering ~cost:(Time.add base t.cfg.bookkeeping)
       (fun () ->
-        if Request_id_table.mem t.executed desc.id then begin
-          match Request_id_table.find_opt t.executed desc.id with
-          | Some result ->
-            send_from t t.ordering ~dst:(Principal.client desc.id.client)
-              (Reply { id = desc.id; result; node = t.id })
-          | None -> ()
-        end
-        else begin
+        match Request_id_table.find_opt t.executed desc.id with
+        | Some result ->
+          send_from t t.ordering ~dst:(Principal.client desc.id.client)
+            (Reply { id = desc.id; result })
+        | None ->
           if Bftaudit.Bus.active () then
             audit t
               (Bftaudit.Event.Request_received
@@ -184,15 +187,9 @@ let on_delivery t (d : msg Network.delivery) =
                    rid = desc.id.rid;
                    size = desc.op_size;
                  });
-          Replica.submit ~span:vspan (replica t) desc
-        end)
+          Replica.submit ~span:vspan (replica t) desc)
   | Order m ->
-    let from =
-      match d.Network.src with Principal.Node i -> i | Principal.Client _ -> -1
-    in
-    if from >= 0 then
-      Resource.submit t.ordering ~cost:base (fun () ->
-          Replica.receive (replica t) ~from m)
+    Resource.submit t.ordering ~cost:base (fun () -> Replica.receive (replica t) ~from m)
   | Reply _ -> ()
 
 let create engine net cfg ~id ~service =

@@ -13,7 +13,7 @@ open Bftapp
 type msg =
   | Request of { desc : Pbftcore.Types.request_desc }
   | Order of Replica.msg
-  | Reply of { id : Pbftcore.Types.request_id; result : string; node : int }
+  | Reply of { id : Pbftcore.Types.request_id; result : string }
 
 type config = {
   f : int;

@@ -15,9 +15,9 @@ let default_config ~n ~f ~replica_id =
 
 type msg =
   | Pre_prepare of { seq : int; descs : request_desc list; attempt : int }
-  | Prepare of { seq : int; digest : string; replica : int; attempt : int }
-  | Commit of { seq : int; digest : string; replica : int; attempt : int }
-  | Accuse of { seq : int; replica : int }
+  | Prepare of { seq : int; digest : string; attempt : int }
+  | Commit of { seq : int; digest : string; attempt : int }
+  | Accuse of { seq : int }
 
 type callbacks = { broadcast : msg -> unit; deliver : int -> request_desc list -> unit }
 
@@ -238,7 +238,7 @@ and on_timeout t seq =
     if (not e.delivered) && not e.accused then begin
       e.accused <- true;
       ignore (Pbftcore.Voteset.add e.accuses t.cfg.replica_id);
-      broadcast t (Accuse { seq; replica = t.cfg.replica_id });
+      broadcast t (Accuse { seq });
       check_accusations t seq
     end
   end
@@ -429,8 +429,7 @@ and accept_pp t ~from ~seq ~descs ~attempt =
       if from <> t.cfg.replica_id then begin
         e.sent_prepare <- true;
         ignore (Pbftcore.Voteset.add e.prepares t.cfg.replica_id);
-        broadcast t
-          (Prepare { seq; digest = e.digest; replica = t.cfg.replica_id; attempt })
+        broadcast t (Prepare { seq; digest = e.digest; attempt })
       end
       else e.sent_prepare <- true;
       maybe_commit t seq e
@@ -445,8 +444,7 @@ and maybe_commit t seq (e : entry) =
     e.sent_commit <- true;
     e.t_prepared <- Engine.now t.engine;
     ignore (Pbftcore.Voteset.add e.commits t.cfg.replica_id);
-    broadcast t
-      (Commit { seq; digest = e.digest; replica = t.cfg.replica_id; attempt = e.attempt });
+    broadcast t (Commit { seq; digest = e.digest; attempt = e.attempt });
     try_deliver t
   end
 
@@ -482,23 +480,23 @@ let receive t ~from msg =
   else
     match msg with
     | Pre_prepare { seq; descs; attempt } -> accept_pp t ~from ~seq ~descs ~attempt
-    | Prepare { seq; digest; replica; attempt } ->
+    | Prepare { seq; digest; attempt } ->
       let e = entry_for t seq in
       if
         (not e.delivered) && attempt = e.attempt
         && (e.pp = None || String.equal e.digest digest)
-        && Pbftcore.Voteset.add e.prepares replica
+        && Pbftcore.Voteset.add e.prepares from
       then maybe_commit t seq e
-    | Commit { seq; digest; replica; attempt } ->
+    | Commit { seq; digest; attempt } ->
       let e = entry_for t seq in
       if
         (not e.delivered) && attempt = e.attempt
         && (e.pp = None || String.equal e.digest digest)
-        && Pbftcore.Voteset.add e.commits replica
+        && Pbftcore.Voteset.add e.commits from
       then try_deliver t
-    | Accuse { seq; replica } ->
+    | Accuse { seq } ->
       let e = entry_for t seq in
-      if (not e.delivered) && Pbftcore.Voteset.add e.accuses replica then begin
+      if (not e.delivered) && Pbftcore.Voteset.add e.accuses from then begin
         (* Join the accusation once f+1 others complain and we also
            have the batch pending. *)
         if
@@ -507,7 +505,7 @@ let receive t ~from msg =
         then begin
           e.accused <- true;
           ignore (Pbftcore.Voteset.add e.accuses t.cfg.replica_id);
-          broadcast t (Accuse { seq; replica = t.cfg.replica_id })
+          broadcast t (Accuse { seq })
         end;
         check_accusations t seq
       end

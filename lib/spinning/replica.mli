@@ -31,9 +31,9 @@ val default_config : n:int -> f:int -> replica_id:int -> config
 
 type msg =
   | Pre_prepare of { seq : int; descs : request_desc list; attempt : int }
-  | Prepare of { seq : int; digest : string; replica : int; attempt : int }
-  | Commit of { seq : int; digest : string; replica : int; attempt : int }
-  | Accuse of { seq : int; replica : int }
+  | Prepare of { seq : int; digest : string; attempt : int }
+  | Commit of { seq : int; digest : string; attempt : int }
+  | Accuse of { seq : int }
 
 type callbacks = {
   broadcast : msg -> unit;
@@ -68,6 +68,8 @@ val take_span : t -> id:request_id -> int
     here. *)
 
 val receive : t -> from:int -> msg -> unit
+(** A message arrived from replica [from], its authenticated source;
+    votes and accusations count for [from], once per quorum. *)
 
 val proposer_of : t -> seq:int -> int
 (** Current proposer for a batch, accounting for blacklisting and

@@ -194,6 +194,38 @@ let test_spinning_blacklists_over_timeout () =
   Alcotest.(check bool) "agreement among correct" true
     (Spinning.Cluster.agreement_ok cluster ~faulty:[ 3 ])
 
+(* One authenticated source is one vote, in every Spinning quorum.
+   Replica 2 gets seq 1's PRE-PREPARE from its proposer, node 1, then
+   three PREPAREs and three COMMITs from node 1 as well: node 1 prepares
+   the batch with replica 2 but is one of the 2f+1 commits it needs.
+   Three accusations from node 3 are one accuser. A second source then
+   completes each quorum, so the votes above were well-formed. *)
+let test_spinning_one_source_one_vote () =
+  let module R = Spinning.Replica in
+  let engine = Engine.create () in
+  let cfg = R.default_config ~n:4 ~f:1 ~replica_id:2 in
+  let r =
+    R.create engine cfg { R.broadcast = (fun _ -> ()); deliver = (fun _ _ -> ()) }
+  in
+  let d = Pbftcore.Types.desc_of_op ~client:0 ~rid:1 "op" in
+  let digest = Pbftcore.Messages.batch_digest [ d ] in
+  R.submit r d;
+  R.receive r ~from:1 (R.Pre_prepare { seq = 1; descs = [ d ]; attempt = 0 });
+  for _ = 1 to 3 do
+    R.receive r ~from:1 (R.Prepare { seq = 1; digest; attempt = 0 });
+    R.receive r ~from:1 (R.Commit { seq = 1; digest; attempt = 0 })
+  done;
+  Alcotest.(check int) "node 1 is one commit" 0 (R.ordered_count r);
+  R.receive r ~from:3 (R.Commit { seq = 1; digest; attempt = 0 });
+  Alcotest.(check int) "a second source completes the quorum" 1 (R.ordered_count r);
+  for _ = 1 to 3 do
+    R.receive r ~from:3 (R.Accuse { seq = 2 })
+  done;
+  Alcotest.(check (list int)) "node 3 is one accuser" [] (R.blacklist r);
+  R.receive r ~from:0 (R.Accuse { seq = 2 });
+  Alcotest.(check bool) "two sources make f+1 and replica 2 joins" true
+    (R.blacklist r <> [])
+
 (* ------------------------------------------------------------------ *)
 (* Prime                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -277,6 +309,47 @@ let test_prime_dead_primary_suspected () =
   Prime.Cluster.run_for cluster (Time.sec 4);
   Alcotest.(check bool) "view advanced" true (Prime.Node.view (Prime.Cluster.node cluster 1) >= 1)
 
+(* One authenticated source is one vote, in every Prime quorum. Node 1
+   (not started, so it runs no timers of its own) gets node 0's
+   PO-REQUEST and a PRE-PREPARE covering it, then three PREPAREs and
+   three COMMITs from node 0: node 0 prepares the vector with node 1 but
+   is one of the 2f+1 commits it needs. Three SUSPECTs from node 3 are
+   one suspect. A second source then completes each quorum, so the
+   votes above were well-formed. *)
+let test_prime_one_source_one_vote () =
+  let engine = Engine.create ~seed:1L () in
+  let net = Bftnet.Network.create engine (Bftnet.Network.default_config ~nodes:4) in
+  let node =
+    Prime.Node.create engine net prime_cfg ~id:1 ~service:(Bftapp.Null_service.create ())
+  in
+  let send src m =
+    Bftnet.Network.send net ~src:(Bftcrypto.Principal.node src)
+      ~dst:(Bftcrypto.Principal.node 1) ~size:64 m;
+    Engine.run engine
+  in
+  let d = Pbftcore.Types.desc_of_op ~client:0 ~rid:1 "op" in
+  let vector = [| 1; 0; 0; 0 |] in
+  (* Prime's vector digest: view, seq and the vector. *)
+  let digest = Bftcrypto.Sha256.digest_string "0:1,1,0,0,0" in
+  send 0 (Prime.Node.Po_request { desc = d; po_seq = 1 });
+  send 0 (Prime.Node.Pre_prepare { view = 0; seq = 1; vector });
+  for _ = 1 to 3 do
+    send 0 (Prime.Node.Prepare { view = 0; seq = 1; digest });
+    send 0 (Prime.Node.Commit { view = 0; seq = 1; digest })
+  done;
+  Alcotest.(check int) "node 0 is one commit" 0 (Prime.Node.executed_count node);
+  send 2 (Prime.Node.Commit { view = 0; seq = 1; digest });
+  Alcotest.(check int) "a second source completes the quorum" 1
+    (Prime.Node.executed_count node);
+  for _ = 1 to 3 do
+    send 3 (Prime.Node.Suspect { view = 0 })
+  done;
+  Alcotest.(check int) "node 3 is one suspect" 1 (Prime.Node.suspects_seen node);
+  Alcotest.(check int) "no view change" 0 (Prime.Node.view node);
+  send 2 (Prime.Node.Suspect { view = 0 });
+  send 0 (Prime.Node.Suspect { view = 0 });
+  Alcotest.(check int) "three sources change the view" 1 (Prime.Node.view node)
+
 (* ------------------------------------------------------------------ *)
 (* Load shapes                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -354,6 +427,8 @@ let suites =
           test_spinning_sub_timeout_attack;
         Alcotest.test_case "blacklists over timeout" `Quick
           test_spinning_blacklists_over_timeout;
+        Alcotest.test_case "one source is one vote" `Quick
+          test_spinning_one_source_one_vote;
       ]
       @ qsuite [ prop_spinning_rotation_covers_all ] );
     ( "prime",
@@ -364,6 +439,7 @@ let suites =
         Alcotest.test_case "monitor allowed gap" `Quick test_prime_monitor_allowed_gap;
         Alcotest.test_case "RTT-inflation attack (Fig 1)" `Quick test_prime_attack_degrades;
         Alcotest.test_case "dead primary suspected" `Quick test_prime_dead_primary_suspected;
+        Alcotest.test_case "one source is one vote" `Quick test_prime_one_source_one_vote;
       ] );
     ( "workload",
       [

@@ -379,9 +379,9 @@ let test_early_mismatching_votes_do_not_count () =
   (* Bogus early votes from "replica 3" for seq 1. *)
   let bogus = String.make 32 'Z' in
   Replica.receive rig.replicas.(1) ~from:3
-    (Messages.Prepare { view = 0; seq = 1; digest = bogus; replica = 3 });
+    (Messages.Prepare { view = 0; seq = 1; digest = bogus });
   Replica.receive rig.replicas.(1) ~from:3
-    (Messages.Commit { view = 0; seq = 1; digest = bogus; replica = 3 });
+    (Messages.Commit { view = 0; seq = 1; digest = bogus });
   (* Silence replicas 2 and 3 so the real quorum cannot form: if the
      bogus votes counted, replica 1 could commit/deliver with only the
      primary's and its own votes plus the fakes. *)
@@ -596,6 +596,44 @@ let prop_agreement_random_order =
            (fun i -> delivered_ids rig i = reference)
            (Array.init 4 (fun i -> i)))
 
+let test_one_source_one_vote () =
+  (* f = 1, node 0 the Byzantine primary. Replica 1 gets a PRE-PREPARE
+     for request 1 and three PREPAREs and COMMITs, all from node 0;
+     replicas 2 and 3 get a PRE-PREPARE for request 2 and one COMMIT
+     from node 0. Were votes counted by an id the sender writes, node 0
+     could name replicas 2, 3 and 0 in them, and replica 1 would order
+     request 1 while replicas 2 and 3 order request 2 at the same seq.
+     Counted by source, node 0 is one vote. *)
+  let rig = make_rig () in
+  let d1 = req 1 and d2 = req 2 in
+  submit_all rig d1;
+  submit_all rig d2;
+  (Replica.adversary rig.replicas.(0)).Replica.silent <- true;
+  let pp descs = Messages.Pre_prepare { Messages.view = 0; seq = 1; descs } in
+  let dig1 = Messages.batch_digest [ d1 ] and dig2 = Messages.batch_digest [ d2 ] in
+  let from_0 i m = Replica.receive rig.replicas.(i) ~from:0 m in
+  from_0 1 (pp [ d1 ]);
+  for _ = 1 to 3 do
+    from_0 1 (Messages.Prepare { view = 0; seq = 1; digest = dig1 });
+    from_0 1 (Messages.Commit { view = 0; seq = 1; digest = dig1 })
+  done;
+  List.iter
+    (fun i ->
+      from_0 i (pp [ d2 ]);
+      from_0 i (Messages.Commit { view = 0; seq = 1; digest = dig2 }))
+    [ 2; 3 ];
+  Engine.run ~until:(Time.ms 100) rig.engine;
+  let at_seq1 i = List.assoc_opt 1 (List.rev !(rig.deliveries.(i))) in
+  Alcotest.(check (option (list int))) "replica 1 does not order" None
+    (Option.map (List.map (fun (id : Types.request_id) -> id.rid)) (at_seq1 1));
+  List.iter
+    (fun i ->
+      Alcotest.(check (option (list int)))
+        (Printf.sprintf "replica %d orders request 2 at seq 1" i)
+        (Some [ 2 ])
+        (Option.map (List.map (fun (id : Types.request_id) -> id.rid)) (at_seq1 i)))
+    [ 2; 3 ]
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suites =
@@ -649,5 +687,6 @@ let suites =
       [
         Alcotest.test_case "equivocation cannot double-commit" `Quick
           test_equivocation_not_committed;
+        Alcotest.test_case "one source is one vote" `Quick test_one_source_one_vote;
       ] );
   ]

@@ -270,16 +270,17 @@ let test_flood_closes_nic () =
     (Bftnet.Network.nic_closed (Rbft.Cluster.network cluster) ~node:0
        ~peer:(Bftcrypto.Principal.node 3))
 
-(* Junk PROPAGATEs from node 3 that claim to come from node 1, past the
-   flood threshold within one monitoring period: node 0 must not blame
-   (and cut off) the correct node 1. *)
+(* Junk PROPAGATEs from node 3, past the flood threshold within one
+   monitoring period. The payload names no sender, so node 3 cannot pin
+   its junk on a correct peer: node 0 blames the authenticated source,
+   and only it. *)
 let test_forged_junk_spares_named_peer () =
   let cluster = Rbft.Cluster.create ~clients:1 (mk_params ()) in
   Rbft.Cluster.run_for cluster (Time.ms 1);
   let desc = Pbftcore.Types.desc_of_op ~client:(-1) ~rid:0 "junk" in
   let junk =
     Rbft.Messages.Propagate
-      { req = { desc; sig_valid = false; mac_invalid_for = [] }; from = 1; junk = true }
+      { req = { desc; sig_valid = false; mac_invalid_for = [] }; junk = true }
   in
   for _ = 1 to 2 * Rbft.Params.flood_threshold do
     Bftnet.Network.send
@@ -288,9 +289,14 @@ let test_forged_junk_spares_named_peer () =
       ~size:64 junk
   done;
   Rbft.Cluster.run_for cluster (Time.ms 20);
-  Alcotest.(check bool) "node 1's NIC stays open" false
-    (Bftnet.Network.nic_closed (Rbft.Cluster.network cluster) ~node:0
-       ~peer:(Bftcrypto.Principal.node 1))
+  List.iter
+    (fun peer ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d's NIC closed" peer)
+        (peer = 3)
+        (Bftnet.Network.nic_closed (Rbft.Cluster.network cluster) ~node:0
+           ~peer:(Bftcrypto.Principal.node peer)))
+    [ 1; 2; 3 ]
 
 let test_unfair_primary_lambda_triggers_change () =
   (* Figure 12's mechanism: the master primary delays one client's
@@ -429,64 +435,66 @@ let ic_idle_cluster () =
   Rbft.Cluster.run_for cluster (Time.ms 1);
   cluster
 
-(* [voter] is the replica id claimed inside the payload — a Byzantine
-   sender can put anything there, including out-of-range ids. *)
-let ic_vote cluster ~src ~voter ~cpi =
+(* The vote counts for its authenticated source, a principal: the
+   message itself names no voter. *)
+let ic_vote_from cluster src ~cpi =
   Bftnet.Network.send
     (Rbft.Cluster.network cluster)
-    ~src:(Bftcrypto.Principal.node src) ~dst:(Bftcrypto.Principal.node 0)
-    ~size:16
-    (Rbft.Messages.Instance_change { cpi; node = voter });
+    ~src ~dst:(Bftcrypto.Principal.node 0) ~size:16
+    (Rbft.Messages.Instance_change { cpi });
   Rbft.Cluster.run_for cluster (Time.ms 5)
+
+let ic_vote cluster ~src ~cpi = ic_vote_from cluster (Bftcrypto.Principal.node src) ~cpi
 
 let test_ic_duplicate_votes_counted_once () =
   let cluster = ic_idle_cluster () in
   let n0 = Rbft.Cluster.node cluster 0 in
-  ic_vote cluster ~src:1 ~voter:1 ~cpi:0;
-  ic_vote cluster ~src:1 ~voter:1 ~cpi:0;
-  ic_vote cluster ~src:1 ~voter:1 ~cpi:0;
+  ic_vote cluster ~src:1 ~cpi:0;
+  ic_vote cluster ~src:1 ~cpi:0;
+  ic_vote cluster ~src:1 ~cpi:0;
   Alcotest.(check int) "replayed vote counts once" 1 (Rbft.Node.ic_vote_count n0);
   Alcotest.(check int) "no change below quorum" 0 (Rbft.Node.instance_changes n0);
-  ic_vote cluster ~src:2 ~voter:2 ~cpi:0;
+  ic_vote cluster ~src:2 ~cpi:0;
   Alcotest.(check int) "distinct voter counts" 2 (Rbft.Node.ic_vote_count n0);
   Alcotest.(check int) "2 < 2f+1: still no change" 0
     (Rbft.Node.instance_changes n0)
 
-let test_ic_out_of_range_voter_ignored () =
+(* Client 1 is not node 1: a vote from a client principal never enters
+   the vote set, whatever its index. *)
+let test_ic_client_vote_ignored () =
   let cluster = ic_idle_cluster () in
   let n0 = Rbft.Cluster.node cluster 0 in
-  ic_vote cluster ~src:1 ~voter:7 ~cpi:0;
-  ic_vote cluster ~src:1 ~voter:(-3) ~cpi:0;
-  Alcotest.(check int) "forged ids never enter the vote set" 0
-    (Rbft.Node.ic_vote_count n0);
+  ic_vote_from cluster (Bftcrypto.Principal.client 1) ~cpi:0;
+  Alcotest.(check int) "a client is no voter" 0 (Rbft.Node.ic_vote_count n0);
+  Alcotest.(check int) "node 1 has not voted" (-1) (Rbft.Node.ic_vote_cpi_of n0 ~node:1);
   Alcotest.(check int) "out-of-range lookup is -1" (-1)
     (Rbft.Node.ic_vote_cpi_of n0 ~node:7);
   (* The node remains fully functional for legitimate votes. *)
-  ic_vote cluster ~src:1 ~voter:1 ~cpi:0;
+  ic_vote cluster ~src:1 ~cpi:0;
   Alcotest.(check int) "legitimate vote still lands" 1
     (Rbft.Node.ic_vote_count n0)
 
-(* One Byzantine node casting votes in three nodes' names must not make
-   a 2f+1 quorum: only its own vote counts. *)
+(* One Byzantine node trying to vote in three nodes' names must not make
+   a 2f+1 quorum. The message names no voter, so the most it can do is
+   vote three times from its own source — which is one voter. *)
 let test_ic_forged_voters_ignored () =
   let cluster = ic_idle_cluster () in
   let n0 = Rbft.Cluster.node cluster 0 in
-  ic_vote cluster ~src:3 ~voter:1 ~cpi:0;
-  ic_vote cluster ~src:3 ~voter:2 ~cpi:0;
-  ic_vote cluster ~src:3 ~voter:3 ~cpi:0;
-  Alcotest.(check int) "only the sender's own vote counts" 1
-    (Rbft.Node.ic_vote_count n0);
+  ic_vote cluster ~src:3 ~cpi:0;
+  ic_vote cluster ~src:3 ~cpi:0;
+  ic_vote cluster ~src:3 ~cpi:0;
+  Alcotest.(check int) "src 3 is one vote" 1 (Rbft.Node.ic_vote_count n0);
   Alcotest.(check int) "no instance change" 0 (Rbft.Node.instance_changes n0)
 
 let test_ic_bitset_rebuild_after_advance () =
   let cluster = ic_idle_cluster () in
   let n0 = Rbft.Cluster.node cluster 0 in
   (* Node 1 votes far ahead; 2 and 3 vote for the current cpi. *)
-  ic_vote cluster ~src:1 ~voter:1 ~cpi:5;
-  ic_vote cluster ~src:2 ~voter:2 ~cpi:0;
+  ic_vote cluster ~src:1 ~cpi:5;
+  ic_vote cluster ~src:2 ~cpi:0;
   Alcotest.(check int) "forward vote covers cpi 0 too" 2
     (Rbft.Node.ic_vote_count n0);
-  ic_vote cluster ~src:3 ~voter:3 ~cpi:0;
+  ic_vote cluster ~src:3 ~cpi:0;
   (* Quorum of 3: node 0 changes, advances to cpi 1 and rebuilds the
      bitset from the maxima — only node 1's forward vote survives. *)
   Alcotest.(check int) "change performed" 1 (Rbft.Node.instance_changes n0);
@@ -498,12 +506,12 @@ let test_ic_bitset_rebuild_after_advance () =
   Alcotest.(check int) "node 2 maximum retained" 0
     (Rbft.Node.ic_vote_cpi_of n0 ~node:2);
   (* A stale re-send for the old cpi must not re-enter the set... *)
-  ic_vote cluster ~src:2 ~voter:2 ~cpi:0;
+  ic_vote cluster ~src:2 ~cpi:0;
   Alcotest.(check int) "stale vote ignored after advance" 1
     (Rbft.Node.ic_vote_count n0);
   (* ...while catch-up votes for the new cpi complete a second quorum. *)
-  ic_vote cluster ~src:2 ~voter:2 ~cpi:1;
-  ic_vote cluster ~src:3 ~voter:3 ~cpi:1;
+  ic_vote cluster ~src:2 ~cpi:1;
+  ic_vote cluster ~src:3 ~cpi:1;
   Alcotest.(check int) "second change" 2 (Rbft.Node.instance_changes n0);
   Alcotest.(check int) "cpi 2" 2 (Rbft.Node.cpi n0)
 
@@ -569,8 +577,8 @@ let suites =
       [
         Alcotest.test_case "duplicate votes counted once" `Quick
           test_ic_duplicate_votes_counted_once;
-        Alcotest.test_case "out-of-range voter ignored" `Quick
-          test_ic_out_of_range_voter_ignored;
+        Alcotest.test_case "an IC vote from a client principal is ignored" `Quick
+          test_ic_client_vote_ignored;
         Alcotest.test_case "forged voter ids ignored" `Quick
           test_ic_forged_voters_ignored;
         Alcotest.test_case "bitset rebuilt on cpi advance" `Quick

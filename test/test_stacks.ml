@@ -10,15 +10,15 @@ module Core = Pbftcore.Client_core
 (* The shared reply quorum                                            *)
 (* ------------------------------------------------------------------ *)
 
-type msg = Reply of { id : request_id; node : int; result : string }
+type msg = Reply of { id : request_id; result : string }
 
 let test_reply_quorum () =
   let engine = Engine.create ~seed:1L () in
   let net = Bftnet.Network.create engine (Bftnet.Network.default_config ~nodes:4) in
   let client = Core.create engine net ~f:1 ~id:0 ~payload_size:8 () in
   let completions = ref 0 in
-  Core.listen client (fun c ~src (Reply { id; node; result }) ->
-      if Core.on_reply c id ~src ~node ~result then incr completions);
+  Core.listen client (fun c ~from (Reply { id; result }) ->
+      if Core.on_reply c id ~from ~result then incr completions);
   let id = { client = 0; rid = 1 } in
   ignore (Core.track client id ());
   let corrupt = ref false in
@@ -26,13 +26,16 @@ let test_reply_quorum () =
     (Some
        (fun ~src:_ ~dst:_ ~size:_ ->
          { Bftnet.Network.pass_verdict with fv_corrupt = !corrupt }));
-  (* [src] is the authenticated sender, [node] the id the reply claims. *)
-  let reply ?(corrupted = false) ?src node result =
+  (* [src] is the authenticated sender: the only thing a reply says
+     about who sent it. *)
+  let reply_from ?(corrupted = false) src result =
     corrupt := corrupted;
-    let src = Option.value src ~default:node in
-    Bftnet.Network.send net ~src:(Bftcrypto.Principal.node src)
-      ~dst:(Bftcrypto.Principal.client 0) ~size:32 (Reply { id; node; result });
+    Bftnet.Network.send net ~src ~dst:(Bftcrypto.Principal.client 0) ~size:32
+      (Reply { id; result });
     Engine.run engine
+  in
+  let reply ?corrupted node result =
+    reply_from ?corrupted (Bftcrypto.Principal.node node) result
   in
   let still_pending what =
     Alcotest.(check int) (what ^ ": not completed") 0 (Core.completed client);
@@ -41,10 +44,10 @@ let test_reply_quorum () =
   reply 0 "ok";
   still_pending "one reply";
   reply 0 "ok";
-  still_pending "same node twice";
-  reply ~src:0 1 "ok";
-  still_pending "one source claiming another node";
-  reply 1 "forged";
+  still_pending "one source, two REPLYs";
+  reply_from (Bftcrypto.Principal.client 7) "ok";
+  still_pending "a client's reply";
+  reply 1 "wrong";
   still_pending "mismatching result";
   reply ~corrupted:true 2 "ok";
   still_pending "corrupted delivery";
