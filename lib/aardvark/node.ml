@@ -10,44 +10,22 @@ type msg =
   | Order of Pbftcore.Messages.t
   | Reply of { id : request_id; result : string }
 
-type config = {
-  f : int;
-  monitoring_period : Time.t;
-  policy : Policy.config;
-  batch_size : int;
-  batch_delay : Time.t;
-  post_vc_quiet : Time.t;
-  exec_cost : Time.t;
-  costs : Costmodel.t;
-  order_identifiers_only : bool;
-  body_copy_factor : float;
-}
+type config = { f : int; policy : Policy.config; post_vc_quiet : Time.t }
 
-let default_config ~f =
-  {
-    f;
-    monitoring_period = Time.ms 100;
-    policy = Policy.default_config ~n:((3 * f) + 1);
-    batch_size = 64;
-    batch_delay = Time.ms 1;
-    post_vc_quiet = Time.ms 400;
-    exec_cost = Time.us 1;
-    costs = Costmodel.default;
-    order_identifiers_only = false;
-    body_copy_factor = 6.0;
-  }
+let default_config ~f = { f; policy = Policy.default_config; post_vc_quiet = Time.ms 400 }
 
 let simulation_config ~f =
   {
-    (default_config ~f) with
-    policy =
-      {
-        (Policy.default_config ~n:((3 * f) + 1)) with
-        Policy.grace = Time.of_sec_f 1.2;
-        view_warmup = Time.ms 500;
-      };
+    f;
+    policy = { Policy.grace = Time.of_sec_f 1.2; view_warmup = Time.ms 500 };
     post_vc_quiet = Time.ms 120;
   }
+
+let monitoring_period = Time.ms 100
+let batch_size = 64
+let batch_delay = Time.ms 1
+let exec_cost = Time.us 1
+let body_copy_factor = 6.0
 
 type faults = { mutable track_required : bool; mutable attack_margin : float }
 
@@ -94,35 +72,33 @@ let msg_size t m =
   match m with
   | Request { desc; _ } -> request_size ~n:(n_nodes t) desc
   | Order om ->
-    16
-    + Pbftcore.Messages.wire_size ~n:(n_nodes t)
-        ~order_full_requests:(not t.cfg.order_identifiers_only) om
+    16 + Pbftcore.Messages.wire_size ~n:(n_nodes t) ~order_full_requests:true om
   | Reply { result; _ } -> 16 + String.length result + Keys.mac_tag_size
 
 (* The prototype this baseline models copies full request bodies
    several times along the ordering path (assembly, log insertion,
-   per-destination buffers); identifiers-only messages are cheap.
-   [cost_bytes] inflates the CPU accounting of body-carrying ordering
-   messages accordingly — the wire size is unaffected. *)
+   per-destination buffers). [cost_bytes] inflates the CPU accounting
+   of PRE-PREPAREs, which carry the bodies, accordingly — the wire
+   size is unaffected. *)
 let cost_bytes t m =
   let size = msg_size t m in
   match m with
-  | Order (Pbftcore.Messages.Pre_prepare _) when not t.cfg.order_identifiers_only ->
-    int_of_float (float_of_int size *. t.cfg.body_copy_factor)
+  | Order (Pbftcore.Messages.Pre_prepare _) ->
+    int_of_float (float_of_int size *. body_copy_factor)
   | Order _ | Request _ | Reply _ -> size
 
 let send_from ?(span = -1) ?span_tag t thread ~dst m =
   let size = msg_size t m in
-  Resource.charge thread (Costmodel.send t.cfg.costs ~bytes:(cost_bytes t m));
+  Resource.charge thread (Costmodel.send ~bytes:(cost_bytes t m));
   Network.send ~span ?span_tag t.net ~src:(Principal.node t.id) ~dst ~size m
 
 let broadcast_nodes t thread m =
   let size = msg_size t m in
   Resource.charge thread
-    (Costmodel.authenticator_gen t.cfg.costs ~bytes:size ~count:(n_nodes t));
+    (Costmodel.authenticator_gen ~bytes:size ~count:(n_nodes t));
   for dst = 0 to n_nodes t - 1 do
     if dst <> t.id then begin
-      Resource.charge thread (Costmodel.send t.cfg.costs ~bytes:(cost_bytes t m));
+      Resource.charge thread (Costmodel.send ~bytes:(cost_bytes t m));
       Network.send t.net ~src:(Principal.node t.id) ~dst:(Principal.node dst) ~size m
     end
   done
@@ -143,7 +119,7 @@ let execute_batch t descs =
     (fun (desc : request_desc) ->
       if not (Request_id_table.mem t.executed desc.id) then begin
         let cost =
-          Time.max t.cfg.exec_cost (t.service.Service.exec_cost desc.op)
+          Time.max exec_cost (t.service.Service.exec_cost desc.op)
         in
         let ospan =
           if Spans.active () then
@@ -161,7 +137,7 @@ let execute_batch t descs =
               Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id
                 ~instance:0 desc;
               Resource.charge t.execution
-                (Costmodel.mac_gen t.cfg.costs ~bytes:(String.length result + 16));
+                (Costmodel.mac_gen ~bytes:(String.length result + 16));
               reply_to ~span:espan t desc.id result
             end)
       end)
@@ -171,9 +147,9 @@ let make_replica t =
   let cfg =
     {
       (Pbftcore.Replica.default_config ~n:(n_nodes t) ~f:t.cfg.f ~replica_id:t.id) with
-      Pbftcore.Replica.batch_size = t.cfg.batch_size;
-      batch_delay = t.cfg.batch_delay;
-      order_full_requests = not t.cfg.order_identifiers_only;
+      Pbftcore.Replica.batch_size;
+      batch_delay;
+      order_full_requests = true;
       post_vc_quiet = t.cfg.post_vc_quiet;
     }
   in
@@ -206,7 +182,7 @@ let handle_request t ~span (desc : request_desc) ~sig_valid =
         (Bftaudit.Event.Request_received
            { client = desc.id.client; rid = desc.id.rid; size = desc.op_size });
     Resource.charge t.verification
-      (Costmodel.sig_verify t.cfg.costs ~bytes:desc.op_size);
+      (Costmodel.sig_verify ~bytes:desc.op_size);
     if sig_valid then begin
       Request_id_table.replace t.sig_checked desc.id ();
       submit_for_ordering t ~span desc
@@ -216,8 +192,8 @@ let on_delivery t (d : msg Network.delivery) =
   let bytes = cost_bytes t d.Network.payload in
   let base =
     Time.add
-      (Costmodel.recv t.cfg.costs ~bytes)
-      (Costmodel.mac_verify t.cfg.costs ~bytes:d.Network.size)
+      (Costmodel.recv ~bytes)
+      (Costmodel.mac_verify ~bytes:d.Network.size)
   in
   let from = Network.src_node d in
   let authentic =
@@ -269,7 +245,7 @@ let monitoring_tick t =
 
 let rec arm_monitoring t =
   ignore
-    (Clock.after t.clock t.cfg.monitoring_period (fun () ->
+    (Clock.after t.clock monitoring_period (fun () ->
          Resource.submit t.ordering ~cost:(Time.us 2) (fun () -> monitoring_tick t);
          arm_monitoring t))
 
@@ -287,7 +263,7 @@ let create engine net cfg ~id ~service =
       ordering = mk "ordering";
       execution = mk "execution";
       replica = None;
-      policy = Policy.create cfg.policy;
+      policy = Policy.create ~n:((3 * cfg.f) + 1) cfg.policy;
       faults = { track_required = false; attack_margin = 1.10 };
       sig_checked = Request_id_table.create 4096;
       executed = Request_id_table.create 4096;

@@ -20,25 +20,14 @@ type msg =
 
 type config = {
   f : int;
-  monitoring_period : Time.t;
   policy : Policy.config;
-  batch_size : int;
-  batch_delay : Time.t;
   post_vc_quiet : Time.t;
       (** recovery pause after a view change — the cost that makes
           Aardvark's fault-free throughput trail RBFT's (Sec. VI-B) *)
-  exec_cost : Time.t;
-  costs : Bftcrypto.Costmodel.t;
-  order_identifiers_only : bool;
-      (** ablation of Section VI-B: order identifiers instead of full
-          requests (RBFT-style); default false (Aardvark behaviour) *)
-  body_copy_factor : float;
-      (** how many times the prototype touches full request bodies on
-          the ordering path; calibrated so the 4 kB peak matches the
-          paper's 1.7 kreq/s (Section VI-B) *)
 }
 
 val default_config : f:int -> config
+(** The paper's policy times and a 400 ms post-view-change quiet. *)
 
 val simulation_config : f:int -> config
 (** [default_config] with the policy times compressed for simulation:
@@ -46,6 +35,23 @@ val simulation_config : f:int -> config
     The paper's 5 s grace would make every figure run tens of
     simulated seconds; ratios are unaffected because fault-free and
     attacked runs use the same compression. *)
+
+val monitoring_period : Time.t
+(** 100 ms: how often a replica evaluates the {!Policy}. *)
+
+val batch_size : int
+(** 64 requests per PRE-PREPARE. *)
+
+val batch_delay : Time.t
+(** 1 ms: how long the primary waits to fill a batch. *)
+
+val exec_cost : Time.t
+(** 1 us: the least virtual execution cost of one request. *)
+
+val body_copy_factor : float
+(** 6.0: how many times the prototype touches full request bodies on
+    the ordering path; calibrated so the 4 kB peak matches the paper's
+    1.7 kreq/s (Section VI-B). *)
 
 val request_size : n:int -> Pbftcore.Types.request_desc -> int
 (** Wire size of a client REQUEST: signed, MAC-authenticated for every

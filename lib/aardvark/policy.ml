@@ -1,24 +1,14 @@
 open Dessim
 
-type config = {
-  grace : Time.t;
-  baseline_fraction : float;
-  ratchet : float;
-  history_length : int;
-  view_warmup : Time.t;
-}
+type config = { grace : Time.t; view_warmup : Time.t }
 
-let default_config ~n =
-  {
-    grace = Time.sec 5;
-    baseline_fraction = 0.9;
-    ratchet = 1.01;
-    history_length = n;
-    view_warmup = Time.ms 700;
-  }
+let default_config = { grace = Time.sec 5; view_warmup = Time.ms 700 }
+let baseline_fraction = 0.9
+let ratchet = 1.01
 
 type t = {
   cfg : config;
+  history_length : int;  (* views remembered: n *)
   mutable view_start : Time.t;
   mutable view_ordered : int;
   mutable window_start : Time.t;
@@ -31,9 +21,10 @@ type t = {
   mutable dead_windows : int;  (* consecutive windows with zero progress *)
 }
 
-let create cfg =
+let create ~n cfg =
   {
     cfg;
+    history_length = n;
     view_start = Time.zero;
     view_ordered = 0;
     window_start = Time.zero;
@@ -45,8 +36,6 @@ let create cfg =
     recent_rates = [];
     dead_windows = 0;
   }
-
-let config t = t.cfg
 
 let take n xs =
   let rec go n acc = function
@@ -64,7 +53,7 @@ let on_view_start t ~now =
      Infant views (evicted before warming up) carry no signal. *)
   if view_span >= 2.0 *. Time.to_sec_f t.cfg.view_warmup then begin
     let avg = float_of_int t.view_ordered /. view_span in
-    t.history <- take t.cfg.history_length (avg :: t.history)
+    t.history <- take t.history_length (avg :: t.history)
   end;
   t.recent_rates <- [];
   t.view_start <- now;
@@ -74,7 +63,7 @@ let on_view_start t ~now =
   t.grace_until <- Time.add now t.cfg.grace;
   t.dead_windows <- 0;
   let best = List.fold_left Stdlib.max 0.0 t.history in
-  t.required <- t.cfg.baseline_fraction *. best
+  t.required <- baseline_fraction *. best
 
 let note_ordered t ~count =
   t.view_ordered <- t.view_ordered + count;
@@ -119,8 +108,8 @@ let tick t ~now ~pending =
      the first observed throughput so that the ratchet still ends the
      initial view. *)
   if t.required = 0.0 && smoothed > 0.0 && enough_samples then
-    t.required <- t.cfg.baseline_fraction *. smoothed;
-  if now > t.grace_until then t.required <- t.required *. t.cfg.ratchet;
+    t.required <- baseline_fraction *. smoothed;
+  if now > t.grace_until then t.required <- t.required *. ratchet;
   (* A view that just started is still recovering (quiet period,
      pipeline refill): judging it would make every view change trigger
      the next one. *)

@@ -15,19 +15,25 @@ type t
 
 type config = {
   grace : Time.t;  (** 5 s in the paper *)
-  baseline_fraction : float;  (** 0.9 *)
-  ratchet : float;  (** multiplicative raise per period, 1.01 *)
-  history_length : int;  (** views remembered, n in the paper *)
   view_warmup : Time.t;
       (** period after a view change during which the new primary is
           not judged (recovery, pipeline refill) *)
 }
 
-val default_config : n:int -> config
+val default_config : config
+(** The paper's 5 s grace and a 700 ms view warm-up. *)
 
-val create : config -> t
+val baseline_fraction : float
+(** 0.9: a new primary must sustain this share of the best recent
+    view's throughput. *)
 
-val config : t -> config
+val ratchet : float
+(** 1.01: multiplicative raise of the requirement per monitoring
+    period once the grace period is over. *)
+
+val create : n:int -> config -> t
+(** A policy for an [n]-replica cluster: it remembers the last [n]
+    views, as in the paper. *)
 
 val on_view_start : t -> now:Time.t -> unit
 (** Close the current view's record (pushing its average throughput

@@ -66,7 +66,6 @@ let observe_peaks () =
       if e > p.p_peak then p.p_peak <- e)
     !probes
 
-let reset_peaks () = List.iter (fun p -> p.p_peak <- 0) !probes
 let clear () = probes := []
 
 type row = {

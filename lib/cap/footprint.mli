@@ -63,8 +63,6 @@ val observe_peaks : unit -> unit
 (** Fold every probe's current entry count into its peak — the
     periodic-sampler path ({!Gcstats.sample} calls this). *)
 
-val reset_peaks : unit -> unit
-
 val clear : unit -> unit
 (** Drop all probes (test isolation). *)
 

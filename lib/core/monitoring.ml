@@ -26,9 +26,9 @@ type t = {
   mutable offered_recent : float array list;  (* offered rates, same windows *)
 }
 
-let default_history_cap = 4096
+let history_cap = 4096
 
-let create ?(history_cap = default_history_cap) params =
+let create params =
   {
     params;
     master = Params.master_instance;
@@ -38,24 +38,21 @@ let create ?(history_cap = default_history_cap) params =
     client_lat = Hashtbl.create 64;
     client_seen = Hashtbl.create 64;
     tick_no = 0;
-    hist = Array.make (Stdlib.max 1 history_cap) (Time.zero, [||]);
+    hist = Array.make history_cap (Time.zero, [||]);
     hist_start = 0;
     hist_len = 0;
     recent = [];
     offered_recent = [];
   }
 
-let history_cap t = Array.length t.hist
-
 let record_measurement t m =
-  let cap = Array.length t.hist in
-  if t.hist_len = cap then begin
+  if t.hist_len = history_cap then begin
     (* Full: overwrite the oldest slot and advance the start. *)
     t.hist.(t.hist_start) <- m;
-    t.hist_start <- (t.hist_start + 1) mod cap
+    t.hist_start <- (t.hist_start + 1) mod history_cap
   end
   else begin
-    t.hist.((t.hist_start + t.hist_len) mod cap) <- m;
+    t.hist.((t.hist_start + t.hist_len) mod history_cap) <- m;
     t.hist_len <- t.hist_len + 1
   end
 
@@ -254,21 +251,14 @@ let omega_violation t ~client =
           master -. backup_avg > Time.to_sec_f t.params.Params.omega
       end
 
-let client_avg_latency t ~instance ~client =
-  match Hashtbl.find_opt t.client_lat client with
-  | None -> None
-  | Some arr ->
-    if Float.is_nan arr.(instance) then None else Some (Time.of_sec_f arr.(instance))
-
 let set_master t instance = t.master <- instance
 
 let history t =
-  let cap = Array.length t.hist in
-  List.init t.hist_len (fun i -> t.hist.((t.hist_start + i) mod cap))
+  List.init t.hist_len (fun i -> t.hist.((t.hist_start + i) mod history_cap))
 
 let latest t =
   if t.hist_len = 0 then None
-  else Some t.hist.((t.hist_start + t.hist_len - 1) mod Array.length t.hist)
+  else Some t.hist.((t.hist_start + t.hist_len - 1) mod history_cap)
 
 let client_count t = Hashtbl.length t.client_lat
 

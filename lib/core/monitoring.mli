@@ -12,14 +12,12 @@ open Dessim
 
 type t
 
-val create : ?history_cap:int -> Params.t -> t
-(** [?history_cap] bounds how many past measurements {!tick} retains
-    for {!history} (default 4096, ≈7 minutes of 100 ms windows); older
-    measurements are discarded oldest-first. Values below 1 are clamped
-    to 1. *)
+val history_cap : int
+(** 4096: how many past measurements {!tick} retains for {!history}
+    (≈7 minutes of 100 ms windows); older measurements are discarded
+    oldest-first. *)
 
-val history_cap : t -> int
-(** The measurement-history bound this monitor was created with. *)
+val create : Params.t -> t
 
 val set_master : t -> int -> unit
 (** Tell the monitoring which instance is currently master (only moves
@@ -70,9 +68,6 @@ val lambda_violation : t -> latency:Time.t -> bool
 val omega_violation : t -> client:int -> bool
 (** Ω check: the client's average latency on the master exceeds its
     average on the backups by more than Ω. *)
-
-val client_avg_latency : t -> instance:int -> client:int -> Time.t option
-(** Current average ordering latency of [client] on [instance]. *)
 
 val history : t -> (Time.t * float array) list
 (** Measurements recorded by {!tick}, oldest first — what Figures 9

@@ -179,16 +179,10 @@ let executed_counter t = Pbftcore.Ledger.counter t.ledger
 let execution_digest t = Pbftcore.Ledger.digest t.ledger
 let cpi t = t.cpi
 let instance_changes t = t.instance_changes
-let blacklisted_clients t = t.blacklist
 let is_blacklisted t ~client = List.mem client t.blacklist
 let suspicious t = t.suspicious
 let ic_vote_count t = Pbftcore.Voteset.count t.ic_votes
 let ordering t = t.params.Params.ordering
-
-let sequencer_stats t =
-  match t.rcc with
-  | Some rcc -> Some (Bftrcc.Sequencer.stats rcc.sequencer)
-  | None -> None
 
 let degraded_partitions t =
   match t.rcc with
@@ -197,11 +191,6 @@ let degraded_partitions t =
     let acc = ref [] in
     Array.iteri (fun i d -> if d then acc := i :: !acc) rcc.degraded;
     List.rev !acc
-
-let partition_owner t ~client =
-  match t.rcc with
-  | Some rcc -> Bftrcc.Partitioner.owner rcc.partitioner ~client
-  | None -> Params.master_instance
 
 let ic_vote_cpi_of t ~node =
   if node >= 0 && node < Array.length t.ic_vote_cpi then t.ic_vote_cpi.(node)
@@ -266,17 +255,17 @@ let cost_bytes t msg =
 
 let send_from ?(span = -1) ?span_tag t thread ~dst msg =
   let size = msg_size t msg in
-  Resource.charge thread (Costmodel.send Params.costs ~bytes:(cost_bytes t msg));
+  Resource.charge thread (Costmodel.send ~bytes:(cost_bytes t msg));
   Network.send ~span ?span_tag t.net ~src:(self t) ~dst ~size msg
 
 let broadcast_nodes_from ?(span = -1) t thread msg =
   let size = msg_size t msg in
   (* One MAC authenticator covers all destinations. *)
   Resource.charge thread
-    (Costmodel.authenticator_gen Params.costs ~bytes:size ~count:(n_nodes t));
+    (Costmodel.authenticator_gen ~bytes:size ~count:(n_nodes t));
   for dst = 0 to n_nodes t - 1 do
     if dst <> t.id then begin
-      Resource.charge thread (Costmodel.send Params.costs ~bytes:(cost_bytes t msg));
+      Resource.charge thread (Costmodel.send ~bytes:(cost_bytes t msg));
       Network.send ~span t.net ~src:(self t) ~dst:(Principal.node dst) ~size msg
     end
   done
@@ -488,7 +477,7 @@ let verify_signature_once t (req : Messages.request) =
         ~instance:(-1) ~now:(Engine.now t.engine)
     in
     Resource.submit ~span:vspan thread
-      ~cost:(Costmodel.sig_verify Params.costs ~bytes:req.desc.op_size)
+      ~cost:(Costmodel.sig_verify ~bytes:req.desc.op_size)
       (fun () ->
         state.sig_inflight <- false;
         if req.sig_valid then begin
@@ -718,7 +707,7 @@ let execute_request t ~span (desc : request_desc) =
           end;
           release_admission t desc.id;
           Resource.charge t.execution
-            (Costmodel.mac_gen Params.costs ~bytes:(String.length result + 16));
+            (Costmodel.mac_gen ~bytes:(String.length result + 16));
           reply_to ~span:espan t desc.id result
         end)
   end
@@ -849,8 +838,8 @@ let make_replica t ~instance thread =
 (* ------------------------------------------------------------------ *)
 
 let on_delivery t (d : Messages.t Network.delivery) =
-  let recv_cost = Costmodel.recv Params.costs ~bytes:(cost_bytes t d.Network.payload) in
-  let mac_cost = Costmodel.mac_verify Params.costs ~bytes:d.Network.size in
+  let recv_cost = Costmodel.recv ~bytes:(cost_bytes t d.Network.payload) in
+  let mac_cost = Costmodel.mac_verify ~bytes:d.Network.size in
   let base = Time.add recv_cost mac_cost in
   let from = Network.src_node d in
   let authentic =

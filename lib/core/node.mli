@@ -114,13 +114,6 @@ val ordering : t -> Params.ordering
     the paper; {!Params.Concurrent} partitions clients across the f+1
     instances and merges their committed streams deterministically). *)
 
-val partition_owner : t -> client:int -> int
-(** The instance that owns [client]'s partition; the master instance
-    in redundant mode (where there is no partitioning). *)
-
-val sequencer_stats : t -> Bftrcc.Sequencer.stats option
-(** Merge-sequencer counters; [None] in redundant mode. *)
-
 val degraded_partitions : t -> int list
 (** Partitions currently on the degrade path (ordered redundantly by
     every primary after an instance change, until their new master
@@ -139,7 +132,6 @@ val set_latency_probe : t -> (instance:int -> client:int -> Dessim.Time.t -> uni
     (instance, client, dispatch-to-delivery time) — used to draw the
     paper's Figure 12. *)
 
-val blacklisted_clients : t -> int list
 val is_blacklisted : t -> client:int -> bool
 
 (** {2 Chaos hooks} *)

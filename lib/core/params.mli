@@ -126,10 +126,6 @@ val exec_cost : Time.t
 (** 1 µs: the least virtual execution cost of one request; a service
     may charge more per operation. *)
 
-val costs : Bftcrypto.Costmodel.t
-(** {!Bftcrypto.Costmodel.default}: the CPU cost of crypto and message
-    handling. *)
-
 val reply_cache_window : int
 (** 4: replies remembered per client ({!Replycache}), the last
     [window] (rid, result) pairs. Per-connection FIFO delivery makes

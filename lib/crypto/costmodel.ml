@@ -1,16 +1,5 @@
 module Time = Dessim.Time
 
-type t = {
-  mac_base : Time.t;
-  mac_per_byte : float;
-  sig_sign_base : Time.t;
-  sig_verify_base : Time.t;
-  digest_base : Time.t;
-  digest_per_byte : float;
-  handling : Time.t;
-  touch_per_byte : float;
-}
-
 (* Calibration targets (paper, Section VI-B, f = 1):
    - RBFT peak ~35 kreq/s at 8 B: the Verification thread performs one
      MAC verify + one signature verify per request; 1 us + 25 us plus
@@ -18,17 +7,14 @@ type t = {
    - signatures "an order of magnitude more costly than MACs".
    - at 4 kB the per-byte costs dominate and push RBFT towards the
      ~5 kreq/s the paper reports. *)
-let default =
-  {
-    mac_base = Time.ns 1_000;
-    mac_per_byte = 0.4;
-    sig_sign_base = Time.us 50;
-    sig_verify_base = Time.us 25;
-    digest_base = Time.ns 300;
-    digest_per_byte = 1.5;
-    handling = Time.ns 2_000;
-    touch_per_byte = 8.0;
-  }
+let mac_base = Time.ns 1_000
+let mac_per_byte = 0.4
+let sig_sign_base = Time.us 50
+let sig_verify_base = Time.us 25
+let digest_base = Time.ns 300
+let digest_per_byte = 1.5
+let handling = Time.ns 2_000
+let touch_per_byte = 8.0
 
 let per_byte rate bytes = Time.ns (int_of_float (rate *. float_of_int bytes))
 
@@ -60,46 +46,32 @@ let tally (ops, byts) bytes =
 
 (* Uncounted internals, so composite operations (a signature digests
    then signs) charge exactly one op each. *)
-let mac_cost t ~bytes = Time.add t.mac_base (per_byte t.mac_per_byte bytes)
-let digest_cost t ~bytes =
-  Time.add t.digest_base (per_byte t.digest_per_byte bytes)
+let mac_cost ~bytes = Time.add mac_base (per_byte mac_per_byte bytes)
+let digest_cost ~bytes = Time.add digest_base (per_byte digest_per_byte bytes)
 
-let mac_gen t ~bytes =
+let mac_gen ~bytes =
   tally m_mac_gen bytes;
-  mac_cost t ~bytes
+  mac_cost ~bytes
 
-let mac_verify t ~bytes =
+let mac_verify ~bytes =
   tally m_mac_verify bytes;
-  mac_cost t ~bytes
+  mac_cost ~bytes
 
-let authenticator_gen t ~bytes ~count =
+let authenticator_gen ~bytes ~count =
   tally m_authenticator bytes;
-  Time.add (per_byte t.mac_per_byte bytes)
-    (Time.ns (count * t.mac_base))
+  Time.add (per_byte mac_per_byte bytes) (Time.ns (count * mac_base))
 
-let digest t ~bytes =
+let digest ~bytes =
   tally m_digest bytes;
-  digest_cost t ~bytes
+  digest_cost ~bytes
 
-let sig_sign t ~bytes =
+let sig_sign ~bytes =
   tally m_sig_sign bytes;
-  Time.add (digest_cost t ~bytes) t.sig_sign_base
+  Time.add (digest_cost ~bytes) sig_sign_base
 
-let sig_verify t ~bytes =
+let sig_verify ~bytes =
   tally m_sig_verify bytes;
-  Time.add (digest_cost t ~bytes) t.sig_verify_base
+  Time.add (digest_cost ~bytes) sig_verify_base
 
-let recv t ~bytes = Time.add t.handling (per_byte t.touch_per_byte bytes)
-let send t ~bytes = Time.add t.handling (per_byte t.touch_per_byte bytes)
-
-let scale t k =
-  {
-    mac_base = Time.mul_f t.mac_base k;
-    mac_per_byte = t.mac_per_byte *. k;
-    sig_sign_base = Time.mul_f t.sig_sign_base k;
-    sig_verify_base = Time.mul_f t.sig_verify_base k;
-    digest_base = Time.mul_f t.digest_base k;
-    digest_per_byte = t.digest_per_byte *. k;
-    handling = Time.mul_f t.handling k;
-    touch_per_byte = t.touch_per_byte *. k;
-  }
+let recv ~bytes = Time.add handling (per_byte touch_per_byte bytes)
+let send ~bytes = Time.add handling (per_byte touch_per_byte bytes)

@@ -1,13 +1,14 @@
 open Dessim
 
-type t = { base : Time.t; cap : Time.t; rng : Rng.t }
+let cap = Time.ms 100
 
-let create ?(cap = Time.ms 100) ~base rng =
-  { base = Time.max (Time.ns 1) base; cap; rng }
+type t = { base : Time.t; rng : Rng.t }
+
+let create ~base rng = { base = Time.max (Time.ns 1) base; rng }
 
 let delay t ~attempt ~hint =
   let shift = Stdlib.min (Stdlib.max 0 attempt) 16 in
-  let d = Time.min t.cap (Time.mul_f t.base (float_of_int (1 lsl shift))) in
+  let d = Time.min cap (Time.mul_f t.base (float_of_int (1 lsl shift))) in
   (* Full jitter in [d, 2d): spreads retries from clients shed by the
      same burst so they do not re-collide, while staying deterministic
      for a given rng stream. *)

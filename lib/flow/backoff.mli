@@ -10,8 +10,11 @@ open Dessim
 
 type t
 
-val create : ?cap:Time.t -> base:Time.t -> Rng.t -> t
-(** [cap] defaults to 100ms; [base] is floored at 1ns. *)
+val cap : Time.t
+(** 100 ms: the most the deterministic part of a delay grows to. *)
+
+val create : base:Time.t -> Rng.t -> t
+(** [base] is floored at 1ns. *)
 
 val delay : t -> attempt:int -> hint:Time.t -> Time.t
 (** [delay t ~attempt ~hint] draws the wait before retry number

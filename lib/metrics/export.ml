@@ -190,17 +190,6 @@ let json_of_samples samples =
 
 let json_of_snapshot reg = json_of_samples (Registry.snapshot reg)
 
-let json_of_series sampler =
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun (p : Sampler.point) ->
-           Printf.sprintf {|{"time_s":%s,"samples":%s}|}
-             (json_float (Dessim.Time.to_sec_f p.Sampler.p_time))
-             (json_of_samples p.Sampler.p_samples))
-         (Sampler.points sampler))
-  ^ "]"
-
 let write_file path contents =
   let oc = open_out path in
   Fun.protect

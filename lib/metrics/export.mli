@@ -23,9 +23,6 @@ val json_of_snapshot : Registry.t -> string
 
 val json_of_samples : Registry.sample list -> string
 
-val json_of_series : Sampler.t -> string
-(** JSON array of [{time_s, samples}] points. *)
-
 val json_escape : string -> string
 
 val json_float : float -> string

@@ -3,26 +3,14 @@ open Bftcrypto
 
 type transport = Tcp | Udp
 
-type config = {
-  nodes : int;
-  transport : transport;
-  latency : Time.t;
-  jitter : Time.t;
-  bandwidth_bps : float;
-  tcp_overhead : Time.t;
-  frame_overhead_bytes : int;
-}
+let latency = Time.us 60
+let bandwidth_bps = 1e9
+let tcp_overhead = Time.us 120
+let frame_overhead_bytes = 60
 
-let default_config ~nodes =
-  {
-    nodes;
-    transport = Tcp;
-    latency = Time.us 60;
-    jitter = Time.us 20;
-    bandwidth_bps = 1e9;
-    tcp_overhead = Time.us 120;
-    frame_overhead_bytes = 60;
-  }
+type config = { nodes : int; transport : transport; jitter : Time.t }
+
+let default_config ~nodes = { nodes; transport = Tcp; jitter = Time.us 20 }
 
 type 'a delivery = {
   src : Principal.t;
@@ -184,17 +172,17 @@ let client_port t c =
 
 let register_client t c handler = (client_port t c).c_handler <- Some handler
 
-let serialization_time t ~size =
-  let bits = float_of_int ((size + t.cfg.frame_overhead_bytes) * 8) in
-  Time.of_sec_f (bits /. t.cfg.bandwidth_bps)
+let serialization_time ~size =
+  let bits = float_of_int ((size + frame_overhead_bytes) * 8) in
+  Time.of_sec_f (bits /. bandwidth_bps)
 
 let propagation_delay t =
   let jitter =
     if t.cfg.jitter = Time.zero then Time.zero
     else Time.ns (Rng.int t.rng (Stdlib.max 1 t.cfg.jitter))
   in
-  let overhead = match t.cfg.transport with Tcp -> t.cfg.tcp_overhead | Udp -> Time.zero in
-  Time.add (Time.add t.cfg.latency jitter) overhead
+  let overhead = match t.cfg.transport with Tcp -> tcp_overhead | Udp -> Time.zero in
+  Time.add (Time.add latency jitter) overhead
 
 let nic_closed t ~node ~peer =
   match Principal.Map.find_opt peer t.node_ports.(node).closed_until with
@@ -263,7 +251,7 @@ let drop t ~src ~dst ~reason =
 
 let send_copy t ~src ~dst ~size ~corrupt ~extra_delay ~span ~span_tag payload =
   let sent_at = Engine.now t.engine in
-  let ser = serialization_time t ~size in
+  let ser = serialization_time ~size in
   Resource.submit (egress_of t ~src ~dst) ~cost:ser (fun () ->
       let delay = Time.add (propagation_delay t) extra_delay in
       let delay =
@@ -365,8 +353,3 @@ let send ?(span = -1) ?(span_tag = Bftspan.Tag.Net_transit) t ~src ~dst ~size
 let messages_delivered t = t.delivered
 let messages_dropped t = t.dropped
 let bytes_delivered t = t.bytes
-
-let node_ingress_backlog t ~node ~peer =
-  match peer with
-  | Principal.Node i -> Resource.backlog t.node_ports.(node).ingress_from_node.(i)
-  | Principal.Client _ -> Resource.backlog t.node_ports.(node).client_ingress

@@ -20,19 +20,28 @@ open Bftcrypto
 
 type transport = Tcp | Udp
 
+(** The testbed's Gigabit LAN, the same for every run (Section VI-A). *)
+
+val latency : Time.t
+(** One-way propagation delay: 60 us. *)
+
+val bandwidth_bps : float
+(** Per-NIC rate, each direction: 1 Gbps. *)
+
+val tcp_overhead : Time.t
+(** Extra latency per message under TCP: 120 us. *)
+
+val frame_overhead_bytes : int
+(** Framing bytes added to every message's wire size: 60. *)
+
 type config = {
   nodes : int;  (** number of nodes (3f+1) *)
   transport : transport;
-  latency : Time.t;  (** one-way propagation delay *)
   jitter : Time.t;  (** uniform extra delay in [0, jitter) *)
-  bandwidth_bps : float;  (** per-NIC, each direction *)
-  tcp_overhead : Time.t;  (** extra latency per message under TCP *)
-  frame_overhead_bytes : int;  (** per-message framing bytes *)
 }
 
 val default_config : nodes:int -> config
-(** Gigabit LAN defaults: 60 us latency, 20 us jitter, 1 Gbps NICs,
-    120 us TCP overhead, 60 framing bytes. *)
+(** TCP with 20 us of jitter. *)
 
 type 'a t
 
@@ -144,7 +153,3 @@ val nic_closed : 'a t -> node:int -> peer:Principal.t -> bool
 val messages_delivered : 'a t -> int
 val messages_dropped : 'a t -> int
 val bytes_delivered : 'a t -> int
-
-val node_ingress_backlog : 'a t -> node:int -> peer:Principal.t -> Time.t
-(** How far behind the ingress NIC of [node] facing [peer] currently
-    is; lets tests observe flooding pressure. *)

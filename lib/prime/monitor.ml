@@ -1,23 +1,20 @@
 open Dessim
 
-type config = { t_pp : Time.t; k_lat : float; ping_period : Time.t }
-
-let default_config = { t_pp = Time.ms 10; k_lat = 3.0; ping_period = Time.ms 100 }
+let t_pp = Time.ms 10
+let k_lat = 3.0
+let ping_period = Time.ms 100
 
 (* Estimates use exponential moving averages in seconds. *)
 let alpha = 0.25
 
 type t = {
-  cfg : config;
   mutable rtt : float;
   mutable exec : float;
   mutable last_pp : Time.t;
   mutable have_pp : bool;
 }
 
-let create cfg = { cfg; rtt = 0.0; exec = 0.0; last_pp = Time.zero; have_pp = false }
-
-let config t = t.cfg
+let create () = { rtt = 0.0; exec = 0.0; last_pp = Time.zero; have_pp = false }
 
 let ema current sample =
   if current = 0.0 then sample else ((1.0 -. alpha) *. current) +. (alpha *. sample)
@@ -30,7 +27,7 @@ let note_pre_prepare t ~now =
   t.have_pp <- true
 
 let allowed_gap t =
-  Time.add t.cfg.t_pp (Time.of_sec_f (t.cfg.k_lat *. (t.rtt +. t.exec)))
+  Time.add t_pp (Time.of_sec_f (k_lat *. (t.rtt +. t.exec)))
 
 let rtt_estimate t = Time.of_sec_f t.rtt
 let exec_estimate t = Time.of_sec_f t.exec

@@ -18,17 +18,16 @@ open Dessim
 
 type t
 
-type config = {
-  t_pp : Time.t;  (** nominal ordering period of the primary *)
-  k_lat : float;  (** the paper's network-variability constant *)
-  ping_period : Time.t;
-}
+val t_pp : Time.t
+(** 10 ms: the primary's nominal ordering period. *)
 
-val default_config : config
-(** 10 ms ordering period, k_lat = 2, 100 ms pings. *)
+val k_lat : float
+(** 3.0: the paper's network-variability constant. *)
 
-val create : config -> t
-val config : t -> config
+val ping_period : Time.t
+(** 100 ms between a replica's round-trip probes. *)
+
+val create : unit -> t
 
 val note_rtt : t -> Time.t -> unit
 val note_batch_exec : t -> Time.t -> unit

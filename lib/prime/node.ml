@@ -16,26 +16,12 @@ type msg =
   | Suspect of { view : int }
   | Reply of { id : request_id; result : string }
 
-type config = {
-  f : int;
-  monitor : Monitor.config;
-  origin_window : int;
-  exec_cost : Time.t;
-  heavy_exec_cost : Time.t;
-  costs : Costmodel.t;
-  body_copy_factor : float;
-}
+type config = { f : int; exec_cost : Time.t }
 
-let default_config ~f =
-  {
-    f;
-    monitor = Monitor.default_config;
-    origin_window = 30;
-    exec_cost = Time.us 100;
-    heavy_exec_cost = Time.ms 1;
-    costs = Costmodel.default;
-    body_copy_factor = 6.0;
-  }
+let default_config ~f = { f; exec_cost = Time.us 100 }
+let origin_window = 30
+let heavy_exec_cost = Time.ms 1
+let body_copy_factor = 6.0
 
 type faults = { mutable delay_to_limit : bool; mutable limit_fraction : float }
 
@@ -119,23 +105,23 @@ let msg_size t m =
 let cost_bytes t m =
   let size = msg_size t m in
   match m with
-  | Po_request _ -> int_of_float (float_of_int size *. t.cfg.body_copy_factor)
+  | Po_request _ -> int_of_float (float_of_int size *. body_copy_factor)
   | Request _ | Pre_prepare _ | Prepare _ | Commit _ | Ping _ | Pong _
   | Suspect _ | Reply _ ->
     size
 
 let send_from ?(span = -1) ?span_tag t ~dst m =
   let size = msg_size t m in
-  Resource.charge t.main (Costmodel.send t.cfg.costs ~bytes:(cost_bytes t m));
+  Resource.charge t.main (Costmodel.send ~bytes:(cost_bytes t m));
   Network.send ~span ?span_tag t.net ~src:(Principal.node t.id) ~dst ~size m
 
 (* Prime signs every message. *)
 let broadcast_signed ?(span = -1) t m =
   let size = msg_size t m in
-  Resource.charge t.main (Costmodel.sig_sign t.cfg.costs ~bytes:size);
+  Resource.charge t.main (Costmodel.sig_sign ~bytes:size);
   for dst = 0 to n_nodes t - 1 do
     if dst <> t.id then begin
-      Resource.charge t.main (Costmodel.send t.cfg.costs ~bytes:(cost_bytes t m));
+      Resource.charge t.main (Costmodel.send ~bytes:(cost_bytes t m));
       Network.send ~span t.net ~src:(Principal.node t.id) ~dst:(Principal.node dst)
         ~size m
     end
@@ -202,7 +188,7 @@ let store_po t ~origin ~po_seq desc =
 (* ------------------------------------------------------------------ *)
 
 let exec_cost_of t (desc : request_desc) =
-  if desc.flagged_heavy then Time.max t.cfg.heavy_exec_cost (t.service.Service.exec_cost desc.op)
+  if desc.flagged_heavy then Time.max heavy_exec_cost (t.service.Service.exec_cost desc.op)
   else Time.max t.cfg.exec_cost (t.service.Service.exec_cost desc.op)
 
 let audit t kind =
@@ -338,7 +324,7 @@ let build_vector t =
   Array.mapi
     (fun origin delivered ->
       let available = t.po_received.(origin) in
-      Stdlib.min available (delivered + t.cfg.origin_window))
+      Stdlib.min available (delivered + origin_window))
     t.ordered_vector
 
 let issue_pre_prepare t =
@@ -352,9 +338,9 @@ let issue_pre_prepare t =
 
 let pp_period t =
   if t.faults.delay_to_limit && is_primary t then
-    Time.max (Monitor.config t.monitor).Monitor.t_pp
+    Time.max Monitor.t_pp
       (Time.mul_f (Monitor.allowed_gap t.monitor) t.faults.limit_fraction)
-  else (Monitor.config t.monitor).Monitor.t_pp
+  else Monitor.t_pp
 
 let rec arm_pp_loop t =
   ignore
@@ -399,7 +385,7 @@ let check_suspicion t =
 
 let rec arm_ping_loop t =
   ignore
-    (Clock.after t.clock (Monitor.config t.monitor).Monitor.ping_period (fun () ->
+    (Clock.after t.clock Monitor.ping_period (fun () ->
          Resource.submit t.main ~cost:(Time.us 2) (fun () ->
              t.ping_nonce <- t.ping_nonce + 1;
              Hashtbl.replace t.pings_inflight t.ping_nonce (Engine.now t.engine);
@@ -416,7 +402,7 @@ let handle_request t ~span (desc : request_desc) ~sig_valid =
   | Some result ->
     send_from t ~dst:(Principal.client desc.id.client) (Reply { id = desc.id; result })
   | None ->
-    Resource.charge t.main (Costmodel.sig_verify t.cfg.costs ~bytes:desc.op_size);
+    Resource.charge t.main (Costmodel.sig_verify ~bytes:desc.op_size);
     if sig_valid then begin
       if span >= 0 && not (Request_id_table.mem t.span_in desc.id) then
         Request_id_table.replace t.span_in desc.id (span, Engine.now t.engine);
@@ -426,8 +412,8 @@ let handle_request t ~span (desc : request_desc) ~sig_valid =
     end
 
 let on_delivery t (d : msg Network.delivery) =
-  let base = Costmodel.recv t.cfg.costs ~bytes:(cost_bytes t d.Network.payload) in
-  let verify = Costmodel.sig_verify t.cfg.costs ~bytes:d.Network.size in
+  let base = Costmodel.recv ~bytes:(cost_bytes t d.Network.payload) in
+  let verify = Costmodel.sig_verify ~bytes:d.Network.size in
   let with_sig = Time.add base verify in
   let from = Network.src_node d in
   let authentic =
@@ -511,7 +497,7 @@ let create engine net cfg ~id ~service =
       id;
       service;
       main = Resource.create engine ~name:(Printf.sprintf "pr%d.main" id);
-      monitor = Monitor.create cfg.monitor;
+      monitor = Monitor.create ();
       faults = { delay_to_limit = false; limit_fraction = 0.95 };
       po_buffers = ref (Array.init n (fun _ -> Array.make 1024 None));
       po_received = Array.make n 0;

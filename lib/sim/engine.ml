@@ -85,7 +85,6 @@ let pending_choice_count t =
     (fun _ ((_ : choice), (event : event)) n ->
       if event.cancelled then n else n + 1)
     t.parked 0
-let choices_created t = t.choice_seq
 
 (* Deliberately leaves the clock alone: the checker's schedule replaces
    timestamp order, and keeping the clock purely slice-driven makes
@@ -140,4 +139,3 @@ let run ?until t =
 let stop t = t.stopped <- true
 let events_processed t = t.processed
 let queue_size t = Heap.size t.queue
-let queue_capacity t = Heap.capacity t.queue

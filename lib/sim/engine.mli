@@ -90,9 +90,6 @@ val pending_choices : t -> choice list
 
 val pending_choice_count : t -> int
 
-val choices_created : t -> int
-(** Total choices ever created on this engine (the id high-water mark). *)
-
 val fire_choice : t -> int -> bool
 (** [fire_choice t id] runs the parked choice with that id now, at the
     {e current} clock — deliberately not advancing to [key]: under
@@ -111,7 +108,3 @@ val events_processed : t -> int
     cost metric for the simulation itself. *)
 
 val queue_size : t -> int
-
-val queue_capacity : t -> int
-(** Allocated slots in the event-queue backing array ([>= queue_size]);
-    the heap's real memory footprint for capacity probes. *)

@@ -5,7 +5,6 @@ type 'a t = { mutable data : 'a entry array; mutable size : int }
 let create () = { data = [||]; size = 0 }
 
 let size h = h.size
-let capacity h = Array.length h.data
 
 let is_empty h = h.size = 0
 

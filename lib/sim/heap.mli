@@ -21,10 +21,6 @@ val create : unit -> 'a t
 
 val size : 'a t -> int
 
-val capacity : 'a t -> int
-(** Allocated slots in the backing array ([>= size]); what the event
-    queue actually costs in memory, for capacity probes. *)
-
 val is_empty : 'a t -> bool
 
 val push : 'a t -> key:int -> seq:int -> 'a -> unit

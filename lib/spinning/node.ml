@@ -10,28 +10,12 @@ type msg =
   | Order of Replica.msg
   | Reply of { id : request_id; result : string }
 
-type config = {
-  f : int;
-  batch_size : int;
-  s_timeout : Time.t;
-  pipeline : int;
-  bookkeeping : Time.t;
-  body_copy_factor : float;
-  exec_cost : Time.t;
-  costs : Costmodel.t;
-}
+type config = { f : int }
 
-let default_config ~f =
-  {
-    f;
-    batch_size = 16;
-    s_timeout = Time.ms 40;
-    pipeline = 4;
-    bookkeeping = Time.us 12;
-    body_copy_factor = 2.0;
-    exec_cost = Time.us 1;
-    costs = Costmodel.default;
-  }
+let default_config ~f = { f }
+let bookkeeping = Time.us 12
+let body_copy_factor = 2.0
+let exec_cost = Time.us 1
 
 type faults = { mutable delay_fraction : float }
 
@@ -84,21 +68,21 @@ let cost_bytes t m =
   let size = msg_size t m in
   match m with
   | Order (Replica.Pre_prepare _) ->
-    int_of_float (float_of_int size *. t.cfg.body_copy_factor)
+    int_of_float (float_of_int size *. body_copy_factor)
   | Order _ | Request _ | Reply _ -> size
 
 let send_from ?(span = -1) ?span_tag t thread ~dst m =
   let size = msg_size t m in
-  Resource.charge thread (Costmodel.send t.cfg.costs ~bytes:(cost_bytes t m));
+  Resource.charge thread (Costmodel.send ~bytes:(cost_bytes t m));
   Network.send ~span ?span_tag t.net ~src:(Principal.node t.id) ~dst ~size m
 
 let broadcast_nodes t thread m =
   let size = msg_size t m in
   Resource.charge thread
-    (Costmodel.authenticator_gen t.cfg.costs ~bytes:size ~count:(n_nodes t));
+    (Costmodel.authenticator_gen ~bytes:size ~count:(n_nodes t));
   for dst = 0 to n_nodes t - 1 do
     if dst <> t.id then begin
-      Resource.charge thread (Costmodel.send t.cfg.costs ~bytes:(cost_bytes t m));
+      Resource.charge thread (Costmodel.send ~bytes:(cost_bytes t m));
       Network.send t.net ~src:(Principal.node t.id) ~dst:(Principal.node dst) ~size m
     end
   done
@@ -111,7 +95,7 @@ let execute_batch t descs =
   List.iter
     (fun (desc : request_desc) ->
       if not (Request_id_table.mem t.executed desc.id) then begin
-        let cost = Time.max t.cfg.exec_cost (t.service.Service.exec_cost desc.op) in
+        let cost = Time.max exec_cost (t.service.Service.exec_cost desc.op) in
         let ospan =
           if Spans.active () then Replica.take_span (replica t) ~id:desc.id
           else -1
@@ -127,7 +111,7 @@ let execute_batch t descs =
               Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id
                 ~instance:0 desc;
               Resource.charge t.execution
-                (Costmodel.mac_gen t.cfg.costs ~bytes:(String.length result + 16));
+                (Costmodel.mac_gen ~bytes:(String.length result + 16));
               send_from ~span:espan ~span_tag:Bftspan.Tag.Reply t t.execution
                 ~dst:(Principal.client desc.id.client)
                 (Reply { id = desc.id; result })
@@ -136,14 +120,7 @@ let execute_batch t descs =
     descs
 
 let make_replica t =
-  let cfg =
-    {
-      (Replica.default_config ~n:(n_nodes t) ~f:t.cfg.f ~replica_id:t.id) with
-      Replica.batch_size = t.cfg.batch_size;
-      s_timeout = t.cfg.s_timeout;
-      pipeline = t.cfg.pipeline;
-    }
-  in
+  let cfg = { Replica.n = n_nodes t; f = t.cfg.f; replica_id = t.id } in
   let broadcast m = broadcast_nodes t t.ordering (Order m) in
   let deliver _seq descs = execute_batch t descs in
   Replica.create ~clock:t.clock t.engine cfg { Replica.broadcast; deliver }
@@ -151,8 +128,8 @@ let make_replica t =
 let on_delivery t (d : msg Network.delivery) =
   let base =
     Time.add
-      (Costmodel.recv t.cfg.costs ~bytes:(cost_bytes t d.Network.payload))
-      (Costmodel.mac_verify t.cfg.costs ~bytes:d.Network.size)
+      (Costmodel.recv ~bytes:(cost_bytes t d.Network.payload))
+      (Costmodel.mac_verify ~bytes:d.Network.size)
   in
   let from = Network.src_node d in
   let authentic =
@@ -172,7 +149,7 @@ let on_delivery t (d : msg Network.delivery) =
       Spans.job ~parent:d.Network.span ~tag:Bftspan.Tag.Crypto_verify ~node:t.id
         ~instance:0 ~now:(Engine.now t.engine)
     in
-    Resource.submit ~span:vspan t.ordering ~cost:(Time.add base t.cfg.bookkeeping)
+    Resource.submit ~span:vspan t.ordering ~cost:(Time.add base bookkeeping)
       (fun () ->
         match Request_id_table.find_opt t.executed desc.id with
         | Some result ->

@@ -15,21 +15,20 @@ type msg =
   | Order of Replica.msg
   | Reply of { id : Pbftcore.Types.request_id; result : string }
 
-type config = {
-  f : int;
-  batch_size : int;
-  s_timeout : Time.t;
-  pipeline : int;
-  bookkeeping : Time.t;
-      (** per-request replica-side overhead (timers, logs); calibrated
-          so Spinning lands ~20-30 % above RBFT as in Section VI-B *)
-  body_copy_factor : float;
-      (** body-copy overhead of ordering messages (cf. Aardvark) *)
-  exec_cost : Time.t;
-  costs : Bftcrypto.Costmodel.t;
-}
+type config = { f : int }
 
 val default_config : f:int -> config
+
+val bookkeeping : Time.t
+(** 12 us: per-request replica-side overhead (timers, logs);
+    calibrated so Spinning lands ~20-30 % above RBFT as in Section
+    VI-B. *)
+
+val body_copy_factor : float
+(** 2.0: body-copy overhead of ordering messages (cf. Aardvark). *)
+
+val exec_cost : Time.t
+(** 1 us: the least virtual execution cost of one request. *)
 
 val request_size : n:int -> Pbftcore.Types.request_desc -> int
 (** Wire size of a client REQUEST: MAC-authenticated for every node,
@@ -38,8 +37,9 @@ val request_size : n:int -> Pbftcore.Types.request_desc -> int
 type faults = {
   mutable delay_fraction : float;
       (** when > 0, this replica delays each of its proposals by this
-          fraction of the current [s_timeout] (0.95 reproduces the
-          Figure 3 attack: "a little less than Stimeout") *)
+          fraction of the current accusation timeout, which starts at
+          {!Replica.s_timeout} (0.95 reproduces the Figure 3 attack: "a
+          little less than Stimeout") *)
 }
 
 type t

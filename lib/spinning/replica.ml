@@ -1,17 +1,11 @@
 open Dessim
 open Pbftcore.Types
 
-type config = {
-  n : int;
-  f : int;
-  replica_id : int;
-  batch_size : int;
-  s_timeout : Time.t;
-  pipeline : int;
-}
+type config = { n : int; f : int; replica_id : int }
 
-let default_config ~n ~f ~replica_id =
-  { n; f; replica_id; batch_size = 16; s_timeout = Time.ms 40; pipeline = 4 }
+let batch_size = 16
+let s_timeout = Time.ms 40
+let pipeline = 4
 
 type msg =
   | Pre_prepare of { seq : int; descs : request_desc list; attempt : int }
@@ -76,7 +70,7 @@ let create ?clock engine cfg cb =
     delivered_ids = Request_id_table.create 4096;
     next_deliver = 1;
     blacklist = [];
-    timeout = cfg.s_timeout;
+    timeout = s_timeout;
     timer = None;
     ordered = 0;
     pp_release = Time.zero;
@@ -316,7 +310,7 @@ and try_deliver t =
             (Bftaudit.Event.Ordered
                { seq; count = List.length fresh; digest = e.digest });
         (* A successful batch resets the timeout (Section III-C). *)
-        t.timeout <- t.cfg.s_timeout;
+        t.timeout <- s_timeout;
         t.cb.deliver seq fresh;
         (match t.timer with
          | Some (_, timer) ->
@@ -339,7 +333,7 @@ and unclaimed_batch t =
      in flight) each pick a different slice of the shared pending pool
      so that their batches rarely overlap; overlaps that do occur are
      deduplicated at delivery. *)
-  let want = t.cfg.batch_size * t.cfg.n in
+  let want = batch_size * t.cfg.n in
   let acc = ref [] and count = ref 0 in
   (try
      Request_id_table.iter
@@ -365,12 +359,12 @@ and unclaimed_batch t =
     | _ when n = 0 -> []
     | x :: tl -> x :: take (n - 1) tl
   in
-  let slice = take t.cfg.batch_size (drop (t.cfg.replica_id * t.cfg.batch_size) all) in
-  if slice = [] then take t.cfg.batch_size all else slice
+  let slice = take batch_size (drop (t.cfg.replica_id * batch_size) all) in
+  if slice = [] then take batch_size all else slice
 
 and maybe_propose t =
   if not t.adv.silent then begin
-    let horizon = t.next_deliver + t.cfg.pipeline - 1 in
+    let horizon = t.next_deliver + pipeline - 1 in
     let rec scan seq =
       if seq <= horizon then begin
         let e = entry_for t seq in

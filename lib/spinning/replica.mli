@@ -18,16 +18,17 @@
 open Dessim
 open Pbftcore.Types
 
-type config = {
-  n : int;
-  f : int;
-  replica_id : int;
-  batch_size : int;
-  s_timeout : Time.t;  (** 40 ms in the paper's experiments *)
-  pipeline : int;  (** batches that may be in flight concurrently *)
-}
+type config = { n : int; f : int; replica_id : int }
 
-val default_config : n:int -> f:int -> replica_id:int -> config
+val batch_size : int
+(** 16 requests per proposal. *)
+
+val s_timeout : Time.t
+(** 40 ms, as in the paper's experiments: the initial accusation
+    timeout, doubled per blacklisting. *)
+
+val pipeline : int
+(** 4 batches may be in flight concurrently. *)
 
 type msg =
   | Pre_prepare of { seq : int; descs : request_desc list; attempt : int }

@@ -7,15 +7,10 @@ open Dessim
 (* Aardvark policy                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let policy_cfg =
-  {
-    (Aardvark.Policy.default_config ~n:4) with
-    Aardvark.Policy.grace = Time.sec 1;
-    view_warmup = Time.ms 200;
-  }
+let policy_cfg = { Aardvark.Policy.grace = Time.sec 1; view_warmup = Time.ms 200 }
 
 let test_policy_bootstrap_and_ratchet () =
-  let p = Aardvark.Policy.create policy_cfg in
+  let p = Aardvark.Policy.create ~n:4 policy_cfg in
   Aardvark.Policy.on_view_start p ~now:Time.zero;
   (* Healthy primary at 1000 req/s for a while. *)
   let now = ref Time.zero in
@@ -39,7 +34,7 @@ let test_policy_bootstrap_and_ratchet () =
   Alcotest.(check bool) "ratchet eventually demands a view change" true !demanded
 
 let test_policy_heartbeat () =
-  let p = Aardvark.Policy.create policy_cfg in
+  let p = Aardvark.Policy.create ~n:4 policy_cfg in
   Aardvark.Policy.on_view_start p ~now:Time.zero;
   (* Dead primary with pending requests: the heartbeat fires after the
      warmup and three consecutive silent windows. *)
@@ -58,7 +53,7 @@ let test_policy_heartbeat () =
   Alcotest.(check bool) "progress resets heartbeat" true (v4 = Aardvark.Policy.Ok)
 
 let test_policy_history_sets_requirement () =
-  let p = Aardvark.Policy.create policy_cfg in
+  let p = Aardvark.Policy.create ~n:4 policy_cfg in
   Aardvark.Policy.on_view_start p ~now:Time.zero;
   Aardvark.Policy.note_ordered p ~count:2000;
   (* View ran 1 s at 2000 req/s; the next view must sustain 90 %. *)
@@ -184,7 +179,7 @@ let test_spinning_sub_timeout_attack () =
 let test_spinning_blacklists_over_timeout () =
   (* Delaying beyond Stimeout gets the faulty proposer blacklisted and
      throughput recovers. *)
-  let cfg = { (Spinning.Node.default_config ~f:1) with Spinning.Node.s_timeout = Time.ms 10 } in
+  let cfg = Spinning.Node.default_config ~f:1 in
   let cluster = Spinning.Cluster.create ~clients:4 cfg in
   Array.iter (fun c -> Spinning.Client.set_rate c 1000.0) (Spinning.Cluster.clients cluster);
   (Spinning.Node.faults (Spinning.Cluster.node cluster 3)).Spinning.Node.delay_fraction <- 3.0;
@@ -203,7 +198,7 @@ let test_spinning_blacklists_over_timeout () =
 let test_spinning_one_source_one_vote () =
   let module R = Spinning.Replica in
   let engine = Engine.create () in
-  let cfg = R.default_config ~n:4 ~f:1 ~replica_id:2 in
+  let cfg = { R.n = 4; f = 1; replica_id = 2 } in
   let r =
     R.create engine cfg { R.broadcast = (fun _ -> ()); deliver = (fun _ _ -> ()) }
   in
@@ -261,7 +256,7 @@ let test_prime_latency_dominated_by_period () =
     true (mean > 3e-3)
 
 let test_prime_monitor_allowed_gap () =
-  let m = Prime.Monitor.create Prime.Monitor.default_config in
+  let m = Prime.Monitor.create () in
   Prime.Monitor.note_rtt m (Time.ms 1);
   Prime.Monitor.note_batch_exec m (Time.ms 4);
   let gap = Prime.Monitor.allowed_gap m in
@@ -390,7 +385,7 @@ let prop_spinning_rotation_covers_all =
     QCheck.(int_range 0 1000)
     (fun start ->
       let engine = Engine.create () in
-      let cfg = Spinning.Replica.default_config ~n:4 ~f:1 ~replica_id:0 in
+      let cfg = { Spinning.Replica.n = 4; f = 1; replica_id = 0 } in
       let r =
         Spinning.Replica.create engine cfg
           { Spinning.Replica.broadcast = (fun _ -> ()); deliver = (fun _ _ -> ()) }

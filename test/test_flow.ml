@@ -100,8 +100,10 @@ let test_backoff_determinism () =
 
 let test_backoff_growth_cap_and_hint () =
   let rng = Rng.create 7L in
-  let cap = Time.ms 50 in
-  let b = Bftflow.Backoff.create ~cap ~base:(Time.ms 2) (Rng.split rng) in
+  (* 2 ms doubling reaches the 100 ms cap at attempt 6. *)
+  let cap = Bftflow.Backoff.cap in
+  Alcotest.(check int) "cap" (Time.ms 100) cap;
+  let b = Bftflow.Backoff.create ~base:(Time.ms 2) (Rng.split rng) in
   for attempt = 0 to 14 do
     let d = Bftflow.Backoff.delay b ~attempt ~hint:Time.zero in
     let base_d = min cap (Time.mul_f (Time.ms 2) (Float.pow 2.0 (float_of_int attempt))) in

@@ -120,28 +120,29 @@ let test_monitoring_idle_backup_ratio_nan () =
   Alcotest.(check bool) "at-threshold backups fire" true v3.Rbft.Monitoring.suspicious
 
 let test_monitoring_bounded_history () =
-  (* The measurement log is a ring: with a cap of 4, ticking 10 times
-     keeps only the last 4 windows, oldest first, and [latest] still
-     tracks the newest one. *)
-  let m = Rbft.Monitoring.create ~history_cap:4 (mk_params ()) in
-  Alcotest.(check int) "cap recorded" 4 (Rbft.Monitoring.history_cap m);
-  for w = 1 to 10 do
+  (* The measurement log is a ring: ticking [history_cap + 6] times
+     keeps only the last [history_cap] windows, oldest first, and
+     [latest] still tracks the newest one. *)
+  let cap = Rbft.Monitoring.history_cap in
+  Alcotest.(check int) "cap" 4096 cap;
+  let m = Rbft.Monitoring.create (mk_params ()) in
+  let ticks = cap + 6 in
+  for w = 1 to ticks do
     Rbft.Monitoring.note_ordered m ~instance:0 ~count:(w * 10);
     ignore (Rbft.Monitoring.tick m ~now:(Time.sec w))
   done;
   let hist = Rbft.Monitoring.history m in
-  Alcotest.(check int) "history bounded" 4 (List.length hist);
+  Alcotest.(check int) "history bounded" cap (List.length hist);
   let times = List.map (fun (t, _) -> Time.to_sec_f t) hist in
   Alcotest.(check (list (float 1e-6))) "oldest first, newest kept"
-    [ 7.0; 8.0; 9.0; 10.0 ] times;
-  (match Rbft.Monitoring.latest m with
+    (List.init cap (fun i -> float_of_int (i + 7)))
+    times;
+  match Rbft.Monitoring.latest m with
   | Some (t, rates) ->
-    Alcotest.(check (float 1e-6)) "latest time" 10.0 (Time.to_sec_f t);
-    Alcotest.(check (float 1e-6)) "latest master rate" 100.0 rates.(0)
-  | None -> Alcotest.fail "no latest measurement");
-  (* Default cap stays generous enough for existing callers. *)
-  let d = Rbft.Monitoring.create (mk_params ()) in
-  Alcotest.(check int) "default cap" 4096 (Rbft.Monitoring.history_cap d)
+    Alcotest.(check (float 1e-6)) "latest time" (float_of_int ticks) (Time.to_sec_f t);
+    Alcotest.(check (float 1e-6)) "latest master rate" (float_of_int (ticks * 10))
+      rates.(0)
+  | None -> Alcotest.fail "no latest measurement"
 
 let test_monitoring_omega () =
   let m = Rbft.Monitoring.create (mk_params ~omega:(Time.us 500) ()) in

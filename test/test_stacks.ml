@@ -63,15 +63,17 @@ let test_reply_quorum () =
 (* ------------------------------------------------------------------ *)
 
 (* f = 1, seed 42, three clients at [rate] (default 2000) req/s each for
-   0.5 s: node 1's executed count and execution digest, and each
+   [duration] (default 0.5 s), after [attack] arms any faults: node 1's executed count and execution digest, and each
    client's (sent, completed). A simulation is exact for a seed, so any
    drift means a stack's client, cluster or execution ledger changed
    behaviour. The open-loop clients draw the same Poisson streams on
    every stack, so they send the same requests everywhere. *)
 let pin (type c) (module S : Pbftcore.Cluster_core.STACK with type Cluster.t = c)
-    ?(rate = 2000.0) (cluster : c) ~executed ~digest ~clients () =
+    ?(rate = 2000.0) ?(duration = Time.ms 500) ?(attack = fun (_ : c) -> ()) (cluster : c) ~executed ~digest
+    ~clients () =
   Array.iter (fun c -> S.Client.set_rate c rate) (S.Cluster.clients cluster);
-  S.Cluster.run_for cluster (Time.ms 500);
+  attack cluster;
+  S.Cluster.run_for cluster duration;
   let ledger = S.Node.ledger (S.Cluster.node cluster 1) in
   Alcotest.(check int) "executed at node 1" executed (Pbftcore.Ledger.count ledger);
   Alcotest.(check string) "execution digest" digest
@@ -146,6 +148,59 @@ let test_pin_prime () =
     ~clients:[ (1013, 986); (970, 926); (1042, 1013) ]
     ()
 
+(* Each baseline under the attack its experiment runs (Figures 1-3),
+   with the experiment's configuration. These pin the constants that
+   only matter under attack: Prime's heavy execution cost and monitor
+   allowance, Aardvark's simulation policy, Spinning's accusation
+   timeout. *)
+
+(* Figure 1: client 0 floods heavy (1 ms) requests at 300 req/s and
+   the primary, node 0, stretches its ordering period to the monitored
+   allowance. *)
+let test_pin_prime_attack () =
+  let attack cluster =
+    let heavy = Prime.Cluster.client cluster 0 in
+    (Prime.Client.behaviour heavy).Prime.Client.heavy <- true;
+    Prime.Client.set_rate heavy 300.0;
+    (Prime.Node.faults (Prime.Cluster.node cluster 0)).Prime.Node.delay_to_limit <- true
+  in
+  pin (module Prime) ~attack
+    (Prime.Cluster.create ~seed:42L ~clients:3 (Prime.Node.default_config ~f:1))
+    ~executed:1024
+    ~digest:"fa215162e2cb621a8ae5f1a57e19bb92f188e8f8bfde98f9fa02e1233c63f09e"
+    ~clients:[ (161, 82); (970, 451); (1042, 491) ]
+    ()
+
+(* Figure 2: the primary, node 0, orders just above the ratcheting
+   throughput requirement. The run lasts until 0.1 s after the view
+   change that finally evicts it (~2.8 s: the 1.2 s grace, then the
+   ratchet), so it ends inside the new view's post-view-change quiet
+   period. *)
+let test_pin_aardvark_attack () =
+  let attack cluster =
+    (Aardvark.Node.faults (Aardvark.Cluster.node cluster 0)).Aardvark.Node.track_required <-
+      true
+  in
+  pin (module Aardvark) ~duration:(Time.ms 2900) ~attack
+    (Aardvark.Cluster.create ~seed:42L ~clients:3 (Aardvark.Node.simulation_config ~f:1))
+    ~executed:16878
+    ~digest:"1fd3009d4259172bb3a564682e0bd1ace035280a5032d8312dec57d0668f1ae3"
+    ~clients:[ (5925, 5722); (5754, 5534); (5802, 5622) ]
+    ()
+
+(* Figure 3: node 3 delays each batch it proposes by 0.95 s_timeout. *)
+let test_pin_spinning_attack () =
+  let attack cluster =
+    (Spinning.Node.faults (Spinning.Cluster.node cluster 3)).Spinning.Node.delay_fraction <-
+      0.95
+  in
+  pin (module Spinning) ~attack
+    (Spinning.Cluster.create ~seed:42L ~clients:3 (Spinning.Node.default_config ~f:1))
+    ~executed:834
+    ~digest:"c5ca5a8fa5faeefaac488464d18c346983ca856660220bf13c481f3d72ea361e"
+    ~clients:[ (1013, 287); (970, 290); (1042, 257) ]
+    ()
+
 let suites =
   [
     ( "stacks.client-core",
@@ -160,5 +215,10 @@ let suites =
         Alcotest.test_case "aardvark same-seed ledger" `Quick test_pin_aardvark;
         Alcotest.test_case "spinning same-seed ledger" `Quick test_pin_spinning;
         Alcotest.test_case "prime same-seed ledger" `Quick test_pin_prime;
+        Alcotest.test_case "prime under the Fig 1 attack" `Quick test_pin_prime_attack;
+        Alcotest.test_case "aardvark under the Fig 2 attack" `Quick
+          test_pin_aardvark_attack;
+        Alcotest.test_case "spinning under the Fig 3 attack" `Quick
+          test_pin_spinning_attack;
       ] );
   ]
