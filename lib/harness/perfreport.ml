@@ -18,6 +18,16 @@ type run_result = {
   p99_ms : float;
   order_p50_ms : float;  (* master-instance ordering latency at node 1 *)
   order_p99_ms : float;
+  host : host;
+}
+
+(* Host-side cost of one run, as deterministic counts per request a
+   client saw completed: engine events, delivered messages and words
+   allocated on the minor heap while the cluster ran. *)
+and host = {
+  events_per_req : float;
+  msgs_per_req : float;
+  minor_words_per_req : float;
 }
 
 let duration ~quick = Time.of_sec_f (if quick then 1.0 else 2.0)
@@ -81,7 +91,9 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
   Loadshape.apply engine shape ~set_rate:(fun c r ->
       Rbft.Client.set_rate (Rbft.Cluster.client cluster c) r);
   let total = Loadshape.total_duration shape in
+  let words0 = Gc.minor_words () in
   Rbft.Cluster.run_for cluster (Time.add total (Time.ms 200));
+  let minor_words = Gc.minor_words () -. words0 in
   Audit.end_run ();
   if span_sample > 0 then Bftspan.Tracer.disable ();
   let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
@@ -117,12 +129,27 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
     if Bftmetrics.Hist.count order = 0 then 0.0
     else 1e3 *. Bftmetrics.Hist.percentile order p
   in
+  let completed =
+    Array.fold_left
+      (fun acc c -> acc + Rbft.Client.completed c)
+      0 (Rbft.Cluster.clients cluster)
+  in
+  let per_req x = x /. float_of_int (max 1 completed) in
   {
     throughput;
     p50_ms = pctl merged 50.0;
     p99_ms = pctl merged 99.0;
     order_p50_ms = opctl 50.0;
     order_p99_ms = opctl 99.0;
+    host =
+      {
+        events_per_req = per_req (float_of_int (Engine.events_processed engine));
+        msgs_per_req =
+          per_req
+            (float_of_int
+               (Bftnet.Network.messages_delivered (Rbft.Cluster.network cluster)));
+        minor_words_per_req = per_req minor_words;
+      };
   }
 
 let size_key = function 8 -> "8B" | 4096 -> "4kB" | n -> string_of_int n ^ "B"
@@ -141,11 +168,15 @@ let generate ~quick =
   let sizes = [ 8; 4096 ] in
   (* Fault-free baselines, and the wall-clock cost of the very same
      8 B run with the registry off — the hot-path overhead measure. *)
+  (* Every leg's host counts, keyed by its profile label. *)
+  let hosts = ref [] in
+  let record leg r = hosts := (leg, r.host) :: !hosts in
   let t_off = ref 0.0 in
   Profile.time "perfreport:baseline-nometrics" (fun () ->
       let t0 = Unix.gettimeofday () in
-      ignore (static_run ~with_metrics:false ~quick ~payload:8 ());
-      t_off := Unix.gettimeofday () -. t0);
+      let r = static_run ~with_metrics:false ~quick ~payload:8 () in
+      t_off := Unix.gettimeofday () -. t0;
+      record "baseline-nometrics" r);
   let t_on = ref 0.0 in
   let fault_free =
     List.map
@@ -156,6 +187,7 @@ let generate ~quick =
             let t0 = Unix.gettimeofday () in
             let r = static_run ~with_metrics:true ~quick ~payload () in
             if payload = 8 then t_on := Unix.gettimeofday () -. t0;
+            record ("fault-free-" ^ size_key payload) r;
             (payload, r)))
       sizes
   in
@@ -168,7 +200,8 @@ let generate ~quick =
         Profile.time
           (Printf.sprintf "perfreport:breakdown-%s" (size_key payload))
           (fun () ->
-            ignore
+            record
+              ("breakdown-" ^ size_key payload)
               (static_run ~with_metrics:false ~span_sample:8 ~quick ~payload ());
             let summary =
               Bftspan.Analyze.summarize (Bftspan.Tracer.to_array ())
@@ -193,6 +226,7 @@ let generate ~quick =
                   let att =
                     static_run ~attack ~with_metrics:true ~quick ~payload ()
                   in
+                  record (name ^ "-" ^ size_key payload) att;
                   let ff = List.assoc payload fault_free in
                   let rel =
                     if ff.throughput > 0.0 then att.throughput /. ff.throughput
@@ -257,6 +291,19 @@ let generate ~quick =
                         (Bftmetrics.Export.json_float r.Bftspan.Analyze.p50_ms))
                     s.Bftspan.Analyze.stages)))
           breakdown));
+  Buffer.add_string buf "\n  },\n";
+  Buffer.add_string buf "  \"host\": {\n";
+  Buffer.add_string buf
+    (String.concat ",\n"
+       (List.rev_map
+          (fun (leg, h) ->
+            Printf.sprintf
+              {|    "%s": {"events_per_req":%s,"msgs_per_req":%s,"minor_words_per_req":%s}|}
+              leg
+              (Bftmetrics.Export.json_float h.events_per_req)
+              (Bftmetrics.Export.json_float h.msgs_per_req)
+              (Bftmetrics.Export.json_float h.minor_words_per_req))
+          !hosts));
   Buffer.add_string buf "\n  },\n";
   Buffer.add_string buf
     (Printf.sprintf

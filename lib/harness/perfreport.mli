@@ -5,7 +5,10 @@
     the registry's hot-path overhead — and reduces it to a JSON
     document with the headline numbers (throughput, client p50/p99,
     master-instance ordering p50/p99, relative under-attack
-    throughput, self-profile). *)
+    throughput, self-profile). Its [host] section gives, per leg, the
+    simulator's own cost per completed request as deterministic
+    counts: engine events, delivered messages and minor-heap words
+    allocated while the cluster ran. *)
 
 val generate : quick:bool -> string
 (** Run the pass and return the JSON document. *)
