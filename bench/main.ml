@@ -134,6 +134,27 @@ let micro_benchmarks () =
                ignore (Dessim.Engine.after e (Dessim.Time.us i) (fun () -> ()))
              done;
              Dessim.Engine.run e));
+      (* One event at the queue depth the overload-8B benchmark peaks
+         at: 8,066 self-rescheduling events, each firing one pop, one
+         dispatch and one push, and stopping [run] so a call is exactly
+         one event. *)
+      (let e = Dessim.Engine.create () in
+       let rng = Dessim.Rng.create 1L in
+       let rec tick () =
+         ignore
+           (Dessim.Engine.after e
+              (Dessim.Time.ns (1 + Dessim.Rng.int rng 1_000_000))
+              tick);
+         Dessim.Engine.stop e
+       in
+       for _ = 1 to 8_066 do
+         ignore
+           (Dessim.Engine.after e
+              (Dessim.Time.ns (1 + Dessim.Rng.int rng 1_000_000))
+              tick)
+       done;
+       Test.make ~name:"engine-event-depth-8k"
+         (Staged.stage (fun () -> Dessim.Engine.run e)));
       Test.make ~name:"pbft-order-100-requests"
         (Staged.stage (fun () ->
              let e = Dessim.Engine.create () in

@@ -42,19 +42,28 @@ type fault_hook = src:Principal.t -> dst:Principal.t -> size:int -> fault_verdic
 (* Each node owns, per peer node: an egress NIC queue and an ingress
    NIC queue (the same physical NIC, two directions). Client traffic
    at a node shares a single client-facing NIC; each client owns its
-   own NIC. *)
+   own NIC.
+
+   Under TCP, arrivals on a connection are FIFO: jitter must not
+   reorder messages of one (src, dst) pair. Each port therefore keeps
+   the latest arrival instant it has scheduled towards every peer node
+   ([last_to_node], [c_last_to_node]), and a client port also the
+   latest arrival from every node ([c_last_from_node]). *)
 type node_ports = {
   egress_to_node : Resource.t array;
   ingress_from_node : Resource.t array;
   client_egress : Resource.t;
   client_ingress : Resource.t;
   mutable closed_until : Time.t Principal.Map.t;
+  last_to_node : Time.t array;
 }
 
 type 'a client_port = {
   c_egress : Resource.t;
   c_ingress : Resource.t;
   mutable c_handler : ('a delivery -> unit) option;
+  c_last_to_node : Time.t array;
+  c_last_from_node : Time.t array;
 }
 
 (* Per-channel metric handles (node-node, node-client, client-node),
@@ -99,9 +108,9 @@ type 'a t = {
   node_ports : node_ports array;
   node_handlers : ('a delivery -> unit) option array;
   clients : (int, 'a client_port) Hashtbl.t;
-  (* Under TCP, arrivals on a connection are FIFO: jitter must not
-     reorder messages of the same (src, dst) pair. *)
-  last_arrival : (Principal.t * Principal.t, Time.t) Hashtbl.t;
+  (* Latest arrival per client-to-client pair: the one pairing with
+     no port array (only test fakes send it). *)
+  last_client_to_client : (int, Time.t) Hashtbl.t;
   mutable delivered : int;
   mutable dropped : int;
   mutable bytes : int;
@@ -131,6 +140,7 @@ let create engine cfg =
       client_egress = Resource.create engine ~name:(Printf.sprintf "n%d->clients" i);
       client_ingress = Resource.create engine ~name:(Printf.sprintf "n%d<-clients" i);
       closed_until = Principal.Map.empty;
+      last_to_node = Array.make cfg.nodes Time.zero;
     }
   in
   {
@@ -140,7 +150,7 @@ let create engine cfg =
     node_ports = Array.init cfg.nodes make_ports;
     node_handlers = Array.make cfg.nodes None;
     clients = Hashtbl.create 32;
-    last_arrival = Hashtbl.create 256;
+    last_client_to_client = Hashtbl.create 8;
     delivered = 0;
     dropped = 0;
     bytes = 0;
@@ -157,14 +167,16 @@ let register_node t i handler =
   t.node_handlers.(i) <- Some handler
 
 let client_port t c =
-  match Hashtbl.find_opt t.clients c with
-  | Some port -> port
-  | None ->
+  match Hashtbl.find t.clients c with
+  | port -> port
+  | exception Not_found ->
     let port =
       {
         c_egress = Resource.create t.engine ~name:(Printf.sprintf "c%d->" c);
         c_ingress = Resource.create t.engine ~name:(Printf.sprintf "c%d<-" c);
         c_handler = None;
+        c_last_to_node = Array.make t.cfg.nodes Time.zero;
+        c_last_from_node = Array.make t.cfg.nodes Time.zero;
       }
     in
     Hashtbl.add t.clients c port;
@@ -233,6 +245,34 @@ let deliver_to t ~src ~dst =
      | None -> None
      | Some handler -> Some (port.c_ingress, handler))
 
+(* TCP FIFO per connection: the arrival instant of a message sent now
+   with [delay] is never earlier than the previous arrival of the same
+   (src, dst) pair. Records and returns it. *)
+let clamp_arrival slots i arrival =
+  let arrival = Time.max arrival slots.(i) in
+  slots.(i) <- arrival;
+  arrival
+
+let fifo_arrival t ~src ~dst arrival =
+  match (src, dst) with
+  | Principal.Node i, Principal.Node j ->
+    clamp_arrival t.node_ports.(i).last_to_node j arrival
+  | Principal.Node i, Principal.Client c ->
+    clamp_arrival (client_port t c).c_last_from_node i arrival
+  | Principal.Client c, Principal.Node j ->
+    clamp_arrival (client_port t c).c_last_to_node j arrival
+  | Principal.Client a, Principal.Client b ->
+    (* Client ids are non-negative and far below 2^31, so one int
+       names the pair without allocating a tuple. *)
+    let key = (a lsl 31) lor b in
+    let arrival =
+      match Hashtbl.find t.last_client_to_client key with
+      | prev -> Time.max arrival prev
+      | exception Not_found -> arrival
+    in
+    Hashtbl.replace t.last_client_to_client key arrival;
+    arrival
+
 (* Every dropped message: counted, metered per channel, and audited
    from the receiver's perspective ([node] is the destination, or -1
    for a client; [src] names the sender whose traffic was dropped). *)
@@ -258,17 +298,8 @@ let send_copy t ~src ~dst ~size ~corrupt ~extra_delay ~span ~span_tag payload =
         match t.cfg.transport with
         | Udp -> delay
         | Tcp ->
-          (* FIFO per connection: never arrive before the previous
-             message of the same pair. *)
-          let key = (src, dst) in
-          let arrival = Time.add (Engine.now t.engine) delay in
-          let arrival =
-            match Hashtbl.find_opt t.last_arrival key with
-            | Some prev when prev > arrival -> prev
-            | Some _ | None -> arrival
-          in
-          Hashtbl.replace t.last_arrival key arrival;
-          Time.sub arrival (Engine.now t.engine)
+          let now = Engine.now t.engine in
+          Time.sub (fifo_arrival t ~src ~dst (Time.add now delay)) now
       in
       let deliver () =
         match deliver_to t ~src ~dst with

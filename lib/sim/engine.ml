@@ -111,26 +111,18 @@ let release_choices t =
 
 let run ?until t =
   t.stopped <- false;
-  let continue = ref true in
-  while !continue && not t.stopped do
-    match Heap.peek_key t.queue with
-    | None -> continue := false
-    | Some key ->
-      let past_horizon =
-        match until with None -> false | Some horizon -> key > horizon
-      in
-      if past_horizon then continue := false
-      else begin
-        match Heap.pop t.queue with
-        | None -> continue := false
-        | Some (key, _, event) ->
-          t.clock <- key;
-          if not event.cancelled then begin
-            t.processed <- t.processed + 1;
-            event.cancelled <- true;
-            event.action ()
-          end
-      end
+  let horizon = match until with None -> max_int | Some horizon -> horizon in
+  let queue = t.queue in
+  while
+    (not t.stopped) && (not (Heap.is_empty queue)) && Heap.min_key queue <= horizon
+  do
+    t.clock <- Heap.min_key queue;
+    let event = Heap.pop_min queue in
+    if not event.cancelled then begin
+      t.processed <- t.processed + 1;
+      event.cancelled <- true;
+      event.action ()
+    end
   done;
   match until with
   | Some horizon when not t.stopped -> t.clock <- Time.max t.clock horizon

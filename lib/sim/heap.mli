@@ -1,4 +1,7 @@
-(** Binary min-heap keyed by [(time, sequence)].
+(** Binary min-heap keyed by [(time, sequence)], stored as structure
+    of arrays: unboxed [keys] and [seqs] int arrays beside a parallel
+    value array. Pushing and popping allocate nothing (the arrays
+    double when full, starting at 64 slots).
 
     The sequence number breaks ties between events scheduled for the
     same instant, guaranteeing FIFO order among simultaneous events and
@@ -11,9 +14,11 @@
     checker ({!Bftmc}): replaying a prefix of scheduling decisions must
     reconstruct the very same simulator state, which it only does if
     the heap never has freedom in which of two simultaneous events to
-    surface first. The order is property-tested (random same-key
-    pushes pop in push order) and pinned by a replay-digest regression
-    test in [test_sim.ml]. *)
+    surface first. The order is property-tested against a sorted-list
+    model (random interleaved pushes and pops, many equal keys, across
+    the growth boundaries) in [test_sim.ml], and pinned end to end by
+    the same-seed digest and state-count tests of the chaos explorer
+    and the model checker. *)
 
 type 'a t
 
@@ -26,13 +31,16 @@ val is_empty : 'a t -> bool
 val push : 'a t -> key:int -> seq:int -> 'a -> unit
 (** [push h ~key ~seq v] inserts [v] with priority [(key, seq)]. *)
 
-val pop : 'a t -> (int * int * 'a) option
-(** [pop h] removes and returns the minimum element, or [None] when the
-    heap is empty. The vacated slot in the backing array is overwritten
-    so the heap keeps no reference to the popped value. *)
+val min_key : 'a t -> int
+(** [min_key h] is the key of the minimum entry, without removing it.
+    @raise Invalid_argument if [h] is empty. *)
 
-val peek_key : 'a t -> int option
-(** [peek_key h] is the smallest key without removing it. *)
+val pop_min : 'a t -> 'a
+(** [pop_min h] removes the minimum entry and returns its value; read
+    its key with {!min_key} first. The vacated slot in the backing
+    array is overwritten so the heap keeps no reference to the popped
+    value.
+    @raise Invalid_argument if [h] is empty. *)
 
 val clear : 'a t -> unit
 (** [clear h] empties the heap and drops every value reference held by

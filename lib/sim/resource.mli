@@ -9,7 +9,14 @@
     occupies the server for its [cost] of virtual time. A job may
     {!charge} extra time while it runs (e.g. a handler that generates
     MACs for the messages it sends), pushing back every job queued
-    behind it. *)
+    behind it.
+
+    Submitting and serving a job allocate nothing beyond the engine's
+    event record: waiting jobs sit in a growable FIFO ring of parallel
+    cost, span and continuation arrays (allocated on the first job that
+    has to wait), every completion event runs the one closure the
+    resource made at creation, and a slot's continuation is cleared as
+    the job leaves the ring, so a finished job is not kept reachable. *)
 
 type t
 

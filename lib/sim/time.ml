@@ -12,8 +12,10 @@ let to_ms_f t = float_of_int t /. 1e6
 let to_us_f t = float_of_int t /. 1e3
 let add = ( + )
 let sub = ( - )
-let max = Stdlib.max
-let min = Stdlib.min
+(* Specialised to [int] so they compile to a compare and a branch
+   rather than a call into the polymorphic comparison. *)
+let max (a : t) b = if a >= b then a else b
+let min (a : t) b = if a <= b then a else b
 let mul_f t k = int_of_float (Float.round (float_of_int t *. k))
 
 let pp fmt t =

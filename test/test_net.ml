@@ -117,6 +117,43 @@ let test_net_fifo_per_link () =
     (List.init 50 (fun i -> i + 1))
     (List.rev !order)
 
+let test_net_fifo_all_pairings () =
+  (* The FIFO clamp must hold for every kind of connection, at the
+     default 20 us jitter (far above an 8 B message's serialization
+     gap, so unclamped arrivals would reorder): node -> node,
+     node -> client, client -> node and client -> client. The last has
+     no per-node port slot to keep its clock in, so it is the one a
+     naive per-node array breaks. *)
+  let e = Engine.create () in
+  let net = Network.create e (Network.default_config ~nodes:4) in
+  let got = Hashtbl.create 4 in
+  let record d =
+    let pair, i = d.Network.payload in
+    Hashtbl.replace got pair (i :: Option.value ~default:[] (Hashtbl.find_opt got pair))
+  in
+  Network.register_node net 1 record;
+  Network.register_client net 6 record;
+  let pairings =
+    [ ("node->node", Principal.node 0, Principal.node 1);
+      ("node->client", Principal.node 0, Principal.client 6);
+      ("client->node", Principal.client 5, Principal.node 1);
+      ("client->client", Principal.client 5, Principal.client 6) ]
+  in
+  let n = 200 in
+  for i = 1 to n do
+    List.iter
+      (fun (pair, src, dst) -> Network.send net ~src ~dst ~size:8 (pair, i))
+      pairings
+  done;
+  Engine.run e;
+  List.iter
+    (fun (pair, _, _) ->
+      Alcotest.(check (list int))
+        (pair ^ " arrives in send order")
+        (List.init n (fun i -> i + 1))
+        (List.rev (Option.value ~default:[] (Hashtbl.find_opt got pair))))
+    pairings
+
 let test_net_udp_can_reorder () =
   (* UDP keeps the raw jittered delays: with jitter far above the
      serialization gap, some inversion must appear. *)
@@ -319,6 +356,8 @@ let suites =
         Alcotest.test_case "TCP FIFO per connection" `Quick test_net_fifo_per_link;
         Alcotest.test_case "UDP may reorder" `Quick test_net_udp_can_reorder;
         Alcotest.test_case "FIFO clamp is per pair" `Quick test_net_tcp_fifo_independent_pairs;
+        Alcotest.test_case "FIFO holds for all four pairings" `Quick
+          test_net_fifo_all_pairings;
         Alcotest.test_case "bandwidth serialization" `Quick test_net_bandwidth_serialization;
         Alcotest.test_case "NIC separation isolates peers" `Quick
           test_net_separate_nics_isolate_peers;

@@ -101,31 +101,43 @@ let prop_rng_int_uniformish =
 (* Heap                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Pop every entry through the one pop API: read the key, then pop. *)
+let drain_heap h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else
+      let k = Heap.min_key h in
+      let v = Heap.pop_min h in
+      go ((k, v) :: acc)
+  in
+  go []
+
 let test_heap_order () =
   let h = Heap.create () in
   List.iteri (fun i k -> Heap.push h ~key:k ~seq:i k) [ 5; 3; 9; 1; 7; 3 ];
-  let rec drain acc =
-    match Heap.pop h with
-    | None -> List.rev acc
-    | Some (k, _, _) -> drain (k :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 3; 3; 5; 7; 9 ] (drain [])
+  Alcotest.(check (list int)) "sorted" [ 1; 3; 3; 5; 7; 9 ]
+    (List.map fst (drain_heap h))
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
   List.iteri (fun i v -> Heap.push h ~key:10 ~seq:i v) [ "a"; "b"; "c" ];
-  let rec drain acc =
-    match Heap.pop h with
-    | None -> List.rev acc
-    | Some (_, _, v) -> drain (v :: acc)
-  in
-  Alcotest.(check (list string)) "fifo" [ "a"; "b"; "c" ] (drain [])
+  Alcotest.(check (list string)) "fifo" [ "a"; "b"; "c" ]
+    (List.map snd (drain_heap h))
 
 let test_heap_empty () =
   let h = Heap.create () in
   check_bool "empty" true (Heap.is_empty h);
-  check_bool "pop none" true (Heap.pop h = None);
-  check_bool "peek none" true (Heap.peek_key h = None)
+  Alcotest.check_raises "pop_min on empty"
+    (Invalid_argument "Heap.pop_min: empty heap") (fun () -> Heap.pop_min h);
+  Alcotest.check_raises "min_key on empty"
+    (Invalid_argument "Heap.min_key: empty heap") (fun () ->
+      ignore (Heap.min_key h));
+  (* Emptied by pops rather than never filled: the same answers. *)
+  Heap.push h ~key:1 ~seq:0 ();
+  Heap.pop_min h;
+  check_bool "empty again" true (Heap.is_empty h);
+  Alcotest.check_raises "pop_min after draining"
+    (Invalid_argument "Heap.pop_min: empty heap") (fun () -> Heap.pop_min h)
 
 let test_heap_clear () =
   let h = Heap.create () in
@@ -146,9 +158,8 @@ let test_heap_drops_popped_references () =
     Heap.push h ~key:i ~seq:i v
   done;
   for i = 0 to (n / 2) - 1 do
-    (match Heap.pop h with
-    | Some (k, _, _) -> check_int "pop order" i k
-    | None -> Alcotest.fail "heap empty too early");
+    check_int "pop order" i (Heap.min_key h);
+    ignore (Heap.pop_min h);
     Gc.full_major ();
     check_bool
       (Printf.sprintf "popped value %d collected" i)
@@ -169,7 +180,7 @@ let test_heap_drops_popped_references () =
   done;
   (* The heap stays usable after the sweep. *)
   Heap.push h ~key:42 ~seq:0 (ref 42);
-  check_bool "usable after clear" true (Heap.peek_key h = Some 42)
+  check_int "usable after clear" 42 (Heap.min_key h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in key order"
@@ -177,12 +188,7 @@ let prop_heap_sorts =
     (fun keys ->
       let h = Heap.create () in
       List.iteri (fun i k -> Heap.push h ~key:k ~seq:i ()) keys;
-      let rec drain acc =
-        match Heap.pop h with
-        | None -> List.rev acc
-        | Some (k, _, ()) -> drain (k :: acc)
-      in
-      drain [] = List.sort compare keys)
+      List.map fst (drain_heap h) = List.sort compare keys)
 
 let prop_heap_tie_total_order =
   (* Keys drawn from {0..3} so almost every pop is a tie: the (key, seq)
@@ -193,15 +199,61 @@ let prop_heap_tie_total_order =
     (fun keys ->
       let h = Heap.create () in
       List.iteri (fun i k -> Heap.push h ~key:k ~seq:i (k, i)) keys;
-      let rec drain acc =
-        match Heap.pop h with
-        | None -> List.rev acc
-        | Some (_, _, v) -> drain (v :: acc)
-      in
-      drain []
+      List.map snd (drain_heap h)
       = List.stable_sort
           (fun (a, _) (b, _) -> compare a b)
           (List.mapi (fun i k -> (k, i)) keys))
+
+(* Model test: random interleavings of pushes and pops, checked step by
+   step against a list kept sorted by (key, seq). Keys come from {0..7}
+   so most comparisons are ties, and pushes outnumber pops three to one
+   so the heap crosses its 64 -> 128 -> 256 growth boundaries (and pops
+   across them). *)
+type heap_op = Push of int | Pop
+
+let prop_heap_matches_sorted_model =
+  let op_gen =
+    QCheck.Gen.(
+      frequency [ (3, map (fun k -> Push k) (int_bound 7)); (1, return Pop) ])
+  in
+  let print = function Push k -> Printf.sprintf "push %d" k | Pop -> "pop" in
+  QCheck.Test.make ~count:200
+    ~name:"interleaved push/pop_min matches a sorted-list model"
+    QCheck.(
+      make
+        ~print:Print.(list print)
+        ~shrink:Shrink.list
+        Gen.(list_size (int_range 0 1200) op_gen))
+    (fun ops ->
+      let h = Heap.create () in
+      let rec insert e = function
+        | [] -> [ e ]
+        | x :: rest as l -> if compare e x < 0 then e :: l else x :: insert e rest
+      in
+      let model = ref [] and seq = ref 0 and peak = ref 0 in
+      let ok =
+        List.for_all
+          (fun op ->
+            match op with
+            | Push key ->
+              incr seq;
+              (* The value names its (key, seq), so a pop shows which
+                 entry surfaced, not only its key. *)
+              Heap.push h ~key ~seq:!seq (key, !seq);
+              model := insert (key, !seq) !model;
+              peak := max !peak (Heap.size h);
+              Heap.size h = List.length !model
+            | Pop -> (
+              match !model with
+              | [] -> Heap.is_empty h
+              | (key, seq) :: rest ->
+                model := rest;
+                Heap.min_key h = key
+                && Heap.pop_min h = (key, seq)
+                && Heap.size h = List.length rest))
+          ops
+      in
+      ok && List.map snd (drain_heap h) = !model)
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                             *)
@@ -455,13 +507,15 @@ let prop_resource_completion_monotonic =
 (* The O(1) running-sum backlog must agree with the O(n) fold over the
    queue at every observable instant: before and after each submit,
    after partial runs that land mid-service, inside handlers (including
-   ones that [charge] extra work), and at drain. *)
+   ones that [charge] extra work), and at drain. Jobs arrive in bursts
+   of up to 12 between partial runs, so the waiting ring wraps around
+   its end and grows while wrapped (its first size is 8). *)
 let prop_resource_backlog_matches_fold =
   QCheck.Test.make ~name:"incremental backlog matches the fold reference"
     QCheck.(
       list_of_size
         Gen.(int_range 1 30)
-        (triple (int_range 0 500) (int_range 0 400) bool))
+        (quad (int_range 0 500) (int_range 0 400) bool (int_range 1 12)))
     (fun ops ->
       let e = Engine.create () in
       let r = Resource.create e ~name:"cpu" in
@@ -473,12 +527,14 @@ let prop_resource_backlog_matches_fold =
         then ok := false
       in
       List.iter
-        (fun (cost, advance, charges) ->
+        (fun (cost, advance, charges, burst) ->
           check ();
-          Resource.submit r ~cost:(Time.us cost) (fun () ->
-              if charges then Resource.charge r (Time.us 150);
-              check ());
-          check ();
+          for j = 1 to burst do
+            Resource.submit r ~cost:(Time.us (cost + j)) (fun () ->
+                if charges then Resource.charge r (Time.us 150);
+                check ());
+            check ()
+          done;
           Engine.run ~until:(Time.add (Engine.now e) (Time.us advance)) e;
           check ())
         ops;
@@ -489,6 +545,88 @@ let prop_resource_backlog_matches_fold =
       Engine.run e;
       check ();
       !ok && Resource.backlog r = Time.zero && Resource.depth r = 0)
+
+(* FIFO service across ring wrap-around and growth, against an exact
+   model. Job [j] starts at max (its submission, the previous job's
+   completion plus any [charge] its handler made) and completes [cost]
+   later. The script wraps the ring (head advanced, tail past the end)
+   and then makes it grow twice while wrapped; handlers charge as they
+   go. *)
+let test_resource_ring_wraps_and_grows () =
+  let e = Engine.create () in
+  let r = Resource.create e ~name:"cpu" in
+  let jobs = ref [] (* (id, submitted at, cost, charge), newest first *)
+  and done_at = ref [] in
+  let backlog_ok = ref true in
+  let next = ref 0 in
+  let submit ~cost ~charge =
+    let id = !next in
+    incr next;
+    jobs := (id, Engine.now e, cost, charge) :: !jobs;
+    Resource.submit r ~cost (fun () ->
+        if charge > Time.zero then Resource.charge r charge;
+        if Resource.backlog r <> Resource.backlog_fold r then backlog_ok := false;
+        done_at := (id, Engine.now e) :: !done_at)
+  in
+  let charge_of id = if id mod 5 = 2 then Time.us 700 else Time.zero in
+  let burst k =
+    for _ = 1 to k do
+      let id = !next in
+      submit ~cost:(Time.us (100 + (37 * id mod 250))) ~charge:(charge_of id)
+    done
+  in
+  burst 6;
+  (* 1 in service, 5 waiting in an 8-slot ring. *)
+  Engine.run ~until:(Time.us 900) e;
+  check_bool "head advanced" true (Resource.depth r < 5);
+  burst 6 (* fills the ring around its end *);
+  burst 12 (* grows it twice, the first time while wrapped *);
+  check_int "all queued behind the job in service" (!next - List.length !done_at - 1)
+    (Resource.depth r);
+  Engine.run ~until:(Time.us 2500) e;
+  burst 3;
+  Engine.run e;
+  let expected =
+    List.rev !jobs
+    |> List.fold_left
+         (fun (free, acc) (id, submitted, cost, charge) ->
+           let finish = Time.add (Time.max submitted free) cost in
+           (Time.add finish charge, (id, finish) :: acc))
+         (Time.zero, [])
+    |> snd |> List.rev
+  in
+  Alcotest.(check (list (pair int int)))
+    "FIFO completions at the model's instants" expected (List.rev !done_at);
+  check_bool "backlog matched the fold inside every handler" true !backlog_ok;
+  check_int "drained" 0 (Resource.depth r)
+
+(* A job's continuation must not outlive the job: neither the one that
+   went straight into service nor one that waited in the ring. *)
+let test_resource_drops_completed_continuations () =
+  let e = Engine.create () in
+  let r = Resource.create e ~name:"cpu" in
+  let n = 4 in
+  let weak = Weak.create n in
+  let ran = ref 0 in
+  for i = 0 to n - 1 do
+    let captured = ref i in
+    Weak.set weak i (Some captured);
+    Resource.submit r ~cost:(Time.us 10) (fun () -> ran := !ran + !captured)
+  done;
+  check_int "three waited in the ring" (n - 1) (Resource.depth r);
+  Engine.run e;
+  check_int "every job ran" (0 + 1 + 2 + 3) !ran;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    check_bool
+      (Printf.sprintf "continuation %d collected" i)
+      true
+      (Weak.get weak i = None)
+  done;
+  (* The resource itself stays live and usable. *)
+  Resource.submit r ~cost:(Time.us 10) (fun () -> incr ran);
+  Engine.run e;
+  check_int "usable afterwards" 7 !ran
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -520,7 +658,12 @@ let suites =
         Alcotest.test_case "pop/clear drop value references" `Quick
           test_heap_drops_popped_references;
       ]
-      @ qsuite [ prop_heap_sorts; prop_heap_tie_total_order ] );
+      @ qsuite
+          [
+            prop_heap_sorts;
+            prop_heap_tie_total_order;
+            prop_heap_matches_sorted_model;
+          ] );
     ( "sim.engine",
       [
         Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;
@@ -551,6 +694,10 @@ let suites =
         Alcotest.test_case "idle gap" `Quick test_resource_idle_gap;
         Alcotest.test_case "charge pushes back" `Quick test_resource_charge_pushes_back;
         Alcotest.test_case "accounting" `Quick test_resource_accounting;
+        Alcotest.test_case "FIFO across ring wrap and growth" `Quick
+          test_resource_ring_wraps_and_grows;
+        Alcotest.test_case "completed continuations are collectable" `Quick
+          test_resource_drops_completed_continuations;
       ]
       @ qsuite
           [
