@@ -25,6 +25,9 @@
 open Bftharness
 
 let micro_benchmarks () =
+  (* Every row runs against a probe of its own, with each switch off
+     unless the row turns it on. *)
+  let probe = Bftmetrics.Probe.create () in
   let open Bechamel in
   let payload_4k = String.make 4096 'x' in
   let keys = Bftcrypto.Keys.create ~master:"bench" in
@@ -175,7 +178,7 @@ let micro_benchmarks () =
                in
                replicas.(i) <-
                  Some
-                   (Pbftcore.Replica.create e cfg
+                   (Pbftcore.Replica.create ~probe e cfg
                       {
                         Pbftcore.Replica.send;
                         broadcast;
@@ -213,13 +216,13 @@ let micro_benchmarks () =
       tests
   in
   run_tests tests;
-  (* Audit-bus emission cost, mirroring a protocol call site: the event
-     record is only allocated behind the [Bus.active] guard, so the
-     disabled case is a ref read and a branch. The two tests bracket a
-     subscription, so they run outside the shared list. *)
+  (* Audit emission cost, mirroring a protocol call site: the event
+     record is only allocated behind the [Probe.audit] guard, so the
+     disabled case is a field read and a branch. The two tests bracket
+     a subscription, so they run outside the shared list. *)
   let emit_guarded () =
-    if Bftaudit.Bus.active () then
-      Bftaudit.Bus.emit
+    if Bftmetrics.Probe.audit probe then
+      Bftmetrics.Probe.emit probe
         {
           Bftaudit.Event.time = Dessim.Time.us 1;
           node = 1;
@@ -229,109 +232,89 @@ let micro_benchmarks () =
   in
   run_tests
     [ Test.make ~name:"audit-emit-disabled" (Staged.stage emit_guarded) ];
-  let token = Bftaudit.Bus.subscribe (fun _ -> ()) in
+  let unsubscribe = Bftmetrics.Probe.subscribe probe (fun _ -> ()) in
   run_tests
     [ Test.make ~name:"audit-emit-null-sink" (Staged.stage emit_guarded) ];
-  Bftaudit.Bus.unsubscribe token;
-  (* Metric-registry update cost, same discipline: the handle is
-     registered once outside the loop, the update site is guarded, so
-     the disabled case is a ref read and a branch and the enabled case
-     a field mutation — no allocation either way. *)
-  let was_active = Bftmetrics.Registry.active () in
-  Bftmetrics.Registry.disable ();
-  let bench_ctr =
-    Bftmetrics.Registry.counter Bftmetrics.Registry.default
-      "bench_micro_increments_total" ~help:"Micro-benchmark counter"
-      ~labels:[ ("site", "bench") ]
-  in
-  let bench_hist =
-    Bftmetrics.Registry.histogram Bftmetrics.Registry.default
-      "bench_micro_latency_seconds" ~help:"Micro-benchmark histogram"
-      ~labels:[ ("site", "bench") ]
-  in
+  unsubscribe ();
+  (* Metric update cost, same discipline: the handles are registered
+     once outside the loop, the update is guarded by the probe's
+     metrics switch, so the disabled case is a field read and a branch
+     and the enabled case a field mutation — no allocation either way.
+     The counter row is the crypto cost model's tally site. *)
+  let rm = Bftmetrics.Probe.replica_metrics probe ~node:1 ~instance:0 in
   let inc_guarded () =
-    if Bftmetrics.Registry.active () then
-      Bftmetrics.Registry.Counter.inc bench_ctr
+    Bftmetrics.Probe.crypto probe Bftmetrics.Probe.Mac_verify ~bytes:64
   in
-  let observe_guarded () =
-    if Bftmetrics.Registry.active () then
-      Bftmetrics.Hist.add bench_hist 1.2e-4
-  in
+  let observe_guarded () = Bftmetrics.Probe.batch_flushed probe rm ~size:12 in
   run_tests
     [ Test.make ~name:"metrics-counter-disabled" (Staged.stage inc_guarded) ];
-  Bftmetrics.Registry.enable ();
+  Bftmetrics.Probe.set_metrics probe true;
   run_tests
     [
       Test.make ~name:"metrics-counter-enabled" (Staged.stage inc_guarded);
       Test.make ~name:"metrics-hist-observe" (Staged.stage observe_guarded);
     ];
-  if not was_active then Bftmetrics.Registry.disable ();
-  (* Span-tracer hook cost at the two hot call sites: a [job] with no
-     parent (the common untraced case: one int compare, no ref read)
-     and a root-sampling check. Both must stay in the audit-emit
-     ballpark (< ~10 ns) for the hooks to be free when tracing is off. *)
-  let span_was_active = Bftspan.Tracer.active () in
-  Bftspan.Tracer.disable ();
+  Bftmetrics.Probe.set_metrics probe false;
+  (* Span hook cost at the two hot call sites: a [job] with no parent
+     (the common untraced case: one int compare) and a root-sampling
+     check. Both must stay in the audit-emit ballpark (< ~10 ns) for
+     the hooks to be free when tracing is off. *)
   let job_untraced () =
     ignore
-      (Bftspan.Tracer.job ~parent:(-1) ~tag:Bftspan.Tag.Crypto_verify ~node:1
+      (Bftmetrics.Probe.job probe ~parent:(-1) ~tag:Bftspan.Tag.Crypto_verify ~node:1
          ~instance:0 ~now:(Dessim.Time.us 1))
   in
   let root_guarded () =
-    if Bftspan.Tracer.sampled ~rid:7 then
-      ignore
-        (Bftspan.Tracer.root ~client:0 ~rid:7 ~node:(-1) ~instance:(-1)
-           ~tag:Bftspan.Tag.Client ~t0:(Dessim.Time.us 1))
+    ignore (Bftmetrics.Probe.request_root probe ~client:0 ~rid:7 (Dessim.Time.us 1))
   in
   run_tests
     [
       Test.make ~name:"span-job-disabled" (Staged.stage job_untraced);
       Test.make ~name:"span-root-disabled" (Staged.stage root_guarded);
     ];
-  if span_was_active then Bftspan.Tracer.enable ();
   (* Flight-recorder hook cost with no doctor attached: the recorder
-     rides Bus.subscribe and Registry.snapshot (covered above); what it
-     adds of its own is the tracer's close-hook dispatch in
-     [Tracer.finish], which must stay in the same < ~10 ns ballpark as
-     the other disabled hooks. *)
-  let close_hook_dispatch () =
-    match Bftspan.Tracer.close_hook () with
-    | Some _ -> ignore (Sys.opaque_identity 1)
-    | None -> ()
+     rides the probe's event subscription and Registry.snapshot
+     (covered above); what it adds of its own is the span-close
+     dispatch in [Probe.finish], which with no subscriber must stay in
+     the same < ~10 ns ballpark as the other disabled hooks. *)
+  Bftmetrics.Probe.enable_spans probe;
+  let closed_span =
+    Bftmetrics.Probe.request_root probe ~client:0 ~rid:7 (Dessim.Time.us 1)
+  in
+  Bftmetrics.Probe.disable_spans probe;
+  let close_dispatch () =
+    Bftmetrics.Probe.finish probe closed_span ~t1:(Dessim.Time.us 2)
   in
   run_tests
     [
       Test.make ~name:"doctor-span-close-disabled"
-        (Staged.stage close_hook_dispatch);
+        (Staged.stage close_dispatch);
     ];
-  (* Footprint-probe hook cost, same discipline as every other gate:
-     [note] on a registered probe is a ref read and a branch when
+  (* Footprint hook cost, same discipline as every other gate: [note]
+     on a registered footprint is a field read and a branch when
      capacity observability is off — it sits on the request-table
      insert path, so it must stay in the < ~5 ns disabled-hook
      ballpark. The enabled case is an int compare and one or two
      field mutations (peak tracking), no allocation. *)
-  let cap_was_active = Bftcap.Footprint.active () in
-  Bftcap.Footprint.disable ();
   let bench_tbl = Hashtbl.create 16 in
-  let bench_probe =
-    Bftcap.Footprint.register ~name:"bench.table" ~owner:"bench"
+  let bench_fp =
+    Bftmetrics.Probe.footprint probe ~name:"bench.table" ~owner:"bench"
       ~entries:(fun () -> Hashtbl.length bench_tbl)
       ~root:(fun () -> Some (Obj.repr bench_tbl))
       ()
   in
-  let note_guarded () = Bftcap.Footprint.note bench_probe in
+  let note_guarded () = Bftmetrics.Probe.note probe bench_fp in
   let active_check () =
-    if Bftcap.Footprint.active () then ignore (Sys.opaque_identity 0)
+    if Bftmetrics.Probe.footprints probe then ignore (Sys.opaque_identity 0)
   in
   run_tests
     [
       Test.make ~name:"cap-note-disabled" (Staged.stage note_guarded);
       Test.make ~name:"cap-active-disabled" (Staged.stage active_check);
     ];
-  Bftcap.Footprint.enable ();
+  Bftmetrics.Probe.set_footprints probe true;
   run_tests
-    [ Test.make ~name:"cap-note-enabled" (Staged.stage note_guarded) ];
-  if not cap_was_active then Bftcap.Footprint.disable ()
+    [ Test.make ~name:"cap-note-enabled" (Staged.stage note_guarded) ]
 
 let want only id = match only with [] -> true | ids -> List.mem id ids
 
@@ -340,6 +323,7 @@ let () =
   let skip_micro = ref false in
   let only_micro = ref false in
   let only = ref [] in
+  let audit = ref false in
   let metrics = ref None in
   let prom = ref None in
   let seeds = ref 0 in
@@ -360,7 +344,7 @@ let () =
       only := String.split_on_char ',' ids;
       parse rest
     | "--audit" :: rest ->
-      Audit.enabled := true;
+      audit := true;
       parse rest
     | "--metrics" :: path :: rest ->
       metrics := Some path;
@@ -389,12 +373,17 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let quick = !quick in
-  if !prom <> None then Bftmetrics.Registry.enable ();
+  (* One probe carries every experiment and report run of this
+     invocation; the profile times them. *)
+  let probe = Bftmetrics.Probe.create () in
+  let audit = Audit.create ~enabled:!audit probe in
+  let profile = Bftmetrics.Profile.create () in
+  if !prom <> None then Bftmetrics.Probe.set_metrics probe true;
   Printf.printf "RBFT reproduction benchmarks (%s mode)\n"
     (if quick then "quick" else "full");
   if !seeds > 0 then begin
     let t = Unix.gettimeofday () in
-    Report.print (Experiments.seed_sweep ~quick ~seeds:!seeds);
+    Report.print (Experiments.seed_sweep ~audit ~quick ~seeds:!seeds);
     Printf.printf "  (seed sweep took %.1fs)\n%!" (Unix.gettimeofday () -. t)
   end
   else if !scale <> None || !clients <> None then
@@ -407,21 +396,21 @@ let () =
       [
         ( "fig1/2/3+table1",
           [ "fig1"; "fig2"; "fig3"; "table1" ],
-          fun () -> Experiments.robustness_of_baselines ~quick );
-        ("fig7", [ "fig7a"; "fig7b" ], fun () -> Experiments.fig7 ~quick);
-        ("fig8/9", [ "fig8"; "fig9" ], fun () -> Experiments.fig8_9 ~quick);
-        ("fig10/11", [ "fig10"; "fig11" ], fun () -> Experiments.fig10_11 ~quick);
-        ("fig12", [ "fig12" ], fun () -> [ Experiments.fig12 ~quick ]);
+          fun () -> Experiments.robustness_of_baselines ~audit ~quick );
+        ("fig7", [ "fig7a"; "fig7b" ], fun () -> Experiments.fig7 ~audit ~quick);
+        ("fig8/9", [ "fig8"; "fig9" ], fun () -> Experiments.fig8_9 ~audit ~quick);
+        ("fig10/11", [ "fig10"; "fig11" ], fun () -> Experiments.fig10_11 ~audit ~quick);
+        ("fig12", [ "fig12" ], fun () -> [ Experiments.fig12 ~audit ~quick ]);
         ( "ablations",
           [ "ablation-ordering"; "ablation-viewchange"; "ablation-delta"; "ablation-recovery"; "ablation-closedloop" ],
-          fun () -> Experiments.ablations ~quick );
+          fun () -> Experiments.ablations ~audit ~quick );
       ]
     in
     List.iter
       (fun (label, ids, run) ->
         if List.exists (want !only) ids then begin
           let t = Unix.gettimeofday () in
-          let tables = Bftmetrics.Profile.time ("experiments:" ^ label) run in
+          let tables = Bftmetrics.Profile.time profile ("experiments:" ^ label) run in
           List.iter Report.print (List.filter (fun t -> want !only t.Report.id) tables);
           Printf.printf "  (%s took %.1fs)\n%!" label (Unix.gettimeofday () -. t)
         end)
@@ -430,30 +419,30 @@ let () =
   end;
   (* The last experiment's auditor must not see the micro-benchmarks'
      or the sweeps' fresh replicas and clients. *)
-  Audit.end_run ();
+  Audit.end_run audit;
   if (not !skip_micro) && !only = [] && !seeds = 0 && !scale = None
      && !clients = None
   then
-    Bftmetrics.Profile.time "micro-benchmarks" micro_benchmarks;
+    Bftmetrics.Profile.time profile "micro-benchmarks" micro_benchmarks;
   (match !metrics with
-   | Some path -> Perfreport.write ~quick ~path
+   | Some path -> Perfreport.write ~audit ~quick ~path
    | None -> ());
   (match !scale with
-   | Some path -> Perfreport.write_scale ~quick ~path
+   | Some path -> Perfreport.write_scale ~audit ~quick ~path
    | None -> ());
   (match !clients with
-   | Some path -> Perfreport.write_clients ~quick ~path
+   | Some path -> Perfreport.write_clients ~audit ~quick ~path
    | None -> ());
-  (match Audit.summary () with
+  (match Audit.summary audit with
    | Some s -> Printf.printf "Safety audit: %s\n%!" s
    | None -> ());
   (match !prom with
    | Some path ->
      Bftmetrics.Export.to_channel_or_file ~path
-       (Bftmetrics.Export.prometheus Bftmetrics.Registry.default);
+       (Bftmetrics.Export.prometheus (Bftmetrics.Probe.registry probe));
      if path <> "-" then Printf.printf "prometheus dump -> %s\n%!" path
    | None -> ());
-  if Bftmetrics.Profile.total () > 0.0 then begin
+  if Bftmetrics.Profile.total profile > 0.0 then begin
     print_endline "\n== Wall-clock profile ==";
-    Bftmetrics.Profile.print stdout
+    Bftmetrics.Profile.print profile stdout
   end

@@ -30,21 +30,21 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
     chrome audit metrics prom doctor cap cap_deep cap_chrome =
   (* Structured observability: a capture (for file export and the run
      digest) whenever any trace output is requested, a console printer
-     for [--trace -], and an online safety auditor for [--audit]. *)
+     for [--trace -], and an online safety auditor for [--audit], all
+     on the run's probe. *)
+  let probe = Bftmetrics.Probe.create () in
   let capture =
-    if trace <> None || chrome <> None then Some (Bftaudit.Capture.attach ())
+    if trace <> None || chrome <> None then Some (Bftaudit.Capture.attach probe)
     else None
   in
-  if trace = Some "-" then
-    ignore
-      (Bftaudit.Bus.subscribe (fun ev ->
-           print_endline (Bftaudit.Event.to_string ev)));
+  if trace = Some "-" then begin
+    let (_ : unit -> unit) =
+      Bftmetrics.Probe.subscribe probe (fun ev -> print_endline (Bftaudit.Event.to_string ev))
+    in
+    ()
+  end;
   let auditor =
-    if audit then begin
-      Bftaudit.Auditor.reset_declared ();
-      Some (Bftaudit.Auditor.attach ~n:((3 * f) + 1) ~f ())
-    end
-    else None
+    if audit then Some (Bftaudit.Auditor.attach ~probe ~n:((3 * f) + 1) ~f ()) else None
   in
   let ordering =
     match mode with
@@ -70,18 +70,18 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
   (* Metrics: enable the registry whenever an export was requested;
      [--metrics] additionally attaches the sim-time sampler so the CSV
      carries a time series rather than only end-of-run totals. *)
-  if metrics <> None || prom <> None then Bftmetrics.Registry.enable ();
+  if metrics <> None || prom <> None then Bftmetrics.Probe.set_metrics probe true;
   (* Capacity observability: turn on footprint peak tracking before
      the cluster exists so every probe sees the whole run; deep
      (reachable-words) measurement stays behind its own gate because
      it traverses the heap at snapshot time. *)
   let cap_on = cap || cap_deep || cap_chrome <> None in
   if cap_on then begin
-    Bftcap.Footprint.enable ();
-    if cap_deep then Bftcap.Footprint.set_deep true
+    Bftmetrics.Probe.set_footprints probe true;
+    if cap_deep then Bftmetrics.Probe.set_deep probe true
   end;
   let cluster =
-    Rbft.Cluster.create ~seed:(Int64.of_int seed) ~transport ~clients
+    Rbft.Cluster.create ~probe ~seed:(Int64.of_int seed) ~transport ~clients
       ~payload_size:payload params
   in
   let sampler =
@@ -89,7 +89,7 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
     | Some _ ->
       Some
         (Bftmetrics.Sampler.attach ~period:(Time.ms 100)
-           (Rbft.Cluster.engine cluster) Bftmetrics.Registry.default)
+           (Rbft.Cluster.engine cluster) (Bftmetrics.Probe.registry probe))
     | None -> None
   in
   (* The doctor attaches before the attack so the flight recorder sees
@@ -111,7 +111,7 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
       Some
         (Bftcap.Gcstats.create
            ~metrics:(metrics <> None || prom <> None)
-           ~window:256 ())
+           ~window:256 probe)
     else None
   in
   (match gcstats with
@@ -158,7 +158,7 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
    | Some g ->
      Bftcap.Gcstats.sample g ~now:(Engine.now (Rbft.Cluster.engine cluster));
      print_newline ();
-     print_string (Bftcap.Footprint.table ~deep:cap_deep ());
+     print_string (Bftcap.Footprint.table ~deep:cap_deep probe);
      Printf.printf "\nGC over the run (%d samples):\n"
        (Bftcap.Gcstats.sample_count g);
      List.iter
@@ -196,7 +196,7 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
   (match prom with
    | Some path ->
      Bftmetrics.Export.to_channel_or_file ~path
-       (Bftmetrics.Export.prometheus Bftmetrics.Registry.default);
+       (Bftmetrics.Export.prometheus (Bftmetrics.Probe.registry probe));
      if path <> "-" then Printf.printf "prometheus dump -> %s\n" path
    | None -> ());
   (match capture with
@@ -413,13 +413,13 @@ let trace_spans f clients rate seconds payload attack seed sample spans_out
     print_analysis ~slowest (Bftspan.Analyze.read_jsonl path)
   | None ->
     let sample = parse_sample sample in
-    Bftspan.Tracer.reset ();
-    Bftspan.Tracer.enable ~sample ();
+    let probe = Bftmetrics.Probe.create () in
+    Bftmetrics.Probe.enable_spans ~sample probe;
     let capture =
-      if chrome <> None then Some (Bftaudit.Capture.attach ()) else None
+      if chrome <> None then Some (Bftaudit.Capture.attach probe) else None
     in
     let cluster =
-      Rbft.Cluster.create ~seed:(Int64.of_int seed) ~transport:Bftnet.Network.Tcp
+      Rbft.Cluster.create ~probe ~seed:(Int64.of_int seed) ~transport:Bftnet.Network.Tcp
         ~clients ~payload_size:payload
         (Rbft.Params.default ~f)
     in
@@ -430,17 +430,17 @@ let trace_spans f clients rate seconds payload attack seed sample spans_out
      | other -> failwith ("unknown attack: " ^ other));
     Array.iter (fun c -> Rbft.Client.set_rate c rate) (Rbft.Cluster.clients cluster);
     Rbft.Cluster.run_for cluster (Time.of_sec_f seconds);
-    Bftspan.Tracer.disable ();
-    let spans = Bftspan.Tracer.to_array () in
+    Bftmetrics.Probe.disable_spans probe;
+    let spans = Bftmetrics.Probe.span_array probe in
     Printf.printf
       "traced %.1fs (attack %s, sampling 1/%d): %d requests executed\n\n" seconds
       attack sample
       (Rbft.Cluster.total_executed cluster);
     print_analysis ~slowest spans;
-    Printf.printf "\nspan digest: %s\n" (Bftspan.Tracer.digest ());
+    Printf.printf "\nspan digest: %s\n" (Bftspan.Tracer.digest probe);
     (match spans_out with
      | Some path ->
-       Bftspan.Tracer.write_jsonl path;
+       Bftspan.Tracer.write_jsonl probe path;
        Printf.printf "spans: %d -> %s\n" (Array.length spans) path
      | None -> ());
     (match chrome with
@@ -519,20 +519,20 @@ let trace_spans_cmd =
 (* ------------------------------------------------------------------ *)
 
 let run_experiment id quick audit =
-  Bftharness.Audit.enabled := audit;
+  let audit = Bftharness.Audit.create ~enabled:audit (Bftmetrics.Probe.create ()) in
   let tables =
     match id with
     | "fig1" | "fig2" | "fig3" | "table1" ->
-      Bftharness.Experiments.robustness_of_baselines ~quick
-    | "fig7" | "fig7a" | "fig7b" -> Bftharness.Experiments.fig7 ~quick
-    | "fig8" | "fig9" -> Bftharness.Experiments.fig8_9 ~quick
-    | "fig10" | "fig11" -> Bftharness.Experiments.fig10_11 ~quick
-    | "fig12" -> [ Bftharness.Experiments.fig12 ~quick ]
-    | "ablations" -> Bftharness.Experiments.ablations ~quick
+      Bftharness.Experiments.robustness_of_baselines ~audit ~quick
+    | "fig7" | "fig7a" | "fig7b" -> Bftharness.Experiments.fig7 ~audit ~quick
+    | "fig8" | "fig9" -> Bftharness.Experiments.fig8_9 ~audit ~quick
+    | "fig10" | "fig11" -> Bftharness.Experiments.fig10_11 ~audit ~quick
+    | "fig12" -> [ Bftharness.Experiments.fig12 ~audit ~quick ]
+    | "ablations" -> Bftharness.Experiments.ablations ~audit ~quick
     | other -> failwith ("unknown experiment: " ^ other)
   in
   List.iter Bftharness.Report.print tables;
-  match Bftharness.Audit.summary () with
+  match Bftharness.Audit.summary audit with
   | Some s -> Printf.printf "Safety audit: %s\n" s
   | None -> ()
 

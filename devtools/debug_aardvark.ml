@@ -2,12 +2,23 @@ open Dessim
 
 (* Every sweep point runs under the online safety auditor; a violation
    raises and kills the sweep, so completing it is a checked run. *)
+(* Structured timeline of the interesting control-plane events: this
+   sweep should be quiet (no instance changes, no closed NICs). *)
+let print_event ev =
+  match ev.Bftaudit.Event.kind with
+  | Bftaudit.Event.Instance_changed _ | Bftaudit.Event.Instance_change_vote _
+  | Bftaudit.Event.Nic_closed _ | Bftaudit.Event.Blacklisted _
+  | Bftaudit.Event.View_entered _ ->
+    Printf.printf "    event: %s\n%!" (Bftaudit.Event.to_string ev)
+  | _ -> ()
+
 let run ~f ~rate ~payload =
-  Bftaudit.Auditor.reset_declared ();
-  let auditor = Bftaudit.Auditor.attach ~n:((3 * f) + 1) ~f () in
+  let probe = Bftmetrics.Probe.create () in
+  let (_ : unit -> unit) = Bftmetrics.Probe.subscribe probe print_event in
+  let auditor = Bftaudit.Auditor.attach ~probe ~n:((3 * f) + 1) ~f () in
   let params = Rbft.Params.default ~f in
   let nc = 30 in
-  let cluster = Rbft.Cluster.create ~clients:nc ~payload_size:payload params in
+  let cluster = Rbft.Cluster.create ~probe ~clients:nc ~payload_size:payload params in
   Array.iter (fun c -> Rbft.Client.set_rate c (rate /. float_of_int nc)) (Rbft.Cluster.clients cluster);
   Rbft.Cluster.run_for cluster (Time.ms 1200);
   let rate = Rbft.Cluster.throughput_between cluster (Time.ms 400) (Time.ms 1200) in
@@ -15,16 +26,6 @@ let run ~f ~rate ~payload =
   Bftaudit.Auditor.detach auditor;
   (rate, checked)
 let () =
-  (* Structured timeline of the interesting control-plane events: this
-     sweep should be quiet (no instance changes, no closed NICs). *)
-  ignore
-    (Bftaudit.Bus.subscribe (fun ev ->
-         match ev.Bftaudit.Event.kind with
-         | Bftaudit.Event.Instance_changed _ | Bftaudit.Event.Instance_change_vote _
-         | Bftaudit.Event.Nic_closed _ | Bftaudit.Event.Blacklisted _
-         | Bftaudit.Event.View_entered _ ->
-           Printf.printf "    event: %s\n%!" (Bftaudit.Event.to_string ev)
-         | _ -> ()));
   List.iter (fun (f, payload, rates) ->
       List.iter (fun rate ->
           let achieved, checked = run ~f ~rate ~payload in

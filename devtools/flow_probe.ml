@@ -54,13 +54,12 @@ let () =
       adaptive_batching = !adaptive }
   in
   let clients = 20 in
-  Bftmetrics.Registry.reset Bftmetrics.Registry.default;
-  Bftmetrics.Registry.enable ();
-  Bftspan.Tracer.reset ();
-  Bftspan.Tracer.enable ~sample:8 ();
+  let probe = Bftmetrics.Probe.create () in
+  Bftmetrics.Probe.set_metrics probe true;
+  Bftmetrics.Probe.enable_spans ~sample:8 probe;
   let drops = Hashtbl.create 16 in
   let audit_tok =
-    Bftaudit.Bus.subscribe (fun (e : Bftaudit.Event.t) ->
+    Bftmetrics.Probe.subscribe probe (fun (e : Bftaudit.Event.t) ->
         match e.kind with
         | Bftaudit.Event.Nic_closed { peer; _ } ->
           Printf.printf "[%s] node %d closed NIC to %d\n"
@@ -77,7 +76,7 @@ let () =
             (1 + Option.value ~default:0 (Hashtbl.find_opt drops key))
         | _ -> ())
   in
-  let cluster = Rbft.Cluster.create ~clients ~payload_size:!payload params in
+  let cluster = Rbft.Cluster.create ~probe ~clients ~payload_size:!payload params in
   (match !attack with
    | "" -> ()
    | "worst1" -> Rbft.Attacks.worst_attack_1 cluster
@@ -134,14 +133,14 @@ let () =
              (List.map snd s.Bftmetrics.Registry.s_labels))
           v
       | _ -> ())
-    (Bftmetrics.Registry.snapshot Bftmetrics.Registry.default);
-  Bftaudit.Bus.unsubscribe audit_tok;
+    (Bftmetrics.Registry.snapshot (Bftmetrics.Probe.registry probe));
+  audit_tok ();
   Hashtbl.iter
     (fun (node, src, reason) c ->
       Printf.printf "  drops at node %d from %s (%s): %d\n" node src reason c)
     drops;
-  Bftspan.Tracer.disable ();
-  let summary = Bftspan.Analyze.summarize (Bftspan.Tracer.to_array ()) in
+  Bftmetrics.Probe.disable_spans probe;
+  let summary = Bftspan.Analyze.summarize (Bftmetrics.Probe.span_array probe) in
   Printf.printf "breakdown: committed %d e2e p50 %.3fms\n"
     summary.Bftspan.Analyze.committed summary.Bftspan.Analyze.total_p50_ms;
   List.iter

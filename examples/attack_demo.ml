@@ -41,12 +41,13 @@ let timeline_sink (ev : Bftaudit.Event.t) =
 
 let () =
   Printf.printf "== RBFT worst-attack-2 demo (f = 1, 8B requests) ==\n\n";
-  ignore (Bftaudit.Bus.subscribe timeline_sink);
-  let auditor = Bftaudit.Auditor.attach ~n:4 ~f:1 () in
+  let probe = Bftmetrics.Probe.create () in
+  let (_ : unit -> unit) = Bftmetrics.Probe.subscribe probe timeline_sink in
+  let auditor = Bftaudit.Auditor.attach ~probe ~n:4 ~f:1 () in
   (* Delta = 0.9 leaves the monitoring a clear noise margin; the smart
      primary will sit a whisker above it. *)
   let params = { (Rbft.Params.default ~f:1) with Rbft.Params.delta = 0.9 } in
-  let cluster = Rbft.Cluster.create ~clients:10 params in
+  let cluster = Rbft.Cluster.create ~probe ~clients:10 params in
   Array.iter (fun c -> Rbft.Client.set_rate c 3600.0) (Rbft.Cluster.clients cluster);
 
   Printf.printf "phase 1: fault-free warmup\n";

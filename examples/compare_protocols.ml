@@ -26,7 +26,7 @@ let run_one proto =
       match proto with Calibrate.Rbft_udp -> Bftnet.Network.Udp | _ -> Bftnet.Network.Tcp
     in
     let cluster =
-      Rbft.Cluster.create ~transport ~clients ~payload_size:payload (Rbft.Params.default ~f:1)
+      Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~transport ~clients ~payload_size:payload (Rbft.Params.default ~f:1)
     in
     Array.iter (fun c -> Rbft.Client.set_rate c rate) (Rbft.Cluster.clients cluster);
     Rbft.Cluster.run_for cluster duration;
@@ -38,7 +38,7 @@ let run_one proto =
     (tput, lat)
   | Calibrate.Aardvark ->
     let cluster =
-      Aardvark.Cluster.create ~clients ~payload_size:payload (Aardvark.Node.default_config ~f:1)
+      Aardvark.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~clients ~payload_size:payload (Aardvark.Node.default_config ~f:1)
     in
     Array.iter (fun c -> Aardvark.Client.set_rate c rate) (Aardvark.Cluster.clients cluster);
     Aardvark.Cluster.run_for cluster duration;
@@ -50,7 +50,7 @@ let run_one proto =
     (tput, lat)
   | Calibrate.Spinning ->
     let cluster =
-      Spinning.Cluster.create ~clients ~payload_size:payload (Spinning.Node.default_config ~f:1)
+      Spinning.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~clients ~payload_size:payload (Spinning.Node.default_config ~f:1)
     in
     Array.iter (fun c -> Spinning.Client.set_rate c rate) (Spinning.Cluster.clients cluster);
     Spinning.Cluster.run_for cluster duration;
@@ -62,7 +62,7 @@ let run_one proto =
     (tput, lat)
   | Calibrate.Prime ->
     let cfg = { (Prime.Node.default_config ~f:1) with Prime.Node.exec_cost = Time.us 1 } in
-    let cluster = Prime.Cluster.create ~clients ~payload_size:payload cfg in
+    let cluster = Prime.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~clients ~payload_size:payload cfg in
     Array.iter (fun c -> Prime.Client.set_rate c rate) (Prime.Cluster.clients cluster);
     Prime.Cluster.run_for cluster duration;
     let tput = Prime.Cluster.throughput_between cluster warm duration in

@@ -17,7 +17,7 @@ let () =
       delta = 0.5 (* keep the throughput check out of the way, as in the paper *);
     }
   in
-  let cluster = Rbft.Cluster.create ~clients:2 ~payload_size:4096 params in
+  let cluster = Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~clients:2 ~payload_size:4096 params in
 
   (* Sample every ordering latency observed by (correct) node 1. *)
   let count = ref 0 in

@@ -19,7 +19,7 @@ let () =
     incr next;
     Kvstore.service stores.(!next)
   in
-  let cluster = Rbft.Cluster.create ~service ~clients:1 params in
+  let cluster = Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~service ~clients:1 params in
   let client = Rbft.Cluster.client cluster 0 in
 
   (* The default client sends opaque payloads; for typed operations we

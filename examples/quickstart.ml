@@ -10,7 +10,7 @@ let () =
   Printf.printf "== RBFT quickstart: f = 1, counter service, 2 clients ==\n%!";
   let params = Rbft.Params.default ~f:1 in
   let cluster =
-    Rbft.Cluster.create
+    Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ())
       ~service:(fun () -> Bftapp.Counter.service (Bftapp.Counter.create ()))
       ~clients:2 ~payload_size:8 params
   in

@@ -3,7 +3,7 @@ open Bftcrypto
 open Bftnet
 open Bftapp
 open Pbftcore.Types
-module Spans = Bftspan.Tracer
+module Probe = Bftmetrics.Probe
 
 type msg =
   | Request of { desc : request_desc; sig_valid : bool }
@@ -33,6 +33,7 @@ type t = {
   engine : Engine.t;
   clock : Clock.t;  (* local periodic timers; skewable by the chaos engine *)
   net : msg Network.t;
+  probe : Probe.t;
   cfg : config;
   id : int;
   service : Service.t;
@@ -95,7 +96,7 @@ let send_from ?(span = -1) ?span_tag t thread ~dst m =
 let broadcast_nodes t thread m =
   let size = msg_size t m in
   Resource.charge thread
-    (Costmodel.authenticator_gen ~bytes:size ~count:(n_nodes t));
+    (Costmodel.authenticator_gen t.probe ~bytes:size ~count:(n_nodes t));
   for dst = 0 to n_nodes t - 1 do
     if dst <> t.id then begin
       Resource.charge thread (Costmodel.send ~bytes:(cost_bytes t m));
@@ -111,7 +112,7 @@ let reply_to ?(span = -1) t (id : request_id) result =
 (* Single-instance protocol: every audit event is instance 0; the
    ordering-phase events come from the shared Pbftcore.Replica. *)
 let audit t kind =
-  Bftaudit.Bus.emit
+  Probe.emit t.probe
     { Bftaudit.Event.time = Engine.now t.engine; node = t.id; instance = 0; kind }
 
 let execute_batch t descs =
@@ -122,12 +123,12 @@ let execute_batch t descs =
           Time.max exec_cost (t.service.Service.exec_cost desc.op)
         in
         let ospan =
-          if Spans.active () then
+          if Probe.spans t.probe then
             Pbftcore.Replica.take_span (replica t) ~id:desc.id
           else -1
         in
         let espan =
-          Spans.job ~parent:ospan ~tag:Bftspan.Tag.Execution ~node:t.id
+          Probe.job t.probe ~parent:ospan ~tag:Bftspan.Tag.Execution ~node:t.id
             ~instance:0 ~now:(Engine.now t.engine)
         in
         Resource.submit ~span:espan t.execution ~cost (fun () ->
@@ -137,7 +138,7 @@ let execute_batch t descs =
               Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id
                 ~instance:0 desc;
               Resource.charge t.execution
-                (Costmodel.mac_gen ~bytes:(String.length result + 16));
+                (Costmodel.mac_gen t.probe ~bytes:(String.length result + 16));
               reply_to ~span:espan t desc.id result
             end)
       end)
@@ -160,12 +161,12 @@ let make_replica t =
     execute_batch t descs
   in
   let on_view_change _v = Policy.on_view_start t.policy ~now:(Engine.now t.engine) in
-  Pbftcore.Replica.create ~clock:t.clock t.engine cfg
+  Pbftcore.Replica.create ~probe:t.probe ~clock:t.clock t.engine cfg
     { Pbftcore.Replica.send; broadcast; deliver; on_view_change }
 
 let submit_for_ordering t ~span (desc : request_desc) =
   let dspan =
-    Spans.job ~parent:span ~tag:Bftspan.Tag.Dispatch ~node:t.id ~instance:0
+    Probe.job t.probe ~parent:span ~tag:Bftspan.Tag.Dispatch ~node:t.id ~instance:0
       ~now:(Engine.now t.engine)
   in
   Resource.submit ~span:dspan t.ordering ~cost:(Time.ns 200) (fun () ->
@@ -177,12 +178,12 @@ let handle_request t ~span (desc : request_desc) ~sig_valid =
   | None when Request_id_table.mem t.sig_checked desc.id ->
     submit_for_ordering t ~span desc
   | None ->
-    if Bftaudit.Bus.active () then
+    if Probe.audit t.probe then
       audit t
         (Bftaudit.Event.Request_received
            { client = desc.id.client; rid = desc.id.rid; size = desc.op_size });
     Resource.charge t.verification
-      (Costmodel.sig_verify ~bytes:desc.op_size);
+      (Costmodel.sig_verify t.probe ~bytes:desc.op_size);
     if sig_valid then begin
       Request_id_table.replace t.sig_checked desc.id ();
       submit_for_ordering t ~span desc
@@ -193,7 +194,7 @@ let on_delivery t (d : msg Network.delivery) =
   let base =
     Time.add
       (Costmodel.recv ~bytes)
-      (Costmodel.mac_verify ~bytes:d.Network.size)
+      (Costmodel.mac_verify t.probe ~bytes:d.Network.size)
   in
   let from = Network.src_node d in
   let authentic =
@@ -208,7 +209,7 @@ let on_delivery t (d : msg Network.delivery) =
   match d.Network.payload with
   | Request { desc; sig_valid } ->
     let vspan =
-      Spans.job ~parent:d.Network.span ~tag:Bftspan.Tag.Crypto_verify ~node:t.id
+      Probe.job t.probe ~parent:d.Network.span ~tag:Bftspan.Tag.Crypto_verify ~node:t.id
         ~instance:0 ~now:(Engine.now t.engine)
     in
     Resource.submit ~span:vspan t.verification ~cost:base (fun () ->
@@ -256,6 +257,7 @@ let create engine net cfg ~id ~service =
       engine;
       clock = Clock.create engine;
       net;
+      probe = Network.probe net;
       cfg;
       id;
       service;
@@ -267,7 +269,7 @@ let create engine net cfg ~id ~service =
       faults = { track_required = false; attack_margin = 1.10 };
       sig_checked = Request_id_table.create 4096;
       executed = Request_id_table.create 4096;
-      ledger = Pbftcore.Ledger.create ();
+      ledger = Pbftcore.Ledger.create (Network.probe net);
       started = false;
     }
   in

@@ -1,6 +1,6 @@
 (** Online safety auditor.
 
-    Subscribes to {!Bus} and checks global safety invariants while a
+    Subscribes to a run's {!Bftmetrics.Probe} and checks global safety invariants while a
     simulation runs, across every node and protocol instance:
 
     - {b agreement}: no two correct nodes order different batch
@@ -19,30 +19,22 @@
 
     Nodes under adversarial control are excluded from the checks'
     conclusions (their votes still count, as they do in the real
-    protocol).  Attack installers register them with
-    {!declare_faulty}; violations raise {!Violation} with a readable
+    protocol).  Attack installers declare them on the run's probe
+    ({!Bftmetrics.Probe.declare_faulty}); violations raise {!Violation} with a readable
     report that includes the most recent bus events for context. *)
 
 open Dessim
 
 exception Violation of string
 
-type violation = { time : Time.t; invariant : string; detail : string }
+module Probe = Bftmetrics.Probe
+
+type violation = Probe.violation = { time : Time.t; invariant : string; detail : string }
 
 (* Attack installers (lib/core/attacks.ml, harness closures) run after
-   the auditor is attached, so Byzantine node ids are registered in a
-   global set every live auditor consults. *)
-let declared_faulty : (int, unit) Hashtbl.t = Hashtbl.create 8
-
-let declare_faulty ids = List.iter (fun i -> Hashtbl.replace declared_faulty i ()) ids
-let reset_declared () = Hashtbl.reset declared_faulty
-
-(* Observer slot for recorded violations (called before any raise).
-   Bftdoctor installs its auditor-violation trigger here while
-   attached; single slot, saved and restored by the installer. *)
-let violation_hook_ref : (violation -> unit) option ref = ref None
-let violation_hook () = !violation_hook_ref
-let set_violation_hook h = violation_hook_ref := h
+   the auditor is attached, so Byzantine node ids are declared on the
+   probe, which every auditor attached to it consults. *)
+let reset_declared () = Probe.reset_declared Probe.default
 
 (* Per-(node, client) execution log. Closed-loop clients execute in
    rid order so [contig] absorbs almost everything; the [extras] table
@@ -67,12 +59,13 @@ type t = {
   stable : (int * int, int * string) Hashtbl.t;
   executed : (int * int, client_log) Hashtbl.t; (* (node, client) *)
   ic_votes : (int, int) Hashtbl.t; (* node -> max cpi voted *)
-  mutable token : Bus.token option;
+  probe : Probe.t;
+  mutable detach : unit -> unit;
 }
 
 let is_correct t node =
   node >= 0 && not (Hashtbl.mem t.faulty node)
-  && not (Hashtbl.mem declared_faulty node)
+  && not (Probe.is_declared t.probe node)
 
 let recent_events t =
   let len = Array.length t.recent in
@@ -104,7 +97,7 @@ let violate t ~time ~invariant fmt =
     (fun detail ->
       let v = { time; invariant; detail } in
       t.violations <- v :: t.violations;
-      (match !violation_hook_ref with Some f -> f v | None -> ());
+      Probe.violation t.probe v;
       if t.raise_on_violation then raise (Violation (report t v)))
     fmt
 
@@ -217,7 +210,8 @@ let on_event t (ev : Event.t) =
       check_instance_change t ev ~cpi
   | _ -> ()
 
-let create ?(faulty = []) ?(raise_on_violation = true) ~n ~f () =
+(** Create an auditor and subscribe it to the probe's events. *)
+let attach ?(probe = Probe.default) ?(faulty = []) ?(raise_on_violation = true) ~n ~f () =
   let t =
     {
       n;
@@ -234,24 +228,17 @@ let create ?(faulty = []) ?(raise_on_violation = true) ~n ~f () =
       stable = Hashtbl.create 256;
       executed = Hashtbl.create 256;
       ic_votes = Hashtbl.create 8;
-      token = None;
+      probe;
+      detach = ignore;
     }
   in
   List.iter (fun i -> Hashtbl.replace t.faulty i ()) faulty;
-  t
-
-(** Create an auditor and subscribe it to the bus. *)
-let attach ?faulty ?raise_on_violation ~n ~f () =
-  let t = create ?faulty ?raise_on_violation ~n ~f () in
-  t.token <- Some (Bus.subscribe (on_event t));
+  t.detach <- Probe.subscribe probe (on_event t);
   t
 
 let detach t =
-  match t.token with
-  | Some tok ->
-    Bus.unsubscribe tok;
-    t.token <- None
-  | None -> ()
+  t.detach ();
+  t.detach <- ignore
 
 let events_checked t = t.checked
 let violations t = List.rev t.violations

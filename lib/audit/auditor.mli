@@ -1,6 +1,6 @@
 (** Online safety auditor.
 
-    Subscribes to {!Bus} and checks global safety invariants while a
+    Subscribes to a run's {!Bftmetrics.Probe} and checks global safety invariants while a
     simulation runs, across every node and protocol instance:
     agreement, no double execution, prepare quorum, checkpoint
     consistency, and instance-change quorum (see the implementation
@@ -8,49 +8,38 @@
 
     Nodes under adversarial control are excluded from the checks'
     conclusions (their votes still count, as they do in the real
-    protocol).  Attack installers register them with
-    {!declare_faulty}; violations raise {!Violation} with a readable
+    protocol).  Attack installers declare them on the run's probe
+    ({!Bftmetrics.Probe.declare_faulty}); violations raise {!Violation} with a readable
     report that includes the most recent bus events for context. *)
 
 open Dessim
 
 exception Violation of string
 
-type violation = { time : Time.t; invariant : string; detail : string }
-
-val declare_faulty : int list -> unit
-(** Register Byzantine node ids in a global set consulted by every
-    live auditor (attack installers run after the auditor attaches). *)
+type violation = Bftmetrics.Probe.violation = {
+  time : Time.t;
+  invariant : string;
+  detail : string;
+}
 
 val reset_declared : unit -> unit
-(** Clear the global faulty set; call between runs. *)
-
-val set_violation_hook : (violation -> unit) option -> unit
-(** Install an observer called for every violation any live auditor
-    records, before any raise. Single global slot (the doctor's
-    auditor-violation trigger); installers save {!violation_hook} and
-    restore it on detach. *)
-
-val violation_hook : unit -> (violation -> unit) option
-(** The currently installed observer. *)
+(** Clear {!Bftmetrics.Probe.default}'s declared-faulty set. Code that
+    owns its probe calls {!Bftmetrics.Probe.reset_declared}. *)
 
 type t
 
-val create :
-  ?faulty:int list -> ?raise_on_violation:bool -> n:int -> f:int -> unit -> t
-(** Standalone auditor (not subscribed); feed it with {!on_event}.
-    [raise_on_violation] defaults to [true]; when [false], violations
-    are only recorded and available via {!violations}. *)
-
 val attach :
+  ?probe:Bftmetrics.Probe.t ->
   ?faulty:int list -> ?raise_on_violation:bool -> n:int -> f:int -> unit -> t
-(** {!create} + subscribe to the bus. *)
+(** An auditor subscribed to [probe]'s events (default
+    {!Bftmetrics.Probe.default}). It also excludes the nodes declared
+    faulty on [probe] and reports every violation to the probe's
+    violation subscribers, before any raise. [raise_on_violation]
+    defaults to [true]; when [false], violations are only recorded and
+    available via {!violations}. *)
 
 val detach : t -> unit
-(** Unsubscribe from the bus; idempotent. *)
-
-val on_event : t -> Event.t -> unit
-(** Check one event (called by the bus subscription). *)
+(** Unsubscribe; idempotent. *)
 
 val events_checked : t -> int
 val violations : t -> violation list
@@ -63,7 +52,7 @@ val invariant_digest : violation list -> string
     still reproduces the original violation. *)
 
 val recent_events : t -> Event.t list
-(** The last few bus events seen, oldest first (context ring). *)
+(** The last few events seen, oldest first (context ring). *)
 
 val report : t -> violation -> string
 (** Multi-line human-readable report with recent-event context. *)

@@ -1,18 +1,15 @@
 (** Structured observability for the BFT simulations.
 
-    {!Bus} is a typed, zero-cost-when-disabled event bus fed by
-    instrumentation in every protocol layer (request flow, the
-    three-phase ordering pipeline per instance, view and instance
-    changes, monitoring verdicts, NIC/blacklist actions, checkpoints,
-    network drops).  {!Auditor} subscribes to it and checks global
-    safety invariants online; {!Capture} records events for JSONL /
-    Chrome trace export and computes a deterministic per-run SHA-256
-    trace digest; {!Metrics_bridge} derives {!Bftmetrics.Registry}
-    counters from the same stream. *)
+    A run's {!Bftmetrics.Probe} carries typed {!Event}s from every
+    protocol layer (request flow, the three-phase ordering pipeline per
+    instance, view and instance changes, monitoring verdicts,
+    NIC/blacklist actions, checkpoints, network drops) to its
+    subscribers. {!Auditor} subscribes and checks global safety
+    invariants online; {!Liveness} watches for stalls; {!Capture}
+    records events for JSONL / Chrome trace export and computes a
+    deterministic per-run SHA-256 trace digest. *)
 
 module Event = Event
-module Bus = Bus
 module Auditor = Auditor
 module Liveness = Liveness
 module Capture = Capture
-module Metrics_bridge = Metrics_bridge

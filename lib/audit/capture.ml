@@ -10,7 +10,7 @@ type t = {
   mutable events : Event.t list; (* newest first *)
   mutable count : int;
   mutable chain : string; (* raw 32-byte running digest *)
-  mutable token : Bus.token option;
+  mutable detach : unit -> unit;
 }
 
 let create () =
@@ -18,7 +18,7 @@ let create () =
     events = [];
     count = 0;
     chain = Bftcrypto.Sha256.digest_string "bftaudit-trace-v1";
-    token = None;
+    detach = ignore;
   }
 
 let record t ev =
@@ -26,50 +26,44 @@ let record t ev =
   t.count <- t.count + 1;
   t.chain <- Bftcrypto.Sha256.digest_string (t.chain ^ Event.to_json ev)
 
-(** Create a capture and subscribe it to the bus. *)
-let attach () =
+(** Create a capture and subscribe it to the probe's events. *)
+let attach probe =
   let t = create () in
-  t.token <- Some (Bus.subscribe (record t));
+  t.detach <- Bftmetrics.Probe.subscribe probe (record t);
   t
 
 let detach t =
-  match t.token with
-  | Some tok ->
-    Bus.unsubscribe tok;
-    t.token <- None
-  | None -> ()
+  t.detach ();
+  t.detach <- ignore
 
 let count t = t.count
 let events t = List.rev t.events
 let digest t = Bftcrypto.Sha256.to_hex t.chain
 
-let iter_events t f = List.iter f (events t)
 
 let write_jsonl t path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      iter_events t (fun ev ->
+      List.iter
+        (fun ev ->
           output_string oc (Event.to_json ev);
-          output_char oc '\n'))
+          output_char oc '\n')
+        (events t))
 
-(* Chrome's about:tracing / Perfetto "trace event" JSON: each bus
-   event becomes an instant event with pid = node and tid = instance,
-   so the timeline groups lanes per node and per protocol instance. *)
+(* Each event becomes a Chrome instant event with pid = node and
+   tid = instance, so the timeline groups lanes per node and per
+   protocol instance. *)
+let chrome_event (ev : Event.t) =
+  Bftmetrics.Chrome.Instant
+    {
+      name = Event.kind_name ev.kind;
+      ts = ev.time;
+      pid = ev.node;
+      tid = ev.instance;
+      args = Some (Event.args_json ev.kind);
+    }
+
 let write_chrome_trace t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc {|{"displayTimeUnit":"ms","traceEvents":[|};
-      let first = ref true in
-      iter_events t (fun ev ->
-          if !first then first := false else output_char oc ',';
-          Printf.fprintf oc
-            {|{"name":"%s","ph":"i","s":"t","ts":%.3f,"pid":%d,"tid":%d,"args":{%s}}|}
-            (Event.kind_name ev.Event.kind)
-            (Dessim.Time.to_us_f ev.Event.time)
-            ev.Event.node ev.Event.instance
-            (Event.args_json ev.Event.kind));
-      output_string oc "]}")
+  Bftmetrics.Chrome.write path (List.map chrome_event (events t))

@@ -8,28 +8,24 @@
 
 type t
 
-val create : unit -> t
-(** Standalone capture (not subscribed); feed it with {!record}. *)
-
-val record : t -> Event.t -> unit
-
-val attach : unit -> t
-(** {!create} + subscribe to the bus. *)
+val attach : Bftmetrics.Probe.t -> t
+(** A capture subscribed to the probe's events. *)
 
 val detach : t -> unit
-(** Unsubscribe from the bus; idempotent. *)
+(** Unsubscribe; idempotent. *)
 
 val count : t -> int
 val events : t -> Event.t list
 (** Captured events, oldest first. *)
-
-val iter_events : t -> (Event.t -> unit) -> unit
 
 val digest : t -> string
 (** Hex SHA-256 chained over every event's canonical JSON. *)
 
 val write_jsonl : t -> string -> unit
 (** One canonical JSON object per line, in event order. *)
+
+val chrome_event : Event.t -> Bftmetrics.Chrome.event
+(** One event as an instant on lane pid = node, tid = instance. *)
 
 val write_chrome_trace : t -> string -> unit
 (** Chrome about:tracing / Perfetto JSON; lanes are grouped with

@@ -7,7 +7,7 @@ type t = {
   changes : (int, int) Hashtbl.t;
   mutable vote_events : int;
   mutable change_events : int;
-  mutable token : Bus.token option;
+  mutable detach : unit -> unit;
 }
 
 let create () =
@@ -16,7 +16,7 @@ let create () =
     changes = Hashtbl.create 8;
     vote_events = 0;
     change_events = 0;
-    token = None;
+    detach = ignore;
   }
 
 let on_event t (ev : Event.t) =
@@ -31,17 +31,14 @@ let on_event t (ev : Event.t) =
     if cpi > prev then Hashtbl.replace t.changes ev.node cpi
   | _ -> ()
 
-let attach () =
+let attach probe =
   let t = create () in
-  t.token <- Some (Bus.subscribe (on_event t));
+  t.detach <- Bftmetrics.Probe.subscribe probe (on_event t);
   t
 
 let detach t =
-  match t.token with
-  | Some tok ->
-    Bus.unsubscribe tok;
-    t.token <- None
-  | None -> ()
+  t.detach ();
+  t.detach <- ignore
 
 let vote_events t = t.vote_events
 let change_events t = t.change_events

@@ -26,11 +26,11 @@ type t
 val create : unit -> t
 (** Standalone monitor (not subscribed); feed it with {!on_event}. *)
 
-val attach : unit -> t
-(** {!create} + subscribe to the bus. *)
+val attach : Bftmetrics.Probe.t -> t
+(** {!create} + subscribe to the probe's events. *)
 
 val detach : t -> unit
-(** Unsubscribe from the bus; idempotent. *)
+(** Unsubscribe; idempotent. *)
 
 val on_event : t -> Event.t -> unit
 

@@ -1,6 +1,5 @@
-(** Memory & capacity observability: per-structure footprint probes
-    and GC/heap telemetry. Zero-cost when disabled, like the audit
-    bus, the metrics registry and the span tracer. *)
+(** Memory & capacity observability: per-structure footprint read-outs
+    over a run's {!Bftmetrics.Probe}, and GC/heap telemetry. *)
 
 module Footprint = Footprint
 module Gcstats = Gcstats

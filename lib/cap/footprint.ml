@@ -1,72 +1,14 @@
-(* Per-structure footprint probes. See footprint.mli. *)
+(* Per-structure footprint probes, read back from a run's probe. See
+   footprint.mli. *)
 
-type t = {
-  p_name : string;
-  p_owner : string;
-  p_parent : string option;
-  mutable p_entries : unit -> int;
-  mutable p_root : unit -> Obj.t option;
-  mutable p_peak : int;
-}
+module Probe = Bftmetrics.Probe
 
-let enabled = ref false
-let active () = !enabled
-let enable () = enabled := true
-let disable () = enabled := false
+type t = Probe.footprint
 
-let deep_enabled = ref false
-let deep () = !deep_enabled
-let set_deep b = deep_enabled := b
-
-let probes : t list ref = ref []
-
-let find_opt ~name ~owner =
-  List.find_opt (fun p -> p.p_name = name && p.p_owner = owner) !probes
+let peak (p : t) = p.fp_peak
+let observe_peaks probe = List.iter Probe.observe (Probe.footprint_list probe)
 
 let word_bytes = Sys.word_size / 8
-
-let register ?(owner = "global") ?parent ~name ~entries ~root () =
-  let p =
-    match find_opt ~name ~owner with
-    | Some p ->
-      (* Rebind, like Registry.gauge_fn: a fresh component takes over
-         the series; the peak restarts with it. *)
-      p.p_entries <- entries;
-      p.p_root <- root;
-      p.p_peak <- 0;
-      p
-    | None ->
-      let p =
-        { p_name = name; p_owner = owner; p_parent = parent;
-          p_entries = entries; p_root = root; p_peak = 0 }
-      in
-      probes := !probes @ [ p ];
-      p
-  in
-  Bftmetrics.Registry.gauge_fn Bftmetrics.Registry.default
-    ~help:"Live entry count of an instrumented structure"
-    "bft_footprint_entries"
-    ~labels:[ ("structure", name); ("owner", owner) ]
-    (fun () -> float_of_int (p.p_entries ()));
-  p
-
-let note p =
-  if !enabled then begin
-    let e = p.p_entries () in
-    if e > p.p_peak then p.p_peak <- e
-  end
-
-let entries p = p.p_entries ()
-let peak p = p.p_peak
-
-let observe_peaks () =
-  List.iter
-    (fun p ->
-      let e = p.p_entries () in
-      if e > p.p_peak then p.p_peak <- e)
-    !probes
-
-let clear () = probes := []
 
 type row = {
   r_name : string;
@@ -76,37 +18,36 @@ type row = {
   r_bytes : int;
 }
 
-let reachable p =
-  match p.p_root () with
+let reachable (p : t) =
+  match p.fp_root () with
   | Some o -> Obj.reachable_words o * word_bytes
   | None -> 0
 
-let snapshot ?deep () =
-  let deep = match deep with Some d -> d | None -> !deep_enabled in
+let snapshot ?deep probe =
+  let deep = match deep with Some d -> d | None -> Probe.deep probe in
   let raw =
     List.map
-      (fun p ->
-        let e = p.p_entries () in
-        if e > p.p_peak then p.p_peak <- e;
-        (p, e, if deep then reachable p else 0))
-      !probes
+      (fun (p : t) ->
+        Probe.observe p;
+        (p, p.fp_entries (), if deep then reachable p else 0))
+      (Probe.footprint_list probe)
   in
   let rows =
     List.map
-      (fun (p, e, bytes) ->
+      (fun ((p : t), e, bytes) ->
         (* Exclusive bytes: subtract children reachable from this
            probe's root so nested probes sum without double-count. *)
         let child_bytes =
           List.fold_left
-            (fun acc (c, _, cb) ->
-              if c.p_parent = Some p.p_name then acc + cb else acc)
+            (fun acc ((c : t), _, cb) ->
+              if c.fp_parent = Some p.fp_name then acc + cb else acc)
             0 raw
         in
         {
-          r_name = p.p_name;
-          r_owner = p.p_owner;
+          r_name = p.fp_name;
+          r_owner = p.fp_owner;
           r_entries = e;
-          r_peak = p.p_peak;
+          r_peak = p.fp_peak;
           r_bytes = (if deep then max 0 (bytes - child_bytes) else 0);
         })
       raw
@@ -124,8 +65,8 @@ let snapshot ?deep () =
       | c -> c)
     rows
 
-let table ?deep () =
-  let rows = snapshot ?deep () in
+let table ?deep probe =
+  let rows = snapshot ?deep probe in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf "%-28s %-12s %10s %10s %12s\n" "structure" "owner"
@@ -138,6 +79,6 @@ let table ?deep () =
     rows;
   Buffer.contents buf
 
-let peak_entries () =
-  List.map (fun p -> (p.p_name ^ "/" ^ p.p_owner, p.p_peak)) !probes
+let peak_entries probe =
+  List.map (fun (p : t) -> (p.fp_name ^ "/" ^ p.fp_owner, p.fp_peak)) (Probe.footprint_list probe)
   |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -15,6 +15,7 @@ type sample = {
 }
 
 type t = {
+  probe : Bftmetrics.Probe.t;
   read_stat : unit -> Gc.stat;
   base : Gc.stat;
   window : sample option array;
@@ -38,7 +39,7 @@ let sample_of_stat ~now (st : Gc.stat) =
   }
 
 let register_metrics t =
-  let reg = Bftmetrics.Registry.default in
+  let reg = Bftmetrics.Probe.registry t.probe in
   let g name help f =
     Bftmetrics.Registry.gauge_fn reg ~help name ~labels:[] f
   in
@@ -55,9 +56,10 @@ let register_metrics t =
   g "bft_gc_live_words" "Live words as of the last major GC"
     (fun () -> float_of_int (t.read_stat ()).Gc.live_words)
 
-let create ?(read_stat = Gc.quick_stat) ?(window = 64) ?(metrics = false) () =
+let create ?(read_stat = Gc.quick_stat) ?(window = 64) ?(metrics = false) probe =
   let t =
     {
+      probe;
       read_stat;
       base = read_stat ();
       window = Array.make (max 2 window) None;
@@ -71,12 +73,12 @@ let create ?(read_stat = Gc.quick_stat) ?(window = 64) ?(metrics = false) () =
   t
 
 let sample t ~now =
-  Footprint.observe_peaks ();
+  Footprint.observe_peaks t.probe;
   let st = t.read_stat () in
   let s =
     { (sample_of_stat ~now st) with
       s_entries =
-        Footprint.snapshot ~deep:false ()
+        Footprint.snapshot ~deep:false t.probe
         |> List.map (fun r ->
                (r.Footprint.r_name ^ "/" ^ r.Footprint.r_owner,
                 r.Footprint.r_entries))
@@ -177,21 +179,4 @@ let counter_series t =
   ]
 
 let write_chrome_counters t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc {|{"displayTimeUnit":"ms","traceEvents":[|};
-      let first = ref true in
-      let sep () = if !first then first := false else output_char oc ',' in
-      List.iter
-        (fun (name, points) ->
-          List.iter
-            (fun (at, v) ->
-              sep ();
-              Printf.fprintf oc
-                {|{"name":"%s","ph":"C","ts":%.3f,"pid":0,"tid":0,"args":{"value":%.0f}}|}
-                name (Time.to_us_f at) v)
-            points)
-        (counter_series t);
-      output_string oc "]}")
+  Bftmetrics.Chrome.write path (Bftmetrics.Chrome.counters (counter_series t))

@@ -34,10 +34,11 @@ type sample = {
 type t
 
 val create :
-  ?read_stat:(unit -> Gc.stat) -> ?window:int -> ?metrics:bool -> unit -> t
-(** [window] bounds the sample ring (default 64). [metrics] (default
-    false) registers the [bft_gc_*] callback gauges in the default
-    registry. *)
+  ?read_stat:(unit -> Gc.stat) -> ?window:int -> ?metrics:bool -> Bftmetrics.Probe.t -> t
+(** Telemetry over the process heap, reading the footprints of
+    [probe]. [window] bounds the sample ring (default 64). [metrics]
+    (default false) registers the [bft_gc_*] callback gauges in the
+    probe's registry. *)
 
 val sample : t -> now:Time.t -> unit
 (** Take one sample: read the stat, capture probe entries, fold
@@ -73,10 +74,6 @@ type growth = {
 
 val growth : t -> growth option
 (** [None] until the window holds two samples spanning nonzero time. *)
-
-val counter_series : t -> (string * (Time.t * float) list) list
-(** Named counter series over the window (live words, heap words,
-    minor collections …) for Chrome-trace "C" events. *)
 
 val write_chrome_counters : t -> string -> unit
 (** Write the window as a standalone Chrome trace_event JSON file of

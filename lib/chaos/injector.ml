@@ -3,6 +3,7 @@ open Bftcrypto
 
 type hooks = {
   engine : Engine.t;
+  probe : Bftmetrics.Probe.t;
   n : int;
   set_fault_hook : Bftnet.Network.fault_hook option -> unit;
   set_cpu_factor : node:int -> float -> unit;
@@ -24,14 +25,10 @@ type t = {
 }
 
 let log t message =
-  if Bftaudit.Bus.active () then
-    Bftaudit.Bus.emit
-      {
-        Bftaudit.Event.time = Engine.now t.hooks.engine;
-        node = -1;
-        instance = -1;
-        kind = Bftaudit.Event.Log { level = "info"; component = "chaos"; message };
-      }
+  if Bftmetrics.Probe.audit t.hooks.probe then
+    Bftmetrics.Probe.emit_at t.hooks.probe (Engine.now t.hooks.engine) ~node:(-1)
+      ~instance:(-1)
+      (Log { level = "info"; component = "chaos"; message })
 
 (* A node id for fault matching: clients map to -1, which no node
    filter matches but the [None] wildcard does. *)

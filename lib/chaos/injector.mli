@@ -15,6 +15,7 @@ open Dessim
 
 type hooks = {
   engine : Engine.t;
+  probe : Bftmetrics.Probe.t;  (** where fault logs are reported *)
   n : int;  (** number of nodes *)
   set_fault_hook : Bftnet.Network.fault_hook option -> unit;
   set_cpu_factor : node:int -> float -> unit;

@@ -32,6 +32,7 @@ let sys (type c) (module S : Pbftcore.Cluster_core.STACK with type Cluster.t = c
     hooks =
       {
         Injector.engine = S.Cluster.engine cluster;
+        probe = S.Cluster.probe cluster;
         n = (3 * f) + 1;
         set_fault_hook = Bftnet.Network.set_fault_hook (S.Cluster.network cluster);
         set_cpu_factor = (fun ~node:i k -> S.Node.set_cpu_factor (node i) k);
@@ -47,7 +48,7 @@ let sys (type c) (module S : Pbftcore.Cluster_core.STACK with type Cluster.t = c
     context;
   }
 
-let build (s : Scenario.t) =
+let build ~probe (s : Scenario.t) =
   let f = s.Scenario.f and seed = s.Scenario.seed in
   let clients = s.Scenario.workload.Scenario.clients
   and payload_size = s.Scenario.workload.Scenario.payload in
@@ -63,7 +64,7 @@ let build (s : Scenario.t) =
            | None -> None);
       }
     in
-    let cluster = Rbft.Cluster.create ~seed ~transport ~clients ~payload_size params in
+    let cluster = Rbft.Cluster.create ~probe ~seed ~transport ~clients ~payload_size params in
     sys (module Rbft) cluster ~f ~describe:(Rbft.Cluster.describe cluster)
       ~context:
         (Some
@@ -81,17 +82,17 @@ let build (s : Scenario.t) =
        scenario; the compressed times let the protocol react within
        the run. *)
     sys (module Aardvark)
-      (Aardvark.Cluster.create ~seed ~clients ~payload_size
+      (Aardvark.Cluster.create ~probe ~seed ~clients ~payload_size
          (Aardvark.Node.simulation_config ~f))
       ~f ~describe:(baseline "aardvark") ~context:None
   | Scenario.Spinning ->
     sys (module Spinning)
-      (Spinning.Cluster.create ~seed ~clients ~payload_size
+      (Spinning.Cluster.create ~probe ~seed ~clients ~payload_size
          (Spinning.Node.default_config ~f))
       ~f ~describe:(baseline "spinning") ~context:None
   | Scenario.Prime ->
     sys (module Prime)
-      (Prime.Cluster.create ~seed ~clients ~payload_size (Prime.Node.default_config ~f))
+      (Prime.Cluster.create ~probe ~seed ~clients ~payload_size (Prime.Node.default_config ~f))
       ~f ~describe:(baseline "prime") ~context:None
 
 (* Triggers for chaos runs: dump on any safety-relevant edge, and on a
@@ -111,16 +112,16 @@ let doctor_triggers =
       ~cooldown:(Time.sec 2);
   ]
 
-let run ?(capture = false) ?doctor_dir (s : Scenario.t) =
+let run ?(probe = Bftmetrics.Probe.create ()) ?(capture = false) ?doctor_dir
+    (s : Scenario.t) =
   (* Chaos faults are benign (crash, partition, message-level chaos):
      no node is Byzantine, so the auditor checks all of them. *)
-  Bftaudit.Auditor.reset_declared ();
   let auditor =
-    Bftaudit.Auditor.attach ~raise_on_violation:false ~n:((3 * s.Scenario.f) + 1)
+    Bftaudit.Auditor.attach ~probe ~raise_on_violation:false ~n:((3 * s.Scenario.f) + 1)
       ~f:s.Scenario.f ()
   in
-  let cap = if capture then Some (Bftaudit.Capture.attach ()) else None in
-  let sys = build s in
+  let cap = if capture then Some (Bftaudit.Capture.attach probe) else None in
+  let sys = build ~probe s in
   let doctor =
     match doctor_dir with
     | None -> None
@@ -132,7 +133,7 @@ let run ?(capture = false) ?doctor_dir (s : Scenario.t) =
           ~scenario:(Some (Scenario.to_string s))
           ~triggers:doctor_triggers ()
       in
-      Some (Bftdoctor.Doctor.attach config sys.hooks.Injector.engine)
+      Some (Bftdoctor.Doctor.attach config probe sys.hooks.Injector.engine)
   in
   let injector = Injector.install sys.hooks ~seed:s.Scenario.seed s.Scenario.faults in
   sys.set_rates s.Scenario.workload.Scenario.rate;

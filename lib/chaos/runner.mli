@@ -29,8 +29,10 @@ type result = {
       (** bundles dumped by the doctor when [doctor_dir] was given *)
 }
 
-val run : ?capture:bool -> ?doctor_dir:string -> Scenario.t -> result
-(** [capture] defaults to [false]. With [doctor_dir], a
+val run :
+  ?probe:Bftmetrics.Probe.t -> ?capture:bool -> ?doctor_dir:string -> Scenario.t -> result
+(** The run reports to [probe] (default: a fresh one). [capture]
+    defaults to [false]. With [doctor_dir], a
     {!Bftdoctor.Doctor} rides along (instance-change,
     auditor-violation and liveness-stall triggers) and writes incident
     bundles under that directory; a run that fails the oracles without

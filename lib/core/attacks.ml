@@ -15,7 +15,7 @@ let worst_attack_1 cluster =
   let n = Params.n params and f = params.Params.f in
   let master_primary_node = Params.primary_of params ~instance:Params.master_instance ~view:0 in
   let faulty_nodes = List.init f (fun i -> n - 1 - i) in
-  Bftaudit.Auditor.declare_faulty faulty_nodes;
+  Bftmetrics.Probe.declare_faulty (Cluster.probe cluster) faulty_nodes;
   (* (i) clients: authenticator broken for the master-primary node. *)
   for_all_clients cluster (fun c ->
       (Client.behaviour c).Client.mac_invalid_for <- [ master_primary_node ]);
@@ -35,7 +35,7 @@ let worst_attack_1 cluster =
     faulty_nodes
 
 let install_delta_tracker cluster ~node ~instance ~margin =
-  Bftaudit.Auditor.declare_faulty [ node ];
+  Bftmetrics.Probe.declare_faulty (Cluster.probe cluster) [ node ];
   let engine = Cluster.engine cluster in
   let params = Cluster.params cluster in
   let the_node = Cluster.node cluster node in
@@ -83,7 +83,7 @@ let worst_attack_2 cluster =
   let faulty_nodes =
     master_primary_node :: List.init (f - 1) (fun i -> (master_primary_node + n - 1 - i) mod n)
   in
-  Bftaudit.Auditor.declare_faulty faulty_nodes;
+  Bftmetrics.Probe.declare_faulty (Cluster.probe cluster) faulty_nodes;
   List.iter
     (fun id ->
       let node = Cluster.node cluster id in
@@ -109,7 +109,7 @@ let worst_attack_2 cluster =
     ~instance:Params.master_instance ~margin:0.035
 
 let unfair_primary cluster ~node ~target_client ~after_requests ~hold =
-  Bftaudit.Auditor.declare_faulty [ node ];
+  Bftmetrics.Probe.declare_faulty (Cluster.probe cluster) [ node ];
   let the_node = Cluster.node cluster node in
   let replica = Node.replica the_node ~instance:Params.master_instance in
   (Pbftcore.Replica.adversary replica).Pbftcore.Replica.client_hold <-

@@ -156,7 +156,7 @@ let on_busy (t : t) (id : request_id) ~from ~retry_after =
         (* Attribute the idle wait to its own tag so the latency
            breakdown shows backoff instead of blaming net transit. *)
         ignore
-          (Bftspan.Tracer.span ~parent:p.span ~tag:Bftspan.Tag.Backoff ~node:(-1)
+          (Bftmetrics.Probe.span (Network.probe t.net) ~parent:p.span ~tag:Backoff ~node:(-1)
              ~instance:(-1) ~t0:now ~t1:(Time.add now delay));
         ignore
           (Engine.after t.engine delay (fun () ->

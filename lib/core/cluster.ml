@@ -32,7 +32,7 @@ end)
 
 let params = config
 
-let create ?(seed = 42L) ?(transport = Bftnet.Network.Tcp) ?net_config
+let create ?probe ?(seed = 42L) ?(transport = Bftnet.Network.Tcp) ?net_config
     ?(service = fun () -> Null_service.create ()) ?clients:(n_clients = 0)
     ?(payload_size = 8) params =
   let net_config =
@@ -40,30 +40,31 @@ let create ?(seed = 42L) ?(transport = Bftnet.Network.Tcp) ?net_config
     | Some cfg -> cfg
     | None -> { (Bftnet.Network.default_config ~nodes:(Params.n params)) with transport }
   in
-  let t = assemble ~seed ~net_config ~service ~clients:n_clients ~payload_size params in
+  let t = assemble ?probe ~seed ~net_config ~service ~clients:n_clients ~payload_size params in
   let engine = engine t in
+  let probe = Bftnet.Network.probe (network t) in
+  let reg = Bftmetrics.Probe.registry probe in
   (* Engine-level gauges are callback-backed: read only at sample or
      export time, and re-registering rebinds them to the newest
      cluster's engine. *)
-  Bftmetrics.Registry.gauge_fn Bftmetrics.Registry.default
-    "dessim_events_processed"
+  Bftmetrics.Registry.gauge_fn reg "dessim_events_processed"
     ~help:"Events processed by the simulation engine" ~labels:[]
     (fun () -> float_of_int (Dessim.Engine.events_processed engine));
-  Bftmetrics.Registry.gauge_fn Bftmetrics.Registry.default "dessim_queue_size"
+  Bftmetrics.Registry.gauge_fn reg "dessim_queue_size"
     ~help:"Pending events in the simulation engine queue" ~labels:[]
     (fun () -> float_of_int (Dessim.Engine.queue_size engine));
-  (* Cluster-level capacity probes: the engine's event heap and the
+  (* Cluster-level footprints: the engine's event heap and the
      population's aggregate reply-collection tables. Entries-only (no
      deep root) — both are spread across structures the per-node
      probes already cover or the engine owns privately. *)
   ignore
-    (Bftcap.Footprint.register ~owner:"cluster" ~name:"engine.queue"
+    (Bftmetrics.Probe.footprint probe ~owner:"cluster" ~name:"engine.queue"
        ~entries:(fun () -> Dessim.Engine.queue_size engine)
        ~root:(fun () -> None)
        ());
   let clients = clients t in
   ignore
-    (Bftcap.Footprint.register ~owner:"cluster" ~name:"clients.pending"
+    (Bftmetrics.Probe.footprint probe ~owner:"cluster" ~name:"clients.pending"
        ~entries:(fun () ->
          Array.fold_left (fun acc c -> acc + Client.pending_count c) 0 clients)
        ~root:(fun () -> None)

@@ -11,6 +11,7 @@ include
      and type msg = Messages.t
 
 val create :
+  ?probe:Bftmetrics.Probe.t ->
   ?seed:int64 ->
   ?transport:Bftnet.Network.transport ->
   ?net_config:Bftnet.Network.config ->
@@ -24,7 +25,9 @@ val create :
     are created (default 0 — add load later via {!client}). Nodes are
     started (monitoring armed). [net_config] overrides the whole
     network configuration (it wins over [transport]); the model checker
-    passes a zero-jitter config so no per-send randomness survives. *)
+    passes a zero-jitter config so no per-send randomness survives.
+    Every node, replica and client reports to [probe]
+    ({!Bftmetrics.Probe.default} when none is given). *)
 
 val params : t -> Params.t
 

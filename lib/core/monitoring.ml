@@ -262,14 +262,14 @@ let latest t =
 
 let client_count t = Hashtbl.length t.client_lat
 
-let register_probes t ~owner =
+let register_probes t probe ~owner =
   ignore
-    (Bftcap.Footprint.register ~owner ~name:"monitoring.client_lat"
+    (Bftmetrics.Probe.footprint probe ~owner ~name:"monitoring.client_lat"
        ~entries:(fun () -> Hashtbl.length t.client_lat)
        ~root:(fun () -> Some (Obj.repr t.client_lat))
        ());
   ignore
-    (Bftcap.Footprint.register ~owner ~name:"monitoring.history"
+    (Bftmetrics.Probe.footprint probe ~owner ~name:"monitoring.history"
        ~entries:(fun () -> t.hist_len)
        ~root:(fun () -> Some (Obj.repr t.hist))
        ())

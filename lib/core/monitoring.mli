@@ -82,6 +82,6 @@ val client_count : t -> int
     {!Params.monitoring_idle_prune} > 0, {!tick} drops clients idle
     past the threshold, bounding this under client churn. *)
 
-val register_probes : t -> owner:string -> unit
-(** Register {!Bftcap.Footprint} probes over the monitor's
+val register_probes : t -> Bftmetrics.Probe.t -> owner:string -> unit
+(** Register footprints on the probe over the monitor's
     O(clients) latency table and its measurement-history ring. *)

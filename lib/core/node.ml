@@ -3,7 +3,10 @@ open Bftcrypto
 open Bftnet
 open Bftapp
 open Pbftcore.Types
-module Spans = Bftspan.Tracer
+module Probe = Bftmetrics.Probe
+module Event = Bftmetrics.Event
+module Tag = Bftmetrics.Tag
+module Registry = Bftmetrics.Registry
 
 type faults = {
   mutable flood_targets : int list;
@@ -59,68 +62,11 @@ type request_state = {
   mutable span : int;  (* latest span of this request on this node; -1 untraced *)
 }
 
-(* Metric handles, registered once per node; hot paths only mutate
-   them behind the [Registry.active] gate. *)
-type node_metrics = {
-  nm_received : Bftmetrics.Registry.Counter.t;
-  nm_dispatched : Bftmetrics.Registry.Counter.t;
-  nm_executed : Bftmetrics.Registry.Counter.t;
-  nm_instance_changes : Bftmetrics.Registry.Counter.t;
-  nm_dispatch_latency : Bftmetrics.Hist.t;  (* first seen -> dispatched *)
-  nm_ordering_latency : Bftmetrics.Hist.t array;  (* dispatch -> ordered *)
-  nm_execution_latency : Bftmetrics.Hist.t;  (* dispatch -> executed *)
-  nm_master_rate : Bftmetrics.Registry.Gauge.t;
-  nm_backup_rate : Bftmetrics.Registry.Gauge.t;
-  nm_ratio : Bftmetrics.Registry.Gauge.t;
-  nm_delta : Bftmetrics.Registry.Gauge.t;
-}
-
-let register_node_metrics ~id ~instances =
-  let module Registry = Bftmetrics.Registry in
-  let reg = Registry.default in
-  let node = string_of_int id in
-  let counter name help =
-    Registry.counter reg name ~help ~labels:[ ("node", node) ]
-  in
-  let gauge name help =
-    Registry.gauge reg name ~help ~labels:[ ("node", node) ]
-  in
-  {
-    nm_received = counter "bft_requests_received_total"
-        "Fresh client requests entering verification";
-    nm_dispatched = counter "bft_requests_dispatched_total"
-        "Requests handed to the local replicas";
-    nm_executed = counter "bft_requests_executed_total"
-        "Requests executed and replied to";
-    nm_instance_changes = counter "bft_instance_changes_total"
-        "Protocol instance changes performed";
-    nm_dispatch_latency =
-      Registry.histogram reg "bft_request_dispatch_latency_seconds"
-        ~help:"First sight of a request to replica dispatch"
-        ~labels:[ ("node", node) ];
-    nm_ordering_latency =
-      Array.init instances (fun i ->
-          Registry.histogram reg "bft_ordering_latency_seconds"
-            ~help:"Replica dispatch to total-order delivery"
-            ~labels:[ ("node", node); ("instance", string_of_int i) ]);
-    nm_execution_latency =
-      Registry.histogram reg "bft_execution_latency_seconds"
-        ~help:"Replica dispatch to execution completion"
-        ~labels:[ ("node", node) ];
-    nm_master_rate = gauge "bft_monitor_master_rate"
-        "Monitoring: averaged master-instance throughput (req/s)";
-    nm_backup_rate = gauge "bft_monitor_backup_rate"
-        "Monitoring: averaged mean backup-instance throughput (req/s)";
-    nm_ratio = gauge "bft_monitor_ratio"
-        "Monitoring: master/backup throughput ratio the delta test checks";
-    nm_delta = gauge "bft_monitor_delta_threshold"
-        "Monitoring: configured delta acceptance threshold";
-  }
-
 type t = {
   engine : Engine.t;
   clock : Clock.t;  (* local periodic timers; skewable by the chaos engine *)
   net : Messages.t Network.t;
+  probe : Probe.t;
   params : Params.t;
   id : int;
   service : Service.t;
@@ -141,9 +87,9 @@ type t = {
   monitoring : Monitoring.t;
   requests : request_state Request_id_table.t;
   executed : Replycache.t;  (* last-window results per client, for re-replies *)
-  (* Footprint probe over [requests], noted on insertion so peaks are
-     exact between sampler ticks; bound in [create]. *)
-  mutable fp_requests : Bftcap.Footprint.t option;
+  (* Footprint over [requests], noted on insertion so peaks are exact
+     between sampler ticks; bound in [create]. *)
+  mutable fp_requests : Probe.footprint option;
   ledger : Pbftcore.Ledger.t;
   mutable blacklist : int list;  (* clients *)
   (* Protocol instance change state. *)
@@ -164,7 +110,7 @@ type t = {
   mutable latency_probe : (instance:int -> client:int -> Time.t -> unit) option;
   mutable started : bool;
   mutable rcc : rcc option;  (* concurrent (bftrcc) ordering state *)
-  m : node_metrics;
+  m : Probe.node_metrics;
 }
 
 let id t = t.id
@@ -213,12 +159,11 @@ let instance_count t = Params.instances t.params
 
 let self t = Principal.node t.id
 
-(* Structured audit events; call sites guard with [Bus.active] so the
+(* Audit-only events; call sites guard with [Probe.audit] so the
    disabled path allocates nothing. Node-level events that are not
    tied to one ordering instance use instance -1. *)
 let audit t ?(instance = -1) kind =
-  Bftaudit.Bus.emit
-    { Bftaudit.Event.time = Engine.now t.engine; node = t.id; instance; kind }
+  Probe.emit_at t.probe (Engine.now t.engine) ~node:t.id ~instance kind
 
 (* ------------------------------------------------------------------ *)
 (* Outbound helpers: charge the sending thread, then hit the network. *)
@@ -262,7 +207,7 @@ let broadcast_nodes_from ?(span = -1) t thread msg =
   let size = msg_size t msg in
   (* One MAC authenticator covers all destinations. *)
   Resource.charge thread
-    (Costmodel.authenticator_gen ~bytes:size ~count:(n_nodes t));
+    (Costmodel.authenticator_gen t.probe ~bytes:size ~count:(n_nodes t));
   for dst = 0 to n_nodes t - 1 do
     if dst <> t.id then begin
       Resource.charge thread (Costmodel.send ~bytes:(cost_bytes t msg));
@@ -292,7 +237,7 @@ let request_state t rid =
       }
     in
     Request_id_table.add t.requests rid state;
-    (match t.fp_requests with Some p -> Bftcap.Footprint.note p | None -> ());
+    (match t.fp_requests with Some fp -> Probe.note t.probe fp | None -> ());
     state
 
 (* ------------------------------------------------------------------ *)
@@ -304,15 +249,8 @@ let dispatch_request t ~span (req : Messages.request) =
   if not state.dispatched then begin
     state.dispatched <- true;
     state.dispatch_time <- Engine.now t.engine;
-    if Bftmetrics.Registry.active () then begin
-      Bftmetrics.Registry.Counter.inc t.m.nm_dispatched;
-      Bftmetrics.Hist.add t.m.nm_dispatch_latency
-        (Time.to_sec_f (Time.sub state.dispatch_time state.first_seen))
-    end;
-    if Bftaudit.Bus.active () then
-      audit t
-        (Bftaudit.Event.Request_dispatched
-           { client = req.desc.id.client; rid = req.desc.id.rid });
+    Probe.request_dispatched t.probe t.m state.dispatch_time ~client:req.desc.id.client
+      ~rid:req.desc.id.rid ~first_seen:state.first_seen;
     (* Concurrent ordering: count the request against its owning
        partition so monitoring can normalize observed rates by the
        offered load per instance. *)
@@ -327,7 +265,7 @@ let dispatch_request t ~span (req : Messages.request) =
       (fun i replica_thread ->
         let replica = t.replicas.(i) in
         let rspan =
-          Spans.job ~parent:span ~tag:Bftspan.Tag.Dispatch ~node:t.id
+          Probe.job t.probe ~parent:span ~tag:Tag.Dispatch ~node:t.id
             ~instance:i ~now:state.dispatch_time
         in
         Resource.submit ~span:rspan replica_thread ~cost:(Time.ns 200)
@@ -347,7 +285,7 @@ let maybe_dispatch t (state : request_state) =
     when state.sig_checked && (not state.dispatched)
          && Pbftcore.Voteset.count state.senders >= t.params.Params.f + 1 ->
     let dspan =
-      Spans.job ~parent:state.span ~tag:Bftspan.Tag.Dispatch ~node:t.id
+      Probe.job t.probe ~parent:state.span ~tag:Tag.Dispatch ~node:t.id
         ~instance:(-1) ~now:(Engine.now t.engine)
     in
     Resource.submit ~span:dspan t.dispatch ~cost:(Time.ns 200) (fun () ->
@@ -396,9 +334,9 @@ let propagate_request t (req : Messages.request) =
   if not state.propagated then begin
     state.propagated <- true;
     if not t.faults.no_propagate then begin
-      if Bftaudit.Bus.active () then
+      if Probe.audit t.probe then
         audit t
-          (Bftaudit.Event.Request_propagated
+          (Event.Request_propagated
              { client = req.desc.id.client; rid = req.desc.id.rid });
       match t.rcc with
       | Some rcc -> buffer_propagate t rcc req
@@ -418,9 +356,9 @@ let note_invalid_from t peer =
     t.invalid_counts.(peer) <- t.invalid_counts.(peer) + 1;
     if t.invalid_counts.(peer) > Params.flood_threshold then begin
       t.invalid_counts.(peer) <- 0;
-      if Bftaudit.Bus.active () then
+      if Probe.audit t.probe then
         audit t
-          (Bftaudit.Event.Nic_closed
+          (Event.Nic_closed
              { peer; until = Time.add (Engine.now t.engine) Params.flood_close_time });
       Network.close_nic t.net ~node:t.id ~peer:(Principal.node peer)
         ~for_:Params.flood_close_time
@@ -432,7 +370,7 @@ let note_invalid_from t peer =
 (* ------------------------------------------------------------------ *)
 
 let reply_to ?(span = -1) t (id : request_id) result =
-  send_from ~span ~span_tag:Bftspan.Tag.Reply t t.execution
+  send_from ~span ~span_tag:Tag.Reply t t.execution
     ~dst:(Principal.client id.client)
     (Messages.Reply { id; result })
 
@@ -473,11 +411,11 @@ let verify_signature_once t (req : Messages.request) =
     in
     let thread = match lane with Some r -> r | None -> t.verification in
     let vspan =
-      Spans.job ~parent:state.span ~tag:Bftspan.Tag.Crypto_verify ~node:t.id
+      Probe.job t.probe ~parent:state.span ~tag:Tag.Crypto_verify ~node:t.id
         ~instance:(-1) ~now:(Engine.now t.engine)
     in
     Resource.submit ~span:vspan thread
-      ~cost:(Costmodel.sig_verify ~bytes:req.desc.op_size)
+      ~cost:(Costmodel.sig_verify t.probe ~bytes:req.desc.op_size)
       (fun () ->
         state.sig_inflight <- false;
         if req.sig_valid then begin
@@ -489,7 +427,7 @@ let verify_signature_once t (req : Messages.request) =
             maybe_dispatch t state
           | None ->
             let pspan =
-              Spans.job ~parent:state.span ~tag:Bftspan.Tag.Propagate
+              Probe.job t.probe ~parent:state.span ~tag:Tag.Propagate
                 ~node:t.id ~instance:(-1) ~now:(Engine.now t.engine)
             in
             Resource.submit ~span:pspan t.propagation ~cost:(Time.ns 200)
@@ -504,8 +442,8 @@ let verify_signature_once t (req : Messages.request) =
           release_admission t req.desc.id;
           if not (List.mem req.desc.id.client t.blacklist) then begin
             (* Invalid signature: blacklist the client (Sec. IV-B, step 1). *)
-            if Bftaudit.Bus.active () then
-              audit t (Bftaudit.Event.Blacklisted { client = req.desc.id.client });
+            if Probe.audit t.probe then
+              audit t (Event.Blacklisted { client = req.desc.id.client });
             t.blacklist <- req.desc.id.client :: t.blacklist
           end
         end)
@@ -537,16 +475,8 @@ let handle_client_request t ~span (req : Messages.request) =
     | None -> ()
   end
   else begin
-    if Bftmetrics.Registry.active () then
-      Bftmetrics.Registry.Counter.inc t.m.nm_received;
-    if Bftaudit.Bus.active () then
-      audit t
-        (Bftaudit.Event.Request_received
-           {
-             client = req.desc.id.client;
-             rid = req.desc.id.rid;
-             size = req.desc.op_size;
-           });
+    Probe.request_received t.probe t.m (Engine.now t.engine) ~client:req.desc.id.client
+      ~rid:req.desc.id.rid ~size:req.desc.op_size;
     let state = request_state t req.desc.id in
     if state.span < 0 && span >= 0 then state.span <- span;
     if state.sig_checked then begin
@@ -607,11 +537,8 @@ let note_ic_vote t ~from ~cpi =
   end
 
 let perform_instance_change t target_cpi =
-  if Bftmetrics.Registry.active () then
-    Bftmetrics.Registry.Counter.inc t.m.nm_instance_changes;
-  if Bftaudit.Bus.active () then
-    audit t ~instance:t.master_instance
-      (Bftaudit.Event.Instance_changed { cpi = target_cpi; recovery = false });
+  Probe.instance_changed t.probe t.m (Engine.now t.engine) ~instance:t.master_instance
+    ~cpi:target_cpi ~recovery:false;
   t.cpi <- target_cpi + 1;
   t.instance_changes <- t.instance_changes + 1;
   t.last_change_at <- Engine.now t.engine;
@@ -629,9 +556,9 @@ let perform_instance_change t target_cpi =
          rcc.degrade_target.(i) <- Pbftcore.Replica.view t.replicas.(i) + 1;
          if not rcc.degraded.(i) then begin
            rcc.degraded.(i) <- true;
-           if Bftaudit.Bus.active () then
+           if Probe.audit t.probe then
              audit t ~instance:i
-               (Bftaudit.Event.Degrade_changed { instance = i; active = true })
+               (Event.Degrade_changed { instance = i; active = true })
          end)
        rcc.degraded;
      rcc.quiet_until <-
@@ -659,9 +586,9 @@ let send_instance_change t =
   if t.ic_sent_for < t.cpi then begin
     t.ic_sent_for <- t.cpi;
     note_ic_vote t ~from:t.id ~cpi:t.cpi;
-    if Bftaudit.Bus.active () then
+    if Probe.audit t.probe then
       audit t ~instance:t.master_instance
-        (Bftaudit.Event.Instance_change_vote { cpi = t.cpi });
+        (Event.Instance_change_vote { cpi = t.cpi });
     broadcast_nodes_from t t.dispatch
       (Messages.Instance_change { cpi = t.cpi });
     check_ic_quorum t
@@ -686,7 +613,7 @@ let execute_request t ~span (desc : request_desc) =
   if not (seen ()) then begin
     let cost = Time.max Params.exec_cost (t.service.Service.exec_cost desc.op) in
     let espan =
-      Spans.job ~parent:span ~tag:Bftspan.Tag.Execution ~node:t.id
+      Probe.job t.probe ~parent:span ~tag:Tag.Execution ~node:t.id
         ~instance:t.master_instance ~now:(Engine.now t.engine)
     in
     Resource.submit ~span:espan t.execution ~cost (fun () ->
@@ -696,18 +623,16 @@ let execute_request t ~span (desc : request_desc) =
             ~result;
           Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id
             ~instance:t.master_instance desc;
-          if Bftmetrics.Registry.active () then begin
-            Bftmetrics.Registry.Counter.inc t.m.nm_executed;
-            match Request_id_table.find_opt t.requests desc.id with
-            | Some state when state.dispatched ->
-              Bftmetrics.Hist.add t.m.nm_execution_latency
-                (Time.to_sec_f
-                   (Time.sub (Engine.now t.engine) state.dispatch_time))
-            | Some _ | None -> ()
-          end;
+          if Probe.metrics t.probe then
+            Probe.request_executed t.probe t.m
+              ~dispatched:
+                (match Request_id_table.find_opt t.requests desc.id with
+                | Some state when state.dispatched -> Some state.dispatch_time
+                | Some _ | None -> None)
+              (Engine.now t.engine);
           release_admission t desc.id;
           Resource.charge t.execution
-            (Costmodel.mac_gen ~bytes:(String.length result + 16));
+            (Costmodel.mac_gen t.probe ~bytes:(String.length result + 16));
           reply_to ~span:espan t desc.id result
         end)
   end
@@ -721,7 +646,7 @@ let seq_emit t ~instance (b : seq_batch) =
   List.iter
     (fun ((desc : request_desc), ospan) ->
       let sspan =
-        Spans.span ~parent:ospan ~tag:Bftspan.Tag.Sequence ~node:t.id
+        Probe.span t.probe ~parent:ospan ~tag:Tag.Sequence ~node:t.id
           ~instance ~t0:b.sb_committed ~t1:now
       in
       execute_request t ~span:(if sspan >= 0 then sspan else ospan) desc)
@@ -739,7 +664,7 @@ let on_ordered t ~instance ~seq descs =
          instance's replica; every instance must collect its own so the
          table drains, but only the master's parents execution. *)
       let ospan =
-        if Spans.active () then
+        if Probe.spans t.probe then
           Pbftcore.Replica.take_span t.replicas.(instance) ~id:desc.id
         else -1
       in
@@ -748,10 +673,7 @@ let on_ordered t ~instance ~seq descs =
          let latency = Time.sub now state.dispatch_time in
          Monitoring.note_latency t.monitoring ~instance ~client:desc.id.client
            latency;
-         if Bftmetrics.Registry.active () then
-           Bftmetrics.Hist.add
-             t.m.nm_ordering_latency.(instance)
-             (Time.to_sec_f latency);
+         Probe.request_ordered t.probe t.m ~instance ~latency;
          (match t.latency_probe with
           | Some probe -> probe ~instance ~client:desc.id.client latency
           | None -> ());
@@ -764,14 +686,14 @@ let on_ordered t ~instance ~seq descs =
              Monitoring.omega_violation t.monitoring ~client:desc.id.client
            in
            if lambda || omega then begin
-             if Bftaudit.Bus.active () then begin
+             if Probe.audit t.probe then begin
                if lambda then
                  audit t ~instance
-                   (Bftaudit.Event.Lambda_exceeded
+                   (Event.Lambda_exceeded
                       { client = desc.id.client; latency });
                if omega then
                  audit t ~instance
-                   (Bftaudit.Event.Omega_exceeded { client = desc.id.client })
+                   (Event.Omega_exceeded { client = desc.id.client })
              end;
              t.suspicious <- true;
              send_instance_change t
@@ -796,9 +718,9 @@ let on_ordered t ~instance ~seq descs =
       (* The verdict averages the last 3 windows; one extra covers the
          partially-contaminated window in flight. *)
       rcc.quiet_until <- Time.add now (Time.mul_f Params.monitoring_period 4.0);
-      if Bftaudit.Bus.active () then
+      if Probe.audit t.probe then
         audit t ~instance
-          (Bftaudit.Event.Degrade_changed { instance; active = false })
+          (Event.Degrade_changed { instance; active = false })
     end;
     Bftrcc.Sequencer.push rcc.sequencer ~instance ~seq ~now
       { sb_descs = List.rev !pairs; sb_committed = now }
@@ -830,7 +752,7 @@ let make_replica t ~instance thread =
     Resource.submit t.dispatch ~cost:(Time.ns 500) (fun () ->
         on_ordered t ~instance ~seq descs)
   in
-  Pbftcore.Replica.create ~clock:t.clock t.engine cfg
+  Pbftcore.Replica.create ~probe:t.probe ~clock:t.clock t.engine cfg
     { Pbftcore.Replica.send; broadcast; deliver; on_view_change = (fun _ -> ()) }
 
 (* ------------------------------------------------------------------ *)
@@ -839,7 +761,7 @@ let make_replica t ~instance thread =
 
 let on_delivery t (d : Messages.t Network.delivery) =
   let recv_cost = Costmodel.recv ~bytes:(cost_bytes t d.Network.payload) in
-  let mac_cost = Costmodel.mac_verify ~bytes:d.Network.size in
+  let mac_cost = Costmodel.mac_verify t.probe ~bytes:d.Network.size in
   let base = Time.add recv_cost mac_cost in
   let from = Network.src_node d in
   let authentic =
@@ -895,14 +817,14 @@ let on_delivery t (d : Messages.t Network.delivery) =
      | Ok () ->
        if fresh then Request_id_table.replace t.admission_held id ();
        let vspan =
-         Spans.job ~parent:d.Network.span ~tag:Bftspan.Tag.Crypto_verify
+         Probe.job t.probe ~parent:d.Network.span ~tag:Tag.Crypto_verify
            ~node:t.id ~instance:(-1) ~now:(Engine.now t.engine)
        in
        Resource.submit ~span:vspan t.verification ~cost:base (fun () ->
            handle_client_request t ~span:vspan req))
   | Messages.Propagate { req; junk } ->
     let pspan =
-      Spans.job ~parent:d.Network.span ~tag:Bftspan.Tag.Propagate ~node:t.id
+      Probe.job t.probe ~parent:d.Network.span ~tag:Tag.Propagate ~node:t.id
         ~instance:(-1) ~now:(Engine.now t.engine)
     in
     (* In concurrent mode correct nodes send PROPAGATE-BATCH, so a
@@ -962,22 +884,10 @@ let monitoring_tick t =
      in
      List.iter (fun id -> Request_id_table.remove t.requests id) stale
    end);
-  if Bftmetrics.Registry.active () then begin
-    Bftmetrics.Registry.Gauge.set t.m.nm_master_rate
-      verdict.Monitoring.master_rate;
-    Bftmetrics.Registry.Gauge.set t.m.nm_backup_rate
-      verdict.Monitoring.backup_rate;
-    Bftmetrics.Registry.Gauge.set t.m.nm_ratio verdict.Monitoring.ratio;
-    Bftmetrics.Registry.Gauge.set t.m.nm_delta t.params.Params.delta
-  end;
-  if Bftaudit.Bus.active () then
-    audit t ~instance:t.master_instance
-      (Bftaudit.Event.Monitor_verdict
-         {
-           master_rate = verdict.Monitoring.master_rate;
-           backup_rate = verdict.Monitoring.backup_rate;
-           suspicious = verdict.Monitoring.suspicious;
-         });
+  Probe.monitor_verdict t.probe t.m (Engine.now t.engine) ~instance:t.master_instance
+    ~master_rate:verdict.Monitoring.master_rate ~backup_rate:verdict.Monitoring.backup_rate
+    ~ratio:verdict.Monitoring.ratio ~delta:t.params.Params.delta
+    ~suspicious:verdict.Monitoring.suspicious;
   (* Concurrent ordering: while any partition is degraded (and until
      the moving windows flush the fallback samples) every instance
      orders foreign requests, so the normalized Δ comparison is not
@@ -1008,13 +918,13 @@ let monitoring_tick t =
   | Some rcc ->
     let now = Engine.now t.engine in
     let stall = Bftrcc.Sequencer.stall rcc.sequencer ~now in
-    if Bftaudit.Bus.active () then begin
+    if Probe.audit t.probe then begin
       let st = Bftrcc.Sequencer.stats rcc.sequencer in
       let waiting_on, age =
         match stall with Some (i, a) -> (i, a) | None -> (-1, Time.zero)
       in
       audit t
-        (Bftaudit.Event.Seq_stall
+        (Event.Seq_stall
            { waiting_on; age; pending = st.Bftrcc.Sequencer.pending })
     end;
     (match stall with
@@ -1066,6 +976,7 @@ let start_flooding t =
   loop ()
 
 let create engine net params ~id ~service =
+  let reg = Probe.registry (Network.probe net) in
   let mk name = Resource.create engine ~name:(Printf.sprintf "n%d.%s" id name) in
   let instances = Params.instances params in
   let t =
@@ -1073,6 +984,7 @@ let create engine net params ~id ~service =
       engine;
       clock = Clock.create engine;
       net;
+      probe = Network.probe net;
       params;
       id;
       service;
@@ -1099,7 +1011,7 @@ let create engine net params ~id ~service =
       requests = Request_id_table.create 4096;
       executed = Replycache.create ~window:Params.reply_cache_window ();
       fp_requests = None;
-      ledger = Pbftcore.Ledger.create ();
+      ledger = Pbftcore.Ledger.create (Network.probe net);
       blacklist = [];
       cpi = 0;
       suspicious = false;
@@ -1113,7 +1025,7 @@ let create engine net params ~id ~service =
       latency_probe = None;
       started = false;
       rcc = None;
-      m = register_node_metrics ~id ~instances;
+      m = Probe.node_metrics (Network.probe net) ~node:id ~instances;
     }
   in
   t.replicas <-
@@ -1162,14 +1074,14 @@ let create engine net params ~id ~service =
            (Some (fun () -> Bftrcc.Sequencer.backlog sequencer ~instance:i = 0));
          Pbftcore.Replica.set_noop_interval r Params.noop_interval)
        t.replicas;
-     Bftmetrics.Registry.gauge_fn Bftmetrics.Registry.default
+     Registry.gauge_fn reg
        "bft_seq_pending_batches"
        ~help:"Committed batches queued behind the merge head-of-line"
        ~labels:[ ("node", string_of_int id) ]
        (fun () ->
          float_of_int
            (Bftrcc.Sequencer.stats sequencer).Bftrcc.Sequencer.pending);
-     Bftmetrics.Registry.gauge_fn Bftmetrics.Registry.default
+     Registry.gauge_fn reg
        "bft_seq_stall_age_seconds"
        ~help:"Age of the merge sequencer's head-of-line stall (0 = none)"
        ~labels:[ ("node", string_of_int id) ]
@@ -1204,12 +1116,12 @@ let create engine net params ~id ~service =
       t.replicas
   end;
   if Bftflow.Admission.enabled t.admission then begin
-    Bftmetrics.Registry.gauge_fn Bftmetrics.Registry.default
+    Registry.gauge_fn reg
       "bft_admission_inflight"
       ~help:"Admitted client requests currently in flight"
       ~labels:[ ("node", string_of_int id) ]
       (fun () -> float_of_int (Bftflow.Admission.inflight t.admission));
-    Bftmetrics.Registry.gauge_fn Bftmetrics.Registry.default
+    Registry.gauge_fn reg
       "bft_admission_shed_total"
       ~help:"Client requests answered BUSY by the admission gate"
       ~labels:[ ("node", string_of_int id) ]
@@ -1219,12 +1131,12 @@ let create engine net params ~id ~service =
      export time, so the module threads pay nothing. *)
   List.iter
     (fun (name, r) ->
-      Bftmetrics.Registry.gauge_fn Bftmetrics.Registry.default
+      Registry.gauge_fn reg
         "bft_thread_backlog"
         ~help:"Queued jobs on a node module thread"
         ~labels:[ ("node", string_of_int id); ("thread", name) ]
         (fun () -> float_of_int (Resource.backlog r));
-      Bftmetrics.Registry.gauge_fn Bftmetrics.Registry.default
+      Registry.gauge_fn reg
         "bft_thread_depth"
         ~help:"Jobs waiting in a node module thread's queue"
         ~labels:[ ("node", string_of_int id); ("thread", name) ]
@@ -1239,27 +1151,27 @@ let create engine net params ~id ~service =
         (Array.mapi
            (fun i r -> (Printf.sprintf "replica%d" i, r))
            t.replica_threads));
-  (* Capacity probes ({!Bftcap.Footprint}) over every O(clients) /
+  (* Footprints over every O(clients) /
      O(history) table this node owns. Entries closures are O(1); deep
      byte measurement only ever happens at snapshot time. *)
   (let owner = Printf.sprintf "node-%d" id in
    t.fp_requests <-
      Some
-       (Bftcap.Footprint.register ~owner ~name:"node.requests"
+       (Probe.footprint t.probe ~owner ~name:"node.requests"
           ~entries:(fun () -> Request_id_table.length t.requests)
           ~root:(fun () -> Some (Obj.repr t.requests))
           ());
    ignore
-     (Bftcap.Footprint.register ~owner ~name:"node.reply_cache"
+     (Probe.footprint t.probe ~owner ~name:"node.reply_cache"
         ~entries:(fun () -> Replycache.clients t.executed)
         ~root:(fun () -> Some (Obj.repr t.executed))
         ());
    ignore
-     (Bftcap.Footprint.register ~owner ~name:"node.admission_held"
+     (Probe.footprint t.probe ~owner ~name:"node.admission_held"
         ~entries:(fun () -> Request_id_table.length t.admission_held)
         ~root:(fun () -> Some (Obj.repr t.admission_held))
         ());
-   Monitoring.register_probes t.monitoring ~owner;
+   Monitoring.register_probes t.monitoring t.probe ~owner;
    Array.iteri
      (fun i r ->
        Pbftcore.Replica.register_probes r

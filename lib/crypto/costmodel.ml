@@ -20,57 +20,38 @@ let per_byte rate bytes = Time.ns (int_of_float (rate *. float_of_int bytes))
 
 (* Every public costing function doubles as an instrumentation point:
    the cost model sits on the exact code paths where a real replica
-   would run the primitive, so op/byte counters here give the per-run
-   cryptographic workload (the paper's claimed bottleneck) for free. *)
-let op_metrics name =
-  let module Registry = Bftmetrics.Registry in
-  ( Registry.counter Registry.default "bft_crypto_ops_total"
-      ~help:"Cryptographic cost-model operations charged"
-      ~labels:[ ("op", name) ],
-    Registry.counter Registry.default "bft_crypto_bytes_total"
-      ~help:"Bytes processed by cryptographic operations"
-      ~labels:[ ("op", name) ] )
-
-let m_mac_gen = op_metrics "mac_gen"
-let m_mac_verify = op_metrics "mac_verify"
-let m_authenticator = op_metrics "authenticator"
-let m_digest = op_metrics "digest"
-let m_sig_sign = op_metrics "sig_sign"
-let m_sig_verify = op_metrics "sig_verify"
-
-let tally (ops, byts) bytes =
-  if Bftmetrics.Registry.active () then begin
-    Bftmetrics.Registry.Counter.inc ops;
-    Bftmetrics.Registry.Counter.add byts bytes
-  end
+   would run the primitive, so the run's probe counts ops and bytes
+   here (the per-run cryptographic workload, the paper's claimed
+   bottleneck) for free. *)
+module Probe = Bftmetrics.Probe
 
 (* Uncounted internals, so composite operations (a signature digests
    then signs) charge exactly one op each. *)
 let mac_cost ~bytes = Time.add mac_base (per_byte mac_per_byte bytes)
 let digest_cost ~bytes = Time.add digest_base (per_byte digest_per_byte bytes)
 
-let mac_gen ~bytes =
-  tally m_mac_gen bytes;
+let mac_gen probe ~bytes =
+  Probe.crypto probe Probe.Mac_gen ~bytes;
   mac_cost ~bytes
 
-let mac_verify ~bytes =
-  tally m_mac_verify bytes;
+let mac_verify probe ~bytes =
+  Probe.crypto probe Probe.Mac_verify ~bytes;
   mac_cost ~bytes
 
-let authenticator_gen ~bytes ~count =
-  tally m_authenticator bytes;
+let authenticator_gen probe ~bytes ~count =
+  Probe.crypto probe Probe.Authenticator ~bytes;
   Time.add (per_byte mac_per_byte bytes) (Time.ns (count * mac_base))
 
-let digest ~bytes =
-  tally m_digest bytes;
+let digest probe ~bytes =
+  Probe.crypto probe Probe.Digest ~bytes;
   digest_cost ~bytes
 
-let sig_sign ~bytes =
-  tally m_sig_sign bytes;
+let sig_sign probe ~bytes =
+  Probe.crypto probe Probe.Sig_sign ~bytes;
   Time.add (digest_cost ~bytes) sig_sign_base
 
-let sig_verify ~bytes =
-  tally m_sig_verify bytes;
+let sig_verify probe ~bytes =
+  Probe.crypto probe Probe.Sig_verify ~bytes;
   Time.add (digest_cost ~bytes) sig_verify_base
 
 let recv ~bytes = Time.add handling (per_byte touch_per_byte bytes)

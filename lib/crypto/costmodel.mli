@@ -35,21 +35,21 @@ val handling : Dessim.Time.t
 val touch_per_byte : float
 (** ns per byte of payload copied through a stage: 8.0. *)
 
-val mac_gen : bytes:int -> Dessim.Time.t
+val mac_gen : Bftmetrics.Probe.t -> bytes:int -> Dessim.Time.t
 (** Cost of generating one MAC over [bytes]. *)
 
-val mac_verify : bytes:int -> Dessim.Time.t
+val mac_verify : Bftmetrics.Probe.t -> bytes:int -> Dessim.Time.t
 
-val authenticator_gen : bytes:int -> count:int -> Dessim.Time.t
+val authenticator_gen : Bftmetrics.Probe.t -> bytes:int -> count:int -> Dessim.Time.t
 (** Cost of a MAC authenticator: one pass over the message plus
     [count] keyed finalizations. *)
 
-val digest : bytes:int -> Dessim.Time.t
+val digest : Bftmetrics.Probe.t -> bytes:int -> Dessim.Time.t
 
-val sig_sign : bytes:int -> Dessim.Time.t
+val sig_sign : Bftmetrics.Probe.t -> bytes:int -> Dessim.Time.t
 (** Digest the message, then sign the digest. *)
 
-val sig_verify : bytes:int -> Dessim.Time.t
+val sig_verify : Bftmetrics.Probe.t -> bytes:int -> Dessim.Time.t
 
 val recv : bytes:int -> Dessim.Time.t
 (** Per-message receive overhead: fixed handling plus byte touching. *)

@@ -291,37 +291,19 @@ let verdict_json (l : Bundle.loaded) =
    ("X") events and its audit events as instants, same pid = node /
    tid = instance mapping as Bftspan.Analyze.write_chrome. *)
 let write_chrome (l : Bundle.loaded) path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc {|{"displayTimeUnit":"ms","traceEvents":[|};
-      let first = ref true in
-      let sep () = if !first then first := false else output_char oc ',' in
-      Array.iter
-        (fun (s : Bftspan.Span.t) ->
-          if not (Bftspan.Span.is_open s) then begin
-            sep ();
-            let tid =
-              if s.Bftspan.Span.node < 0 then s.Bftspan.Span.client
-              else s.Bftspan.Span.instance
-            in
-            Printf.fprintf oc
-              {|{"name":"%s","ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d,"args":{"id":%d,"client":%d,"rid":%d}}|}
-              (Bftspan.Tag.name s.Bftspan.Span.tag)
-              (Time.to_us_f s.Bftspan.Span.t0)
-              (Time.to_us_f (Bftspan.Span.duration s))
-              s.Bftspan.Span.node tid s.Bftspan.Span.id s.Bftspan.Span.client
-              s.Bftspan.Span.rid
-          end)
-        l.Bundle.l_spans;
-      List.iter
+  let args (s : Bftspan.Span.t) =
+    Printf.sprintf {|"id":%d,"client":%d,"rid":%d|} s.id s.client s.rid
+  in
+  Bftmetrics.Chrome.write path
+    (Bftspan.Analyze.chrome_spans ~args l.Bundle.l_spans
+    @ List.map
         (fun (e : Bundle.ev) ->
-          sep ();
-          Printf.fprintf oc
-            {|{"name":"%s","ph":"i","s":"t","ts":%.3f,"pid":%d,"tid":%d}|}
-            e.Bundle.e_kind
-            (Time.to_us_f e.Bundle.e_time)
-            e.Bundle.e_node e.Bundle.e_instance)
-        l.Bundle.l_events;
-      output_string oc "]}")
+          Bftmetrics.Chrome.Instant
+            {
+              name = e.e_kind;
+              ts = e.e_time;
+              pid = e.e_node;
+              tid = e.e_instance;
+              args = None;
+            })
+        l.Bundle.l_events)

@@ -1,7 +1,7 @@
 (** Always-on incident forensics for the BFT simulations.
 
     {!Recorder} keeps bounded, sim-time-watermarked rings over the
-    three observability streams (audit bus, span stream, periodic
+    three observability streams of a run's probe (audit events, spans,
     metrics snapshots); {!Trigger} is the declarative anomaly engine
     (instance change, auditor violation, liveness stall, p99 SLO
     breach, Δ-ratio near threshold — each with debounce and cooldown);

@@ -2,10 +2,11 @@
     {!Trigger} engine and the {!Bundle} writer.
 
     Wiring:
-    - bus events flow through the recorder; [instance-changed] events
-      become edges on the instance-change trigger;
-    - {!Bftaudit.Auditor} violations arrive through the auditor's
-      global violation hook and become edges on the auditor-violation
+    - the probe's audit events flow through the recorder;
+      [instance-changed] events become edges on the instance-change
+      trigger;
+    - {!Bftaudit.Auditor} violations arrive through the probe's
+      violation subscription and become edges on the auditor-violation
       trigger;
     - every recorder tick snapshots metrics, ripens armed edge
       triggers, and evaluates the level triggers (liveness stall, p99
@@ -82,7 +83,7 @@ type t = {
   triggers : Trigger.t list;
   mutable incidents : incident_ref list;  (* newest first *)
   mutable fires_suppressed : int;
-  mutable saved_violation_hook : (Bftaudit.Auditor.violation -> unit) option;
+  mutable unsubscribe : unit -> unit;
   mutable detached : bool;
 }
 
@@ -111,7 +112,7 @@ let dump t (fire : Trigger.fire) =
         events = Recorder.audit_events t.recorder;
         spans = Recorder.spans t.recorder;
         snapshots = Recorder.snapshots t.recorder;
-        footprint = Bftcap.Footprint.snapshot ();
+        footprint = Bftcap.Footprint.snapshot (Recorder.probe t.recorder);
       }
     in
     let dir, digest =
@@ -269,11 +270,11 @@ let on_tick t (r : Recorder.t) now =
           fire_opt t (Trigger.level trig ~now ~cond:false ~reason:"")))
     t.triggers
 
-let attach config engine =
+let attach config probe engine =
   let recorder =
     Recorder.attach ~audit_cap:config.audit_cap ~span_cap:config.span_cap
       ~metrics_cap:config.metrics_cap ~roots_cap:config.roots_cap
-      ~period:config.period engine
+      ~period:config.period probe engine
   in
   let t =
     {
@@ -281,29 +282,25 @@ let attach config engine =
       recorder;
       gcstats =
         (match config.read_gc with
-        | Some f -> Bftcap.Gcstats.create ~read_stat:f ()
-        | None -> Bftcap.Gcstats.create ());
+        | Some f -> Bftcap.Gcstats.create ~read_stat:f probe
+        | None -> Bftcap.Gcstats.create probe);
       triggers = List.map Trigger.make config.triggers;
       incidents = [];
       fires_suppressed = 0;
-      saved_violation_hook = Bftaudit.Auditor.violation_hook ();
+      unsubscribe = ignore;
       detached = false;
     }
   in
   Recorder.set_on_event recorder (Some (on_event t));
   Recorder.set_on_tick recorder (Some (on_tick t));
-  Bftaudit.Auditor.set_violation_hook
-    (Some
-       (fun v ->
-         (match t.saved_violation_hook with Some f -> f v | None -> ());
-         on_violation t v));
+  t.unsubscribe <- Bftmetrics.Probe.subscribe_violations probe (on_violation t);
   t
 
 let detach t =
   if not t.detached then begin
     t.detached <- true;
-    Recorder.detach t.recorder;
-    Bftaudit.Auditor.set_violation_hook t.saved_violation_hook
+    t.unsubscribe ();
+    Recorder.detach t.recorder
   end
 
 let recorder t = t.recorder

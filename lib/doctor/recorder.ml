@@ -3,10 +3,10 @@
     Bounded rings over the three observability streams, watermarked
     with engine sim-time:
 
-    - {e audit events}: a {!Bftaudit.Bus} subscription pushes every
+    - {e audit events}: a subscription to the run's probe pushes every
       structured event into a ring (and maintains the execution /
       request watermarks the liveness-stall trigger reads);
-    - {e spans}: a {!Bftspan.Tracer} close hook pushes every span as
+    - {e spans}: a span-close subscription pushes every span as
       it closes; root (client) spans additionally feed a sliding
       window of end-to-end latencies for the p99 SLO trigger;
     - {e metrics}: a periodic tick snapshots the registry into a small
@@ -18,12 +18,13 @@
     per-node clock skew cannot drift it.
 
     Zero-cost when disabled, like every hook layer in this codebase:
-    while no recorder is attached the bus stays silent and the tracer
-    close hook is [None] — the dispatch costs a few nanoseconds (pinned
-    by the Bechamel row [doctor-span-close-disabled]). *)
+    while no recorder is attached the probe has no event sinks and no
+    span-close subscribers — the dispatch costs a few nanoseconds
+    (pinned by the Bechamel row [doctor-span-close-disabled]). *)
 
 open Dessim
 module Registry = Bftmetrics.Registry
+module Probe = Bftmetrics.Probe
 module Event = Bftaudit.Event
 module Span = Bftspan.Span
 
@@ -57,7 +58,7 @@ type seq_stall = {
 
 type t = {
   engine : Engine.t;
-  registry : Registry.t;
+  probe : Probe.t;
   period : Time.t;
   epoch : Time.t;
   mutable k : int;  (* index of the last armed tick *)
@@ -70,8 +71,7 @@ type t = {
   mutable executed : int;
   mutable last_verdict : verdict option;
   mutable last_seq_stall : seq_stall option;
-  mutable token : Bftaudit.Bus.token option;
-  mutable saved_close_hook : (Span.t -> unit) option;
+  mutable unsubscribe : unit -> unit;
   mutable on_event : (t -> Event.t -> unit) option;
   mutable on_tick : (t -> Time.t -> unit) option;
   mutable detached : bool;
@@ -90,7 +90,7 @@ let sample_now t =
   Ring.push t.metrics
     {
       m_time = Engine.now t.engine;
-      m_samples = List.sort compare_sample (Registry.snapshot t.registry);
+      m_samples = List.sort compare_sample (Registry.snapshot (Probe.registry t.probe));
     }
 
 let handle_event t (ev : Event.t) =
@@ -151,14 +151,13 @@ let rec arm t =
          end))
 
 let attach ?(audit_cap = 4096) ?(span_cap = 4096) ?(metrics_cap = 16)
-    ?(roots_cap = 512) ?(period = Time.ms 100) ?(registry = Registry.default)
-    engine =
-  Registry.enable ();
+    ?(roots_cap = 512) ?(period = Time.ms 100) probe engine =
+  Probe.set_metrics probe true;
   let now = Engine.now engine in
   let t =
     {
       engine;
-      registry;
+      probe;
       period;
       epoch = now;
       k = 0;
@@ -171,40 +170,38 @@ let attach ?(audit_cap = 4096) ?(span_cap = 4096) ?(metrics_cap = 16)
       executed = 0;
       last_verdict = None;
       last_seq_stall = None;
-      token = None;
-      saved_close_hook = None;
+      unsubscribe = ignore;
       on_event = None;
       on_tick = None;
       detached = false;
     }
   in
   ignore
-    (Bftcap.Footprint.register ~owner:"recorder" ~name:"doctor.audit_ring"
+    (Probe.footprint probe ~owner:"recorder" ~name:"doctor.audit_ring"
        ~entries:(fun () -> Ring.length t.audit)
        ~root:(fun () -> Some (Obj.repr t.audit))
        ());
   ignore
-    (Bftcap.Footprint.register ~owner:"recorder" ~name:"doctor.span_ring"
+    (Probe.footprint probe ~owner:"recorder" ~name:"doctor.span_ring"
        ~entries:(fun () -> Ring.length t.spans)
        ~root:(fun () -> Some (Obj.repr t.spans))
        ());
   ignore
-    (Bftcap.Footprint.register ~owner:"recorder" ~name:"doctor.metrics_ring"
+    (Probe.footprint probe ~owner:"recorder" ~name:"doctor.metrics_ring"
        ~entries:(fun () -> Ring.length t.metrics)
        ~root:(fun () -> Some (Obj.repr t.metrics))
        ());
   ignore
-    (Bftcap.Footprint.register ~owner:"recorder" ~name:"doctor.roots_ring"
+    (Probe.footprint probe ~owner:"recorder" ~name:"doctor.roots_ring"
        ~entries:(fun () -> Ring.length t.roots)
        ~root:(fun () -> Some (Obj.repr t.roots))
        ());
-  t.token <- Some (Bftaudit.Bus.subscribe (handle_event t));
-  t.saved_close_hook <- Bftspan.Tracer.close_hook ();
-  Bftspan.Tracer.set_close_hook
-    (Some
-       (fun s ->
-         (match t.saved_close_hook with Some f -> f s | None -> ());
-         handle_close t s));
+  let events = Probe.subscribe probe (handle_event t) in
+  let spans = Probe.subscribe_spans probe (handle_close t) in
+  t.unsubscribe <-
+    (fun () ->
+      events ();
+      spans ());
   sample_now t;
   arm t;
   t
@@ -212,14 +209,10 @@ let attach ?(audit_cap = 4096) ?(span_cap = 4096) ?(metrics_cap = 16)
 let detach t =
   if not t.detached then begin
     t.detached <- true;
-    (match t.token with
-    | Some tok ->
-      Bftaudit.Bus.unsubscribe tok;
-      t.token <- None
-    | None -> ());
-    Bftspan.Tracer.set_close_hook t.saved_close_hook
+    t.unsubscribe ()
   end
 
+let probe t = t.probe
 let set_on_event t f = t.on_event <- f
 let set_on_tick t f = t.on_tick <- f
 

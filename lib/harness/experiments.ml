@@ -39,9 +39,9 @@ let executed_counter (type c) (module S : STACK with type Cluster.t = c) (cluste
   Pbftcore.Ledger.counter (S.Node.ledger (S.Cluster.node cluster 1))
 
 (* [create] builds the cluster for the shape's client count. *)
-let run_shape (type c) (module S : STACK with type Cluster.t = c) ~f ~shape ~attack
+let run_shape (type c) ~audit (module S : STACK with type Cluster.t = c) ~f ~shape ~attack
     (create : int -> c) =
-  Audit.begin_run ~n:((3 * f) + 1) ~f;
+  Audit.begin_run audit ~n:((3 * f) + 1) ~f;
   let cluster = create (Loadshape.max_clients shape) in
   attack cluster;
   Loadshape.apply (S.Cluster.engine cluster) shape ~set_rate:(fun c r ->
@@ -50,20 +50,21 @@ let run_shape (type c) (module S : STACK with type Cluster.t = c) ~f ~shape ~att
   S.Cluster.run_for cluster (Time.add total (Time.ms 200));
   (window_rate (executed_counter (module S) cluster) ~from_:(Time.ms 200) ~until:total, cluster)
 
-let rbft ?seed ?(transport = Bftnet.Network.Tcp) ?(tweak = fun p -> p) ~f ~payload clients =
-  Rbft.Cluster.create ?seed ~transport ~clients ~payload_size:payload
+let rbft ?seed ?(transport = Bftnet.Network.Tcp) ?(tweak = fun p -> p) ~f ~payload ~probe
+    clients =
+  Rbft.Cluster.create ~probe ?seed ~transport ~clients ~payload_size:payload
     (tweak (Rbft.Params.default ~f))
 
-let aardvark ?seed ?(tweak = fun c -> c) ~f ~payload clients =
-  Aardvark.Cluster.create ?seed ~clients ~payload_size:payload
+let aardvark ?seed ?(tweak = fun c -> c) ~f ~payload ~probe clients =
+  Aardvark.Cluster.create ~probe ?seed ~clients ~payload_size:payload
     (tweak (Aardvark.Node.simulation_config ~f))
 
-let spinning ?seed ~f ~payload clients =
-  Spinning.Cluster.create ?seed ~clients ~payload_size:payload
+let spinning ?seed ~f ~payload ~probe clients =
+  Spinning.Cluster.create ~probe ?seed ~clients ~payload_size:payload
     (Spinning.Node.default_config ~f)
 
-let prime ?seed ?(exec_cost = Time.us 100) ~f ~payload clients =
-  Prime.Cluster.create ?seed ~clients ~payload_size:payload
+let prime ?seed ?(exec_cost = Time.us 100) ~f ~payload ~probe clients =
+  Prime.Cluster.create ~probe ?seed ~clients ~payload_size:payload
     { (Prime.Node.default_config ~f) with Prime.Node.exec_cost }
 
 (* ------------------------------------------------------------------ *)
@@ -79,14 +80,14 @@ let prime_fig1_rate ~size =
   let frac = float_of_int (Stdlib.max 0 (size - 8)) /. float_of_int (4096 - 8) in
   1.0 /. (cost8 +. (frac *. (cost4k -. cost8)))
 
-let fig1 ~quick =
+let fig1 ~audit ~quick =
   let sizes = request_sizes ~quick in
   let attack_prime cluster =
     (* The colluding client sends heavy (1 ms) requests — and, being
        faulty, ignores the load shape and floods at its own rate; the
        malicious primary stretches its ordering period to the
        monitored limit. *)
-    Audit.declare_faulty [ 0 ];
+    Audit.declare_faulty audit [ 0 ];
     let heavy = Prime.Cluster.client cluster 0 in
     (Prime.Client.behaviour heavy).Prime.Client.heavy <- true;
     Prime.Client.set_rate heavy 300.0;
@@ -102,7 +103,7 @@ let fig1 ~quick =
       Loadshape.paper_dynamic ~step:(scale ~quick (Time.ms 300)) ~rate:(0.05 *. rate) ()
     in
     let measure shape attack =
-      fst (run_shape (module Prime) ~f:1 ~shape ~attack (prime ~f:1 ~payload:size))
+      fst (run_shape ~audit (module Prime) ~f:1 ~shape ~attack (prime ~probe:(Audit.probe audit) ~f:1 ~payload:size))
     in
     let rel shape =
       let ff = measure shape (fun _ -> ()) in
@@ -127,10 +128,10 @@ let fig1 ~quick =
     },
     List.fold_left (fun acc (_, m) -> Stdlib.min acc m) 1.0 rows )
 
-let fig2 ~quick =
+let fig2 ~audit ~quick =
   let sizes = request_sizes ~quick in
   let attack cluster =
-    Audit.declare_faulty [ 0 ];
+    Audit.declare_faulty audit [ 0 ];
     (Aardvark.Node.faults (Aardvark.Cluster.node cluster 0)).Aardvark.Node.track_required <-
       true
   in
@@ -163,8 +164,8 @@ let fig2 ~quick =
     in
     let measure_windowed shape a ~from_ ~until =
       let _, cluster =
-        run_shape (module Aardvark) ~f:1 ~shape ~attack:a
-          (aardvark ~tweak:long_grace ~f:1 ~payload:size)
+        run_shape ~audit (module Aardvark) ~f:1 ~shape ~attack:a
+          (aardvark ~probe:(Audit.probe audit) ~tweak:long_grace ~f:1 ~payload:size)
       in
       window_rate (executed_counter (module Aardvark) cluster) ~from_ ~until
     in
@@ -179,8 +180,8 @@ let fig2 ~quick =
     let rel_dynamic =
       let measure a =
         fst
-          (run_shape (module Aardvark) ~f:1 ~shape:dynamic ~attack:a
-             (aardvark ~tweak:long_grace ~f:1 ~payload:size))
+          (run_shape ~audit (module Aardvark) ~f:1 ~shape:dynamic ~attack:a
+             (aardvark ~probe:(Audit.probe audit) ~tweak:long_grace ~f:1 ~payload:size))
       in
       let ff = measure (fun _ -> ()) in
       let att = measure attack in
@@ -203,12 +204,12 @@ let fig2 ~quick =
     },
     List.fold_left (fun acc (_, m) -> Stdlib.min acc m) 1.0 rows )
 
-let fig3 ~quick =
+let fig3 ~audit ~quick =
   let sizes = request_sizes ~quick in
   let attack cluster =
     (* All f faulty nodes delay their proposals by a little less than
        Stimeout whenever the rotation hands them the primary slot. *)
-    Audit.declare_faulty [ 3 ];
+    Audit.declare_faulty audit [ 3 ];
     (Spinning.Node.faults (Spinning.Cluster.node cluster 3)).Spinning.Node.delay_fraction <-
       0.95
   in
@@ -217,7 +218,7 @@ let fig3 ~quick =
     let static = static_shape ~quick ~duration:(Time.of_sec_f 3.0) ~rate in
     let dynamic = dynamic_shape ~quick ~rate in
     let measure shape a =
-      fst (run_shape (module Spinning) ~f:1 ~shape ~attack:a (spinning ~f:1 ~payload:size))
+      fst (run_shape ~audit (module Spinning) ~f:1 ~shape ~attack:a (spinning ~probe:(Audit.probe audit) ~f:1 ~payload:size))
     in
     let rel shape =
       let ff = measure shape (fun _ -> ()) in
@@ -237,10 +238,10 @@ let fig3 ~quick =
     },
     List.fold_left (fun acc (_, m) -> Stdlib.min acc m) 1.0 rows )
 
-let robustness_of_baselines ~quick =
-  let t1, worst_prime = fig1 ~quick in
-  let t2, worst_aardvark = fig2 ~quick in
-  let t3, worst_spinning = fig3 ~quick in
+let robustness_of_baselines ~audit ~quick =
+  let t1, worst_prime = fig1 ~audit ~quick in
+  let t2, worst_aardvark = fig2 ~audit ~quick in
+  let t3, worst_spinning = fig3 ~audit ~quick in
   let table1 =
     {
       Report.id = "table1";
@@ -269,7 +270,7 @@ type sweep_point = { offered : float; achieved : float; latency_ms : float }
 let sweep_fractions ~quick =
   if quick then [ 0.3; 0.7; 0.95 ] else [ 0.2; 0.4; 0.6; 0.8; 0.95; 1.05 ]
 
-let fig7_point ~proto ~payload ~fraction ~quick =
+let fig7_point ~audit ~proto ~payload ~fraction ~quick =
   let peak = Calibrate.peak_rate proto ~size:payload in
   let offered = fraction *. peak in
   let clients = 20 in
@@ -280,7 +281,7 @@ let fig7_point ~proto ~payload ~fraction ~quick =
   let shape = Loadshape.static ~duration ~clients ~rate:(offered /. float_of_int clients) in
   let warm = Time.ms 400 in
   let point (type c) (module S : STACK with type Cluster.t = c) create =
-    let _, cluster = run_shape (module S) ~f:1 ~shape ~attack:(fun _ -> ()) create in
+    let _, cluster = run_shape ~audit (module S) ~f:1 ~shape ~attack:(fun _ -> ()) create in
     let achieved =
       window_rate (executed_counter (module S) cluster) ~from_:warm
         ~until:(Loadshape.total_duration shape)
@@ -294,14 +295,14 @@ let fig7_point ~proto ~payload ~fraction ~quick =
     { offered; achieved; latency_ms = 1e3 *. Bftmetrics.Stats.mean lat }
   in
   match proto with
-  | Calibrate.Rbft | Calibrate.Rbft_concurrent -> point (module Rbft) (rbft ~f:1 ~payload)
+  | Calibrate.Rbft | Calibrate.Rbft_concurrent -> point (module Rbft) (rbft ~probe:(Audit.probe audit) ~f:1 ~payload)
   | Calibrate.Rbft_udp ->
-    point (module Rbft) (rbft ~transport:Bftnet.Network.Udp ~f:1 ~payload)
-  | Calibrate.Aardvark -> point (module Aardvark) (aardvark ~f:1 ~payload)
-  | Calibrate.Spinning -> point (module Spinning) (spinning ~f:1 ~payload)
-  | Calibrate.Prime -> point (module Prime) (prime ~exec_cost:(Time.us 1) ~f:1 ~payload)
+    point (module Rbft) (rbft ~probe:(Audit.probe audit) ~transport:Bftnet.Network.Udp ~f:1 ~payload)
+  | Calibrate.Aardvark -> point (module Aardvark) (aardvark ~probe:(Audit.probe audit) ~f:1 ~payload)
+  | Calibrate.Spinning -> point (module Spinning) (spinning ~probe:(Audit.probe audit) ~f:1 ~payload)
+  | Calibrate.Prime -> point (module Prime) (prime ~probe:(Audit.probe audit) ~exec_cost:(Time.us 1) ~f:1 ~payload)
 
-let fig7_table ~quick ~payload ~id ~paper_note =
+let fig7_table ~audit ~quick ~payload ~id ~paper_note =
   let protos =
     [ Calibrate.Rbft; Calibrate.Rbft_udp; Calibrate.Aardvark; Calibrate.Spinning; Calibrate.Prime ]
   in
@@ -310,7 +311,7 @@ let fig7_table ~quick ~payload ~id ~paper_note =
       (fun proto ->
         List.map
           (fun fraction ->
-            let p = fig7_point ~proto ~payload ~fraction ~quick in
+            let p = fig7_point ~audit ~proto ~payload ~fraction ~quick in
             [
               Calibrate.name proto;
               Report.kreq p.offered;
@@ -329,13 +330,13 @@ let fig7_table ~quick ~payload ~id ~paper_note =
     notes = [ paper_note ];
   }
 
-let fig7 ~quick =
+let fig7 ~audit ~quick =
   [
-    fig7_table ~quick ~payload:8 ~id:"fig7a"
+    fig7_table ~audit ~quick ~payload:8 ~id:"fig7a"
       ~paper_note:
         "paper peaks (kreq/s): Spinning ~42, RBFT 35, Aardvark 31.6, Prime ~15; \
          Prime latency an order of magnitude higher; UDP latency ~22% below TCP";
-    fig7_table ~quick ~payload:4096 ~id:"fig7b"
+    fig7_table ~audit ~quick ~payload:4096 ~id:"fig7b"
       ~paper_note:
         "paper peaks (kreq/s): Spinning ~6.5, RBFT 5, Aardvark 1.7; \
          RBFT ordering identifiers beats full-request ordering";
@@ -345,18 +346,18 @@ let fig7 ~quick =
 (* Figures 8-11: RBFT under the worst attacks                         *)
 (* ------------------------------------------------------------------ *)
 
-let rbft_relative ~quick ~f ~attack_fn ~size ~dynamic =
+let rbft_relative ~audit ~quick ~f ~attack_fn ~size ~dynamic =
   let rate = Calibrate.saturating_rate ~f Calibrate.Rbft ~size in
   let shape =
     if dynamic then dynamic_shape ~quick ~rate
     else static_shape ~quick ~duration:(Time.of_sec_f 2.5) ~rate
   in
-  let measure attack = run_shape (module Rbft) ~f ~shape ~attack (rbft ~f ~payload:size) in
+  let measure attack = run_shape ~audit (module Rbft) ~f ~shape ~attack (rbft ~probe:(Audit.probe audit) ~f ~payload:size) in
   let ff, _ = measure (fun _ -> ()) in
   let att, cluster = measure attack_fn in
   ((if ff <= 0.0 then 0.0 else att /. ff), cluster)
 
-let fig_rbft_attack ~quick ~attack_fn ~id ~title ~paper_note =
+let fig_rbft_attack ~audit ~quick ~attack_fn ~id ~title ~paper_note =
   let sizes = request_sizes ~quick in
   let fs = if quick then [ 1 ] else [ 1; 2 ] in
   let rows =
@@ -364,8 +365,8 @@ let fig_rbft_attack ~quick ~attack_fn ~id ~title ~paper_note =
       (fun f ->
         List.map
           (fun size ->
-            let rs, _ = rbft_relative ~quick ~f ~attack_fn ~size ~dynamic:false in
-            let rd, _ = rbft_relative ~quick ~f ~attack_fn ~size ~dynamic:true in
+            let rs, _ = rbft_relative ~audit ~quick ~f ~attack_fn ~size ~dynamic:false in
+            let rd, _ = rbft_relative ~audit ~quick ~f ~attack_fn ~size ~dynamic:true in
             [ string_of_int f; string_of_int size; Report.pct rs; Report.pct rd ])
           sizes)
       fs
@@ -381,13 +382,13 @@ let fig_rbft_attack ~quick ~attack_fn ~id ~title ~paper_note =
 (* Per-node monitored throughput of the master and backup instances
    (Figures 9 and 11), read from the monitoring history of the correct
    nodes during a 4 kB static attack run. *)
-let fig_monitoring ~quick ~attack_fn ~correct_nodes ~id ~title ~paper_note =
+let fig_monitoring ~audit ~quick ~attack_fn ~correct_nodes ~id ~title ~paper_note =
   let size = 4096 in
   let f = 1 in
   let rate = Calibrate.saturating_rate ~f Calibrate.Rbft ~size in
   let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.5) ~rate in
   let _, cluster =
-    run_shape (module Rbft) ~f ~shape ~attack:attack_fn (rbft ~f ~payload:size)
+    run_shape ~audit (module Rbft) ~f ~shape ~attack:attack_fn (rbft ~probe:(Audit.probe audit) ~f ~payload:size)
   in
   let rows =
     List.map
@@ -424,23 +425,23 @@ let fig_monitoring ~quick ~attack_fn ~correct_nodes ~id ~title ~paper_note =
     notes = [ paper_note ];
   }
 
-let fig8_9 ~quick =
+let fig8_9 ~audit ~quick =
   [
-    fig_rbft_attack ~quick ~attack_fn:Rbft.Attacks.worst_attack_1 ~id:"fig8"
+    fig_rbft_attack ~audit ~quick ~attack_fn:Rbft.Attacks.worst_attack_1 ~id:"fig8"
       ~title:"RBFT throughput under worst-attack-1 relative to fault-free"
       ~paper_note:"paper: loss <= 2.2% static, ~0% dynamic (f=1); <= 0.4% (f=2)";
-    fig_monitoring ~quick ~attack_fn:Rbft.Attacks.worst_attack_1 ~correct_nodes:[ 0; 1; 2 ]
+    fig_monitoring ~audit ~quick ~attack_fn:Rbft.Attacks.worst_attack_1 ~correct_nodes:[ 0; 1; 2 ]
       ~id:"fig9"
       ~title:"Per-node monitored throughput under worst-attack-1 (static, 4kB, f=1)"
       ~paper_note:"paper: all nodes measure ~the same; master within 2% of backup";
   ]
 
-let fig10_11 ~quick =
+let fig10_11 ~audit ~quick =
   [
-    fig_rbft_attack ~quick ~attack_fn:Rbft.Attacks.worst_attack_2 ~id:"fig10"
+    fig_rbft_attack ~audit ~quick ~attack_fn:Rbft.Attacks.worst_attack_2 ~id:"fig10"
       ~title:"RBFT throughput under worst-attack-2 relative to fault-free"
       ~paper_note:"paper: loss < 3% (f=1), < 1% (f=2)";
-    fig_monitoring ~quick ~attack_fn:Rbft.Attacks.worst_attack_2 ~correct_nodes:[ 1; 2; 3 ]
+    fig_monitoring ~audit ~quick ~attack_fn:Rbft.Attacks.worst_attack_2 ~correct_nodes:[ 1; 2; 3 ]
       ~id:"fig11"
       ~title:"Per-node monitored throughput under worst-attack-2 (static, 4kB, f=1)"
       ~paper_note:"paper: master almost equal to backup at every correct node";
@@ -450,7 +451,7 @@ let fig10_11 ~quick =
 (* Figure 12: the unfair primary                                      *)
 (* ------------------------------------------------------------------ *)
 
-let fig12 ~quick =
+let fig12 ~audit ~quick =
   ignore quick;
   let params =
     {
@@ -460,8 +461,8 @@ let fig12 ~quick =
       delta = 0.5 (* keep the throughput check out of the way, as the paper does *);
     }
   in
-  Audit.begin_run ~n:4 ~f:1;
-  let cluster = Rbft.Cluster.create ~clients:2 ~payload_size:4096 params in
+  Audit.begin_run audit ~n:4 ~f:1;
+  let cluster = Rbft.Cluster.create ~probe:(Audit.probe audit) ~clients:2 ~payload_size:4096 params in
   (* Per-request ordering latencies observed at correct node 1. *)
   let samples = ref [] in
   let count = ref 0 in
@@ -477,7 +478,7 @@ let fig12 ~quick =
   (* The faulty master primary (node 0): fair for the first 500
      requests, then holds client 0's requests by 0.5 ms, then by 1 ms
      (the paper's escalation at request ~1000). *)
-  Audit.declare_faulty [ 0 ];
+  Audit.declare_faulty audit [ 0 ];
   let replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
   (Pbftcore.Replica.adversary replica).Pbftcore.Replica.client_hold <-
     (fun id ->
@@ -529,21 +530,21 @@ let fig12 ~quick =
 (* Ablations                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let peak_of ~quick ~tweak ~transport ~payload =
+let peak_of ~audit ~quick ~tweak ~transport ~payload =
   let rate = Calibrate.saturating_rate Calibrate.Rbft ~size:payload in
   let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.0) ~rate in
   let _, cluster =
-    run_shape (module Rbft) ~f:1 ~shape ~attack:(fun _ -> ())
-      (rbft ~transport ~tweak ~f:1 ~payload)
+    run_shape ~audit (module Rbft) ~f:1 ~shape ~attack:(fun _ -> ())
+      (rbft ~probe:(Audit.probe audit) ~transport ~tweak ~f:1 ~payload)
   in
   window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
     ~until:(Loadshape.total_duration shape)
 
-let ablation_ordering ~quick =
-  let full = peak_of ~quick ~transport:Bftnet.Network.Tcp ~payload:4096
+let ablation_ordering ~audit ~quick =
+  let full = peak_of ~audit ~quick ~transport:Bftnet.Network.Tcp ~payload:4096
       ~tweak:(fun p -> { p with Rbft.Params.order_full_requests = true })
   in
-  let ids = peak_of ~quick ~transport:Bftnet.Network.Tcp ~payload:4096 ~tweak:(fun p -> p) in
+  let ids = peak_of ~audit ~quick ~transport:Bftnet.Network.Tcp ~payload:4096 ~tweak:(fun p -> p) in
   {
     Report.id = "ablation-ordering";
     title = "RBFT at 4kB: ordering identifiers vs full requests";
@@ -556,7 +557,7 @@ let ablation_ordering ~quick =
     notes = [ "paper: 5 kreq/s vs 1.8 kreq/s (Section VI-B)" ];
   }
 
-let ablation_view_changes ~quick =
+let ablation_view_changes ~audit ~quick =
   (* Force RBFT through Aardvark-style regular primary changes and
      measure the cost RBFT avoids by only changing on faults. *)
   let forced_period = Time.of_sec_f 0.5 in
@@ -578,7 +579,7 @@ let ablation_view_changes ~quick =
   let rate = Calibrate.saturating_rate Calibrate.Rbft ~size:8 in
   let shape = static_shape ~quick ~duration:(Time.of_sec_f 3.0) ~rate in
   let measure attack =
-    let _, cluster = run_shape (module Rbft) ~f:1 ~shape ~attack (rbft ~f:1 ~payload:8) in
+    let _, cluster = run_shape ~audit (module Rbft) ~f:1 ~shape ~attack (rbft ~probe:(Audit.probe audit) ~f:1 ~payload:8) in
     window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
       ~until:(Loadshape.total_duration shape)
   in
@@ -587,8 +588,8 @@ let ablation_view_changes ~quick =
   (* Aardvark-style changes also pay a recovery pause. *)
   let forced_with_recovery =
     let _, cluster =
-      run_shape (module Rbft) ~f:1 ~shape ~attack:with_forced
-        (rbft
+      run_shape ~audit (module Rbft) ~f:1 ~shape ~attack:with_forced
+        (rbft ~probe:(Audit.probe audit)
            ~tweak:(fun p -> { p with Rbft.Params.post_vc_quiet = Time.ms 120 })
            ~f:1 ~payload:8)
     in
@@ -613,7 +614,7 @@ let ablation_view_changes ~quick =
       ];
   }
 
-let ablation_delta ~quick =
+let ablation_delta ~audit ~quick =
   let deltas = [ 0.80; 0.90; 0.95; 0.98 ] in
   let rows =
     List.map
@@ -623,7 +624,7 @@ let ablation_delta ~quick =
         let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.0) ~rate in
         let measure attack =
           let _, cluster =
-            run_shape (module Rbft) ~f:1 ~shape ~attack (rbft ~tweak ~f:1 ~payload:8)
+            run_shape ~audit (module Rbft) ~f:1 ~shape ~attack (rbft ~probe:(Audit.probe audit) ~tweak ~f:1 ~payload:8)
           in
           ( window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
               ~until:(Loadshape.total_duration shape),
@@ -650,19 +651,19 @@ let ablation_delta ~quick =
       ];
   }
 
-let ablation_switch_master ~quick =
+let ablation_switch_master ~audit ~quick =
   let tweak p = { p with Rbft.Params.recovery = Rbft.Params.Switch_master; delta = 0.9 } in
   let rate = Calibrate.saturating_rate Calibrate.Rbft ~size:8 in
   let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.5) ~rate in
   let slow_master cluster =
-    Audit.declare_faulty [ 0 ];
+    Audit.declare_faulty audit [ 0 ];
     (Pbftcore.Replica.adversary
        (Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0))
       .Pbftcore.Replica.pp_rate_limit <- (fun () -> 0.3 *. rate)
   in
   let measure tweak =
     let _, cluster =
-      run_shape (module Rbft) ~f:1 ~shape ~attack:slow_master (rbft ~tweak ~f:1 ~payload:8)
+      run_shape ~audit (module Rbft) ~f:1 ~shape ~attack:slow_master (rbft ~probe:(Audit.probe audit) ~tweak ~f:1 ~payload:8)
     in
     ( window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
         ~until:(Loadshape.total_duration shape),
@@ -691,12 +692,12 @@ let ablation_switch_master ~quick =
    master, so the backup instances can never order faster and the
    ratio test has nothing to compare. This ablation demonstrates that
    limitation with the implemented closed-loop client mode. *)
-let ablation_closed_loop ~quick =
+let ablation_closed_loop ~audit ~quick =
   let params = { (Rbft.Params.default ~f:1) with Rbft.Params.delta = 0.9 } in
   let duration = scale ~quick (Time.of_sec_f 2.5) in
   let run ~closed =
-    Audit.begin_run ~n:4 ~f:1;
-    let cluster = Rbft.Cluster.create ~clients:20 params in
+    Audit.begin_run audit ~n:4 ~f:1;
+    let cluster = Rbft.Cluster.create ~probe:(Audit.probe audit) ~clients:20 params in
     Array.iter
       (fun c ->
         if closed then Rbft.Client.set_closed_loop c ~outstanding:20
@@ -707,7 +708,7 @@ let ablation_closed_loop ~quick =
        itself to ~40 % of capacity. *)
     Rbft.Cluster.run_for cluster (Time.ms 500);
     let attack_start = Engine.now (Rbft.Cluster.engine cluster) in
-    Audit.declare_faulty [ 0 ];
+    Audit.declare_faulty audit [ 0 ];
     let replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
     (Pbftcore.Replica.adversary replica).Pbftcore.Replica.pp_rate_limit <-
       (fun () -> 0.4 *. Calibrate.peak_rate Calibrate.Rbft ~size:8);
@@ -738,22 +739,22 @@ let ablation_closed_loop ~quick =
       ];
   }
 
-let ablations ~quick =
+let ablations ~audit ~quick =
   [
-    ablation_ordering ~quick;
-    ablation_view_changes ~quick;
-    ablation_delta ~quick;
-    ablation_switch_master ~quick;
-    ablation_closed_loop ~quick;
+    ablation_ordering ~audit ~quick;
+    ablation_view_changes ~audit ~quick;
+    ablation_delta ~audit ~quick;
+    ablation_switch_master ~audit ~quick;
+    ablation_closed_loop ~audit ~quick;
   ]
 
-let all ~quick =
-  robustness_of_baselines ~quick
-  @ fig7 ~quick
-  @ fig8_9 ~quick
-  @ fig10_11 ~quick
-  @ [ fig12 ~quick ]
-  @ ablations ~quick
+let all ~audit ~quick =
+  robustness_of_baselines ~audit ~quick
+  @ fig7 ~audit ~quick
+  @ fig8_9 ~audit ~quick
+  @ fig10_11 ~audit ~quick
+  @ [ fig12 ~audit ~quick ]
+  @ ablations ~audit ~quick
 
 (* ------------------------------------------------------------------ *)
 (* Fault-free baselines across seeds                                  *)
@@ -767,7 +768,7 @@ let mean_spread samples =
   in
   (mean, sqrt var)
 
-let seed_sweep ~quick ~seeds =
+let seed_sweep ~audit ~quick ~seeds =
   let size = 8 in
   let no_attack _ = () in
   let run proto seed =
@@ -775,16 +776,16 @@ let seed_sweep ~quick ~seeds =
     let rate = Calibrate.saturating_rate proto ~size in
     let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.0) ~rate in
     let measure (type c) (module S : STACK with type Cluster.t = c) create =
-      fst (run_shape (module S) ~f:1 ~shape ~attack:no_attack create)
+      fst (run_shape ~audit (module S) ~f:1 ~shape ~attack:no_attack create)
     in
     match proto with
     | Calibrate.Rbft | Calibrate.Rbft_concurrent ->
-      measure (module Rbft) (rbft ~seed ~f:1 ~payload:size)
+      measure (module Rbft) (rbft ~probe:(Audit.probe audit) ~seed ~f:1 ~payload:size)
     | Calibrate.Rbft_udp ->
-      measure (module Rbft) (rbft ~seed ~transport:Bftnet.Network.Udp ~f:1 ~payload:size)
-    | Calibrate.Aardvark -> measure (module Aardvark) (aardvark ~seed ~f:1 ~payload:size)
-    | Calibrate.Spinning -> measure (module Spinning) (spinning ~seed ~f:1 ~payload:size)
-    | Calibrate.Prime -> measure (module Prime) (prime ~seed ~f:1 ~payload:size)
+      measure (module Rbft) (rbft ~probe:(Audit.probe audit) ~seed ~transport:Bftnet.Network.Udp ~f:1 ~payload:size)
+    | Calibrate.Aardvark -> measure (module Aardvark) (aardvark ~probe:(Audit.probe audit) ~seed ~f:1 ~payload:size)
+    | Calibrate.Spinning -> measure (module Spinning) (spinning ~probe:(Audit.probe audit) ~seed ~f:1 ~payload:size)
+    | Calibrate.Prime -> measure (module Prime) (prime ~probe:(Audit.probe audit) ~seed ~f:1 ~payload:size)
   in
   let row proto =
     let samples = List.init seeds (fun s -> run proto (s + 1)) in

@@ -72,4 +72,4 @@ let config ?dir ?triggers ?epsilon ?scenario ?(extra_fields = [])
 let attach ?dir ?triggers ?epsilon ?scenario ?extra_fields cluster =
   Doctor.attach
     (config ?dir ?triggers ?epsilon ?scenario ?extra_fields cluster)
-    (Rbft.Cluster.engine cluster)
+    (Rbft.Cluster.probe cluster) (Rbft.Cluster.engine cluster)

@@ -30,30 +30,30 @@ and host = {
   minor_words_per_req : float;
 }
 
+module Probe = Bftmetrics.Probe
+
 let duration ~quick = Time.of_sec_f (if quick then 1.0 else 2.0)
 
 (* Mirrors the harness' static saturated runner, with the registry
    optionally live (reset per run so counters describe one run).
    [span_sample] > 0 additionally runs the span tracer at 1/N sampling;
-   the caller reads the spans back via [Bftspan.Tracer.to_array]. *)
+   the caller reads the spans back from the probe. *)
 let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
-    ?(ordering = Rbft.Params.Redundant) ?(flow = true) ~with_metrics ~quick
+    ?(ordering = Rbft.Params.Redundant) ?(flow = true) ~audit ~with_metrics ~quick
     ~payload () =
-  let module Registry = Bftmetrics.Registry in
-  (* Calibrate before touching the registry so the probe runs don't
-     pollute this run's counters. *)
-  Registry.disable ();
+  let probe = Audit.probe audit in
+  Probe.set_metrics probe false;
   let proto =
     match ordering with
     | Rbft.Params.Redundant -> Calibrate.Rbft
     | Rbft.Params.Concurrent -> Calibrate.Rbft_concurrent
   in
   let rate = Calibrate.saturating_rate ~f proto ~size:payload in
-  Registry.reset Registry.default;
-  if with_metrics then Registry.enable () else Registry.disable ();
+  Bftmetrics.Registry.reset (Probe.registry probe);
+  Probe.set_metrics probe with_metrics;
   if span_sample > 0 then begin
-    Bftspan.Tracer.reset ();
-    Bftspan.Tracer.enable ~sample:span_sample ()
+    Probe.reset_spans probe;
+    Probe.enable_spans ~sample:span_sample probe
   end;
   let clients = 20 in
   let shape =
@@ -81,9 +81,9 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
         adaptive_batching = true }
     else { (Rbft.Params.default ~f) with Rbft.Params.ordering }
   in
-  Audit.begin_run ~n:(Rbft.Params.n params) ~f;
+  Audit.begin_run audit ~n:(Rbft.Params.n params) ~f;
   let cluster =
-    Rbft.Cluster.create ~clients:(Loadshape.max_clients shape)
+    Rbft.Cluster.create ~probe ~clients:(Loadshape.max_clients shape)
       ~payload_size:payload params
   in
   attack cluster;
@@ -94,8 +94,8 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
   let words0 = Gc.minor_words () in
   Rbft.Cluster.run_for cluster (Time.add total (Time.ms 200));
   let minor_words = Gc.minor_words () -. words0 in
-  Audit.end_run ();
-  if span_sample > 0 then Bftspan.Tracer.disable ();
+  Audit.end_run audit;
+  if span_sample > 0 then Probe.disable_spans probe;
   let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
   let throughput =
     Bftmetrics.Throughput.rate_between counter (Time.ms 200) total
@@ -121,7 +121,7 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
   (* Master-instance ordering latency at correct node 1, read back
      from the registry (re-registration returns the live child). *)
   let order =
-    Bftmetrics.Registry.histogram Bftmetrics.Registry.default
+    Bftmetrics.Registry.histogram (Probe.registry probe)
       "bft_ordering_latency_seconds"
       ~labels:[ ("node", "1"); ("instance", "0") ]
   in
@@ -163,8 +163,10 @@ let json_of_result r =
     (Bftmetrics.Export.json_float r.order_p50_ms)
     (Bftmetrics.Export.json_float r.order_p99_ms)
 
-let generate ~quick =
+let generate ~audit ~quick =
   let module Profile = Bftmetrics.Profile in
+  let profile = Profile.create () in
+  let probe = Audit.probe audit in
   let sizes = [ 8; 4096 ] in
   (* Fault-free baselines, and the wall-clock cost of the very same
      8 B run with the registry off — the hot-path overhead measure. *)
@@ -172,20 +174,20 @@ let generate ~quick =
   let hosts = ref [] in
   let record leg r = hosts := (leg, r.host) :: !hosts in
   let t_off = ref 0.0 in
-  Profile.time "perfreport:baseline-nometrics" (fun () ->
+  Profile.time profile "perfreport:baseline-nometrics" (fun () ->
       let t0 = Unix.gettimeofday () in
-      let r = static_run ~with_metrics:false ~quick ~payload:8 () in
+      let r = static_run ~audit ~with_metrics:false ~quick ~payload:8 () in
       t_off := Unix.gettimeofday () -. t0;
       record "baseline-nometrics" r);
   let t_on = ref 0.0 in
   let fault_free =
     List.map
       (fun payload ->
-        Profile.time
+        Profile.time profile
           (Printf.sprintf "perfreport:fault-free-%s" (size_key payload))
           (fun () ->
             let t0 = Unix.gettimeofday () in
-            let r = static_run ~with_metrics:true ~quick ~payload () in
+            let r = static_run ~audit ~with_metrics:true ~quick ~payload () in
             if payload = 8 then t_on := Unix.gettimeofday () -. t0;
             record ("fault-free-" ^ size_key payload) r;
             (payload, r)))
@@ -197,16 +199,16 @@ let generate ~quick =
   let breakdown =
     List.map
       (fun payload ->
-        Profile.time
+        Profile.time profile
           (Printf.sprintf "perfreport:breakdown-%s" (size_key payload))
           (fun () ->
             record
               ("breakdown-" ^ size_key payload)
-              (static_run ~with_metrics:false ~span_sample:8 ~quick ~payload ());
+              (static_run ~audit ~with_metrics:false ~span_sample:8 ~quick ~payload ());
             let summary =
-              Bftspan.Analyze.summarize (Bftspan.Tracer.to_array ())
+              Bftspan.Analyze.summarize (Probe.span_array probe)
             in
-            Bftspan.Tracer.reset ();
+            Probe.reset_spans probe;
             (payload, summary)))
       sizes
   in
@@ -220,11 +222,11 @@ let generate ~quick =
         ( name,
           List.map
             (fun payload ->
-              Profile.time
+              Profile.time profile
                 (Printf.sprintf "perfreport:%s-%s" name (size_key payload))
                 (fun () ->
                   let att =
-                    static_run ~attack ~with_metrics:true ~quick ~payload ()
+                    static_run ~attack ~audit ~with_metrics:true ~quick ~payload ()
                   in
                   record (name ^ "-" ^ size_key payload) att;
                   let ff = List.assoc payload fault_free in
@@ -236,7 +238,7 @@ let generate ~quick =
             sizes ))
       attacks
   in
-  Bftmetrics.Registry.disable ();
+  Probe.set_metrics probe false;
   let overhead_pct =
     if !t_off > 0.0 then 100.0 *. ((!t_on /. !t_off) -. 1.0) else 0.0
   in
@@ -313,12 +315,12 @@ let generate ~quick =
        (Bftmetrics.Export.json_float overhead_pct)
        "\n");
   Buffer.add_string buf
-    (Printf.sprintf {|  "profile": %s%s|} (Bftmetrics.Profile.json ()) "\n");
+    (Printf.sprintf {|  "profile": %s%s|} (Bftmetrics.Profile.json profile) "\n");
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write ~quick ~path =
-  let json = generate ~quick in
+let write ~audit ~quick ~path =
+  let json = generate ~audit ~quick in
   Bftmetrics.Export.to_channel_or_file ~path json;
   if path <> "-" then Printf.printf "performance report -> %s\n%!" path
 
@@ -326,31 +328,32 @@ let write ~quick ~path =
 (* Scaling sweep (BENCH_scale.json)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let generate_scale ~quick =
+let generate_scale ~audit ~quick =
   let module Profile = Bftmetrics.Profile in
+  let profile = Profile.create () in
   let payload = 8 in
   let rows =
     List.map
       (fun f ->
         let n = (3 * f) + 1 and instances = f + 1 in
         let r =
-          Profile.time (Printf.sprintf "perfreport:scale-f%d" f) (fun () ->
-              static_run ~f ~flow:false ~with_metrics:true ~quick ~payload ())
+          Profile.time profile (Printf.sprintf "perfreport:scale-f%d" f) (fun () ->
+              static_run ~f ~flow:false ~audit ~with_metrics:true ~quick ~payload ())
         in
         (* Same cluster size in concurrent (bftrcc) ordering, where the
            f+1 instances order disjoint client partitions instead of
            redundantly ordering everything — the column that shows the
            added instances turning into added capacity. *)
         let c =
-          Profile.time (Printf.sprintf "perfreport:scale-f%d-concurrent" f)
+          Profile.time profile (Printf.sprintf "perfreport:scale-f%d-concurrent" f)
             (fun () ->
               static_run ~f ~ordering:Rbft.Params.Concurrent ~flow:false
-                ~with_metrics:true ~quick ~payload ())
+                ~audit ~with_metrics:true ~quick ~payload ())
         in
         (f, n, instances, r, c))
       [ 1; 2; 3 ]
   in
-  Bftmetrics.Registry.disable ();
+  Probe.set_metrics (Audit.probe audit) false;
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
@@ -372,12 +375,12 @@ let generate_scale ~quick =
           rows));
   Buffer.add_string buf "\n  },\n";
   Buffer.add_string buf
-    (Printf.sprintf {|  "profile": %s%s|} (Bftmetrics.Profile.json ()) "\n");
+    (Printf.sprintf {|  "profile": %s%s|} (Bftmetrics.Profile.json profile) "\n");
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write_scale ~quick ~path =
-  let json = generate_scale ~quick in
+let write_scale ~audit ~quick ~path =
+  let json = generate_scale ~audit ~quick in
   Bftmetrics.Export.to_channel_or_file ~path json;
   if path <> "-" then Printf.printf "scaling report -> %s\n%!" path
 
@@ -388,7 +391,7 @@ let write_scale ~quick ~path =
 (* Aggregate footprint peaks per structure name: the per-owner detail
    (4 nodes x ~12 probes) is incident-bundle material; the bench
    records the worst owner of each structure. *)
-let footprint_peaks_by_name () =
+let footprint_peaks_by_name probe =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun (key, peak) ->
@@ -399,7 +402,7 @@ let footprint_peaks_by_name () =
       in
       let prev = Option.value ~default:0 (Hashtbl.find_opt tbl name) in
       if peak > prev then Hashtbl.replace tbl name peak)
-    (Bftcap.Footprint.peak_entries ());
+    (Bftcap.Footprint.peak_entries probe);
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
@@ -416,11 +419,11 @@ type clients_point = {
   cp_footprint : (string * int) list;
 }
 
-let clients_run ~quick ~population =
-  let module Registry = Bftmetrics.Registry in
-  Registry.disable ();
-  Bftcap.Footprint.clear ();
-  Bftcap.Footprint.enable ();
+let clients_run ~audit ~quick ~population =
+  let probe = Audit.probe audit in
+  Probe.set_metrics probe false;
+  Probe.clear_footprints probe;
+  Probe.set_footprints probe true;
   let duration = Time.of_sec_f (if quick then 0.6 else 1.5) in
   (* Fixed aggregate load well under saturation: the sweep variable is
      the population, and what it measures is what O(clients) state
@@ -438,11 +441,11 @@ let clients_run ~quick ~population =
       ~duration ()
   in
   let cluster =
-    Rbft.Cluster.create ~clients:(Population.clients pop) ~payload_size:8
+    Rbft.Cluster.create ~probe ~clients:(Population.clients pop) ~payload_size:8
       params
   in
   let engine = Rbft.Cluster.engine cluster in
-  let gcs = Bftcap.Gcstats.create ~window:128 () in
+  let gcs = Bftcap.Gcstats.create ~window:128 probe in
   (* Periodic GC/footprint sampling on virtual time. *)
   let tick = Time.mul_f duration (1.0 /. 24.0) in
   let rec sampler_until stop =
@@ -489,11 +492,11 @@ let clients_run ~quick ~population =
       cp_gc = Bftcap.Gcstats.deltas gcs;
       cp_peak_live = Bftcap.Gcstats.peak_live_words gcs;
       cp_peak_heap = Bftcap.Gcstats.peak_heap_words gcs;
-      cp_footprint = footprint_peaks_by_name ();
+      cp_footprint = footprint_peaks_by_name probe;
     }
   in
-  Bftcap.Footprint.disable ();
-  Bftcap.Footprint.clear ();
+  Probe.set_footprints probe false;
+  Probe.clear_footprints probe;
   point
 
 let json_of_clients_point p =
@@ -517,14 +520,15 @@ let json_of_clients_point p =
           (fun (k, v) -> Printf.sprintf {|"%s":%d|} k v)
           p.cp_footprint))
 
-let generate_clients ~quick =
+let generate_clients ~audit ~quick =
   let module Profile = Bftmetrics.Profile in
+  let profile = Profile.create () in
   let points = if quick then [ 100; 1_000; 10_000 ] else [ 1_000; 10_000; 50_000 ] in
   let rows =
     List.map
       (fun population ->
-        Profile.time (Printf.sprintf "perfreport:clients-%d" population)
-          (fun () -> clients_run ~quick ~population))
+        Profile.time profile (Printf.sprintf "perfreport:clients-%d" population)
+          (fun () -> clients_run ~audit ~quick ~population))
       points
   in
   let buf = Buffer.create 2048 in
@@ -540,11 +544,11 @@ let generate_clients ~quick =
     (String.concat ",\n" (List.map json_of_clients_point rows));
   Buffer.add_string buf "\n  ],\n";
   Buffer.add_string buf
-    (Printf.sprintf {|  "profile": %s%s|} (Bftmetrics.Profile.json ()) "\n");
+    (Printf.sprintf {|  "profile": %s%s|} (Bftmetrics.Profile.json profile) "\n");
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write_clients ~quick ~path =
-  let json = generate_clients ~quick in
+let write_clients ~audit ~quick ~path =
+  let json = generate_clients ~audit ~quick in
   Bftmetrics.Export.to_channel_or_file ~path json;
   if path <> "-" then Printf.printf "client-population report -> %s\n%!" path

@@ -8,15 +8,19 @@
     throughput, self-profile). Its [host] section gives, per leg, the
     simulator's own cost per completed request as deterministic
     counts: engine events, delivered messages and minor-heap words
-    allocated while the cluster ran. *)
+    allocated while the cluster ran.
 
-val generate : quick:bool -> string
+    Every run reports to [audit]'s probe (and is audited when [audit]
+    is enabled); each report times its legs in a {!Bftmetrics.Profile}
+    of its own, written as the [profile] section. *)
+
+val generate : audit:Audit.t -> quick:bool -> string
 (** Run the pass and return the JSON document. *)
 
-val write : quick:bool -> path:string -> unit
+val write : audit:Audit.t -> quick:bool -> path:string -> unit
 (** {!generate} and write to [path] ('-' for stdout). *)
 
-val generate_scale : quick:bool -> string
+val generate_scale : audit:Audit.t -> quick:bool -> string
 (** Scaling sweep ([BENCH_scale.json]): fault-free 8 B RBFT at
     f = 1, 2, 3 (4, 7 and 10 nodes; f+1 protocol instances), each at
     its calibrated saturation point, reduced to throughput and
@@ -25,10 +29,10 @@ val generate_scale : quick:bool -> string
     (bftrcc) ordering, where added instances add capacity instead of
     redundancy. *)
 
-val write_scale : quick:bool -> path:string -> unit
+val write_scale : audit:Audit.t -> quick:bool -> path:string -> unit
 (** {!generate_scale} and write to [path] ('-' for stdout). *)
 
-val generate_clients : quick:bool -> string
+val generate_clients : audit:Audit.t -> quick:bool -> string
 (** Client-population capacity sweep (BENCH_clients.json): run the
     {!Bftworkload.Population} model at growing population sizes under
     a fixed aggregate load and record, per point, throughput, client
@@ -36,5 +40,5 @@ val generate_clients : quick:bool -> string
     and the per-structure footprint-probe peaks. Quick mode sweeps
     100/1k/10k clients; full mode 1k/10k/50k. *)
 
-val write_clients : quick:bool -> path:string -> unit
+val write_clients : audit:Audit.t -> quick:bool -> path:string -> unit
 (** {!generate_clients} and write to [path] ('-' for stdout). *)

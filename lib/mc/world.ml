@@ -91,12 +91,12 @@ let correct_nodes cfg =
     (List.init n (fun i -> i))
 
 let create cfg =
-  Bftaudit.Auditor.reset_declared ();
+  let probe = Bftmetrics.Probe.create () in
   let n = (3 * cfg.f) + 1 in
   let auditor =
-    Bftaudit.Auditor.attach ~raise_on_violation:false ~n ~f:cfg.f ()
+    Bftaudit.Auditor.attach ~probe ~raise_on_violation:false ~n ~f:cfg.f ()
   in
-  let liveness = Bftaudit.Liveness.attach () in
+  let liveness = Bftaudit.Liveness.attach probe in
   let params =
     {
       (Rbft.Params.default ~f:cfg.f) with
@@ -118,7 +118,7 @@ let create cfg =
     }
   in
   let cluster =
-    Rbft.Cluster.create ~seed:cfg.seed ~net_config ~clients:1 params
+    Rbft.Cluster.create ~probe ~seed:cfg.seed ~net_config ~clients:1 params
   in
   let engine = Rbft.Cluster.engine cluster in
   let net = Rbft.Cluster.network cluster in
@@ -127,6 +127,7 @@ let create cfg =
   let hooks =
     {
       Bftchaos.Injector.engine;
+      probe;
       n;
       set_fault_hook = Bftnet.Network.set_fault_hook net;
       set_cpu_factor =

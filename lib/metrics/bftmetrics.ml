@@ -1,15 +1,28 @@
-(** Measurement and observability utilities.
-
-    Low-level accumulators ({!Stats}, {!Hist}, {!Throughput}) plus the
-    metrics pipeline: a labeled-family {!Registry} sampled cheaply on
-    hot paths, a sim-time {!Sampler} that turns it into time series,
-    {!Export}ers (Prometheus text, CSV, JSON) and a wall-clock
-    {!Profile}r for per-subsystem time attribution in the harness. *)
+(** Measurement and observability utilities: low-level accumulators
+    ({!Stats}, {!Hist}, {!Throughput}), the per-run instrumentation
+    plane ({!Probe}) and the records it carries ({!Event}, {!Span},
+    {!Tag}), a labeled-family {!Registry}, a sim-time {!Sampler},
+    {!Export}ers (Prometheus text, CSV, JSON), the {!Chrome} trace
+    writer and a wall-clock {!Profile}r for the harness. *)
 
 module Stats = Stats
 module Hist = Hist
 module Throughput = Throughput
-module Registry = Registry
+module Event = Event
+module Tag = Tag
+module Span = Span
+module Probe = Probe
+
+(** {!Registry} plus the entry points that act on {!Probe.default}. *)
+module Registry = struct
+  include Registry
+
+  let default = Probe.registry Probe.default
+  let enable () = Probe.set_metrics Probe.default true
+  let disable () = Probe.set_metrics Probe.default false
+end
+
 module Sampler = Sampler
 module Export = Export
+module Chrome = Chrome
 module Profile = Profile

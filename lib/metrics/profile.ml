@@ -5,47 +5,51 @@
 
 type slot = { mutable seconds : float; mutable calls : int }
 
-let slots : (string, slot) Hashtbl.t = Hashtbl.create 16
-let order : string list ref = ref []  (* first-use order, reversed *)
+type t = {
+  slots : (string, slot) Hashtbl.t;
+  mutable order : string list;  (* first-use order, reversed *)
+}
 
-let slot label =
-  match Hashtbl.find_opt slots label with
+let create () = { slots = Hashtbl.create 16; order = [] }
+
+let slot t label =
+  match Hashtbl.find_opt t.slots label with
   | Some s -> s
   | None ->
     let s = { seconds = 0.0; calls = 0 } in
-    Hashtbl.add slots label s;
-    order := label :: !order;
+    Hashtbl.add t.slots label s;
+    t.order <- label :: t.order;
     s
 
-let add label seconds =
-  let s = slot label in
+let add t label seconds =
+  let s = slot t label in
   s.seconds <- s.seconds +. seconds;
   s.calls <- s.calls + 1
 
-let time label f =
+let time t label f =
   let t0 = Unix.gettimeofday () in
   Fun.protect
-    ~finally:(fun () -> add label (Unix.gettimeofday () -. t0))
+    ~finally:(fun () -> add t label (Unix.gettimeofday () -. t0))
     f
 
-let report () =
+let report t =
   List.rev_map
     (fun label ->
-      let s = Hashtbl.find slots label in
+      let s = Hashtbl.find t.slots label in
       (label, s.seconds, s.calls))
-    !order
+    t.order
   |> List.sort (fun (_, a, _) (_, b, _) -> compare b a)
 
-let reset () =
-  Hashtbl.reset slots;
-  order := []
+let reset t =
+  Hashtbl.reset t.slots;
+  t.order <- []
 
-let total () = Hashtbl.fold (fun _ s acc -> acc +. s.seconds) slots 0.0
+let total t = Hashtbl.fold (fun _ s acc -> acc +. s.seconds) t.slots 0.0
 
-let print oc =
-  let rows = report () in
+let print t oc =
+  let rows = report t in
   if rows <> [] then begin
-    let total = total () in
+    let total = total t in
     Printf.fprintf oc "\n== Self-profile (wall clock) ==\n";
     List.iter
       (fun (label, seconds, calls) ->
@@ -57,12 +61,12 @@ let print oc =
     Printf.fprintf oc "  %-32s %8.2fs\n" "total" total
   end
 
-let json () =
+let json t =
   "["
   ^ String.concat ","
       (List.map
          (fun (label, seconds, calls) ->
            Printf.sprintf {|{"label":"%s","seconds":%.6f,"calls":%d}|}
              (Export.json_escape label) seconds calls)
-         (report ()))
+         (report t))
   ^ "]"

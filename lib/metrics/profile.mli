@@ -1,23 +1,27 @@
 (** Wall-clock self-profiler: coarse per-subsystem time attribution
-    (a global label -> accumulated seconds table). Wrap subsystem-
-    sized work — experiment groups, export passes — not hot paths. *)
+    (a label -> accumulated seconds table). Wrap subsystem-sized work —
+    experiment groups, export passes — not hot paths. *)
 
-val time : string -> (unit -> 'a) -> 'a
+type t
+
+val create : unit -> t
+
+val time : t -> string -> (unit -> 'a) -> 'a
 (** [time label f] runs [f] and charges its wall-clock duration to
     [label] (exception-safe). *)
 
-val add : string -> float -> unit
+val add : t -> string -> float -> unit
 (** Charge [seconds] to [label] directly (one call). *)
 
-val report : unit -> (string * float * int) list
+val report : t -> (string * float * int) list
 (** [(label, seconds, calls)], sorted by descending seconds. *)
 
-val total : unit -> float
+val total : t -> float
 
-val reset : unit -> unit
+val reset : t -> unit
 
-val print : out_channel -> unit
+val print : t -> out_channel -> unit
 (** Aligned table with percentages; silent when nothing was timed. *)
 
-val json : unit -> string
+val json : t -> string
 (** JSON array of [{label, seconds, calls}]. *)

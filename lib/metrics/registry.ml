@@ -3,9 +3,8 @@
    child handle is what instrumented code keeps, so a hot-path update
    is a single field mutation with no lookup and no allocation.
 
-   Like the audit bus, collection is globally gated: call sites guard
-   updates with [active ()] so a run without any exporter or sampler
-   attached pays one load and one branch per site. *)
+   Collection is gated by the owning probe's metrics switch, not
+   here. *)
 
 module Counter = struct
   type t = { mutable value : int }
@@ -60,14 +59,6 @@ type t = {
 }
 
 let create () = { families = Hashtbl.create 64; order = [] }
-
-let default = create ()
-
-(* Global collection gate, mirroring Bftaudit.Bus.active. *)
-let enabled = ref false
-let active () = !enabled
-let enable () = enabled := true
-let disable () = enabled := false
 
 let canonical labels = List.sort (fun (a, _) (b, _) -> compare a b) labels
 let child_key labels = String.concat "\x00" (List.map snd labels)
@@ -225,33 +216,3 @@ let reset t =
           | Histogram_i h -> Hist.reset h)
         f.children)
     t.families
-
-(* Cross-registry aggregation (e.g. folding per-shard registries into
-   one export): counters and gauges add, histograms merge sample-wise,
-   callback gauges are skipped (their closure belongs to the source).
-   Kind mismatches on a shared family name raise. *)
-let merge ~into src =
-  Hashtbl.iter
-    (fun _ (sf : family) ->
-      List.iter
-        (fun (labels, si) ->
-          match si with
-          | Counter_i c ->
-            Counter.add (counter into sf.name ~help:sf.help ~labels)
-              (Counter.value c)
-          | Gauge_i g ->
-            Gauge.add (gauge into sf.name ~help:sf.help ~labels) (Gauge.value g)
-          | Gauge_fn_i _ -> ()
-          | Histogram_i h ->
-            let dfam, labels =
-              family_of into ~name:sf.name ~help:sf.help ~kind:Histogram_kind
-                ~labels
-            in
-            let key = child_key labels in
-            (match Hashtbl.find_opt dfam.children key with
-             | Some (_, Histogram_i dh) ->
-               Hashtbl.replace dfam.children key (labels, Histogram_i (Hist.merge dh h))
-             | Some _ -> assert false
-             | None -> Hashtbl.add dfam.children key (labels, Histogram_i (Hist.copy h))))
-        (children_of sf))
-    src.families

@@ -6,14 +6,9 @@
     the handles, so a hot-path update is a single field mutation —
     no lookup, no allocation.
 
-    Collection is globally gated like the audit bus: guard update
-    sites with {!active} so a run with no exporter or sampler
-    attached pays one load and one branch per site:
-
-    {[
-      if Bftmetrics.Registry.active () then
-        Bftmetrics.Registry.Counter.inc m.requests
-    ]} *)
+    A registry does not gate collection itself: the {!Probe} that owns
+    it carries the on/off switch, and its event calls update the
+    handles only while metrics are on. *)
 
 module Counter : sig
   type t
@@ -39,21 +34,9 @@ type kind = Counter_kind | Gauge_kind | Histogram_kind
 val kind_name : kind -> string
 
 type t
-(** A registry. Most code uses {!default}. *)
+(** A registry. Each {!Probe.t} owns one. *)
 
 val create : unit -> t
-
-val default : t
-(** The process-wide registry all built-in instrumentation targets. *)
-
-val active : unit -> bool
-(** The global collection gate (one ref read). *)
-
-val enable : unit -> unit
-(** Turn collection on — done by the sampler, the CLI metric flags and
-    the bench harness when an export was requested. *)
-
-val disable : unit -> unit
 
 val counter : ?help:string -> t -> string -> labels:labels -> Counter.t
 (** [counter t name ~labels] registers (or finds) the child of the
@@ -121,8 +104,3 @@ val reset : t -> unit
 (** Zero every value but keep families and children, so instrument
     handles held by live components stay valid. Callback gauges are
     untouched. *)
-
-val merge : into:t -> t -> unit
-(** Fold [src] into [into]: counters and gauges add, histograms merge
-    sample-wise, callback gauges are skipped. Raises
-    [Invalid_argument] on kind or label-name mismatches. *)

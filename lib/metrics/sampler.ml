@@ -36,7 +36,6 @@ let rec arm t =
          end))
 
 let attach ?(period = Time.ms 100) engine registry =
-  Registry.enable ();
   let t =
     {
       engine;

@@ -8,7 +8,8 @@
     series — a skewed and an unskewed same-seed run sample at
     identical timestamps.
 
-    Attaching enables global collection ({!Registry.enable}). The
+    Values move only while the owning probe's metrics are on
+    ({!Probe.set_metrics}); the sampler does not turn them on. The
     rearming tick keeps the engine's queue non-empty, so drive the
     simulation with [Engine.run ~until] (as the clusters' [run_for]
     does) and {!detach} before draining a queue to empty. *)

@@ -66,40 +66,7 @@ type 'a client_port = {
   c_last_from_node : Time.t array;
 }
 
-(* Per-channel metric handles (node-node, node-client, client-node),
-   registered once per network; updated behind [Registry.active]. *)
-type chan_metrics = {
-  m_msgs : Bftmetrics.Registry.Counter.t;
-  m_bytes : Bftmetrics.Registry.Counter.t;
-  m_drops : Bftmetrics.Registry.Counter.t;
-}
-
-type net_metrics = {
-  nn : chan_metrics;
-  nc : chan_metrics;
-  cn : chan_metrics;
-}
-
-let register_metrics () =
-  let module Registry = Bftmetrics.Registry in
-  let reg = Registry.default in
-  let chan c =
-    {
-      m_msgs =
-        Registry.counter reg "bft_net_messages_total"
-          ~help:"Messages delivered, by channel"
-          ~labels:[ ("channel", c) ];
-      m_bytes =
-        Registry.counter reg "bft_net_bytes_total"
-          ~help:"Payload bytes delivered, by channel"
-          ~labels:[ ("channel", c) ];
-      m_drops =
-        Registry.counter reg "bft_net_dropped_total"
-          ~help:"Messages dropped (closed NIC, no handler), by channel"
-          ~labels:[ ("channel", c) ];
-    }
-  in
-  { nn = chan "node-node"; nc = chan "node-client"; cn = chan "client-node" }
+module Probe = Bftmetrics.Probe
 
 type 'a t = {
   engine : Engine.t;
@@ -119,16 +86,17 @@ type 'a t = {
      identifying fields) for choice-event fingerprints. Only consulted
      while the engine captures choices. *)
   mutable describe : ('a -> string) option;
-  m : net_metrics;
+  probe : Probe.t;
+  m : Probe.net_metrics;
 }
 
-let chan_of t ~src ~dst =
+let chan_of ~src ~dst =
   match (src, dst) with
-  | Principal.Node _, Principal.Node _ -> t.m.nn
-  | Principal.Node _, Principal.Client _ -> t.m.nc
-  | Principal.Client _, _ -> t.m.cn
+  | Principal.Node _, Principal.Node _ -> Probe.Node_node
+  | Principal.Node _, Principal.Client _ -> Probe.Node_client
+  | Principal.Client _, _ -> Probe.Client_node
 
-let create engine cfg =
+let create ~probe engine cfg =
   let make_ports i =
     {
       egress_to_node =
@@ -156,8 +124,11 @@ let create engine cfg =
     bytes = 0;
     fault_hook = None;
     describe = None;
-    m = register_metrics ();
+    probe;
+    m = Probe.net_metrics probe;
   }
+
+let probe t = t.probe
 
 let engine t = t.engine
 let config t = t.cfg
@@ -278,16 +249,9 @@ let fifo_arrival t ~src ~dst arrival =
    for a client; [src] names the sender whose traffic was dropped). *)
 let drop t ~src ~dst ~reason =
   t.dropped <- t.dropped + 1;
-  if Bftmetrics.Registry.active () then
-    Bftmetrics.Registry.Counter.inc (chan_of t ~src ~dst).m_drops;
-  if Bftaudit.Bus.active () then
-    Bftaudit.Bus.emit
-      {
-        Bftaudit.Event.time = Engine.now t.engine;
-        node = (match dst with Principal.Node j -> j | Principal.Client _ -> -1);
-        instance = -1;
-        kind = Net_dropped { src = Principal.to_string src; reason };
-      }
+  Probe.dropped t.probe t.m (chan_of ~src ~dst) (Engine.now t.engine)
+    ~node:(match dst with Principal.Node j -> j | Principal.Client _ -> -1)
+    ~src ~show:Principal.to_string ~reason
 
 let send_copy t ~src ~dst ~size ~corrupt ~extra_delay ~span ~span_tag payload =
   let sent_at = Engine.now t.engine in
@@ -315,24 +279,15 @@ let send_copy t ~src ~dst ~size ~corrupt ~extra_delay ~span ~span_tag payload =
             Resource.submit ingress ~cost:ser (fun () ->
                 t.delivered <- t.delivered + 1;
                 t.bytes <- t.bytes + size;
-                if Bftmetrics.Registry.active () then begin
-                  let cm = chan_of t ~src ~dst in
-                  Bftmetrics.Registry.Counter.inc cm.m_msgs;
-                  Bftmetrics.Registry.Counter.add cm.m_bytes size
-                end;
+                Probe.delivered t.probe t.m (chan_of ~src ~dst) ~size;
                 let now = Engine.now t.engine in
                 (* Traced message: the whole wire time — sender
                    serialization + propagation + ingress — is one
                    transit span, attributed to the receiver. *)
                 let span' =
-                  if span >= 0 && Bftspan.Tracer.active () then
-                    Bftspan.Tracer.span ~parent:span ~tag:span_tag
-                      ~node:
-                        (match dst with
-                        | Principal.Node j -> j
-                        | Principal.Client _ -> -1)
-                      ~instance:(-1) ~t0:sent_at ~t1:now
-                  else -1
+                  Probe.span t.probe ~parent:span ~tag:span_tag
+                    ~node:(match dst with Principal.Node j -> j | Principal.Client _ -> -1)
+                    ~instance:(-1) ~t0:sent_at ~t1:now
                 in
                 handler
                   {

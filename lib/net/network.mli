@@ -99,7 +99,12 @@ val set_describe : 'a t -> ('a -> string) option -> unit
     (type tag plus distinguishing fields) deterministically. Never
     consulted outside capture mode. *)
 
-val create : Engine.t -> config -> 'a t
+val create : probe:Bftmetrics.Probe.t -> Engine.t -> config -> 'a t
+(** A network whose deliveries, drops and transit spans are reported
+    to [probe]; every node and client attached to it reports to the
+    same probe ({!probe}). *)
+
+val probe : 'a t -> Bftmetrics.Probe.t
 
 val engine : 'a t -> Engine.t
 val config : 'a t -> config

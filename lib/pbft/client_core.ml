@@ -75,12 +75,7 @@ let pending_count t = Request_id_table.length t.pending
     sampled) and enter it in the pending table. *)
 let track t (id : request_id) data =
   let now = Engine.now t.engine in
-  let span =
-    if Bftspan.Tracer.sampled ~rid:id.rid then
-      Bftspan.Tracer.root ~client:t.id ~rid:id.rid ~node:(-1) ~instance:(-1)
-        ~tag:Bftspan.Tag.Client ~t0:now
-    else -1
-  in
+  let span = Bftmetrics.Probe.request_root (Network.probe t.net) ~client:t.id ~rid:id.rid now in
   let p = { sent_at = now; span; replies = []; done_ = false; data } in
   Request_id_table.replace t.pending id p;
   p
@@ -105,7 +100,7 @@ let on_reply t (id : request_id) ~from ~result =
       t.completed <- t.completed + 1;
       let now = Engine.now t.engine in
       Bftmetrics.Hist.add t.latencies (Time.to_sec_f (Time.sub now p.sent_at));
-      Bftspan.Tracer.finish p.span ~t1:now;
+      Bftmetrics.Probe.finish (Network.probe t.net) p.span ~t1:now;
       Request_id_table.remove t.pending id;
       true
     end

@@ -17,6 +17,11 @@ module type S = sig
 
   val engine : t -> Engine.t
   val network : t -> msg Bftnet.Network.t
+
+  val probe : t -> Bftmetrics.Probe.t
+  (** The run's instrumentation: every node, replica and client of the
+      cluster reports to it. *)
+
   val node : t -> int -> node
   val nodes : t -> node array
   val client : t -> int -> client
@@ -85,10 +90,16 @@ module Make (P : PARTS) = struct
   }
 
   (** Build the deployment: nodes are created, then clients, then the
-      nodes are started. [service] is instantiated once per node. *)
-  let assemble ~seed ~net_config ~service ~clients ~payload_size config =
-    let engine = Engine.create ~seed () in
-    let net = Bftnet.Network.create engine net_config in
+      nodes are started. [service] is instantiated once per node. The
+      engine and the network (and through it every node, replica and
+      client) report to [probe], {!Bftmetrics.Probe.default} when none
+      is given. *)
+  let assemble ?(probe = Bftmetrics.Probe.default) ~seed ~net_config ~service ~clients
+      ~payload_size config =
+    let engine =
+      Engine.create ~seed ~on_job_start:(Bftmetrics.Probe.on_job_start probe) ()
+    in
+    let net = Bftnet.Network.create ~probe engine net_config in
     let nodes =
       Array.init (P.n config) (fun id ->
           P.create engine net config ~id ~service:(service ()))
@@ -102,7 +113,7 @@ module Make (P : PARTS) = struct
   (** [assemble] on the stack's default network ([P.transport] over
       {!Bftnet.Network.default_config}), serving {!Bftapp.Null_service}
       by default. *)
-  let create ?(seed = 42L) ?(clients = 0) ?(payload_size = 8)
+  let create ?probe ?(seed = 42L) ?(clients = 0) ?(payload_size = 8)
       ?(service = fun () -> Bftapp.Null_service.create ()) config =
     let net_config =
       {
@@ -110,10 +121,11 @@ module Make (P : PARTS) = struct
         Bftnet.Network.transport = P.transport;
       }
     in
-    assemble ~seed ~net_config ~service ~clients ~payload_size config
+    assemble ?probe ~seed ~net_config ~service ~clients ~payload_size config
 
   let engine t = t.engine
   let network t = t.net
+  let probe t = Bftnet.Network.probe t.net
   let config t = t.config
   let seed t = t.seed
   let node t i = t.nodes.(i)

@@ -5,7 +5,8 @@
 
 type t
 
-val create : unit -> t
+val create : Bftmetrics.Probe.t -> t
+(** An empty ledger whose executions are reported to the probe. *)
 
 val execute :
   t -> now:Dessim.Time.t -> node:int -> instance:int -> Types.request_desc -> unit

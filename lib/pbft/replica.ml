@@ -1,5 +1,7 @@
 open Dessim
 open Types
+module Probe = Bftmetrics.Probe
+module Event = Bftmetrics.Event
 
 type config = {
   n : int;
@@ -63,48 +65,6 @@ type entry = {
   mutable t_pp : Time.t;
   mutable t_prepared : Time.t;
 }
-
-(* Metric handles, registered once per replica; hot paths only mutate
-   them behind the [Registry.active] gate. *)
-type metrics = {
-  prepare_latency : Bftmetrics.Hist.t;  (* pre-prepare -> prepared *)
-  commit_latency : Bftmetrics.Hist.t;   (* prepared -> delivered *)
-  batch_occupancy : Bftmetrics.Hist.t;
-  requests_ordered : Bftmetrics.Registry.Counter.t;
-  batches_ordered : Bftmetrics.Registry.Counter.t;
-  view_changes : Bftmetrics.Registry.Counter.t;
-}
-
-let register_metrics (cfg : config) =
-  let module Registry = Bftmetrics.Registry in
-  let reg = Registry.default in
-  let node = string_of_int cfg.replica_id in
-  let instance = string_of_int cfg.instance in
-  let phase p =
-    Registry.histogram reg "bft_phase_latency_seconds"
-      ~help:"Ordering pipeline phase latency per replica"
-      ~labels:[ ("node", node); ("instance", instance); ("phase", p) ]
-  in
-  {
-    prepare_latency = phase "prepare";
-    commit_latency = phase "commit";
-    batch_occupancy =
-      Registry.histogram reg "bft_batch_occupancy" ~min_value:1.0 ~gamma:1.2
-        ~help:"Requests per flushed batch (primary side)"
-        ~labels:[ ("node", node); ("instance", instance) ];
-    requests_ordered =
-      Registry.counter reg "bft_requests_ordered_total"
-        ~help:"Requests delivered in total order"
-        ~labels:[ ("node", node); ("instance", instance) ];
-    batches_ordered =
-      Registry.counter reg "bft_batches_ordered_total"
-        ~help:"Batches delivered in total order"
-        ~labels:[ ("node", node); ("instance", instance) ];
-    view_changes =
-      Registry.counter reg "bft_view_changes_total"
-        ~help:"Views entered (view-change completions)"
-        ~labels:[ ("node", node); ("instance", instance) ];
-  }
 
 type t = {
   engine : Engine.t;
@@ -178,10 +138,11 @@ type t = {
      hosting node collects it with [take_span]. Only sampled requests
      ever enter the table. *)
   span_in : (int * Time.t) Request_id_table.t;
-  m : metrics;
+  probe : Probe.t;
+  m : Probe.replica_metrics;
 }
 
-let create ?clock engine cfg cb =
+let create ~probe ?clock engine cfg cb =
   {
     engine;
     clock = (match clock with Some c -> c | None -> Clock.create engine);
@@ -221,7 +182,8 @@ let create ?clock engine cfg cb =
     pp_release = Time.zero;
     waiting_pps = [];
     span_in = Request_id_table.create 64;
-    m = register_metrics cfg;
+    probe;
+    m = Probe.replica_metrics probe ~node:cfg.replica_id ~instance:cfg.instance;
   }
 
 let config t = t.cfg
@@ -279,17 +241,12 @@ let set_entry_digest (e : entry) digest =
 (* ------------------------------------------------------------------ *)
 
 let audit t kind =
-  Bftaudit.Bus.emit
-    {
-      Bftaudit.Event.time = Engine.now t.engine;
-      node = t.cfg.replica_id;
-      instance = t.cfg.instance;
-      kind;
-    }
+  Probe.emit_at t.probe (Engine.now t.engine) ~node:t.cfg.replica_id
+    ~instance:t.cfg.instance kind
 
 let audit_pp t ~view (pp : Messages.pre_prepare) =
   audit t
-    (Bftaudit.Event.Pre_prepare_sent
+    (Event.Pre_prepare_sent
        {
          view;
          seq = pp.seq;
@@ -304,20 +261,20 @@ let audit_msg t (msg : Messages.t) =
   match msg with
   | Messages.Pre_prepare pp -> audit_pp t ~view:pp.view pp
   | Messages.Prepare { view; seq; digest; _ } ->
-    audit t (Bftaudit.Event.Prepare_sent { view; seq; digest })
+    audit t (Event.Prepare_sent { view; seq; digest })
   | Messages.Commit { view; seq; digest; _ } ->
-    audit t (Bftaudit.Event.Commit_sent { view; seq; digest })
+    audit t (Event.Commit_sent { view; seq; digest })
   | Messages.Checkpoint { seq; state_digest; _ } ->
-    audit t (Bftaudit.Event.Checkpoint_sent { seq; digest = state_digest })
+    audit t (Event.Checkpoint_sent { seq; digest = state_digest })
   | Messages.View_change { new_view; _ } ->
-    audit t (Bftaudit.Event.View_change_sent { view = new_view })
+    audit t (Event.View_change_sent { view = new_view })
   | Messages.New_view { view; pre_prepares; _ } ->
     (* The new primary's re-proposals stand for its pre-prepares. *)
     List.iter (audit_pp t ~view) pre_prepares
 
 let broadcast t msg =
   if not t.adv.silent then begin
-    if Bftaudit.Bus.active () then audit_msg t msg;
+    if Probe.audit t.probe then audit_msg t msg;
     t.cb.broadcast msg
   end
 
@@ -355,8 +312,8 @@ let accept_checkpoint t ~from ~seq ~state_digest =
     ignore (Voteset.add voters from);
     if Voteset.count voters >= (2 * t.cfg.f) + 1 then begin
       t.last_stable <- seq;
-      if Bftaudit.Bus.active () then
-        audit t (Bftaudit.Event.Checkpoint_stable { seq; digest = state_digest });
+      if Probe.audit t.probe then
+        audit t (Event.Checkpoint_stable { seq; digest = state_digest });
       (* State transfer: a replica that lags behind a stable checkpoint
          (e.g. a view change purged its in-flight quorum state) adopts
          the checkpointed state instead of waiting for batches nobody
@@ -396,16 +353,13 @@ let record_phase_spans t (e : entry) fresh =
         let t_pp = Time.max e.t_pp t_sub in
         let t_prep = Time.min now (Time.max e.t_prepared t_pp) in
         let b =
-          Bftspan.Tracer.span ~parent ~tag:Bftspan.Tag.Batch_wait ~node
-            ~instance ~t0:t_sub ~t1:t_pp
+          Probe.span t.probe ~parent ~tag:Batch_wait ~node ~instance ~t0:t_sub ~t1:t_pp
         in
         let pr =
-          Bftspan.Tracer.span ~parent:b ~tag:Bftspan.Tag.Prepare ~node
-            ~instance ~t0:t_pp ~t1:t_prep
+          Probe.span t.probe ~parent:b ~tag:Prepare ~node ~instance ~t0:t_pp ~t1:t_prep
         in
         let cm =
-          Bftspan.Tracer.span ~parent:pr ~tag:Bftspan.Tag.Commit ~node
-            ~instance ~t0:t_prep ~t1:now
+          Probe.span t.probe ~parent:pr ~tag:Commit ~node ~instance ~t0:t_prep ~t1:now
         in
         Request_id_table.replace t.span_in d.id (cm, now))
     fresh
@@ -435,21 +389,11 @@ let rec try_deliver t =
         pp.descs
     in
     List.iter (fun d -> Request_id_table.replace t.delivered_ids d.id ()) fresh;
-    t.ordered_count <- t.ordered_count + List.length fresh;
-    if Bftspan.Tracer.active () then record_phase_spans t e fresh;
-    if Bftaudit.Bus.active () then
-      audit t
-        (Bftaudit.Event.Ordered
-           { seq; count = List.length fresh; digest = e.digest });
-    if Bftmetrics.Registry.active () then begin
-      let now = Engine.now t.engine in
-      Bftmetrics.Hist.add t.m.prepare_latency
-        (Time.to_sec_f (Time.sub e.t_prepared e.t_pp));
-      Bftmetrics.Hist.add t.m.commit_latency
-        (Time.to_sec_f (Time.sub now e.t_prepared));
-      Bftmetrics.Registry.Counter.add t.m.requests_ordered (List.length fresh);
-      Bftmetrics.Registry.Counter.inc t.m.batches_ordered
-    end;
+    let count = List.length fresh in
+    t.ordered_count <- t.ordered_count + count;
+    if Probe.spans t.probe then record_phase_spans t e fresh;
+    Probe.batch_ordered t.probe t.m (Engine.now t.engine) ~seq ~count ~digest:e.digest
+      ~t_pp:e.t_pp ~t_prepared:e.t_prepared;
     t.chain_digest <-
       Bftcrypto.Sha256.digest_string (t.chain_digest ^ Messages.batch_digest pp.descs);
     t.cb.deliver seq fresh;
@@ -520,8 +464,7 @@ let rec flush_batch t =
     in
     t.pending_batch <- List.rev rest;
     t.pending_len <- t.pending_len - batch_len;
-    if Bftmetrics.Registry.active () then
-      Bftmetrics.Hist.add t.m.batch_occupancy (float_of_int batch_len);
+    Probe.batch_flushed t.probe t.m ~size:batch_len;
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     let pp = { Messages.view = t.view; seq; descs = batch } in
@@ -805,9 +748,8 @@ let rec start_view_change t target =
   end
 
 and enter_view t v =
-  if Bftaudit.Bus.active () then
-    audit t
-      (Bftaudit.Event.View_entered { view = v; primary = t.cfg.primary_of_view v });
+  Probe.view_entered t.probe t.m (Engine.now t.engine) ~view:v
+    ~primary:(t.cfg.primary_of_view v);
   t.view <- v;
   t.in_vc <- false;
   (* A batch timer armed while this replica was primary of the old
@@ -816,8 +758,6 @@ and enter_view t v =
      primary also re-proposes. *)
   cancel_batch_timer t;
   t.vc_completed <- t.vc_completed + 1;
-  if Bftmetrics.Registry.active () then
-    Bftmetrics.Registry.Counter.inc t.m.view_changes;
   t.pp_release <- Time.zero;
   (* Reset per-view quorum state for undelivered entries — except:
      - locally committed entries are final (quorum intersection) and
@@ -1051,23 +991,23 @@ let debug_live_seqs t =
    Deliberately excluded: wall-clock-relative values ([pp_release],
    span/timing bookkeeping, metric handles) — they do not influence
    which protocol actions are possible next. *)
-(* Capacity probes ({!Bftcap.Footprint}) over the replica's ordering
+(* Footprints over the replica's ordering
    state: the per-seqno log (checkpoint-pruned), the submitted-request
    pool and the delivered-id set (both still append-only — the probes
    exist to make that growth visible per structure). *)
 let register_probes t ~owner =
   ignore
-    (Bftcap.Footprint.register ~owner ~name:"replica.log"
+    (Probe.footprint t.probe ~owner ~name:"replica.log"
        ~entries:(fun () -> Hashtbl.length t.entries)
        ~root:(fun () -> Some (Obj.repr t.entries))
        ());
   ignore
-    (Bftcap.Footprint.register ~owner ~name:"replica.known"
+    (Probe.footprint t.probe ~owner ~name:"replica.known"
        ~entries:(fun () -> Request_id_table.length t.known)
        ~root:(fun () -> Some (Obj.repr t.known))
        ());
   ignore
-    (Bftcap.Footprint.register ~owner ~name:"replica.delivered_ids"
+    (Probe.footprint t.probe ~owner ~name:"replica.delivered_ids"
        ~entries:(fun () -> Request_id_table.length t.delivered_ids)
        ~root:(fun () -> Some (Obj.repr t.delivered_ids))
        ())

@@ -74,8 +74,10 @@ type adversary = {
 
 type t
 
-val create : ?clock:Clock.t -> Engine.t -> config -> callbacks -> t
-(** [?clock] routes the replica's local timers (the batch timer) through
+val create :
+  probe:Bftmetrics.Probe.t -> ?clock:Clock.t -> Engine.t -> config -> callbacks -> t
+(** The replica reports its ordering events, metrics, spans and
+    footprints to [probe]. [?clock] routes the replica's local timers (the batch timer) through
     a skewable {!Dessim.Clock}; defaults to an unskewed clock on
     [engine]. *)
 
@@ -193,6 +195,6 @@ val fingerprint : t -> string
     ({!Bftmc}) hashes this into its visited-state set. *)
 
 val register_probes : t -> owner:string -> unit
-(** Register {!Bftcap.Footprint} probes over the replica's per-seqno
+(** Register footprints ({!Bftmetrics.Probe.footprint}) over the replica's per-seqno
     ordering log, its submitted-request pool and its delivered-id set,
     labelled with [owner] (e.g. ["node-1/i0"]). *)

@@ -3,7 +3,7 @@ open Bftcrypto
 open Bftnet
 open Bftapp
 open Pbftcore.Types
-module Spans = Bftspan.Tracer
+module Probe = Bftmetrics.Probe
 
 type msg =
   | Request of { desc : request_desc; sig_valid : bool }
@@ -39,6 +39,7 @@ type t = {
   engine : Engine.t;
   clock : Clock.t;  (* pp/ping loops; skewable by the chaos engine *)
   net : msg Network.t;
+  probe : Probe.t;
   cfg : config;
   id : int;
   service : Service.t;
@@ -118,7 +119,7 @@ let send_from ?(span = -1) ?span_tag t ~dst m =
 (* Prime signs every message. *)
 let broadcast_signed ?(span = -1) t m =
   let size = msg_size t m in
-  Resource.charge t.main (Costmodel.sig_sign ~bytes:size);
+  Resource.charge t.main (Costmodel.sig_sign t.probe ~bytes:size);
   for dst = 0 to n_nodes t - 1 do
     if dst <> t.id then begin
       Resource.charge t.main (Costmodel.send ~bytes:(cost_bytes t m));
@@ -192,7 +193,7 @@ let exec_cost_of t (desc : request_desc) =
   else Time.max t.cfg.exec_cost (t.service.Service.exec_cost desc.op)
 
 let audit t kind =
-  Bftaudit.Bus.emit
+  Probe.emit t.probe
     { Bftaudit.Event.time = Engine.now t.engine; node = t.id; instance = 0; kind }
 
 let execute_one t (desc : request_desc) =
@@ -201,7 +202,7 @@ let execute_one t (desc : request_desc) =
     (* Execution runs inline on the main thread ([charge], not
        [submit]), so the execution span is [now, now + cost]. *)
     let espan =
-      if not (Spans.active ()) then -1
+      if not (Probe.spans t.probe) then -1
       else
         match Request_id_table.find_opt t.span_in desc.id with
         | None -> -1
@@ -209,10 +210,10 @@ let execute_one t (desc : request_desc) =
           Request_id_table.remove t.span_in desc.id;
           let now = Engine.now t.engine in
           let b =
-            Spans.span ~parent ~tag:Bftspan.Tag.Batch_wait ~node:t.id
+            Probe.span t.probe ~parent ~tag:Bftspan.Tag.Batch_wait ~node:t.id
               ~instance:0 ~t0:t_in ~t1:now
           in
-          Spans.span ~parent:b ~tag:Bftspan.Tag.Execution ~node:t.id ~instance:0
+          Probe.span t.probe ~parent:b ~tag:Bftspan.Tag.Execution ~node:t.id ~instance:0
             ~t0:now ~t1:(Time.add now cost)
     in
     (* Execution happens on the main thread: heavy requests delay
@@ -240,7 +241,7 @@ let rec try_deliver t =
     in
     if ready then begin
       e.delivered <- true;
-      if Bftaudit.Bus.active () then begin
+      if Probe.audit t.probe then begin
         (* Digest over the summary vector alone (the agreed content):
            Prime's own [vector_digest] also covers the view, which
            would make the same seq hash differently across views and
@@ -402,7 +403,7 @@ let handle_request t ~span (desc : request_desc) ~sig_valid =
   | Some result ->
     send_from t ~dst:(Principal.client desc.id.client) (Reply { id = desc.id; result })
   | None ->
-    Resource.charge t.main (Costmodel.sig_verify ~bytes:desc.op_size);
+    Resource.charge t.main (Costmodel.sig_verify t.probe ~bytes:desc.op_size);
     if sig_valid then begin
       if span >= 0 && not (Request_id_table.mem t.span_in desc.id) then
         Request_id_table.replace t.span_in desc.id (span, Engine.now t.engine);
@@ -413,7 +414,7 @@ let handle_request t ~span (desc : request_desc) ~sig_valid =
 
 let on_delivery t (d : msg Network.delivery) =
   let base = Costmodel.recv ~bytes:(cost_bytes t d.Network.payload) in
-  let verify = Costmodel.sig_verify ~bytes:d.Network.size in
+  let verify = Costmodel.sig_verify t.probe ~bytes:d.Network.size in
   let with_sig = Time.add base verify in
   let from = Network.src_node d in
   let authentic =
@@ -433,14 +434,14 @@ let on_delivery t (d : msg Network.delivery) =
   match d.Network.payload with
   | Request { desc; sig_valid } ->
     let vspan =
-      Spans.job ~parent:d.Network.span ~tag:Bftspan.Tag.Crypto_verify ~node:t.id
+      Probe.job t.probe ~parent:d.Network.span ~tag:Bftspan.Tag.Crypto_verify ~node:t.id
         ~instance:0 ~now:(Engine.now t.engine)
     in
     Resource.submit ~span:vspan t.main ~cost:base (fun () ->
         handle_request t ~span:vspan desc ~sig_valid)
   | Po_request { desc; po_seq } ->
     let pspan =
-      Spans.job ~parent:d.Network.span ~tag:Bftspan.Tag.Propagate ~node:t.id
+      Probe.job t.probe ~parent:d.Network.span ~tag:Bftspan.Tag.Propagate ~node:t.id
         ~instance:0 ~now:(Engine.now t.engine)
     in
     Resource.submit ~span:pspan t.main ~cost:with_sig (fun () ->
@@ -493,6 +494,7 @@ let create engine net cfg ~id ~service =
       engine;
       clock = Clock.create engine;
       net;
+      probe = Network.probe net;
       cfg;
       id;
       service;
@@ -510,7 +512,7 @@ let create engine net cfg ~id ~service =
       suspects = Pbftcore.Voteset.create ~n;
       suspects_seen = 0;
       executed = Request_id_table.create 4096;
-      ledger = Pbftcore.Ledger.create ();
+      ledger = Pbftcore.Ledger.create (Network.probe net);
       ping_nonce = 0;
       pings_inflight = Hashtbl.create 16;
       span_in = Request_id_table.create 64;

@@ -21,11 +21,14 @@ type t = {
   mutable capture : bool;
   mutable choice_seq : int;
   parked : (int, choice * event) Hashtbl.t;
+  on_job_start : int -> start:Time.t -> finish:Time.t -> unit;
 }
 
 type timer = event
 
-let create ?(seed = 1L) () =
+let no_job_hook _ ~start:_ ~finish:_ = ()
+
+let create ?(seed = 1L) ?(on_job_start = no_job_hook) () =
   {
     clock = Time.zero;
     seq = 0;
@@ -36,7 +39,10 @@ let create ?(seed = 1L) () =
     capture = false;
     choice_seq = 0;
     parked = Hashtbl.create 64;
+    on_job_start;
   }
+
+let on_job_start t = t.on_job_start
 
 let now t = t.clock
 let rng t = t.root_rng

@@ -10,10 +10,16 @@ type t
 type timer
 (** A handle on a scheduled event, used for cancellation. *)
 
-val create : ?seed:int64 -> unit -> t
+val create :
+  ?seed:int64 -> ?on_job_start:(int -> start:Time.t -> finish:Time.t -> unit) -> unit -> t
 (** [create ~seed ()] makes an engine whose clock starts at
     {!Time.zero}. All randomness in a simulation derives from [seed]
-    (default [1L]). *)
+    (default [1L]). [on_job_start] is called when a {!Resource} job
+    tagged with a span id (>= 0) starts service, with the virtual
+    instants it occupies the server; the run's span tracer installs
+    it. *)
+
+val on_job_start : t -> int -> start:Time.t -> finish:Time.t -> unit
 
 val now : t -> Time.t
 (** Current virtual time. *)

@@ -1,12 +1,3 @@
-(* Observability hook: called when a job tagged with a span id (>= 0)
-   is dequeued, with the virtual instants it occupies the server. At
-   most one hook; the span tracer installs it. Kept global so hot
-   submit paths pay only an integer compare when tracing is off. *)
-let span_hook : (int -> start:Time.t -> finish:Time.t -> unit) option ref =
-  ref None
-
-let set_span_hook h = span_hook := h
-
 let noop () = ()
 
 (* Waiting jobs live in a growable FIFO ring of three parallel arrays:
@@ -55,10 +46,9 @@ let start t ~cost ~span k =
   t.busy_until <- finish;
   t.busy_total <- Time.add t.busy_total cost;
   t.jobs <- t.jobs + 1;
-  (if span >= 0 then
-     match !span_hook with
-     | Some h -> h span ~start ~finish
-     | None -> ());
+  (* Only traced jobs carry a span id, so an untraced run pays one
+     integer compare here. *)
+  if span >= 0 then Engine.on_job_start t.engine span ~start ~finish;
   ignore (Engine.at t.engine finish t.complete)
 
 let start_next t =

@@ -39,15 +39,10 @@ val submit : ?span:int -> t -> cost:Time.t -> (unit -> unit) -> unit
     completes, i.e. at [max now (end of previous job) + cost].
 
     [?span] (default [-1], meaning "untraced") tags the job with a span
-    id for the tracer hook below; the resource itself only stores and
-    forwards the integer. *)
-
-val set_span_hook : (int -> start:Time.t -> finish:Time.t -> unit) option -> unit
-(** Installs (or clears) the global job-start observability hook. When
-    a job submitted with [~span:id] ([id >= 0]) is dequeued, the hook
-    receives [id] plus the virtual interval the job occupies the
-    server, after speed scaling. Untagged jobs never touch the hook, so
-    the traced-off overhead is one integer compare per job. *)
+    id; when a tagged job starts service, the engine's job-start hook
+    ({!Engine.create}) receives the id and the virtual interval the job
+    occupies the server, after speed scaling. Untagged jobs never touch
+    the hook, so the traced-off overhead is one integer compare. *)
 
 val charge : t -> Time.t -> unit
 (** [charge t extra] extends the busy period of the job currently at

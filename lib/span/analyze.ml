@@ -321,53 +321,34 @@ let read_jsonl path =
   Array.of_list (List.rev !acc)
 
 (* Chrome about:tracing / Perfetto export. Spans become complete ("X")
-   events; audit-bus events, when a capture is supplied, join the same
-   timeline as instant ("i") events with the identical pid = node /
-   tid = instance mapping, so nested spans and flat audit marks align.
-   Client-side spans (node = -1) keep pid = -1 and use tid = client so
-   each client gets its own lane. [counters] adds named counter ("C")
-   series — GC/heap telemetry from {!Bftcap.Gcstats.counter_series} —
-   on pid 0 so heap growth lines up with the span timeline. *)
-let write_chrome ?audit ?(counters = []) spans path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc {|{"displayTimeUnit":"ms","traceEvents":[|};
-      let first = ref true in
-      let sep () = if !first then first := false else output_char oc ',' in
-      Array.iter
-        (fun s ->
-          if not (Span.is_open s) then begin
-            sep ();
-            let tid = if s.Span.node < 0 then s.Span.client else s.Span.instance in
-            Printf.fprintf oc
-              {|{"name":"%s","ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d,"args":{"id":%d,"parent":%d,"client":%d,"rid":%d}}|}
-              (Tag.name s.Span.tag)
-              (Time.to_us_f s.Span.t0)
-              (Time.to_us_f (Span.duration s))
-              s.Span.node tid s.Span.id s.Span.parent s.Span.client s.Span.rid
-          end)
-        spans;
-      (match audit with
-      | None -> ()
-      | Some capture ->
-        Bftaudit.Capture.iter_events capture (fun ev ->
-            sep ();
-            Printf.fprintf oc
-              {|{"name":"%s","ph":"i","s":"t","ts":%.3f,"pid":%d,"tid":%d,"args":{%s}}|}
-              (Bftaudit.Event.kind_name ev.Bftaudit.Event.kind)
-              (Time.to_us_f ev.Bftaudit.Event.time)
-              ev.Bftaudit.Event.node ev.Bftaudit.Event.instance
-              (Bftaudit.Event.args_json ev.Bftaudit.Event.kind)));
-      List.iter
-        (fun (name, points) ->
-          List.iter
-            (fun (at, v) ->
-              sep ();
-              Printf.fprintf oc
-                {|{"name":"%s","ph":"C","ts":%.3f,"pid":0,"tid":0,"args":{"value":%.0f}}|}
-                name (Time.to_us_f at) v)
-            points)
-        counters;
-      output_string oc "]}")
+   events; audit events, when supplied, join the same timeline as
+   instant ("i") events with the identical pid = node / tid = instance
+   mapping, so nested spans and flat audit marks align. Client-side
+   spans (node = -1) keep pid = -1 and use tid = client so each client
+   gets its own lane. *)
+let chrome_span ~args (s : Span.t) =
+  Bftmetrics.Chrome.Complete
+    {
+      name = Tag.name s.tag;
+      ts = s.t0;
+      dur = Span.duration s;
+      pid = s.node;
+      tid = (if s.node < 0 then s.client else s.instance);
+      args = args s;
+    }
+
+let chrome_spans ~args spans =
+  Array.fold_right
+    (fun s acc -> if Span.is_open s then acc else chrome_span ~args s :: acc)
+    spans []
+
+let write_chrome ?audit spans path =
+  let args (s : Span.t) =
+    Printf.sprintf {|"id":%d,"parent":%d,"client":%d,"rid":%d|} s.id s.parent s.client
+      s.rid
+  in
+  Bftmetrics.Chrome.write path
+    (chrome_spans ~args spans
+    @ (match audit with
+      | None -> []
+      | Some c -> List.map Bftaudit.Capture.chrome_event (Bftaudit.Capture.events c)))

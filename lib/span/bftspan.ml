@@ -1,11 +1,11 @@
 (** Causal per-request tracing with critical-path latency attribution.
 
-    {!Tracer} is a global, zero-cost-when-disabled span recorder (the
-    {!Bftaudit.Bus} discipline): instrumentation in the client, network
-    and every protocol stack opens {!Span}s tagged with a {!Tag}
+    A run's {!Bftmetrics.Probe} records the spans, at near-zero cost
+    while tracing is off: instrumentation in the client, network and
+    every protocol stack opens {!Span}s tagged with a {!Tag}
     describing what the interval was spent on, linked into one tree per
     request by span ids carried inside simulated messages and CPU jobs.
-    {!Analyze} turns a capture into per-stage latency budgets (critical
+    {!Tracer} reads a capture back (digest, JSONL). {!Analyze} turns a capture into per-stage latency budgets (critical
     path via a last-finisher backward walk), slowest-request
     breakdowns, per-client fairness tables, and Chrome trace_event
     exports aligned with {!Bftaudit.Capture}. *)

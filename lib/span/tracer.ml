@@ -1,139 +1,19 @@
-(** The global span tracer.
+(** Read-outs of a run's span capture (digest, JSONL), plus the span
+    entry points that act on {!Bftmetrics.Probe.default}. The run's
+    probe records the spans: ids are allocation order, so a capture of
+    a deterministic run is deterministic, and context propagates as a
+    bare span id ([-1] = none) carried in resource jobs and network
+    deliveries. *)
 
-    Follows the {!Bftaudit.Bus} discipline: a single [enabled] ref read
-    plus an integer compare on every hot-path hook, so instrumentation
-    costs a few nanoseconds when tracing is off. Spans live in one
-    growable array indexed by id (ids are allocation order, which makes
-    captures deterministic for a deterministic simulation).
+module Probe = Bftmetrics.Probe
 
-    Context propagates as a bare span id ([int], [-1] = none): message
-    sends carry it in the {!Dessim.Resource} job record and the network
-    delivery record, and children inherit [client]/[rid] from their
-    parent here, so call sites never thread trace metadata explicitly.
+let count probe = Probe.span_count probe
 
-    Sampling is by request id: [sampled ~rid] decides at the root
-    (client submit); every downstream hook is keyed on [parent >= 0],
-    so a sampling decision propagates through the whole lifecycle for
-    free. *)
-
-open Dessim
-
-let enabled = ref false
-let sample_every = ref 1
-let spans : Span.t array ref = ref [||]
-let len = ref 0
-
-let active () = !enabled
-
-let sampled ~rid =
-  !enabled && (!sample_every <= 1 || rid mod !sample_every = 0)
-
-let sample_rate () = !sample_every
-
-let ensure () =
-  if !len >= Array.length !spans then begin
-    let cap = max 1024 (2 * Array.length !spans) in
-    let a = Array.make cap Span.dummy in
-    Array.blit !spans 0 a 0 !len;
-    spans := a
-  end
-
-let alloc ~parent ~client ~rid ~node ~instance ~tag ~t0 ~t1 =
-  ensure ();
-  let id = !len in
-  !spans.(id) <-
-    { Span.id; parent; client; rid; node; instance; tag; t0; t1 };
-  incr len;
-  id
-
-let get id = !spans.(id)
-
-(* Close hook: the doctor's flight recorder rings subscribe to the
-   span stream here. One ref read + match per close while tracing is
-   enabled; nothing at all when tracing is off (the [id >= 0] guards
-   short-circuit first). *)
-let close_hook_ref : (Span.t -> unit) option ref = ref None
-let close_hook () = !close_hook_ref
-let set_close_hook h = close_hook_ref := h
-
-let notify_close s =
-  match !close_hook_ref with Some f -> f s | None -> ()
-
-let root ~client ~rid ~node ~instance ~tag ~t0 =
-  if not !enabled then -1
-  else
-    alloc ~parent:(-1) ~client ~rid ~node ~instance ~tag ~t0 ~t1:Span.none
-
-let span ~parent ~tag ~node ~instance ~t0 ~t1 =
-  if parent < 0 || not !enabled then -1
-  else
-    let p = get parent in
-    alloc ~parent ~client:p.Span.client ~rid:p.Span.rid ~node ~instance ~tag
-      ~t0 ~t1
-
-let start ~parent ~tag ~node ~instance ~t0 =
-  span ~parent ~tag ~node ~instance ~t0 ~t1:Span.none
-
-let finish id ~t1 =
-  if id >= 0 && id < !len then begin
-    let s = get id in
-    s.Span.t1 <- t1;
-    notify_close s
-  end
-
-(* A traced CPU job is a pair of consecutive spans: a queue-wait span
-   opened at submission time and the work span proper. Both are closed
-   by the resource hook when the job is dequeued, with the real
-   (speed-scaled, charge-displaced) instants — no back-computation. The
-   work span id (= queue id + 1) is what call sites carry around. *)
-let job ~parent ~tag ~node ~instance ~now =
-  if parent < 0 || not !enabled then -1
-  else begin
-    let p = get parent in
-    let client = p.Span.client and rid = p.Span.rid in
-    let _q : int =
-      alloc ~parent ~client ~rid ~node ~instance ~tag:Tag.Queue_wait ~t0:now
-        ~t1:Span.none
-    in
-    alloc ~parent ~client ~rid ~node ~instance ~tag ~t0:now ~t1:Span.none
-  end
-
-let on_job_start id ~start ~finish =
-  if id >= 1 && id < !len then begin
-    let w = get id in
-    w.Span.t0 <- start;
-    w.Span.t1 <- finish;
-    let q = get (id - 1) in
-    if q.Span.tag = Tag.Queue_wait && q.Span.parent = w.Span.parent
-       && Span.is_open q
-    then begin
-      q.Span.t1 <- start;
-      notify_close q
-    end;
-    notify_close w
-  end
-
-let enable ?(sample = 1) () =
-  sample_every := max 1 sample;
-  Resource.set_span_hook (Some on_job_start);
-  ignore
-    (Bftcap.Footprint.register ~owner:"tracer" ~name:"span.buffer"
-       ~entries:(fun () -> !len)
-       ~root:(fun () -> Some (Obj.repr !spans))
-       ());
-  enabled := true
-
-let disable () = enabled := false
-
-let reset () =
-  spans := [||];
-  len := 0;
-  enabled := false
-
-let count () = !len
-let iter f = for i = 0 to !len - 1 do f !spans.(i) done
-
-let to_array () = Array.sub !spans 0 !len
+(* The entry points over {!Probe.default}. *)
+let enable ?sample () = Probe.enable_spans ?sample Probe.default
+let disable () = Probe.disable_spans Probe.default
+let reset () = Probe.reset_spans Probe.default
+let to_array () = Probe.span_array Probe.default
 
 (* Chained over 64 KiB chunks of the JSONL rendering rather than span
    by span: the digest stays order- and prefix-sensitive, but a full
@@ -144,22 +24,23 @@ let to_array () = Array.sub !spans 0 !len
    — [hex] folds the tail chunk in before reading the chain. *)
 let digest_seed = "bftspan-trace-v1"
 
-let digest_upto n =
+let digest_upto probe n =
   let d = Chunkdig.create ~seed:digest_seed () in
-  let n = max 0 (min n !len) in
+  let n = max 0 (min n (count probe)) in
   for i = 0 to n - 1 do
-    Chunkdig.add_line d (fun buf -> Span.write_json buf !spans.(i))
+    Chunkdig.add_line d (fun buf -> Span.write_json buf (Probe.span_get probe i))
   done;
   Chunkdig.hex d
 
-let digest () = digest_upto !len
+let digest probe = digest_upto probe (count probe)
 
-let write_jsonl path =
+let write_jsonl probe path =
   let oc = open_out path in
   let buf = Buffer.create 256 in
-  iter (fun s ->
-      Buffer.clear buf;
-      Span.write_json buf s;
-      Buffer.add_char buf '\n';
-      Buffer.output_buffer oc buf);
+  for i = 0 to count probe - 1 do
+    Buffer.clear buf;
+    Span.write_json buf (Probe.span_get probe i);
+    Buffer.add_char buf '\n';
+    Buffer.output_buffer oc buf
+  done;
   close_out oc

@@ -3,7 +3,7 @@ open Bftcrypto
 open Bftnet
 open Bftapp
 open Pbftcore.Types
-module Spans = Bftspan.Tracer
+module Probe = Bftmetrics.Probe
 
 type msg =
   | Request of { desc : request_desc }
@@ -23,6 +23,7 @@ type t = {
   engine : Engine.t;
   clock : Clock.t;  (* accusation timers; skewable by the chaos engine *)
   net : msg Network.t;
+  probe : Probe.t;
   cfg : config;
   id : int;
   service : Service.t;
@@ -79,7 +80,7 @@ let send_from ?(span = -1) ?span_tag t thread ~dst m =
 let broadcast_nodes t thread m =
   let size = msg_size t m in
   Resource.charge thread
-    (Costmodel.authenticator_gen ~bytes:size ~count:(n_nodes t));
+    (Costmodel.authenticator_gen t.probe ~bytes:size ~count:(n_nodes t));
   for dst = 0 to n_nodes t - 1 do
     if dst <> t.id then begin
       Resource.charge thread (Costmodel.send ~bytes:(cost_bytes t m));
@@ -88,7 +89,7 @@ let broadcast_nodes t thread m =
   done
 
 let audit t kind =
-  Bftaudit.Bus.emit
+  Probe.emit t.probe
     { Bftaudit.Event.time = Engine.now t.engine; node = t.id; instance = 0; kind }
 
 let execute_batch t descs =
@@ -97,11 +98,11 @@ let execute_batch t descs =
       if not (Request_id_table.mem t.executed desc.id) then begin
         let cost = Time.max exec_cost (t.service.Service.exec_cost desc.op) in
         let ospan =
-          if Spans.active () then Replica.take_span (replica t) ~id:desc.id
+          if Probe.spans t.probe then Replica.take_span (replica t) ~id:desc.id
           else -1
         in
         let espan =
-          Spans.job ~parent:ospan ~tag:Bftspan.Tag.Execution ~node:t.id
+          Probe.job t.probe ~parent:ospan ~tag:Bftspan.Tag.Execution ~node:t.id
             ~instance:0 ~now:(Engine.now t.engine)
         in
         Resource.submit ~span:espan t.execution ~cost (fun () ->
@@ -111,7 +112,7 @@ let execute_batch t descs =
               Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id
                 ~instance:0 desc;
               Resource.charge t.execution
-                (Costmodel.mac_gen ~bytes:(String.length result + 16));
+                (Costmodel.mac_gen t.probe ~bytes:(String.length result + 16));
               send_from ~span:espan ~span_tag:Bftspan.Tag.Reply t t.execution
                 ~dst:(Principal.client desc.id.client)
                 (Reply { id = desc.id; result })
@@ -123,13 +124,13 @@ let make_replica t =
   let cfg = { Replica.n = n_nodes t; f = t.cfg.f; replica_id = t.id } in
   let broadcast m = broadcast_nodes t t.ordering (Order m) in
   let deliver _seq descs = execute_batch t descs in
-  Replica.create ~clock:t.clock t.engine cfg { Replica.broadcast; deliver }
+  Replica.create ~probe:t.probe ~clock:t.clock t.engine cfg { Replica.broadcast; deliver }
 
 let on_delivery t (d : msg Network.delivery) =
   let base =
     Time.add
       (Costmodel.recv ~bytes:(cost_bytes t d.Network.payload))
-      (Costmodel.mac_verify ~bytes:d.Network.size)
+      (Costmodel.mac_verify t.probe ~bytes:d.Network.size)
   in
   let from = Network.src_node d in
   let authentic =
@@ -146,7 +147,7 @@ let on_delivery t (d : msg Network.delivery) =
     (* Per-request bookkeeping: request log entry plus ordering timer
        management. *)
     let vspan =
-      Spans.job ~parent:d.Network.span ~tag:Bftspan.Tag.Crypto_verify ~node:t.id
+      Probe.job t.probe ~parent:d.Network.span ~tag:Bftspan.Tag.Crypto_verify ~node:t.id
         ~instance:0 ~now:(Engine.now t.engine)
     in
     Resource.submit ~span:vspan t.ordering ~cost:(Time.add base bookkeeping)
@@ -156,7 +157,7 @@ let on_delivery t (d : msg Network.delivery) =
           send_from t t.ordering ~dst:(Principal.client desc.id.client)
             (Reply { id = desc.id; result })
         | None ->
-          if Bftaudit.Bus.active () then
+          if Probe.audit t.probe then
             audit t
               (Bftaudit.Event.Request_received
                  {
@@ -176,6 +177,7 @@ let create engine net cfg ~id ~service =
       engine;
       clock = Clock.create engine;
       net;
+      probe = Network.probe net;
       cfg;
       id;
       service;
@@ -184,7 +186,7 @@ let create engine net cfg ~id ~service =
       replica = None;
       faults = { delay_fraction = 0.0 };
       executed = Request_id_table.create 4096;
-      ledger = Pbftcore.Ledger.create ();
+      ledger = Pbftcore.Ledger.create (Network.probe net);
     }
   in
   let r = make_replica t in

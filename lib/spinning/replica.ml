@@ -1,4 +1,5 @@
 open Dessim
+module Probe = Bftmetrics.Probe
 open Pbftcore.Types
 
 type config = { n : int; f : int; replica_id : int }
@@ -35,6 +36,7 @@ type entry = {
 
 type t = {
   engine : Engine.t;
+  probe : Probe.t;
   clock : Clock.t;  (* accusation timers; scalable by the chaos engine *)
   cfg : config;
   cb : callbacks;
@@ -57,9 +59,10 @@ type t = {
   span_in : (int * Time.t) Request_id_table.t;
 }
 
-let create ?clock engine cfg cb =
+let create ~probe ?clock engine cfg cb =
   {
     engine;
+    probe;
     clock = (match clock with Some c -> c | None -> Clock.create engine);
     cfg;
     cb;
@@ -138,7 +141,7 @@ let batch_digest descs = Pbftcore.Messages.batch_digest descs
 (* ------------------------------------------------------------------ *)
 
 let audit t kind =
-  Bftaudit.Bus.emit
+  Probe.emit t.probe
     {
       Bftaudit.Event.time = Engine.now t.engine;
       node = t.cfg.replica_id;
@@ -168,7 +171,7 @@ let audit_msg t msg =
 
 let broadcast t msg =
   if not t.adv.silent then begin
-    if Bftaudit.Bus.active () then audit_msg t msg;
+    if Probe.audit t.probe then audit_msg t msg;
     t.cb.broadcast msg
   end
 
@@ -187,15 +190,15 @@ let record_phase_spans t (e : entry) fresh =
         let t_pp = Time.max e.t_pp t_sub in
         let t_prep = Time.min now (Time.max e.t_prepared t_pp) in
         let b =
-          Bftspan.Tracer.span ~parent ~tag:Bftspan.Tag.Batch_wait ~node
+          Probe.span t.probe ~parent ~tag:Bftspan.Tag.Batch_wait ~node
             ~instance ~t0:t_sub ~t1:t_pp
         in
         let pr =
-          Bftspan.Tracer.span ~parent:b ~tag:Bftspan.Tag.Prepare ~node
+          Probe.span t.probe ~parent:b ~tag:Bftspan.Tag.Prepare ~node
             ~instance ~t0:t_pp ~t1:t_prep
         in
         let cm =
-          Bftspan.Tracer.span ~parent:pr ~tag:Bftspan.Tag.Commit ~node
+          Probe.span t.probe ~parent:pr ~tag:Bftspan.Tag.Commit ~node
             ~instance ~t0:t_prep ~t1:now
         in
         Request_id_table.replace t.span_in d.id (cm, now))
@@ -304,8 +307,8 @@ and try_deliver t =
             Request_id_table.remove t.claimed d.id)
           descs;
         t.ordered <- t.ordered + List.length fresh;
-        if Bftspan.Tracer.active () then record_phase_spans t e fresh;
-        if Bftaudit.Bus.active () then
+        if Probe.spans t.probe then record_phase_spans t e fresh;
+        if Probe.audit t.probe then
           audit t
             (Bftaudit.Event.Ordered
                { seq; count = List.length fresh; digest = e.digest });

@@ -54,7 +54,7 @@ type t
 (** [create ?clock engine cfg cb]: [?clock] routes the replica's
     accusation timer through a skewable {!Dessim.Clock}; defaults to an
     unskewed clock on [engine]. *)
-val create : ?clock:Clock.t -> Engine.t -> config -> callbacks -> t
+val create : probe:Bftmetrics.Probe.t -> ?clock:Clock.t -> Engine.t -> config -> callbacks -> t
 val adversary : t -> adversary
 
 val submit : ?span:int -> t -> request_desc -> unit

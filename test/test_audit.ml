@@ -13,19 +13,21 @@ let mk_event ?(time = Time.us 1) ?(node = 1) ?(instance = 0) kind =
 (* ------------------------------------------------------------------ *)
 
 let test_bus_zero_cost_when_disabled () =
-  Alcotest.(check bool) "inactive without sinks" false (Bftaudit.Bus.active ());
-  let tok = Bftaudit.Bus.subscribe (fun _ -> ()) in
-  Alcotest.(check bool) "active with a sink" true (Bftaudit.Bus.active ());
-  Bftaudit.Bus.unsubscribe tok;
-  Alcotest.(check bool) "inactive again" false (Bftaudit.Bus.active ())
+  let p = Bftmetrics.Probe.create () in
+  Alcotest.(check bool) "inactive without sinks" false (Bftmetrics.Probe.audit p);
+  let tok = Bftmetrics.Probe.subscribe p (fun _ -> ()) in
+  Alcotest.(check bool) "active with a sink" true (Bftmetrics.Probe.audit p);
+  tok ();
+  Alcotest.(check bool) "inactive again" false (Bftmetrics.Probe.audit p)
 
 let test_bus_dispatch () =
+  let p = Bftmetrics.Probe.create () in
   let got = ref [] in
-  let tok = Bftaudit.Bus.subscribe (fun ev -> got := ev :: !got) in
-  Bftaudit.Bus.emit
+  let tok = Bftmetrics.Probe.subscribe p (fun ev -> got := ev :: !got) in
+  Bftmetrics.Probe.emit p
     (mk_event (Bftaudit.Event.Ordered { seq = 1; count = 1; digest = "d" }));
-  Bftaudit.Bus.unsubscribe tok;
-  Bftaudit.Bus.emit
+  tok ();
+  Bftmetrics.Probe.emit p
     (mk_event (Bftaudit.Event.Ordered { seq = 2; count = 1; digest = "d" }));
   match !got with
   | [ { Bftaudit.Event.kind = Bftaudit.Event.Ordered { seq = 1; _ }; _ } ] -> ()
@@ -36,11 +38,12 @@ let test_bus_dispatch () =
 (* ------------------------------------------------------------------ *)
 
 let test_capture_export () =
-  let c = Bftaudit.Capture.attach () in
-  Bftaudit.Bus.emit
+  let p = Bftmetrics.Probe.create () in
+  let c = Bftaudit.Capture.attach p in
+  Bftmetrics.Probe.emit p
     (mk_event
        (Bftaudit.Event.Request_received { client = 0; rid = 1; size = 8 }));
-  Bftaudit.Bus.emit
+  Bftmetrics.Probe.emit p
     (mk_event ~time:(Time.us 2)
        (Bftaudit.Event.Executed { client = 0; rid = 1; digest = "d" }));
   Alcotest.(check int) "count" 2 (Bftaudit.Capture.count c);
@@ -75,9 +78,10 @@ let test_capture_export () =
     contains 0)
 
 let run_captured_cluster () =
-  let c = Bftaudit.Capture.attach () in
+  let p = Bftmetrics.Probe.create () in
+  let c = Bftaudit.Capture.attach p in
   let params = Rbft.Params.default ~f:1 in
-  let cluster = Rbft.Cluster.create ~seed:7L ~clients:3 params in
+  let cluster = Rbft.Cluster.create ~probe:p ~seed:7L ~clients:3 params in
   Array.iter (fun cl -> Rbft.Client.set_rate cl 400.0) (Rbft.Cluster.clients cluster);
   Rbft.Cluster.run_for cluster (Time.ms 300);
   let digest = Bftaudit.Capture.digest c and count = Bftaudit.Capture.count c in
@@ -99,10 +103,10 @@ let invariants a =
   List.map (fun v -> v.Bftaudit.Auditor.invariant) (Bftaudit.Auditor.violations a)
 
 let test_auditor_clean_run () =
-  Bftaudit.Auditor.reset_declared ();
-  let a = Bftaudit.Auditor.attach ~n:4 ~f:1 () in
+  let p = Bftmetrics.Probe.create () in
+  let a = Bftaudit.Auditor.attach ~probe:p ~n:4 ~f:1 () in
   let params = Rbft.Params.default ~f:1 in
-  let cluster = Rbft.Cluster.create ~seed:11L ~clients:3 params in
+  let cluster = Rbft.Cluster.create ~probe:p ~seed:11L ~clients:3 params in
   Array.iter (fun cl -> Rbft.Client.set_rate cl 400.0) (Rbft.Cluster.clients cluster);
   Rbft.Cluster.run_for cluster (Time.ms 300);
   let checked = Bftaudit.Auditor.events_checked a in
@@ -111,22 +115,22 @@ let test_auditor_clean_run () =
   Alcotest.(check (list string)) "no violations" [] (invariants a)
 
 let test_auditor_flags_double_execution () =
-  Bftaudit.Auditor.reset_declared ();
-  let a = Bftaudit.Auditor.attach ~raise_on_violation:false ~n:4 ~f:1 () in
+  let p = Bftmetrics.Probe.create () in
+  let a = Bftaudit.Auditor.attach ~probe:p ~raise_on_violation:false ~n:4 ~f:1 () in
   let exec = Bftaudit.Event.Executed { client = 0; rid = 1; digest = "d" } in
-  Bftaudit.Bus.emit (mk_event exec);
-  Bftaudit.Bus.emit (mk_event ~time:(Time.us 2) exec);
+  Bftmetrics.Probe.emit p (mk_event exec);
+  Bftmetrics.Probe.emit p (mk_event ~time:(Time.us 2) exec);
   Bftaudit.Auditor.detach a;
   Alcotest.(check (list string)) "double execution flagged"
     [ "double-execution" ] (invariants a)
 
 let test_auditor_flags_disagreement () =
-  Bftaudit.Auditor.reset_declared ();
-  let a = Bftaudit.Auditor.attach ~raise_on_violation:false ~n:4 ~f:1 () in
-  Bftaudit.Bus.emit
+  let p = Bftmetrics.Probe.create () in
+  let a = Bftaudit.Auditor.attach ~probe:p ~raise_on_violation:false ~n:4 ~f:1 () in
+  Bftmetrics.Probe.emit p
     (mk_event ~node:1
        (Bftaudit.Event.Ordered { seq = 5; count = 1; digest = "aaaa" }));
-  Bftaudit.Bus.emit
+  Bftmetrics.Probe.emit p
     (mk_event ~node:2
        (Bftaudit.Event.Ordered { seq = 5; count = 1; digest = "bbbb" }));
   Bftaudit.Auditor.detach a;
@@ -134,14 +138,14 @@ let test_auditor_flags_disagreement () =
     (invariants a)
 
 let test_auditor_flags_thin_prepare_quorum () =
-  Bftaudit.Auditor.reset_declared ();
-  let a = Bftaudit.Auditor.attach ~raise_on_violation:false ~n:4 ~f:1 () in
+  let p = Bftmetrics.Probe.create () in
+  let a = Bftaudit.Auditor.attach ~probe:p ~raise_on_violation:false ~n:4 ~f:1 () in
   (* Only the primary's pre-prepare backs this ordering: 1 vote < 2f+1. *)
-  Bftaudit.Bus.emit
+  Bftmetrics.Probe.emit p
     (mk_event ~node:0
        (Bftaudit.Event.Pre_prepare_sent
           { view = 0; seq = 1; count = 1; digest = "aaaa" }));
-  Bftaudit.Bus.emit
+  Bftmetrics.Probe.emit p
     (mk_event ~node:1
        (Bftaudit.Event.Ordered { seq = 1; count = 1; digest = "aaaa" }));
   Bftaudit.Auditor.detach a;
@@ -149,19 +153,18 @@ let test_auditor_flags_thin_prepare_quorum () =
     (invariants a)
 
 let test_auditor_skips_declared_faulty () =
-  Bftaudit.Auditor.reset_declared ();
-  let a = Bftaudit.Auditor.attach ~raise_on_violation:false ~n:4 ~f:1 () in
-  Bftaudit.Auditor.declare_faulty [ 2 ];
-  Bftaudit.Bus.emit
+  let p = Bftmetrics.Probe.create () in
+  let a = Bftaudit.Auditor.attach ~probe:p ~raise_on_violation:false ~n:4 ~f:1 () in
+  Bftmetrics.Probe.declare_faulty p [ 2 ];
+  Bftmetrics.Probe.emit p
     (mk_event ~node:1
        (Bftaudit.Event.Ordered { seq = 5; count = 1; digest = "aaaa" }));
   (* The divergent ordering comes from a node the attack declared
      Byzantine: its events must not count against the correct ones. *)
-  Bftaudit.Bus.emit
+  Bftmetrics.Probe.emit p
     (mk_event ~node:2
        (Bftaudit.Event.Ordered { seq = 5; count = 1; digest = "bbbb" }));
   Bftaudit.Auditor.detach a;
-  Bftaudit.Auditor.reset_declared ();
   Alcotest.(check (list string)) "faulty node ignored" [] (invariants a)
 
 let suites =

@@ -74,7 +74,8 @@ let quick_aardvark_cfg =
   }
 
 let test_aardvark_orders_and_agrees () =
-  let cluster = Aardvark.Cluster.create ~clients:3 quick_aardvark_cfg in
+  let p = Bftmetrics.Probe.create () in
+  let cluster = Aardvark.Cluster.create ~probe:p ~clients:3 quick_aardvark_cfg in
   Array.iter (fun c -> Aardvark.Client.set_rate c 500.0) (Aardvark.Cluster.clients cluster);
   Aardvark.Cluster.run_for cluster (Time.sec 1);
   Array.iter (fun c -> Aardvark.Client.set_rate c 0.0) (Aardvark.Cluster.clients cluster);
@@ -89,7 +90,8 @@ let test_aardvark_orders_and_agrees () =
     (Aardvark.Cluster.clients cluster)
 
 let test_aardvark_regular_view_changes () =
-  let cluster = Aardvark.Cluster.create ~clients:3 quick_aardvark_cfg in
+  let p = Bftmetrics.Probe.create () in
+  let cluster = Aardvark.Cluster.create ~probe:p ~clients:3 quick_aardvark_cfg in
   Array.iter (fun c -> Aardvark.Client.set_rate c 800.0) (Aardvark.Cluster.clients cluster);
   Aardvark.Cluster.run_for cluster (Time.sec 6);
   (* Grace 1 s + ~1.1 s of ratchet per view: several views in 6 s. *)
@@ -98,8 +100,9 @@ let test_aardvark_regular_view_changes () =
   Alcotest.(check bool) "agreement" true (Aardvark.Cluster.agreement_ok cluster ~faulty:[])
 
 let test_aardvark_tracking_attack_degrades () =
+  let p = Bftmetrics.Probe.create () in
   let run ~attack =
-    let cluster = Aardvark.Cluster.create ~seed:7L ~clients:4 quick_aardvark_cfg in
+    let cluster = Aardvark.Cluster.create ~probe:p ~seed:7L ~clients:4 quick_aardvark_cfg in
     Array.iter (fun c -> Aardvark.Client.set_rate c 1500.0) (Aardvark.Cluster.clients cluster);
     if attack then begin
       let faults = Aardvark.Node.faults (Aardvark.Cluster.node cluster 0) in
@@ -128,8 +131,9 @@ let test_aardvark_tracking_attack_degrades () =
 (* ------------------------------------------------------------------ *)
 
 let test_spinning_orders_and_agrees () =
+  let p = Bftmetrics.Probe.create () in
   let cfg = Spinning.Node.default_config ~f:1 in
-  let cluster = Spinning.Cluster.create ~clients:3 cfg in
+  let cluster = Spinning.Cluster.create ~probe:p ~clients:3 cfg in
   Array.iter (fun c -> Spinning.Client.set_rate c 500.0) (Spinning.Cluster.clients cluster);
   Spinning.Cluster.run_for cluster (Time.sec 1);
   Array.iter (fun c -> Spinning.Client.set_rate c 0.0) (Spinning.Cluster.clients cluster);
@@ -144,22 +148,24 @@ let test_spinning_orders_and_agrees () =
     (Spinning.Cluster.clients cluster)
 
 let test_spinning_rotation () =
+  let p = Bftmetrics.Probe.create () in
   (* With pipelined rotation every replica proposes batches; check
      that many sequence slots were delivered (rotation advanced far
      beyond what a single fixed primary's batch count would need). *)
   let cfg = Spinning.Node.default_config ~f:1 in
-  let cluster = Spinning.Cluster.create ~clients:3 cfg in
+  let cluster = Spinning.Cluster.create ~probe:p ~clients:3 cfg in
   Array.iter (fun c -> Spinning.Client.set_rate c 1000.0) (Spinning.Cluster.clients cluster);
   Spinning.Cluster.run_for cluster (Time.sec 1);
   let r = Spinning.Node.replica (Spinning.Cluster.node cluster 0) in
   Alcotest.(check bool) "many slots delivered" true (Spinning.Replica.delivered_seqs r > 50)
 
 let test_spinning_sub_timeout_attack () =
+  let p = Bftmetrics.Probe.create () in
   (* The Figure 3 attack: delaying just under Stimeout collapses
      throughput without triggering the blacklist. *)
   let cfg = Spinning.Node.default_config ~f:1 in
   let run ~attack =
-    let cluster = Spinning.Cluster.create ~clients:4 cfg in
+    let cluster = Spinning.Cluster.create ~probe:p ~clients:4 cfg in
     Array.iter (fun c -> Spinning.Client.set_rate c 1500.0) (Spinning.Cluster.clients cluster);
     if attack then
       (Spinning.Node.faults (Spinning.Cluster.node cluster 3)).Spinning.Node.delay_fraction <-
@@ -177,10 +183,11 @@ let test_spinning_sub_timeout_attack () =
   Alcotest.(check (list int)) "no blacklisting below the timeout" [] blacklist
 
 let test_spinning_blacklists_over_timeout () =
+  let p = Bftmetrics.Probe.create () in
   (* Delaying beyond Stimeout gets the faulty proposer blacklisted and
      throughput recovers. *)
   let cfg = Spinning.Node.default_config ~f:1 in
-  let cluster = Spinning.Cluster.create ~clients:4 cfg in
+  let cluster = Spinning.Cluster.create ~probe:p ~clients:4 cfg in
   Array.iter (fun c -> Spinning.Client.set_rate c 1000.0) (Spinning.Cluster.clients cluster);
   (Spinning.Node.faults (Spinning.Cluster.node cluster 3)).Spinning.Node.delay_fraction <- 3.0;
   Spinning.Cluster.run_for cluster (Time.sec 2);
@@ -200,7 +207,7 @@ let test_spinning_one_source_one_vote () =
   let engine = Engine.create () in
   let cfg = { R.n = 4; f = 1; replica_id = 2 } in
   let r =
-    R.create engine cfg { R.broadcast = (fun _ -> ()); deliver = (fun _ _ -> ()) }
+    R.create ~probe:(Bftmetrics.Probe.create ()) engine cfg { R.broadcast = (fun _ -> ()); deliver = (fun _ _ -> ()) }
   in
   let d = Pbftcore.Types.desc_of_op ~client:0 ~rid:1 "op" in
   let digest = Pbftcore.Messages.batch_digest [ d ] in
@@ -228,7 +235,8 @@ let test_spinning_one_source_one_vote () =
 let prime_cfg = { (Prime.Node.default_config ~f:1) with Prime.Node.exec_cost = Time.us 10 }
 
 let test_prime_orders_and_agrees () =
-  let cluster = Prime.Cluster.create ~clients:4 prime_cfg in
+  let p = Bftmetrics.Probe.create () in
+  let cluster = Prime.Cluster.create ~probe:p ~clients:4 prime_cfg in
   Array.iter (fun c -> Prime.Client.set_rate c 300.0) (Prime.Cluster.clients cluster);
   Prime.Cluster.run_for cluster (Time.sec 1);
   Array.iter (fun c -> Prime.Client.set_rate c 0.0) (Prime.Cluster.clients cluster);
@@ -243,10 +251,11 @@ let test_prime_orders_and_agrees () =
     (Prime.Cluster.clients cluster)
 
 let test_prime_latency_dominated_by_period () =
+  let p = Bftmetrics.Probe.create () in
   (* Prime's ordering is periodic: even an idle system shows latency
      around the aggregation period, an order of magnitude above the
      3-phase protocols (Figure 7 discussion). *)
-  let cluster = Prime.Cluster.create ~clients:1 prime_cfg in
+  let cluster = Prime.Cluster.create ~probe:p ~clients:1 prime_cfg in
   let c = Prime.Cluster.client cluster 0 in
   Prime.Client.set_rate c 50.0;
   Prime.Cluster.run_for cluster (Time.sec 2);
@@ -271,9 +280,10 @@ let test_prime_monitor_allowed_gap () =
      Prime.Monitor.suspicious m ~now:(Time.sec 1))
 
 let test_prime_attack_degrades () =
+  let p = Bftmetrics.Probe.create () in
   let cfg = Prime.Node.default_config ~f:1 in
   let run ~attack =
-    let cluster = Prime.Cluster.create ~clients:6 cfg in
+    let cluster = Prime.Cluster.create ~probe:p ~clients:6 cfg in
     Array.iteri
       (fun i c ->
         Prime.Client.set_rate c 600.0;
@@ -294,9 +304,10 @@ let test_prime_attack_degrades () =
   Alcotest.(check int) "the smart primary is never suspected" 0 view
 
 let test_prime_dead_primary_suspected () =
+  let p = Bftmetrics.Probe.create () in
   (* A primary that stops sending PRE-PREPAREs entirely exceeds the
      allowed gap and is replaced. *)
-  let cluster = Prime.Cluster.create ~clients:2 prime_cfg in
+  let cluster = Prime.Cluster.create ~probe:p ~clients:2 prime_cfg in
   Array.iter (fun c -> Prime.Client.set_rate c 200.0) (Prime.Cluster.clients cluster);
   let faulty = Prime.Cluster.node cluster 0 in
   (Prime.Node.faults faulty).Prime.Node.delay_to_limit <- true;
@@ -312,8 +323,9 @@ let test_prime_dead_primary_suspected () =
    one suspect. A second source then completes each quorum, so the
    votes above were well-formed. *)
 let test_prime_one_source_one_vote () =
+  let p = Bftmetrics.Probe.create () in
   let engine = Engine.create ~seed:1L () in
-  let net = Bftnet.Network.create engine (Bftnet.Network.default_config ~nodes:4) in
+  let net = Bftnet.Network.create ~probe:p engine (Bftnet.Network.default_config ~nodes:4) in
   let node =
     Prime.Node.create engine net prime_cfg ~id:1 ~service:(Bftapp.Null_service.create ())
   in
@@ -387,7 +399,7 @@ let prop_spinning_rotation_covers_all =
       let engine = Engine.create () in
       let cfg = { Spinning.Replica.n = 4; f = 1; replica_id = 0 } in
       let r =
-        Spinning.Replica.create engine cfg
+        Spinning.Replica.create ~probe:(Bftmetrics.Probe.create ()) engine cfg
           { Spinning.Replica.broadcast = (fun _ -> ()); deliver = (fun _ _ -> ()) }
       in
       let seen =

@@ -9,18 +9,11 @@ open Dessim
 module Footprint = Bftcap.Footprint
 module Gcstats = Bftcap.Gcstats
 
-(* Every test that touches the global probe registry starts from a
-   clean slate and leaves the gates off; components re-register their
-   probes at creation, so clearing cannot break later tests. *)
-let with_probes f =
-  Footprint.clear ();
-  Footprint.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Footprint.set_deep false;
-      Footprint.disable ();
-      Footprint.clear ())
-    f
+(* Every test runs on a probe of its own, footprint tracking on. *)
+let with_probe f =
+  let pr = Bftmetrics.Probe.create () in
+  Bftmetrics.Probe.set_footprints pr true;
+  f pr
 
 (* ------------------------------------------------------------------ *)
 (* Footprint probes                                                   *)
@@ -34,19 +27,19 @@ let test_probe_accuracy =
   QCheck.Test.make ~count:30 ~name:"footprint probe accuracy"
     QCheck.(int_range 0 400)
     (fun n ->
-      with_probes (fun () ->
-          Footprint.set_deep true;
+      with_probe (fun pr ->
+          Bftmetrics.Probe.set_deep pr true;
           let tbl = Hashtbl.create 16 in
           for i = 1 to n do
             Hashtbl.replace tbl i (string_of_int i)
           done;
           let _p =
-            Footprint.register ~name:"t.table" ~owner:"test"
+            Bftmetrics.Probe.footprint pr ~name:"t.table" ~owner:"test"
               ~entries:(fun () -> Hashtbl.length tbl)
               ~root:(fun () -> Some (Obj.repr tbl))
               ()
           in
-          match Footprint.snapshot ~deep:true () with
+          match Footprint.snapshot ~deep:true pr with
           | [ row ] ->
             row.Footprint.r_entries = n
             && row.Footprint.r_bytes >= n * 2 * (Sys.word_size / 8)
@@ -56,24 +49,24 @@ let test_probe_accuracy =
               (List.length rows)))
 
 let test_nested_no_double_count () =
-  with_probes (fun () ->
-      Footprint.set_deep true;
+  with_probe (fun pr ->
+      Bftmetrics.Probe.set_deep pr true;
       (* The child array dominates the parent's reachable words; after
          the exclusive-byte subtraction the parent must be charged
          only its own cells, far below the child. *)
       let child = Array.make 4096 0 in
       let parent = ref [ ("child", Obj.repr child); ("tag", Obj.repr "x") ] in
       ignore
-        (Footprint.register ~name:"t.parent" ~owner:"test"
+        (Bftmetrics.Probe.footprint pr ~name:"t.parent" ~owner:"test"
            ~entries:(fun () -> List.length !parent)
            ~root:(fun () -> Some (Obj.repr !parent))
            ());
       ignore
-        (Footprint.register ~name:"t.child" ~owner:"test" ~parent:"t.parent"
+        (Bftmetrics.Probe.footprint pr ~name:"t.child" ~owner:"test" ~parent:"t.parent"
            ~entries:(fun () -> Array.length child)
            ~root:(fun () -> Some (Obj.repr child))
            ());
-      let rows = Footprint.snapshot ~deep:true () in
+      let rows = Footprint.snapshot ~deep:true pr in
       let find name =
         List.find (fun r -> r.Footprint.r_name = name) rows
       in
@@ -92,44 +85,44 @@ let test_nested_no_double_count () =
         (total < 2 * child_min))
 
 let test_disabled_note_is_noop () =
-  with_probes (fun () ->
-      Footprint.disable ();
+  with_probe (fun pr ->
+      Bftmetrics.Probe.set_footprints pr false;
       let count = ref 0 in
       let p =
-        Footprint.register ~name:"t.gated" ~owner:"test"
+        Bftmetrics.Probe.footprint pr ~name:"t.gated" ~owner:"test"
           ~entries:(fun () -> !count)
           ~root:(fun () -> None)
           ()
       in
       count := 500;
       for _ = 1 to 100 do
-        Footprint.note p
+        Bftmetrics.Probe.note pr p
       done;
       Alcotest.(check int) "peak untouched while disabled" 0
         (Footprint.peak p);
-      Footprint.enable ();
-      Footprint.note p;
+      Bftmetrics.Probe.set_footprints pr true;
+      Bftmetrics.Probe.note pr p;
       Alcotest.(check int) "peak tracks once enabled" 500 (Footprint.peak p))
 
 let test_register_rebinds_and_resets_peak () =
-  with_probes (fun () ->
+  with_probe (fun pr ->
       let p1 =
-        Footprint.register ~name:"t.rebind" ~owner:"test"
+        Bftmetrics.Probe.footprint pr ~name:"t.rebind" ~owner:"test"
           ~entries:(fun () -> 42)
           ~root:(fun () -> None)
           ()
       in
-      Footprint.note p1;
+      Bftmetrics.Probe.note pr p1;
       Alcotest.(check int) "first binding peak" 42 (Footprint.peak p1);
       let p2 =
-        Footprint.register ~name:"t.rebind" ~owner:"test"
+        Bftmetrics.Probe.footprint pr ~name:"t.rebind" ~owner:"test"
           ~entries:(fun () -> 7)
           ~root:(fun () -> None)
           ()
       in
       Alcotest.(check int) "rebind resets the peak" 0 (Footprint.peak p2);
       Alcotest.(check int) "one probe, not two" 1
-        (List.length (Footprint.snapshot ())))
+        (List.length (Footprint.snapshot pr)))
 
 (* ------------------------------------------------------------------ *)
 (* GC sampler growth analysis                                         *)
@@ -139,18 +132,18 @@ let test_register_rebinds_and_resets_peak () =
    100 ms spacing = 2e6 words/s. The slope estimate and the culprit
    probe must both come out. *)
 let test_gcstats_growth_and_culprit () =
-  with_probes (fun () ->
+  with_probe (fun pr ->
       let live = ref 1_000_000 in
       let read_stat () =
         { (Gc.quick_stat ()) with Gc.live_words = !live; heap_words = !live }
       in
       let leak = ref 0 in
       ignore
-        (Footprint.register ~name:"t.leak" ~owner:"test"
+        (Bftmetrics.Probe.footprint pr ~name:"t.leak" ~owner:"test"
            ~entries:(fun () -> !leak)
            ~root:(fun () -> None)
            ());
-      let g = Gcstats.create ~read_stat ~window:16 () in
+      let g = Gcstats.create ~read_stat ~window:16 pr in
       for i = 1 to 8 do
         Gcstats.sample g ~now:(Time.ms (100 * i));
         live := !live + 200_000;
@@ -181,7 +174,7 @@ let leak_trigger =
     ~cooldown:(Time.sec 10)
 
 let run_doctor_heap ~grow f =
-  with_probes (fun () ->
+  with_probe (fun pr ->
       let engine = Engine.create () in
       let live = ref 1_000_000 in
       let read_gc () =
@@ -189,7 +182,7 @@ let run_doctor_heap ~grow f =
       in
       let leak = ref 0 in
       ignore
-        (Footprint.register ~name:"leak.table" ~owner:"node-9"
+        (Bftmetrics.Probe.footprint pr ~name:"leak.table" ~owner:"node-9"
            ~entries:(fun () -> !leak)
            ~root:(fun () -> None)
            ());
@@ -209,7 +202,7 @@ let run_doctor_heap ~grow f =
         Bftdoctor.Doctor.default_config ~seed:7L ~read_gc:(Some read_gc)
           ~triggers:[ leak_trigger ] ()
       in
-      let d = Bftdoctor.Doctor.attach config engine in
+      let d = Bftdoctor.Doctor.attach config pr engine in
       Fun.protect
         ~finally:(fun () -> Bftdoctor.Doctor.detach d)
         (fun () ->
@@ -422,14 +415,14 @@ let test_population_flash_triples_midrun () =
    table and the monitoring latency table bounded near the live set
    while the unswept run grows with every client ever seen. *)
 let churn_run ~params =
-  with_probes (fun () ->
+  with_probe (fun pr ->
       let duration = Time.ms 800 in
       let pop =
         Population.create ~clients:300 ~active:40 ~churn_fraction:0.25
           ~aggregate_rate:2000.0 ~duration ()
       in
       let cluster =
-        Rbft.Cluster.create ~clients:(Population.clients pop)
+        Rbft.Cluster.create ~probe:pr ~clients:(Population.clients pop)
           ~payload_size:8 params
       in
       let engine = Rbft.Cluster.engine cluster in
@@ -441,7 +434,7 @@ let churn_run ~params =
           List.find_opt
             (fun r ->
               r.Footprint.r_name = name && r.Footprint.r_owner = owner)
-            (Footprint.snapshot ())
+            (Footprint.snapshot pr)
         with
         | Some r -> r.Footprint.r_entries
         | None -> Alcotest.failf "probe %s/%s not registered" name owner
@@ -503,8 +496,12 @@ let rec shape (v : Bftdoctor.Jmini.v) =
 
 let test_clients_report_structure_deterministic () =
   let parse s = Bftdoctor.Jmini.parse s in
-  let a = parse (Bftharness.Perfreport.generate_clients ~quick:true) in
-  let b = parse (Bftharness.Perfreport.generate_clients ~quick:true) in
+  let generate () =
+    let audit = Bftharness.Audit.create (Bftmetrics.Probe.create ()) in
+    Bftharness.Perfreport.generate_clients ~audit ~quick:true
+  in
+  let a = parse (generate ()) in
+  let b = parse (generate ()) in
   Alcotest.(check string) "identical JSON skeleton" (shape a) (shape b);
   (* The sim-deterministic leaves must agree exactly between runs. *)
   let sweep v =

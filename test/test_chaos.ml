@@ -183,12 +183,14 @@ let test_resource_speed () =
 (* ------------------------------------------------------------------ *)
 
 let make_test_net e =
+  let p = Bftmetrics.Probe.create () in
   let cfg = { (Bftnet.Network.default_config ~nodes:4) with Bftnet.Network.jitter = Time.zero } in
-  Bftnet.Network.create e cfg
+  Bftnet.Network.create ~probe:p e cfg
 
 let null_hooks e net =
   {
     Injector.engine = e;
+    probe = Bftnet.Network.probe net;
     n = 4;
     set_fault_hook = Bftnet.Network.set_fault_hook net;
     set_cpu_factor = (fun ~node:_ _ -> ());
@@ -419,12 +421,14 @@ let test_runner_ic_quorum_mutation_violates () =
    master that is merely a bit slow (clock 1.2x, one backup CPU 0.9x,
    extra network delay) must not trigger spurious instance changes. *)
 let test_monitoring_no_spurious_ic_under_mild_skew () =
+  let p = Bftmetrics.Probe.create () in
   let params = Rbft.Params.default ~f:1 in
-  let cluster = Rbft.Cluster.create ~seed:7L ~clients:2 ~payload_size:8 params in
+  let cluster = Rbft.Cluster.create ~probe:p ~seed:7L ~clients:2 ~payload_size:8 params in
   let net = Rbft.Cluster.network cluster in
   let hooks =
     {
       Injector.engine = Rbft.Cluster.engine cluster;
+      probe = Rbft.Cluster.probe cluster;
       n = 4;
       set_fault_hook = Bftnet.Network.set_fault_hook net;
       set_cpu_factor =
@@ -471,8 +475,8 @@ let test_monitoring_no_spurious_ic_under_mild_skew () =
 (* ------------------------------------------------------------------ *)
 
 let test_oracle_catches_double_execution () =
-  Bftaudit.Auditor.reset_declared ();
-  let auditor = Bftaudit.Auditor.attach ~raise_on_violation:false ~n:4 ~f:1 () in
+  let p = Bftmetrics.Probe.create () in
+  let auditor = Bftaudit.Auditor.attach ~probe:p ~raise_on_violation:false ~n:4 ~f:1 () in
   let ev rid =
     {
       Bftaudit.Event.time = Time.ms 1;
@@ -481,8 +485,8 @@ let test_oracle_catches_double_execution () =
       kind = Bftaudit.Event.Executed { client = 0; rid; digest = "d" };
     }
   in
-  Bftaudit.Bus.emit (ev 1);
-  Bftaudit.Bus.emit (ev 1);
+  Bftmetrics.Probe.emit p (ev 1);
+  Bftmetrics.Probe.emit p (ev 1);
   let violations = Bftaudit.Auditor.violations auditor in
   Bftaudit.Auditor.detach auditor;
   Alcotest.(check bool) "double execution flagged" true

@@ -136,24 +136,17 @@ let test_trigger_level () =
 (* ------------------------------------------------------------------ *)
 
 let with_recorder ?audit_cap ?span_cap ?roots_cap ?period f =
+  let p = Bftmetrics.Probe.create () in
   let engine = Engine.create () in
-  let registry = Bftmetrics.Registry.create () in
-  let was_active = Bftmetrics.Registry.active () in
-  let r =
-    Recorder.attach ?audit_cap ?span_cap ?roots_cap ?period ~registry engine
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Recorder.detach r;
-      if not was_active then Bftmetrics.Registry.disable ())
-    (fun () -> f engine r)
+  let r = Recorder.attach ?audit_cap ?span_cap ?roots_cap ?period p engine in
+  Fun.protect ~finally:(fun () -> Recorder.detach r) (fun () -> f p engine r)
 
 let test_recorder_rings () =
-  with_recorder ~audit_cap:4 (fun engine r ->
+  with_recorder ~audit_cap:4 (fun p engine r ->
       for i = 1 to 6 do
         ignore
           (Engine.at engine (Time.ms i) (fun () ->
-               Bftaudit.Bus.emit_at (Time.ms i) ~node:i ~instance:0
+               Bftmetrics.Probe.emit_at p (Time.ms i) ~node:i ~instance:0
                  (Bftaudit.Event.Executed
                     { client = 0; rid = i; digest = "d" })))
       done;
@@ -170,21 +163,17 @@ let test_recorder_rings () =
         (Recorder.last_exec r = Time.ms 6))
 
 let test_recorder_span_ring () =
-  Bftspan.Tracer.reset ();
-  Bftspan.Tracer.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Bftspan.Tracer.disable ();
-      Bftspan.Tracer.reset ())
-    (fun () ->
-      with_recorder (fun _engine r ->
-          (* roots closed through the tracer hook land in both rings *)
+  let probe = ref None in
+  with_recorder (fun p _engine r ->
+          probe := Some p;
+          Bftmetrics.Probe.enable_spans p;
+          (* roots closed through the span-close subscription land in
+             both rings *)
           for rid = 1 to 3 do
             let id =
-              Bftspan.Tracer.root ~client:0 ~rid ~node:(-1) ~instance:(-1)
-                ~tag:Bftspan.Tag.Client ~t0:(Time.ms rid)
+              Bftmetrics.Probe.request_root p ~client:0 ~rid (Time.ms rid)
             in
-            Bftspan.Tracer.finish id ~t1:(Time.ms (rid + 10))
+            Bftmetrics.Probe.finish p id ~t1:(Time.ms (rid + 10))
           done;
           Alcotest.(check int) "spans recorded" 3
             (List.length (Recorder.spans r));
@@ -197,29 +186,35 @@ let test_recorder_span_ring () =
             roots;
           let n, p99 = Recorder.p99_latency r in
           Alcotest.(check int) "window population" 3 n;
-          Alcotest.(check bool) "p99 latency" true (p99 = Time.ms 10)));
-  Alcotest.(check bool) "close hook restored" true
-    (Bftspan.Tracer.close_hook () = None)
+          Alcotest.(check bool) "p99 latency" true (p99 = Time.ms 10));
+  (* Detached: a span closed afterwards reaches no recorder ring. *)
+  let p = Option.get !probe in
+  let id =
+    Bftmetrics.Probe.request_root p ~client:0 ~rid:4 (Time.ms 4)
+  in
+  Bftmetrics.Probe.finish p id ~t1:(Time.ms 14);
+  Alcotest.(check int) "close subscription removed" 4 (Bftmetrics.Probe.span_count p)
 
 (* ------------------------------------------------------------------ *)
 (* Synthetic trigger scenarios                                        *)
 (* ------------------------------------------------------------------ *)
 
 let with_doctor ?(triggers = Doctor.default_triggers) f =
+  let p = Bftmetrics.Probe.create () in
   let engine = Engine.create () in
   let config = Doctor.default_config ~seed:7L ~triggers () in
-  let d = Doctor.attach config engine in
-  Fun.protect ~finally:(fun () -> Doctor.detach d) (fun () -> f engine d)
+  let d = Doctor.attach config p engine in
+  Fun.protect ~finally:(fun () -> Doctor.detach d) (fun () -> f p engine d)
 
 let trigger_names d =
   List.map (fun (i : Doctor.incident_ref) -> i.Doctor.i_trigger)
     (Doctor.incidents d)
 
 let test_doctor_instance_change () =
-  with_doctor (fun engine d ->
+  with_doctor (fun p engine d ->
       ignore
         (Engine.at engine (Time.ms 42) (fun () ->
-             Bftaudit.Bus.emit_at (Time.ms 42) ~node:1 ~instance:0
+             Bftmetrics.Probe.emit_at p (Time.ms 42) ~node:1 ~instance:0
                (Bftaudit.Event.Instance_changed { cpi = 1; recovery = false })));
       Engine.run ~until:(Time.ms 50) engine;
       Alcotest.(check (list string)) "one instance-change incident"
@@ -233,10 +228,10 @@ let test_doctor_instance_change () =
       | _ -> Alcotest.fail "expected exactly one incident")
 
 let test_doctor_recovery_rotation_ignored () =
-  with_doctor (fun engine d ->
+  with_doctor (fun p engine d ->
       ignore
         (Engine.at engine (Time.ms 10) (fun () ->
-             Bftaudit.Bus.emit_at (Time.ms 10) ~node:1 ~instance:0
+             Bftmetrics.Probe.emit_at p (Time.ms 10) ~node:1 ~instance:0
                (Bftaudit.Event.Instance_changed { cpi = 1; recovery = true })));
       Engine.run ~until:(Time.ms 20) engine;
       Alcotest.(check (list string)) "recovery rotations do not fire" []
@@ -249,11 +244,11 @@ let test_doctor_liveness_stall () =
         ~cooldown:(Time.sec 10);
     ]
   in
-  with_doctor ~triggers (fun engine d ->
+  with_doctor ~triggers (fun p engine d ->
       (* a request arrives and is never executed *)
       ignore
         (Engine.at engine (Time.ms 50) (fun () ->
-             Bftaudit.Bus.emit_at (Time.ms 50) ~node:0 ~instance:(-1)
+             Bftmetrics.Probe.emit_at p (Time.ms 50) ~node:0 ~instance:(-1)
                (Bftaudit.Event.Request_received
                   { client = 0; rid = 1; size = 8 })));
       Engine.run ~until:(Time.ms 250) engine;
@@ -270,14 +265,14 @@ let test_doctor_no_stall_when_quiescent () =
         ~cooldown:(Time.sec 10);
     ]
   in
-  with_doctor ~triggers (fun engine d ->
+  with_doctor ~triggers (fun p engine d ->
       (* request arrives and IS executed: idle afterwards is fine *)
       ignore
         (Engine.at engine (Time.ms 50) (fun () ->
-             Bftaudit.Bus.emit_at (Time.ms 50) ~node:0 ~instance:(-1)
+             Bftmetrics.Probe.emit_at p (Time.ms 50) ~node:0 ~instance:(-1)
                (Bftaudit.Event.Request_received
                   { client = 0; rid = 1; size = 8 });
-             Bftaudit.Bus.emit_at (Time.ms 50) ~node:0 ~instance:0
+             Bftmetrics.Probe.emit_at p (Time.ms 50) ~node:0 ~instance:0
                (Bftaudit.Event.Executed { client = 0; rid = 1; digest = "d" })));
       Engine.run ~until:(Time.sec 2) engine;
       Alcotest.(check (list string)) "quiescence is not a stall" []
@@ -291,20 +286,13 @@ let test_doctor_slo_p99 () =
         ~cooldown:(Time.sec 10);
     ]
   in
-  Bftspan.Tracer.reset ();
-  Bftspan.Tracer.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Bftspan.Tracer.disable ();
-      Bftspan.Tracer.reset ())
-    (fun () ->
-      with_doctor ~triggers (fun engine d ->
+  with_doctor ~triggers (fun p engine d ->
+          Bftmetrics.Probe.enable_spans p;
           let close_root rid latency =
             let id =
-              Bftspan.Tracer.root ~client:0 ~rid ~node:(-1) ~instance:(-1)
-                ~tag:Bftspan.Tag.Client ~t0:(Engine.now engine)
+              Bftmetrics.Probe.request_root p ~client:0 ~rid (Engine.now engine)
             in
-            Bftspan.Tracer.finish id
+            Bftmetrics.Probe.finish p id
               ~t1:(Time.add (Engine.now engine) latency)
           in
           ignore
@@ -319,7 +307,7 @@ let test_doctor_slo_p99 () =
                  close_root 3 (Time.ms 100)));
           Engine.run ~until:(Time.ms 400) engine;
           Alcotest.(check (list string)) "p99 breach fires" [ "slo-p99" ]
-            (trigger_names d)))
+            (trigger_names d))
 
 let test_doctor_delta_ratio_near () =
   let triggers =
@@ -329,10 +317,10 @@ let test_doctor_delta_ratio_near () =
         ~debounce:(Time.ms 250) ~cooldown:(Time.sec 10);
     ]
   in
-  let emit_verdict engine at master backup =
+  let emit_verdict p engine at master backup =
     ignore
       (Engine.at engine at (fun () ->
-           Bftaudit.Bus.emit_at at ~node:0 ~instance:(-1)
+           Bftmetrics.Probe.emit_at p at ~node:0 ~instance:(-1)
              (Bftaudit.Event.Monitor_verdict
                 {
                   master_rate = master;
@@ -341,26 +329,26 @@ let test_doctor_delta_ratio_near () =
                 })))
   in
   (* healthy master (ratio 1.0): never fires *)
-  with_doctor ~triggers (fun engine d ->
+  with_doctor ~triggers (fun p engine d ->
       for i = 1 to 8 do
-        emit_verdict engine (Time.ms (100 * i)) 1000.0 1000.0
+        emit_verdict p engine (Time.ms (100 * i)) 1000.0 1000.0
       done;
       Engine.run ~until:(Time.sec 1) engine;
       Alcotest.(check (list string)) "healthy ratio never arms" []
         (trigger_names d));
   (* skirting master (ratio 0.96, above delta, inside epsilon): fires *)
-  with_doctor ~triggers (fun engine d ->
+  with_doctor ~triggers (fun p engine d ->
       for i = 1 to 8 do
-        emit_verdict engine (Time.ms (100 * i)) 960.0 1000.0
+        emit_verdict p engine (Time.ms (100 * i)) 960.0 1000.0
       done;
       Engine.run ~until:(Time.sec 1) engine;
       Alcotest.(check (list string)) "Δ-envelope skirting fires"
         [ "delta-ratio-near" ] (trigger_names d));
   (* suspicious verdicts (ratio below delta) belong to instance change,
      not the near-miss trigger *)
-  with_doctor ~triggers (fun engine d ->
+  with_doctor ~triggers (fun p engine d ->
       for i = 1 to 8 do
-        emit_verdict engine (Time.ms (100 * i)) 500.0 1000.0
+        emit_verdict p engine (Time.ms (100 * i)) 500.0 1000.0
       done;
       Engine.run ~until:(Time.sec 1) engine;
       Alcotest.(check (list string)) "suspicious is not a near miss" []
@@ -373,32 +361,32 @@ let test_doctor_seq_stall () =
         ~cooldown:(Time.sec 10);
     ]
   in
-  let emit_sample engine at ~waiting_on ~age =
+  let emit_sample p engine at ~waiting_on ~age =
     ignore
       (Engine.at engine at (fun () ->
-           Bftaudit.Bus.emit_at at ~node:2 ~instance:(-1)
+           Bftmetrics.Probe.emit_at p at ~node:2 ~instance:(-1)
              (Bftaudit.Event.Seq_stall { waiting_on; age; pending = 7 })))
   in
   (* an un-stalled merge (waiting_on = -1) never fires *)
-  with_doctor ~triggers (fun engine d ->
+  with_doctor ~triggers (fun p engine d ->
       for i = 1 to 8 do
-        emit_sample engine (Time.ms (100 * i)) ~waiting_on:(-1) ~age:Time.zero
+        emit_sample p engine (Time.ms (100 * i)) ~waiting_on:(-1) ~age:Time.zero
       done;
       Engine.run ~until:(Time.sec 1) engine;
       Alcotest.(check (list string)) "flowing merge never arms" []
         (trigger_names d));
   (* a young stall stays below the bound *)
-  with_doctor ~triggers (fun engine d ->
+  with_doctor ~triggers (fun p engine d ->
       for i = 1 to 8 do
-        emit_sample engine (Time.ms (100 * i)) ~waiting_on:1 ~age:(Time.ms 50)
+        emit_sample p engine (Time.ms (100 * i)) ~waiting_on:1 ~age:(Time.ms 50)
       done;
       Engine.run ~until:(Time.sec 1) engine;
       Alcotest.(check (list string)) "young stall stays silent" []
         (trigger_names d));
   (* a head-of-line stall past the bound fires once *)
-  with_doctor ~triggers (fun engine d ->
-      emit_sample engine (Time.ms 100) ~waiting_on:1 ~age:(Time.ms 40);
-      emit_sample engine (Time.ms 200) ~waiting_on:1 ~age:(Time.ms 140);
+  with_doctor ~triggers (fun p engine d ->
+      emit_sample p engine (Time.ms 100) ~waiting_on:1 ~age:(Time.ms 40);
+      emit_sample p engine (Time.ms 200) ~waiting_on:1 ~age:(Time.ms 140);
       Engine.run ~until:(Time.sec 1) engine;
       Alcotest.(check (list string)) "head-of-line stall fires"
         [ "seq-stall" ] (trigger_names d))
@@ -407,18 +395,19 @@ let test_doctor_max_incidents () =
   let triggers =
     [ Trigger.spec Trigger.Instance_change ~cooldown:(Time.ms 1) ]
   in
+  let p = Bftmetrics.Probe.create () in
   let engine = Engine.create () in
   let config =
     { (Doctor.default_config ~seed:7L ~triggers ()) with Doctor.max_incidents = 2 }
   in
-  let d = Doctor.attach config engine in
+  let d = Doctor.attach config p engine in
   Fun.protect
     ~finally:(fun () -> Doctor.detach d)
     (fun () ->
       for i = 1 to 5 do
         ignore
           (Engine.at engine (Time.ms (10 * i)) (fun () ->
-               Bftaudit.Bus.emit_at
+               Bftmetrics.Probe.emit_at p
                  (Time.ms (10 * i))
                  ~node:1 ~instance:0
                  (Bftaudit.Event.Instance_changed { cpi = i; recovery = false })))
@@ -538,21 +527,17 @@ let test_bundle_tamper_detection () =
 (* ------------------------------------------------------------------ *)
 
 let run_worst1 ~dir ~seed =
-  Bftaudit.Auditor.reset_declared ();
-  (* Same-seed determinism must hold within one process: zero the
-     process-wide registry so the second run's metrics snapshots do not
-     inherit the first run's counters. *)
-  Bftmetrics.Registry.enable ();
-  Bftmetrics.Registry.reset Bftmetrics.Registry.default;
+  (* Each run has a probe of its own, so the second run's metrics
+     snapshots cannot inherit the first run's counters. *)
+  let probe = Bftmetrics.Probe.create () in
+  Bftmetrics.Probe.set_metrics probe true;
   let cluster =
-    Rbft.Cluster.create ~seed ~clients:4 ~payload_size:8
+    Rbft.Cluster.create ~probe ~seed ~clients:4 ~payload_size:8
       (Rbft.Params.default ~f:1)
   in
   let d = Bftharness.Incident.attach ~dir cluster in
   Fun.protect
-    ~finally:(fun () ->
-      Doctor.detach d;
-      Bftaudit.Auditor.reset_declared ())
+    ~finally:(fun () -> Doctor.detach d)
     (fun () ->
       Rbft.Attacks.worst_attack_1 cluster;
       Array.iter
@@ -609,7 +594,7 @@ let test_doctor_force_dump () =
         Doctor.default_config ~dir:(Some dir) ~seed:9L
           ~config_fields:[ ("protocol", "test") ] ()
       in
-      let d = Doctor.attach config engine in
+      let d = Doctor.attach config (Bftmetrics.Probe.create ()) engine in
       Fun.protect
         ~finally:(fun () -> Doctor.detach d)
         (fun () ->

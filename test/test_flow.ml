@@ -128,15 +128,15 @@ let mk_params ?(f = 1) () = Rbft.Params.default ~f
    completes once the crowd drains), and the auditor must see zero
    safety violations. *)
 let test_flash_crowd_sheds_and_recovers () =
-  Bftaudit.Auditor.reset_declared ();
-  let auditor = Bftaudit.Auditor.attach ~raise_on_violation:false ~n:4 ~f:1 () in
+  let p = Bftmetrics.Probe.create () in
+  let auditor = Bftaudit.Auditor.attach ~probe:p ~raise_on_violation:false ~n:4 ~f:1 () in
   let params =
     { (mk_params ()) with
       Rbft.Params.admission_budget = 8;
       busy_retry_base = Time.ms 2;
       adaptive_batching = true }
   in
-  let cluster = Rbft.Cluster.create ~clients:6 params in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:6 params in
   Array.iter
     (fun c -> Rbft.Client.send_burst c ~count:40)
     (Rbft.Cluster.clients cluster);
@@ -175,7 +175,8 @@ let test_flash_crowd_sheds_and_recovers () =
 (* Gate off (budget 0): no BUSY traffic, no retries, no watchdog — the
    flow-control layer must be invisible until enabled. *)
 let test_gate_off_is_silent () =
-  let cluster = Rbft.Cluster.create ~clients:4 (mk_params ()) in
+  let p = Bftmetrics.Probe.create () in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:4 (mk_params ()) in
   Array.iter
     (fun c -> Rbft.Client.send_burst c ~count:30)
     (Rbft.Cluster.clients cluster);
@@ -196,7 +197,7 @@ let test_gate_off_is_silent () =
    nodes agree on the executed sequence. *)
 let test_kvstore_agreement () =
   let cluster =
-    Rbft.Cluster.create
+    Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ())
       ~service:(fun () -> Bftapp.Kvstore.service (Bftapp.Kvstore.create ()))
       ~clients:4 (mk_params ())
   in

@@ -80,8 +80,9 @@ let test_report_print_smoke () =
 (* ------------------------------------------------------------------ *)
 
 let test_worst_attack_1_configures () =
+  let p = Bftmetrics.Probe.create () in
   let params = Rbft.Params.default ~f:1 in
-  let cluster = Rbft.Cluster.create ~clients:2 params in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:2 params in
   Rbft.Attacks.worst_attack_1 cluster;
   (* Faulty node is node 3; master primary node is node 0. *)
   let faults = Rbft.Node.faults (Rbft.Cluster.node cluster 3) in
@@ -96,8 +97,9 @@ let test_worst_attack_1_configures () =
     (Rbft.Client.behaviour (Rbft.Cluster.client cluster 0)).Rbft.Client.mac_invalid_for
 
 let test_worst_attack_2_configures () =
+  let p = Bftmetrics.Probe.create () in
   let params = Rbft.Params.default ~f:1 in
-  let cluster = Rbft.Cluster.create ~clients:2 params in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:2 params in
   Rbft.Attacks.worst_attack_2 cluster;
   let faults = Rbft.Node.faults (Rbft.Cluster.node cluster 0) in
   Alcotest.(check (list int)) "floods correct nodes" [ 1; 2; 3 ]
@@ -110,12 +112,13 @@ let test_worst_attack_2_configures () =
       .Pbftcore.Replica.silent
 
 let test_worst_attack_2_contained_end_to_end () =
+  let p = Bftmetrics.Probe.create () in
   (* The containment claim of Figure 10 at small scale: under the full
      worst-attack-2, throughput within the Delta envelope and no
      instance change. *)
   let params = Rbft.Params.default ~f:1 in
   let run attack =
-    let cluster = Rbft.Cluster.create ~clients:10 params in
+    let cluster = Rbft.Cluster.create ~probe:p ~clients:10 params in
     Array.iter (fun c -> Rbft.Client.set_rate c 3300.0) (Rbft.Cluster.clients cluster);
     if attack then Rbft.Attacks.worst_attack_2 cluster;
     Rbft.Cluster.run_for cluster (Time.sec 2);
@@ -133,8 +136,9 @@ let test_worst_attack_2_contained_end_to_end () =
     (rel > 0.90 && rel < 1.02)
 
 let test_unfair_primary_configures () =
+  let p = Bftmetrics.Probe.create () in
   let params = Rbft.Params.default ~f:1 in
-  let cluster = Rbft.Cluster.create ~clients:2 params in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:2 params in
   Rbft.Attacks.unfair_primary cluster ~node:0 ~target_client:1 ~after_requests:0
     ~hold:(Time.ms 2);
   let adv =
@@ -150,10 +154,11 @@ let test_unfair_primary_configures () =
 (* ------------------------------------------------------------------ *)
 
 let test_dynamic_shape_drives_cluster () =
+  let p = Bftmetrics.Probe.create () in
   let params = Rbft.Params.default ~f:1 in
   let shape = Bftworkload.Loadshape.paper_dynamic ~step:(Time.ms 100) ~rate:200.0 () in
   let cluster =
-    Rbft.Cluster.create ~clients:(Bftworkload.Loadshape.max_clients shape) params
+    Rbft.Cluster.create ~probe:p ~clients:(Bftworkload.Loadshape.max_clients shape) params
   in
   Bftworkload.Loadshape.apply (Rbft.Cluster.engine cluster) shape
     ~set_rate:(fun c r -> Rbft.Client.set_rate (Rbft.Cluster.client cluster c) r);

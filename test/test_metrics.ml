@@ -218,19 +218,6 @@ let test_registry_reset_keeps_handles () =
   Registry.Counter.inc c;
   Alcotest.(check int) "handle live after reset" 1 (Registry.Counter.value c)
 
-let test_registry_merge () =
-  let a = Registry.create () and b = Registry.create () in
-  let ca = Registry.counter a "m_total" ~labels:[ ("k", "x") ] in
-  let cb = Registry.counter b "m_total" ~labels:[ ("k", "x") ] in
-  let hb = Registry.histogram b "lat_seconds" ~labels:[] in
-  Registry.Counter.add ca 2;
-  Registry.Counter.add cb 3;
-  Hist.add hb 1e-3;
-  Registry.merge ~into:a b;
-  Alcotest.(check int) "counters add" 5 (Registry.Counter.value ca);
-  let ha = Registry.histogram a "lat_seconds" ~labels:[] in
-  Alcotest.(check int) "histograms merge samplewise" 1 (Hist.count ha)
-
 let test_registry_snapshot_gauge_fn () =
   let r = Registry.create () in
   let calls = ref 0 in
@@ -398,32 +385,6 @@ let test_export_csv_json () =
   Alcotest.(check string) "json_float nan" "null" (Export.json_float Float.nan);
   Alcotest.(check string) "json escaping" {|"a\"b"|} ({|"|} ^ Export.json_escape {|a"b|} ^ {|"|})
 
-(* --- audit bridge ------------------------------------------------- *)
-
-let test_metrics_bridge () =
-  let r = Registry.create () in
-  let bridge = Bftaudit.Metrics_bridge.attach ~registry:r () in
-  let emit kind =
-    Bftaudit.Bus.emit { Bftaudit.Event.time = Time.ms 1; node = 2; instance = 0; kind }
-  in
-  emit (Bftaudit.Event.Net_dropped { src = "node0"; reason = "nic-closed" });
-  emit (Bftaudit.Event.Net_dropped { src = "node0"; reason = "nic-closed" });
-  emit
-    (Bftaudit.Event.Monitor_verdict
-       { master_rate = 10.0; backup_rate = 100.0; suspicious = true });
-  Bftaudit.Metrics_bridge.detach bridge;
-  (* Detached: further events derive nothing. *)
-  emit (Bftaudit.Event.Net_dropped { src = "node0"; reason = "nic-closed" });
-  let value name labels =
-    Registry.Counter.value (Registry.counter r name ~labels)
-  in
-  Alcotest.(check int) "drop reason counted" 2
-    (value "bft_net_drops_total" [ ("reason", "nic-closed") ]);
-  Alcotest.(check int) "suspicious verdict counted" 1
-    (value "bft_monitor_suspicious_total" [ ("node", "2") ]);
-  Alcotest.(check int) "event kinds counted" 2
-    (value "bft_audit_events_total" [ ("kind", "net-dropped") ])
-
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suites =
@@ -462,7 +423,6 @@ let suites =
         Alcotest.test_case "families and children" `Quick test_registry_families;
         Alcotest.test_case "reset keeps handles" `Quick
           test_registry_reset_keeps_handles;
-        Alcotest.test_case "merge" `Quick test_registry_merge;
         Alcotest.test_case "snapshot and gauge_fn" `Quick
           test_registry_snapshot_gauge_fn;
       ] );
@@ -477,6 +437,4 @@ let suites =
         Alcotest.test_case "prometheus text" `Quick test_export_prometheus;
         Alcotest.test_case "csv and json" `Quick test_export_csv_json;
       ] );
-    ( "metrics.bridge",
-      [ Alcotest.test_case "audit events to counters" `Quick test_metrics_bridge ] );
   ]

@@ -69,8 +69,9 @@ let prop_wire_string_roundtrip =
 (* ------------------------------------------------------------------ *)
 
 let make_net ?(transport = Network.Tcp) ?(jitter = Time.zero) ?(nodes = 4) engine =
+  let p = Bftmetrics.Probe.create () in
   let cfg = { (Network.default_config ~nodes) with transport; jitter } in
-  Network.create engine cfg
+  Network.create ~probe:p engine cfg
 
 let test_net_basic_delivery () =
   let e = Engine.create () in
@@ -118,6 +119,7 @@ let test_net_fifo_per_link () =
     (List.rev !order)
 
 let test_net_fifo_all_pairings () =
+  let p = Bftmetrics.Probe.create () in
   (* The FIFO clamp must hold for every kind of connection, at the
      default 20 us jitter (far above an 8 B message's serialization
      gap, so unclamped arrivals would reorder): node -> node,
@@ -125,7 +127,7 @@ let test_net_fifo_all_pairings () =
      no per-node port slot to keep its clock in, so it is the one a
      naive per-node array breaks. *)
   let e = Engine.create () in
-  let net = Network.create e (Network.default_config ~nodes:4) in
+  let net = Network.create ~probe:p e (Network.default_config ~nodes:4) in
   let got = Hashtbl.create 4 in
   let record d =
     let pair, i = d.Network.payload in

@@ -15,6 +15,7 @@ type rig = {
 
 let make_rig ?(n = 4) ?(f = 1) ?(tweak = fun _ c -> c) () =
   let engine = Engine.create () in
+  let probe = Bftmetrics.Probe.create () in
   let deliveries = Array.init n (fun _ -> ref []) in
   let replicas = Array.make n None in
   let rig_drop = ref [] in
@@ -37,7 +38,7 @@ let make_rig ?(n = 4) ?(f = 1) ?(tweak = fun _ c -> c) () =
       deliveries.(i) :=
         (seq, List.map (fun d -> d.Types.id) descs) :: !(deliveries.(i))
     in
-    Replica.create engine cfg
+    Replica.create ~probe engine cfg
       { Replica.send; broadcast; deliver; on_view_change = (fun _ -> ()) }
   in
   for i = 0 to n - 1 do
@@ -470,12 +471,13 @@ let test_new_primary_reproposes_inflight () =
    ignores the new primary's batch for that seq and can never commit
    or deliver it. *)
 let test_stale_delayed_pp_dies_with_view () =
+  let p = Bftmetrics.Probe.create () in
   let rig = make_rig () in
   (Replica.adversary rig.replicas.(0)).Replica.pp_extra_delay <-
     (fun () -> Time.ms 5);
   let stale_pps = ref 0 in
   let tok =
-    Bftaudit.Bus.subscribe (fun (e : Bftaudit.Event.t) ->
+    Bftmetrics.Probe.subscribe p (fun (e : Bftaudit.Event.t) ->
         match e.kind with
         | Bftaudit.Event.Pre_prepare_sent { view = 0; _ } when e.node = 0 ->
           (* Any view-0 PP broadcast after the 1ms view change is the
@@ -490,7 +492,7 @@ let test_stale_delayed_pp_dies_with_view () =
     (Engine.after rig.engine (Time.ms 1) (fun () ->
          Array.iter Replica.force_view_change rig.replicas));
   Engine.run rig.engine;
-  Bftaudit.Bus.unsubscribe tok;
+  tok ();
   Alcotest.(check int) "no stale-view pre-prepare issued" 0 !stale_pps;
   Array.iteri
     (fun i r ->
@@ -504,6 +506,7 @@ let test_stale_delayed_pp_dies_with_view () =
    [is_primary] re-check in [flush_batch] must hold even if a timer
    survives), so the demoted replica never proposes after demotion. *)
 let test_demoted_primary_batch_timer_cancelled () =
+  let p = Bftmetrics.Probe.create () in
   let rig =
     make_rig
       ~tweak:(fun i c ->
@@ -512,7 +515,7 @@ let test_demoted_primary_batch_timer_cancelled () =
   in
   let late_pps = ref 0 in
   let tok =
-    Bftaudit.Bus.subscribe (fun (e : Bftaudit.Event.t) ->
+    Bftmetrics.Probe.subscribe p (fun (e : Bftaudit.Event.t) ->
         match e.kind with
         | Bftaudit.Event.Pre_prepare_sent _ when e.node = 0 && e.time > Time.ms 1
           ->
@@ -528,7 +531,7 @@ let test_demoted_primary_batch_timer_cancelled () =
     (Engine.after rig.engine (Time.ms 1) (fun () ->
          Array.iter Replica.force_view_change rig.replicas));
   Engine.run rig.engine;
-  Bftaudit.Bus.unsubscribe tok;
+  tok ();
   Alcotest.(check int) "demoted primary proposed nothing" 0 !late_pps;
   Array.iteri
     (fun i r ->

@@ -164,7 +164,8 @@ let test_monitoring_omega () =
 (* ------------------------------------------------------------------ *)
 
 let saturate ?(rate = 800.0) ?(nclients = 3) ?(payload = 8) ?(params = mk_params ()) () =
-  let cluster = Rbft.Cluster.create ~clients:nclients ~payload_size:payload params in
+  let p = Bftmetrics.Probe.create () in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:nclients ~payload_size:payload params in
   Array.iter (fun c -> Rbft.Client.set_rate c rate) (Rbft.Cluster.clients cluster);
   cluster
 
@@ -276,7 +277,8 @@ let test_flood_closes_nic () =
    its junk on a correct peer: node 0 blames the authenticated source,
    and only it. *)
 let test_forged_junk_spares_named_peer () =
-  let cluster = Rbft.Cluster.create ~clients:1 (mk_params ()) in
+  let p = Bftmetrics.Probe.create () in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:1 (mk_params ()) in
   Rbft.Cluster.run_for cluster (Time.ms 1);
   let desc = Pbftcore.Types.desc_of_op ~client:(-1) ~rid:0 "junk" in
   let junk =
@@ -317,8 +319,9 @@ let test_unfair_primary_lambda_triggers_change () =
   Alcotest.(check bool) "agreement" true (Rbft.Cluster.agreement_ok cluster ~faulty:[])
 
 let test_invalid_signature_blacklists () =
+  let p = Bftmetrics.Probe.create () in
   let params = mk_params () in
-  let cluster = Rbft.Cluster.create ~clients:2 params in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:2 params in
   let bad = Rbft.Cluster.client cluster 0 in
   (Rbft.Client.behaviour bad).Rbft.Client.sig_valid <- false;
   Rbft.Client.send_one bad;
@@ -333,11 +336,12 @@ let test_invalid_signature_blacklists () =
   Alcotest.(check int) "good client served" 1 (Rbft.Client.completed good)
 
 let test_selective_mac_still_served () =
+  let p = Bftmetrics.Probe.create () in
   (* Worst-attack-1 action (i): the client's authenticator is invalid
      for node 0 only; the request still reaches node 0 via PROPAGATE
      and completes. *)
   let params = mk_params () in
-  let cluster = Rbft.Cluster.create ~clients:1 params in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:1 params in
   let c = Rbft.Cluster.client cluster 0 in
   (Rbft.Client.behaviour c).Rbft.Client.mac_invalid_for <- [ 0 ];
   Rbft.Client.send_one c;
@@ -347,8 +351,9 @@ let test_selective_mac_still_served () =
     (Rbft.Node.executed_count (Rbft.Cluster.node cluster 0))
 
 let test_duplicate_request_rereplied () =
+  let p = Bftmetrics.Probe.create () in
   let params = mk_params () in
-  let cluster = Rbft.Cluster.create ~clients:1 params in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:1 params in
   let c = Rbft.Cluster.client cluster 0 in
   Rbft.Client.send_one c;
   Rbft.Cluster.run_for cluster (Time.ms 300);
@@ -356,9 +361,10 @@ let test_duplicate_request_rereplied () =
   Alcotest.(check int) "executed once" 1 (Rbft.Cluster.total_executed cluster)
 
 let test_f2_cluster_works () =
+  let p = Bftmetrics.Probe.create () in
   let params = mk_params ~f:2 () in
   let cluster =
-    Rbft.Cluster.create ~clients:3 params
+    Rbft.Cluster.create ~probe:p ~clients:3 params
   in
   Array.iter (fun c -> Rbft.Client.set_rate c 300.0) (Rbft.Cluster.clients cluster);
   Rbft.Cluster.run_for cluster (Time.sec 1);
@@ -393,8 +399,9 @@ let test_switch_master_recovery () =
   Alcotest.(check bool) "agreement" true (Rbft.Cluster.agreement_ok cluster ~faulty:[])
 
 let test_closed_loop_client () =
+  let p = Bftmetrics.Probe.create () in
   let params = mk_params () in
-  let cluster = Rbft.Cluster.create ~clients:1 params in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:1 params in
   let c = Rbft.Cluster.client cluster 0 in
   Rbft.Client.set_closed_loop c ~outstanding:4;
   Rbft.Cluster.run_for cluster (Time.ms 500);
@@ -432,7 +439,8 @@ let test_primary_placement () =
 (* ------------------------------------------------------------------ *)
 
 let ic_idle_cluster () =
-  let cluster = Rbft.Cluster.create ~clients:1 (mk_params ()) in
+  let p = Bftmetrics.Probe.create () in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:1 (mk_params ()) in
   Rbft.Cluster.run_for cluster (Time.ms 1);
   cluster
 

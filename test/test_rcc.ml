@@ -207,7 +207,8 @@ let conc_params ?(f = 1) ?(delta = 0.9) () =
   }
 
 let saturate ?(rate = 800.0) ?(nclients = 4) ?(params = conc_params ()) () =
-  let cluster = Rbft.Cluster.create ~clients:nclients ~payload_size:8 params in
+  let p = Bftmetrics.Probe.create () in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:nclients ~payload_size:8 params in
   Array.iter (fun c -> Rbft.Client.set_rate c rate) (Rbft.Cluster.clients cluster);
   cluster
 
@@ -297,6 +298,7 @@ let auditor_invariants a =
     (Bftaudit.Auditor.violations a)
 
 let test_concurrent_worst1_resisted () =
+  let p = Bftmetrics.Probe.create () in
   (* Worst-attack-1 against the concurrent mode, audited and at
      saturation: the clients break their authenticator entry for node
      0 (primary of instance 0), the faulty node floods it and its
@@ -306,10 +308,9 @@ let test_concurrent_worst1_resisted () =
      only the difference: degradation stays inside the Δ envelope.
      The normalized check must not demote a correct primary, and the
      safety auditor must stay clean. *)
-  Bftaudit.Auditor.reset_declared ();
-  let a = Bftaudit.Auditor.attach ~raise_on_violation:false ~n:4 ~f:1 () in
+  let a = Bftaudit.Auditor.attach ~probe:p ~raise_on_violation:false ~n:4 ~f:1 () in
   let cluster =
-    Rbft.Cluster.create ~clients:6 ~payload_size:8 (conc_params ~delta:0.9 ())
+    Rbft.Cluster.create ~probe:p ~clients:6 ~payload_size:8 (conc_params ~delta:0.9 ())
   in
   Array.iter
     (fun c -> Rbft.Client.set_closed_loop c ~outstanding:48)
@@ -319,7 +320,6 @@ let test_concurrent_worst1_resisted () =
   stop_clients cluster;
   Rbft.Cluster.run_for cluster (Time.sec 1);
   Bftaudit.Auditor.detach a;
-  Bftaudit.Auditor.reset_declared ();
   Alcotest.(check (list string)) "no safety violations" []
     (auditor_invariants a);
   Alcotest.(check int) "attack resisted: no instance change" 0
@@ -330,6 +330,7 @@ let test_concurrent_worst1_resisted () =
     (Rbft.Cluster.agreement_ok cluster ~faulty:[ 3 ])
 
 let test_concurrent_worst2_normalized_delta_demotes () =
+  let p = Bftmetrics.Probe.create () in
   (* Worst-attack-2: the faulty node IS the master primary and
      throttles its pre-prepares down to (Δ + margin) × the mean RAW
      backup rate — the envelope that keeps it in office in redundant
@@ -340,10 +341,9 @@ let test_concurrent_worst2_normalized_delta_demotes () =
      weight-normalized Δ check sees straight through it. The demotion
      must fire, the degrade path must keep the backlog executing, and
      the auditor must stay clean. *)
-  Bftaudit.Auditor.reset_declared ();
-  let a = Bftaudit.Auditor.attach ~raise_on_violation:false ~n:4 ~f:1 () in
+  let a = Bftaudit.Auditor.attach ~probe:p ~raise_on_violation:false ~n:4 ~f:1 () in
   let params = conc_params ~delta:0.9 () in
-  let cluster = Rbft.Cluster.create ~clients:6 ~payload_size:8 params in
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:6 ~payload_size:8 params in
   let part =
     Bftrcc.Partitioner.create ~instances:(Rbft.Params.instances params)
   in
@@ -359,7 +359,6 @@ let test_concurrent_worst2_normalized_delta_demotes () =
   stop_clients cluster;
   Rbft.Cluster.run_for cluster (Time.sec 2);
   Bftaudit.Auditor.detach a;
-  Bftaudit.Auditor.reset_declared ();
   Alcotest.(check (list string)) "no safety violations" []
     (auditor_invariants a);
   Alcotest.(check bool) "attacked partition's master demoted" true
@@ -399,10 +398,11 @@ let test_concurrent_stall_change_on_crashed_owner () =
     (Rbft.Cluster.agreement_ok cluster ~faulty:[ 1 ])
 
 let test_concurrent_matches_redundant_safety () =
+  let p = Bftmetrics.Probe.create () in
   (* Same seed, same load, both modes: the concurrent mode must serve
      every request exactly once, like the redundant baseline. *)
   let run params =
-    let cluster = Rbft.Cluster.create ~seed:7L ~clients:3 params in
+    let cluster = Rbft.Cluster.create ~probe:p ~seed:7L ~clients:3 params in
     Array.iter
       (fun c -> Rbft.Client.set_rate c 300.0)
       (Rbft.Cluster.clients cluster);

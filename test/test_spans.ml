@@ -11,17 +11,16 @@
 
 open Dessim
 
+(* Each test traces on a probe of its own. *)
 let with_tracer ?(sample = 1) f =
-  Bftspan.Tracer.reset ();
-  Bftspan.Tracer.enable ~sample ();
-  Fun.protect
-    ~finally:(fun () -> Bftspan.Tracer.disable ())
-    f
+  let p = Bftmetrics.Probe.create () in
+  Bftmetrics.Probe.enable_spans ~sample p;
+  f p
 
 let run_rbft ?(attack = fun _ -> ()) ?(seed = 42) ?(seconds = 0.3) ?(clients = 3)
-    ?(rate = 400.0) () =
+    ?(rate = 400.0) p =
   let cluster =
-    Rbft.Cluster.create ~seed:(Int64.of_int seed) ~clients ~payload_size:8
+    Rbft.Cluster.create ~probe:p ~seed:(Int64.of_int seed) ~clients ~payload_size:8
       (Rbft.Params.default ~f:1)
   in
   attack cluster;
@@ -35,9 +34,9 @@ let run_rbft ?(attack = fun _ -> ()) ?(seed = 42) ?(seconds = 0.3) ?(clients = 3
 
 let test_smoke () =
   let spans =
-    with_tracer (fun () ->
-        ignore (run_rbft ());
-        Bftspan.Tracer.to_array ())
+    with_tracer (fun p ->
+        ignore (run_rbft p);
+        Bftmetrics.Probe.span_array p)
   in
   let s = Bftspan.Analyze.summarize spans in
   Alcotest.(check bool) "spans recorded" true (Array.length spans > 100);
@@ -70,16 +69,15 @@ let test_smoke () =
       Bftspan.Tag.Commit; Bftspan.Tag.Reply ]
 
 let test_disabled_records_nothing () =
-  Bftspan.Tracer.reset ();
-  Bftspan.Tracer.disable ();
-  ignore (run_rbft ~seconds:0.05 ());
-  Alcotest.(check int) "no spans when disabled" 0 (Bftspan.Tracer.count ())
+  let p = Bftmetrics.Probe.create () in
+  ignore (run_rbft ~seconds:0.05 p);
+  Alcotest.(check int) "no spans when disabled" 0 (Bftspan.Tracer.count p)
 
 let test_sampling () =
   let spans =
-    with_tracer ~sample:4 (fun () ->
-        ignore (run_rbft ());
-        Bftspan.Tracer.to_array ())
+    with_tracer ~sample:4 (fun p ->
+        ignore (run_rbft p);
+        Bftmetrics.Probe.span_array p)
   in
   Alcotest.(check bool) "sampled run recorded spans" true (Array.length spans > 0);
   Array.iter
@@ -95,9 +93,9 @@ let test_sampling () =
 
 let test_determinism () =
   let digest_of_run seed =
-    with_tracer (fun () ->
-        ignore (run_rbft ~seed ());
-        (Bftspan.Tracer.digest (), Bftspan.Tracer.count ()))
+    with_tracer (fun p ->
+        ignore (run_rbft ~seed p);
+        (Bftspan.Tracer.digest p, Bftspan.Tracer.count p))
   in
   let d1, c1 = digest_of_run 7 in
   let d2, c2 = digest_of_run 7 in
@@ -128,18 +126,18 @@ let test_chaos_crash_trees () =
   (* One crash within f, full drain: the run stays live, so every
      sampled request must close into a well-formed orphan-free tree. *)
   let spans =
-    with_tracer (fun () ->
+    with_tracer (fun p ->
         let faults =
           [ { Bftchaos.Fault.at = Time.ms 100; until = Time.ms 300;
               kind = Bftchaos.Fault.Crash { node = 2 } } ]
         in
         let r =
-          Bftchaos.Runner.run
+          Bftchaos.Runner.run ~probe:p
             (chaos_scenario ~name:"span-crash" ~faults ~drain:(Time.sec 1))
         in
         Alcotest.(check bool) "run live through crash" true
           (Bftchaos.Runner.ok r);
-        Bftspan.Tracer.to_array ())
+        Bftmetrics.Probe.span_array p)
   in
   let s = Bftspan.Analyze.summarize spans in
   Alcotest.(check (list string)) "trees well-formed under crash" []
@@ -154,15 +152,15 @@ let test_chaos_partition_open_roots () =
      complete, and the analyzer must flag them as open roots rather
      than mis-attribute them. *)
   let spans =
-    with_tracer (fun () ->
+    with_tracer (fun p ->
         let faults =
           [ { Bftchaos.Fault.at = Time.ms 100; until = Time.ms 500;
               kind = Bftchaos.Fault.Partition { group = [ 0; 1 ] } } ]
         in
         ignore
-          (Bftchaos.Runner.run
+          (Bftchaos.Runner.run ~probe:p
              (chaos_scenario ~name:"span-partition" ~faults ~drain:(Time.ms 1)));
-        Bftspan.Tracer.to_array ())
+        Bftmetrics.Probe.span_array p)
   in
   let s = Bftspan.Analyze.summarize spans in
   Alcotest.(check bool) "dropped requests flagged as open roots" true
@@ -180,16 +178,16 @@ let test_chaos_partition_open_roots () =
 (* ------------------------------------------------------------------ *)
 
 let test_jsonl_roundtrip () =
-  let spans =
-    with_tracer (fun () ->
-        ignore (run_rbft ~seconds:0.1 ());
-        Bftspan.Tracer.to_array ())
+  let p, spans =
+    with_tracer (fun p ->
+        ignore (run_rbft ~seconds:0.1 p);
+        (p, Bftmetrics.Probe.span_array p))
   in
   let path = Filename.temp_file "spans" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Bftspan.Tracer.write_jsonl path;
+      Bftspan.Tracer.write_jsonl p path;
       let back = Bftspan.Analyze.read_jsonl path in
       Alcotest.(check int) "span count survives" (Array.length spans)
         (Array.length back);
@@ -220,11 +218,12 @@ let count_substring hay needle =
   !count
 
 let test_chrome_combined () =
-  let capture = Bftaudit.Capture.attach () in
+  let p = Bftmetrics.Probe.create () in
+  Bftmetrics.Probe.enable_spans p;
+  let capture = Bftaudit.Capture.attach p in
   let spans =
-    with_tracer (fun () ->
-        ignore (run_rbft ~seconds:0.1 ());
-        Bftspan.Tracer.to_array ())
+    ignore (run_rbft ~seconds:0.1 p);
+    Bftmetrics.Probe.span_array p
   in
   let audit_events = Bftaudit.Capture.count capture in
   let closed =
@@ -263,25 +262,24 @@ let test_chrome_combined () =
 (* ------------------------------------------------------------------ *)
 
 let test_critical_path_synthetic () =
-  with_tracer (fun () ->
-      let module T = Bftspan.Tracer in
+  with_tracer (fun p ->
+      let module T = Bftmetrics.Probe in
       let root =
-        T.root ~client:0 ~rid:0 ~node:(-1) ~instance:(-1)
-          ~tag:Bftspan.Tag.Client ~t0:(Time.ns 0)
+        T.request_root p ~client:0 ~rid:0 (Time.ns 0)
       in
       let a =
-        T.span ~parent:root ~tag:Bftspan.Tag.Net_transit ~node:1 ~instance:0
+        T.span p ~parent:root ~tag:Bftspan.Tag.Net_transit ~node:1 ~instance:0
           ~t0:(Time.ns 0) ~t1:(Time.ns 10)
       in
       let b =
-        T.span ~parent:a ~tag:Bftspan.Tag.Prepare ~node:1 ~instance:0
+        T.span p ~parent:a ~tag:Bftspan.Tag.Prepare ~node:1 ~instance:0
           ~t0:(Time.ns 10) ~t1:(Time.ns 60)
       in
       ignore
-        (T.span ~parent:b ~tag:Bftspan.Tag.Reply ~node:1 ~instance:0
+        (T.span p ~parent:b ~tag:Bftspan.Tag.Reply ~node:1 ~instance:0
            ~t0:(Time.ns 70) ~t1:(Time.ns 95));
-      T.finish root ~t1:(Time.ns 100);
-      let s = Bftspan.Analyze.summarize (T.to_array ()) in
+      T.finish p root ~t1:(Time.ns 100);
+      let s = Bftspan.Analyze.summarize (T.span_array p) in
       Alcotest.(check int) "one committed trace" 1 s.Bftspan.Analyze.committed;
       let t = List.hd s.Bftspan.Analyze.traces in
       Alcotest.(check bool) "total is 100ns" true
@@ -330,15 +328,14 @@ let test_tag_roundtrip () =
    silently dropped out, so a truncated run collided with its own
    (empty) prefix. *)
 let test_truncated_digest () =
-  with_tracer (fun () ->
+  with_tracer (fun p ->
       for rid = 1 to 12 do
         let id =
-          Bftspan.Tracer.root ~client:0 ~rid ~node:(-1) ~instance:(-1)
-            ~tag:Bftspan.Tag.Client ~t0:(Time.ms rid)
+          Bftmetrics.Probe.request_root p ~client:0 ~rid (Time.ms rid)
         in
-        Bftspan.Tracer.finish id ~t1:(Time.ms (rid + 5))
+        Bftmetrics.Probe.finish p id ~t1:(Time.ms (rid + 5))
       done;
-      let n = Bftspan.Tracer.count () in
+      let n = Bftspan.Tracer.count p in
       Alcotest.(check int) "all roots captured" 12 n;
       (* manual recomputation over the whole (sub-chunk) capture *)
       let jsonl = Buffer.create 1024 in
@@ -346,7 +343,7 @@ let test_truncated_digest () =
         (fun s ->
           Bftspan.Span.write_json jsonl s;
           Buffer.add_char jsonl '\n')
-        (Bftspan.Tracer.to_array ());
+        (Bftmetrics.Probe.span_array p);
       Alcotest.(check bool) "capture fits one chunk" true
         (Buffer.length jsonl < (64 * 1024) - 256);
       let manual =
@@ -356,7 +353,7 @@ let test_truncated_digest () =
              ^ Buffer.contents jsonl))
       in
       Alcotest.(check string) "partial chunk folds into the chain" manual
-        (Bftspan.Tracer.digest ());
+        (Bftspan.Tracer.digest p);
       (* the same discipline through Chunkdig directly *)
       let d = Bftspan.Chunkdig.create ~seed:Bftspan.Tracer.digest_seed () in
       String.split_on_char '\n' (Buffer.contents jsonl)
@@ -365,12 +362,12 @@ let test_truncated_digest () =
       Alcotest.(check string) "chunkdig agrees" manual (Bftspan.Chunkdig.hex d);
       (* prefix sensitivity: a truncated capture digests its exact
          prefix and differs from the full digest *)
-      let d7 = Bftspan.Tracer.digest_upto 7 in
+      let d7 = Bftspan.Tracer.digest_upto p 7 in
       Alcotest.(check bool) "truncation changes the digest" true
-        (d7 <> Bftspan.Tracer.digest ());
+        (d7 <> Bftspan.Tracer.digest p);
       Alcotest.(check string) "digest_upto count = digest"
-        (Bftspan.Tracer.digest ())
-        (Bftspan.Tracer.digest_upto n);
+        (Bftspan.Tracer.digest p)
+        (Bftspan.Tracer.digest_upto p n);
       (* the 7-span prefix recomputed by hand *)
       let prefix = Buffer.create 512 in
       Array.iteri
@@ -379,7 +376,7 @@ let test_truncated_digest () =
             Bftspan.Span.write_json prefix s;
             Buffer.add_char prefix '\n'
           end)
-        (Bftspan.Tracer.to_array ());
+        (Bftmetrics.Probe.span_array p);
       let manual7 =
         Bftcrypto.Sha256.to_hex
           (Bftcrypto.Sha256.digest_string

@@ -13,8 +13,9 @@ module Core = Pbftcore.Client_core
 type msg = Reply of { id : request_id; result : string }
 
 let test_reply_quorum () =
+  let p = Bftmetrics.Probe.create () in
   let engine = Engine.create ~seed:1L () in
-  let net = Bftnet.Network.create engine (Bftnet.Network.default_config ~nodes:4) in
+  let net = Bftnet.Network.create ~probe:p engine (Bftnet.Network.default_config ~nodes:4) in
   let client = Core.create engine net ~f:1 ~id:0 ~payload_size:8 () in
   let completions = ref 0 in
   Core.listen client (fun c ~from (Reply { id; result }) ->
@@ -87,8 +88,9 @@ let pin (type c) (module S : Pbftcore.Cluster_core.STACK with type Cluster.t = c
 let open_loop = [ (1013, 1010); (970, 965); (1042, 1037) ]
 
 let test_pin_rbft () =
+  let p = Bftmetrics.Probe.create () in
   pin (module Rbft)
-    (Rbft.Cluster.create ~seed:42L ~clients:3 (Rbft.Params.default ~f:1))
+    (Rbft.Cluster.create ~probe:p ~seed:42L ~clients:3 (Rbft.Params.default ~f:1))
     ~executed:3012
     ~digest:"4dc5433751578433dd10db6e675fd8da21257be1e122e8c60fd7adb68bd154d3"
     ~clients:open_loop ()
@@ -97,8 +99,9 @@ let test_pin_rbft () =
    adaptive batching on, driven past the ~30 kreq/s peak so the gate
    sheds and the clients back off on BUSY. *)
 let test_pin_rbft_flow () =
+  let p = Bftmetrics.Probe.create () in
   let cluster =
-    Rbft.Cluster.create ~seed:42L ~clients:3
+    Rbft.Cluster.create ~probe:p ~seed:42L ~clients:3
       { (Rbft.Params.default ~f:1) with
         Rbft.Params.admission_budget = 128;
         adaptive_batching = true }
@@ -117,8 +120,9 @@ let test_pin_rbft_flow () =
 (* Concurrent ordering: PROPAGATE batching, no-op heartbeats and the
    merge-stall watch all run. *)
 let test_pin_rbft_concurrent () =
+  let p = Bftmetrics.Probe.create () in
   pin (module Rbft)
-    (Rbft.Cluster.create ~seed:42L ~clients:3
+    (Rbft.Cluster.create ~probe:p ~seed:42L ~clients:3
        { (Rbft.Params.default ~f:1) with Rbft.Params.ordering = Rbft.Params.Concurrent })
     ~executed:2845
     ~digest:"6e4594a698f7cb130fd80c1bbbbc1aec5ba14b0471ea97470178d976ce4c0ad2"
@@ -126,23 +130,26 @@ let test_pin_rbft_concurrent () =
     ()
 
 let test_pin_aardvark () =
+  let p = Bftmetrics.Probe.create () in
   pin (module Aardvark)
-    (Aardvark.Cluster.create ~seed:42L ~clients:3 (Aardvark.Node.default_config ~f:1))
+    (Aardvark.Cluster.create ~probe:p ~seed:42L ~clients:3 (Aardvark.Node.default_config ~f:1))
     ~executed:3012
     ~digest:"4dc5433751578433dd10db6e675fd8da21257be1e122e8c60fd7adb68bd154d3"
     ~clients:open_loop ()
 
 let test_pin_spinning () =
+  let p = Bftmetrics.Probe.create () in
   pin (module Spinning)
-    (Spinning.Cluster.create ~seed:42L ~clients:3 (Spinning.Node.default_config ~f:1))
+    (Spinning.Cluster.create ~probe:p ~seed:42L ~clients:3 (Spinning.Node.default_config ~f:1))
     ~executed:3018
     ~digest:"116a8ea662486f93a990439899a8f32894f2ebb52427e313d80aa7e3a2a74757"
     ~clients:[ (1013, 1012); (970, 967); (1042, 1039) ]
     ()
 
 let test_pin_prime () =
+  let p = Bftmetrics.Probe.create () in
   pin (module Prime)
-    (Prime.Cluster.create ~seed:42L ~clients:3 (Prime.Node.default_config ~f:1))
+    (Prime.Cluster.create ~probe:p ~seed:42L ~clients:3 (Prime.Node.default_config ~f:1))
     ~executed:2925
     ~digest:"a2004c53afc0613a87754c81c8f420efa2a7e8bd076cc507b6cf648dcdd88e92"
     ~clients:[ (1013, 986); (970, 926); (1042, 1013) ]
@@ -158,6 +165,7 @@ let test_pin_prime () =
    the primary, node 0, stretches its ordering period to the monitored
    allowance. *)
 let test_pin_prime_attack () =
+  let p = Bftmetrics.Probe.create () in
   let attack cluster =
     let heavy = Prime.Cluster.client cluster 0 in
     (Prime.Client.behaviour heavy).Prime.Client.heavy <- true;
@@ -165,7 +173,7 @@ let test_pin_prime_attack () =
     (Prime.Node.faults (Prime.Cluster.node cluster 0)).Prime.Node.delay_to_limit <- true
   in
   pin (module Prime) ~attack
-    (Prime.Cluster.create ~seed:42L ~clients:3 (Prime.Node.default_config ~f:1))
+    (Prime.Cluster.create ~probe:p ~seed:42L ~clients:3 (Prime.Node.default_config ~f:1))
     ~executed:1024
     ~digest:"fa215162e2cb621a8ae5f1a57e19bb92f188e8f8bfde98f9fa02e1233c63f09e"
     ~clients:[ (161, 82); (970, 451); (1042, 491) ]
@@ -177,12 +185,13 @@ let test_pin_prime_attack () =
    ratchet), so it ends inside the new view's post-view-change quiet
    period. *)
 let test_pin_aardvark_attack () =
+  let p = Bftmetrics.Probe.create () in
   let attack cluster =
     (Aardvark.Node.faults (Aardvark.Cluster.node cluster 0)).Aardvark.Node.track_required <-
       true
   in
   pin (module Aardvark) ~duration:(Time.ms 2900) ~attack
-    (Aardvark.Cluster.create ~seed:42L ~clients:3 (Aardvark.Node.simulation_config ~f:1))
+    (Aardvark.Cluster.create ~probe:p ~seed:42L ~clients:3 (Aardvark.Node.simulation_config ~f:1))
     ~executed:16878
     ~digest:"1fd3009d4259172bb3a564682e0bd1ace035280a5032d8312dec57d0668f1ae3"
     ~clients:[ (5925, 5722); (5754, 5534); (5802, 5622) ]
@@ -190,12 +199,13 @@ let test_pin_aardvark_attack () =
 
 (* Figure 3: node 3 delays each batch it proposes by 0.95 s_timeout. *)
 let test_pin_spinning_attack () =
+  let p = Bftmetrics.Probe.create () in
   let attack cluster =
     (Spinning.Node.faults (Spinning.Cluster.node cluster 3)).Spinning.Node.delay_fraction <-
       0.95
   in
   pin (module Spinning) ~attack
-    (Spinning.Cluster.create ~seed:42L ~clients:3 (Spinning.Node.default_config ~f:1))
+    (Spinning.Cluster.create ~probe:p ~seed:42L ~clients:3 (Spinning.Node.default_config ~f:1))
     ~executed:834
     ~digest:"c5ca5a8fa5faeefaac488464d18c346983ca856660220bf13c481f3d72ea361e"
     ~clients:[ (1013, 287); (970, 290); (1042, 257) ]
