@@ -687,8 +687,11 @@ let accept_pp t ~from (pp : Messages.pre_prepare) =
       adopt ()
   end
 
+(* A prepared certificate is 2f PREPAREs from backups: the view's
+   primary sends none, so a PREPARE from it is Byzantine and ignored. *)
 let accept_prepare t ~from ~view ~seq ~digest =
-  if view = t.view && (not t.in_vc) && in_window t seq then begin
+  if view = t.view && (not t.in_vc) && in_window t seq && from <> t.cfg.primary_of_view view
+  then begin
     let e = entry_for t seq in
     (* Prepares may arrive before the PRE-PREPARE: store them with the
        digest they endorse; only matching ones are counted. *)

@@ -637,6 +637,39 @@ let test_one_source_one_vote () =
         (Option.map (List.map (fun (id : Types.request_id) -> id.rid)) (at_seq1 i)))
     [ 2; 3 ]
 
+(* PBFT's prepared certificate is 2f matching PREPAREs from backups: a
+   primary sends no PREPARE, so one that does is Byzantine and must
+   not count. At f = 1 replica 1 holds the PRE-PREPARE and its own
+   PREPARE; a PREPARE from the primary (node 0) would make two and
+   prepare the batch with one correct backup. Only a second backup's
+   PREPARE may. *)
+let test_primary_prepare_not_counted () =
+  let engine = Engine.create () in
+  let sent = ref [] in
+  let cfg = Replica.default_config ~n:4 ~f:1 ~replica_id:1 in
+  let r =
+    Replica.create ~probe:(Bftmetrics.Probe.create ()) engine cfg
+      {
+        Replica.send = (fun _ _ -> ());
+        broadcast = (fun m -> sent := m :: !sent);
+        deliver = (fun _ _ -> ());
+        on_view_change = (fun _ -> ());
+      }
+  in
+  let d = req 1 in
+  Replica.submit r d;
+  let digest = Messages.batch_digest [ d ] in
+  let commits () =
+    List.length (List.filter (function Messages.Commit _ -> true | _ -> false) !sent)
+  in
+  Replica.receive r ~from:0 (Messages.Pre_prepare { Messages.view = 0; seq = 1; descs = [ d ] });
+  Replica.receive r ~from:0 (Messages.Prepare { view = 0; seq = 1; digest });
+  Engine.run ~until:(Time.ms 10) engine;
+  Alcotest.(check int) "primary's PREPARE prepares nothing" 0 (commits ());
+  Replica.receive r ~from:2 (Messages.Prepare { view = 0; seq = 1; digest });
+  Engine.run ~until:(Time.ms 20) engine;
+  Alcotest.(check int) "a second backup's PREPARE prepares the batch" 1 (commits ())
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suites =
@@ -691,5 +724,7 @@ let suites =
         Alcotest.test_case "equivocation cannot double-commit" `Quick
           test_equivocation_not_committed;
         Alcotest.test_case "one source is one vote" `Quick test_one_source_one_vote;
+        Alcotest.test_case "a primary's PREPARE is not counted" `Quick
+          test_primary_prepare_not_counted;
       ] );
   ]
