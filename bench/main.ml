@@ -259,14 +259,13 @@ let micro_benchmarks () =
      (the common untraced case: one int compare) and a root-sampling
      check. Both must stay in the audit-emit ballpark (< ~10 ns) for
      the hooks to be free when tracing is off. *)
+  let now = Dessim.Time.us 1 in
   let job_untraced () =
     ignore
       (Bftmetrics.Probe.job probe ~parent:(-1) ~tag:Bftspan.Tag.Crypto_verify ~node:1
-         ~instance:0 ~now:(Dessim.Time.us 1))
+         ~instance:0 ~now)
   in
-  let root_guarded () =
-    ignore (Bftmetrics.Probe.request_root probe ~client:0 ~rid:7 (Dessim.Time.us 1))
-  in
+  let root_guarded () = ignore (Bftmetrics.Probe.request_root probe ~client:0 ~rid:7 now) in
   run_tests
     [
       Test.make ~name:"span-job-disabled" (Staged.stage job_untraced);
@@ -278,13 +277,9 @@ let micro_benchmarks () =
      dispatch in [Probe.finish], which with no subscriber must stay in
      the same < ~10 ns ballpark as the other disabled hooks. *)
   Bftmetrics.Probe.enable_spans probe;
-  let closed_span =
-    Bftmetrics.Probe.request_root probe ~client:0 ~rid:7 (Dessim.Time.us 1)
-  in
+  let closed_span = Bftmetrics.Probe.request_root probe ~client:0 ~rid:7 now in
   Bftmetrics.Probe.disable_spans probe;
-  let close_dispatch () =
-    Bftmetrics.Probe.finish probe closed_span ~t1:(Dessim.Time.us 2)
-  in
+  let close_dispatch () = Bftmetrics.Probe.finish probe closed_span ~t1:now in
   run_tests
     [
       Test.make ~name:"doctor-span-close-disabled"
@@ -431,7 +426,7 @@ let () =
    | Some path -> Perfreport.write_scale ~audit ~quick ~path
    | None -> ());
   (match !clients with
-   | Some path -> Perfreport.write_clients ~audit ~quick ~path
+   | Some path -> Perfreport.write_clients ~quick ~path
    | None -> ());
   (match Audit.summary audit with
    | Some s -> Printf.printf "Safety audit: %s\n%!" s

@@ -623,6 +623,7 @@ let execute_request t ~span (desc : request_desc) =
             ~result;
           Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id
             ~instance:t.master_instance desc;
+          (* The lookup only feeds the execution-latency metric. *)
           if Probe.metrics t.probe then
             Probe.request_executed t.probe t.m
               ~dispatched:

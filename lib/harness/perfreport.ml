@@ -42,7 +42,6 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
     ?(ordering = Rbft.Params.Redundant) ?(flow = true) ~audit ~with_metrics ~quick
     ~payload () =
   let probe = Audit.probe audit in
-  Probe.set_metrics probe false;
   let proto =
     match ordering with
     | Rbft.Params.Redundant -> Calibrate.Rbft
@@ -419,10 +418,9 @@ type clients_point = {
   cp_footprint : (string * int) list;
 }
 
-let clients_run ~audit ~quick ~population =
-  let probe = Audit.probe audit in
-  Probe.set_metrics probe false;
-  Probe.clear_footprints probe;
+(* Each point runs on a probe of its own, footprint tracking on. *)
+let clients_run ~quick ~population =
+  let probe = Probe.create () in
   Probe.set_footprints probe true;
   let duration = Time.of_sec_f (if quick then 0.6 else 1.5) in
   (* Fixed aggregate load well under saturation: the sweep variable is
@@ -495,8 +493,6 @@ let clients_run ~audit ~quick ~population =
       cp_footprint = footprint_peaks_by_name probe;
     }
   in
-  Probe.set_footprints probe false;
-  Probe.clear_footprints probe;
   point
 
 let json_of_clients_point p =
@@ -520,7 +516,7 @@ let json_of_clients_point p =
           (fun (k, v) -> Printf.sprintf {|"%s":%d|} k v)
           p.cp_footprint))
 
-let generate_clients ~audit ~quick =
+let generate_clients ~quick =
   let module Profile = Bftmetrics.Profile in
   let profile = Profile.create () in
   let points = if quick then [ 100; 1_000; 10_000 ] else [ 1_000; 10_000; 50_000 ] in
@@ -528,7 +524,7 @@ let generate_clients ~audit ~quick =
     List.map
       (fun population ->
         Profile.time profile (Printf.sprintf "perfreport:clients-%d" population)
-          (fun () -> clients_run ~audit ~quick ~population))
+          (fun () -> clients_run ~quick ~population))
       points
   in
   let buf = Buffer.create 2048 in
@@ -548,7 +544,7 @@ let generate_clients ~audit ~quick =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write_clients ~audit ~quick ~path =
-  let json = generate_clients ~audit ~quick in
+let write_clients ~quick ~path =
+  let json = generate_clients ~quick in
   Bftmetrics.Export.to_channel_or_file ~path json;
   if path <> "-" then Printf.printf "client-population report -> %s\n%!" path

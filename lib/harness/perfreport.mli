@@ -10,9 +10,11 @@
     counts: engine events, delivered messages and minor-heap words
     allocated while the cluster ran.
 
-    Every run reports to [audit]'s probe (and is audited when [audit]
-    is enabled); each report times its legs in a {!Bftmetrics.Profile}
-    of its own, written as the [profile] section. *)
+    The runs of {!generate} and {!generate_scale} report to [audit]'s
+    probe (and are audited when [audit] is enabled); the client sweep
+    gives each point a probe of its own. Each report times its legs in
+    a {!Bftmetrics.Profile} of its own, written as the [profile]
+    section. *)
 
 val generate : audit:Audit.t -> quick:bool -> string
 (** Run the pass and return the JSON document. *)
@@ -32,7 +34,7 @@ val generate_scale : audit:Audit.t -> quick:bool -> string
 val write_scale : audit:Audit.t -> quick:bool -> path:string -> unit
 (** {!generate_scale} and write to [path] ('-' for stdout). *)
 
-val generate_clients : audit:Audit.t -> quick:bool -> string
+val generate_clients : quick:bool -> string
 (** Client-population capacity sweep (BENCH_clients.json): run the
     {!Bftworkload.Population} model at growing population sizes under
     a fixed aggregate load and record, per point, throughput, client
@@ -40,5 +42,5 @@ val generate_clients : audit:Audit.t -> quick:bool -> string
     and the per-structure footprint-probe peaks. Quick mode sweeps
     100/1k/10k clients; full mode 1k/10k/50k. *)
 
-val write_clients : audit:Audit.t -> quick:bool -> path:string -> unit
+val write_clients : quick:bool -> path:string -> unit
 (** {!generate_clients} and write to [path] ('-' for stdout). *)

@@ -111,19 +111,21 @@ let registry p = p.registry
 let metrics p = p.metrics
 let set_metrics p on = p.metrics <- on
 
-let crypto p op ~bytes =
-  if p.metrics then begin
-    let ops, byts = p.crypto.(crypto_index op) in
-    Counter.inc ops;
-    Counter.add byts bytes
-  end
+(* The hot calls below are inlined switch tests in front of an
+   out-of-line body, so a run with the switch off pays a field read and
+   a branch at the call site. *)
+let tally p op bytes =
+  let ops, byts = p.crypto.(crypto_index op) in
+  Counter.inc ops;
+  Counter.add byts bytes
+
+let[@inline] crypto p op ~bytes = if p.metrics then tally p op bytes
 
 let footprints p = p.footprints_on
 let set_footprints p on = p.footprints_on <- on
 let deep p = p.deep
 let set_deep p on = p.deep <- on
 let footprint_list p = p.footprints
-let clear_footprints p = p.footprints <- []
 
 let footprint p ?(owner = "global") ?parent ~name ~entries ~root () =
   let fp =
@@ -155,10 +157,9 @@ let observe fp =
   let e = fp.fp_entries () in
   if e > fp.fp_peak then fp.fp_peak <- e
 
-let note p fp = if p.footprints_on then observe fp
+let[@inline] note p fp = if p.footprints_on then observe fp
 
 let spans p = p.spans_on
-let sampled p ~rid = p.spans_on && (p.sample <= 1 || rid mod p.sample = 0)
 let span_count p = p.len
 let span_get p id = p.spans.(id)
 
@@ -173,25 +174,29 @@ let alloc p ~parent ~client ~rid ~node ~instance ~tag ~t0 ~t1 =
   p.len <- id + 1;
   id
 
-let notify_close p s = match p.on_close.subs with [] -> () | _ -> call p.on_close s
+let[@inline] notify_close p s = match p.on_close.subs with [] -> () | _ -> call p.on_close s
 let subscribe_spans p f = add p.on_close f
 
-let span p ~parent ~tag ~node ~instance ~t0 ~t1 =
-  if parent < 0 || not p.spans_on then -1
-  else
-    let s = p.spans.(parent) in
-    alloc p ~parent ~client:s.Span.client ~rid:s.Span.rid ~node ~instance ~tag ~t0 ~t1
+let child p ~parent ~tag ~node ~instance ~t0 ~t1 =
+  let s = p.spans.(parent) in
+  alloc p ~parent ~client:s.Span.client ~rid:s.Span.rid ~node ~instance ~tag ~t0 ~t1
 
-(* The root span of a client request, if the request is sampled. *)
-let request_root p ~client ~rid now =
-  if sampled p ~rid then
+let[@inline] span p ~parent ~tag ~node ~instance ~t0 ~t1 =
+  if parent < 0 || not p.spans_on then -1 else child p ~parent ~tag ~node ~instance ~t0 ~t1
+
+let root p ~client ~rid now =
+  if p.sample <= 1 || rid mod p.sample = 0 then
     alloc p ~parent:(-1) ~client ~rid ~node:(-1) ~instance:(-1) ~tag:Tag.Client ~t0:now
       ~t1:Span.none
   else -1
 
-let finish p id ~t1 =
+(* The root span of a client request, if the request is sampled. *)
+let[@inline] request_root p ~client ~rid now =
+  if p.spans_on then root p ~client ~rid now else -1
+
+let[@inline] finish p id ~t1 =
   if id >= 0 && id < p.len then begin
-    let s = p.spans.(id) in
+    let s = Array.unsafe_get p.spans id in
     s.Span.t1 <- t1;
     notify_close p s
   end
@@ -201,17 +206,16 @@ let finish p id ~t1 =
    by [on_job_start] when the job is dequeued, with the real
    (speed-scaled, charge-displaced) instants. The work span id (= queue
    id + 1) is what call sites carry around. *)
-let job p ~parent ~tag ~node ~instance ~now =
-  if parent < 0 || not p.spans_on then -1
-  else begin
-    let s = p.spans.(parent) in
-    let client = s.Span.client and rid = s.Span.rid in
-    let _q : int =
-      alloc p ~parent ~client ~rid ~node ~instance ~tag:Tag.Queue_wait ~t0:now
-        ~t1:Span.none
-    in
-    alloc p ~parent ~client ~rid ~node ~instance ~tag ~t0:now ~t1:Span.none
-  end
+let job_spans p ~parent ~tag ~node ~instance ~now =
+  let s = p.spans.(parent) in
+  let client = s.Span.client and rid = s.Span.rid in
+  let _q : int =
+    alloc p ~parent ~client ~rid ~node ~instance ~tag:Tag.Queue_wait ~t0:now ~t1:Span.none
+  in
+  alloc p ~parent ~client ~rid ~node ~instance ~tag ~t0:now ~t1:Span.none
+
+let[@inline] job p ~parent ~tag ~node ~instance ~now =
+  if parent < 0 || not p.spans_on then -1 else job_spans p ~parent ~tag ~node ~instance ~now
 
 let on_job_start p id ~start ~finish =
   if id >= 1 && id < p.len then begin

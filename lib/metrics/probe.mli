@@ -92,7 +92,6 @@ val footprint :
     [owner] defaults to ["global"]. *)
 
 val footprint_list : t -> footprint list
-val clear_footprints : t -> unit
 
 val note : t -> footprint -> unit
 (** Hot path: fold the entry count into the peak while tracking is on. *)
@@ -115,7 +114,6 @@ val disable_spans : t -> unit
 val reset_spans : t -> unit
 (** Drop the recorded spans and stop recording. *)
 
-val sampled : t -> rid:int -> bool
 val span_count : t -> int
 val span_get : t -> int -> Span.t
 val span_array : t -> Span.t array

@@ -7,8 +7,6 @@
 
 module Probe = Bftmetrics.Probe
 
-let count probe = Probe.span_count probe
-
 (* The entry points over {!Probe.default}. *)
 let enable ?sample () = Probe.enable_spans ?sample Probe.default
 let disable () = Probe.disable_spans Probe.default
@@ -26,18 +24,18 @@ let digest_seed = "bftspan-trace-v1"
 
 let digest_upto probe n =
   let d = Chunkdig.create ~seed:digest_seed () in
-  let n = max 0 (min n (count probe)) in
+  let n = max 0 (min n (Probe.span_count probe)) in
   for i = 0 to n - 1 do
     Chunkdig.add_line d (fun buf -> Span.write_json buf (Probe.span_get probe i))
   done;
   Chunkdig.hex d
 
-let digest probe = digest_upto probe (count probe)
+let digest probe = digest_upto probe (Probe.span_count probe)
 
 let write_jsonl probe path =
   let oc = open_out path in
   let buf = Buffer.create 256 in
-  for i = 0 to count probe - 1 do
+  for i = 0 to Probe.span_count probe - 1 do
     Buffer.clear buf;
     Span.write_json buf (Probe.span_get probe i);
     Buffer.add_char buf '\n';

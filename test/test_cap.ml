@@ -496,12 +496,8 @@ let rec shape (v : Bftdoctor.Jmini.v) =
 
 let test_clients_report_structure_deterministic () =
   let parse s = Bftdoctor.Jmini.parse s in
-  let generate () =
-    let audit = Bftharness.Audit.create (Bftmetrics.Probe.create ()) in
-    Bftharness.Perfreport.generate_clients ~audit ~quick:true
-  in
-  let a = parse (generate ()) in
-  let b = parse (generate ()) in
+  let a = parse (Bftharness.Perfreport.generate_clients ~quick:true) in
+  let b = parse (Bftharness.Perfreport.generate_clients ~quick:true) in
   Alcotest.(check string) "identical JSON skeleton" (shape a) (shape b);
   (* The sim-deterministic leaves must agree exactly between runs. *)
   let sweep v =

@@ -71,7 +71,7 @@ let test_smoke () =
 let test_disabled_records_nothing () =
   let p = Bftmetrics.Probe.create () in
   ignore (run_rbft ~seconds:0.05 p);
-  Alcotest.(check int) "no spans when disabled" 0 (Bftspan.Tracer.count p)
+  Alcotest.(check int) "no spans when disabled" 0 (Bftmetrics.Probe.span_count p)
 
 let test_sampling () =
   let spans =
@@ -95,7 +95,7 @@ let test_determinism () =
   let digest_of_run seed =
     with_tracer (fun p ->
         ignore (run_rbft ~seed p);
-        (Bftspan.Tracer.digest p, Bftspan.Tracer.count p))
+        (Bftspan.Tracer.digest p, Bftmetrics.Probe.span_count p))
   in
   let d1, c1 = digest_of_run 7 in
   let d2, c2 = digest_of_run 7 in
@@ -335,7 +335,7 @@ let test_truncated_digest () =
         in
         Bftmetrics.Probe.finish p id ~t1:(Time.ms (rid + 5))
       done;
-      let n = Bftspan.Tracer.count p in
+      let n = Bftmetrics.Probe.span_count p in
       Alcotest.(check int) "all roots captured" 12 n;
       (* manual recomputation over the whole (sub-chunk) capture *)
       let jsonl = Buffer.create 1024 in
