@@ -179,4 +179,8 @@ let counter_series t =
   ]
 
 let write_chrome_counters t path =
-  Bftmetrics.Chrome.write path (Bftmetrics.Chrome.counters (counter_series t))
+  Bftmetrics.Chrome.write path
+    (List.concat_map
+       (fun (name, points) ->
+         List.map (fun (ts, value) -> Bftmetrics.Chrome.Counter { name; ts; value }) points)
+       (counter_series t))

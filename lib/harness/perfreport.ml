@@ -418,7 +418,6 @@ type clients_point = {
   cp_footprint : (string * int) list;
 }
 
-(* Each point runs on a probe of its own, footprint tracking on. *)
 let clients_run ~quick ~population =
   let probe = Probe.create () in
   Probe.set_footprints probe true;

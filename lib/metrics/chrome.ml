@@ -36,8 +36,3 @@ let write path events =
           print oc ev)
         events;
       output_string oc "]}")
-
-let counters series =
-  List.concat_map
-    (fun (name, points) -> List.map (fun (ts, value) -> Counter { name; ts; value }) points)
-    series

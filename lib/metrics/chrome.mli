@@ -15,6 +15,3 @@ type event =
 
 val write : string -> event list -> unit
 (** [write path events]: one trace file, events in list order. *)
-
-val counters : (string * (Dessim.Time.t * float) list) list -> event list
-(** Named counter series as {!Counter} events, series by series. *)

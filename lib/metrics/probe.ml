@@ -8,7 +8,8 @@ module Gauge = Registry.Gauge
    function that removes it. *)
 type 'a subs = { mutable subs : (int * ('a -> unit)) list; mutable next : int }
 
-let call s x = List.iter (fun (_, f) -> f x) s.subs
+let rec call_all l x = match l with [] -> () | (_, f) :: l -> f x; call_all l x
+let call s x = call_all s.subs x
 
 let add s f =
   s.next <- s.next + 1;

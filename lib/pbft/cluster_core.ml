@@ -96,9 +96,8 @@ module Make (P : PARTS) = struct
       is given. *)
   let assemble ?(probe = Bftmetrics.Probe.default) ~seed ~net_config ~service ~clients
       ~payload_size config =
-    let engine =
-      Engine.create ~seed ~on_job_start:(Bftmetrics.Probe.on_job_start probe) ()
-    in
+    let on_job_start id ~start ~finish = Bftmetrics.Probe.on_job_start probe id ~start ~finish in
+    let engine = Engine.create ~seed ~on_job_start () in
     let net = Bftnet.Network.create ~probe engine net_config in
     let nodes =
       Array.init (P.n config) (fun id ->
