@@ -147,12 +147,12 @@ let test_recorder_rings () =
         ignore
           (Engine.at engine (Time.ms i) (fun () ->
                Bftmetrics.Probe.emit_at p (Time.ms i) ~node:i ~instance:0
-                 (Bftaudit.Event.Executed
+                 (Bftmetrics.Event.Executed
                     { client = 0; rid = i; digest = "d" })))
       done;
       Engine.run ~until:(Time.ms 10) engine;
       let nodes =
-        List.map (fun (e : Bftaudit.Event.t) -> e.Bftaudit.Event.node)
+        List.map (fun (e : Bftmetrics.Event.t) -> e.Bftmetrics.Event.node)
           (Recorder.audit_events r)
       in
       Alcotest.(check (list int)) "ring keeps newest 4, oldest first"
@@ -163,9 +163,9 @@ let test_recorder_rings () =
         (Recorder.last_exec r = Time.ms 6))
 
 let test_recorder_span_ring () =
-  let probe = ref None in
+  let attached = ref None in
   with_recorder (fun p _engine r ->
-          probe := Some p;
+          attached := Some (p, r);
           Bftmetrics.Probe.enable_spans p;
           (* roots closed through the span-close subscription land in
              both rings *)
@@ -188,12 +188,16 @@ let test_recorder_span_ring () =
           Alcotest.(check int) "window population" 3 n;
           Alcotest.(check bool) "p99 latency" true (p99 = Time.ms 10));
   (* Detached: a span closed afterwards reaches no recorder ring. *)
-  let p = Option.get !probe in
+  let p, r = Option.get !attached in
   let id =
     Bftmetrics.Probe.request_root p ~client:0 ~rid:4 (Time.ms 4)
   in
   Bftmetrics.Probe.finish p id ~t1:(Time.ms 14);
-  Alcotest.(check int) "close subscription removed" 4 (Bftmetrics.Probe.span_count p)
+  Alcotest.(check int) "span closed after detach" 4 (Bftmetrics.Probe.span_count p);
+  Alcotest.(check int) "close subscription removed: spans" 3
+    (List.length (Recorder.spans r));
+  Alcotest.(check int) "close subscription removed: roots" 3
+    (List.length (Recorder.root_latencies r))
 
 (* ------------------------------------------------------------------ *)
 (* Synthetic trigger scenarios                                        *)
@@ -215,7 +219,7 @@ let test_doctor_instance_change () =
       ignore
         (Engine.at engine (Time.ms 42) (fun () ->
              Bftmetrics.Probe.emit_at p (Time.ms 42) ~node:1 ~instance:0
-               (Bftaudit.Event.Instance_changed { cpi = 1; recovery = false })));
+               (Bftmetrics.Event.Instance_changed { cpi = 1; recovery = false })));
       Engine.run ~until:(Time.ms 50) engine;
       Alcotest.(check (list string)) "one instance-change incident"
         [ "instance-change" ] (trigger_names d);
@@ -232,7 +236,7 @@ let test_doctor_recovery_rotation_ignored () =
       ignore
         (Engine.at engine (Time.ms 10) (fun () ->
              Bftmetrics.Probe.emit_at p (Time.ms 10) ~node:1 ~instance:0
-               (Bftaudit.Event.Instance_changed { cpi = 1; recovery = true })));
+               (Bftmetrics.Event.Instance_changed { cpi = 1; recovery = true })));
       Engine.run ~until:(Time.ms 20) engine;
       Alcotest.(check (list string)) "recovery rotations do not fire" []
         (trigger_names d))
@@ -249,7 +253,7 @@ let test_doctor_liveness_stall () =
       ignore
         (Engine.at engine (Time.ms 50) (fun () ->
              Bftmetrics.Probe.emit_at p (Time.ms 50) ~node:0 ~instance:(-1)
-               (Bftaudit.Event.Request_received
+               (Bftmetrics.Event.Request_received
                   { client = 0; rid = 1; size = 8 })));
       Engine.run ~until:(Time.ms 250) engine;
       Alcotest.(check (list string)) "not yet idle long enough" []
@@ -270,10 +274,10 @@ let test_doctor_no_stall_when_quiescent () =
       ignore
         (Engine.at engine (Time.ms 50) (fun () ->
              Bftmetrics.Probe.emit_at p (Time.ms 50) ~node:0 ~instance:(-1)
-               (Bftaudit.Event.Request_received
+               (Bftmetrics.Event.Request_received
                   { client = 0; rid = 1; size = 8 });
              Bftmetrics.Probe.emit_at p (Time.ms 50) ~node:0 ~instance:0
-               (Bftaudit.Event.Executed { client = 0; rid = 1; digest = "d" })));
+               (Bftmetrics.Event.Executed { client = 0; rid = 1; digest = "d" })));
       Engine.run ~until:(Time.sec 2) engine;
       Alcotest.(check (list string)) "quiescence is not a stall" []
         (trigger_names d))
@@ -321,7 +325,7 @@ let test_doctor_delta_ratio_near () =
     ignore
       (Engine.at engine at (fun () ->
            Bftmetrics.Probe.emit_at p at ~node:0 ~instance:(-1)
-             (Bftaudit.Event.Monitor_verdict
+             (Bftmetrics.Event.Monitor_verdict
                 {
                   master_rate = master;
                   backup_rate = backup;
@@ -365,7 +369,7 @@ let test_doctor_seq_stall () =
     ignore
       (Engine.at engine at (fun () ->
            Bftmetrics.Probe.emit_at p at ~node:2 ~instance:(-1)
-             (Bftaudit.Event.Seq_stall { waiting_on; age; pending = 7 })))
+             (Bftmetrics.Event.Seq_stall { waiting_on; age; pending = 7 })))
   in
   (* an un-stalled merge (waiting_on = -1) never fires *)
   with_doctor ~triggers (fun p engine d ->
@@ -410,7 +414,7 @@ let test_doctor_max_incidents () =
                Bftmetrics.Probe.emit_at p
                  (Time.ms (10 * i))
                  ~node:1 ~instance:0
-                 (Bftaudit.Event.Instance_changed { cpi = i; recovery = false })))
+                 (Bftmetrics.Event.Instance_changed { cpi = i; recovery = false })))
       done;
       Engine.run ~until:(Time.ms 100) engine;
       Alcotest.(check int) "capped at max_incidents" 2
@@ -433,10 +437,10 @@ let synthetic_incident () =
     events =
       [
         {
-          Bftaudit.Event.time = Time.ms 100;
+          Bftmetrics.Event.time = Time.ms 100;
           node = 1;
           instance = 0;
-          kind = Bftaudit.Event.Instance_changed { cpi = 1; recovery = false };
+          kind = Bftmetrics.Event.Instance_changed { cpi = 1; recovery = false };
         };
       ];
     spans = [];
@@ -684,13 +688,13 @@ let test_jmini () =
   (* every audit event serialisation must parse *)
   let ev =
     {
-      Bftaudit.Event.time = Time.ms 3;
+      Bftmetrics.Event.time = Time.ms 3;
       node = 2;
       instance = 1;
-      kind = Bftaudit.Event.Nic_closed { peer = 3; until = Time.ms 500 };
+      kind = Bftmetrics.Event.Nic_closed { peer = 3; until = Time.ms 500 };
     }
   in
-  match Jmini.parse_opt (Bftaudit.Event.to_json ev) with
+  match Jmini.parse_opt (Bftmetrics.Event.to_json ev) with
   | Some j ->
     Alcotest.(check (option int)) "peer field" (Some 3) (Jmini.get_int "peer" j);
     Alcotest.(check (option string)) "kind field" (Some "nic-closed")

@@ -8,6 +8,7 @@ open Pbftcore
 
 type rig = {
   engine : Engine.t;
+  probe : Bftmetrics.Probe.t;
   replicas : Replica.t array;
   deliveries : (Types.seqno * Types.request_id list) list ref array;
   drop_to : int list ref;  (* replica ids whose inbound messages are dropped *)
@@ -46,6 +47,7 @@ let make_rig ?(n = 4) ?(f = 1) ?(tweak = fun _ c -> c) () =
   done;
   {
     engine;
+    probe;
     replicas = Array.map (function Some r -> r | None -> assert false) replicas;
     deliveries;
     drop_to = rig_drop;
@@ -469,17 +471,21 @@ let test_new_primary_reproposes_inflight () =
    guard the demoted replica would broadcast a stale-view PP and mark
    [sent_prepare] on the new view's entry for the slot — it then
    ignores the new primary's batch for that seq and can never commit
-   or deliver it. *)
+   or deliver it. Replica 0 proposes each request at once (batch size
+   1), so its PRE-PREPAREs are held back before the 1ms view change. *)
 let test_stale_delayed_pp_dies_with_view () =
-  let p = Bftmetrics.Probe.create () in
-  let rig = make_rig () in
+  let rig =
+    make_rig
+      ~tweak:(fun i c -> if i = 0 then { c with Replica.batch_size = 1 } else c)
+      ()
+  in
   (Replica.adversary rig.replicas.(0)).Replica.pp_extra_delay <-
     (fun () -> Time.ms 5);
   let stale_pps = ref 0 in
   let tok =
-    Bftmetrics.Probe.subscribe p (fun (e : Bftaudit.Event.t) ->
+    Bftmetrics.Probe.subscribe rig.probe (fun (e : Bftmetrics.Event.t) ->
         match e.kind with
-        | Bftaudit.Event.Pre_prepare_sent { view = 0; _ } when e.node = 0 ->
+        | Bftmetrics.Event.Pre_prepare_sent { view = 0; _ } when e.node = 0 ->
           (* Any view-0 PP broadcast after the 1ms view change is the
              stale closure firing; none may exist past that point. *)
           if e.time > Time.ms 1 then incr stale_pps
@@ -506,7 +512,6 @@ let test_stale_delayed_pp_dies_with_view () =
    [is_primary] re-check in [flush_batch] must hold even if a timer
    survives), so the demoted replica never proposes after demotion. *)
 let test_demoted_primary_batch_timer_cancelled () =
-  let p = Bftmetrics.Probe.create () in
   let rig =
     make_rig
       ~tweak:(fun i c ->
@@ -515,9 +520,9 @@ let test_demoted_primary_batch_timer_cancelled () =
   in
   let late_pps = ref 0 in
   let tok =
-    Bftmetrics.Probe.subscribe p (fun (e : Bftaudit.Event.t) ->
+    Bftmetrics.Probe.subscribe rig.probe (fun (e : Bftmetrics.Event.t) ->
         match e.kind with
-        | Bftaudit.Event.Pre_prepare_sent _ when e.node = 0 && e.time > Time.ms 1
+        | Bftmetrics.Event.Pre_prepare_sent _ when e.node = 0 && e.time > Time.ms 1
           ->
           incr late_pps
         | _ -> ())
