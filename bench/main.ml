@@ -224,10 +224,10 @@ let micro_benchmarks () =
     if Bftmetrics.Probe.audit probe then
       Bftmetrics.Probe.emit probe
         {
-          Bftaudit.Event.time = Dessim.Time.us 1;
+          Bftmetrics.Event.time = Dessim.Time.us 1;
           node = 1;
           instance = 0;
-          kind = Bftaudit.Event.Prepare_sent { view = 0; seq = 1; digest = "d" };
+          kind = Bftmetrics.Event.Prepare_sent { view = 0; seq = 1; digest = "d" };
         }
   in
   run_tests
@@ -238,16 +238,27 @@ let micro_benchmarks () =
   unsubscribe ();
   (* Metric update cost, same discipline: the handles are registered
      once outside the loop, the update is guarded by the probe's
-     metrics switch, so the disabled case is a field read and a branch
-     and the enabled case a field mutation — no allocation either way.
-     The counter row is the crypto cost model's tally site. *)
+     metrics switch, so the disabled case is a call, a field read and
+     a branch and the enabled case a field mutation — no allocation
+     either way. The counter row is the network's per-message delivery call, and
+     the request row a node's per-request event call (audit, metrics
+     and span switches all off). *)
+  let nm = Bftmetrics.Probe.net_metrics probe in
+  let nodem = Bftmetrics.Probe.node_metrics probe ~node:1 ~instances:2 in
   let rm = Bftmetrics.Probe.replica_metrics probe ~node:1 ~instance:0 in
   let inc_guarded () =
-    Bftmetrics.Probe.crypto probe Bftmetrics.Probe.Mac_verify ~bytes:64
+    Bftmetrics.Probe.delivered probe nm Bftmetrics.Probe.Node_node ~size:64
+  in
+  let received () =
+    Bftmetrics.Probe.request_received probe nodem (Dessim.Time.us 1) ~client:0
+      ~rid:7 ~size:64
   in
   let observe_guarded () = Bftmetrics.Probe.batch_flushed probe rm ~size:12 in
   run_tests
-    [ Test.make ~name:"metrics-counter-disabled" (Staged.stage inc_guarded) ];
+    [
+      Test.make ~name:"metrics-counter-disabled" (Staged.stage inc_guarded);
+      Test.make ~name:"probe-event-disabled" (Staged.stage received);
+    ];
   Bftmetrics.Probe.set_metrics probe true;
   run_tests
     [
