@@ -39,7 +39,7 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
   in
   if trace = Some "-" then begin
     let (_ : unit -> unit) =
-      Bftmetrics.Probe.subscribe probe (fun ev -> print_endline (Bftaudit.Event.to_string ev))
+      Bftmetrics.Probe.subscribe probe (fun ev -> print_endline (Bftmetrics.Event.to_string ev))
     in
     ()
   end;

@@ -5,11 +5,11 @@ open Dessim
 (* Structured timeline of the interesting control-plane events: this
    sweep should be quiet (no instance changes, no closed NICs). *)
 let print_event ev =
-  match ev.Bftaudit.Event.kind with
-  | Bftaudit.Event.Instance_changed _ | Bftaudit.Event.Instance_change_vote _
-  | Bftaudit.Event.Nic_closed _ | Bftaudit.Event.Blacklisted _
-  | Bftaudit.Event.View_entered _ ->
-    Printf.printf "    event: %s\n%!" (Bftaudit.Event.to_string ev)
+  match ev.Bftmetrics.Event.kind with
+  | Bftmetrics.Event.Instance_changed _ | Bftmetrics.Event.Instance_change_vote _
+  | Bftmetrics.Event.Nic_closed _ | Bftmetrics.Event.Blacklisted _
+  | Bftmetrics.Event.View_entered _ ->
+    Printf.printf "    event: %s\n%!" (Bftmetrics.Event.to_string ev)
   | _ -> ()
 
 let run ~f ~rate ~payload =

@@ -59,18 +59,18 @@ let () =
   Bftmetrics.Probe.enable_spans ~sample:8 probe;
   let drops = Hashtbl.create 16 in
   let audit_tok =
-    Bftmetrics.Probe.subscribe probe (fun (e : Bftaudit.Event.t) ->
+    Bftmetrics.Probe.subscribe probe (fun (e : Bftmetrics.Event.t) ->
         match e.kind with
-        | Bftaudit.Event.Nic_closed { peer; _ } ->
+        | Bftmetrics.Event.Nic_closed { peer; _ } ->
           Printf.printf "[%s] node %d closed NIC to %d\n"
             (Time.to_string e.time) e.node peer
-        | Bftaudit.Event.View_entered { view; primary } ->
+        | Bftmetrics.Event.View_entered { view; primary } ->
           Printf.printf "[%s] node %d i%d entered view %d (primary %d)\n"
             (Time.to_string e.time) e.node e.instance view primary
-        | Bftaudit.Event.Instance_changed { cpi; _ } ->
+        | Bftmetrics.Event.Instance_changed { cpi; _ } ->
           Printf.printf "[%s] node %d instance-change cpi=%d\n"
             (Time.to_string e.time) e.node cpi
-        | Bftaudit.Event.Net_dropped { src; reason } ->
+        | Bftmetrics.Event.Net_dropped { src; reason } ->
           let key = (e.node, src, reason) in
           Hashtbl.replace drops key
             (1 + Option.value ~default:0 (Hashtbl.find_opt drops key))

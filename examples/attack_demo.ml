@@ -29,14 +29,14 @@ let print_monitoring cluster ~label =
 (* Print the control-plane events as a structured timeline: suspicion
    verdicts, instance-change votes and the eviction itself. Data-plane
    events (orderings, executions) are left out — there are millions. *)
-let timeline_sink (ev : Bftaudit.Event.t) =
+let timeline_sink (ev : Bftmetrics.Event.t) =
   match ev.kind with
-  | Bftaudit.Event.Instance_change_vote _ | Bftaudit.Event.Instance_changed _
-  | Bftaudit.Event.Nic_closed _ | Bftaudit.Event.Blacklisted _
-  | Bftaudit.Event.View_entered _ ->
-    Printf.printf "  | %s\n" (Bftaudit.Event.to_string ev)
-  | Bftaudit.Event.Monitor_verdict { suspicious = true; _ } ->
-    Printf.printf "  | %s\n" (Bftaudit.Event.to_string ev)
+  | Bftmetrics.Event.Instance_change_vote _ | Bftmetrics.Event.Instance_changed _
+  | Bftmetrics.Event.Nic_closed _ | Bftmetrics.Event.Blacklisted _
+  | Bftmetrics.Event.View_entered _ ->
+    Printf.printf "  | %s\n" (Bftmetrics.Event.to_string ev)
+  | Bftmetrics.Event.Monitor_verdict { suspicious = true; _ } ->
+    Printf.printf "  | %s\n" (Bftmetrics.Event.to_string ev)
   | _ -> ()
 
 let () =

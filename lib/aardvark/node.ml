@@ -113,7 +113,7 @@ let reply_to ?(span = -1) t (id : request_id) result =
    ordering-phase events come from the shared Pbftcore.Replica. *)
 let audit t kind =
   Probe.emit t.probe
-    { Bftaudit.Event.time = Engine.now t.engine; node = t.id; instance = 0; kind }
+    { Bftmetrics.Event.time = Engine.now t.engine; node = t.id; instance = 0; kind }
 
 let execute_batch t descs =
   List.iter
@@ -180,7 +180,7 @@ let handle_request t ~span (desc : request_desc) ~sig_valid =
   | None ->
     if Probe.audit t.probe then
       audit t
-        (Bftaudit.Event.Request_received
+        (Bftmetrics.Event.Request_received
            { client = desc.id.client; rid = desc.id.rid; size = desc.op_size });
     Resource.charge t.verification
       (Costmodel.sig_verify t.probe ~bytes:desc.op_size);

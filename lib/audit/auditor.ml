@@ -27,6 +27,7 @@ open Dessim
 
 exception Violation of string
 
+module Event = Bftmetrics.Event
 module Probe = Bftmetrics.Probe
 
 type violation = Probe.violation = { time : Time.t; invariant : string; detail : string }

@@ -51,7 +51,7 @@ val invariant_digest : violation list -> string
     model checker uses it to confirm that a shrunk counterexample
     still reproduces the original violation. *)
 
-val recent_events : t -> Event.t list
+val recent_events : t -> Bftmetrics.Event.t list
 (** The last few events seen, oldest first (context ring). *)
 
 val report : t -> violation -> string

@@ -1,6 +1,6 @@
 (** Structured observability for the BFT simulations.
 
-    A run's {!Bftmetrics.Probe} carries typed {!Event}s from every
+    A run's {!Bftmetrics.Probe} carries typed {!Bftmetrics.Event}s from every
     protocol layer (request flow, the three-phase ordering pipeline per
     instance, view and instance changes, monitoring verdicts,
     NIC/blacklist actions, checkpoints, network drops) to its
@@ -9,7 +9,6 @@
     records events for JSONL / Chrome trace export and computes a
     deterministic per-run SHA-256 trace digest. *)
 
-module Event = Event
 module Auditor = Auditor
 module Liveness = Liveness
 module Capture = Capture

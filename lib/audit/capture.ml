@@ -6,6 +6,8 @@
     the full event list supports JSONL and Chrome [trace_event]
     export after the run. *)
 
+module Event = Bftmetrics.Event
+
 type t = {
   mutable events : Event.t list; (* newest first *)
   mutable count : int;

@@ -15,7 +15,7 @@ val detach : t -> unit
 (** Unsubscribe; idempotent. *)
 
 val count : t -> int
-val events : t -> Event.t list
+val events : t -> Bftmetrics.Event.t list
 (** Captured events, oldest first. *)
 
 val digest : t -> string
@@ -24,7 +24,7 @@ val digest : t -> string
 val write_jsonl : t -> string -> unit
 (** One canonical JSON object per line, in event order. *)
 
-val chrome_event : Event.t -> Bftmetrics.Chrome.event
+val chrome_event : Bftmetrics.Event.t -> Bftmetrics.Chrome.event
 (** One event as an instant on lane pid = node, tid = instance. *)
 
 val write_chrome_trace : t -> string -> unit

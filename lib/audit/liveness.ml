@@ -1,3 +1,5 @@
+module Event = Bftmetrics.Event
+
 type problem = { invariant : string; detail : string }
 
 type t = {

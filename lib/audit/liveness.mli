@@ -32,7 +32,7 @@ val attach : Bftmetrics.Probe.t -> t
 val detach : t -> unit
 (** Unsubscribe; idempotent. *)
 
-val on_event : t -> Event.t -> unit
+val on_event : t -> Bftmetrics.Event.t -> unit
 
 val check : t -> quorum:int -> correct:int list -> problem list
 (** [check t ~quorum ~correct] evaluates both liveness rules at

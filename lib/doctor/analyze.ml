@@ -276,7 +276,7 @@ let report (l : Bundle.loaded) =
 
 let verdict_json (l : Bundle.loaded) =
   let v = attribute l in
-  let esc = Bftaudit.Event.json_escape in
+  let esc = Bftmetrics.Event.json_escape in
   let opt_int = function Some i -> string_of_int i | None -> "null" in
   Printf.sprintf
     {|{"bundle":"%s","trigger":"%s","fired_ns":%d,"cause":"%s","culprit_node":%s,"culprit_instance":%s,"confidence":"%s","digest":"%s","evidence":[%s]}|}

@@ -22,7 +22,7 @@
     itself carries the digest and is therefore outside the chain. *)
 
 open Dessim
-module Event = Bftaudit.Event
+module Event = Bftmetrics.Event
 module Span = Bftspan.Span
 
 type incident = {

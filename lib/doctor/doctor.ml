@@ -20,7 +20,7 @@
     further fires are counted but not dumped. *)
 
 open Dessim
-module Event = Bftaudit.Event
+module Event = Bftmetrics.Event
 
 type config = {
   dir : string option;  (** bundle output directory; [None] = in memory *)

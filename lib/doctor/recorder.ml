@@ -25,7 +25,7 @@
 open Dessim
 module Registry = Bftmetrics.Registry
 module Probe = Bftmetrics.Probe
-module Event = Bftaudit.Event
+module Event = Bftmetrics.Event
 module Span = Bftspan.Span
 
 type snapshot = { m_time : Time.t; m_samples : Registry.sample list }

@@ -194,7 +194,7 @@ let exec_cost_of t (desc : request_desc) =
 
 let audit t kind =
   Probe.emit t.probe
-    { Bftaudit.Event.time = Engine.now t.engine; node = t.id; instance = 0; kind }
+    { Bftmetrics.Event.time = Engine.now t.engine; node = t.id; instance = 0; kind }
 
 let execute_one t (desc : request_desc) =
   if not (Request_id_table.mem t.executed desc.id) then begin
@@ -261,7 +261,7 @@ let rec try_deliver t =
           !c
         in
         audit t
-          (Bftaudit.Event.Ordered
+          (Bftmetrics.Event.Ordered
              {
                seq = t.next_deliver;
                count;

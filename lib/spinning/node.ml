@@ -90,7 +90,7 @@ let broadcast_nodes t thread m =
 
 let audit t kind =
   Probe.emit t.probe
-    { Bftaudit.Event.time = Engine.now t.engine; node = t.id; instance = 0; kind }
+    { Bftmetrics.Event.time = Engine.now t.engine; node = t.id; instance = 0; kind }
 
 let execute_batch t descs =
   List.iter
@@ -159,7 +159,7 @@ let on_delivery t (d : msg Network.delivery) =
         | None ->
           if Probe.audit t.probe then
             audit t
-              (Bftaudit.Event.Request_received
+              (Bftmetrics.Event.Request_received
                  {
                    client = desc.id.client;
                    rid = desc.id.rid;

@@ -143,7 +143,7 @@ let batch_digest descs = Pbftcore.Messages.batch_digest descs
 let audit t kind =
   Probe.emit t.probe
     {
-      Bftaudit.Event.time = Engine.now t.engine;
+      Bftmetrics.Event.time = Engine.now t.engine;
       node = t.cfg.replica_id;
       instance = 0;
       kind;
@@ -156,7 +156,7 @@ let audit_msg t msg =
   match msg with
   | Pre_prepare { seq; descs; attempt } ->
     audit t
-      (Bftaudit.Event.Pre_prepare_sent
+      (Bftmetrics.Event.Pre_prepare_sent
          {
            view = attempt;
            seq;
@@ -164,10 +164,10 @@ let audit_msg t msg =
            digest = Pbftcore.Messages.batch_digest descs;
          })
   | Prepare { seq; digest; attempt; _ } ->
-    audit t (Bftaudit.Event.Prepare_sent { view = attempt; seq; digest })
+    audit t (Bftmetrics.Event.Prepare_sent { view = attempt; seq; digest })
   | Commit { seq; digest; attempt; _ } ->
-    audit t (Bftaudit.Event.Commit_sent { view = attempt; seq; digest })
-  | Accuse { seq; _ } -> audit t (Bftaudit.Event.Accusation { seq })
+    audit t (Bftmetrics.Event.Commit_sent { view = attempt; seq; digest })
+  | Accuse { seq; _ } -> audit t (Bftmetrics.Event.Accusation { seq })
 
 let broadcast t msg =
   if not t.adv.silent then begin
@@ -310,7 +310,7 @@ and try_deliver t =
         if Probe.spans t.probe then record_phase_spans t e fresh;
         if Probe.audit t.probe then
           audit t
-            (Bftaudit.Event.Ordered
+            (Bftmetrics.Event.Ordered
                { seq; count = List.length fresh; digest = e.digest });
         (* A successful batch resets the timeout (Section III-C). *)
         t.timeout <- s_timeout;

@@ -6,7 +6,7 @@
 open Dessim
 
 let mk_event ?(time = Time.us 1) ?(node = 1) ?(instance = 0) kind =
-  { Bftaudit.Event.time; node; instance; kind }
+  { Bftmetrics.Event.time; node; instance; kind }
 
 (* ------------------------------------------------------------------ *)
 (* Bus                                                                *)
@@ -25,12 +25,12 @@ let test_bus_dispatch () =
   let got = ref [] in
   let tok = Bftmetrics.Probe.subscribe p (fun ev -> got := ev :: !got) in
   Bftmetrics.Probe.emit p
-    (mk_event (Bftaudit.Event.Ordered { seq = 1; count = 1; digest = "d" }));
+    (mk_event (Bftmetrics.Event.Ordered { seq = 1; count = 1; digest = "d" }));
   tok ();
   Bftmetrics.Probe.emit p
-    (mk_event (Bftaudit.Event.Ordered { seq = 2; count = 1; digest = "d" }));
+    (mk_event (Bftmetrics.Event.Ordered { seq = 2; count = 1; digest = "d" }));
   match !got with
-  | [ { Bftaudit.Event.kind = Bftaudit.Event.Ordered { seq = 1; _ }; _ } ] -> ()
+  | [ { Bftmetrics.Event.kind = Bftmetrics.Event.Ordered { seq = 1; _ }; _ } ] -> ()
   | evs -> Alcotest.failf "expected the one Ordered event, got %d" (List.length evs)
 
 (* ------------------------------------------------------------------ *)
@@ -42,10 +42,10 @@ let test_capture_export () =
   let c = Bftaudit.Capture.attach p in
   Bftmetrics.Probe.emit p
     (mk_event
-       (Bftaudit.Event.Request_received { client = 0; rid = 1; size = 8 }));
+       (Bftmetrics.Event.Request_received { client = 0; rid = 1; size = 8 }));
   Bftmetrics.Probe.emit p
     (mk_event ~time:(Time.us 2)
-       (Bftaudit.Event.Executed { client = 0; rid = 1; digest = "d" }));
+       (Bftmetrics.Event.Executed { client = 0; rid = 1; digest = "d" }));
   Alcotest.(check int) "count" 2 (Bftaudit.Capture.count c);
   Alcotest.(check int) "digest is hex sha256" 64
     (String.length (Bftaudit.Capture.digest c));
@@ -117,7 +117,7 @@ let test_auditor_clean_run () =
 let test_auditor_flags_double_execution () =
   let p = Bftmetrics.Probe.create () in
   let a = Bftaudit.Auditor.attach ~probe:p ~raise_on_violation:false ~n:4 ~f:1 () in
-  let exec = Bftaudit.Event.Executed { client = 0; rid = 1; digest = "d" } in
+  let exec = Bftmetrics.Event.Executed { client = 0; rid = 1; digest = "d" } in
   Bftmetrics.Probe.emit p (mk_event exec);
   Bftmetrics.Probe.emit p (mk_event ~time:(Time.us 2) exec);
   Bftaudit.Auditor.detach a;
@@ -129,10 +129,10 @@ let test_auditor_flags_disagreement () =
   let a = Bftaudit.Auditor.attach ~probe:p ~raise_on_violation:false ~n:4 ~f:1 () in
   Bftmetrics.Probe.emit p
     (mk_event ~node:1
-       (Bftaudit.Event.Ordered { seq = 5; count = 1; digest = "aaaa" }));
+       (Bftmetrics.Event.Ordered { seq = 5; count = 1; digest = "aaaa" }));
   Bftmetrics.Probe.emit p
     (mk_event ~node:2
-       (Bftaudit.Event.Ordered { seq = 5; count = 1; digest = "bbbb" }));
+       (Bftmetrics.Event.Ordered { seq = 5; count = 1; digest = "bbbb" }));
   Bftaudit.Auditor.detach a;
   Alcotest.(check (list string)) "disagreement flagged" [ "agreement" ]
     (invariants a)
@@ -143,11 +143,11 @@ let test_auditor_flags_thin_prepare_quorum () =
   (* Only the primary's pre-prepare backs this ordering: 1 vote < 2f+1. *)
   Bftmetrics.Probe.emit p
     (mk_event ~node:0
-       (Bftaudit.Event.Pre_prepare_sent
+       (Bftmetrics.Event.Pre_prepare_sent
           { view = 0; seq = 1; count = 1; digest = "aaaa" }));
   Bftmetrics.Probe.emit p
     (mk_event ~node:1
-       (Bftaudit.Event.Ordered { seq = 1; count = 1; digest = "aaaa" }));
+       (Bftmetrics.Event.Ordered { seq = 1; count = 1; digest = "aaaa" }));
   Bftaudit.Auditor.detach a;
   Alcotest.(check (list string)) "thin quorum flagged" [ "prepare-quorum" ]
     (invariants a)
@@ -158,12 +158,12 @@ let test_auditor_skips_declared_faulty () =
   Bftmetrics.Probe.declare_faulty p [ 2 ];
   Bftmetrics.Probe.emit p
     (mk_event ~node:1
-       (Bftaudit.Event.Ordered { seq = 5; count = 1; digest = "aaaa" }));
+       (Bftmetrics.Event.Ordered { seq = 5; count = 1; digest = "aaaa" }));
   (* The divergent ordering comes from a node the attack declared
      Byzantine: its events must not count against the correct ones. *)
   Bftmetrics.Probe.emit p
     (mk_event ~node:2
-       (Bftaudit.Event.Ordered { seq = 5; count = 1; digest = "bbbb" }));
+       (Bftmetrics.Event.Ordered { seq = 5; count = 1; digest = "bbbb" }));
   Bftaudit.Auditor.detach a;
   Alcotest.(check (list string)) "faulty node ignored" [] (invariants a)
 

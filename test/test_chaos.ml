@@ -479,10 +479,10 @@ let test_oracle_catches_double_execution () =
   let auditor = Bftaudit.Auditor.attach ~probe:p ~raise_on_violation:false ~n:4 ~f:1 () in
   let ev rid =
     {
-      Bftaudit.Event.time = Time.ms 1;
+      Bftmetrics.Event.time = Time.ms 1;
       node = 1;
       instance = 0;
-      kind = Bftaudit.Event.Executed { client = 0; rid; digest = "d" };
+      kind = Bftmetrics.Event.Executed { client = 0; rid; digest = "d" };
     }
   in
   Bftmetrics.Probe.emit p (ev 1);

@@ -151,7 +151,7 @@ let test_liveness_monitor_rules () =
   (* Unit-level checks of the two quiescence rules, driven through the
      audit bus without a cluster. *)
   let module L = Bftaudit.Liveness in
-  let module E = Bftaudit.Event in
+  let module E = Bftmetrics.Event in
   let l = L.create () in
   let vote node cpi =
     L.on_event l
