@@ -48,11 +48,11 @@
 
    [--host-check] gates the host cost of the simulator itself: the
    [host] section of two BENCH_rbft.json reports holds, per leg,
-   engine events, delivered messages and minor-heap words per
-   completed request. Events and messages are exact counts of the
-   simulation, so any rise fails; minor words depend on the compiler
-   and runtime too, so they may rise by at most 5%. Falls always pass.
-   The section is skipped by the two-file diff, whose symmetric
+   engine events, delivered messages, minor-heap words and SHA-256
+   blocks per completed request. Events, messages and blocks are exact
+   counts of the simulation, so any rise fails; minor words depend on
+   the compiler and runtime too, so they may rise by at most 5%. Falls
+   always pass. The section is skipped by the two-file diff, whose symmetric
    tolerance would fail a large allocation cut. *)
 
 let default_skips =
@@ -367,8 +367,9 @@ let breakdown_check ~queue_wait_max ~min_throughput path =
     List.iter (fun p -> Printf.eprintf "  %s\n" p) ps;
     exit 1
 
-(* Host-cost gate: per leg, no rise in events or messages per request
-   and at most [words_slack] more minor words per request. *)
+(* Host-cost gate: per leg, no rise in events, messages or SHA-256
+   blocks per request and at most [words_slack] more minor words per
+   request. *)
 let host_check ~words_slack base_path fresh_path =
   let problems = ref [] in
   let complain fmt =
@@ -388,7 +389,7 @@ let host_check ~words_slack base_path fresh_path =
   if base = [] then complain "%s: host section is empty" base_path;
   let limits =
     [ ("events_per_req", 0.0); ("msgs_per_req", 0.0);
-      ("minor_words_per_req", words_slack) ]
+      ("minor_words_per_req", words_slack); ("sha256_blocks_per_req", 0.0) ]
   in
   List.iter
     (fun (leg, row) ->
@@ -412,8 +413,8 @@ let host_check ~words_slack base_path fresh_path =
   match List.rev !problems with
   | [] ->
     Printf.printf
-      "host-check ok: no leg rose in events or messages per request, minor \
-       words within +%.0f%%\n"
+      "host-check ok: no leg rose in events, messages or SHA-256 blocks per \
+       request, minor words within +%.0f%%\n"
       (100.0 *. words_slack)
   | ps ->
     Printf.eprintf "host-check: %d problem(s):\n" (List.length ps);

@@ -26,7 +26,7 @@ let create () =
 let record t ev =
   t.events <- ev :: t.events;
   t.count <- t.count + 1;
-  t.chain <- Bftcrypto.Sha256.digest_string (t.chain ^ Event.to_json ev)
+  t.chain <- Bftcrypto.Sha256.digest_concat t.chain (Event.to_json ev)
 
 (** Create a capture and subscribe it to the probe's events. *)
 let attach probe =

@@ -114,15 +114,11 @@ and send_one (t : t) =
 and make_request (t : t) =
   t.rid <- t.rid + 1;
   let b = t.ext.behaviour in
-  let op =
+  let desc =
     match b.make_op with
-    | Some f -> f t.rid
-    | None ->
-      let payload = String.make t.payload_size 'x' in
-      if b.heavy then Bftapp.Null_service.heavy_op ~payload
-      else Bftapp.Null_service.normal_op ~payload
+    | Some f -> desc_of_op ~client:t.id ~rid:t.rid (f t.rid)
+    | None -> Core.synthetic t ~heavy:b.heavy
   in
-  let desc = desc_of_op ~client:t.id ~rid:t.rid op in
   { Messages.desc; sig_valid = b.sig_valid; mac_invalid_for = b.mac_invalid_for }
 
 (* BUSY backpressure: a single refusal proves nothing (a Byzantine node

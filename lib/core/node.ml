@@ -944,13 +944,19 @@ let rec arm_monitoring t =
 (* The flooding loop re-reads the fault configuration on every tick,
    so attacks can be switched on and off at any virtual time. *)
 let start_flooding t =
+  (* One junk op and digest for the whole flood, built when the first
+     flood tick fires; each message stamps its target and the current
+     flood size onto it. *)
+  let junk = lazy (desc_of_op ~client:(-1) ~rid:0 "junk") in
   let junk_msg target =
-    let desc = desc_of_op ~client:(-1) ~rid:target "junk" in
     Messages.Propagate
       {
         req =
           {
-            desc = { desc with op_size = t.faults.flood_size };
+            desc =
+              { (Lazy.force junk) with
+                id = { client = -1; rid = target };
+                op_size = t.faults.flood_size };
             sig_valid = false;
             mac_invalid_for = [];
           };

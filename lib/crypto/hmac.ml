@@ -13,7 +13,7 @@ let xor_pad key byte =
 let mac ~key msg =
   let key = normalize_key key in
   let ipad = xor_pad key 0x36 and opad = xor_pad key 0x5c in
-  Sha256.digest_string (opad ^ Sha256.digest_string (ipad ^ msg))
+  Sha256.digest_concat opad (Sha256.digest_concat ipad msg)
 
 let mac_truncated ~key ~len msg =
   let full = mac ~key msg in

@@ -1,6 +1,6 @@
 (* SHA-256 per FIPS 180-4. Operates on 32-bit words stored in OCaml
-   ints (which are wider than 32 bits, so every step masks back down to
-   32 bits with [land 0xFFFFFFFF]). *)
+   ints (which are wider than 32 bits, so sums mask back down to 32
+   bits with [land mask]). *)
 
 type t = string
 
@@ -23,103 +23,122 @@ let k =
 
 let mask = 0xFFFFFFFF
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Blocks compressed by the calling domain, for the host-cost report.
+   Per domain, so runs on different domains never share the cell. *)
+let blocks_key = Domain.DLS.new_key (fun () -> ref 0)
+let blocks_hashed () = !(Domain.DLS.get blocks_key)
 
-let digest_sub (s : string) pos len =
-  (* Message schedule and working state. *)
-  let h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
-             0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |] in
-  let w = Array.make 64 0 in
-  (* Padded message length in 64-byte blocks. *)
-  let bit_len = len * 8 in
-  let padded_len = ((len + 8) / 64 + 1) * 64 in
-  let byte_at i =
-    if i < len then Char.code (String.unsafe_get s (pos + i))
-    else if i = len then 0x80
-    else if i < padded_len - 8 then 0
-    else
-      (* Big-endian 64-bit length in the final 8 bytes. *)
-      let shift = (padded_len - 1 - i) * 8 in
-      (bit_len lsr shift) land 0xFF
-  in
-  let nblocks = padded_len / 64 in
-  (* Blocks consisting purely of message bytes skip the padding
-     branches — that path carries the bulk hashing (the span-trace
-     digest hashes hundreds of MB of JSONL at full sampling). *)
-  let full_blocks = len / 64 in
-  for block = 0 to nblocks - 1 do
-    let base = block * 64 in
-    if block < full_blocks then
-      for t = 0 to 15 do
-        let b = pos + base + (t * 4) in
-        w.(t) <-
-          (Char.code (String.unsafe_get s b) lsl 24)
-          lor (Char.code (String.unsafe_get s (b + 1)) lsl 16)
-          lor (Char.code (String.unsafe_get s (b + 2)) lsl 8)
-          lor Char.code (String.unsafe_get s (b + 3))
-      done
-    else
-      for t = 0 to 15 do
-        let b = base + (t * 4) in
-        w.(t) <-
-          (byte_at b lsl 24)
-          lor (byte_at (b + 1) lsl 16)
-          lor (byte_at (b + 2) lsl 8)
-          lor byte_at (b + 3)
-      done;
-    for t = 16 to 63 do
-      let s0 =
-        rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3)
-      in
-      let s1 =
-        rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10)
-      in
-      w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
-    done;
-    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-    for t = 0 to 63 do
-      let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-      let ch = (!e land !f) lxor (lnot !e land !g) in
-      let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask in
-      let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-      let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-      let t2 = (s0 + maj) land mask in
-      hh := !g;
-      g := !f;
-      f := !e;
-      e := (!d + t1) land mask;
-      d := !c;
-      c := !b;
-      b := !a;
-      a := (t1 + t2) land mask
-    done;
-    h.(0) <- (h.(0) + !a) land mask;
-    h.(1) <- (h.(1) + !b) land mask;
-    h.(2) <- (h.(2) + !c) land mask;
-    h.(3) <- (h.(3) + !d) land mask;
-    h.(4) <- (h.(4) + !e) land mask;
-    h.(5) <- (h.(5) + !f) land mask;
-    h.(6) <- (h.(6) + !g) land mask;
-    h.(7) <- (h.(7) + !hh) land mask
+(* Every rotation of a 32-bit word [x] is a window of the doubled word
+   [d = x lor (x lsl 32)]: [rotr x n = (d lsr n) land mask] for n < 32.
+   (The 63-bit int drops bit 31 of the upper copy, at position 63, which
+   only n = 32 would reach.) So each Σ/σ group is three shifts of one
+   [d] and a single mask. *)
+let compress h w (s : string) off =
+  for t = 0 to 15 do
+    Array.unsafe_set w t
+      (Int32.to_int (String.get_int32_be s (off + (4 * t))) land mask)
   done;
+  for t = 16 to 63 do
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let dx = x lor (x lsl 32) and dy = y lor (y lsl 32) in
+    let s0 = ((dx lsr 7) lxor (dx lsr 18) lxor (x lsr 3)) land mask in
+    let s1 = ((dy lsr 17) lxor (dy lsr 19) lxor (y lsr 10)) land mask in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
+      land mask)
+  done;
+  let a = ref (Array.unsafe_get h 0) and b = ref (Array.unsafe_get h 1) in
+  let c = ref (Array.unsafe_get h 2) and d = ref (Array.unsafe_get h 3) in
+  let e = ref (Array.unsafe_get h 4) and f = ref (Array.unsafe_get h 5) in
+  let g = ref (Array.unsafe_get h 6) and hh = ref (Array.unsafe_get h 7) in
+  for t = 0 to 63 do
+    let ev = !e and av = !a in
+    let de = ev lor (ev lsl 32) and da = av lor (av lsl 32) in
+    let s1 = ((de lsr 6) lxor (de lsr 11) lxor (de lsr 25)) land mask in
+    let ch = (ev land !f) lxor (lnot ev land !g) in
+    (* At most five 32-bit terms: no overflow, masked where stored. *)
+    let t1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let s0 = ((da lsr 2) lxor (da lsr 13) lxor (da lsr 22)) land mask in
+    let maj = (av land (!b lor !c)) lor (!b land !c) in
+    hh := !g;
+    g := !f;
+    f := ev;
+    e := (!d + t1) land mask;
+    d := !c;
+    c := !b;
+    b := av;
+    a := (t1 + s0 + maj) land mask
+  done;
+  Array.unsafe_set h 0 ((Array.unsafe_get h 0 + !a) land mask);
+  Array.unsafe_set h 1 ((Array.unsafe_get h 1 + !b) land mask);
+  Array.unsafe_set h 2 ((Array.unsafe_get h 2 + !c) land mask);
+  Array.unsafe_set h 3 ((Array.unsafe_get h 3 + !d) land mask);
+  Array.unsafe_set h 4 ((Array.unsafe_get h 4 + !e) land mask);
+  Array.unsafe_set h 5 ((Array.unsafe_get h 5 + !f) land mask);
+  Array.unsafe_set h 6 ((Array.unsafe_get h 6 + !g) land mask);
+  Array.unsafe_set h 7 ((Array.unsafe_get h 7 + !hh) land mask)
+
+(* The digest of [s1[p1, p1+n1) ^ s2[p2, p2+n2)], without building the
+   concatenation. Whole blocks are read in place; the block that
+   straddles the two parts and the padded tail (at most 128 bytes) are
+   staged in small buffers. *)
+let digest2 s1 p1 n1 s2 p2 n2 =
+  let h =
+    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+       0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+  in
+  let w = Array.make 64 0 in
+  let total = n1 + n2 in
+  let full1 = n1 / 64 in
+  for i = 0 to full1 - 1 do
+    compress h w s1 (p1 + (64 * i))
+  done;
+  let r1 = n1 - (64 * full1) in
+  (* A block that starts in [s1] and ends in [s2]. *)
+  let join = if r1 > 0 && r1 + n2 >= 64 then 64 - r1 else 0 in
+  if join > 0 then begin
+    let blk = Bytes.create 64 in
+    Bytes.blit_string s1 (p1 + (64 * full1)) blk 0 r1;
+    Bytes.blit_string s2 p2 blk r1 join;
+    compress h w (Bytes.unsafe_to_string blk) 0
+  end;
+  let r1 = if join > 0 then 0 else r1 in
+  let q2 = p2 + join and m2 = n2 - join in
+  let full2 = m2 / 64 in
+  for i = 0 to full2 - 1 do
+    compress h w s2 (q2 + (64 * i))
+  done;
+  let r2 = m2 - (64 * full2) in
+  (* Padding: the [r1 + r2 < 64] leftover bytes, 0x80, zeros and the
+     big-endian bit length, in one block or two. *)
+  let rem = r1 + r2 in
+  let tail_len = if rem < 56 then 64 else 128 in
+  let tail = Bytes.make tail_len '\000' in
+  Bytes.blit_string s1 (p1 + n1 - r1) tail 0 r1;
+  Bytes.blit_string s2 (q2 + (64 * full2)) tail r1 r2;
+  Bytes.unsafe_set tail rem '\x80';
+  Bytes.set_int64_be tail (tail_len - 8) (Int64.of_int (total * 8));
+  let tail = Bytes.unsafe_to_string tail in
+  compress h w tail 0;
+  if tail_len = 128 then compress h w tail 64;
+  let blocks = Domain.DLS.get blocks_key in
+  blocks := !blocks + ((total + 8) / 64) + 1;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    Bytes.set out (4 * i) (Char.chr ((h.(i) lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((h.(i) lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((h.(i) lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (h.(i) land 0xFF))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int (Array.unsafe_get h i))
   done;
   Bytes.unsafe_to_string out
 
 let digest_substring s ~pos ~len =
   assert (pos >= 0 && len >= 0 && pos + len <= String.length s);
-  digest_sub s pos len
+  digest2 s pos len "" 0 0
 
-let digest_string s = digest_sub s 0 (String.length s)
+let digest_string s = digest2 s 0 (String.length s) "" 0 0
 
-(* Read-only view; [digest_sub] never writes to [s]. *)
-let digest_bytes b = digest_sub (Bytes.unsafe_to_string b) 0 (Bytes.length b)
+let digest_concat a b = digest2 a 0 (String.length a) b 0 (String.length b)
+
+(* Read-only view; [digest2] never writes to its inputs. *)
+let digest_bytes b = digest_string (Bytes.unsafe_to_string b)
 
 let to_hex d =
   let buf = Buffer.create 64 in

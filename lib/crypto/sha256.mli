@@ -13,6 +13,15 @@ val digest_string : string -> t
 
 val digest_substring : string -> pos:int -> len:int -> t
 
+val digest_concat : string -> string -> t
+(** [digest_concat a b = digest_string (a ^ b)], without building
+    [a ^ b]: the shape of a hash chain's step. *)
+
+val blocks_hashed : unit -> int
+(** 64-byte blocks compressed so far by the calling domain (each
+    digest of [n] bytes compresses [(n + 8) / 64 + 1]). A per-domain
+    count, read as a difference around a run. *)
+
 val to_hex : t -> string
 (** Lowercase hexadecimal rendering (64 characters). *)
 

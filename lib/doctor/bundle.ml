@@ -83,7 +83,7 @@ let header inc =
 
 let chain_digest ~header:hdr ~audit ~spans ~metrics ~footprint ~scenario =
   let chain = ref (Bftcrypto.Sha256.digest_string "bftdoctor-bundle-v2") in
-  let feed s = chain := Bftcrypto.Sha256.digest_string (!chain ^ s) in
+  let feed s = chain := Bftcrypto.Sha256.digest_concat !chain s in
   feed hdr;
   feed audit;
   feed spans;

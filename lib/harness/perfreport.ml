@@ -22,12 +22,14 @@ type run_result = {
 }
 
 (* Host-side cost of one run, as deterministic counts per request a
-   client saw completed: engine events, delivered messages and words
-   allocated on the minor heap while the cluster ran. *)
+   client saw completed: engine events, delivered messages, words
+   allocated on the minor heap and SHA-256 blocks compressed while the
+   cluster ran. *)
 and host = {
   events_per_req : float;
   msgs_per_req : float;
   minor_words_per_req : float;
+  sha256_blocks_per_req : float;
 }
 
 module Probe = Bftmetrics.Probe
@@ -90,9 +92,10 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
   Loadshape.apply engine shape ~set_rate:(fun c r ->
       Rbft.Client.set_rate (Rbft.Cluster.client cluster c) r);
   let total = Loadshape.total_duration shape in
-  let words0 = Gc.minor_words () in
+  let words0 = Gc.minor_words () and blocks0 = Bftcrypto.Sha256.blocks_hashed () in
   Rbft.Cluster.run_for cluster (Time.add total (Time.ms 200));
   let minor_words = Gc.minor_words () -. words0 in
+  let sha_blocks = Bftcrypto.Sha256.blocks_hashed () - blocks0 in
   Audit.end_run audit;
   if span_sample > 0 then Probe.disable_spans probe;
   let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
@@ -148,6 +151,7 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
             (float_of_int
                (Bftnet.Network.messages_delivered (Rbft.Cluster.network cluster)));
         minor_words_per_req = per_req minor_words;
+        sha256_blocks_per_req = per_req (float_of_int sha_blocks);
       };
   }
 
@@ -299,11 +303,12 @@ let generate ~audit ~quick =
        (List.rev_map
           (fun (leg, h) ->
             Printf.sprintf
-              {|    "%s": {"events_per_req":%s,"msgs_per_req":%s,"minor_words_per_req":%s}|}
+              {|    "%s": {"events_per_req":%s,"msgs_per_req":%s,"minor_words_per_req":%s,"sha256_blocks_per_req":%s}|}
               leg
               (Bftmetrics.Export.json_float h.events_per_req)
               (Bftmetrics.Export.json_float h.msgs_per_req)
-              (Bftmetrics.Export.json_float h.minor_words_per_req))
+              (Bftmetrics.Export.json_float h.minor_words_per_req)
+              (Bftmetrics.Export.json_float h.sha256_blocks_per_req))
           !hosts));
   Buffer.add_string buf "\n  },\n";
   Buffer.add_string buf

@@ -7,8 +7,8 @@
     master-instance ordering p50/p99, relative under-attack
     throughput, self-profile). Its [host] section gives, per leg, the
     simulator's own cost per completed request as deterministic
-    counts: engine events, delivered messages and minor-heap words
-    allocated while the cluster ran.
+    counts: engine events, delivered messages, minor-heap words
+    allocated and SHA-256 blocks compressed while the cluster ran.
 
     The runs of {!generate} and {!generate_scale} report to [audit]'s
     probe (and are audited when [audit] is enabled); the client sweep

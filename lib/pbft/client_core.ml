@@ -29,6 +29,10 @@ type ('msg, 'x, 'r) t = {
   id : int;
   payload_size : int;
   mutable rid : int;  (** last request id issued; also the requests sent *)
+  mutable normal_template : request_desc option;
+  mutable heavy_template : request_desc option;
+      (** the synthetic payload op of each kind and its digest, built on
+          first use (see {!synthetic}) *)
   mutable rate : float;
   mutable rate_epoch : int;
   pending : 'r pending Request_id_table.t;
@@ -47,6 +51,8 @@ let create engine net ~f ~id ~payload_size ext =
     id;
     payload_size;
     rid = 0;
+    normal_template = None;
+    heavy_template = None;
     rate = 0.0;
     rate_epoch = 0;
     pending = Request_id_table.create 8;  (* grows on demand; 10^5-client populations exist *)
@@ -70,6 +76,28 @@ let sent t = t.rid
 let completed t = t.completed
 let latencies t = t.latencies
 let pending_count t = Request_id_table.length t.pending
+
+(** The descriptor of request [t.rid] carrying the synthetic
+    null-service payload ([payload_size] bytes of ['x'], with the heavy
+    prefix when [heavy]). A client's payload is a constant, so each kind
+    is built and hashed once, on first use (idle clients of a large
+    population never pay for it), and every request stamps its own id
+    onto that template: requests share one op string. *)
+let synthetic t ~heavy =
+  let template =
+    match if heavy then t.heavy_template else t.normal_template with
+    | Some d -> d
+    | None ->
+      let payload = String.make t.payload_size 'x' in
+      let op =
+        if heavy then Bftapp.Null_service.heavy_op ~payload
+        else Bftapp.Null_service.normal_op ~payload
+      in
+      let d = desc_of_op ~client:t.id ~rid:0 op in
+      if heavy then t.heavy_template <- Some d else t.normal_template <- Some d;
+      d
+  in
+  { template with id = { client = t.id; rid = t.rid } }
 
 (** Start waiting for a request's replies: open its root span (if
     sampled) and enter it in the pending table. *)
@@ -167,7 +195,7 @@ module Open_loop (S : PARTS) = struct
 
   let send_one (t : t) =
     t.rid <- t.rid + 1;
-    let desc = desc_of_op ~client:t.id ~rid:t.rid (String.make t.payload_size 'x') in
+    let desc = synthetic t ~heavy:false in
     let msg = S.request t.ext desc in
     let n = (3 * t.f) + 1 in
     let size = S.request_size ~n desc in

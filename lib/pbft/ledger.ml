@@ -19,4 +19,4 @@ let execute t ~now ~node ~instance (desc : request_desc) =
   Bftmetrics.Probe.executed t.probe now ~node ~instance ~client:desc.id.client
     ~rid:desc.id.rid ~digest:desc.digest;
   Bftmetrics.Throughput.record t.counter ~now;
-  t.digest <- Bftcrypto.Sha256.digest_string (t.digest ^ desc.digest)
+  t.digest <- Bftcrypto.Sha256.digest_concat t.digest desc.digest

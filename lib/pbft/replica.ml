@@ -244,15 +244,17 @@ let audit t kind =
   Probe.emit_at t.probe (Engine.now t.engine) ~node:t.cfg.replica_id
     ~instance:t.cfg.instance kind
 
+(* A primary audits the PRE-PREPARE it recorded just before sending
+   it; that entry already holds the batch digest. *)
 let audit_pp t ~view (pp : Messages.pre_prepare) =
+  let digest =
+    match Hashtbl.find_opt t.entries pp.seq with
+    | Some { pp = Some recorded; digest; _ } when recorded == pp -> digest
+    | Some _ | None -> Messages.batch_digest pp.descs
+  in
   audit t
     (Event.Pre_prepare_sent
-       {
-         view;
-         seq = pp.seq;
-         count = List.length pp.descs;
-         digest = Messages.batch_digest pp.descs;
-       })
+       { view; seq = pp.seq; count = List.length pp.descs; digest })
 
 (* Audit events for outgoing protocol messages are emitted here, inside
    the silence gate, so a muted Byzantine replica's suppressed votes
@@ -394,8 +396,9 @@ let rec try_deliver t =
     if Probe.spans t.probe then record_phase_spans t e fresh;
     Probe.batch_ordered t.probe t.m (Engine.now t.engine) ~seq ~count ~digest:e.digest
       ~t_pp:e.t_pp ~t_prepared:e.t_prepared;
-    t.chain_digest <-
-      Bftcrypto.Sha256.digest_string (t.chain_digest ^ Messages.batch_digest pp.descs);
+    (* [e.digest] is [batch_digest pp.descs]: [set_entry_digest]
+       fixed it when the PRE-PREPARE was recorded or adopted. *)
+    t.chain_digest <- Bftcrypto.Sha256.digest_concat t.chain_digest e.digest;
     t.cb.deliver seq fresh;
     if seq mod t.cfg.checkpoint_interval = 0 then take_checkpoint t seq;
     try_deliver t

@@ -42,7 +42,7 @@ let create ?(chunk = default_chunk) ~seed () =
 
 let flush t =
   if Buffer.length t.buf > 0 then begin
-    t.chain <- Bftcrypto.Sha256.digest_string (t.chain ^ Buffer.contents t.buf);
+    t.chain <- Bftcrypto.Sha256.digest_concat t.chain (Buffer.contents t.buf);
     Buffer.clear t.buf
   end
 

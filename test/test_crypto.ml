@@ -49,6 +49,55 @@ let test_sha256_substring () =
     (Sha256.to_hex (Sha256.digest_string "abc"))
     (Sha256.to_hex (Sha256.digest_substring s ~pos:2 ~len:3))
 
+(* test/fixtures/sha256/digests.txt holds reference digests of the
+   inputs below, for every length 0..200 and for substrings at
+   non-zero offsets, written by the previous byte-at-a-time
+   implementation. A line is [string N HEX] or [substring POS LEN HEX]. *)
+let fixture_input n = String.init n (fun i -> Char.chr (((i * 31) + n) land 0xff))
+
+let test_sha256_fixture () =
+  let lines =
+    In_channel.with_open_text "fixtures/sha256/digests.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let host = fixture_input 300 in
+  Alcotest.(check int) "fixture lines" 213 (List.length lines);
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ "string"; n; hex ] ->
+        check_hex ("length " ^ n) hex (Sha256.digest_string (fixture_input (int_of_string n)))
+      | [ "substring"; pos; len; hex ] ->
+        check_hex
+          (Printf.sprintf "substring %s+%s" pos len)
+          hex
+          (Sha256.digest_substring host ~pos:(int_of_string pos) ~len:(int_of_string len))
+      | _ -> Alcotest.failf "bad fixture line %S" line)
+    lines
+
+(* The block counter is per domain: a digest adds (n + 8) / 64 + 1
+   blocks to its own domain's count and nothing to another's. *)
+let test_sha256_blocks_per_domain () =
+  let blocks f =
+    let b0 = Sha256.blocks_hashed () in
+    f ();
+    Sha256.blocks_hashed () - b0
+  in
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d bytes" n)
+        expected
+        (blocks (fun () -> ignore (Sha256.digest_string (String.make n 'a')))))
+    [ (0, 1); (55, 1); (56, 2); (64, 2); (119, 2); (120, 3); (4096, 65) ];
+  Alcotest.(check int) "digest_concat of two 32 B digests" 2
+    (blocks (fun () -> ignore (Sha256.digest_concat (String.make 32 'a') (String.make 32 'b'))));
+  Alcotest.(check int) "another domain's digests" 0
+    (blocks (fun () ->
+         Domain.join
+           (Domain.spawn (fun () -> ignore (Sha256.digest_string (String.make 4096 'a'))))))
+
 let test_sha256_bytes_string_agree () =
   let payload = "the quick brown fox" in
   Alcotest.(check string) "bytes = string"
@@ -169,6 +218,11 @@ let prop_sha256_injective_on_samples =
     (fun (a, b) ->
       a = b || Sha256.digest_string a <> Sha256.digest_string b)
 
+let prop_sha256_concat =
+  QCheck.Test.make ~name:"digest_concat a b = digest_string (a ^ b)" ~count:300
+    QCheck.(pair (string_of_size Gen.(0 -- 200)) (string_of_size Gen.(0 -- 200)))
+    (fun (a, b) -> Sha256.digest_concat a b = Sha256.digest_string (a ^ b))
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suites =
@@ -178,9 +232,11 @@ let suites =
         Alcotest.test_case "standard vectors" `Quick test_sha256_vectors;
         Alcotest.test_case "padding boundaries" `Quick test_sha256_block_boundaries;
         Alcotest.test_case "substring" `Quick test_sha256_substring;
+        Alcotest.test_case "fixture digests" `Quick test_sha256_fixture;
+        Alcotest.test_case "blocks counted per domain" `Quick test_sha256_blocks_per_domain;
         Alcotest.test_case "bytes/string agree" `Quick test_sha256_bytes_string_agree;
       ]
-      @ qsuite [ prop_sha256_injective_on_samples ] );
+      @ qsuite [ prop_sha256_injective_on_samples; prop_sha256_concat ] );
     ( "crypto.hmac",
       [
         Alcotest.test_case "rfc4231 vectors" `Quick test_hmac_vectors;

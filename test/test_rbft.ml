@@ -551,6 +551,131 @@ let prop_primary_placement_distinct =
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
+(* ------------------------------------------------------------------ *)
+(* Synthetic request templates                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A client's null-service payload is a constant: its op and digest are
+   built once per kind and stamped with each request's id. Every
+   request must still equal the descriptor a fresh build would give. *)
+
+let bare_net () =
+  let e = Engine.create () in
+  let net =
+    Bftnet.Network.create ~probe:(Bftmetrics.Probe.create ()) e
+      (Bftnet.Network.default_config ~nodes:4)
+  in
+  (e, net)
+
+(* Record the descriptors a client's requests carry, once each: node 0
+   for broadcasting clients, every node for a round-robin one. *)
+let record_requests net ~nodes extract =
+  let got = ref [] in
+  List.iter
+    (fun i ->
+      Bftnet.Network.register_node net i (fun d ->
+          match extract d.Bftnet.Network.payload with
+          | Some desc -> got := desc :: !got
+          | None -> ()))
+    nodes;
+  fun () -> List.rev !got
+
+let fresh_desc ~client ~rid ~heavy ~payload_size =
+  let payload = String.make payload_size 'x' in
+  Pbftcore.Types.desc_of_op ~client ~rid
+    (if heavy then Bftapp.Null_service.heavy_op ~payload
+     else Bftapp.Null_service.normal_op ~payload)
+
+let check_desc msg expected (got : Pbftcore.Types.request_desc) =
+  Alcotest.(check bool) msg true (expected = got)
+
+let test_rbft_client_templates () =
+  let e, net = bare_net () in
+  let requests =
+    record_requests net ~nodes:[ 0 ] (function
+      | Rbft.Messages.Request r -> Some r.Rbft.Messages.desc
+      | _ -> None)
+  in
+  let c = Rbft.Client.create e net (mk_params ()) ~id:3 ~payload_size:100 () in
+  let b = Rbft.Client.behaviour c in
+  let kinds = [ false; false; true; true; false; true ] in
+  List.iter
+    (fun heavy ->
+      b.Rbft.Client.heavy <- heavy;
+      Rbft.Client.send_one c;
+      Engine.run e)
+    kinds;
+  let got = requests () in
+  Alcotest.(check int) "one request per send" (List.length kinds) (List.length got);
+  List.iteri
+    (fun i (heavy, (d : Pbftcore.Types.request_desc)) ->
+      check_desc
+        (Printf.sprintf "request %d (heavy=%b)" (i + 1) heavy)
+        (fresh_desc ~client:3 ~rid:(i + 1) ~heavy ~payload_size:100)
+        d)
+    (List.combine kinds got);
+  match got with
+  | d1 :: d2 :: d3 :: d4 :: _ ->
+    Alcotest.(check bool) "normal requests share one op" true
+      (d1.Pbftcore.Types.op == d2.Pbftcore.Types.op);
+    Alcotest.(check bool) "heavy requests share one op" true
+      (d3.Pbftcore.Types.op == d4.Pbftcore.Types.op)
+  | _ -> Alcotest.fail "expected at least four requests"
+
+let test_make_op_client_digests_each_op () =
+  let e, net = bare_net () in
+  let requests =
+    record_requests net ~nodes:[ 0 ] (function
+      | Rbft.Messages.Request r -> Some r.Rbft.Messages.desc
+      | _ -> None)
+  in
+  let c = Rbft.Client.create e net (mk_params ()) ~id:1 () in
+  (Rbft.Client.behaviour c).Rbft.Client.make_op <-
+    Some (fun rid -> Printf.sprintf "put k%d" rid);
+  for _ = 1 to 3 do
+    Rbft.Client.send_one c
+  done;
+  Engine.run e;
+  List.iteri
+    (fun i (d : Pbftcore.Types.request_desc) ->
+      check_desc
+        (Printf.sprintf "request %d" (i + 1))
+        (Pbftcore.Types.desc_of_op ~client:1 ~rid:(i + 1)
+           (Printf.sprintf "put k%d" (i + 1)))
+        d)
+    (requests ())
+
+let test_open_loop_client_templates () =
+  let e, net = bare_net () in
+  let requests =
+    record_requests net ~nodes:[ 0; 1; 2; 3 ] (function
+      | Prime.Node.Request { desc; _ } -> Some desc
+      | _ -> None)
+  in
+  let c = Prime.Client.create e net ~f:1 ~id:2 ~payload_size:4096 () in
+  let kinds = [ false; true; false; false ] in
+  List.iter
+    (fun heavy ->
+      (Prime.Client.behaviour c).Prime.Client.heavy <- heavy;
+      Prime.Client.send_one c;
+      Engine.run e)
+    kinds;
+  let got = requests () in
+  Alcotest.(check int) "one request per send" (List.length kinds) (List.length got);
+  List.iteri
+    (fun i (heavy, (d : Pbftcore.Types.request_desc)) ->
+      check_desc
+        (Printf.sprintf "request %d (heavy=%b)" (i + 1) heavy)
+        { (fresh_desc ~client:2 ~rid:(i + 1) ~heavy:false ~payload_size:4096) with
+          Pbftcore.Types.flagged_heavy = heavy }
+        d)
+    (List.combine kinds got);
+  match got with
+  | d1 :: d2 :: _ ->
+    Alcotest.(check bool) "requests share one op" true
+      (d1.Pbftcore.Types.op == d2.Pbftcore.Types.op)
+  | _ -> Alcotest.fail "expected at least two requests"
+
 let suites =
   [
     ( "rbft.monitoring",
@@ -581,6 +706,15 @@ let suites =
         Alcotest.test_case "primary placement" `Quick test_primary_placement;
         Alcotest.test_case "duplicate request" `Quick test_duplicate_request_rereplied;
         Alcotest.test_case "closed-loop client" `Quick test_closed_loop_client;
+      ] );
+    ( "rbft.client",
+      [
+        Alcotest.test_case "synthetic requests match a fresh build" `Quick
+          test_rbft_client_templates;
+        Alcotest.test_case "make_op client digests each op" `Quick
+          test_make_op_client_digests_each_op;
+        Alcotest.test_case "open-loop baseline requests match a fresh build" `Quick
+          test_open_loop_client_templates;
       ] );
     ( "rbft.ic-votes",
       [
