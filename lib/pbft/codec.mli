@@ -11,12 +11,7 @@
     [op_size] preserved). With [order_full_requests] the body travels
     too and the roundtrip is exact. *)
 
-open Types
-
 val encode : order_full_requests:bool -> Messages.t -> string
 
 val decode : order_full_requests:bool -> string -> Messages.t option
 (** [None] on malformed input (truncated, bad tag, trailing bytes). *)
-
-val encode_desc : order_full_requests:bool -> Bftnet.Wire.Writer.t -> request_desc -> unit
-val decode_desc : order_full_requests:bool -> Bftnet.Wire.Reader.t -> request_desc

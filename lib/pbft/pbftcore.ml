@@ -4,6 +4,7 @@
 
 module Types = Types
 module Voteset = Voteset
+module Slot = Slot
 module Messages = Messages
 module Replica = Replica
 module Codec = Codec

@@ -49,21 +49,7 @@ type adversary = {
 type entry = {
   mutable pp : Messages.pre_prepare option;
   mutable pp_view : view;
-  mutable digest : string;
-  (* Votes are stored with the digest they endorse: votes may arrive
-     before the PRE-PREPARE fixes the batch digest, and only matching
-     ones count towards the quorums (tracked incrementally by the
-     tagged vote sets). *)
-  prepares : Voteset.Tagged.t;
-  commits : Voteset.Tagged.t;
-  mutable sent_prepare : bool;
-  mutable sent_commit : bool;
-  mutable delivered : bool;
-  (* Phase timestamps for latency metrics: when the PRE-PREPARE fixed
-     the batch digest locally, and when this replica sent its COMMIT
-     (the prepared point). Always set before delivery. *)
-  mutable t_pp : Time.t;
-  mutable t_prepared : Time.t;
+  slot : Slot.t;  (* digest, votes, phase flags and stamps *)
 }
 
 type t = {
@@ -132,12 +118,7 @@ type t = {
   mutable pp_release : Time.t;  (* pacing floor for adversarial PP delays *)
   (* PPs held because some requests are not yet known locally *)
   mutable waiting_pps : Messages.pre_prepare list;
-  (* Traced requests: parent span id + submission instant, keyed by
-     request id; consumed at delivery to emit the batch-wait / prepare /
-     commit phase spans, then replaced by the commit span id until the
-     hosting node collects it with [take_span]. Only sampled requests
-     ever enter the table. *)
-  span_in : (int * Time.t) Request_id_table.t;
+  spans : Slot.Spans.t;
   probe : Probe.t;
   m : Probe.replica_metrics;
 }
@@ -181,14 +162,13 @@ let create ~probe ?clock engine cfg cb =
     state_transfers = 0;
     pp_release = Time.zero;
     waiting_pps = [];
-    span_in = Request_id_table.create 64;
+    spans = Slot.Spans.create ();
     probe;
     m = Probe.replica_metrics probe ~node:cfg.replica_id ~instance:cfg.instance;
   }
 
 let config t = t.cfg
 let adversary t = t.adv
-let last_pp_at t = t.last_pp_at
 let view t = t.view
 let current_primary t = t.cfg.primary_of_view t.view
 let is_primary t = current_primary t = t.cfg.replica_id
@@ -207,34 +187,12 @@ let entry_for t seq =
   match Hashtbl.find_opt t.entries seq with
   | Some e -> e
   | None ->
-    let e =
-      {
-        pp = None;
-        pp_view = -1;
-        digest = "";
-        prepares = Voteset.Tagged.create ~n:t.cfg.n;
-        commits = Voteset.Tagged.create ~n:t.cfg.n;
-        sent_prepare = false;
-        sent_commit = false;
-        delivered = false;
-        t_pp = Time.zero;
-        t_prepared = Time.zero;
-      }
-    in
+    let e = { pp = None; pp_view = -1; slot = Slot.create ~n:t.cfg.n ~f:t.cfg.f } in
     Hashtbl.add t.entries seq e;
     e
 
 let in_window t seq =
   seq > t.last_stable && seq <= t.last_stable + t.cfg.watermark_window
-
-(* Quorum counting: once the PRE-PREPARE has fixed the batch digest,
-   only votes endorsing it count; before that, count provisionally.
-   Both cases are O(1) field reads on the tagged vote sets; fixing the
-   digest re-anchors them. *)
-let set_entry_digest (e : entry) digest =
-  e.digest <- digest;
-  Voteset.Tagged.set_reference e.prepares digest;
-  Voteset.Tagged.set_reference e.commits digest
 
 (* ------------------------------------------------------------------ *)
 (* Delivery and checkpoints                                           *)
@@ -249,7 +207,7 @@ let audit t kind =
 let audit_pp t ~view (pp : Messages.pre_prepare) =
   let digest =
     match Hashtbl.find_opt t.entries pp.seq with
-    | Some { pp = Some recorded; digest; _ } when recorded == pp -> digest
+    | Some { pp = Some recorded; slot; _ } when recorded == pp -> slot.digest
     | Some _ | None -> Messages.batch_digest pp.descs
   in
   audit t
@@ -338,49 +296,15 @@ let take_checkpoint t seq =
   broadcast t (Messages.Checkpoint { seq; state_digest = t.chain_digest });
   accept_checkpoint t ~from:t.cfg.replica_id ~seq ~state_digest:t.chain_digest
 
-(* Per-sampled-request ordering phases, derived from the entry's phase
-   stamps at the moment the batch is delivered. Timestamps are clamped
-   monotonic: a backup can learn a request *from* the PRE-PREPARE, in
-   which case submission follows t_pp. The chain batch-wait -> prepare
-   -> commit keeps the tree linear; the commit span id is left in
-   [span_in] for the hosting node ([take_span]) to parent execution. *)
-let record_phase_spans t (e : entry) fresh =
-  let now = Engine.now t.engine in
-  let node = t.cfg.replica_id and instance = t.cfg.instance in
-  List.iter
-    (fun d ->
-      match Request_id_table.find_opt t.span_in d.id with
-      | None -> ()
-      | Some (parent, t_sub) ->
-        let t_pp = Time.max e.t_pp t_sub in
-        let t_prep = Time.min now (Time.max e.t_prepared t_pp) in
-        let b =
-          Probe.span t.probe ~parent ~tag:Batch_wait ~node ~instance ~t0:t_sub ~t1:t_pp
-        in
-        let pr =
-          Probe.span t.probe ~parent:b ~tag:Prepare ~node ~instance ~t0:t_pp ~t1:t_prep
-        in
-        let cm =
-          Probe.span t.probe ~parent:pr ~tag:Commit ~node ~instance ~t0:t_prep ~t1:now
-        in
-        Request_id_table.replace t.span_in d.id (cm, now))
-    fresh
-
-let take_span t ~id =
-  match Request_id_table.find_opt t.span_in id with
-  | None -> -1
-  | Some (span, _) ->
-    Request_id_table.remove t.span_in id;
-    span
+let take_span t ~id = Slot.Spans.take t.spans ~id
 
 let rec try_deliver t =
   match Hashtbl.find_opt t.entries t.next_deliver with
-  | Some e when e.delivered ->
+  | Some { slot; _ } when slot.delivered ->
     t.next_deliver <- t.next_deliver + 1;
     try_deliver t
-  | Some ({ pp = Some pp; _ } as e)
-    when Voteset.Tagged.matching e.commits >= (2 * t.cfg.f) + 1 && e.sent_commit ->
-    e.delivered <- true;
+  | Some { pp = Some pp; slot; _ } when Slot.committed slot ->
+    Slot.deliver slot;
     let seq = t.next_deliver in
     t.next_deliver <- t.next_deliver + 1;
     (* Filter requests already delivered under an earlier sequence
@@ -393,12 +317,15 @@ let rec try_deliver t =
     List.iter (fun d -> Request_id_table.replace t.delivered_ids d.id ()) fresh;
     let count = List.length fresh in
     t.ordered_count <- t.ordered_count + count;
-    if Probe.spans t.probe then record_phase_spans t e fresh;
-    Probe.batch_ordered t.probe t.m (Engine.now t.engine) ~seq ~count ~digest:e.digest
-      ~t_pp:e.t_pp ~t_prepared:e.t_prepared;
-    (* [e.digest] is [batch_digest pp.descs]: [set_entry_digest]
-       fixed it when the PRE-PREPARE was recorded or adopted. *)
-    t.chain_digest <- Bftcrypto.Sha256.digest_concat t.chain_digest e.digest;
+    let now = Engine.now t.engine in
+    if Probe.spans t.probe then
+      Slot.Spans.record t.spans t.probe ~node:t.cfg.replica_id ~instance:t.cfg.instance
+        ~now slot fresh;
+    Probe.batch_ordered t.probe t.m now ~seq ~count ~digest:slot.digest
+      ~t_pp:slot.t_pp ~t_prepared:slot.t_prepared;
+    (* [slot.digest] is [batch_digest pp.descs]: [Slot.fix] fixed it
+       when the PRE-PREPARE was recorded or adopted. *)
+    t.chain_digest <- Bftcrypto.Sha256.digest_concat t.chain_digest slot.digest;
     t.cb.deliver seq fresh;
     if seq mod t.cfg.checkpoint_interval = 0 then take_checkpoint t seq;
     try_deliver t
@@ -416,23 +343,22 @@ let cancel_batch_timer t =
   | None -> ()
 
 let maybe_send_commit t seq (e : entry) =
-  if
-    (not e.sent_commit) && e.sent_prepare
-    && Voteset.Tagged.matching e.prepares >= 2 * t.cfg.f
-  then begin
-    e.sent_commit <- true;
-    e.t_prepared <- Engine.now t.engine;
-    ignore (Voteset.Tagged.add e.commits ~replica:t.cfg.replica_id ~digest:e.digest);
-    broadcast t (Messages.Commit { view = t.view; seq; digest = e.digest });
+  if Slot.commit e.slot ~self:t.cfg.replica_id ~now:(Engine.now t.engine) then begin
+    broadcast t (Messages.Commit { view = t.view; seq; digest = e.slot.digest });
     try_deliver t
   end
+
+(* The primary's PRE-PREPARE stands for its PREPARE. *)
+let primary_prepare t seq =
+  let e = entry_for t seq in
+  Slot.prepare e.slot ~self:t.cfg.replica_id ~proposer:t.cfg.replica_id;
+  maybe_send_commit t seq e
 
 let record_pp t (pp : Messages.pre_prepare) =
   let e = entry_for t pp.seq in
   e.pp <- Some pp;
   e.pp_view <- pp.view;
-  set_entry_digest e (Messages.batch_digest pp.descs);
-  e.t_pp <- Engine.now t.engine
+  Slot.fix e.slot (Messages.batch_digest pp.descs) ~now:(Engine.now t.engine)
 
 (* Effective (batch size, flush delay) for the next flush: the static
    config values, or the tuner's live plan when one is installed. *)
@@ -477,10 +403,7 @@ let rec flush_batch t =
        floor keeps successive PRE-PREPAREs FIFO. *)
     let issue () =
       broadcast t (Messages.Pre_prepare pp);
-      (* The primary's PRE-PREPARE stands for its PREPARE. *)
-      let e = entry_for t pp.seq in
-      e.sent_prepare <- true;
-      maybe_send_commit t pp.seq e
+      primary_prepare t pp.seq
     in
     let delay = t.adv.pp_extra_delay () in
     let rate_limit = t.adv.pp_rate_limit () in
@@ -557,9 +480,7 @@ let flush_noop t =
     record_pp t pp;
     t.last_pp_at <- Engine.now t.engine;
     broadcast t (Messages.Pre_prepare pp);
-    let e = entry_for t seq in
-    e.sent_prepare <- true;
-    maybe_send_commit t seq e
+    primary_prepare t seq
   end
 
 let rec arm_noop t =
@@ -596,16 +517,11 @@ let have_all_requests t (pp : Messages.pre_prepare) =
 
 let maybe_send_prepare t (pp : Messages.pre_prepare) =
   let e = entry_for t pp.seq in
-  if not e.sent_prepare then begin
-    if is_primary t then begin
-      (* The primary's PRE-PREPARE stands for its PREPARE. *)
-      e.sent_prepare <- true;
-      maybe_send_commit t pp.seq e
-    end
+  if not e.slot.sent_prepare then begin
+    if is_primary t then primary_prepare t pp.seq
     else if have_all_requests t pp then begin
-      e.sent_prepare <- true;
-      ignore (Voteset.Tagged.add e.prepares ~replica:t.cfg.replica_id ~digest:e.digest);
-      broadcast t (Messages.Prepare { view = t.view; seq = pp.seq; digest = e.digest });
+      Slot.prepare e.slot ~self:t.cfg.replica_id ~proposer:(current_primary t);
+      broadcast t (Messages.Prepare { view = t.view; seq = pp.seq; digest = e.slot.digest });
       maybe_send_commit t pp.seq e
     end
     else t.waiting_pps <- pp :: t.waiting_pps
@@ -629,8 +545,7 @@ let accept_pp t ~from (pp : Messages.pre_prepare) =
     let adopt () =
       e.pp <- Some pp;
       e.pp_view <- pp.view;
-      set_entry_digest e digest;
-      e.t_pp <- Engine.now t.engine;
+      Slot.fix e.slot digest ~now:(Engine.now t.engine);
       (* Track requests for cross-view re-proposal. *)
       List.iter
         (fun d ->
@@ -641,7 +556,7 @@ let accept_pp t ~from (pp : Messages.pre_prepare) =
       maybe_send_commit t pp.seq e
     in
     match e.pp with
-    | Some _ when e.digest <> digest ->
+    | Some _ when e.slot.digest <> digest ->
       (* A conflicting batch for a slot we already hold one for. From
          the same view this is primary equivocation: ignore. From a
          LATER view it is the new view's decision for the slot (the
@@ -653,19 +568,12 @@ let accept_pp t ~from (pp : Messages.pre_prepare) =
          new-view computation necessarily re-proposes that same batch:
          ignoring the (impossible) conflict is what makes adoption
          safe. *)
-      if
-        pp.view > e.pp_view && (not e.delivered)
-        && not
-             (e.sent_commit
-             && Voteset.Tagged.matching e.commits >= (2 * t.cfg.f) + 1)
+      if pp.view > e.pp_view && (not e.slot.delivered) && not (Slot.committed e.slot)
       then begin
-        Voteset.Tagged.clear e.prepares;
-        Voteset.Tagged.clear e.commits;
-        e.sent_prepare <- false;
-        e.sent_commit <- false;
+        Slot.restart e.slot;
         adopt ()
       end
-    | Some _ when e.delivered ->
+    | Some _ when e.slot.delivered ->
       (* Delivered: the batch is final here. But the PP may be a later
          view's re-proposal from a replica that could not complete the
          slot before the view change ([enter_view] clears uncommitted
@@ -677,12 +585,12 @@ let accept_pp t ~from (pp : Messages.pre_prepare) =
          prepare and commit for the delivered digest in the current
          view — re-affirming a final batch is always safe, and those
          votes are exactly what the re-proposer is missing. *)
-      if pp.view > e.pp_view && digest = e.digest then begin
+      if pp.view > e.pp_view && digest = e.slot.digest then begin
         e.pp_view <- pp.view;
-        broadcast t (Messages.Prepare { view = t.view; seq = pp.seq; digest = e.digest });
-        broadcast t (Messages.Commit { view = t.view; seq = pp.seq; digest = e.digest })
+        broadcast t (Messages.Prepare { view = t.view; seq = pp.seq; digest });
+        broadcast t (Messages.Commit { view = t.view; seq = pp.seq; digest })
       end
-    | Some _ when e.sent_prepare ->
+    | Some _ when e.slot.sent_prepare ->
       () (* duplicate of an already-acknowledged batch *)
     | Some _ | None ->
       (* Fresh in this view — possibly a batch retained from an
@@ -690,24 +598,19 @@ let accept_pp t ~from (pp : Messages.pre_prepare) =
       adopt ()
   end
 
-(* A prepared certificate is 2f PREPAREs from backups: the view's
-   primary sends none, so a PREPARE from it is Byzantine and ignored. *)
+(* Prepares and commits may arrive before the PRE-PREPARE; the slot
+   keeps them with the digest they endorse (see {!Slot}). *)
 let accept_prepare t ~from ~view ~seq ~digest =
-  if view = t.view && (not t.in_vc) && in_window t seq && from <> t.cfg.primary_of_view view
-  then begin
+  if view = t.view && (not t.in_vc) && in_window t seq then begin
     let e = entry_for t seq in
-    (* Prepares may arrive before the PRE-PREPARE: store them with the
-       digest they endorse; only matching ones are counted. *)
-    if Voteset.Tagged.add e.prepares ~replica:from ~digest then
+    if Slot.add_prepare e.slot ~proposer:(current_primary t) ~from ~digest then
       maybe_send_commit t seq e
   end
 
 let accept_commit t ~from ~view ~seq ~digest =
   if view = t.view && (not t.in_vc) && in_window t seq then begin
     let e = entry_for t seq in
-    if Voteset.Tagged.add e.commits ~replica:from ~digest then
-      if Voteset.Tagged.matching e.commits >= (2 * t.cfg.f) + 1 then
-        try_deliver t
+    if Slot.add_commit e.slot ~from ~digest then try_deliver t
   end
 
 (* ------------------------------------------------------------------ *)
@@ -718,11 +621,11 @@ let prepared_proofs t =
   Hashtbl.fold
     (fun seq (e : entry) acc ->
       match e.pp with
-      | Some pp when e.sent_commit && not e.delivered ->
+      | Some pp when e.slot.sent_commit && not e.slot.delivered ->
         {
           Messages.pseq = seq;
           pview = e.pp_view;
-          pdigest = e.digest;
+          pdigest = e.slot.digest;
           pdescs = pp.descs;
         }
         :: acc
@@ -773,17 +676,7 @@ and enter_view t v =
        PBFT); prepares/commits must be re-collected in the new view. *)
   Hashtbl.iter
     (fun _ (e : entry) ->
-      if not e.delivered then begin
-        let committed =
-          e.sent_commit && Voteset.Tagged.matching e.commits >= (2 * t.cfg.f) + 1
-        in
-        if not committed then begin
-          Voteset.Tagged.clear e.prepares;
-          Voteset.Tagged.clear e.commits;
-          e.sent_prepare <- false;
-          e.sent_commit <- false
-        end
-      end)
+      if not (e.slot.delivered || Slot.committed e.slot) then Slot.restart e.slot)
     t.entries;
   t.waiting_pps <- [];
   (* Certificates for this and earlier targets are spent. *)
@@ -815,7 +708,7 @@ and new_primary_repropose t v =
   Hashtbl.iter
     (fun seq (e : entry) ->
       match e.pp with
-      | Some pp when not e.delivered -> offer seq e.pp_view pp.descs
+      | Some pp when not e.slot.delivered -> offer seq e.pp_view pp.descs
       | Some _ | None -> ())
     t.entries;
   Hashtbl.iter
@@ -862,12 +755,7 @@ and new_primary_repropose t v =
   List.iter (fun pp -> record_pp t pp) pps;
   broadcast t (Messages.New_view { view = v; pre_prepares = pps });
   (* Treat own re-issued PPs as accepted. *)
-  List.iter
-    (fun pp ->
-      let e = entry_for t pp.Messages.seq in
-      e.sent_prepare <- true;
-      maybe_send_commit t pp.Messages.seq e)
-    pps;
+  List.iter (fun pp -> primary_prepare t pp.Messages.seq) pps;
   (* Re-batch the rest. *)
   t.pending_batch <- [];
   t.pending_len <- 0;
@@ -925,11 +813,8 @@ let accept_new_view t ~from (v : view) pps =
 (* ------------------------------------------------------------------ *)
 
 let submit ?(span = -1) t desc =
-  if
-    span >= 0
-    && (not (Request_id_table.mem t.delivered_ids desc.id))
-    && not (Request_id_table.mem t.span_in desc.id)
-  then Request_id_table.replace t.span_in desc.id (span, Engine.now t.engine);
+  Slot.Spans.submit t.spans ~span ~now:(Engine.now t.engine) ~delivered:t.delivered_ids
+    desc.id;
   if not (Request_id_table.mem t.known desc.id) then begin
     Request_id_table.replace t.known desc.id desc;
     if is_primary t && not t.in_vc then begin
@@ -974,9 +859,9 @@ let debug_dump t =
     | Some e ->
       Printf.sprintf "head:{pp=%b view=%d prep=%d com=%d sp=%b sc=%b}"
         (e.pp <> None) e.pp_view
-        (Voteset.Tagged.count e.prepares)
-        (Voteset.Tagged.count e.commits)
-        e.sent_prepare e.sent_commit
+        (Voteset.Tagged.count e.slot.prepares)
+        (Voteset.Tagged.count e.slot.commits)
+        e.slot.sent_prepare e.slot.sent_commit
   in
   Printf.sprintf
     "view=%d in_vc=%b next_seq=%d next_deliver=%d stable=%d pendbatch=%d waiting=%d release=%s %s"
@@ -1041,9 +926,9 @@ let fingerprint t =
   in
   Hashtbl.fold (fun seq e acc -> (seq, e) :: acc) t.entries []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (seq, e) ->
+  |> List.iter (fun (seq, { pp; pp_view; slot }) ->
          let pp_desc =
-           match e.pp with
+           match pp with
            | None -> "-"
            | Some pp ->
              Printf.sprintf "%d/%d:%s" pp.Messages.view pp.Messages.seq
@@ -1053,13 +938,11 @@ let fingerprint t =
                      pp.Messages.descs))
          in
          add "e%d{pp=%s pv=%d dg=%s P=%s/%s C=%s/%s sp=%b sc=%b dl=%b};" seq
-           pp_desc e.pp_view
-           (hex_short e.digest)
-           (members e.prepares)
-           (hex_short (Voteset.Tagged.reference e.prepares))
-           (members e.commits)
-           (hex_short (Voteset.Tagged.reference e.commits))
-           e.sent_prepare e.sent_commit e.delivered);
+           pp_desc pp_view (hex_short slot.digest) (members slot.prepares)
+           (hex_short (Voteset.Tagged.reference slot.prepares))
+           (members slot.commits)
+           (hex_short (Voteset.Tagged.reference slot.commits))
+           slot.sent_prepare slot.sent_commit slot.delivered);
   (* Primary-side batch accumulator, in accumulation order (it is a
      deterministic function of submission order, which the schedule
      fixes). *)

@@ -133,10 +133,6 @@ val set_noop_gate : t -> (unit -> bool) option -> unit
     merge round of latency to every later real batch of the stream.
     [None] (the default) never holds. *)
 
-val last_pp_at : t -> Time.t
-(** Instant of the last pre-prepare this replica issued as primary
-    (real batch or no-op heartbeat); [Time.zero] if none yet. *)
-
 val take_span : t -> id:request_id -> int
 (** Collects (and clears) the commit span id recorded for a delivered
     traced request, so the hosting node can parent execution on the

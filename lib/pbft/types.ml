@@ -5,8 +5,6 @@ let compare_request_id a b =
   | 0 -> Int.compare a.rid b.rid
   | c -> c
 
-let pp_request_id fmt { client; rid } = Format.fprintf fmt "c%d/%d" client rid
-
 type request_desc = {
   id : request_id;
   digest : string;

@@ -5,7 +5,6 @@ type request_id = { client : int; rid : int }
     sequence number, as in the paper's REQUEST message. *)
 
 val compare_request_id : request_id -> request_id -> int
-val pp_request_id : Format.formatter -> request_id -> unit
 
 type request_desc = {
   id : request_id;

@@ -4,6 +4,7 @@ open Bftnet
 open Bftapp
 open Pbftcore.Types
 module Probe = Bftmetrics.Probe
+module Slot = Pbftcore.Slot
 
 type msg =
   | Request of { desc : request_desc; sig_valid : bool }
@@ -27,12 +28,7 @@ type faults = { mutable delay_to_limit : bool; mutable limit_fraction : float }
 
 type seq_entry = {
   mutable vector : int array option;
-  mutable digest : string;
-  prepares : Pbftcore.Voteset.t;
-  commits : Pbftcore.Voteset.t;
-  mutable sent_prepare : bool;
-  mutable sent_commit : bool;
-  mutable delivered : bool;
+  slot : Slot.t;  (* digest, votes and phase flags *)
 }
 
 type t = {
@@ -144,17 +140,7 @@ let entry_for t seq =
   match Hashtbl.find_opt t.entries seq with
   | Some e -> e
   | None ->
-    let e =
-      {
-        vector = None;
-        digest = "";
-        prepares = Pbftcore.Voteset.create ~n:(n_nodes t);
-        commits = Pbftcore.Voteset.create ~n:(n_nodes t);
-        sent_prepare = false;
-        sent_commit = false;
-        delivered = false;
-      }
-    in
+    let e = { vector = None; slot = Slot.create ~n:(n_nodes t) ~f:t.cfg.f } in
     Hashtbl.add t.entries seq e;
     e
 
@@ -192,9 +178,7 @@ let exec_cost_of t (desc : request_desc) =
   if desc.flagged_heavy then Time.max heavy_exec_cost (t.service.Service.exec_cost desc.op)
   else Time.max t.cfg.exec_cost (t.service.Service.exec_cost desc.op)
 
-let audit t kind =
-  Probe.emit t.probe
-    { Bftmetrics.Event.time = Engine.now t.engine; node = t.id; instance = 0; kind }
+let audit t kind = Probe.emit_at t.probe (Engine.now t.engine) ~node:t.id ~instance:0 kind
 
 let execute_one t (desc : request_desc) =
   if not (Request_id_table.mem t.executed desc.id) then begin
@@ -231,16 +215,13 @@ let execute_one t (desc : request_desc) =
 let rec try_deliver t =
   let e = entry_for t t.next_deliver in
   match e.vector with
-  | Some vector
-    when e.sent_commit
-         && Pbftcore.Voteset.count e.commits >= (2 * t.cfg.f) + 1
-         && not e.delivered ->
+  | Some vector when (not e.slot.delivered) && Slot.committed e.slot ->
     (* Check every covered PO-REQUEST is locally available. *)
     let ready =
       Array.for_all2 (fun have want -> have >= want) t.po_received vector
     in
     if ready then begin
-      e.delivered <- true;
+      Slot.deliver e.slot;
       if Probe.audit t.probe then begin
         (* Digest over the summary vector alone (the agreed content):
            Prime's own [vector_digest] also covers the view, which
@@ -292,13 +273,8 @@ let rec try_deliver t =
 (* ------------------------------------------------------------------ *)
 
 let maybe_commit t seq (e : seq_entry) =
-  if
-    (not e.sent_commit) && e.sent_prepare
-    && Pbftcore.Voteset.count e.prepares >= 2 * t.cfg.f
-  then begin
-    e.sent_commit <- true;
-    ignore (Pbftcore.Voteset.add e.commits t.id);
-    broadcast_signed t (Commit { view = t.view; seq; digest = e.digest });
+  if Slot.commit e.slot ~self:t.id ~now:(Engine.now t.engine) then begin
+    broadcast_signed t (Commit { view = t.view; seq; digest = e.slot.digest });
     try_deliver t
   end
 
@@ -308,13 +284,9 @@ let accept_pp t ~from ~view ~seq vector =
     let e = entry_for t seq in
     if e.vector = None then begin
       e.vector <- Some vector;
-      e.digest <- vector_digest view seq vector;
-      if from <> t.id then begin
-        e.sent_prepare <- true;
-        ignore (Pbftcore.Voteset.add e.prepares t.id);
-        broadcast_signed t (Prepare { view; seq; digest = e.digest })
-      end
-      else e.sent_prepare <- true;
+      Slot.fix e.slot (vector_digest view seq vector) ~now:(Engine.now t.engine);
+      Slot.prepare e.slot ~self:t.id ~proposer:from;
+      if from <> t.id then broadcast_signed t (Prepare { view; seq; digest = e.slot.digest });
       maybe_commit t seq e
     end
   end
@@ -459,19 +431,14 @@ let on_delivery t (d : msg Network.delivery) =
     Resource.submit t.main ~cost:with_sig (fun () ->
         if view = t.view then begin
           let e = entry_for t seq in
-          if
-            (e.vector = None || String.equal e.digest digest)
-            && Pbftcore.Voteset.add e.prepares from
-          then maybe_commit t seq e
+          if Slot.add_prepare e.slot ~proposer:(primary t) ~from ~digest then
+            maybe_commit t seq e
         end)
   | Commit { view; seq; digest } ->
     Resource.submit t.main ~cost:with_sig (fun () ->
         if view = t.view then begin
           let e = entry_for t seq in
-          if
-            (e.vector = None || String.equal e.digest digest)
-            && Pbftcore.Voteset.add e.commits from
-          then try_deliver t
+          if Slot.add_commit e.slot ~from ~digest then try_deliver t
         end)
   | Ping { nonce } ->
     Resource.submit t.main ~cost:with_sig (fun () ->

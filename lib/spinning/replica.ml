@@ -1,5 +1,6 @@
 open Dessim
 module Probe = Bftmetrics.Probe
+module Slot = Pbftcore.Slot
 open Pbftcore.Types
 
 type config = { n : int; f : int; replica_id : int }
@@ -20,18 +21,11 @@ type adversary = { mutable pp_delay : unit -> Time.t; mutable silent : bool }
 
 type entry = {
   mutable pp : request_desc list option;
-  mutable digest : string;
   mutable attempt : int;  (* reassignment count after accusations *)
-  prepares : Pbftcore.Voteset.t;
-  commits : Pbftcore.Voteset.t;
-  mutable sent_prepare : bool;
-  mutable sent_commit : bool;
+  slot : Slot.t;  (* digest, votes, phase flags and stamps *)
   accuses : Pbftcore.Voteset.t;
   mutable accused : bool;  (* this replica accused for this seq *)
   mutable proposing : bool;  (* a local proposal is pending issue *)
-  mutable delivered : bool;
-  mutable t_pp : Time.t;  (* when the PP was adopted, for phase spans *)
-  mutable t_prepared : Time.t;  (* when the prepare quorum formed *)
 }
 
 type t = {
@@ -53,10 +47,7 @@ type t = {
   mutable pp_release : Time.t;
   (* PPs waiting for their requests to arrive from the clients *)
   mutable waiting_pps : (int * int * request_desc list) list;
-  (* Traced requests: request id -> (parent span, submit time). On
-     delivery the batch-wait/prepare/commit phase spans are emitted
-     under the parent and the commit span kept for [take_span]. *)
-  span_in : (int * Time.t) Request_id_table.t;
+  spans : Slot.Spans.t;
 }
 
 let create ~probe ?clock engine cfg cb =
@@ -78,7 +69,7 @@ let create ~probe ?clock engine cfg cb =
     ordered = 0;
     pp_release = Time.zero;
     waiting_pps = [];
-    span_in = Request_id_table.create 64;
+    spans = Slot.Spans.create ();
   }
 
 let adversary t = t.adv
@@ -96,18 +87,11 @@ let entry_for t seq =
     let e =
       {
         pp = None;
-        digest = "";
         attempt = 0;
-        prepares = Pbftcore.Voteset.create ~n:t.cfg.n;
-        commits = Pbftcore.Voteset.create ~n:t.cfg.n;
-        sent_prepare = false;
-        sent_commit = false;
+        slot = Slot.create ~n:t.cfg.n ~f:t.cfg.f;
         accuses = Pbftcore.Voteset.create ~n:t.cfg.n;
         accused = false;
         proposing = false;
-        delivered = false;
-        t_pp = Time.zero;
-        t_prepared = Time.zero;
       }
     in
     Hashtbl.add t.entries seq e;
@@ -134,35 +118,29 @@ let proposer_of t ~seq =
   let e = entry_for t seq in
   proposer_of_attempt t ~seq ~attempt:e.attempt
 
-let batch_digest descs = Pbftcore.Messages.batch_digest descs
-
 (* ------------------------------------------------------------------ *)
 (* Delivery                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let audit t kind =
-  Probe.emit t.probe
-    {
-      Bftmetrics.Event.time = Engine.now t.engine;
-      node = t.cfg.replica_id;
-      instance = 0;
-      kind;
-    }
+  Probe.emit_at t.probe (Engine.now t.engine) ~node:t.cfg.replica_id ~instance:0 kind
 
 (* Spinning rotates the proposer per sequence; the [attempt] counter
    plays the role of a per-sequence view in the audit events. Emitted
-   inside the silence gate so a muted replica's votes never appear. *)
+   inside the silence gate so a muted replica's votes never appear. A
+   proposer records its PRE-PREPARE before sending it, so the slot
+   already holds the digest (unless an accusation reopened it). *)
 let audit_msg t msg =
   match msg with
   | Pre_prepare { seq; descs; attempt } ->
+    let digest =
+      match Hashtbl.find_opt t.entries seq with
+      | Some { pp = Some recorded; slot; _ } when recorded == descs -> slot.digest
+      | Some _ | None -> Pbftcore.Messages.batch_digest descs
+    in
     audit t
       (Bftmetrics.Event.Pre_prepare_sent
-         {
-           view = attempt;
-           seq;
-           count = List.length descs;
-           digest = Pbftcore.Messages.batch_digest descs;
-         })
+         { view = attempt; seq; count = List.length descs; digest })
   | Prepare { seq; digest; attempt; _ } ->
     audit t (Bftmetrics.Event.Prepare_sent { view = attempt; seq; digest })
   | Commit { seq; digest; attempt; _ } ->
@@ -175,41 +153,7 @@ let broadcast t msg =
     t.cb.broadcast msg
   end
 
-(* On delivery, emit the per-request ordering phase spans from the
-   entry's timing stamps. Stamps are clamped to stay monotonic even
-   when a request joined after the PP was adopted. The commit span id
-   replaces the parent in [span_in] for [take_span]. *)
-let record_phase_spans t (e : entry) fresh =
-  let now = Engine.now t.engine in
-  let node = t.cfg.replica_id and instance = 0 in
-  List.iter
-    (fun (d : request_desc) ->
-      match Request_id_table.find_opt t.span_in d.id with
-      | None -> ()
-      | Some (parent, t_sub) ->
-        let t_pp = Time.max e.t_pp t_sub in
-        let t_prep = Time.min now (Time.max e.t_prepared t_pp) in
-        let b =
-          Probe.span t.probe ~parent ~tag:Bftspan.Tag.Batch_wait ~node
-            ~instance ~t0:t_sub ~t1:t_pp
-        in
-        let pr =
-          Probe.span t.probe ~parent:b ~tag:Bftspan.Tag.Prepare ~node
-            ~instance ~t0:t_pp ~t1:t_prep
-        in
-        let cm =
-          Probe.span t.probe ~parent:pr ~tag:Bftspan.Tag.Commit ~node
-            ~instance ~t0:t_prep ~t1:now
-        in
-        Request_id_table.replace t.span_in d.id (cm, now))
-    fresh
-
-let take_span t ~id =
-  match Request_id_table.find_opt t.span_in id with
-  | None -> -1
-  | Some (span, _) ->
-    Request_id_table.remove t.span_in id;
-    span
+let take_span t ~id = Slot.Spans.take t.spans ~id
 
 let rec rearm_timer t =
   (* Watch the oldest undelivered batch whenever requests are pending. *)
@@ -232,7 +176,7 @@ let rec rearm_timer t =
 and on_timeout t seq =
   if seq = t.next_deliver && pending_count t > 0 then begin
     let e = entry_for t seq in
-    if (not e.delivered) && not e.accused then begin
+    if (not e.slot.delivered) && not e.accused then begin
       e.accused <- true;
       ignore (Pbftcore.Voteset.add e.accuses t.cfg.replica_id);
       broadcast t (Accuse { seq });
@@ -242,7 +186,7 @@ and on_timeout t seq =
 
 and check_accusations t seq =
   let e = entry_for t seq in
-  if (not e.delivered) && Pbftcore.Voteset.count e.accuses >= (2 * t.cfg.f) + 1
+  if (not e.slot.delivered) && Pbftcore.Voteset.count e.accuses >= (2 * t.cfg.f) + 1
   then begin
     (* Quorum: blacklist the proposer of this attempt and reassign. *)
     let culprit = proposer_of_attempt t ~seq ~attempt:e.attempt in
@@ -263,13 +207,7 @@ and check_accusations t seq =
      | None -> ());
     e.proposing <- false;
     e.pp <- None;
-    e.digest <- "";
-    e.t_pp <- Time.zero;
-    e.t_prepared <- Time.zero;
-    Pbftcore.Voteset.clear e.prepares;
-    Pbftcore.Voteset.clear e.commits;
-    e.sent_prepare <- false;
-    e.sent_commit <- false;
+    Slot.restart e.slot;
     Pbftcore.Voteset.clear e.accuses;
     e.accused <- false;
     t.timeout <- Time.mul_f t.timeout 2.0;
@@ -285,15 +223,11 @@ and check_accusations t seq =
 and try_deliver t =
   let rec go () =
     let e = entry_for t t.next_deliver in
-    if
-      e.sent_commit
-      && Pbftcore.Voteset.count e.commits >= (2 * t.cfg.f) + 1
-      && not e.delivered
-    then begin
+    if (not e.slot.delivered) && Slot.committed e.slot then begin
       match e.pp with
       | None -> ()
       | Some descs ->
-        e.delivered <- true;
+        Slot.deliver e.slot;
         let seq = t.next_deliver in
         t.next_deliver <- seq + 1;
         let fresh =
@@ -307,11 +241,13 @@ and try_deliver t =
             Request_id_table.remove t.claimed d.id)
           descs;
         t.ordered <- t.ordered + List.length fresh;
-        if Probe.spans t.probe then record_phase_spans t e fresh;
+        if Probe.spans t.probe then
+          Slot.Spans.record t.spans t.probe ~node:t.cfg.replica_id ~instance:0
+            ~now:(Engine.now t.engine) e.slot fresh;
         if Probe.audit t.probe then
           audit t
             (Bftmetrics.Event.Ordered
-               { seq; count = List.length fresh; digest = e.digest });
+               { seq; count = List.length fresh; digest = e.slot.digest });
         (* A successful batch resets the timeout (Section III-C). *)
         t.timeout <- s_timeout;
         t.cb.deliver seq fresh;
@@ -380,9 +316,11 @@ and maybe_propose t =
             e.proposing <- true;
             List.iter (fun d -> Request_id_table.replace t.claimed d.id ()) batch;
             let attempt = e.attempt in
+            (* Record before sending: the audited PRE-PREPARE reads
+               its digest from the slot. *)
             let issue () =
-              broadcast t (Pre_prepare { seq; descs = batch; attempt });
-              accept_pp t ~from:t.cfg.replica_id ~seq ~descs:batch ~attempt
+              accept_pp t ~from:t.cfg.replica_id ~seq ~descs:batch ~attempt;
+              broadcast t (Pre_prepare { seq; descs = batch; attempt })
             in
             let delay = t.adv.pp_delay () in
             if delay = Time.zero && t.pp_release <= Engine.now t.engine then issue ()
@@ -404,7 +342,7 @@ and maybe_propose t =
 and accept_pp t ~from ~seq ~descs ~attempt =
   let e = entry_for t seq in
   if
-    (not e.delivered) && e.pp = None && attempt = e.attempt
+    (not e.slot.delivered) && e.pp = None && attempt = e.attempt
     && from = proposer_of_attempt t ~seq ~attempt
   then begin
     (* All requests must already be known (clients broadcast to every
@@ -420,28 +358,18 @@ and accept_pp t ~from ~seq ~descs ~attempt =
       t.waiting_pps <- (from, seq, descs) :: t.waiting_pps
     else begin
       e.pp <- Some descs;
-      e.t_pp <- Engine.now t.engine;
-      e.digest <- batch_digest descs;
+      Slot.fix e.slot (Pbftcore.Messages.batch_digest descs) ~now:(Engine.now t.engine);
       List.iter (fun d -> Request_id_table.replace t.claimed d.id ()) descs;
-      if from <> t.cfg.replica_id then begin
-        e.sent_prepare <- true;
-        ignore (Pbftcore.Voteset.add e.prepares t.cfg.replica_id);
-        broadcast t (Prepare { seq; digest = e.digest; attempt })
-      end
-      else e.sent_prepare <- true;
+      Slot.prepare e.slot ~self:t.cfg.replica_id ~proposer:from;
+      if from <> t.cfg.replica_id then
+        broadcast t (Prepare { seq; digest = e.slot.digest; attempt });
       maybe_commit t seq e
     end
   end
 
 and maybe_commit t seq (e : entry) =
-  if
-    (not e.sent_commit) && e.sent_prepare
-    && Pbftcore.Voteset.count e.prepares >= 2 * t.cfg.f
-  then begin
-    e.sent_commit <- true;
-    e.t_prepared <- Engine.now t.engine;
-    ignore (Pbftcore.Voteset.add e.commits t.cfg.replica_id);
-    broadcast t (Commit { seq; digest = e.digest; attempt = e.attempt });
+  if Slot.commit e.slot ~self:t.cfg.replica_id ~now:(Engine.now t.engine) then begin
+    broadcast t (Commit { seq; digest = e.slot.digest; attempt = e.attempt });
     try_deliver t
   end
 
@@ -460,11 +388,8 @@ let recheck_waiting t =
     ready
 
 let submit ?(span = -1) t desc =
-  if
-    span >= 0
-    && (not (Request_id_table.mem t.delivered_ids desc.id))
-    && not (Request_id_table.mem t.span_in desc.id)
-  then Request_id_table.replace t.span_in desc.id (span, Engine.now t.engine);
+  Slot.Spans.submit t.spans ~span ~now:(Engine.now t.engine) ~delivered:t.delivered_ids
+    desc.id;
   if not (Request_id_table.mem t.known desc.id) then begin
     Request_id_table.replace t.known desc.id desc;
     recheck_waiting t;
@@ -480,20 +405,17 @@ let receive t ~from msg =
     | Prepare { seq; digest; attempt } ->
       let e = entry_for t seq in
       if
-        (not e.delivered) && attempt = e.attempt
-        && (e.pp = None || String.equal e.digest digest)
-        && Pbftcore.Voteset.add e.prepares from
+        (not e.slot.delivered) && attempt = e.attempt
+        && Slot.add_prepare e.slot ~proposer:(proposer_of_attempt t ~seq ~attempt) ~from
+             ~digest
       then maybe_commit t seq e
     | Commit { seq; digest; attempt } ->
       let e = entry_for t seq in
-      if
-        (not e.delivered) && attempt = e.attempt
-        && (e.pp = None || String.equal e.digest digest)
-        && Pbftcore.Voteset.add e.commits from
+      if (not e.slot.delivered) && attempt = e.attempt && Slot.add_commit e.slot ~from ~digest
       then try_deliver t
     | Accuse { seq } ->
       let e = entry_for t seq in
-      if (not e.delivered) && Pbftcore.Voteset.add e.accuses from then begin
+      if (not e.slot.delivered) && Pbftcore.Voteset.add e.accuses from then begin
         (* Join the accusation once f+1 others complain and we also
            have the batch pending. *)
         if

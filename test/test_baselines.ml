@@ -198,9 +198,10 @@ let test_spinning_blacklists_over_timeout () =
 
 (* One authenticated source is one vote, in every Spinning quorum.
    Replica 2 gets seq 1's PRE-PREPARE from its proposer, node 1, then
-   three PREPAREs and three COMMITs from node 1 as well: node 1 prepares
-   the batch with replica 2 but is one of the 2f+1 commits it needs.
-   Three accusations from node 3 are one accuser. A second source then
+   three PREPAREs from node 0 and three COMMITs from node 1: node 0
+   prepares the batch with replica 2 (the proposer's PREPARE would not
+   count), and node 1 is one of the 2f+1 commits it needs. Three
+   accusations from node 3 are one accuser. A second source then
    completes each quorum, so the votes above were well-formed. *)
 let test_spinning_one_source_one_vote () =
   let module R = Spinning.Replica in
@@ -214,7 +215,7 @@ let test_spinning_one_source_one_vote () =
   R.submit r d;
   R.receive r ~from:1 (R.Pre_prepare { seq = 1; descs = [ d ]; attempt = 0 });
   for _ = 1 to 3 do
-    R.receive r ~from:1 (R.Prepare { seq = 1; digest; attempt = 0 });
+    R.receive r ~from:0 (R.Prepare { seq = 1; digest; attempt = 0 });
     R.receive r ~from:1 (R.Commit { seq = 1; digest; attempt = 0 })
   done;
   Alcotest.(check int) "node 1 is one commit" 0 (R.ordered_count r);
@@ -317,11 +318,12 @@ let test_prime_dead_primary_suspected () =
 
 (* One authenticated source is one vote, in every Prime quorum. Node 1
    (not started, so it runs no timers of its own) gets node 0's
-   PO-REQUEST and a PRE-PREPARE covering it, then three PREPAREs and
-   three COMMITs from node 0: node 0 prepares the vector with node 1 but
-   is one of the 2f+1 commits it needs. Three SUSPECTs from node 3 are
-   one suspect. A second source then completes each quorum, so the
-   votes above were well-formed. *)
+   PO-REQUEST and a PRE-PREPARE covering it, then three PREPAREs from
+   node 2 and three COMMITs from node 0: node 2 prepares the vector with
+   node 1 (the primary's PREPARE would not count), and node 0 is one of
+   the 2f+1 commits it needs. Three SUSPECTs from node 3 are one
+   suspect. A second source then completes each quorum, so the votes
+   above were well-formed. *)
 let test_prime_one_source_one_vote () =
   let p = Bftmetrics.Probe.create () in
   let engine = Engine.create ~seed:1L () in
@@ -341,7 +343,7 @@ let test_prime_one_source_one_vote () =
   send 0 (Prime.Node.Po_request { desc = d; po_seq = 1 });
   send 0 (Prime.Node.Pre_prepare { view = 0; seq = 1; vector });
   for _ = 1 to 3 do
-    send 0 (Prime.Node.Prepare { view = 0; seq = 1; digest });
+    send 2 (Prime.Node.Prepare { view = 0; seq = 1; digest });
     send 0 (Prime.Node.Commit { view = 0; seq = 1; digest })
   done;
   Alcotest.(check int) "node 0 is one commit" 0 (Prime.Node.executed_count node);

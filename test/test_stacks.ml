@@ -1,6 +1,6 @@
 (* Tests for what the four BFT stacks share: the client core's reply
-   quorum, and same-seed pins of each stack's execution ledger and
-   client counters. *)
+   quorum, the prepare/commit rule of a slot, and same-seed pins of each
+   stack's execution ledger and client counters. *)
 
 open Dessim
 open Pbftcore.Types
@@ -58,6 +58,171 @@ let test_reply_quorum () =
   Alcotest.(check int) "left the pending table" 0 (Core.pending_count client);
   Alcotest.(check int) "latency recorded" 1
     (Bftmetrics.Hist.count (Core.latencies client))
+
+(* ------------------------------------------------------------------ *)
+(* The shared prepare/commit rule                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One f = 1 replica of each stack, node 2, fed slot 1's votes by hand.
+   Steps name roles, not ids: [Proposer] is the slot's proposer (the
+   PBFT primary, Spinning's rotating proposer, Prime's primary) and
+   [Backup k] the k-th of the two other replicas. A vote endorses the
+   proposed batch or another digest. *)
+type role = Proposer | Backup of int
+type endorses = Batch | Other
+type step = Pre_prepare | Prepare of role * endorses | Commit of role * endorses
+
+type slot_case = {
+  name : string;
+  steps : step list;
+  prepared : bool;  (** node 2 sends its COMMIT *)
+  delivered : bool;
+}
+
+let slot_cases =
+  [
+    (* A Byzantine proposer with two early COMMITs for another batch:
+       its own PREPARE must neither prepare nor let those COMMITs
+       complete the slot. *)
+    {
+      name = "early commits for another digest, then the proposer's PREPARE";
+      steps =
+        [ Commit (Backup 0, Other); Commit (Backup 1, Other); Pre_prepare; Prepare (Proposer, Batch) ];
+      prepared = false;
+      delivered = false;
+    };
+    {
+      name = "the proposer's PREPARE alone";
+      steps = [ Pre_prepare; Prepare (Proposer, Batch) ];
+      prepared = false;
+      delivered = false;
+    };
+    (* Prepared by a backup, but the COMMITs held are for another
+       digest: only node 2's own COMMIT matches. *)
+    {
+      name = "early commits for another digest, then a backup's PREPARE";
+      steps =
+        [ Commit (Backup 0, Other); Commit (Backup 1, Other); Pre_prepare; Prepare (Backup 0, Batch) ];
+      prepared = true;
+      delivered = false;
+    };
+    {
+      name = "a backup's PREPARE and two backups' COMMITs";
+      steps =
+        [ Pre_prepare; Prepare (Backup 0, Batch); Commit (Backup 0, Batch); Commit (Backup 1, Batch) ];
+      prepared = true;
+      delivered = true;
+    };
+  ]
+
+let other_digest = Bftcrypto.Sha256.digest_string "another batch"
+
+(* A stack under test: node 2 with one request known, a way to feed it
+   a step, and its COMMIT and delivery counts. *)
+type slot_rig = { feed : step -> unit; commits_sent : unit -> int; delivered : unit -> int }
+
+let request = desc_of_op ~client:0 ~rid:1 "op"
+
+(* PBFT (RBFT's instances, Aardvark): view 0, primary 0. *)
+let pbft_rig () =
+  let module R = Pbftcore.Replica in
+  let module M = Pbftcore.Messages in
+  let commits = ref 0 and delivered = ref 0 in
+  let r =
+    R.create ~probe:(Bftmetrics.Probe.create ()) (Engine.create ())
+      (R.default_config ~n:4 ~f:1 ~replica_id:2)
+      {
+        R.send = (fun _ _ -> ());
+        broadcast = (function M.Commit _ -> incr commits | _ -> ());
+        deliver = (fun _ descs -> delivered := !delivered + List.length descs);
+        on_view_change = (fun _ -> ());
+      }
+  in
+  R.submit r request;
+  let id = function Proposer -> 0 | Backup k -> [| 1; 3 |].(k) in
+  let digest = function Batch -> M.batch_digest [ request ] | Other -> other_digest in
+  let feed = function
+    | Pre_prepare -> R.receive r ~from:0 (M.Pre_prepare { M.view = 0; seq = 1; descs = [ request ] })
+    | Prepare (who, d) -> R.receive r ~from:(id who) (M.Prepare { view = 0; seq = 1; digest = digest d })
+    | Commit (who, d) -> R.receive r ~from:(id who) (M.Commit { view = 0; seq = 1; digest = digest d })
+  in
+  { feed; commits_sent = (fun () -> !commits); delivered = (fun () -> !delivered) }
+
+(* Spinning: slot 1, attempt 0, is proposed by node 1. *)
+let spinning_rig () =
+  let module R = Spinning.Replica in
+  let commits = ref 0 in
+  let r =
+    R.create ~probe:(Bftmetrics.Probe.create ()) (Engine.create ())
+      { R.n = 4; f = 1; replica_id = 2 }
+      {
+        R.broadcast = (function R.Commit { seq = 1; _ } -> incr commits | _ -> ());
+        deliver = (fun _ _ -> ());
+      }
+  in
+  R.submit r request;
+  let id = function Proposer -> 1 | Backup k -> [| 0; 3 |].(k) in
+  let digest = function
+    | Batch -> Pbftcore.Messages.batch_digest [ request ]
+    | Other -> other_digest
+  in
+  let feed = function
+    | Pre_prepare -> R.receive r ~from:1 (R.Pre_prepare { seq = 1; descs = [ request ]; attempt = 0 })
+    | Prepare (who, d) -> R.receive r ~from:(id who) (R.Prepare { seq = 1; digest = digest d; attempt = 0 })
+    | Commit (who, d) -> R.receive r ~from:(id who) (R.Commit { seq = 1; digest = digest d; attempt = 0 })
+  in
+  { feed; commits_sent = (fun () -> !commits); delivered = (fun () -> R.ordered_count r) }
+
+(* Prime: view 0, primary 0, which pre-ordered the request. Node 2 is
+   not started, so it runs no timers; the other nodes only count the
+   COMMITs it sends them. *)
+let prime_rig () =
+  let module N = Prime.Node in
+  let engine = Engine.create ~seed:1L () in
+  let net =
+    Bftnet.Network.create ~probe:(Bftmetrics.Probe.create ()) engine
+      (Bftnet.Network.default_config ~nodes:4)
+  in
+  let node = N.create engine net (N.default_config ~f:1) ~id:2 ~service:(Bftapp.Null_service.create ()) in
+  let commits = ref 0 in
+  List.iter
+    (fun peer ->
+      Bftnet.Network.register_node net peer (fun d ->
+          match d.Bftnet.Network.payload with N.Commit _ -> incr commits | _ -> ()))
+    [ 0; 1; 3 ];
+  let send src m =
+    Bftnet.Network.send net ~src:(Bftcrypto.Principal.node src) ~dst:(Bftcrypto.Principal.node 2)
+      ~size:64 m;
+    Engine.run engine
+  in
+  send 0 (N.Po_request { desc = request; po_seq = 1 });
+  let id = function Proposer -> 0 | Backup k -> [| 1; 3 |].(k) in
+  (* Prime's vector digest: view, seq and the vector. *)
+  let digest = function
+    | Batch -> Bftcrypto.Sha256.digest_string "0:1,1,0,0,0"
+    | Other -> other_digest
+  in
+  let feed = function
+    | Pre_prepare -> send 0 (N.Pre_prepare { view = 0; seq = 1; vector = [| 1; 0; 0; 0 |] })
+    | Prepare (who, d) -> send (id who) (N.Prepare { view = 0; seq = 1; digest = digest d })
+    | Commit (who, d) -> send (id who) (N.Commit { view = 0; seq = 1; digest = digest d })
+  in
+  { feed; commits_sent = (fun () -> !commits); delivered = (fun () -> N.executed_count node) }
+
+let slot_test make (c : slot_case) () =
+  let rig = make () in
+  List.iter rig.feed c.steps;
+  (* Prime sends its COMMIT to each of the three peers. *)
+  Alcotest.(check bool) "prepared" c.prepared (rig.commits_sent () > 0);
+  Alcotest.(check int) "delivered" (if c.delivered then 1 else 0) (rig.delivered ())
+
+let slot_suite =
+  List.concat_map
+    (fun (stack, make) ->
+      List.map
+        (fun c -> Alcotest.test_case (stack ^ ": " ^ c.name) `Quick (slot_test make c))
+        slot_cases)
+    [ ("pbft", pbft_rig); ("spinning", spinning_rig); ("prime", prime_rig) ]
 
 (* ------------------------------------------------------------------ *)
 (* Same-seed pins                                                     *)
@@ -215,6 +380,7 @@ let suites =
   [
     ( "stacks.client-core",
       [ Alcotest.test_case "reply quorum" `Quick test_reply_quorum ] );
+    ("stacks.slot", slot_suite);
     ( "stacks.pin",
       [
         Alcotest.test_case "rbft same-seed ledger" `Quick test_pin_rbft;
