@@ -185,8 +185,7 @@ let micro_benchmarks () =
                  Some
                    (Pbftcore.Replica.create ~probe e cfg
                       {
-                        Pbftcore.Replica.send;
-                        broadcast;
+                        Pbftcore.Replica.broadcast;
                         deliver =
                           (fun _ descs -> delivered := !delivered + List.length descs);
                         on_view_change = (fun _ -> ());

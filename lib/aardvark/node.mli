@@ -45,9 +45,6 @@ val batch_size : int
 val batch_delay : Time.t
 (** 1 ms: how long the primary waits to fill a batch. *)
 
-val exec_cost : Time.t
-(** 1 us: the least virtual execution cost of one request. *)
-
 val body_copy_factor : float
 (** 6.0: how many times the prototype touches full request bodies on
     the ordering path; calibrated so the 4 kB peak matches the paper's
@@ -75,9 +72,6 @@ val faults : t -> faults
 val replica : t -> Pbftcore.Replica.t
 val policy : t -> Policy.t
 val ledger : t -> Pbftcore.Ledger.t
-val executed_count : t -> int
-val executed_counter : t -> Bftmetrics.Throughput.t
-val execution_digest : t -> string
 val view_changes : t -> int
 
 val set_clock_factor : t -> float -> unit

@@ -1,8 +1,8 @@
 open Dessim
 open Bftcrypto
 open Bftnet
-open Bftapp
 open Pbftcore.Types
+module Node_core = Pbftcore.Node_core
 module Probe = Bftmetrics.Probe
 module Event = Bftmetrics.Event
 module Tag = Bftmetrics.Tag
@@ -63,13 +63,8 @@ type request_state = {
 }
 
 type t = {
-  engine : Engine.t;
-  clock : Clock.t;  (* local periodic timers; skewable by the chaos engine *)
-  net : Messages.t Network.t;
-  probe : Probe.t;
+  core : Messages.t Pbftcore.Node_core.t;
   params : Params.t;
-  id : int;
-  service : Service.t;
   (* Module threads (Figure 6), each on its own core. *)
   verification : Resource.t;
   propagation : Resource.t;
@@ -86,11 +81,9 @@ type t = {
   faults : faults;
   monitoring : Monitoring.t;
   requests : request_state Request_id_table.t;
-  executed : Replycache.t;  (* last-window results per client, for re-replies *)
   (* Footprint over [requests], noted on insertion so peaks are exact
      between sampler ticks; bound in [create]. *)
   mutable fp_requests : Probe.footprint option;
-  ledger : Pbftcore.Ledger.t;
   mutable blacklist : int list;  (* clients *)
   (* Protocol instance change state. *)
   mutable cpi : int;
@@ -113,16 +106,16 @@ type t = {
   m : Probe.node_metrics;
 }
 
-let id t = t.id
+let id t = t.core.id
 let params t = t.params
 let faults t = t.faults
 let replica t ~instance = t.replicas.(instance)
 let monitoring t = t.monitoring
 let master_instance t = t.master_instance
-let ledger t = t.ledger
-let executed_count t = Pbftcore.Ledger.count t.ledger
-let executed_counter t = Pbftcore.Ledger.counter t.ledger
-let execution_digest t = Pbftcore.Ledger.digest t.ledger
+let ledger t = t.core.ledger
+let executed_count t = Pbftcore.Ledger.count t.core.ledger
+let executed_counter t = Pbftcore.Ledger.counter t.core.ledger
+let execution_digest t = Pbftcore.Ledger.digest t.core.ledger
 let cpi t = t.cpi
 let instance_changes t = t.instance_changes
 let is_blacklisted t ~client = List.mem client t.blacklist
@@ -142,36 +135,27 @@ let ic_vote_cpi_of t ~node =
   if node >= 0 && node < Array.length t.ic_vote_cpi then t.ic_vote_cpi.(node)
   else -1
 
-(* Chaos knobs: per-node clock drift and CPU slowdown. *)
-let set_clock_factor t k = Clock.set_factor t.clock k
-
-let set_cpu_factor t s =
-  List.iter
-    (fun r -> Resource.set_speed r s)
-    ([ t.verification; t.propagation; t.dispatch; t.execution ]
-    @ Array.to_list t.replica_threads)
+let set_clock_factor t = Node_core.set_clock_factor t.core
+let set_cpu_factor t = Node_core.set_cpu_factor t.core
 
 let admission_inflight t = Bftflow.Admission.inflight t.admission
 let admission_shed t = Bftflow.Admission.shed_total t.admission
 
-let n_nodes t = Params.n t.params
+let n_nodes t = t.core.n
 let instance_count t = Params.instances t.params
-
-let self t = Principal.node t.id
 
 (* Audit-only events; call sites guard with [Probe.audit] so the
    disabled path allocates nothing. Node-level events that are not
    tied to one ordering instance use instance -1. *)
-let audit t ?(instance = -1) kind =
-  Probe.emit_at t.probe (Engine.now t.engine) ~node:t.id ~instance kind
+let audit t ?(instance = -1) kind = Node_core.audit t.core ~instance kind
 
 (* ------------------------------------------------------------------ *)
-(* Outbound helpers: charge the sending thread, then hit the network. *)
+(* Message sizes                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let msg_size t msg =
-  Messages.wire_size msg ~n:(n_nodes t)
-    ~order_full_requests:t.params.Params.order_full_requests
+let msg_size params msg =
+  Messages.wire_size msg ~n:(Params.n params)
+    ~order_full_requests:params.Params.order_full_requests
 
 (* CPU byte-accounting per message class:
    - client REQUESTs are copied several times on the verification path
@@ -183,8 +167,7 @@ let msg_size t msg =
    - with the order-full-requests ablation, PRE-PREPAREs carry whole
      bodies that get copied repeatedly (compare the Aardvark
      baseline); identifiers-only RBFT never pays this. *)
-let cost_bytes t msg =
-  let size = msg_size t msg in
+let cost_bytes params msg ~size =
   match msg with
   | Messages.Request { desc; _ } ->
     (* Headers and authenticators are read once; the operation body is
@@ -192,28 +175,11 @@ let cost_bytes t msg =
     size + (3 * desc.op_size)
   | Messages.Propagate _ | Messages.Propagate_batch _ -> (2 * size) / 5
   | Messages.Instance { msg = Pbftcore.Messages.Pre_prepare _; _ }
-    when t.params.Params.order_full_requests ->
+    when params.Params.order_full_requests ->
     6 * size
   | Messages.Instance _ | Messages.Instance_change _ | Messages.Reply _
   | Messages.Busy _ ->
     size
-
-let send_from ?(span = -1) ?span_tag t thread ~dst msg =
-  let size = msg_size t msg in
-  Resource.charge thread (Costmodel.send ~bytes:(cost_bytes t msg));
-  Network.send ~span ?span_tag t.net ~src:(self t) ~dst ~size msg
-
-let broadcast_nodes_from ?(span = -1) t thread msg =
-  let size = msg_size t msg in
-  (* One MAC authenticator covers all destinations. *)
-  Resource.charge thread
-    (Costmodel.authenticator_gen t.probe ~bytes:size ~count:(n_nodes t));
-  for dst = 0 to n_nodes t - 1 do
-    if dst <> t.id then begin
-      Resource.charge thread (Costmodel.send ~bytes:(cost_bytes t msg));
-      Network.send ~span t.net ~src:(self t) ~dst:(Principal.node dst) ~size msg
-    end
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Request tracking                                                   *)
@@ -225,7 +191,7 @@ let request_state t rid =
   | None ->
     let state =
       {
-        first_seen = Engine.now t.engine;
+        first_seen = Engine.now t.core.engine;
         req = None;
         senders = Pbftcore.Voteset.create ~n:(n_nodes t);
         propagated = false;
@@ -237,7 +203,7 @@ let request_state t rid =
       }
     in
     Request_id_table.add t.requests rid state;
-    (match t.fp_requests with Some fp -> Probe.note t.probe fp | None -> ());
+    (match t.fp_requests with Some fp -> Probe.note t.core.probe fp | None -> ());
     state
 
 (* ------------------------------------------------------------------ *)
@@ -248,9 +214,9 @@ let dispatch_request t ~span (req : Messages.request) =
   let state = request_state t req.desc.id in
   if not state.dispatched then begin
     state.dispatched <- true;
-    state.dispatch_time <- Engine.now t.engine;
-    Probe.request_dispatched t.probe t.m state.dispatch_time ~client:req.desc.id.client
-      ~rid:req.desc.id.rid ~first_seen:state.first_seen;
+    state.dispatch_time <- Engine.now t.core.engine;
+    Probe.request_dispatched t.core.probe t.m state.dispatch_time
+      ~client:req.desc.id.client ~rid:req.desc.id.rid ~first_seen:state.first_seen;
     (* Concurrent ordering: count the request against its owning
        partition so monitoring can normalize observed rates by the
        offered load per instance. *)
@@ -265,7 +231,7 @@ let dispatch_request t ~span (req : Messages.request) =
       (fun i replica_thread ->
         let replica = t.replicas.(i) in
         let rspan =
-          Probe.job t.probe ~parent:span ~tag:Tag.Dispatch ~node:t.id
+          Probe.job t.core.probe ~parent:span ~tag:Tag.Dispatch ~node:t.core.id
             ~instance:i ~now:state.dispatch_time
         in
         Resource.submit ~span:rspan replica_thread ~cost:(Time.ns 200)
@@ -285,8 +251,8 @@ let maybe_dispatch t (state : request_state) =
     when state.sig_checked && (not state.dispatched)
          && Pbftcore.Voteset.count state.senders >= t.params.Params.f + 1 ->
     let dspan =
-      Probe.job t.probe ~parent:state.span ~tag:Tag.Dispatch ~node:t.id
-        ~instance:(-1) ~now:(Engine.now t.engine)
+      Probe.job t.core.probe ~parent:state.span ~tag:Tag.Dispatch ~node:t.core.id
+        ~instance:(-1) ~now:(Engine.now t.core.engine)
     in
     Resource.submit ~span:dspan t.dispatch ~cost:(Time.ns 200) (fun () ->
         dispatch_request t ~span:dspan r)
@@ -307,7 +273,7 @@ let flush_prop t rcc owner =
     let reqs = List.rev rcc.prop_buf.(owner) in
     rcc.prop_buf.(owner) <- [];
     rcc.prop_len.(owner) <- 0;
-    broadcast_nodes_from t t.replica_threads.(owner)
+    Node_core.broadcast t.core t.replica_threads.(owner)
       (Messages.Propagate_batch { reqs; owner })
   end
 
@@ -323,7 +289,7 @@ let buffer_propagate t rcc (req : Messages.request) =
   else if not rcc.prop_timer.(owner) then begin
     rcc.prop_timer.(owner) <- true;
     ignore
-      (Clock.after t.clock Params.propagate_batch_delay (fun () ->
+      (Clock.after t.core.clock Params.propagate_batch_delay (fun () ->
            rcc.prop_timer.(owner) <- false;
            Resource.submit t.replica_threads.(owner) ~cost:(Time.ns 200)
              (fun () -> flush_prop t rcc owner)))
@@ -334,18 +300,18 @@ let propagate_request t (req : Messages.request) =
   if not state.propagated then begin
     state.propagated <- true;
     if not t.faults.no_propagate then begin
-      if Probe.audit t.probe then
+      if Probe.audit t.core.probe then
         audit t
           (Event.Request_propagated
              { client = req.desc.id.client; rid = req.desc.id.rid });
       match t.rcc with
       | Some rcc -> buffer_propagate t rcc req
       | None ->
-        broadcast_nodes_from ~span:state.span t t.propagation
+        Node_core.broadcast ~span:state.span t.core t.propagation
           (Messages.Propagate { req; junk = false })
     end
   end;
-  note_sender t state t.id (Some req)
+  note_sender t state t.core.id (Some req)
 
 (* ------------------------------------------------------------------ *)
 (* Flood defence                                                      *)
@@ -356,11 +322,14 @@ let note_invalid_from t peer =
     t.invalid_counts.(peer) <- t.invalid_counts.(peer) + 1;
     if t.invalid_counts.(peer) > Params.flood_threshold then begin
       t.invalid_counts.(peer) <- 0;
-      if Probe.audit t.probe then
+      if Probe.audit t.core.probe then
         audit t
           (Event.Nic_closed
-             { peer; until = Time.add (Engine.now t.engine) Params.flood_close_time });
-      Network.close_nic t.net ~node:t.id ~peer:(Principal.node peer)
+             {
+               peer;
+               until = Time.add (Engine.now t.core.engine) Params.flood_close_time;
+             });
+      Network.close_nic t.core.net ~node:t.core.id ~peer:(Principal.node peer)
         ~for_:Params.flood_close_time
     end
   end
@@ -369,17 +338,12 @@ let note_invalid_from t peer =
 (* Verification module (step 1)                                       *)
 (* ------------------------------------------------------------------ *)
 
-let reply_to ?(span = -1) t (id : request_id) result =
-  send_from ~span ~span_tag:Tag.Reply t t.execution
-    ~dst:(Principal.client id.client)
-    (Messages.Reply { id; result })
-
 (* Backpressure reply (admission gate). Charged to the propagation
    thread, not verification: the whole point of shedding is to keep the
    verification stage's cycles for admitted traffic, so the refusal
    path must not consume them generating BUSY authenticators. *)
 let busy_to t (id : request_id) retry_after =
-  send_from t t.propagation
+  Node_core.send t.core t.propagation
     ~dst:(Principal.client id.client)
     (Messages.Busy { id; retry_after })
 
@@ -411,11 +375,11 @@ let verify_signature_once t (req : Messages.request) =
     in
     let thread = match lane with Some r -> r | None -> t.verification in
     let vspan =
-      Probe.job t.probe ~parent:state.span ~tag:Tag.Crypto_verify ~node:t.id
-        ~instance:(-1) ~now:(Engine.now t.engine)
+      Probe.job t.core.probe ~parent:state.span ~tag:Tag.Crypto_verify ~node:t.core.id
+        ~instance:(-1) ~now:(Engine.now t.core.engine)
     in
     Resource.submit ~span:vspan thread
-      ~cost:(Costmodel.sig_verify t.probe ~bytes:req.desc.op_size)
+      ~cost:(Costmodel.sig_verify t.core.probe ~bytes:req.desc.op_size)
       (fun () ->
         state.sig_inflight <- false;
         if req.sig_valid then begin
@@ -427,8 +391,8 @@ let verify_signature_once t (req : Messages.request) =
             maybe_dispatch t state
           | None ->
             let pspan =
-              Probe.job t.probe ~parent:state.span ~tag:Tag.Propagate
-                ~node:t.id ~instance:(-1) ~now:(Engine.now t.engine)
+              Probe.job t.core.probe ~parent:state.span ~tag:Tag.Propagate
+                ~node:t.core.id ~instance:(-1) ~now:(Engine.now t.core.engine)
             in
             Resource.submit ~span:pspan t.propagation ~cost:(Time.ns 200)
               (fun () ->
@@ -442,7 +406,7 @@ let verify_signature_once t (req : Messages.request) =
           release_admission t req.desc.id;
           if not (List.mem req.desc.id.client t.blacklist) then begin
             (* Invalid signature: blacklist the client (Sec. IV-B, step 1). *)
-            if Probe.audit t.probe then
+            if Probe.audit t.core.probe then
               audit t (Event.Blacklisted { client = req.desc.id.client });
             t.blacklist <- req.desc.id.client :: t.blacklist
           end
@@ -457,26 +421,15 @@ let handle_client_request t ~span (req : Messages.request) =
   if t.faults.drop_client_requests then release_admission t req.desc.id
   else if List.mem req.desc.id.client t.blacklist then
     release_admission t req.desc.id
-  else if List.mem t.id req.mac_invalid_for then
+  else if List.mem t.core.id req.mac_invalid_for then
     (* The authenticator entry for this node is broken: drop. *)
     release_admission t req.desc.id
-  else if
-    Replycache.seen t.executed ~client:req.desc.id.client ~rid:req.desc.id.rid
-  then begin
-    (* Already executed: resend the reply (Section IV-B, step 1). A rid
-       old enough to have left the client's reply ring is dropped
-       silently — that client long since received its reply and moved
-       on (classic PBFT last-reply semantics). *)
-    release_admission t req.desc.id;
-    match
-      Replycache.find t.executed ~client:req.desc.id.client ~rid:req.desc.id.rid
-    with
-    | Some result -> reply_to t req.desc.id result
-    | None -> ()
-  end
+  else if Node_core.resend_reply t.core t.execution req.desc.id then
+    (* Already executed: the reply was resent (Section IV-B, step 1). *)
+    release_admission t req.desc.id
   else begin
-    Probe.request_received t.probe t.m (Engine.now t.engine) ~client:req.desc.id.client
-      ~rid:req.desc.id.rid ~size:req.desc.op_size;
+    Probe.request_received t.core.probe t.m (Engine.now t.core.engine)
+      ~client:req.desc.id.client ~rid:req.desc.id.rid ~size:req.desc.op_size;
     let state = request_state t req.desc.id in
     if state.span < 0 && span >= 0 then state.span <- span;
     if state.sig_checked then begin
@@ -505,8 +458,7 @@ let handle_propagate t ~span ~from (req : Messages.request) ~junk =
        behaviour (and model-checker fingerprints) are untouched. *)
     t.params.Params.request_gc_age > Time.zero
     && (not (Request_id_table.mem t.requests req.desc.id))
-    && Replycache.seen t.executed ~client:req.desc.id.client
-         ~rid:req.desc.id.rid
+    && Node_core.has_executed t.core req.desc.id
   then ()
   else begin
     let state = request_state t req.desc.id in
@@ -537,11 +489,11 @@ let note_ic_vote t ~from ~cpi =
   end
 
 let perform_instance_change t target_cpi =
-  Probe.instance_changed t.probe t.m (Engine.now t.engine) ~instance:t.master_instance
-    ~cpi:target_cpi ~recovery:false;
+  Probe.instance_changed t.core.probe t.m (Engine.now t.core.engine)
+    ~instance:t.master_instance ~cpi:target_cpi ~recovery:false;
   t.cpi <- target_cpi + 1;
   t.instance_changes <- t.instance_changes + 1;
-  t.last_change_at <- Engine.now t.engine;
+  t.last_change_at <- Engine.now t.core.engine;
   t.suspicious <- false;
   rebuild_ic_votes t;
   (* Concurrent ordering degrade path: Change_primaries rotates every
@@ -556,7 +508,7 @@ let perform_instance_change t target_cpi =
          rcc.degrade_target.(i) <- Pbftcore.Replica.view t.replicas.(i) + 1;
          if not rcc.degraded.(i) then begin
            rcc.degraded.(i) <- true;
-           if Probe.audit t.probe then
+           if Probe.audit t.core.probe then
              audit t ~instance:i
                (Event.Degrade_changed { instance = i; active = true })
          end)
@@ -585,11 +537,11 @@ let check_ic_quorum t =
 let send_instance_change t =
   if t.ic_sent_for < t.cpi then begin
     t.ic_sent_for <- t.cpi;
-    note_ic_vote t ~from:t.id ~cpi:t.cpi;
-    if Probe.audit t.probe then
+    note_ic_vote t ~from:t.core.id ~cpi:t.cpi;
+    if Probe.audit t.core.probe then
       audit t ~instance:t.master_instance
         (Event.Instance_change_vote { cpi = t.cpi });
-    broadcast_nodes_from t t.dispatch
+    Node_core.broadcast t.core t.dispatch
       (Messages.Instance_change { cpi = t.cpi });
     check_ic_quorum t
   end
@@ -607,34 +559,25 @@ let handle_instance_change t ~from ~cpi =
 (* ------------------------------------------------------------------ *)
 
 let execute_request t ~span (desc : request_desc) =
-  let seen () =
-    Replycache.seen t.executed ~client:desc.id.client ~rid:desc.id.rid
-  in
-  if not (seen ()) then begin
-    let cost = Time.max Params.exec_cost (t.service.Service.exec_cost desc.op) in
+  if not (Node_core.has_executed t.core desc.id) then begin
     let espan =
-      Probe.job t.probe ~parent:span ~tag:Tag.Execution ~node:t.id
-        ~instance:t.master_instance ~now:(Engine.now t.engine)
+      Probe.job t.core.probe ~parent:span ~tag:Tag.Execution ~node:t.core.id
+        ~instance:t.master_instance ~now:(Engine.now t.core.engine)
     in
-    Resource.submit ~span:espan t.execution ~cost (fun () ->
-        if not (seen ()) then begin
-          let result = t.service.Service.execute desc.op in
-          Replycache.mark t.executed ~client:desc.id.client ~rid:desc.id.rid
-            ~result;
-          Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id
-            ~instance:t.master_instance desc;
+    Resource.submit ~span:espan t.execution ~cost:(Node_core.exec_cost_of t.core desc)
+      (fun () ->
+        if not (Node_core.has_executed t.core desc.id) then begin
+          let result = Node_core.apply t.core ~instance:t.master_instance desc in
           (* The lookup only feeds the execution-latency metric. *)
-          if Probe.metrics t.probe then
-            Probe.request_executed t.probe t.m
+          if Probe.metrics t.core.probe then
+            Probe.request_executed t.core.probe t.m
               ~dispatched:
                 (match Request_id_table.find_opt t.requests desc.id with
                 | Some state when state.dispatched -> Some state.dispatch_time
                 | Some _ | None -> None)
-              (Engine.now t.engine);
+              (Engine.now t.core.engine);
           release_admission t desc.id;
-          Resource.charge t.execution
-            (Costmodel.mac_gen t.probe ~bytes:(String.length result + 16));
-          reply_to ~span:espan t desc.id result
+          Node_core.reply t.core t.execution ~span:espan desc.id result
         end)
   end
 
@@ -643,11 +586,11 @@ let execute_request t ~span (desc : request_desc) =
    order, so executing here preserves the redundant mode's safety
    argument with the merge order as the global execution order. *)
 let seq_emit t ~instance (b : seq_batch) =
-  let now = Engine.now t.engine in
+  let now = Engine.now t.core.engine in
   List.iter
     (fun ((desc : request_desc), ospan) ->
       let sspan =
-        Probe.span t.probe ~parent:ospan ~tag:Tag.Sequence ~node:t.id
+        Probe.span t.core.probe ~parent:ospan ~tag:Tag.Sequence ~node:t.core.id
           ~instance ~t0:b.sb_committed ~t1:now
       in
       execute_request t ~span:(if sspan >= 0 then sspan else ospan) desc)
@@ -656,7 +599,7 @@ let seq_emit t ~instance (b : seq_batch) =
 let on_ordered t ~instance ~seq descs =
   (* Runs on the dispatch & monitoring thread. *)
   Monitoring.note_ordered t.monitoring ~instance ~count:(List.length descs);
-  let now = Engine.now t.engine in
+  let now = Engine.now t.core.engine in
   let is_master = instance = t.master_instance in
   let pairs = ref [] in
   List.iter
@@ -665,7 +608,7 @@ let on_ordered t ~instance ~seq descs =
          instance's replica; every instance must collect its own so the
          table drains, but only the master's parents execution. *)
       let ospan =
-        if Probe.spans t.probe then
+        if Probe.spans t.core.probe then
           Pbftcore.Replica.take_span t.replicas.(instance) ~id:desc.id
         else -1
       in
@@ -674,7 +617,7 @@ let on_ordered t ~instance ~seq descs =
          let latency = Time.sub now state.dispatch_time in
          Monitoring.note_latency t.monitoring ~instance ~client:desc.id.client
            latency;
-         Probe.request_ordered t.probe t.m ~instance ~latency;
+         Probe.request_ordered t.core.probe t.m ~instance ~latency;
          (match t.latency_probe with
           | Some probe -> probe ~instance ~client:desc.id.client latency
           | None -> ());
@@ -687,7 +630,7 @@ let on_ordered t ~instance ~seq descs =
              Monitoring.omega_violation t.monitoring ~client:desc.id.client
            in
            if lambda || omega then begin
-             if Probe.audit t.probe then begin
+             if Probe.audit t.core.probe then begin
                if lambda then
                  audit t ~instance
                    (Event.Lambda_exceeded
@@ -719,7 +662,7 @@ let on_ordered t ~instance ~seq descs =
       (* The verdict averages the last 3 windows; one extra covers the
          partially-contaminated window in flight. *)
       rcc.quiet_until <- Time.add now (Time.mul_f Params.monitoring_period 4.0);
-      if Probe.audit t.probe then
+      if Probe.audit t.core.probe then
         audit t ~instance
           (Event.Degrade_changed { instance; active = false })
     end;
@@ -730,12 +673,12 @@ let on_ordered t ~instance ~seq descs =
 (* Replica hosting                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let make_replica t ~instance thread =
+let make_replica t ~instance ~hooks thread =
   let cfg =
     {
       Pbftcore.Replica.n = n_nodes t;
       f = t.params.Params.f;
-      replica_id = t.id;
+      replica_id = t.core.id;
       instance;
       primary_of_view = (fun view -> Params.primary_of t.params ~instance ~view);
       batch_size = Params.batch_size;
@@ -747,40 +690,20 @@ let make_replica t ~instance thread =
     }
   in
   let wrap msg = Messages.Instance { instance; msg } in
-  let send dst msg = send_from t thread ~dst:(Principal.node dst) (wrap msg) in
-  let broadcast msg = broadcast_nodes_from t thread (wrap msg) in
+  let broadcast msg = Node_core.broadcast t.core thread (wrap msg) in
   let deliver seq descs =
     Resource.submit t.dispatch ~cost:(Time.ns 500) (fun () ->
         on_ordered t ~instance ~seq descs)
   in
-  Pbftcore.Replica.create ~probe:t.probe ~clock:t.clock t.engine cfg
-    { Pbftcore.Replica.send; broadcast; deliver; on_view_change = (fun _ -> ()) }
+  Pbftcore.Replica.create ~probe:t.core.probe ~clock:t.core.clock ~hooks t.core.engine cfg
+    { Pbftcore.Replica.broadcast; deliver; on_view_change = (fun _ -> ()) }
 
 (* ------------------------------------------------------------------ *)
 (* Inbound routing                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let on_delivery t (d : Messages.t Network.delivery) =
-  let recv_cost = Costmodel.recv ~bytes:(cost_bytes t d.Network.payload) in
-  let mac_cost = Costmodel.mac_verify t.probe ~bytes:d.Network.size in
-  let base = Time.add recv_cost mac_cost in
-  let from = Network.src_node d in
-  let authentic =
-    (not d.Network.corrupted)
-    &&
-    match d.Network.payload with
-    | Messages.Request _ | Messages.Reply _ | Messages.Busy _ -> true
-    | Messages.Propagate _ | Messages.Propagate_batch _ | Messages.Instance _
-    | Messages.Instance_change _ ->
-      from >= 0
-  in
-  if not authentic then
-    (* Chaos-corrupted on the wire, or a node message from a client:
-       the authenticator check fails. The node still pays the
-       verification cost, and invalid traffic from a peer node feeds
-       the flood defence exactly like junk messages. *)
-    Resource.submit t.verification ~cost:base (fun () -> note_invalid_from t from)
-  else
+let on_delivery t ~from ~recv ~verify (d : Messages.t Network.delivery) =
+  let base = Time.add recv verify in
   match d.Network.payload with
   | Messages.Request req ->
     (* Admission triage ({!Bftflow.Admission}) runs at ingress, in the
@@ -804,7 +727,7 @@ let on_delivery t (d : Messages.t Network.delivery) =
       Bftflow.Admission.enabled t.admission
       && (not (Request_id_table.mem t.requests id))
       && (not (Request_id_table.mem t.admission_held id))
-      && (not (Replycache.seen t.executed ~client:id.client ~rid:id.rid))
+      && (not (Node_core.has_executed t.core id))
       && not (List.mem id.client t.blacklist)
     in
     let verdict =
@@ -818,15 +741,15 @@ let on_delivery t (d : Messages.t Network.delivery) =
      | Ok () ->
        if fresh then Request_id_table.replace t.admission_held id ();
        let vspan =
-         Probe.job t.probe ~parent:d.Network.span ~tag:Tag.Crypto_verify
-           ~node:t.id ~instance:(-1) ~now:(Engine.now t.engine)
+         Probe.job t.core.probe ~parent:d.Network.span ~tag:Tag.Crypto_verify
+           ~node:t.core.id ~instance:(-1) ~now:(Engine.now t.core.engine)
        in
        Resource.submit ~span:vspan t.verification ~cost:base (fun () ->
            handle_client_request t ~span:vspan req))
   | Messages.Propagate { req; junk } ->
     let pspan =
-      Probe.job t.probe ~parent:d.Network.span ~tag:Tag.Propagate ~node:t.id
-        ~instance:(-1) ~now:(Engine.now t.engine)
+      Probe.job t.core.probe ~parent:d.Network.span ~tag:Tag.Propagate ~node:t.core.id
+        ~instance:(-1) ~now:(Engine.now t.core.engine)
     in
     (* In concurrent mode correct nodes send PROPAGATE-BATCH, so a
        single PROPAGATE is flood/junk traffic: charge it to the
@@ -842,9 +765,9 @@ let on_delivery t (d : Messages.t Network.delivery) =
        claimed owner's lane. The partitioner re-derives the real owner
        per request, so a lying [owner] field only misdirects CPU cost,
        never partition membership. *)
-    Resource.submit t.verification ~cost:recv_cost (fun () ->
+    Resource.submit t.verification ~cost:recv (fun () ->
         if owner >= 0 && owner < instance_count t then
-          Resource.submit t.replica_threads.(owner) ~cost:mac_cost (fun () ->
+          Resource.submit t.replica_threads.(owner) ~cost:verify (fun () ->
               List.iter
                 (fun req -> handle_propagate t ~span:(-1) ~from req ~junk:false)
                 reqs))
@@ -863,7 +786,7 @@ let on_delivery t (d : Messages.t Network.delivery) =
 (* ------------------------------------------------------------------ *)
 
 let monitoring_tick t =
-  let verdict = Monitoring.tick t.monitoring ~now:(Engine.now t.engine) in
+  let verdict = Monitoring.tick t.monitoring ~now:(Engine.now t.core.engine) in
   Array.fill t.invalid_counts 0 (Array.length t.invalid_counts) 0;
   (* Request-table GC ({!Params.request_gc_age} > 0): tracking state
      for a request that was dispatched, executed and has sat past the
@@ -871,13 +794,13 @@ let monitoring_tick t =
      under population-scale load instead of O(ever-received). *)
   (let age = t.params.Params.request_gc_age in
    if age > Time.zero then begin
-     let now = Engine.now t.engine in
+     let now = Engine.now t.core.engine in
      let stale =
        Request_id_table.fold
          (fun id rs acc ->
            if
              rs.dispatched
-             && Replycache.seen t.executed ~client:id.client ~rid:id.rid
+             && Node_core.has_executed t.core id
              && Time.sub now rs.first_seen >= age
            then id :: acc
            else acc)
@@ -885,8 +808,9 @@ let monitoring_tick t =
      in
      List.iter (fun id -> Request_id_table.remove t.requests id) stale
    end);
-  Probe.monitor_verdict t.probe t.m (Engine.now t.engine) ~instance:t.master_instance
-    ~master_rate:verdict.Monitoring.master_rate ~backup_rate:verdict.Monitoring.backup_rate
+  Probe.monitor_verdict t.core.probe t.m (Engine.now t.core.engine)
+    ~instance:t.master_instance ~master_rate:verdict.Monitoring.master_rate
+    ~backup_rate:verdict.Monitoring.backup_rate
     ~ratio:verdict.Monitoring.ratio ~delta:t.params.Params.delta
     ~suspicious:verdict.Monitoring.suspicious;
   (* Concurrent ordering: while any partition is degraded (and until
@@ -900,7 +824,7 @@ let monitoring_tick t =
     | None -> false
     | Some rcc ->
       Array.exists Fun.id rcc.degraded
-      || Engine.now t.engine < rcc.quiet_until
+      || Engine.now t.core.engine < rcc.quiet_until
   in
   t.suspicious <- verdict.Monitoring.suspicious && not delta_muted;
   if t.suspicious then begin
@@ -917,9 +841,9 @@ let monitoring_tick t =
   match t.rcc with
   | None -> ()
   | Some rcc ->
-    let now = Engine.now t.engine in
+    let now = Engine.now t.core.engine in
     let stall = Bftrcc.Sequencer.stall rcc.sequencer ~now in
-    if Probe.audit t.probe then begin
+    if Probe.audit t.core.probe then begin
       let st = Bftrcc.Sequencer.stats rcc.sequencer in
       let waiting_on, age =
         match stall with Some (i, a) -> (i, a) | None -> (-1, Time.zero)
@@ -937,7 +861,7 @@ let monitoring_tick t =
 
 let rec arm_monitoring t =
   ignore
-    (Clock.after t.clock Params.monitoring_period (fun () ->
+    (Clock.after t.core.clock Params.monitoring_period (fun () ->
          Resource.submit t.dispatch ~cost:(Time.us 2) (fun () -> monitoring_tick t);
          arm_monitoring t))
 
@@ -969,13 +893,13 @@ let start_flooding t =
       if rate > 0.0 then Time.of_sec_f (1.0 /. rate) else Time.ms 10
     in
     ignore
-      (Clock.after t.clock period (fun () ->
+      (Clock.after t.core.clock period (fun () ->
            if t.faults.flood_rate > 0.0 then
              List.iter
                (fun target ->
                  let msg = junk_msg target in
-                 let size = msg_size t msg in
-                 Network.send t.net ~src:(self t) ~dst:(Principal.node target)
+                 let size = msg_size t.params msg in
+                 Network.send t.core.net ~src:t.core.self ~dst:(Principal.node target)
                    ~size msg)
                t.faults.flood_targets;
            loop ()))
@@ -984,27 +908,33 @@ let start_flooding t =
 
 let create engine net params ~id ~service =
   let reg = Probe.registry (Network.probe net) in
-  let mk name = Resource.create engine ~name:(Printf.sprintf "n%d.%s" id name) in
   let instances = Params.instances params in
+  let core =
+    Node_core.create engine net ~id ~n:(Params.n params) ~service
+      ~name:(Printf.sprintf "n%d" id) ~size:(msg_size params)
+      ~cost_bytes:(cost_bytes params) ~scheme:Node_core.Mac ~authenticate_replies:true
+      ~node_only:(function
+        | Messages.Request _ | Messages.Reply _ | Messages.Busy _ -> false
+        | Messages.Propagate _ | Messages.Propagate_batch _ | Messages.Instance _
+        | Messages.Instance_change _ ->
+          true)
+      ~reply:(fun id result -> Messages.Reply { id; result })
+  in
   let t =
     {
-      engine;
-      clock = Clock.create engine;
-      net;
-      probe = Network.probe net;
+      core;
       params;
-      id;
-      service;
-      verification = mk "verification";
-      propagation = mk "propagation";
-      dispatch = mk "dispatch";
-      execution = mk "execution";
+      verification = Node_core.thread core "verification";
+      propagation = Node_core.thread core "propagation";
+      dispatch = Node_core.thread core "dispatch";
+      execution = Node_core.thread core "execution";
       admission_held = Request_id_table.create 256;
       admission =
         Bftflow.Admission.create ~budget:params.Params.admission_budget
           ~retry_base:params.Params.busy_retry_base;
       replica_threads =
-        Array.init instances (fun i -> mk (Printf.sprintf "replica%d" i));
+        Array.init instances (fun i ->
+            Node_core.thread core (Printf.sprintf "replica%d" i));
       replicas = [||];
       faults =
         {
@@ -1016,9 +946,7 @@ let create engine net params ~id ~service =
         };
       monitoring = Monitoring.create params;
       requests = Request_id_table.create 4096;
-      executed = Replycache.create ~window:Params.reply_cache_window ();
       fp_requests = None;
-      ledger = Pbftcore.Ledger.create (Network.probe net);
       blacklist = [];
       cpi = 0;
       suspicious = false;
@@ -1035,52 +963,76 @@ let create engine net params ~id ~service =
       m = Probe.node_metrics (Network.probe net) ~node:id ~instances;
     }
   in
-  t.replicas <-
-    Array.init instances (fun i -> make_replica t ~instance:i t.replica_threads.(i));
   (match params.Params.ordering with
    | Params.Redundant -> ()
    | Params.Concurrent ->
-     let partitioner = Bftrcc.Partitioner.create ~instances in
-     let sequencer =
-       Bftrcc.Sequencer.create ~instances ~emit:(fun ~instance ~seq:_ b ->
-           seq_emit t ~instance b)
-     in
      t.rcc <-
        Some
          {
-           partitioner;
-           sequencer;
+           partitioner = Bftrcc.Partitioner.create ~instances;
+           sequencer =
+             Bftrcc.Sequencer.create ~instances ~emit:(fun ~instance ~seq:_ b ->
+                 seq_emit t ~instance b);
            degraded = Array.make instances false;
            degrade_target = Array.make instances 0;
            quiet_until = Time.zero;
            prop_buf = Array.make instances [];
            prop_len = Array.make instances 0;
            prop_timer = Array.make instances false;
-         };
-     (* Each replica proposes only its own partition (plus any degraded
-        ones), and keeps its stream flowing with no-op heartbeats when
-        its partition is idle, so the round-robin merge never waits on
-        a healthy instance. The heartbeat is gated on the local merge
-        backlog: an idle stream must not run ahead of a loaded one, or
-        its own later real batches queue behind the accumulated no-ops
-        and the light partition's latency grows without bound. *)
-     Array.iteri
-       (fun i r ->
-         Pbftcore.Replica.set_batch_filter r
-           (Some
-              (fun (desc : request_desc) ->
-                let owner =
-                  Bftrcc.Partitioner.owner partitioner ~client:desc.id.client
-                in
-                owner = i
-                ||
-                match t.rcc with
-                | Some rcc -> rcc.degraded.(owner)
-                | None -> false));
-         Pbftcore.Replica.set_noop_gate r
-           (Some (fun () -> Bftrcc.Sequencer.backlog sequencer ~instance:i = 0));
-         Pbftcore.Replica.set_noop_interval r Params.noop_interval)
-       t.replicas;
+         });
+  (* Adaptive batching ({!Bftflow.Batcher}): each replica's flush asks
+     a planner seeded with the static config point and probing the
+     stage that actually backs up — the verification thread feeding
+     the pipeline, plus the replica's own lane. *)
+  let planner =
+    if params.Params.adaptive_batching then
+      Some
+        (Bftflow.Batcher.make ~batch_size:Params.batch_size
+           ~batch_delay:params.Params.batch_delay ())
+    else None
+  in
+  let hooks i =
+    let lane = t.replica_threads.(i) in
+    let batch_tuner =
+      Option.map
+        (fun planner () ->
+          let backlog =
+            Time.max (Resource.backlog t.verification) (Resource.backlog lane)
+          in
+          let depth = Resource.depth t.verification + Resource.depth lane in
+          Bftflow.Batcher.plan planner ~backlog ~depth)
+        planner
+    in
+    match t.rcc with
+    | None -> { Pbftcore.Replica.no_hooks with batch_tuner }
+    | Some rcc ->
+      (* Each replica proposes only its own partition (plus any degraded
+         ones), and keeps its stream flowing with no-op heartbeats when
+         its partition is idle, so the round-robin merge never waits on
+         a healthy instance. The heartbeat is gated on the local merge
+         backlog: an idle stream must not run ahead of a loaded one, or
+         its own later real batches queue behind the accumulated no-ops
+         and the light partition's latency grows without bound. *)
+      {
+        Pbftcore.Replica.batch_filter =
+          Some
+            (fun (desc : request_desc) ->
+              let owner =
+                Bftrcc.Partitioner.owner rcc.partitioner ~client:desc.id.client
+              in
+              owner = i || rcc.degraded.(owner));
+        batch_tuner;
+        noop_interval = Params.noop_interval;
+        noop_gate =
+          Some (fun () -> Bftrcc.Sequencer.backlog rcc.sequencer ~instance:i = 0);
+      }
+  in
+  t.replicas <-
+    Array.init instances (fun i ->
+        make_replica t ~instance:i ~hooks:(hooks i) t.replica_threads.(i));
+  (match t.rcc with
+   | None -> ()
+   | Some { sequencer; _ } ->
      Registry.gauge_fn reg
        "bft_seq_pending_batches"
        ~help:"Committed batches queued behind the merge head-of-line"
@@ -1096,32 +1048,6 @@ let create engine net params ~id ~service =
          match Bftrcc.Sequencer.stall sequencer ~now:(Engine.now engine) with
          | Some (_, age) -> Time.to_sec_f age
          | None -> 0.0));
-  (* Adaptive batching ({!Bftflow.Batcher}): each replica's flush asks
-     a planner seeded with the static config point and probing the
-     stage that actually backs up — the verification thread feeding
-     the pipeline, plus the replica's own lane. *)
-  if params.Params.adaptive_batching then begin
-    let planner =
-      Bftflow.Batcher.make ~batch_size:Params.batch_size
-        ~batch_delay:params.Params.batch_delay ()
-    in
-    Array.iteri
-      (fun i r ->
-        let lane = t.replica_threads.(i) in
-        Pbftcore.Replica.set_batch_tuner r
-          (Some
-             (fun () ->
-               let backlog =
-                 Time.max
-                   (Resource.backlog t.verification)
-                   (Resource.backlog lane)
-               in
-               let depth =
-                 Resource.depth t.verification + Resource.depth lane
-               in
-               Bftflow.Batcher.plan planner ~backlog ~depth)))
-      t.replicas
-  end;
   if Bftflow.Admission.enabled t.admission then begin
     Registry.gauge_fn reg
       "bft_admission_inflight"
@@ -1164,27 +1090,32 @@ let create engine net params ~id ~service =
   (let owner = Printf.sprintf "node-%d" id in
    t.fp_requests <-
      Some
-       (Probe.footprint t.probe ~owner ~name:"node.requests"
+       (Probe.footprint t.core.probe ~owner ~name:"node.requests"
           ~entries:(fun () -> Request_id_table.length t.requests)
           ~root:(fun () -> Some (Obj.repr t.requests))
           ());
    ignore
-     (Probe.footprint t.probe ~owner ~name:"node.reply_cache"
-        ~entries:(fun () -> Replycache.clients t.executed)
-        ~root:(fun () -> Some (Obj.repr t.executed))
+     (Probe.footprint t.core.probe ~owner ~name:"node.reply_cache"
+        ~entries:(fun () -> Pbftcore.Replycache.clients t.core.executed)
+        ~root:(fun () -> Some (Obj.repr t.core.executed))
         ());
    ignore
-     (Probe.footprint t.probe ~owner ~name:"node.admission_held"
+     (Probe.footprint t.core.probe ~owner ~name:"node.admission_held"
         ~entries:(fun () -> Request_id_table.length t.admission_held)
         ~root:(fun () -> Some (Obj.repr t.admission_held))
         ());
-   Monitoring.register_probes t.monitoring t.probe ~owner;
+   Monitoring.register_probes t.monitoring t.core.probe ~owner;
    Array.iteri
      (fun i r ->
        Pbftcore.Replica.register_probes r
          ~owner:(Printf.sprintf "%s/i%d" owner i))
      t.replicas);
-  Network.register_node net id (fun d -> on_delivery t d);
+  (* Chaos-corrupted on the wire, or a node message from a client: the
+     authenticator check fails. The node still pays the verification
+     cost, and invalid traffic from a peer node feeds the flood defence
+     exactly like junk messages. *)
+  Node_core.listen core ~forged_on:t.verification ~on_forged:(note_invalid_from t)
+    (on_delivery t);
   t
 
 let set_latency_probe t probe = t.latency_probe <- Some probe
@@ -1211,7 +1142,7 @@ let mc_fingerprint t =
       let h = Sha256.to_hex s in
       if String.length h > 12 then String.sub h 0 12 else h
   in
-  add "n%d cpi=%d mi=%d susp=%b sent=%d chg=%d;" t.id t.cpi t.master_instance
+  add "n%d cpi=%d mi=%d susp=%b sent=%d chg=%d;" t.core.id t.cpi t.master_instance
     t.suspicious t.ic_sent_for t.instance_changes;
   add "icv=%s #%d;"
     (String.concat ","
@@ -1241,9 +1172,9 @@ let mc_fingerprint t =
               (List.map string_of_int (Pbftcore.Voteset.to_list rs.senders)))
            rs.propagated rs.sig_checked rs.sig_inflight rs.dispatched
            (rs.req <> None));
-  Replycache.fold_ids
+  Pbftcore.Replycache.fold_ids
     (fun ~client ~rid acc -> { client; rid } :: acc)
-    t.executed []
+    t.core.executed []
   |> List.sort compare_request_id
   |> List.iter (fun id -> add "x%d/%d;" id.client id.rid);
   Array.iteri

@@ -50,8 +50,6 @@ let checkpoint_interval = 128
 let watermark_window = 1024
 let flood_threshold = 64
 let flood_close_time = Time.ms 500
-let exec_cost = Time.us 1
-let reply_cache_window = 4
 let noop_interval = Time.ms 1
 let propagate_batch = 16
 let propagate_batch_delay = Time.us 300

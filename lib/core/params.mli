@@ -122,17 +122,6 @@ val flood_threshold : int
 val flood_close_time : Time.t
 (** 500 ms: how long a flooding peer's NIC stays closed. *)
 
-val exec_cost : Time.t
-(** 1 µs: the least virtual execution cost of one request; a service
-    may charge more per operation. *)
-
-val reply_cache_window : int
-(** 4: replies remembered per client ({!Replycache}), the last
-    [window] (rid, result) pairs. Per-connection FIFO delivery makes
-    per-client execution in-order, so a small window gives exact
-    duplicate suppression at O(clients) memory instead of O(total
-    requests ever executed). *)
-
 val noop_interval : Time.t
 (** 1 ms, concurrent mode only: an idle primary orders an empty no-op
     heartbeat batch after this long without a pre-prepare, so the

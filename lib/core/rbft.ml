@@ -12,7 +12,6 @@
 module Params = Params
 module Messages = Messages
 module Monitoring = Monitoring
-module Replycache = Replycache
 module Node = Node
 module Client = Client
 module Cluster = Cluster

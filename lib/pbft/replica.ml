@@ -33,7 +33,6 @@ let default_config ~n ~f ~replica_id =
   }
 
 type callbacks = {
-  send : int -> Messages.t -> unit;
   broadcast : Messages.t -> unit;
   deliver : seqno -> request_desc list -> unit;
   on_view_change : view -> unit;
@@ -50,6 +49,13 @@ type entry = {
   mutable pp : Messages.pre_prepare option;
   mutable pp_view : view;
   slot : Slot.t;  (* digest, votes, phase flags and stamps *)
+}
+
+type hooks = {
+  batch_filter : (request_desc -> bool) option;
+  batch_tuner : (unit -> int * Time.t) option;
+  noop_interval : Time.t;
+  noop_gate : (unit -> bool) option;
 }
 
 type t = {
@@ -73,28 +79,7 @@ type t = {
   mutable pending_batch : request_desc list;  (* primary: reversed accumulation *)
   mutable pending_len : int;  (* length of [pending_batch], kept in step *)
   mutable batch_timer : Engine.timer option;
-  (* Concurrent (bftrcc) mode: a primary only proposes requests the
-     filter admits (its own partition, plus degraded partitions). The
-     filter is a node-owned closure so degrade-path changes apply
-     without reconfiguring the replica. *)
-  mutable batch_filter : (request_desc -> bool) option;
-  (* Concurrent mode: an idle primary orders an empty no-op heartbeat
-     batch after this long without a pre-prepare, keeping the global
-     round-robin merge flowing. [Time.zero] (the default) disables the
-     heartbeat entirely — no timer is ever armed. *)
-  mutable noop_interval : Time.t;
-  (* Pacing brake for the heartbeat: when the gate returns false the
-     idle primary holds its no-op. The hosting node points this at its
-     merge sequencer so a stream already ahead of the round-robin
-     cursor stops inflating the queue every later real batch of the
-     stream would have to sit behind. *)
-  mutable noop_gate : (unit -> bool) option;
-  (* Adaptive batching ({!Bftflow.Batcher}): when set, each flush asks
-     the tuner for the (batch size, flush delay) to use instead of the
-     static config values. Node-owned closure, like [batch_filter], so
-     the policy can probe node-level resources the replica never sees.
-     Timing-only: deliberately absent from [fingerprint]. *)
-  mutable batch_tuner : (unit -> int * Time.t) option;
+  hooks : hooks;  (* the hosting node's batching policy; see replica.mli *)
   mutable last_pp_at : Time.t;
   mutable next_seq : seqno;  (* primary: next seq to assign *)
   mutable next_deliver : seqno;
@@ -122,50 +107,6 @@ type t = {
   probe : Probe.t;
   m : Probe.replica_metrics;
 }
-
-let create ~probe ?clock engine cfg cb =
-  {
-    engine;
-    clock = (match clock with Some c -> c | None -> Clock.create engine);
-    cfg;
-    cb;
-    adv =
-      {
-        silent = false;
-        pp_extra_delay = (fun () -> Time.zero);
-        pp_rate_limit = (fun () -> 0.0);
-        client_hold = (fun _ -> Time.zero);
-      };
-    view = 0;
-    in_vc = false;
-    vc_target = 0;
-    vc_completed = 0;
-    entries = Hashtbl.create 512;
-    known = Request_id_table.create 1024;
-    delivered_ids = Request_id_table.create 4096;
-    pending_batch = [];
-    pending_len = 0;
-    batch_timer = None;
-    batch_filter = None;
-    batch_tuner = None;
-    noop_interval = Time.zero;
-    noop_gate = None;
-    last_pp_at = Time.zero;
-    next_seq = 1;
-    next_deliver = 1;
-    last_stable = 0;
-    chain_digest = "genesis";
-    checkpoints = Hashtbl.create 16;
-    vc_votes = Hashtbl.create 8;
-    vc_proofs = Hashtbl.create 8;
-    ordered_count = 0;
-    state_transfers = 0;
-    pp_release = Time.zero;
-    waiting_pps = [];
-    spans = Slot.Spans.create ();
-    probe;
-    m = Probe.replica_metrics probe ~node:cfg.replica_id ~instance:cfg.instance;
-  }
 
 let config t = t.cfg
 let adversary t = t.adv
@@ -363,7 +304,7 @@ let record_pp t (pp : Messages.pre_prepare) =
 (* Effective (batch size, flush delay) for the next flush: the static
    config values, or the tuner's live plan when one is installed. *)
 let batch_plan t =
-  match t.batch_tuner with
+  match t.hooks.batch_tuner with
   | None -> (t.cfg.batch_size, t.cfg.batch_delay)
   | Some tune ->
     let size, delay = tune () in
@@ -452,7 +393,7 @@ let maybe_batch t =
   end
 
 let admits t desc =
-  match t.batch_filter with None -> true | Some f -> f desc
+  match t.hooks.batch_filter with None -> true | Some f -> f desc
 
 let enqueue_for_batching t desc =
   if (not (Request_id_table.mem t.delivered_ids desc.id)) && admits t desc
@@ -485,24 +426,61 @@ let flush_noop t =
 
 let rec arm_noop t =
   ignore
-    (Clock.after t.clock t.noop_interval (fun () ->
-         if t.noop_interval > Time.zero then begin
-           if
-             is_primary t && (not t.in_vc) && t.pending_len = 0
-             && Time.sub (Engine.now t.engine) t.last_pp_at >= t.noop_interval
-             && (match t.noop_gate with None -> true | Some ok -> ok ())
-           then flush_noop t;
-           arm_noop t
-         end))
+    (Clock.after t.clock t.hooks.noop_interval (fun () ->
+         if
+           is_primary t && (not t.in_vc) && t.pending_len = 0
+           && Time.sub (Engine.now t.engine) t.last_pp_at >= t.hooks.noop_interval
+           && (match t.hooks.noop_gate with None -> true | Some ok -> ok ())
+         then flush_noop t;
+         arm_noop t))
 
-let set_noop_interval t interval =
-  let was = t.noop_interval in
-  t.noop_interval <- interval;
-  if was = Time.zero && interval > Time.zero then arm_noop t
+let no_hooks =
+  { batch_filter = None; batch_tuner = None; noop_interval = Time.zero; noop_gate = None }
 
-let set_noop_gate t g = t.noop_gate <- g
-let set_batch_filter t f = t.batch_filter <- f
-let set_batch_tuner t f = t.batch_tuner <- f
+let create ~probe ?clock ?(hooks = no_hooks) engine cfg cb =
+  let t =
+      {
+        engine;
+        clock = (match clock with Some c -> c | None -> Clock.create engine);
+        cfg;
+        cb;
+        adv =
+          {
+            silent = false;
+            pp_extra_delay = (fun () -> Time.zero);
+            pp_rate_limit = (fun () -> 0.0);
+            client_hold = (fun _ -> Time.zero);
+          };
+        view = 0;
+        in_vc = false;
+        vc_target = 0;
+        vc_completed = 0;
+        entries = Hashtbl.create 512;
+        known = Request_id_table.create 1024;
+        delivered_ids = Request_id_table.create 4096;
+        pending_batch = [];
+        pending_len = 0;
+        batch_timer = None;
+        hooks;
+        last_pp_at = Time.zero;
+        next_seq = 1;
+        next_deliver = 1;
+        last_stable = 0;
+        chain_digest = "genesis";
+        checkpoints = Hashtbl.create 16;
+        vc_votes = Hashtbl.create 8;
+        vc_proofs = Hashtbl.create 8;
+        ordered_count = 0;
+        state_transfers = 0;
+        pp_release = Time.zero;
+        waiting_pps = [];
+        spans = Slot.Spans.create ();
+        probe;
+        m = Probe.replica_metrics probe ~node:cfg.replica_id ~instance:cfg.instance;
+      }
+  in
+  if hooks.noop_interval > Time.zero then arm_noop t;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Prepares and commits                                               *)

@@ -46,7 +46,6 @@ val default_config : n:int -> f:int -> replica_id:int -> config
     256, identifier ordering, primary = view mod n. *)
 
 type callbacks = {
-  send : int -> Messages.t -> unit;  (** unicast to a peer replica *)
   broadcast : Messages.t -> unit;  (** to all other replicas of the instance *)
   deliver : seqno -> request_desc list -> unit;
       (** a batch is ordered; called in strictly increasing [seqno]
@@ -72,14 +71,64 @@ type adversary = {
           becomes eligible for batching (Section VI-C3) *)
 }
 
+(** How the hosting node steers batching, fixed when the replica is
+    created. The closures are the node's, so they read node state the
+    replica never sees. *)
+type hooks = {
+  batch_filter : (request_desc -> bool) option;
+      (** Concurrent (bftrcc) ordering: which requests this replica
+          proposes when primary. A request the filter rejects is still
+          tracked in the known table (so the replica can prepare batches
+          proposed by others, and a later change of the node's state can
+          re-admit it) but is never enqueued for batching here. [None]
+          admits everything — classic redundant ordering. The node's
+          filter reads its degrade state, so fallback to redundant
+          ordering for a degraded partition needs no reconfiguration. *)
+  batch_tuner : (unit -> int * Time.t) option;
+      (** Adaptive batching: each flush decision asks the tuner for the
+          (batch size, flush delay) to use instead of the static
+          [batch_size]/[batch_delay] of the config. The node's tuner
+          reads its live load probes (stage backlogs, queue depths — see
+          {!Bftflow.Batcher}); sizes below 1 are clamped to 1. [None]
+          keeps the static configuration. The tuner affects timing and
+          batch boundaries only, never which requests are ordered. *)
+  noop_interval : Time.t;
+      (** Concurrent ordering: when primary and idle for this long,
+          order an empty no-op heartbeat batch through the normal
+          three-phase pipeline, so the deterministic round-robin merge
+          ({!Bftrcc.Sequencer}) never waits on a legitimately idle
+          partition. [Time.zero] disables the heartbeat: no timer is
+          armed. *)
+  noop_gate : (unit -> bool) option;
+      (** Concurrent ordering: pace the no-op heartbeat. An idle primary
+          consults the gate before ordering a heartbeat and holds it
+          while the gate returns [false]. The node points this at its
+          merge sequencer ({!Bftrcc.Sequencer.backlog}) so a stream
+          already running ahead of the round-robin cursor stops emitting
+          heartbeats: each one would queue behind the cursor and add a
+          full merge round of latency to every later real batch of the
+          stream. [None] never holds. *)
+}
+
+val no_hooks : hooks
+(** No filter, no tuner, no heartbeat. *)
+
 type t
 
 val create :
-  probe:Bftmetrics.Probe.t -> ?clock:Clock.t -> Engine.t -> config -> callbacks -> t
+  probe:Bftmetrics.Probe.t ->
+  ?clock:Clock.t ->
+  ?hooks:hooks ->
+  Engine.t ->
+  config ->
+  callbacks ->
+  t
 (** The replica reports its ordering events, metrics, spans and
-    footprints to [probe]. [?clock] routes the replica's local timers (the batch timer) through
-    a skewable {!Dessim.Clock}; defaults to an unskewed clock on
-    [engine]. *)
+    footprints to [probe]. [?clock] routes the replica's local timers
+    (the batch and heartbeat timers) through a skewable
+    {!Dessim.Clock}; defaults to an unskewed clock on [engine].
+    [?hooks] defaults to {!no_hooks}; a positive [noop_interval] arms
+    the heartbeat timer here. *)
 
 val config : t -> config
 val adversary : t -> adversary
@@ -93,45 +142,6 @@ val submit : ?span:int -> t -> request_desc -> unit
     on delivery the replica emits batch-wait / prepare / commit phase
     spans chained under it, and keeps the commit span id for
     {!take_span}. *)
-
-val set_batch_filter : t -> (request_desc -> bool) option -> unit
-(** Concurrent (bftrcc) ordering: restrict which requests this replica
-    proposes when primary. A request the filter rejects is still
-    tracked in the known table (so the replica can prepare batches
-    proposed by others, and a later filter change can re-admit it) but
-    is never enqueued for batching here. [None] (the default) admits
-    everything — classic redundant ordering. The node owning the
-    replica supplies a closure over its degrade state, so fallback to
-    redundant ordering for a degraded partition needs no
-    reconfiguration. *)
-
-val set_batch_tuner : t -> (unit -> int * Time.t) option -> unit
-(** Adaptive batching: when set, each flush decision asks the tuner
-    for the (batch size, flush delay) to use instead of the static
-    [batch_size]/[batch_delay] of the config. The hosting node
-    supplies a closure over its live load probes (stage backlogs,
-    queue depths — see {!Bftflow.Batcher}); sizes below 1 are clamped
-    to 1. [None] (the default) keeps the static configuration. The
-    tuner affects timing and batch boundaries only, never which
-    requests are ordered. *)
-
-val set_noop_interval : t -> Time.t -> unit
-(** Concurrent ordering: when primary and idle for this long, order an
-    empty no-op heartbeat batch through the normal three-phase
-    pipeline, so the deterministic round-robin merge
-    ({!Bftrcc.Sequencer}) never waits on a legitimately idle
-    partition. [Time.zero] (the default) disables the heartbeat; the
-    timer is armed on the first transition to a positive interval. *)
-
-val set_noop_gate : t -> (unit -> bool) option -> unit
-(** Concurrent ordering: pace the no-op heartbeat. When set, an idle
-    primary consults the gate before ordering a heartbeat and holds it
-    while the gate returns [false]. The hosting node points this at
-    its merge sequencer ({!Bftrcc.Sequencer.backlog}) so a stream
-    already running ahead of the round-robin cursor stops emitting
-    heartbeats: each one would queue behind the cursor and add a full
-    merge round of latency to every later real batch of the stream.
-    [None] (the default) never holds. *)
 
 val take_span : t -> id:request_id -> int
 (** Collects (and clears) the commit span id recorded for a delivered

@@ -3,6 +3,7 @@ open Bftcrypto
 open Bftnet
 open Bftapp
 open Pbftcore.Types
+module Node_core = Pbftcore.Node_core
 module Probe = Bftmetrics.Probe
 module Slot = Pbftcore.Slot
 
@@ -32,13 +33,8 @@ type seq_entry = {
 }
 
 type t = {
-  engine : Engine.t;
-  clock : Clock.t;  (* pp/ping loops; skewable by the chaos engine *)
-  net : msg Network.t;
-  probe : Probe.t;
+  core : msg Node_core.t;
   cfg : config;
-  id : int;
-  service : Service.t;
   main : Resource.t;  (* single protocol + execution thread *)
   monitor : Monitor.t;
   faults : faults;
@@ -54,8 +50,6 @@ type t = {
   mutable next_deliver : int;
   suspects : Pbftcore.Voteset.t;  (* replicas voting against current view *)
   mutable suspects_seen : int;
-  executed : string Request_id_table.t;
-  ledger : Pbftcore.Ledger.t;
   mutable ping_nonce : int;
   pings_inflight : (int, Time.t) Hashtbl.t;
   (* Traced requests: request id -> (parent span, arrival time). The
@@ -65,31 +59,26 @@ type t = {
   mutable started : bool;
 }
 
-let id t = t.id
+let id t = t.core.id
 let faults t = t.faults
 let monitor t = t.monitor
 let view t = t.view
-let ledger t = t.ledger
-let executed_count t = Pbftcore.Ledger.count t.ledger
-let executed_counter t = Pbftcore.Ledger.counter t.ledger
-let execution_digest t = Pbftcore.Ledger.digest t.ledger
+let ledger t = t.core.ledger
 let suspects_seen t = t.suspects_seen
+let set_clock_factor t = Node_core.set_clock_factor t.core
+let set_cpu_factor t = Node_core.set_cpu_factor t.core
 
-let set_clock_factor t k = Clock.set_factor t.clock k
-let set_cpu_factor t s = Resource.set_speed t.main s
-
-let n_nodes t = (3 * t.cfg.f) + 1
-let primary t = t.view mod n_nodes t
-let is_primary t = primary t = t.id
+let primary t = t.view mod t.core.n
+let is_primary t = primary t = t.core.id
 
 let sig_size = Keys.signature_size
 
 (* Prime clients sign their requests; there is no per-node authenticator. *)
 let request_size ~n:_ (desc : request_desc) = 16 + desc.op_size + sig_size
 
-let msg_size t m =
+let msg_size ~n m =
   match m with
-  | Request { desc; _ } -> request_size ~n:(n_nodes t) desc
+  | Request { desc; _ } -> request_size ~n desc
   | Po_request { desc; _ } -> 24 + desc.op_size + sig_size
   | Pre_prepare { vector; _ } -> 24 + (8 * Array.length vector) + sig_size
   | Prepare _ | Commit _ -> 24 + Sha256.size + sig_size
@@ -99,30 +88,15 @@ let msg_size t m =
 
 (* The PO-REQUEST dissemination copies full request bodies through
    the replica's buffers several times. *)
-let cost_bytes t m =
-  let size = msg_size t m in
+let cost_bytes m ~size =
   match m with
   | Po_request _ -> int_of_float (float_of_int size *. body_copy_factor)
   | Request _ | Pre_prepare _ | Prepare _ | Commit _ | Ping _ | Pong _
   | Suspect _ | Reply _ ->
     size
 
-let send_from ?(span = -1) ?span_tag t ~dst m =
-  let size = msg_size t m in
-  Resource.charge t.main (Costmodel.send ~bytes:(cost_bytes t m));
-  Network.send ~span ?span_tag t.net ~src:(Principal.node t.id) ~dst ~size m
-
-(* Prime signs every message. *)
-let broadcast_signed ?(span = -1) t m =
-  let size = msg_size t m in
-  Resource.charge t.main (Costmodel.sig_sign t.probe ~bytes:size);
-  for dst = 0 to n_nodes t - 1 do
-    if dst <> t.id then begin
-      Resource.charge t.main (Costmodel.send ~bytes:(cost_bytes t m));
-      Network.send ~span t.net ~src:(Principal.node t.id) ~dst:(Principal.node dst)
-        ~size m
-    end
-  done
+(* Prime signs every message it broadcasts. *)
+let broadcast t m = Node_core.broadcast t.core t.main m
 
 let vector_digest view seq vector =
   let buf = Buffer.create 64 in
@@ -140,7 +114,7 @@ let entry_for t seq =
   match Hashtbl.find_opt t.entries seq with
   | Some e -> e
   | None ->
-    let e = { vector = None; slot = Slot.create ~n:(n_nodes t) ~f:t.cfg.f } in
+    let e = { vector = None; slot = Slot.create ~n:t.core.n ~f:t.cfg.f } in
     Hashtbl.add t.entries seq e;
     e
 
@@ -175,41 +149,34 @@ let store_po t ~origin ~po_seq desc =
 (* ------------------------------------------------------------------ *)
 
 let exec_cost_of t (desc : request_desc) =
-  if desc.flagged_heavy then Time.max heavy_exec_cost (t.service.Service.exec_cost desc.op)
-  else Time.max t.cfg.exec_cost (t.service.Service.exec_cost desc.op)
-
-let audit t kind = Probe.emit_at t.probe (Engine.now t.engine) ~node:t.id ~instance:0 kind
+  Time.max
+    (if desc.flagged_heavy then heavy_exec_cost else t.cfg.exec_cost)
+    (t.core.service.Service.exec_cost desc.op)
 
 let execute_one t (desc : request_desc) =
-  if not (Request_id_table.mem t.executed desc.id) then begin
+  if not (Node_core.has_executed t.core desc.id) then begin
     let cost = exec_cost_of t desc in
     (* Execution runs inline on the main thread ([charge], not
        [submit]), so the execution span is [now, now + cost]. *)
     let espan =
-      if not (Probe.spans t.probe) then -1
+      if not (Probe.spans t.core.probe) then -1
       else
         match Request_id_table.find_opt t.span_in desc.id with
         | None -> -1
         | Some (parent, t_in) ->
           Request_id_table.remove t.span_in desc.id;
-          let now = Engine.now t.engine in
+          let now = Engine.now t.core.engine in
           let b =
-            Probe.span t.probe ~parent ~tag:Bftspan.Tag.Batch_wait ~node:t.id
+            Probe.span t.core.probe ~parent ~tag:Bftspan.Tag.Batch_wait ~node:t.core.id
               ~instance:0 ~t0:t_in ~t1:now
           in
-          Probe.span t.probe ~parent:b ~tag:Bftspan.Tag.Execution ~node:t.id ~instance:0
-            ~t0:now ~t1:(Time.add now cost)
+          Probe.span t.core.probe ~parent:b ~tag:Bftspan.Tag.Execution ~node:t.core.id
+            ~instance:0 ~t0:now ~t1:(Time.add now cost)
     in
     (* Execution happens on the main thread: heavy requests delay
        everything behind them, including pong responses. *)
     Resource.charge t.main cost;
-    let result = t.service.Service.execute desc.op in
-    Request_id_table.replace t.executed desc.id result;
-    Pbftcore.Ledger.execute t.ledger ~now:(Engine.now t.engine) ~node:t.id ~instance:0
-      desc;
-    send_from ~span:espan ~span_tag:Bftspan.Tag.Reply t
-      ~dst:(Principal.client desc.id.client)
-      (Reply { id = desc.id; result })
+    Node_core.execute t.core t.main ~span:espan desc
   end
 
 let rec try_deliver t =
@@ -222,7 +189,7 @@ let rec try_deliver t =
     in
     if ready then begin
       Slot.deliver e.slot;
-      if Probe.audit t.probe then begin
+      if Probe.audit t.core.probe then begin
         (* Digest over the summary vector alone (the agreed content):
            Prime's own [vector_digest] also covers the view, which
            would make the same seq hash differently across views and
@@ -241,7 +208,7 @@ let rec try_deliver t =
             vector;
           !c
         in
-        audit t
+        Node_core.audit t.core ~instance:0
           (Bftmetrics.Event.Ordered
              {
                seq = t.next_deliver;
@@ -273,20 +240,21 @@ let rec try_deliver t =
 (* ------------------------------------------------------------------ *)
 
 let maybe_commit t seq (e : seq_entry) =
-  if Slot.commit e.slot ~self:t.id ~now:(Engine.now t.engine) then begin
-    broadcast_signed t (Commit { view = t.view; seq; digest = e.slot.digest });
+  if Slot.commit e.slot ~self:t.core.id ~now:(Engine.now t.core.engine) then begin
+    broadcast t (Commit { view = t.view; seq; digest = e.slot.digest });
     try_deliver t
   end
 
 let accept_pp t ~from ~view ~seq vector =
   if view = t.view && from = primary t then begin
-    Monitor.note_pre_prepare t.monitor ~now:(Engine.now t.engine);
+    Monitor.note_pre_prepare t.monitor ~now:(Engine.now t.core.engine);
     let e = entry_for t seq in
     if e.vector = None then begin
       e.vector <- Some vector;
-      Slot.fix e.slot (vector_digest view seq vector) ~now:(Engine.now t.engine);
-      Slot.prepare e.slot ~self:t.id ~proposer:from;
-      if from <> t.id then broadcast_signed t (Prepare { view; seq; digest = e.slot.digest });
+      Slot.fix e.slot (vector_digest view seq vector) ~now:(Engine.now t.core.engine);
+      Slot.prepare e.slot ~self:t.core.id ~proposer:from;
+      if from <> t.core.id then
+        broadcast t (Prepare { view; seq; digest = e.slot.digest });
       maybe_commit t seq e
     end
   end
@@ -305,8 +273,8 @@ let issue_pre_prepare t =
     let vector = build_vector t in
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    broadcast_signed t (Pre_prepare { view = t.view; seq; vector });
-    accept_pp t ~from:t.id ~view:t.view ~seq vector
+    broadcast t (Pre_prepare { view = t.view; seq; vector });
+    accept_pp t ~from:t.core.id ~view:t.view ~seq vector
   end
 
 let pp_period t =
@@ -317,7 +285,7 @@ let pp_period t =
 
 let rec arm_pp_loop t =
   ignore
-    (Clock.after t.clock (pp_period t) (fun () ->
+    (Clock.after t.core.clock (pp_period t) (fun () ->
          Resource.submit t.main ~cost:(Time.us 5) (fun () ->
              issue_pre_prepare t;
              arm_pp_loop t)))
@@ -331,7 +299,7 @@ let enter_view t v =
     t.view <- v;
     Pbftcore.Voteset.clear t.suspects;
     (* Re-anchor monitoring in the new view. *)
-    Monitor.note_pre_prepare t.monitor ~now:(Engine.now t.engine);
+    Monitor.note_pre_prepare t.monitor ~now:(Engine.now t.core.engine);
     if is_primary t then t.next_seq <- Stdlib.max t.next_seq t.next_deliver
   end
 
@@ -344,10 +312,10 @@ let note_suspect t ~from ~view =
   end
 
 let check_suspicion t =
-  if (not (is_primary t)) && Monitor.suspicious t.monitor ~now:(Engine.now t.engine)
+  if (not (is_primary t)) && Monitor.suspicious t.monitor ~now:(Engine.now t.core.engine)
   then
-    if Pbftcore.Voteset.add t.suspects t.id then begin
-      broadcast_signed t (Suspect { view = t.view });
+    if Pbftcore.Voteset.add t.suspects t.core.id then begin
+      broadcast t (Suspect { view = t.view });
       if Pbftcore.Voteset.count t.suspects >= (2 * t.cfg.f) + 1 then
         enter_view t (t.view + 1)
     end
@@ -358,11 +326,11 @@ let check_suspicion t =
 
 let rec arm_ping_loop t =
   ignore
-    (Clock.after t.clock Monitor.ping_period (fun () ->
+    (Clock.after t.core.clock Monitor.ping_period (fun () ->
          Resource.submit t.main ~cost:(Time.us 2) (fun () ->
              t.ping_nonce <- t.ping_nonce + 1;
-             Hashtbl.replace t.pings_inflight t.ping_nonce (Engine.now t.engine);
-             broadcast_signed t (Ping { nonce = t.ping_nonce });
+             Hashtbl.replace t.pings_inflight t.ping_nonce (Engine.now t.core.engine);
+             broadcast t (Ping { nonce = t.ping_nonce });
              check_suspicion t;
              arm_ping_loop t)))
 
@@ -371,58 +339,39 @@ let rec arm_ping_loop t =
 (* ------------------------------------------------------------------ *)
 
 let handle_request t ~span (desc : request_desc) ~sig_valid =
-  match Request_id_table.find_opt t.executed desc.id with
-  | Some result ->
-    send_from t ~dst:(Principal.client desc.id.client) (Reply { id = desc.id; result })
-  | None ->
-    Resource.charge t.main (Costmodel.sig_verify t.probe ~bytes:desc.op_size);
+  if not (Node_core.resend_reply t.core t.main desc.id) then begin
+    Resource.charge t.main (Costmodel.sig_verify t.core.probe ~bytes:desc.op_size);
     if sig_valid then begin
       if span >= 0 && not (Request_id_table.mem t.span_in desc.id) then
-        Request_id_table.replace t.span_in desc.id (span, Engine.now t.engine);
+        Request_id_table.replace t.span_in desc.id (span, Engine.now t.core.engine);
       t.my_po_seq <- t.my_po_seq + 1;
-      store_po t ~origin:t.id ~po_seq:t.my_po_seq desc;
-      broadcast_signed ~span t (Po_request { desc; po_seq = t.my_po_seq })
+      store_po t ~origin:t.core.id ~po_seq:t.my_po_seq desc;
+      Node_core.broadcast ~span t.core t.main (Po_request { desc; po_seq = t.my_po_seq })
     end
+  end
 
-let on_delivery t (d : msg Network.delivery) =
-  let base = Costmodel.recv ~bytes:(cost_bytes t d.Network.payload) in
-  let verify = Costmodel.sig_verify t.probe ~bytes:d.Network.size in
-  let with_sig = Time.add base verify in
-  let from = Network.src_node d in
-  let authentic =
-    (not d.Network.corrupted)
-    &&
-    match d.Network.payload with
-    | Request _ | Reply _ -> true
-    | Po_request _ | Pre_prepare _ | Prepare _ | Commit _ | Ping _ | Pong _
-    | Suspect _ ->
-      from >= 0
-  in
-  if not authentic then
-    (* Failed signature check, or replica traffic from a client: pay
-       the verification cost, then drop. *)
-    Resource.submit t.main ~cost:with_sig (fun () -> ())
-  else
+let on_delivery t ~from ~recv ~verify (d : msg Network.delivery) =
+  let with_sig = Time.add recv verify in
   match d.Network.payload with
   | Request { desc; sig_valid } ->
     let vspan =
-      Probe.job t.probe ~parent:d.Network.span ~tag:Bftspan.Tag.Crypto_verify ~node:t.id
-        ~instance:0 ~now:(Engine.now t.engine)
+      Probe.job t.core.probe ~parent:d.Network.span ~tag:Bftspan.Tag.Crypto_verify
+        ~node:t.core.id ~instance:0 ~now:(Engine.now t.core.engine)
     in
-    Resource.submit ~span:vspan t.main ~cost:base (fun () ->
+    Resource.submit ~span:vspan t.main ~cost:recv (fun () ->
         handle_request t ~span:vspan desc ~sig_valid)
   | Po_request { desc; po_seq } ->
     let pspan =
-      Probe.job t.probe ~parent:d.Network.span ~tag:Bftspan.Tag.Propagate ~node:t.id
-        ~instance:0 ~now:(Engine.now t.engine)
+      Probe.job t.core.probe ~parent:d.Network.span ~tag:Bftspan.Tag.Propagate
+        ~node:t.core.id ~instance:0 ~now:(Engine.now t.core.engine)
     in
     Resource.submit ~span:pspan t.main ~cost:with_sig (fun () ->
         if
           pspan >= 0
-          && (not (Request_id_table.mem t.executed desc.id))
+          && (not (Node_core.has_executed t.core desc.id))
           && not (Request_id_table.mem t.span_in desc.id)
         then
-          Request_id_table.replace t.span_in desc.id (pspan, Engine.now t.engine);
+          Request_id_table.replace t.span_in desc.id (pspan, Engine.now t.core.engine);
         store_po t ~origin:from ~po_seq desc;
         try_deliver t)
   | Pre_prepare { view; seq; vector } ->
@@ -442,13 +391,13 @@ let on_delivery t (d : msg Network.delivery) =
         end)
   | Ping { nonce } ->
     Resource.submit t.main ~cost:with_sig (fun () ->
-        send_from t ~dst:(Principal.node from) (Pong { nonce }))
+        Node_core.send t.core t.main ~dst:(Principal.node from) (Pong { nonce }))
   | Pong { nonce } ->
     Resource.submit t.main ~cost:with_sig (fun () ->
         match Hashtbl.find_opt t.pings_inflight nonce with
         | Some sent ->
           Hashtbl.remove t.pings_inflight nonce;
-          Monitor.note_rtt t.monitor (Time.sub (Engine.now t.engine) sent)
+          Monitor.note_rtt t.monitor (Time.sub (Engine.now t.core.engine) sent)
         | None -> ())
   | Suspect { view } ->
     Resource.submit t.main ~cost:with_sig (fun () -> note_suspect t ~from ~view)
@@ -456,16 +405,25 @@ let on_delivery t (d : msg Network.delivery) =
 
 let create engine net cfg ~id ~service =
   let n = (3 * cfg.f) + 1 in
+  let core =
+    Node_core.create engine net ~id ~n ~service ~name:(Printf.sprintf "pr%d" id)
+      ~size:(msg_size ~n) ~cost_bytes ~scheme:Node_core.Signature
+      (* The calibrated Prime charges no signature for its REPLYs (nor
+         for its unicast PONGs), though [msg_size] counts one on every
+         message. ROADMAP records the gap; closing it moves Fig 1. *)
+      ~authenticate_replies:false
+      ~node_only:(function
+        | Request _ | Reply _ -> false
+        | Po_request _ | Pre_prepare _ | Prepare _ | Commit _ | Ping _ | Pong _
+        | Suspect _ ->
+          true)
+      ~reply:(fun id result -> Reply { id; result })
+  in
   let t =
     {
-      engine;
-      clock = Clock.create engine;
-      net;
-      probe = Network.probe net;
+      core;
       cfg;
-      id;
-      service;
-      main = Resource.create engine ~name:(Printf.sprintf "pr%d.main" id);
+      main = Node_core.thread core "main";
       monitor = Monitor.create ();
       faults = { delay_to_limit = false; limit_fraction = 0.95 };
       po_buffers = ref (Array.init n (fun _ -> Array.make 1024 None));
@@ -478,21 +436,21 @@ let create engine net cfg ~id ~service =
       next_deliver = 1;
       suspects = Pbftcore.Voteset.create ~n;
       suspects_seen = 0;
-      executed = Request_id_table.create 4096;
-      ledger = Pbftcore.Ledger.create (Network.probe net);
       ping_nonce = 0;
       pings_inflight = Hashtbl.create 16;
       span_in = Request_id_table.create 64;
       started = false;
     }
   in
-  Network.register_node net id (fun d -> on_delivery t d);
+  (* A failed signature, or replica traffic from a client, pays its
+     verification, then is dropped. *)
+  Node_core.listen core ~forged_on:t.main (on_delivery t);
   t
 
 let start t =
   if not t.started then begin
     t.started <- true;
-    Monitor.note_pre_prepare t.monitor ~now:(Engine.now t.engine);
+    Monitor.note_pre_prepare t.monitor ~now:(Engine.now t.core.engine);
     arm_pp_loop t;
     arm_ping_loop t
   end

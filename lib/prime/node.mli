@@ -72,9 +72,6 @@ val faults : t -> faults
 val monitor : t -> Monitor.t
 val view : t -> int
 val ledger : t -> Pbftcore.Ledger.t
-val executed_count : t -> int
-val executed_counter : t -> Bftmetrics.Throughput.t
-val execution_digest : t -> string
 val suspects_seen : t -> int
 
 val set_clock_factor : t -> float -> unit

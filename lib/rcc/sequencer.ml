@@ -12,7 +12,7 @@
    An instance with nothing to order would stall the round-robin
    forever; the bounded-wait skip of an idle instance is therefore
    materialised *inside* consensus: an idle primary orders an empty
-   no-op heartbeat batch (see Pbftcore.Replica.set_noop_interval), so
+   no-op heartbeat batch (see Pbftcore.Replica.hooks), so
    the skip itself is agreed upon and the merge stays deterministic.
    The only remaining stall is a partition whose instance genuinely
    stops committing (primary crashed or in a view change); the

@@ -27,9 +27,6 @@ val bookkeeping : Time.t
 val body_copy_factor : float
 (** 2.0: body-copy overhead of ordering messages (cf. Aardvark). *)
 
-val exec_cost : Time.t
-(** 1 us: the least virtual execution cost of one request. *)
-
 val request_size : n:int -> Pbftcore.Types.request_desc -> int
 (** Wire size of a client REQUEST: MAC-authenticated for every node,
     unsigned. *)
@@ -52,9 +49,6 @@ val id : t -> int
 val faults : t -> faults
 val replica : t -> Replica.t
 val ledger : t -> Pbftcore.Ledger.t
-val executed_count : t -> int
-val executed_counter : t -> Bftmetrics.Throughput.t
-val execution_digest : t -> string
 
 val set_clock_factor : t -> float -> unit
 (** Skew the node's local clock (the replica's accusation timer). *)

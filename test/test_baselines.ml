@@ -346,10 +346,10 @@ let test_prime_one_source_one_vote () =
     send 2 (Prime.Node.Prepare { view = 0; seq = 1; digest });
     send 0 (Prime.Node.Commit { view = 0; seq = 1; digest })
   done;
-  Alcotest.(check int) "node 0 is one commit" 0 (Prime.Node.executed_count node);
+  Alcotest.(check int) "node 0 is one commit" 0 (Pbftcore.Ledger.count (Prime.Node.ledger node));
   send 2 (Prime.Node.Commit { view = 0; seq = 1; digest });
   Alcotest.(check int) "a second source completes the quorum" 1
-    (Prime.Node.executed_count node);
+    (Pbftcore.Ledger.count (Prime.Node.ledger node));
   for _ = 1 to 3 do
     send 3 (Prime.Node.Suspect { view = 0 })
   done;

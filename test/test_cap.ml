@@ -241,7 +241,7 @@ let test_steady_heap_stays_quiet () =
 (* Reply cache                                                        *)
 (* ------------------------------------------------------------------ *)
 
-module Replycache = Rbft.Replycache
+module Replycache = Pbftcore.Replycache
 
 let test_replycache_out_of_order_coalesces () =
   let c = Replycache.create ~window:4 () in

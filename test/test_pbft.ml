@@ -40,7 +40,7 @@ let make_rig ?(n = 4) ?(f = 1) ?(tweak = fun _ c -> c) () =
         (seq, List.map (fun d -> d.Types.id) descs) :: !(deliveries.(i))
     in
     Replica.create ~probe engine cfg
-      { Replica.send; broadcast; deliver; on_view_change = (fun _ -> ()) }
+      { Replica.broadcast; deliver; on_view_change = (fun _ -> ()) }
   in
   for i = 0 to n - 1 do
     replicas.(i) <- Some (mk i)
@@ -655,8 +655,7 @@ let test_primary_prepare_not_counted () =
   let r =
     Replica.create ~probe:(Bftmetrics.Probe.create ()) engine cfg
       {
-        Replica.send = (fun _ _ -> ());
-        broadcast = (fun m -> sent := m :: !sent);
+        Replica.broadcast = (fun m -> sent := m :: !sent);
         deliver = (fun _ _ -> ());
         on_view_change = (fun _ -> ());
       }

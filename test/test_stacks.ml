@@ -1,6 +1,7 @@
 (* Tests for what the four BFT stacks share: the client core's reply
-   quorum, the prepare/commit rule of a slot, and same-seed pins of each
-   stack's execution ledger and client counters. *)
+   quorum, the prepare/commit rule of a slot, re-replies from the node
+   shell's reply cache, and same-seed pins of each stack's execution
+   ledger and client counters. *)
 
 open Dessim
 open Pbftcore.Types
@@ -132,8 +133,7 @@ let pbft_rig () =
     R.create ~probe:(Bftmetrics.Probe.create ()) (Engine.create ())
       (R.default_config ~n:4 ~f:1 ~replica_id:2)
       {
-        R.send = (fun _ _ -> ());
-        broadcast = (function M.Commit _ -> incr commits | _ -> ());
+        R.broadcast = (function M.Commit _ -> incr commits | _ -> ());
         deliver = (fun _ descs -> delivered := !delivered + List.length descs);
         on_view_change = (fun _ -> ());
       }
@@ -207,7 +207,7 @@ let prime_rig () =
     | Prepare (who, d) -> send (id who) (N.Prepare { view = 0; seq = 1; digest = digest d })
     | Commit (who, d) -> send (id who) (N.Commit { view = 0; seq = 1; digest = digest d })
   in
-  { feed; commits_sent = (fun () -> !commits); delivered = (fun () -> N.executed_count node) }
+  { feed; commits_sent = (fun () -> !commits); delivered = (fun () -> Pbftcore.Ledger.count (N.ledger node)) }
 
 let slot_test make (c : slot_case) () =
   let rig = make () in
@@ -223,6 +223,130 @@ let slot_suite =
         (fun c -> Alcotest.test_case (stack ^ ": " ^ c.name) `Quick (slot_test make c))
         slot_cases)
     [ ("pbft", pbft_rig); ("spinning", spinning_rig); ("prime", prime_rig) ]
+
+(* ------------------------------------------------------------------ *)
+(* Re-replies from the shared reply cache                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A f = 1 cluster of one stack serving a counter, with no clients of
+   its own: the test plays client 0, sending "inc" REQUESTs by hand and
+   recording the REPLYs node 1 sends it. Request [rid] executes as the
+   counter's [rid]-th increment, so its result is [string_of_int rid]
+   and a re-execution would show in both the result and the ledger. *)
+type rereply_rig = {
+  send : dsts:int list -> rid:int -> unit;  (** client 0's request [rid] *)
+  fresh : int list;  (** the nodes a client sends a new request to *)
+  run : unit -> unit;  (** 200 ms of virtual time *)
+  ledger : Pbftcore.Ledger.t;  (** node 1's *)
+  replies : (int * string) list ref;  (** (rid, result) from node 1, newest first *)
+}
+
+let rereply_rig (type m) (net : m Bftnet.Network.t) ~run ~ledger ~fresh ~request ~reply_of =
+  let replies = ref [] in
+  Bftnet.Network.register_client net 0 (fun d ->
+      if Bftnet.Network.src_node d = 1 then
+        match reply_of d.Bftnet.Network.payload with
+        | Some (id, result) -> replies := (id.rid, result) :: !replies
+        | None -> ());
+  let send ~dsts ~rid =
+    let m = request (desc_of_op ~client:0 ~rid "inc") in
+    List.iter
+      (fun dst ->
+        Bftnet.Network.send net ~src:(Bftcrypto.Principal.client 0)
+          ~dst:(Bftcrypto.Principal.node dst) ~size:64 m)
+      dsts
+  in
+  { send; fresh; run = (fun () -> run (Time.ms 200)); ledger; replies }
+
+let counter () = Bftapp.Counter.service (Bftapp.Counter.create ())
+let everyone = [ 0; 1; 2; 3 ]
+
+let rbft_rereply () =
+  let c =
+    Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~service:counter
+      (Rbft.Params.default ~f:1)
+  in
+  rereply_rig (Rbft.Cluster.network c) ~run:(Rbft.Cluster.run_for c) ~fresh:everyone
+    ~ledger:(Rbft.Node.ledger (Rbft.Cluster.node c 1))
+    ~request:(fun desc ->
+      Rbft.Messages.Request { desc; sig_valid = true; mac_invalid_for = [] })
+    ~reply_of:(function Rbft.Messages.Reply { id; result } -> Some (id, result) | _ -> None)
+
+let aardvark_rereply () =
+  let module N = Aardvark.Node in
+  let c =
+    Aardvark.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~service:counter
+      (N.default_config ~f:1)
+  in
+  rereply_rig (Aardvark.Cluster.network c) ~run:(Aardvark.Cluster.run_for c) ~fresh:everyone
+    ~ledger:(N.ledger (Aardvark.Cluster.node c 1))
+    ~request:(fun desc -> N.Request { desc; sig_valid = true })
+    ~reply_of:(function N.Reply { id; result } -> Some (id, result) | _ -> None)
+
+let spinning_rereply () =
+  let module N = Spinning.Node in
+  let c =
+    Spinning.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~service:counter
+      (N.default_config ~f:1)
+  in
+  rereply_rig (Spinning.Cluster.network c) ~run:(Spinning.Cluster.run_for c) ~fresh:everyone
+    ~ledger:(N.ledger (Spinning.Cluster.node c 1))
+    ~request:(fun desc -> N.Request { desc })
+    ~reply_of:(function N.Reply { id; result } -> Some (id, result) | _ -> None)
+
+(* A Prime client sends each request to one replica, here node 1. *)
+let prime_rereply () =
+  let module N = Prime.Node in
+  let c =
+    Prime.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~service:counter
+      (N.default_config ~f:1)
+  in
+  rereply_rig (Prime.Cluster.network c) ~run:(Prime.Cluster.run_for c) ~fresh:[ 1 ]
+    ~ledger:(N.ledger (Prime.Cluster.node c 1))
+    ~request:(fun desc -> N.Request { desc; sig_valid = true })
+    ~reply_of:(function N.Reply { id; result } -> Some (id, result) | _ -> None)
+
+(* [evicted]: four later requests of the client executed after it, so
+   request 1's result has left the client's 4-entry reply ring. *)
+let rereply_cases =
+  [ ("duplicate after execution", false); ("duplicate after eviction", true) ]
+
+let rereply_test make evicted () =
+  let rig = make () in
+  rig.send ~dsts:rig.fresh ~rid:1;
+  rig.run ();
+  Alcotest.(check (list (pair int string))) "request 1 executed and answered" [ (1, "1") ]
+    !(rig.replies);
+  if evicted then begin
+    List.iter (fun rid -> rig.send ~dsts:rig.fresh ~rid) [ 2; 3; 4; 5 ];
+    rig.run ();
+    Alcotest.(check int) "requests 2-5 executed" 5 (Pbftcore.Ledger.count rig.ledger)
+  end;
+  let count = Pbftcore.Ledger.count rig.ledger in
+  let digest = Pbftcore.Ledger.digest rig.ledger in
+  let before = List.length !(rig.replies) in
+  rig.send ~dsts:[ 1 ] ~rid:1;
+  rig.run ();
+  Alcotest.(check int) "not executed again" count (Pbftcore.Ledger.count rig.ledger);
+  Alcotest.(check string) "ledger digest unchanged" digest (Pbftcore.Ledger.digest rig.ledger);
+  Alcotest.(check (list (pair int string)))
+    "REPLYs to the duplicate"
+    (if evicted then [] else [ (1, "1") ])
+    (List.filteri (fun i _ -> i < List.length !(rig.replies) - before) !(rig.replies))
+
+let rereply_suite =
+  List.concat_map
+    (fun (stack, make) ->
+      List.map
+        (fun (name, evicted) ->
+          Alcotest.test_case (stack ^ ": " ^ name) `Quick (rereply_test make evicted))
+        rereply_cases)
+    [
+      ("rbft", rbft_rereply);
+      ("aardvark", aardvark_rereply);
+      ("spinning", spinning_rereply);
+      ("prime", prime_rereply);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Same-seed pins                                                     *)
@@ -381,6 +505,7 @@ let suites =
     ( "stacks.client-core",
       [ Alcotest.test_case "reply quorum" `Quick test_reply_quorum ] );
     ("stacks.slot", slot_suite);
+    ("stacks.rereply", rereply_suite);
     ( "stacks.pin",
       [
         Alcotest.test_case "rbft same-seed ledger" `Quick test_pin_rbft;
