@@ -144,7 +144,7 @@ let install hooks ~seed plan =
 let heal t =
   if not t.healed then begin
     t.healed <- true;
-    List.iter Engine.cancel t.timers;
+    List.iter (Engine.cancel t.hooks.engine) t.timers;
     t.timers <- [];
     Array.fill t.state.crashed 0 (Array.length t.state.crashed) false;
     t.state.partitions <- [];

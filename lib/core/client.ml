@@ -13,12 +13,14 @@ type behaviour = {
 }
 
 (* Per-request state on top of the core's: the request itself, retained
-   for retries, and the backpressure state — distinct nodes that
+   for retries, its armed retransmit watchdog (cancelled when the
+   request completes), and the backpressure state — distinct nodes that
    answered BUSY since the last (re)send, the largest retry hint among
    them, and how many retries happened (drives the exponential
    backoff). *)
 type retry = {
   req : Messages.request;
+  mutable watchdog : Engine.timer option;
   mutable busy_from : int list;
   mutable busy_hint : Time.t;
   mutable attempt : int;
@@ -59,11 +61,13 @@ let backoff_of (t : t) =
     b
 
 let rec on_reply (t : t) (id : request_id) ~from ~result =
-  if Core.on_reply t id ~from ~result then begin
+  match Core.completed_by t id ~from ~result with
+  | None -> ()
+  | Some p ->
+    Option.iter (Engine.cancel t.engine) p.data.watchdog;
     Bftmetrics.Throughput.record t.ext.completions ~now:(Engine.now t.engine);
     (* Closed loop: each completion funds the next request. *)
     if t.ext.closed_loop > 0 then send_one t
-  end
 
 and transmit (t : t) ~span (req : Messages.request) =
   let msg = Messages.Request req in
@@ -90,22 +94,22 @@ and transmit (t : t) ~span (req : Messages.request) =
    that accepted it. The watchdog retransmits unanswered requests on a
    doubling timer; retransmits are idempotent (admitted nodes treat
    them as duplicates) and a fresh competitor for a slot everywhere
-   the request was shed. *)
+   the request was shed. A completed request cancels its watchdog, so
+   the engine's queue holds no timers for answered requests. *)
 and arm_watchdog (t : t) (p : retry Core.pending) ~rto =
-  ignore
-    (Engine.after t.engine rto (fun () ->
-         if not p.done_ then begin
+  p.data.watchdog <-
+    Some
+      (Engine.after t.engine rto (fun () ->
            t.ext.retries <- t.ext.retries + 1;
            transmit t ~span:p.span p.data.req;
            let cap = Time.mul_f t.ext.params.Params.busy_retry_base 128.0 in
-           arm_watchdog t p ~rto:(Time.min cap (Time.mul_f rto 2.0))
-         end))
+           arm_watchdog t p ~rto:(Time.min cap (Time.mul_f rto 2.0))))
 
 and send_one (t : t) =
   let req = make_request t in
   let p =
     Core.track t req.Messages.desc.id
-      { req; busy_from = []; busy_hint = Time.zero; attempt = 0 }
+      { req; watchdog = None; busy_from = []; busy_hint = Time.zero; attempt = 0 }
   in
   transmit t ~span:p.span req;
   if t.ext.params.Params.admission_budget > 0 then

@@ -1066,7 +1066,9 @@ let create engine net params ~id ~service =
     (fun (name, r) ->
       Registry.gauge_fn reg
         "bft_thread_backlog"
-        ~help:"Queued jobs on a node module thread"
+        ~help:
+          "Work a node module thread still has to do, in virtual nanoseconds: \
+           the rest of the job in service plus every queued job"
         ~labels:[ ("node", string_of_int id); ("thread", name) ]
         (fun () -> float_of_int (Resource.backlog r));
       Registry.gauge_fn reg

@@ -23,11 +23,6 @@ let k =
 
 let mask = 0xFFFFFFFF
 
-(* Blocks compressed by the calling domain, for the host-cost report.
-   Per domain, so runs on different domains never share the cell. *)
-let blocks_key = Domain.DLS.new_key (fun () -> ref 0)
-let blocks_hashed () = !(Domain.DLS.get blocks_key)
-
 (* Every rotation of a 32-bit word [x] is a window of the doubled word
    [d = x lor (x lsl 32)]: [rotr x n = (d lsr n) land mask] for n < 32.
    (The 63-bit int drops bit 31 of the upper copy, at position 63, which
@@ -78,16 +73,62 @@ let compress h w (s : string) off =
   Array.unsafe_set h 6 ((Array.unsafe_get h 6 + !g) land mask);
   Array.unsafe_set h 7 ((Array.unsafe_get h 7 + !hh) land mask)
 
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+     0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
+(* A direct-mapped memo of recent [digest_concat] results. Every node
+   extends its own copy of the same hash chains (the execution ledger,
+   each instance's ordering chain), and the nodes run in near lockstep,
+   so most chain steps repeat one another's a few events apart. An
+   entry is keyed on both inputs in full, never on a digest some sender
+   supplied, so a hit returns exactly what hashing would; only inputs of
+   at most [memo_max] bytes in total enter it (a chain step is 64),
+   which bounds the memory it retains. *)
+let memo_bits = 8
+let memo_max = 128
+
+(* Per-domain working state, so runs on different domains never share
+   it: the count of blocks compressed (for the host-cost report), the
+   hashing scratch buffers, and the memo. *)
+type state = {
+  mutable blocks : int;
+  h : int array;  (* chaining value *)
+  w : int array;  (* message schedule *)
+  join : Bytes.t;  (* a block straddling the two parts *)
+  tail : Bytes.t;  (* the padded last one or two blocks *)
+  left : string array;
+  right : string array;
+  out : string array;
+}
+
+(* An empty memo entry's left key is too long to be memoised, so it
+   matches no input. *)
+let state_key =
+  Domain.DLS.new_key (fun () ->
+      let n = 1 lsl memo_bits in
+      let never = String.make (memo_max + 1) '\000' in
+      {
+        blocks = 0;
+        h = Array.make 8 0;
+        w = Array.make 64 0;
+        join = Bytes.create 64;
+        tail = Bytes.create 128;
+        left = Array.make n never;
+        right = Array.make n "";
+        out = Array.make n "";
+      })
+
+let blocks_hashed () = (Domain.DLS.get state_key).blocks
+
 (* The digest of [s1[p1, p1+n1) ^ s2[p2, p2+n2)], without building the
    concatenation. Whole blocks are read in place; the block that
    straddles the two parts and the padded tail (at most 128 bytes) are
-   staged in small buffers. *)
-let digest2 s1 p1 n1 s2 p2 n2 =
-  let h =
-    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
-       0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
-  in
-  let w = Array.make 64 0 in
+   staged in the domain's scratch buffers, so only the digest itself is
+   allocated. *)
+let digest2 st s1 p1 n1 s2 p2 n2 =
+  let h = st.h and w = st.w in
+  Array.blit iv 0 h 0 8;
   let total = n1 + n2 in
   let full1 = n1 / 64 in
   for i = 0 to full1 - 1 do
@@ -97,7 +138,7 @@ let digest2 s1 p1 n1 s2 p2 n2 =
   (* A block that starts in [s1] and ends in [s2]. *)
   let join = if r1 > 0 && r1 + n2 >= 64 then 64 - r1 else 0 in
   if join > 0 then begin
-    let blk = Bytes.create 64 in
+    let blk = st.join in
     Bytes.blit_string s1 (p1 + (64 * full1)) blk 0 r1;
     Bytes.blit_string s2 p2 blk r1 join;
     compress h w (Bytes.unsafe_to_string blk) 0
@@ -113,16 +154,15 @@ let digest2 s1 p1 n1 s2 p2 n2 =
      big-endian bit length, in one block or two. *)
   let rem = r1 + r2 in
   let tail_len = if rem < 56 then 64 else 128 in
-  let tail = Bytes.make tail_len '\000' in
+  let tail = st.tail in
+  Bytes.fill tail 0 tail_len '\000';
   Bytes.blit_string s1 (p1 + n1 - r1) tail 0 r1;
   Bytes.blit_string s2 (q2 + (64 * full2)) tail r1 r2;
   Bytes.unsafe_set tail rem '\x80';
   Bytes.set_int64_be tail (tail_len - 8) (Int64.of_int (total * 8));
-  let tail = Bytes.unsafe_to_string tail in
-  compress h w tail 0;
-  if tail_len = 128 then compress h w tail 64;
-  let blocks = Domain.DLS.get blocks_key in
-  blocks := !blocks + ((total + 8) / 64) + 1;
+  compress h w (Bytes.unsafe_to_string tail) 0;
+  if tail_len = 128 then compress h w (Bytes.unsafe_to_string tail) 64;
+  st.blocks <- st.blocks + ((total + 8) / 64) + 1;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     Bytes.set_int32_be out (4 * i) (Int32.of_int (Array.unsafe_get h i))
@@ -131,11 +171,37 @@ let digest2 s1 p1 n1 s2 p2 n2 =
 
 let digest_substring s ~pos ~len =
   assert (pos >= 0 && len >= 0 && pos + len <= String.length s);
-  digest2 s pos len "" 0 0
+  digest2 (Domain.DLS.get state_key) s pos len "" 0 0
 
-let digest_string s = digest2 s 0 (String.length s) "" 0 0
+let digest_string s = digest2 (Domain.DLS.get state_key) s 0 (String.length s) "" 0 0
 
-let digest_concat a b = digest2 a 0 (String.length a) b 0 (String.length b)
+(* The last 8 bytes of [s], or its length when it is shorter. *)
+let tail8 s =
+  let n = String.length s in
+  if n >= 8 then Int64.to_int (String.get_int64_le s (n - 8)) else n
+
+let memo_slot a b =
+  let h = (tail8 a * 0x2545F4914F6CDD1D) lxor tail8 b in
+  (h * 0x2545F4914F6CDD1D) lsr (Sys.int_size - memo_bits)
+
+let digest_concat a b =
+  let st = Domain.DLS.get state_key in
+  let na = String.length a and nb = String.length b in
+  if na + nb > memo_max then digest2 st a 0 na b 0 nb
+  else begin
+    let i = memo_slot a b in
+    if
+      String.equal (Array.unsafe_get st.left i) a
+      && String.equal (Array.unsafe_get st.right i) b
+    then Array.unsafe_get st.out i
+    else begin
+      let d = digest2 st a 0 na b 0 nb in
+      Array.unsafe_set st.left i a;
+      Array.unsafe_set st.right i b;
+      Array.unsafe_set st.out i d;
+      d
+    end
+  end
 
 (* Read-only view; [digest2] never writes to its inputs. *)
 let digest_bytes b = digest_string (Bytes.unsafe_to_string b)

@@ -24,12 +24,13 @@ type run_result = {
 (* Host-side cost of one run, as deterministic counts per request a
    client saw completed: engine events, delivered messages, words
    allocated on the minor heap and SHA-256 blocks compressed while the
-   cluster ran. *)
+   cluster ran; and the engine heap's high-water mark, in entries. *)
 and host = {
   events_per_req : float;
   msgs_per_req : float;
   minor_words_per_req : float;
   sha256_blocks_per_req : float;
+  queue_peak : int;
 }
 
 module Probe = Bftmetrics.Probe
@@ -152,6 +153,7 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
                (Bftnet.Network.messages_delivered (Rbft.Cluster.network cluster)));
         minor_words_per_req = per_req minor_words;
         sha256_blocks_per_req = per_req (float_of_int sha_blocks);
+        queue_peak = Engine.queue_peak engine;
       };
   }
 
@@ -303,12 +305,13 @@ let generate ~audit ~quick =
        (List.rev_map
           (fun (leg, h) ->
             Printf.sprintf
-              {|    "%s": {"events_per_req":%s,"msgs_per_req":%s,"minor_words_per_req":%s,"sha256_blocks_per_req":%s}|}
+              {|    "%s": {"events_per_req":%s,"msgs_per_req":%s,"minor_words_per_req":%s,"sha256_blocks_per_req":%s,"queue_peak":%d}|}
               leg
               (Bftmetrics.Export.json_float h.events_per_req)
               (Bftmetrics.Export.json_float h.msgs_per_req)
               (Bftmetrics.Export.json_float h.minor_words_per_req)
-              (Bftmetrics.Export.json_float h.sha256_blocks_per_req))
+              (Bftmetrics.Export.json_float h.sha256_blocks_per_req)
+              h.queue_peak)
           !hosts));
   Buffer.add_string buf "\n  },\n";
   Buffer.add_string buf

@@ -8,7 +8,8 @@
     throughput, self-profile). Its [host] section gives, per leg, the
     simulator's own cost per completed request as deterministic
     counts: engine events, delivered messages, minor-heap words
-    allocated and SHA-256 blocks compressed while the cluster ran.
+    allocated and SHA-256 blocks compressed while the cluster ran, plus
+    the engine heap's high-water mark ([queue_peak], in entries).
 
     The runs of {!generate} and {!generate_scale} report to [audit]'s
     probe (and are audited when [audit] is enabled); the client sweep

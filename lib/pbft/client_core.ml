@@ -111,27 +111,31 @@ let track t (id : request_id) data =
 (** Count one REPLY from node [from]. Each node counts once per
     request; the request completes when f+1 replies carry the same
     result, which records its latency, closes its span and removes it
-    from the pending table. [true] exactly when this reply completed the
-    request. *)
-let on_reply t (id : request_id) ~from ~result =
+    from the pending table. [Some p] exactly when this reply completed
+    the request [p]. *)
+let completed_by t (id : request_id) ~from ~result =
   match Request_id_table.find_opt t.pending id with
-  | None -> false
-  | Some p when p.done_ || List.mem_assoc from p.replies -> false
+  | None -> None
+  | Some p when p.done_ || List.mem_assoc from p.replies -> None
   | Some p ->
     p.replies <- (from, result) :: p.replies;
     let matching =
       List.length (List.filter (fun (_, r) -> String.equal r result) p.replies)
     in
-    matching >= t.f + 1
-    && begin
+    if matching < t.f + 1 then None
+    else begin
       p.done_ <- true;
       t.completed <- t.completed + 1;
       let now = Engine.now t.engine in
       Bftmetrics.Hist.add t.latencies (Time.to_sec_f (Time.sub now p.sent_at));
       Bftmetrics.Probe.finish (Network.probe t.net) p.span ~t1:now;
       Request_id_table.remove t.pending id;
-      true
+      Some p
     end
+
+(** {!completed_by} for a stack that needs no more than whether the
+    request completed. *)
+let on_reply t id ~from ~result = Option.is_some (completed_by t id ~from ~result)
 
 (** [set_rate t r ~send] (re)starts Poisson sending at [r] requests per
     second, calling [send] for each request; [0.] stops the client. *)

@@ -26,7 +26,7 @@ type t =
     }
   | New_view of { view : view; pre_prepares : pre_prepare list }
 
-let batch_digest descs =
+let digest_batch descs =
   let buf = Buffer.create (List.length descs * 48) in
   List.iter
     (fun d ->
@@ -36,6 +36,41 @@ let batch_digest descs =
       Buffer.add_string buf d.digest)
     descs;
   Bftcrypto.Sha256.digest_string (Buffer.contents buf)
+
+(* A PRE-PREPARE reaches every replica of its instance as one shared
+   value, and each of them digests its batch. The last [memo_size]
+   batches digested in this domain are remembered by identity: a batch
+   list is immutable, so the same list has the same digest. Identity is
+   the exact input, not a digest its sender supplied: an equivocating
+   primary's two batches are two lists, digested apart. The empty batch
+   is never memoised (every [[]] is the same value). *)
+let memo_size = 8
+
+type memo = {
+  batches : request_desc list array;
+  digests : string array;
+  mutable next : int;  (* the entry to overwrite next *)
+}
+
+let memo_key =
+  Domain.DLS.new_key (fun () ->
+      { batches = Array.make memo_size []; digests = Array.make memo_size ""; next = 0 })
+
+let rec memo_find m descs i =
+  if i = memo_size then begin
+    let d = digest_batch descs in
+    m.batches.(m.next) <- descs;
+    m.digests.(m.next) <- d;
+    m.next <- (m.next + 1) mod memo_size;
+    d
+  end
+  else if m.batches.(i) == descs then m.digests.(i)
+  else memo_find m descs (i + 1)
+
+let batch_digest descs =
+  match descs with
+  | [] -> digest_batch descs
+  | _ :: _ -> memo_find (Domain.DLS.get memo_key) descs 0
 
 (* Type tag, view, seq and the sender's replica id. The id rides in the
    authenticated envelope (the delivery's source), not in [t]. *)

@@ -48,7 +48,9 @@ type t =
 
 val batch_digest : request_desc list -> string
 (** Digest binding a batch's identifiers; what PREPARE/COMMIT refer
-    to. *)
+    to. The last few batches digested in the calling domain are
+    remembered by identity, so the replicas that receive one shared
+    PRE-PREPARE digest its batch once between them. *)
 
 val wire_size : n:int -> order_full_requests:bool -> t -> int
 (** [wire_size ~n ~order_full_requests m] in bytes. [n] sizes the MAC

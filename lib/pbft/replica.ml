@@ -144,16 +144,12 @@ let audit t kind =
     ~instance:t.cfg.instance kind
 
 (* A primary audits the PRE-PREPARE it recorded just before sending
-   it; that entry already holds the batch digest. *)
+   it, so the batch digest is a memo hit. *)
 let audit_pp t ~view (pp : Messages.pre_prepare) =
-  let digest =
-    match Hashtbl.find_opt t.entries pp.seq with
-    | Some { pp = Some recorded; slot; _ } when recorded == pp -> slot.digest
-    | Some _ | None -> Messages.batch_digest pp.descs
-  in
   audit t
     (Event.Pre_prepare_sent
-       { view; seq = pp.seq; count = List.length pp.descs; digest })
+       { view; seq = pp.seq; count = List.length pp.descs;
+         digest = Messages.batch_digest pp.descs })
 
 (* Audit events for outgoing protocol messages are emitted here, inside
    the silence gate, so a muted Byzantine replica's suppressed votes
@@ -279,7 +275,7 @@ let rec try_deliver t =
 let cancel_batch_timer t =
   match t.batch_timer with
   | Some timer ->
-    Engine.cancel timer;
+    Engine.cancel t.engine timer;
     t.batch_timer <- None
   | None -> ()
 

@@ -1,4 +1,10 @@
-type event = { action : unit -> unit; mutable cancelled : bool }
+(* An event is [Idle] (fired, cancelled, or made but never scheduled),
+   [Queued] in the heap, [Parked] for the model checker, or [Dead]:
+   cancelled while queued and still in the heap until it is popped or
+   swept. *)
+type state = Idle | Queued | Parked | Dead
+
+type event = { action : unit -> unit; mutable state : state }
 
 type choice = {
   id : int;  (* creation order; unique, monotonically increasing *)
@@ -15,6 +21,7 @@ type t = {
   root_rng : Rng.t;
   mutable stopped : bool;
   mutable processed : int;
+  mutable dead : int;  (* [Dead] events in the heap *)
   (* Model-checker seam: while [capture] is set, events scheduled
      through [at_choice] are parked here instead of entering the heap,
      and an external scheduler decides their firing order. *)
@@ -36,6 +43,7 @@ let create ?(seed = 1L) ?(on_job_start = no_job_hook) () =
     root_rng = Rng.create seed;
     stopped = false;
     processed = 0;
+    dead = 0;
     capture = false;
     choice_seq = 0;
     parked = Hashtbl.create 64;
@@ -48,18 +56,46 @@ let now t = t.clock
 let rng t = t.root_rng
 let fresh_rng t = Rng.split t.root_rng
 
-let at t instant action =
-  let instant = Time.max instant t.clock in
-  let event = { action; cancelled = false } in
+let enqueue t instant event =
   t.seq <- t.seq + 1;
-  Heap.push t.queue ~key:instant ~seq:t.seq event;
+  event.state <- Queued;
+  Heap.push t.queue ~key:(Time.max instant t.clock) ~seq:t.seq event
+
+let at t instant action =
+  let event = { action; state = Idle } in
+  enqueue t instant event;
   event
 
 let after t delay action = at t (Time.add t.clock (Time.max Time.zero delay)) action
 
-let cancel event = event.cancelled <- true
+let timer action = { action; state = Idle }
 
-let pending event = not event.cancelled
+let rearm t event instant =
+  if event.state <> Idle then invalid_arg "Engine.rearm: timer is scheduled";
+  enqueue t instant event
+
+(* Drop the dead events once they outnumber the live ones. Each sweep
+   removes at least half of the heap, every entry of which was
+   cancelled once, so sweeping costs O(1) amortised per cancel. *)
+let sweep t =
+  Heap.sweep t.queue ~keep:(fun event ->
+      match event.state with
+      | Dead ->
+        event.state <- Idle;
+        false
+      | Idle | Queued | Parked -> true);
+  t.dead <- 0
+
+let cancel t event =
+  match event.state with
+  | Queued ->
+    event.state <- Dead;
+    t.dead <- t.dead + 1;
+    if 2 * t.dead > Heap.size t.queue then sweep t
+  | Parked -> event.state <- Idle
+  | Idle | Dead -> ()
+
+let pending event = event.state = Queued || event.state = Parked
 
 (* ------------------------------------------------------------------ *)
 (* Choice events (the model-checker scheduler seam)                    *)
@@ -72,7 +108,7 @@ let at_choice t instant ~src ~dst ~label action =
   if not t.capture then at t instant action
   else begin
     let instant = Time.max instant t.clock in
-    let event = { action; cancelled = false } in
+    let event = { action; state = Parked } in
     t.choice_seq <- t.choice_seq + 1;
     let c = { id = t.choice_seq; key = instant; src; dst; label } in
     Hashtbl.replace t.parked c.id (c, event);
@@ -81,16 +117,19 @@ let at_choice t instant ~src ~dst ~label action =
 
 let pending_choices t =
   Hashtbl.fold
-    (fun _ (c, (event : event)) acc ->
-      if event.cancelled then acc else c :: acc)
+    (fun _ (c, (event : event)) acc -> if event.state = Parked then c :: acc else acc)
     t.parked []
   |> List.sort (fun a b -> compare a.id b.id)
 
 let pending_choice_count t =
   Hashtbl.fold
-    (fun _ ((_ : choice), (event : event)) n ->
-      if event.cancelled then n else n + 1)
+    (fun _ ((_ : choice), (event : event)) n -> if event.state = Parked then n + 1 else n)
     t.parked 0
+
+let fire t event =
+  t.processed <- t.processed + 1;
+  event.state <- Idle;
+  event.action ()
 
 (* Deliberately leaves the clock alone: the checker's schedule replaces
    timestamp order, and keeping the clock purely slice-driven makes
@@ -100,20 +139,14 @@ let fire_choice t id =
   | None -> false
   | Some (_, event) ->
     Hashtbl.remove t.parked id;
-    if not event.cancelled then begin
-      t.processed <- t.processed + 1;
-      event.cancelled <- true;
-      event.action ()
-    end;
+    if event.state = Parked then fire t event;
     true
 
 let release_choices t =
   let parked = Hashtbl.fold (fun _ ce acc -> ce :: acc) t.parked [] in
   Hashtbl.reset t.parked;
   List.sort (fun ((a : choice), _) (b, _) -> compare a.id b.id) parked
-  |> List.iter (fun (c, event) ->
-         t.seq <- t.seq + 1;
-         Heap.push t.queue ~key:(Time.max c.key t.clock) ~seq:t.seq event)
+  |> List.iter (fun (c, event) -> if event.state = Parked then enqueue t c.key event)
 
 let run ?until t =
   t.stopped <- false;
@@ -124,10 +157,10 @@ let run ?until t =
   do
     t.clock <- Heap.min_key queue;
     let event = Heap.pop_min queue in
-    if not event.cancelled then begin
-      t.processed <- t.processed + 1;
-      event.cancelled <- true;
-      event.action ()
+    if event.state = Queued then fire t event
+    else begin
+      event.state <- Idle;
+      t.dead <- t.dead - 1
     end
   done;
   match until with
@@ -136,4 +169,5 @@ let run ?until t =
 
 let stop t = t.stopped <- true
 let events_processed t = t.processed
-let queue_size t = Heap.size t.queue
+let queue_size t = Heap.size t.queue - t.dead
+let queue_peak t = Heap.peak t.queue

@@ -39,9 +39,25 @@ val at : t -> Time.t -> (unit -> unit) -> timer
 (** [at t instant f] schedules [f] at absolute virtual time [instant];
     instants in the past run "now" (still in deterministic order). *)
 
-val cancel : timer -> unit
-(** [cancel timer] prevents a pending event from running. Cancelling an
-    already-fired or already-cancelled timer is a no-op. *)
+val cancel : t -> timer -> unit
+(** [cancel t timer] prevents a pending event of [t] from running.
+    Cancelling an already-fired or already-cancelled timer is a no-op.
+    A cancelled event stops counting in {!queue_size} at once; it
+    leaves the heap when popped, or in a sweep once cancelled events
+    outnumber live ones. The sweep keeps the survivors' order. *)
+
+val timer : (unit -> unit) -> timer
+(** [timer f] is an unscheduled event that runs [f]; schedule it with
+    {!rearm}. *)
+
+val rearm : t -> timer -> Time.t -> unit
+(** [rearm t timer instant] schedules an event that is not pending (it
+    fired, was cancelled, or was never scheduled) again, at [instant]
+    as for {!at}. It lets a component that fires the same action over
+    and over reuse one event record instead of allocating one per
+    firing.
+    @raise Invalid_argument if [timer] is pending, or cancelled but
+    still queued. *)
 
 val pending : timer -> bool
 (** [pending timer] is [true] when the event has not yet fired nor been
@@ -114,3 +130,8 @@ val events_processed : t -> int
     cost metric for the simulation itself. *)
 
 val queue_size : t -> int
+(** Events still to fire (parked choices not included). *)
+
+val queue_peak : t -> int
+(** The heap's high-water mark: the most entries it has held at once,
+    counting cancelled events not yet popped or swept. *)

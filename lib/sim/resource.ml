@@ -12,9 +12,11 @@ type t = {
   mutable head : int;
   mutable len : int;
   mutable current : unit -> unit;
-  mutable complete : unit -> unit;
-      (* the one completion event action of this resource: runs
-         [current], then starts the next job *)
+  mutable completion : Engine.timer option;
+      (* the one completion event of this resource, re-armed for every
+         job: runs [current], then starts the next job. Made on the
+         first job, so a resource that never serves one (most client
+         NICs of a large population) costs no event. *)
   mutable running : bool;
   mutable busy_until : Time.t;
   mutable busy_total : Time.t;
@@ -37,7 +39,7 @@ let scaled t cost = if t.speed = 1.0 then cost else Time.mul_f cost (1.0 /. t.sp
 (* Only the job in service has a scheduled completion event. This lets
    a running handler [charge] extra time and push back everything
    queued behind it. *)
-let start t ~cost ~span k =
+let rec start t ~cost ~span k =
   t.running <- true;
   t.current <- k;
   let cost = scaled t cost in
@@ -49,9 +51,14 @@ let start t ~cost ~span k =
   (* Only traced jobs carry a span id, so an untraced run pays one
      integer compare here. *)
   if span >= 0 then Engine.on_job_start t.engine span ~start ~finish;
-  ignore (Engine.at t.engine finish t.complete)
+  match t.completion with
+  | Some timer -> Engine.rearm t.engine timer finish
+  | None ->
+    let timer = Engine.timer (fun () -> complete t) in
+    t.completion <- Some timer;
+    Engine.rearm t.engine timer finish
 
-let start_next t =
+and start_next t =
   if t.len = 0 then t.running <- false
   else begin
     let slot = t.head in
@@ -63,34 +70,30 @@ let start_next t =
     start t ~cost ~span k
   end
 
-let complete t () =
+and complete t =
   let k = t.current in
   t.current <- noop;
   k ();
   start_next t
 
 let create engine ~name =
-  let t =
-    {
-      engine;
-      name;
-      costs = [||];
-      spans = [||];
-      ks = [||];
-      head = 0;
-      len = 0;
-      current = noop;
-      complete = noop;
-      running = false;
-      busy_until = Time.zero;
-      busy_total = Time.zero;
-      jobs = 0;
-      speed = 1.0;
-      queued_cost = Time.zero;
-    }
-  in
-  t.complete <- complete t;
-  t
+  {
+    engine;
+    name;
+    costs = [||];
+    spans = [||];
+    ks = [||];
+    head = 0;
+    len = 0;
+    current = noop;
+    completion = None;
+    running = false;
+    busy_until = Time.zero;
+    busy_total = Time.zero;
+    jobs = 0;
+    speed = 1.0;
+    queued_cost = Time.zero;
+  }
 
 (* Double the ring (first allocation: 8 slots), unrolling it so the
    oldest job lands in slot 0. *)

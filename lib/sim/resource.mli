@@ -11,12 +11,13 @@
     MACs for the messages it sends), pushing back every job queued
     behind it.
 
-    Submitting and serving a job allocate nothing beyond the engine's
-    event record: waiting jobs sit in a growable FIFO ring of parallel
-    cost, span and continuation arrays (allocated on the first job that
-    has to wait), every completion event runs the one closure the
-    resource made at creation, and a slot's continuation is cleared as
-    the job leaves the ring, so a finished job is not kept reachable. *)
+    Submitting and serving a job allocate nothing: waiting jobs sit in
+    a growable FIFO ring of parallel cost, span and continuation arrays
+    (allocated on the first job that has to wait), every job completes
+    through the one engine event the resource made for its first job
+    and re-arms ({!Engine.rearm}), and a slot's continuation is cleared
+    as the job leaves the ring, so a finished job is not kept
+    reachable. Creating a resource allocates only its record. *)
 
 type t
 

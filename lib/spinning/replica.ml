@@ -128,19 +128,15 @@ let audit t kind =
 (* Spinning rotates the proposer per sequence; the [attempt] counter
    plays the role of a per-sequence view in the audit events. Emitted
    inside the silence gate so a muted replica's votes never appear. A
-   proposer records its PRE-PREPARE before sending it, so the slot
-   already holds the digest (unless an accusation reopened it). *)
+   proposer records its PRE-PREPARE just before sending it, so the
+   batch digest is a memo hit. *)
 let audit_msg t msg =
   match msg with
   | Pre_prepare { seq; descs; attempt } ->
-    let digest =
-      match Hashtbl.find_opt t.entries seq with
-      | Some { pp = Some recorded; slot; _ } when recorded == descs -> slot.digest
-      | Some _ | None -> Pbftcore.Messages.batch_digest descs
-    in
     audit t
       (Bftmetrics.Event.Pre_prepare_sent
-         { view = attempt; seq; count = List.length descs; digest })
+         { view = attempt; seq; count = List.length descs;
+           digest = Pbftcore.Messages.batch_digest descs })
   | Prepare { seq; digest; attempt; _ } ->
     audit t (Bftmetrics.Event.Prepare_sent { view = attempt; seq; digest })
   | Commit { seq; digest; attempt; _ } ->
@@ -160,7 +156,7 @@ let rec rearm_timer t =
   (match t.timer with
    | Some (seq, _) when seq = t.next_deliver -> ()
    | Some (_, timer) ->
-     Engine.cancel timer;
+     Engine.cancel t.engine timer;
      t.timer <- None
    | None -> ());
   if t.timer = None && pending_count t > 0 then begin
@@ -213,7 +209,7 @@ and check_accusations t seq =
     t.timeout <- Time.mul_f t.timeout 2.0;
     (match t.timer with
      | Some (_, timer) ->
-       Engine.cancel timer;
+       Engine.cancel t.engine timer;
        t.timer <- None
      | None -> ());
     rearm_timer t;
@@ -253,7 +249,7 @@ and try_deliver t =
         t.cb.deliver seq fresh;
         (match t.timer with
          | Some (_, timer) ->
-           Engine.cancel timer;
+           Engine.cancel t.engine timer;
            t.timer <- None
          | None -> ());
         rearm_timer t;

@@ -98,6 +98,43 @@ let test_sha256_blocks_per_domain () =
          Domain.join
            (Domain.spawn (fun () -> ignore (Sha256.digest_string (String.make 4096 'a'))))))
 
+(* [digest_concat] remembers recent results per domain. Fresh 32-byte
+   inputs, distinct from every other test's. *)
+let fresh_pair tag =
+  (Sha256.digest_string ("memo-left-" ^ tag), Sha256.digest_string ("memo-right-" ^ tag))
+
+let test_sha256_memo_repeat () =
+  let a, b = fresh_pair "repeat" in
+  let blocks f =
+    let b0 = Sha256.blocks_hashed () in
+    let d = f () in
+    (d, Sha256.blocks_hashed () - b0)
+  in
+  let d1, first = blocks (fun () -> Sha256.digest_concat a b) in
+  let d2, again = blocks (fun () -> Sha256.digest_concat a b) in
+  Alcotest.(check int) "first call hashes" 2 first;
+  Alcotest.(check int) "repeated call hashes nothing" 0 again;
+  Alcotest.(check string) "same digest" (Sha256.to_hex d1) (Sha256.to_hex d2);
+  (* Equal contents in other strings hit too: the key is the inputs'
+     bytes, not their identity. *)
+  let _, copy =
+    blocks (fun () -> Sha256.digest_concat (Bytes.to_string (Bytes.of_string a)) b)
+  in
+  Alcotest.(check int) "equal copy hashes nothing" 0 copy
+
+let test_sha256_memo_per_domain () =
+  let a, b = fresh_pair "domain" in
+  let here = Sha256.digest_concat a b in
+  let there, hashed =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let b0 = Sha256.blocks_hashed () in
+           let d = Sha256.digest_concat a b in
+           (d, Sha256.blocks_hashed () - b0)))
+  in
+  Alcotest.(check int) "the other domain hashes its own" 2 hashed;
+  Alcotest.(check string) "same digest" (Sha256.to_hex here) (Sha256.to_hex there)
+
 let test_sha256_bytes_string_agree () =
   let payload = "the quick brown fox" in
   Alcotest.(check string) "bytes = string"
@@ -223,6 +260,27 @@ let prop_sha256_concat =
     QCheck.(pair (string_of_size Gen.(0 -- 200)) (string_of_size Gen.(0 -- 200)))
     (fun (a, b) -> Sha256.digest_concat a b = Sha256.digest_string (a ^ b))
 
+(* Pairs that share their last 8 bytes and lengths and differ only in
+   front land in one memo entry, so each call evicts the last; and more
+   distinct short pairs than the memo's 256 entries collide whatever
+   the slot function. Every answer, fresh or remembered, must be the
+   digest of the concatenation, repeated calls included. *)
+let prop_sha256_memo_collisions =
+  QCheck.Test.make ~name:"memoised digest_concat = digest_string (a ^ b) under collisions"
+    ~count:30
+    QCheck.(
+      triple
+        (string_of_size (Gen.return 8))
+        (list_of_size Gen.(0 -- 40) (string_of_size (Gen.return 24)))
+        (list_of_size
+           Gen.(257 -- 400)
+           (pair (string_of_size Gen.(0 -- 64)) (string_of_size Gen.(0 -- 64)))))
+    (fun (tail, fronts, pairs) ->
+      let colliding = List.map (fun front -> (front ^ tail, tail)) fronts in
+      let all = colliding @ pairs in
+      let ok (a, b) = Sha256.digest_concat a b = Sha256.digest_string (a ^ b) in
+      List.for_all ok all && List.for_all ok (List.rev all) && List.for_all ok all)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suites =
@@ -235,8 +293,16 @@ let suites =
         Alcotest.test_case "fixture digests" `Quick test_sha256_fixture;
         Alcotest.test_case "blocks counted per domain" `Quick test_sha256_blocks_per_domain;
         Alcotest.test_case "bytes/string agree" `Quick test_sha256_bytes_string_agree;
+        Alcotest.test_case "memo: a repeated call hashes nothing" `Quick
+          test_sha256_memo_repeat;
+        Alcotest.test_case "memo: per domain" `Quick test_sha256_memo_per_domain;
       ]
-      @ qsuite [ prop_sha256_injective_on_samples; prop_sha256_concat ] );
+      @ qsuite
+          [
+            prop_sha256_injective_on_samples;
+            prop_sha256_concat;
+            prop_sha256_memo_collisions;
+          ] );
     ( "crypto.hmac",
       [
         Alcotest.test_case "rfc4231 vectors" `Quick test_hmac_vectors;

@@ -674,6 +674,32 @@ let test_primary_prepare_not_counted () =
   Engine.run ~until:(Time.ms 20) engine;
   Alcotest.(check int) "a second backup's PREPARE prepares the batch" 1 (commits ())
 
+(* Replicas that receive one shared PRE-PREPARE digest its batch once
+   between them: the digest is remembered by the batch's identity, an
+   exact input. Batches an equivocating primary sends that share a head
+   but differ after it are digested apart, and a memoised answer equals
+   a fresh one (a structurally equal copy is a different list, so it is
+   hashed again). *)
+let test_batch_digest_memo () =
+  let batch = [ req 1; req 2 ] and forked = [ req 1; req 3 ] in
+  let copy l = List.map Fun.id l in
+  let d = Messages.batch_digest batch and f = Messages.batch_digest forked in
+  Alcotest.(check bool) "equivocating batches differ" false (String.equal d f);
+  Alcotest.(check string) "memoised = fresh" (Messages.batch_digest (copy batch))
+    (Messages.batch_digest batch);
+  Alcotest.(check string) "fork memoised = fresh" (Messages.batch_digest (copy forked))
+    (Messages.batch_digest forked);
+  (* Evict both from the memo: the answers stay the same. *)
+  for i = 10 to 40 do
+    ignore (Messages.batch_digest [ req i ])
+  done;
+  Alcotest.(check string) "after eviction" d (Messages.batch_digest batch);
+  Alcotest.(check string) "fork after eviction" f (Messages.batch_digest forked);
+  let blocks0 = Bftcrypto.Sha256.blocks_hashed () in
+  ignore (Messages.batch_digest batch);
+  Alcotest.(check int) "a repeated batch is not hashed" 0
+    (Bftcrypto.Sha256.blocks_hashed () - blocks0)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suites =
@@ -730,5 +756,7 @@ let suites =
         Alcotest.test_case "one source is one vote" `Quick test_one_source_one_vote;
         Alcotest.test_case "a primary's PREPARE is not counted" `Quick
           test_primary_prepare_not_counted;
+        Alcotest.test_case "batch digests memoised by identity" `Quick
+          test_batch_digest_memo;
       ] );
   ]

@@ -398,6 +398,36 @@ let test_switch_master_recovery () =
   Rbft.Cluster.run_for cluster (Time.sec 2);
   Alcotest.(check bool) "agreement" true (Rbft.Cluster.agreement_ok cluster ~faulty:[])
 
+(* A flow-controlled client arms a retransmit watchdog per request, due
+   16 x [busy_retry_base] (160 ms) after the send. At low load every
+   request is answered long before that, and answering it must take its
+   watchdog out of the engine's queue: once all requests are served,
+   the loaded cluster holds no more events than one that never saw a
+   request, run for as long. *)
+let test_completed_requests_leave_no_watchdog () =
+  let params = { (mk_params ()) with Rbft.Params.admission_budget = 128 } in
+  let run = Time.ms 200 and drain = Time.ms 50 in
+  let idle =
+    Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~clients:3 params
+  in
+  Rbft.Cluster.run_for idle (Time.add run drain);
+  let cluster = saturate ~rate:300.0 ~params () in
+  Rbft.Cluster.run_for cluster run;
+  stop_clients cluster;
+  Rbft.Cluster.run_for cluster drain;
+  let clients = Rbft.Cluster.clients cluster in
+  let sent = Array.fold_left (fun acc c -> acc + Rbft.Client.sent c) 0 clients in
+  Alcotest.(check bool) "requests were sent" true (sent > 100);
+  Array.iter
+    (fun c ->
+      Alcotest.(check int)
+        (Printf.sprintf "client %d all completed" (Rbft.Client.id c))
+        (Rbft.Client.sent c) (Rbft.Client.completed c))
+    clients;
+  Alcotest.(check int) "no retransmit watchdog left queued"
+    (Engine.queue_size (Rbft.Cluster.engine idle))
+    (Engine.queue_size (Rbft.Cluster.engine cluster))
+
 let test_closed_loop_client () =
   let p = Bftmetrics.Probe.create () in
   let params = mk_params () in
@@ -706,6 +736,8 @@ let suites =
         Alcotest.test_case "primary placement" `Quick test_primary_placement;
         Alcotest.test_case "duplicate request" `Quick test_duplicate_request_rereplied;
         Alcotest.test_case "closed-loop client" `Quick test_closed_loop_client;
+        Alcotest.test_case "completed requests leave no watchdog" `Quick
+          test_completed_requests_leave_no_watchdog;
       ] );
     ( "rbft.client",
       [

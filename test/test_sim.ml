@@ -182,6 +182,35 @@ let test_heap_drops_popped_references () =
   Heap.push h ~key:42 ~seq:0 (ref 42);
   check_int "usable after clear" 42 (Heap.min_key h)
 
+let test_heap_drops_swept_references () =
+  (* A swept entry's pool slot must not keep its value alive, and the
+     slot is reused without disturbing the entries that stayed. *)
+  let h = Heap.create () in
+  let n = 100 in
+  let weak = Weak.create n in
+  for i = 0 to n - 1 do
+    let v = ref i in
+    Weak.set weak i (Some v);
+    Heap.push h ~key:(n - i) ~seq:i v
+  done;
+  Heap.sweep h ~keep:(fun v -> !v mod 3 = 0);
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    check_bool
+      (Printf.sprintf "value %d %s" i (if i mod 3 = 0 then "retained" else "collected"))
+      (i mod 3 = 0)
+      (Weak.get weak i <> None)
+  done;
+  for i = 0 to 9 do
+    Heap.push h ~key:0 ~seq:(n + i) (ref (-1))
+  done;
+  check_int "size" (((n + 2) / 3) + 10) (Heap.size h);
+  let popped = List.map (fun (_, v) -> !v) (drain_heap h) in
+  Alcotest.(check (list int)) "survivors in order after the new entries"
+    (List.init 10 (fun _ -> -1)
+    @ List.filter (fun i -> i mod 3 = 0) (List.init n (fun i -> n - 1 - i)))
+    popped
+
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in key order"
     QCheck.(list (int_bound 10_000))
@@ -204,56 +233,110 @@ let prop_heap_tie_total_order =
           (fun (a, _) (b, _) -> compare a b)
           (List.mapi (fun i k -> (k, i)) keys))
 
-(* Model test: random interleavings of pushes and pops, checked step by
+(* Model test: random interleavings of heap operations, checked step by
    step against a list kept sorted by (key, seq). Keys come from {0..7}
-   so most comparisons are ties, and pushes outnumber pops three to one
-   so the heap crosses its 64 -> 128 -> 256 growth boundaries (and pops
-   across them). *)
-type heap_op = Push of int | Pop
+   so most comparisons are ties. An entry's value is its (key, seq) and
+   a cancelled flag: [Cancel i] flags the i-th live entry of the model
+   (mod its length), as the engine flags a cancelled event, and [Sweep]
+   removes every flagged entry from both. A pop surfaces flagged
+   entries too: only a sweep removes them. *)
+type heap_op = Push of int | Pop | Cancel of int | Sweep
 
-let prop_heap_matches_sorted_model =
-  let op_gen =
-    QCheck.Gen.(
-      frequency [ (3, map (fun k -> Push k) (int_bound 7)); (1, return Pop) ])
+let print_heap_op = function
+  | Push k -> Printf.sprintf "push %d" k
+  | Pop -> "pop"
+  | Cancel i -> Printf.sprintf "cancel %d" i
+  | Sweep -> "sweep"
+
+let heap_matches_model ops =
+  let h = Heap.create () in
+  let rec insert e = function
+    | [] -> [ e ]
+    | x :: rest as l ->
+      let k (key, seq, _) = (key, seq) in
+      if compare (k e) (k x) < 0 then e :: l else x :: insert e rest
   in
-  let print = function Push k -> Printf.sprintf "push %d" k | Pop -> "pop" in
-  QCheck.Test.make ~count:200
-    ~name:"interleaved push/pop_min matches a sorted-list model"
-    QCheck.(
-      make
-        ~print:Print.(list print)
-        ~shrink:Shrink.list
-        Gen.(list_size (int_range 0 1200) op_gen))
-    (fun ops ->
-      let h = Heap.create () in
-      let rec insert e = function
-        | [] -> [ e ]
-        | x :: rest as l -> if compare e x < 0 then e :: l else x :: insert e rest
-      in
-      let model = ref [] and seq = ref 0 and peak = ref 0 in
-      let ok =
-        List.for_all
-          (fun op ->
-            match op with
-            | Push key ->
-              incr seq;
-              (* The value names its (key, seq), so a pop shows which
-                 entry surfaced, not only its key. *)
-              Heap.push h ~key ~seq:!seq (key, !seq);
-              model := insert (key, !seq) !model;
-              peak := max !peak (Heap.size h);
-              Heap.size h = List.length !model
-            | Pop -> (
-              match !model with
-              | [] -> Heap.is_empty h
-              | (key, seq) :: rest ->
-                model := rest;
-                Heap.min_key h = key
-                && Heap.pop_min h = (key, seq)
-                && Heap.size h = List.length rest))
-          ops
-      in
-      ok && List.map snd (drain_heap h) = !model)
+  let model = ref [] and seq = ref 0 in
+  let consistent () =
+    Heap.size h = List.length !model
+    && match !model with [] -> Heap.is_empty h | (key, _, _) :: _ -> Heap.min_key h = key
+  in
+  let step = function
+    | Push key ->
+      incr seq;
+      let v = (key, !seq, ref false) in
+      Heap.push h ~key ~seq:!seq v;
+      model := insert v !model
+    | Pop -> (
+      match !model with
+      | [] -> ()
+      | v :: rest ->
+        model := rest;
+        (* The very entry the model expects, not an equal one. *)
+        if Heap.pop_min h != v then failwith "pop surfaced another entry")
+    | Cancel i -> (
+      match !model with
+      | [] -> ()
+      | l ->
+        let _, _, cancelled = List.nth l (i mod List.length l) in
+        cancelled := true)
+    | Sweep ->
+      Heap.sweep h ~keep:(fun (_, _, cancelled) -> not !cancelled);
+      model := List.filter (fun (_, _, cancelled) -> not !cancelled) !model
+  in
+  List.for_all (fun op -> step op; consistent ()) ops
+  && List.map (fun (k, s, _) -> (k, s)) (List.map snd (drain_heap h))
+     = List.map (fun (k, s, _) -> (k, s)) !model
+
+let heap_model_test ~name ?(count = 200) ops =
+  QCheck.Test.make ~count ~name
+    (QCheck.make ~print:QCheck.Print.(list print_heap_op) ~shrink:QCheck.Shrink.list ops)
+    heap_matches_model
+
+let push_gen = QCheck.Gen.(map (fun k -> Push k) (int_bound 7))
+
+(* Pushes outnumber pops three to one, so the heap crosses its 64 ->
+   128 -> 256 growth boundaries (and pops across them). *)
+let prop_heap_matches_sorted_model =
+  heap_model_test ~name:"interleaved push/pop_min matches a sorted-list model"
+    QCheck.Gen.(
+      list_size (int_range 0 1200) (frequency [ (3, push_gen); (1, return Pop) ]))
+
+let prop_heap_interleaved_cancels =
+  heap_model_test ~name:"interleaved cancels and sweeps match the model"
+    QCheck.Gen.(
+      list_size (int_range 0 1200)
+        (frequency
+           [ (6, push_gen); (2, return Pop); (3, map (fun i -> Cancel i) nat);
+             (1, return Sweep) ]))
+
+(* Bursts that fill past a growth boundary, drain most of the heap and
+   fill again: pool slots freed by pops are handed out again, before
+   and after the pool grows, while older entries stay put. *)
+let prop_heap_slot_reuse_across_growth =
+  heap_model_test ~count:100 ~name:"slot reuse across growth matches the model"
+    QCheck.Gen.(
+      map List.concat
+        (list_size (int_range 1 6)
+           (map2
+              (fun pushes pops ->
+                List.init pushes (fun k -> Push (k land 7)) @ List.init pops (fun _ -> Pop))
+              (int_range 1 300) (int_range 0 300))))
+
+(* Cancel most of a large heap of ties, sweep, and keep going: what
+   survives a sweep pops in exactly its (key, seq) order. *)
+let prop_heap_sweep =
+  heap_model_test ~count:100 ~name:"sweeps keep the (key, seq) order"
+    QCheck.Gen.(
+      map List.concat
+        (list_size (int_range 1 4)
+           (map3
+              (fun pushes cancels pops ->
+                pushes @ List.map (fun i -> Cancel i) cancels @ [ Sweep ]
+                @ List.init pops (fun _ -> Pop))
+              (list_size (int_range 0 300) push_gen)
+              (list_size (int_range 0 300) nat)
+              (int_range 0 50))))
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                             *)
@@ -288,10 +371,61 @@ let test_engine_cancel () =
   let fired = ref false in
   let t = Engine.after e (Time.ms 1) (fun () -> fired := true) in
   check_bool "pending" true (Engine.pending t);
-  Engine.cancel t;
+  Engine.cancel e t;
   Engine.run e;
   check_bool "cancelled" false !fired;
   check_bool "not pending" false (Engine.pending t)
+
+let test_engine_cancel_sweeps () =
+  (* 120 events over 4 instants, scheduled in a scrambled order;
+     cancelling 80 of them triggers sweeps mid-way. The queue counts
+     only live events at once, and the survivors fire in (instant,
+     scheduling) order. *)
+  let e = Engine.create () in
+  let fired = ref [] in
+  let timers =
+    Array.init 120 (fun i ->
+        let at = Time.ms (1 + (i * 7 mod 4)) in
+        (at, i, Engine.at e at (fun () -> fired := i :: !fired)))
+  in
+  check_int "queued" 120 (Engine.queue_size e);
+  Array.iter (fun (_, i, t) -> if i mod 3 <> 0 then Engine.cancel e t) timers;
+  check_int "cancelled events leave the count" 40 (Engine.queue_size e);
+  check_int "peak" 120 (Engine.queue_peak e);
+  Engine.run e;
+  let expected =
+    Array.to_list timers
+    |> List.filter (fun (_, i, _) -> i mod 3 = 0)
+    |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b)
+    |> List.map (fun (_, i, _) -> i)
+  in
+  Alcotest.(check (list int)) "survivors in order" expected (List.rev !fired);
+  check_int "drained" 0 (Engine.queue_size e);
+  check_int "events" 40 (Engine.events_processed e)
+
+let test_engine_rearm () =
+  let e = Engine.create () in
+  let count = ref 0 in
+  let t = Engine.timer (fun () -> incr count) in
+  check_bool "made idle" false (Engine.pending t);
+  Engine.rearm e t (Time.ms 1);
+  Alcotest.check_raises "re-arming a scheduled timer"
+    (Invalid_argument "Engine.rearm: timer is scheduled") (fun () ->
+      Engine.rearm e t (Time.ms 2));
+  Engine.run e;
+  check_int "fired once" 1 !count;
+  Engine.rearm e t (Time.ms 3);
+  Engine.run ~until:(Time.ms 2) e;
+  check_bool "pending again" true (Engine.pending t);
+  Engine.run e;
+  check_int "fired twice" 2 !count;
+  check_int "at the re-armed instant" (Time.ms 3) (Engine.now e);
+  (* Alone in the heap, the cancelled event is swept at once. *)
+  Engine.rearm e t (Time.ms 4);
+  Engine.cancel e t;
+  Engine.rearm e t (Time.ms 5);
+  Engine.run e;
+  check_int "a cancelled timer re-arms" 3 !count
 
 let test_engine_stop () =
   let e = Engine.create () in
@@ -430,7 +564,7 @@ let test_choice_cancel_while_parked () =
         fired := true)
   in
   Engine.run ~until:(Time.ms 2) e;
-  Engine.cancel t;
+  Engine.cancel e t;
   check_int "cancelled choice not listed" 0 (Engine.pending_choice_count e);
   Engine.release_choices e;
   Engine.run e;
@@ -657,18 +791,25 @@ let suites =
         Alcotest.test_case "clear" `Quick test_heap_clear;
         Alcotest.test_case "pop/clear drop value references" `Quick
           test_heap_drops_popped_references;
+        Alcotest.test_case "sweep drops value references" `Quick
+          test_heap_drops_swept_references;
       ]
       @ qsuite
           [
             prop_heap_sorts;
             prop_heap_tie_total_order;
             prop_heap_matches_sorted_model;
+            prop_heap_interleaved_cancels;
+            prop_heap_slot_reuse_across_growth;
+            prop_heap_sweep;
           ] );
     ( "sim.engine",
       [
         Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;
         Alcotest.test_case "run until" `Quick test_engine_until;
         Alcotest.test_case "cancel" `Quick test_engine_cancel;
+        Alcotest.test_case "cancel and sweep keep order" `Quick test_engine_cancel_sweeps;
+        Alcotest.test_case "re-armed timer" `Quick test_engine_rearm;
         Alcotest.test_case "stop/resume" `Quick test_engine_stop;
         Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule;
         Alcotest.test_case "FIFO ties" `Quick test_engine_same_time_fifo;
