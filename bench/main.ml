@@ -409,29 +409,18 @@ let () =
     ()
   else if not !only_micro then begin
     let t0 = Unix.gettimeofday () in
-    let groups =
-      [
-        ( "fig1/2/3+table1",
-          [ "fig1"; "fig2"; "fig3"; "table1" ],
-          fun () -> Experiments.robustness_of_baselines ~audit ~quick );
-        ("fig7", [ "fig7a"; "fig7b" ], fun () -> Experiments.fig7 ~audit ~quick);
-        ("fig8/9", [ "fig8"; "fig9" ], fun () -> Experiments.fig8_9 ~audit ~quick);
-        ("fig10/11", [ "fig10"; "fig11" ], fun () -> Experiments.fig10_11 ~audit ~quick);
-        ("fig12", [ "fig12" ], fun () -> [ Experiments.fig12 ~audit ~quick ]);
-        ( "ablations",
-          [ "ablation-ordering"; "ablation-viewchange"; "ablation-delta"; "ablation-recovery"; "ablation-closedloop" ],
-          fun () -> Experiments.ablations ~audit ~quick );
-      ]
-    in
     List.iter
-      (fun (label, ids, run) ->
+      (fun { Experiments.label; ids; run } ->
         if List.exists (want !only) ids then begin
           let t = Unix.gettimeofday () in
-          let tables = Bftmetrics.Profile.time profile ("experiments:" ^ label) run in
+          let tables =
+            Bftmetrics.Profile.time profile ("experiments:" ^ label) (fun () ->
+                run ~audit ~quick)
+          in
           List.iter Report.print (List.filter (fun t -> want !only t.Report.id) tables);
           Printf.printf "  (%s took %.1fs)\n%!" label (Unix.gettimeofday () -. t)
         end)
-      groups;
+      Experiments.groups;
     Printf.printf "\nTotal experiment time: %.1fs\n%!" (Unix.gettimeofday () -. t0)
   end;
   (* The last experiment's auditor must not see the micro-benchmarks'

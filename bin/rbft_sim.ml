@@ -1,20 +1,23 @@
 (* rbft-sim: command-line driver for the RBFT reproduction.
 
    Subcommands:
-     run         simulate an RBFT cluster (fault-free or under attack)
-     trace-spans run with causal per-request tracing and print the
-                 critical-path latency attribution
+     run         simulate an RBFT cluster (fault-free or under attack);
+                 with --span-sample or --spans, trace requests causally
+                 and print the critical-path latency attribution
+     spans       print that attribution for a span JSONL saved by run
      compare     show calibrated peaks of the four protocols
-     experiment  run one named experiment from the benchmark harness
+     experiment  run one experiment group from the benchmark harness
      scenario    replay a chaos scenario file and judge it
      explore     randomized chaos sweep with shrinking of failures
      doctor      analyze an incident bundle written by the flight recorder
+     mc          model-check delivery orders and crash placements
 
    Examples:
      rbft_sim run --f 1 --clients 10 --rate 2000 --seconds 2
      rbft_sim run --attack worst2 --payload 4096
      rbft_sim run --clients 200 --cap-deep   -- memory footprint table
-     rbft_sim trace-spans --span-sample 1/8 --attack worst1
+     rbft_sim run --span-sample 1/8 --attack worst1 --spans spans.jsonl
+     rbft_sim spans spans.jsonl --slowest 3
      rbft_sim experiment --id fig12
      rbft_sim scenario --file examples/scenarios/flapping_partition.scn
      rbft_sim explore --count 200 --seed 7 *)
@@ -23,16 +26,59 @@ open Cmdliner
 open Dessim
 
 (* ------------------------------------------------------------------ *)
+(* span analysis                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* "--span-sample 1/8" keeps every 8th request; a bare integer is also
+   accepted. *)
+let parse_sample s =
+  let bad () = failwith (Printf.sprintf "bad --span-sample %S (want 1/N)" s) in
+  match String.index_opt s '/' with
+  | Some i ->
+    let num = String.sub s 0 i
+    and den = String.sub s (i + 1) (String.length s - i - 1) in
+    (match (int_of_string_opt num, int_of_string_opt den) with
+     | Some 1, Some n when n >= 1 -> n
+     | _ -> bad ())
+  | None -> (
+    match int_of_string_opt s with Some n when n >= 1 -> n | _ -> bad ())
+
+let print_analysis ~slowest spans =
+  let summary = Bftspan.Analyze.summarize spans in
+  print_string (Bftspan.Analyze.report ~slowest summary);
+  print_newline ();
+  print_string (Bftspan.Analyze.client_report summary);
+  (match Bftspan.Analyze.check_trees spans with
+   | [] -> ()
+   | errs ->
+     Printf.printf "\nspan-tree violations (%d):\n" (List.length errs);
+     List.iter (fun e -> Printf.printf "  %s\n" e) errs)
+
+let slowest_arg =
+  Arg.(
+    value & opt int 5
+    & info [ "slowest" ] ~doc:"Critical paths to print for the slowest requests.")
+
+(* ------------------------------------------------------------------ *)
 (* run                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let run_cluster f clients rate seconds payload attack mode transport seed trace
-    chrome audit metrics prom doctor cap cap_deep cap_chrome =
-  (* Structured observability: a capture (for file export and the run
-     digest) whenever any trace output is requested, a console printer
-     for [--trace -], and an online safety auditor for [--audit], all
-     on the run's probe. *)
+    chrome audit metrics prom doctor cap cap_deep cap_chrome span_sample spans_out
+    slowest =
+  (* Structured observability: causal span tracing for [--span-sample]
+     or [--spans], a capture (for file export and the run digest)
+     whenever any trace output is requested, a console printer for
+     [--trace -], and an online safety auditor for [--audit], all on
+     the run's probe. *)
   let probe = Bftmetrics.Probe.create () in
+  let span_sample =
+    match (span_sample, spans_out) with
+    | Some s, _ -> Some (parse_sample s)
+    | None, Some _ -> Some 1
+    | None, None -> None
+  in
+  Option.iter (fun sample -> Bftmetrics.Probe.enable_spans ~sample probe) span_sample;
   let capture =
     if trace <> None || chrome <> None then Some (Bftaudit.Capture.attach probe)
     else None
@@ -134,6 +180,13 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
   Array.iter (fun c -> Rbft.Client.set_rate c rate) (Rbft.Cluster.clients cluster);
   let duration = Time.of_sec_f seconds in
   Rbft.Cluster.run_for cluster duration;
+  let traced =
+    Option.map
+      (fun sample ->
+        Bftmetrics.Probe.disable_spans probe;
+        (sample, Bftmetrics.Probe.span_array probe))
+      span_sample
+  in
   let faulty =
     match attack with
     | "worst1" -> List.init f (fun i -> (3 * f) - i)
@@ -154,6 +207,17 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
     (Rbft.Cluster.agreement_ok cluster ~faulty);
   Printf.printf "events simulated: %d\n"
     (Engine.events_processed (Rbft.Cluster.engine cluster));
+  Option.iter
+    (fun (sample, spans) ->
+      Printf.printf "\nspans sampled 1/%d:\n\n" sample;
+      print_analysis ~slowest spans;
+      Printf.printf "\nspan digest: %s\n" (Bftspan.Tracer.digest probe);
+      Option.iter
+        (fun path ->
+          Bftspan.Tracer.write_jsonl probe path;
+          Printf.printf "spans: %d -> %s\n" (Array.length spans) path)
+        spans_out)
+    traced;
   (match gcstats with
    | Some g ->
      Bftcap.Gcstats.sample g ~now:(Engine.now (Rbft.Cluster.engine cluster));
@@ -208,7 +272,11 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
       | Some _ | None -> ());
      (match chrome with
       | Some path ->
-        Bftaudit.Capture.write_chrome_trace c path;
+        (* With spans on, one timeline: nested spans plus the audit
+           instants. *)
+        (match traced with
+         | Some (_, spans) -> Bftspan.Analyze.write_chrome ~audit:c spans path
+         | None -> Bftaudit.Capture.write_chrome_trace c path);
         Printf.printf "chrome trace: %d events -> %s\n"
           (Bftaudit.Capture.count c) path
       | None -> ());
@@ -300,7 +368,9 @@ let run_cmd =
       & info [ "chrome-trace" ] ~docv:"FILE"
           ~doc:
             "Write the event trace in Chrome trace_event JSON format to \
-             $(docv) (open in chrome://tracing or Perfetto).")
+             $(docv) (open in chrome://tracing or Perfetto). With spans on, \
+             the file nests the traced requests' spans alongside the \
+             events.")
   in
   let audit =
     Arg.(
@@ -369,179 +439,83 @@ let run_cmd =
              counts) as Chrome trace_event counter series to $(docv) (open \
              in Perfetto). Implies $(b,--cap).")
   in
-  Cmd.v
-    (Cmd.info "run" ~doc:"Simulate an RBFT cluster")
-    Term.(
-      const run_cluster $ f $ clients $ rate $ seconds $ payload $ attack $ mode
-      $ transport $ seed $ trace $ chrome $ audit $ metrics $ prom $ doctor
-      $ cap $ cap_deep $ cap_chrome)
-
-(* ------------------------------------------------------------------ *)
-(* trace-spans                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* "--span-sample 1/8" keeps every 8th request; a bare integer is also
-   accepted. *)
-let parse_sample s =
-  let bad () = failwith (Printf.sprintf "bad --span-sample %S (want 1/N)" s) in
-  match String.index_opt s '/' with
-  | Some i ->
-    let num = String.sub s 0 i
-    and den = String.sub s (i + 1) (String.length s - i - 1) in
-    (match (int_of_string_opt num, int_of_string_opt den) with
-     | Some 1, Some n when n >= 1 -> n
-     | _ -> bad ())
-  | None -> (
-    match int_of_string_opt s with Some n when n >= 1 -> n | _ -> bad ())
-
-let print_analysis ~slowest spans =
-  let summary = Bftspan.Analyze.summarize spans in
-  print_string (Bftspan.Analyze.report ~slowest summary);
-  print_newline ();
-  print_string (Bftspan.Analyze.client_report summary);
-  (match Bftspan.Analyze.check_trees spans with
-   | [] -> ()
-   | errs ->
-     Printf.printf "\nspan-tree violations (%d):\n" (List.length errs);
-     List.iter (fun e -> Printf.printf "  %s\n" e) errs)
-
-let trace_spans f clients rate seconds payload attack seed sample spans_out
-    chrome slowest input =
-  match input with
-  | Some path ->
-    (* Offline: analyze a previously captured span JSONL. *)
-    print_analysis ~slowest (Bftspan.Analyze.read_jsonl path)
-  | None ->
-    let sample = parse_sample sample in
-    let probe = Bftmetrics.Probe.create () in
-    Bftmetrics.Probe.enable_spans ~sample probe;
-    let capture =
-      if chrome <> None then Some (Bftaudit.Capture.attach probe) else None
-    in
-    let cluster =
-      Rbft.Cluster.create ~probe ~seed:(Int64.of_int seed) ~transport:Bftnet.Network.Tcp
-        ~clients ~payload_size:payload
-        (Rbft.Params.default ~f)
-    in
-    (match attack with
-     | "none" -> ()
-     | "worst1" -> Rbft.Attacks.worst_attack_1 cluster
-     | "worst2" -> Rbft.Attacks.worst_attack_2 cluster
-     | other -> failwith ("unknown attack: " ^ other));
-    Array.iter (fun c -> Rbft.Client.set_rate c rate) (Rbft.Cluster.clients cluster);
-    Rbft.Cluster.run_for cluster (Time.of_sec_f seconds);
-    Bftmetrics.Probe.disable_spans probe;
-    let spans = Bftmetrics.Probe.span_array probe in
-    Printf.printf
-      "traced %.1fs (attack %s, sampling 1/%d): %d requests executed\n\n" seconds
-      attack sample
-      (Rbft.Cluster.total_executed cluster);
-    print_analysis ~slowest spans;
-    Printf.printf "\nspan digest: %s\n" (Bftspan.Tracer.digest probe);
-    (match spans_out with
-     | Some path ->
-       Bftspan.Tracer.write_jsonl probe path;
-       Printf.printf "spans: %d -> %s\n" (Array.length spans) path
-     | None -> ());
-    (match chrome with
-     | Some path ->
-       Bftspan.Analyze.write_chrome ?audit:capture spans path;
-       Printf.printf "chrome trace -> %s\n" path
-     | None -> ());
-    (match capture with Some c -> Bftaudit.Capture.detach c | None -> ())
-
-let trace_spans_cmd =
-  let f =
+  let span_sample =
     Arg.(
-      value & opt int 1
-      & info [ "f"; "faults" ] ~doc:"Faults tolerated (n = 3f+1 nodes).")
-  in
-  let clients = Arg.(value & opt int 10 & info [ "clients" ] ~doc:"Client count.") in
-  let rate =
-    Arg.(value & opt float 2000.0 & info [ "rate" ] ~doc:"Requests/s per client.")
-  in
-  let seconds =
-    Arg.(
-      value & opt float 1.0 & info [ "seconds" ] ~doc:"Virtual seconds to simulate.")
-  in
-  let payload =
-    Arg.(value & opt int 8 & info [ "payload" ] ~doc:"Request payload bytes.")
-  in
-  let attack =
-    Arg.(
-      value & opt string "none" & info [ "attack" ] ~doc:"none | worst1 | worst2.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Simulation seed.") in
-  let sample =
-    Arg.(
-      value & opt string "1/1"
+      value
+      & opt (some string) None
       & info [ "span-sample" ] ~docv:"1/N"
-          ~doc:"Trace every $(docv)-th request (by request id).")
+          ~doc:
+            "Trace every $(docv)-th request (by request id) causally and \
+             print the per-stage critical-path latency attribution, the \
+             slowest requests' paths, the per-client spread and the span \
+             digest.")
   in
   let spans_out =
     Arg.(
       value
       & opt (some string) None
-      & info [ "spans" ] ~docv:"FILE" ~doc:"Write captured spans as JSONL to $(docv).")
-  in
-  let chrome =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome-trace" ] ~docv:"FILE"
+      & info [ "spans" ] ~docv:"FILE"
           ~doc:
-            "Write nested spans plus audit-bus instants as a combined Chrome \
-             trace_event file to $(docv) (open in Perfetto).")
-  in
-  let slowest =
-    Arg.(
-      value & opt int 5
-      & info [ "slowest" ] ~doc:"Critical paths to print for the slowest requests.")
-  in
-  let input =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "input" ] ~docv:"FILE"
-          ~doc:"Analyze an existing span JSONL instead of running a simulation.")
+            "Write the traced spans as JSONL to $(docv) (read back by \
+             $(b,rbft_sim spans)). Traces every request unless \
+             $(b,--span-sample) says otherwise.")
   in
   Cmd.v
-    (Cmd.info "trace-spans"
-       ~doc:
-         "Run an RBFT cluster with causal per-request tracing and print the \
-          per-stage critical-path latency attribution")
+    (Cmd.info "run" ~doc:"Simulate an RBFT cluster")
     Term.(
-      const trace_spans $ f $ clients $ rate $ seconds $ payload $ attack $ seed
-      $ sample $ spans_out $ chrome $ slowest $ input)
+      const run_cluster $ f $ clients $ rate $ seconds $ payload $ attack $ mode
+      $ transport $ seed $ trace $ chrome $ audit $ metrics $ prom $ doctor
+      $ cap $ cap_deep $ cap_chrome $ span_sample $ spans_out $ slowest_arg)
+
+(* ------------------------------------------------------------------ *)
+(* spans                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let spans_cmd =
+  let input =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"FILE" ~doc:"Span JSONL written by $(b,run --spans).")
+  in
+  Cmd.v
+    (Cmd.info "spans"
+       ~doc:
+         "Print the per-stage critical-path latency attribution of a \
+          captured span JSONL, without running a simulation")
+    Term.(
+      const (fun path slowest -> print_analysis ~slowest (Bftspan.Analyze.read_jsonl path))
+      $ input $ slowest_arg)
 
 (* ------------------------------------------------------------------ *)
 (* experiment                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let run_experiment id quick audit =
-  let audit = Bftharness.Audit.create ~enabled:audit (Bftmetrics.Probe.create ()) in
-  let tables =
-    match id with
-    | "fig1" | "fig2" | "fig3" | "table1" ->
-      Bftharness.Experiments.robustness_of_baselines ~audit ~quick
-    | "fig7" | "fig7a" | "fig7b" -> Bftharness.Experiments.fig7 ~audit ~quick
-    | "fig8" | "fig9" -> Bftharness.Experiments.fig8_9 ~audit ~quick
-    | "fig10" | "fig11" -> Bftharness.Experiments.fig10_11 ~audit ~quick
-    | "fig12" -> [ Bftharness.Experiments.fig12 ~audit ~quick ]
-    | "ablations" -> Bftharness.Experiments.ablations ~audit ~quick
-    | other -> failwith ("unknown experiment: " ^ other)
-  in
-  List.iter Bftharness.Report.print tables;
-  match Bftharness.Audit.summary audit with
-  | Some s -> Printf.printf "Safety audit: %s\n" s
-  | None -> ()
+  let open Bftharness in
+  match Experiments.find id with
+  | None ->
+    Printf.eprintf "unknown experiment %S\n" id;
+    exit 2
+  | Some group ->
+    let audit = Audit.create ~enabled:audit (Bftmetrics.Probe.create ()) in
+    List.iter Report.print (group.Experiments.run ~audit ~quick);
+    Option.iter (Printf.printf "Safety audit: %s\n") (Audit.summary audit)
 
 let experiment_cmd =
   let id =
     Arg.(
       value & opt string "fig12"
       & info [ "id" ]
-          ~doc:"fig1|fig2|fig3|table1|fig7|fig8|fig9|fig10|fig11|fig12|ablations.")
+          ~doc:
+            ("A table id or a group label; the whole group runs and prints: "
+            ^ String.concat "; "
+                (List.map
+                   (fun g ->
+                     Printf.sprintf "%s (%s)" g.Bftharness.Experiments.label
+                       (String.concat ", " g.Bftharness.Experiments.ids))
+                   Bftharness.Experiments.groups)
+            ^ "."))
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Short windows.") in
   let audit =
@@ -562,10 +536,9 @@ let compare_protocols payload =
   Printf.printf "calibrated peaks, %dB requests (f=1)\n" payload;
   List.iter
     (fun proto ->
-      Printf.printf "  %-10s %.1f kreq/s\n" (Calibrate.name proto)
+      Printf.printf "  %-10s %.1f kreq/s\n" (Flavour.name proto)
         (Calibrate.peak_rate proto ~size:payload /. 1e3))
-    [ Calibrate.Rbft; Calibrate.Rbft_udp; Calibrate.Aardvark; Calibrate.Spinning;
-      Calibrate.Prime ];
+    Flavour.[ Rbft; Rbft_udp; Aardvark; Spinning; Prime ];
   Printf.printf "(run examples/compare_protocols.exe for measured numbers)\n"
 
 let compare_cmd =
@@ -653,11 +626,11 @@ let run_explore count seed f duration drain protocols out_dir shrink_budget verb
     bundles =
   let protocols =
     match protocols with
-    | "" -> Bftchaos.Scenario.all_protocols
+    | "" -> Array.of_list Flavour.all
     | names ->
       names |> String.split_on_char ','
       |> List.map (fun n ->
-             match Bftchaos.Scenario.protocol_of_name (String.trim n) with
+             match Flavour.of_slug (String.trim n) with
              | Some p -> p
              | None -> failwith ("unknown protocol: " ^ n))
       |> Array.of_list
@@ -725,8 +698,9 @@ let explore_cmd =
       value & opt string ""
       & info [ "protocols" ]
           ~doc:
-            "Comma-separated subset: \
-             rbft,rbft-udp,rbft-concurrent,aardvark,spinning,prime.")
+            ("Comma-separated subset: "
+            ^ String.concat "," (List.map Flavour.slug Flavour.all)
+            ^ "."))
   in
   let out_dir =
     Arg.(
@@ -960,5 +934,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "rbft_sim" ~doc)
-          [ run_cmd; trace_spans_cmd; experiment_cmd; compare_cmd; scenario_cmd; mc_cmd;
+          [ run_cmd; spans_cmd; experiment_cmd; compare_cmd; scenario_cmd; mc_cmd;
             explore_cmd; doctor_cmd ]))

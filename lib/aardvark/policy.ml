@@ -16,7 +16,6 @@ type t = {
   mutable required : float;
   mutable grace_until : Time.t;
   mutable history : float list;  (* most recent first *)
-  mutable last_rate : float;
   mutable recent_rates : float list;  (* rolling window of recent rates *)
   mutable dead_windows : int;  (* consecutive windows with zero progress *)
 }
@@ -32,7 +31,6 @@ let create ~n cfg =
     required = 0.0;
     grace_until = Time.zero;
     history = [];
-    last_rate = 0.0;
     recent_rates = [];
     dead_windows = 0;
   }
@@ -73,12 +71,9 @@ let required_rate t = t.required
 
 type verdict = Ok | Demand_view_change
 
-let observed_rate t = t.last_rate
-
 let tick t ~now ~pending =
   let window = Time.to_sec_f (Time.sub now t.window_start) in
   let rate = if window <= 0.0 then 0.0 else float_of_int t.window_ordered /. window in
-  t.last_rate <- rate;
   (* Judge the primary on a smoothed rate (last 5 windows): ordering is
      bursty at the batch granularity and a single-window dip says
      little. *)

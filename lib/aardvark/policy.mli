@@ -51,6 +51,3 @@ val tick : t -> now:Time.t -> pending:int -> verdict
     against the (possibly ratcheted) requirement; also fires when the
     primary ordered nothing despite [pending > 0] requests (heartbeat
     expiry). *)
-
-val observed_rate : t -> float
-(** Throughput measured over the last completed period. *)

@@ -1,7 +1,7 @@
 open Dessim
 
 type grammar = {
-  protocols : Scenario.protocol array;
+  protocols : Flavour.t array;
   f : int;
   duration : Time.t;
   drain : Time.t;
@@ -13,7 +13,7 @@ type grammar = {
 
 let default_grammar =
   {
-    protocols = Scenario.all_protocols;
+    protocols = Array.of_list Flavour.all;
     f = 1;
     duration = Time.sec 1;
     drain = Time.of_sec_f 1.5;
@@ -28,12 +28,12 @@ let default_grammar =
 type caps = { loss : bool; isolation : bool }
 
 let caps_of = function
-  | Scenario.Prime -> { loss = false; isolation = false }
+  | Flavour.Prime -> { loss = false; isolation = false }
   (* Concurrent ordering survives isolation of a partition owner: the
      stall-driven instance change re-homes its clients and the degrade
      path keeps the merge advancing, all well inside the drain bound. *)
-  | Scenario.Rbft | Scenario.Rbft_udp | Scenario.Rbft_concurrent
-  | Scenario.Aardvark | Scenario.Spinning ->
+  | Flavour.Rbft | Flavour.Rbft_udp | Flavour.Rbft_concurrent
+  | Flavour.Aardvark | Flavour.Spinning ->
     { loss = true; isolation = true }
 
 (* A fault window inside the chaos phase: starts within the first half

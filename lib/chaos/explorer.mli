@@ -21,7 +21,7 @@
 open Dessim
 
 type grammar = {
-  protocols : Scenario.protocol array;
+  protocols : Flavour.t array;
   f : int;
   duration : Time.t;
   drain : Time.t;
@@ -32,7 +32,7 @@ type grammar = {
 }
 
 val default_grammar : grammar
-(** 4-node clusters across all five protocol flavours, 1 s chaos
+(** 4-node clusters across all six protocol flavours, 1 s chaos
     phase, 1.5 s drain, 2 clients at 100 req/s each. *)
 
 val sample : grammar -> Rng.t -> index:int -> Scenario.t

@@ -52,19 +52,20 @@ let build ~probe (s : Scenario.t) =
   let f = s.Scenario.f and seed = s.Scenario.seed in
   let clients = s.Scenario.workload.Scenario.clients
   and payload_size = s.Scenario.workload.Scenario.payload in
-  let rbft ~transport ?(ordering = Rbft.Params.Redundant) () =
-    let params =
+  let rbft flavour =
+    let tweak p =
       {
-        (Rbft.Params.default ~f) with
+        p with
         Rbft.Params.lambda = s.Scenario.lambda;
-        ordering;
         ic_quorum =
           (match s.Scenario.mutation with
            | Some Scenario.Ic_quorum_low -> Some 1
            | None -> None);
       }
     in
-    let cluster = Rbft.Cluster.create ~probe ~seed ~transport ~clients ~payload_size params in
+    let cluster =
+      Flavour.rbft_cluster ~probe ~seed ~tweak ~clients ~payload_size ~f flavour
+    in
     sys (module Rbft) cluster ~f ~describe:(Rbft.Cluster.describe cluster)
       ~context:
         (Some
@@ -73,11 +74,8 @@ let build ~probe (s : Scenario.t) =
   in
   let baseline name = [ ("protocol", name); ("f", string_of_int f) ] in
   match s.Scenario.protocol with
-  | Scenario.Rbft -> rbft ~transport:Bftnet.Network.Tcp ()
-  | Scenario.Rbft_udp -> rbft ~transport:Bftnet.Network.Udp ()
-  | Scenario.Rbft_concurrent ->
-    rbft ~transport:Bftnet.Network.Tcp ~ordering:Rbft.Params.Concurrent ()
-  | Scenario.Aardvark ->
+  | (Flavour.Rbft | Flavour.Rbft_udp | Flavour.Rbft_concurrent) as flavour -> rbft flavour
+  | Flavour.Aardvark ->
     (* Aardvark's paper policy times (5 s grace) dwarf a chaos
        scenario; the compressed times let the protocol react within
        the run. *)
@@ -85,12 +83,12 @@ let build ~probe (s : Scenario.t) =
       (Aardvark.Cluster.create ~probe ~seed ~clients ~payload_size
          (Aardvark.Node.simulation_config ~f))
       ~f ~describe:(baseline "aardvark") ~context:None
-  | Scenario.Spinning ->
+  | Flavour.Spinning ->
     sys (module Spinning)
       (Spinning.Cluster.create ~probe ~seed ~clients ~payload_size
          (Spinning.Node.default_config ~f))
       ~f ~describe:(baseline "spinning") ~context:None
-  | Scenario.Prime ->
+  | Flavour.Prime ->
     sys (module Prime)
       (Prime.Cluster.create ~probe ~seed ~clients ~payload_size (Prime.Node.default_config ~f))
       ~f ~describe:(baseline "prime") ~context:None
@@ -188,7 +186,7 @@ let ok r = safety_ok r && liveness_ok r
 let summary r =
   Printf.sprintf "%s [%s]: %s, %d/%d completed, %d executed, %d violations, %d events"
     r.scenario.Scenario.name
-    (Scenario.protocol_name r.scenario.Scenario.protocol)
+    (Flavour.slug r.scenario.Scenario.protocol)
     (if ok r then "OK" else "FAIL")
     r.completed r.sent r.executed
     (List.length r.safety_violations)

@@ -1,27 +1,5 @@
 open Dessim
 
-type protocol = Rbft | Rbft_udp | Rbft_concurrent | Aardvark | Spinning | Prime
-
-let protocol_name = function
-  | Rbft -> "rbft"
-  | Rbft_udp -> "rbft-udp"
-  | Rbft_concurrent -> "rbft-concurrent"
-  | Aardvark -> "aardvark"
-  | Spinning -> "spinning"
-  | Prime -> "prime"
-
-let protocol_of_name = function
-  | "rbft" -> Some Rbft
-  | "rbft-udp" -> Some Rbft_udp
-  | "rbft-concurrent" -> Some Rbft_concurrent
-  | "aardvark" -> Some Aardvark
-  | "spinning" -> Some Spinning
-  | "prime" -> Some Prime
-  | _ -> None
-
-let all_protocols =
-  [| Rbft; Rbft_udp; Rbft_concurrent; Aardvark; Spinning; Prime |]
-
 type workload = { clients : int; rate : float; payload : int }
 
 type mutation = Ic_quorum_low
@@ -34,7 +12,7 @@ let mutation_of_name = function
 
 type t = {
   name : string;
-  protocol : protocol;
+  protocol : Flavour.t;
   f : int;
   seed : int64;
   duration : Time.t;
@@ -108,7 +86,7 @@ let to_sexp t =
     ([
        Sexp.Atom "scenario";
        pair "name" (Sexp.Atom t.name);
-       pair "protocol" (Sexp.Atom (protocol_name t.protocol));
+       pair "protocol" (Sexp.Atom (Flavour.slug t.protocol));
        pair "f" (int_atom t.f);
        pair "seed" (Sexp.Atom (Int64.to_string t.seed));
        pair "duration-ns" (time_atom t.duration);
@@ -242,7 +220,7 @@ let of_sexp s =
     let* name = get_atom s "name" ~what in
     let* proto = get_atom s "protocol" ~what in
     let* protocol =
-      match protocol_of_name proto with
+      match Flavour.of_slug proto with
       | Some p -> Ok p
       | None -> Error (Printf.sprintf "unknown protocol %S" proto)
     in

@@ -12,17 +12,6 @@
 
 open Dessim
 
-type protocol = Rbft | Rbft_udp | Rbft_concurrent | Aardvark | Spinning | Prime
-(** [Rbft_concurrent] is the same RBFT stack in disjoint-partition
-    (bftrcc) ordering: each instance orders only its own clients and
-    the per-instance streams merge deterministically, so crashing a
-    partition owner or cutting a sequencer input exercises the
-    stall-driven instance change and the degrade path. *)
-
-val protocol_name : protocol -> string
-val protocol_of_name : string -> protocol option
-val all_protocols : protocol array
-
 type workload = {
   clients : int;
   rate : float;  (** requests per second per client *)
@@ -39,7 +28,11 @@ val mutation_of_name : string -> mutation option
 
 type t = {
   name : string;
-  protocol : protocol;
+  protocol : Flavour.t;
+      (** written by its {!Flavour.slug}. Under [Rbft_concurrent],
+          crashing a partition owner or cutting a sequencer input
+          exercises the stall-driven instance change and the degrade
+          path. *)
   f : int;  (** cluster size is 3f+1 *)
   seed : int64;  (** engine seed; also seeds the injector stream *)
   duration : Time.t;  (** chaos phase: workload + faults *)

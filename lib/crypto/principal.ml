@@ -14,9 +14,6 @@ let hash = function Node i -> (i * 2) + 1 | Client i -> i * 2
 let node i = Node i
 let client i = Client i
 
-let is_node = function Node _ -> true | Client _ -> false
-let is_client = function Client _ -> true | Node _ -> false
-
 let index = function Node i -> i | Client i -> i
 
 let pp fmt = function

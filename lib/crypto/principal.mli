@@ -12,9 +12,6 @@ val hash : t -> int
 val node : int -> t
 val client : int -> t
 
-val is_node : t -> bool
-val is_client : t -> bool
-
 val index : t -> int
 (** The integer identity within its class. *)
 

@@ -1,12 +1,10 @@
-type protocol = Rbft | Rbft_udp | Rbft_concurrent | Aardvark | Spinning | Prime
-
-let name = function
-  | Rbft -> "RBFT"
-  | Rbft_udp -> "RBFT/UDP"
-  | Rbft_concurrent -> "RBFT/concurrent"
-  | Aardvark -> "Aardvark"
-  | Spinning -> "Spinning"
-  | Prime -> "Prime"
+type protocol = Flavour.t =
+  | Rbft
+  | Rbft_udp
+  | Rbft_concurrent
+  | Aardvark
+  | Spinning
+  | Prime
 
 (* Measured peak throughputs (req/s) at the calibration anchors, f = 1
    (see EXPERIMENTS.md, "Calibration"). *)

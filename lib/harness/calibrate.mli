@@ -7,7 +7,15 @@
     linearly in the request size, which matches how every per-byte
     cost in the model scales. *)
 
-type protocol = Rbft | Rbft_udp | Rbft_concurrent | Aardvark | Spinning | Prime
+type protocol = Flavour.t =
+  | Rbft
+  | Rbft_udp
+  | Rbft_concurrent
+  | Aardvark
+  | Spinning
+  | Prime
+(** {!Flavour.t}, re-exported so the anchors' callers can write
+    [Calibrate.Rbft]. *)
 
 val peak_rate : ?f:int -> protocol -> size:int -> float
 (** Estimated peak throughput (req/s) at the given request size.
@@ -22,5 +30,3 @@ val saturating_rate : ?f:int -> protocol -> size:int -> float
 (** Offered load used for "static, saturated" experiments: slightly
     above the peak so queues stay full, but below the overload
     collapse of the single-threaded baselines. *)
-
-val name : protocol -> string

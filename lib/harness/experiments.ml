@@ -50,10 +50,8 @@ let run_shape (type c) ~audit (module S : STACK with type Cluster.t = c) ~f ~sha
   S.Cluster.run_for cluster (Time.add total (Time.ms 200));
   (window_rate (executed_counter (module S) cluster) ~from_:(Time.ms 200) ~until:total, cluster)
 
-let rbft ?seed ?(transport = Bftnet.Network.Tcp) ?(tweak = fun p -> p) ~f ~payload ~probe
-    clients =
-  Rbft.Cluster.create ~probe ?seed ~transport ~clients ~payload_size:payload
-    (tweak (Rbft.Params.default ~f))
+let rbft ?seed ?(flavour = Flavour.Rbft) ?tweak ~f ~payload ~probe clients =
+  Flavour.rbft_cluster ~probe ?seed ?tweak ~clients ~payload_size:payload ~f flavour
 
 let aardvark ?seed ?(tweak = fun c -> c) ~f ~payload ~probe clients =
   Aardvark.Cluster.create ~probe ?seed ~clients ~payload_size:payload
@@ -136,7 +134,7 @@ let fig2 ~audit ~quick =
       true
   in
   let row size =
-    let rate = Calibrate.saturating_rate Calibrate.Aardvark ~size in
+    let rate = Calibrate.saturating_rate Flavour.Aardvark ~size in
     (* Static: measure during the malicious primary's reign (view 0:
        grace plus the ratchet, ~2.2 s with the compressed policy
        times). Below saturation an open-loop system catches the backlog
@@ -214,7 +212,7 @@ let fig3 ~audit ~quick =
       0.95
   in
   let row size =
-    let rate = Calibrate.saturating_rate Calibrate.Spinning ~size in
+    let rate = Calibrate.saturating_rate Flavour.Spinning ~size in
     let static = static_shape ~quick ~duration:(Time.of_sec_f 3.0) ~rate in
     let dynamic = dynamic_shape ~quick ~rate in
     let measure shape a =
@@ -276,7 +274,7 @@ let fig7_point ~audit ~proto ~payload ~fraction ~quick =
   let clients = 20 in
   let duration =
     scale ~quick
-      (match proto with Calibrate.Aardvark -> Time.of_sec_f 3.0 | _ -> Time.of_sec_f 1.6)
+      (match proto with Flavour.Aardvark -> Time.of_sec_f 3.0 | _ -> Time.of_sec_f 1.6)
   in
   let shape = Loadshape.static ~duration ~clients ~rate:(offered /. float_of_int clients) in
   let warm = Time.ms 400 in
@@ -294,18 +292,18 @@ let fig7_point ~audit ~proto ~payload ~fraction ~quick =
       (S.Cluster.clients cluster);
     { offered; achieved; latency_ms = 1e3 *. Bftmetrics.Stats.mean lat }
   in
+  let probe = Audit.probe audit in
   match proto with
-  | Calibrate.Rbft | Calibrate.Rbft_concurrent -> point (module Rbft) (rbft ~probe:(Audit.probe audit) ~f:1 ~payload)
-  | Calibrate.Rbft_udp ->
-    point (module Rbft) (rbft ~probe:(Audit.probe audit) ~transport:Bftnet.Network.Udp ~f:1 ~payload)
-  | Calibrate.Aardvark -> point (module Aardvark) (aardvark ~probe:(Audit.probe audit) ~f:1 ~payload)
-  | Calibrate.Spinning -> point (module Spinning) (spinning ~probe:(Audit.probe audit) ~f:1 ~payload)
-  | Calibrate.Prime -> point (module Prime) (prime ~probe:(Audit.probe audit) ~exec_cost:(Time.us 1) ~f:1 ~payload)
+  | Flavour.Rbft | Flavour.Rbft_udp | Flavour.Rbft_concurrent ->
+    point (module Rbft) (rbft ~probe ~flavour:proto ~f:1 ~payload)
+  | Flavour.Aardvark -> point (module Aardvark) (aardvark ~probe ~f:1 ~payload)
+  | Flavour.Spinning -> point (module Spinning) (spinning ~probe ~f:1 ~payload)
+  | Flavour.Prime -> point (module Prime) (prime ~probe ~exec_cost:(Time.us 1) ~f:1 ~payload)
+
+(* The flavours Figure 7 and the seed sweep compare, in table order. *)
+let compared = Flavour.[ Rbft; Rbft_udp; Aardvark; Spinning; Prime ]
 
 let fig7_table ~audit ~quick ~payload ~id ~paper_note =
-  let protos =
-    [ Calibrate.Rbft; Calibrate.Rbft_udp; Calibrate.Aardvark; Calibrate.Spinning; Calibrate.Prime ]
-  in
   let rows =
     List.concat_map
       (fun proto ->
@@ -313,13 +311,13 @@ let fig7_table ~audit ~quick ~payload ~id ~paper_note =
           (fun fraction ->
             let p = fig7_point ~audit ~proto ~payload ~fraction ~quick in
             [
-              Calibrate.name proto;
+              Flavour.name proto;
               Report.kreq p.offered;
               Report.kreq p.achieved;
               Report.f2 p.latency_ms;
             ])
           (sweep_fractions ~quick))
-      protos
+      compared
   in
   {
     Report.id;
@@ -347,7 +345,7 @@ let fig7 ~audit ~quick =
 (* ------------------------------------------------------------------ *)
 
 let rbft_relative ~audit ~quick ~f ~attack_fn ~size ~dynamic =
-  let rate = Calibrate.saturating_rate ~f Calibrate.Rbft ~size in
+  let rate = Calibrate.saturating_rate ~f Flavour.Rbft ~size in
   let shape =
     if dynamic then dynamic_shape ~quick ~rate
     else static_shape ~quick ~duration:(Time.of_sec_f 2.5) ~rate
@@ -385,7 +383,7 @@ let fig_rbft_attack ~audit ~quick ~attack_fn ~id ~title ~paper_note =
 let fig_monitoring ~audit ~quick ~attack_fn ~correct_nodes ~id ~title ~paper_note =
   let size = 4096 in
   let f = 1 in
-  let rate = Calibrate.saturating_rate ~f Calibrate.Rbft ~size in
+  let rate = Calibrate.saturating_rate ~f Flavour.Rbft ~size in
   let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.5) ~rate in
   let _, cluster =
     run_shape ~audit (module Rbft) ~f ~shape ~attack:attack_fn (rbft ~probe:(Audit.probe audit) ~f ~payload:size)
@@ -512,39 +510,39 @@ let fig12 ~audit ~quick =
       phases
   in
   let changes = Rbft.Node.instance_changes (Rbft.Cluster.node cluster 1) in
-  {
-    Report.id = "fig12";
-    title = "Unfair primary: mean ordering latency (ms) per phase, two clients (4kB, f=1)";
-    columns = [ "phase"; "client 0 (attacked)"; "client 1" ];
-    rows =
-      rows
-      @ [ [ "protocol instance changes"; string_of_int changes; "" ] ];
-    notes =
-      [
-        "paper: 0.8 ms fair, 1.3 ms during the 0.5 ms hold; a request above \
-         Lambda = 1.5 ms triggers a protocol instance change and fairness returns";
-      ];
-  }
+  [
+    {
+      Report.id = "fig12";
+      title = "Unfair primary: mean ordering latency (ms) per phase, two clients (4kB, f=1)";
+      columns = [ "phase"; "client 0 (attacked)"; "client 1" ];
+      rows = rows @ [ [ "protocol instance changes"; string_of_int changes; "" ] ];
+      notes =
+        [
+          "paper: 0.8 ms fair, 1.3 ms during the 0.5 ms hold; a request above \
+           Lambda = 1.5 ms triggers a protocol instance change and fairness returns";
+        ];
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let peak_of ~audit ~quick ~tweak ~transport ~payload =
-  let rate = Calibrate.saturating_rate Calibrate.Rbft ~size:payload in
+let peak_of ~audit ~quick ~tweak ~payload =
+  let rate = Calibrate.saturating_rate Flavour.Rbft ~size:payload in
   let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.0) ~rate in
   let _, cluster =
     run_shape ~audit (module Rbft) ~f:1 ~shape ~attack:(fun _ -> ())
-      (rbft ~probe:(Audit.probe audit) ~transport ~tweak ~f:1 ~payload)
+      (rbft ~probe:(Audit.probe audit) ~tweak ~f:1 ~payload)
   in
   window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
     ~until:(Loadshape.total_duration shape)
 
 let ablation_ordering ~audit ~quick =
-  let full = peak_of ~audit ~quick ~transport:Bftnet.Network.Tcp ~payload:4096
+  let full = peak_of ~audit ~quick ~payload:4096
       ~tweak:(fun p -> { p with Rbft.Params.order_full_requests = true })
   in
-  let ids = peak_of ~audit ~quick ~transport:Bftnet.Network.Tcp ~payload:4096 ~tweak:(fun p -> p) in
+  let ids = peak_of ~audit ~quick ~payload:4096 ~tweak:(fun p -> p) in
   {
     Report.id = "ablation-ordering";
     title = "RBFT at 4kB: ordering identifiers vs full requests";
@@ -576,7 +574,7 @@ let ablation_view_changes ~audit ~quick =
     in
     loop ()
   in
-  let rate = Calibrate.saturating_rate Calibrate.Rbft ~size:8 in
+  let rate = Calibrate.saturating_rate Flavour.Rbft ~size:8 in
   let shape = static_shape ~quick ~duration:(Time.of_sec_f 3.0) ~rate in
   let measure attack =
     let _, cluster = run_shape ~audit (module Rbft) ~f:1 ~shape ~attack (rbft ~probe:(Audit.probe audit) ~f:1 ~payload:8) in
@@ -620,7 +618,7 @@ let ablation_delta ~audit ~quick =
     List.map
       (fun delta ->
         let tweak p = { p with Rbft.Params.delta } in
-        let rate = Calibrate.saturating_rate Calibrate.Rbft ~size:8 in
+        let rate = Calibrate.saturating_rate Flavour.Rbft ~size:8 in
         let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.0) ~rate in
         let measure attack =
           let _, cluster =
@@ -653,7 +651,7 @@ let ablation_delta ~audit ~quick =
 
 let ablation_switch_master ~audit ~quick =
   let tweak p = { p with Rbft.Params.recovery = Rbft.Params.Switch_master; delta = 0.9 } in
-  let rate = Calibrate.saturating_rate Calibrate.Rbft ~size:8 in
+  let rate = Calibrate.saturating_rate Flavour.Rbft ~size:8 in
   let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.5) ~rate in
   let slow_master cluster =
     Audit.declare_faulty audit [ 0 ];
@@ -702,7 +700,7 @@ let ablation_closed_loop ~audit ~quick =
       (fun c ->
         if closed then Rbft.Client.set_closed_loop c ~outstanding:20
         else
-          Rbft.Client.set_rate c (Calibrate.saturating_rate Calibrate.Rbft ~size:8 /. 20.))
+          Rbft.Client.set_rate c (Calibrate.saturating_rate Flavour.Rbft ~size:8 /. 20.))
       (Rbft.Cluster.clients cluster);
     (* Reach steady state first, then have the master primary throttle
        itself to ~40 % of capacity. *)
@@ -711,7 +709,7 @@ let ablation_closed_loop ~audit ~quick =
     Audit.declare_faulty audit [ 0 ];
     let replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
     (Pbftcore.Replica.adversary replica).Pbftcore.Replica.pp_rate_limit <-
-      (fun () -> 0.4 *. Calibrate.peak_rate Calibrate.Rbft ~size:8);
+      (fun () -> 0.4 *. Calibrate.peak_rate Flavour.Rbft ~size:8);
     Rbft.Cluster.run_for cluster duration;
     let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
     ( window_rate counter
@@ -748,13 +746,39 @@ let ablations ~audit ~quick =
     ablation_closed_loop ~audit ~quick;
   ]
 
-let all ~audit ~quick =
-  robustness_of_baselines ~audit ~quick
-  @ fig7 ~audit ~quick
-  @ fig8_9 ~audit ~quick
-  @ fig10_11 ~audit ~quick
-  @ [ fig12 ~audit ~quick ]
-  @ ablations ~audit ~quick
+type group = {
+  label : string;
+  ids : string list;
+  run : audit:Audit.t -> quick:bool -> Report.table list;
+}
+
+let groups =
+  [
+    {
+      label = "fig1/2/3+table1";
+      ids = [ "fig1"; "fig2"; "fig3"; "table1" ];
+      run = robustness_of_baselines;
+    };
+    { label = "fig7"; ids = [ "fig7a"; "fig7b" ]; run = fig7 };
+    { label = "fig8/9"; ids = [ "fig8"; "fig9" ]; run = fig8_9 };
+    { label = "fig10/11"; ids = [ "fig10"; "fig11" ]; run = fig10_11 };
+    { label = "fig12"; ids = [ "fig12" ]; run = fig12 };
+    {
+      label = "ablations";
+      ids =
+        [
+          "ablation-ordering";
+          "ablation-viewchange";
+          "ablation-delta";
+          "ablation-recovery";
+          "ablation-closedloop";
+        ];
+      run = ablations;
+    };
+  ]
+
+let find key =
+  List.find_opt (fun g -> String.equal g.label key || List.mem key g.ids) groups
 
 (* ------------------------------------------------------------------ *)
 (* Fault-free baselines across seeds                                  *)
@@ -778,21 +802,20 @@ let seed_sweep ~audit ~quick ~seeds =
     let measure (type c) (module S : STACK with type Cluster.t = c) create =
       fst (run_shape ~audit (module S) ~f:1 ~shape ~attack:no_attack create)
     in
+    let probe = Audit.probe audit in
     match proto with
-    | Calibrate.Rbft | Calibrate.Rbft_concurrent ->
-      measure (module Rbft) (rbft ~probe:(Audit.probe audit) ~seed ~f:1 ~payload:size)
-    | Calibrate.Rbft_udp ->
-      measure (module Rbft) (rbft ~probe:(Audit.probe audit) ~seed ~transport:Bftnet.Network.Udp ~f:1 ~payload:size)
-    | Calibrate.Aardvark -> measure (module Aardvark) (aardvark ~probe:(Audit.probe audit) ~seed ~f:1 ~payload:size)
-    | Calibrate.Spinning -> measure (module Spinning) (spinning ~probe:(Audit.probe audit) ~seed ~f:1 ~payload:size)
-    | Calibrate.Prime -> measure (module Prime) (prime ~probe:(Audit.probe audit) ~seed ~f:1 ~payload:size)
+    | Flavour.Rbft | Flavour.Rbft_udp | Flavour.Rbft_concurrent ->
+      measure (module Rbft) (rbft ~probe ~seed ~flavour:proto ~f:1 ~payload:size)
+    | Flavour.Aardvark -> measure (module Aardvark) (aardvark ~probe ~seed ~f:1 ~payload:size)
+    | Flavour.Spinning -> measure (module Spinning) (spinning ~probe ~seed ~f:1 ~payload:size)
+    | Flavour.Prime -> measure (module Prime) (prime ~probe ~seed ~f:1 ~payload:size)
   in
   let row proto =
     let samples = List.init seeds (fun s -> run proto (s + 1)) in
     let mean, sd = mean_spread samples in
     let rel_spread = if mean > 0.0 then 100.0 *. sd /. mean else 0.0 in
     [
-      Calibrate.name proto;
+      Flavour.name proto;
       Report.kreq mean;
       Report.kreq sd;
       Printf.sprintf "%.2f%%" rel_spread;
@@ -805,15 +828,7 @@ let seed_sweep ~audit ~quick ~seeds =
         "Fault-free saturated throughput across %d seeds (8 B requests, f = 1)"
         seeds;
     columns = [ "protocol"; "mean(kreq/s)"; "sd(kreq/s)"; "spread" ];
-    rows =
-      List.map row
-        [
-          Calibrate.Rbft;
-          Calibrate.Rbft_udp;
-          Calibrate.Aardvark;
-          Calibrate.Spinning;
-          Calibrate.Prime;
-        ];
+    rows = List.map row compared;
     notes =
       [
         "the simulation is deterministic per seed; the spread quantifies \

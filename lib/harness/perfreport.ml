@@ -42,15 +42,9 @@ let duration ~quick = Time.of_sec_f (if quick then 1.0 else 2.0)
    [span_sample] > 0 additionally runs the span tracer at 1/N sampling;
    the caller reads the spans back from the probe. *)
 let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
-    ?(ordering = Rbft.Params.Redundant) ?(flow = true) ~audit ~with_metrics ~quick
-    ~payload () =
+    ?(flavour = Flavour.Rbft) ?(flow = true) ~audit ~with_metrics ~quick ~payload () =
   let probe = Audit.probe audit in
-  let proto =
-    match ordering with
-    | Rbft.Params.Redundant -> Calibrate.Rbft
-    | Rbft.Params.Concurrent -> Calibrate.Rbft_concurrent
-  in
-  let rate = Calibrate.saturating_rate ~f proto ~size:payload in
+  let rate = Calibrate.saturating_rate ~f flavour ~size:payload in
   Bftmetrics.Registry.reset (Probe.registry probe);
   Probe.set_metrics probe with_metrics;
   if span_sample > 0 then begin
@@ -75,18 +69,14 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
      modes' scaling laws in isolation, and a budget sized for the f=1
      redundant pipe would throttle concurrent mode's higher capacity
      at f=3 (inflight cap / latency < peak throughput). *)
-  let params =
-    if flow then
-      { (Rbft.Params.default ~f) with
-        Rbft.Params.ordering;
-        admission_budget = 128;
-        adaptive_batching = true }
-    else { (Rbft.Params.default ~f) with Rbft.Params.ordering }
+  let tweak p =
+    if flow then { p with Rbft.Params.admission_budget = 128; adaptive_batching = true }
+    else p
   in
-  Audit.begin_run audit ~n:(Rbft.Params.n params) ~f;
+  Audit.begin_run audit ~n:((3 * f) + 1) ~f;
   let cluster =
-    Rbft.Cluster.create ~probe ~clients:(Loadshape.max_clients shape)
-      ~payload_size:payload params
+    Flavour.rbft_cluster ~probe ~tweak ~clients:(Loadshape.max_clients shape)
+      ~payload_size:payload ~f flavour
   in
   attack cluster;
   let engine = Rbft.Cluster.engine cluster in
@@ -354,7 +344,7 @@ let generate_scale ~audit ~quick =
         let c =
           Profile.time profile (Printf.sprintf "perfreport:scale-f%d-concurrent" f)
             (fun () ->
-              static_run ~f ~ordering:Rbft.Params.Concurrent ~flow:false
+              static_run ~f ~flavour:Flavour.Rbft_concurrent ~flow:false
                 ~audit ~with_metrics:true ~quick ~payload ())
         in
         (f, n, instances, r, c))

@@ -47,7 +47,7 @@ let to_scenario ?(name = "mc-cex") (cex : Search.cex) =
   let duration = Time.ms 500 in
   {
     Bftchaos.Scenario.name;
-    protocol = Bftchaos.Scenario.Rbft;
+    protocol = Flavour.Rbft;
     f = cfg.World.f;
     seed = cfg.World.seed;
     duration;

@@ -29,8 +29,5 @@ let note_pre_prepare t ~now =
 let allowed_gap t =
   Time.add t_pp (Time.of_sec_f (k_lat *. (t.rtt +. t.exec)))
 
-let rtt_estimate t = Time.of_sec_f t.rtt
-let exec_estimate t = Time.of_sec_f t.exec
-
 let suspicious t ~now =
   t.have_pp && Time.sub now t.last_pp > allowed_gap t

@@ -38,8 +38,5 @@ val note_pre_prepare : t -> now:Time.t -> unit
 val allowed_gap : t -> Time.t
 (** Current allowance between consecutive PRE-PREPAREs. *)
 
-val rtt_estimate : t -> Time.t
-val exec_estimate : t -> Time.t
-
 val suspicious : t -> now:Time.t -> bool
 (** The primary's last PRE-PREPARE is older than the allowance. *)

@@ -85,7 +85,7 @@ let gen_scenario =
     return { Fault.at; until = Time.add at len; kind }
   in
   let* name = oneofl [ "t"; "two words"; "semi;colon"; "q\"uote" ] in
-  let* protocol = oneofl (Array.to_list Scenario.all_protocols) in
+  let* protocol = oneofl Flavour.all in
   let* seed = map Int64.of_int (int_range 0 1_000_000) in
   let* duration = gen_time 1_000_000 2_000_000_000 in
   let* drain = gen_time 1_000_000 2_000_000_000 in
@@ -124,7 +124,7 @@ let test_scenario_single_node_group () =
   let s =
     {
       Scenario.name = "one-node-group";
-      protocol = Scenario.Rbft;
+      protocol = Flavour.Rbft;
       f = 1;
       seed = 5L;
       duration = Time.ms 100;
@@ -328,7 +328,7 @@ let test_injector_heal () =
 (* Runner: oracles over whole scenario runs                           *)
 (* ------------------------------------------------------------------ *)
 
-let base_scenario ?(name = "test") ?(protocol = Scenario.Rbft) ?(faults = []) () =
+let base_scenario ?(name = "test") ?(protocol = Flavour.Rbft) ?(faults = []) () =
   {
     Scenario.name;
     protocol;
@@ -343,16 +343,16 @@ let base_scenario ?(name = "test") ?(protocol = Scenario.Rbft) ?(faults = []) ()
   }
 
 let test_runner_fault_free () =
-  Array.iter
+  List.iter
     (fun protocol ->
       let r = Runner.run (base_scenario ~protocol ()) in
       Alcotest.(check bool)
-        (Scenario.protocol_name protocol ^ " fault-free ok")
+        (Flavour.slug protocol ^ " fault-free ok")
         true (Runner.ok r);
       Alcotest.(check bool)
-        (Scenario.protocol_name protocol ^ " made progress")
+        (Flavour.slug protocol ^ " made progress")
         true (r.Runner.sent > 0))
-    Scenario.all_protocols
+    Flavour.all
 
 let test_runner_crash_rejoin () =
   (* One crash within f: the cluster stays live through it and the

@@ -629,7 +629,7 @@ let test_runner_doctor_bundle () =
       let s =
         {
           Bftchaos.Scenario.name = "doctor-partition";
-          protocol = Bftchaos.Scenario.Rbft;
+          protocol = Flavour.Rbft;
           f = 1;
           seed = 11L;
           duration = Time.of_sec_f 1.5;

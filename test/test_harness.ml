@@ -35,7 +35,7 @@ let test_calibrate_f2_scales_down () =
   List.iter
     (fun proto ->
       Alcotest.(check bool)
-        (Calibrate.name proto ^ " f=2 slower")
+        (Flavour.name proto ^ " f=2 slower")
         true
         (Calibrate.peak_rate ~f:2 proto ~size:8 < Calibrate.peak_rate ~f:1 proto ~size:8))
     [ Calibrate.Rbft; Calibrate.Aardvark; Calibrate.Spinning; Calibrate.Prime ]
@@ -49,10 +49,97 @@ let test_saturating_vs_peak () =
   List.iter
     (fun proto ->
       Alcotest.(check bool)
-        (Calibrate.name proto ^ " below")
+        (Flavour.name proto ^ " below")
         true
         (Calibrate.saturating_rate proto ~size:8 < Calibrate.peak_rate proto ~size:8))
     [ Calibrate.Aardvark; Calibrate.Spinning; Calibrate.Prime ]
+
+(* ------------------------------------------------------------------ *)
+(* Flavours                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let test_flavour_slug_roundtrip () =
+  List.iter
+    (fun fl ->
+      Alcotest.(check bool)
+        (Flavour.slug fl ^ " round-trips")
+        true
+        (Flavour.of_slug (Flavour.slug fl) = Some fl))
+    Flavour.all;
+  Alcotest.(check int) "six distinct slugs" 6
+    (List.length (List.sort_uniq compare (List.map Flavour.slug Flavour.all)));
+  Alcotest.(check bool) "unknown slug" true (Flavour.of_slug "pbft" = None)
+
+(* Every driver builds its RBFT clusters through [Flavour.rbft_cluster]:
+   each flavour must come out with its own transport and ordering. *)
+let test_flavour_rbft_clusters () =
+  let check fl transport ordering =
+    let c = Flavour.rbft_cluster ~probe:(Bftmetrics.Probe.create ()) ~f:1 fl in
+    Alcotest.(check bool)
+      (Flavour.name fl ^ " transport")
+      true
+      ((Bftnet.Network.config (Rbft.Cluster.network c)).Bftnet.Network.transport
+      = transport);
+    Array.iter
+      (fun node ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s node %d ordering" (Flavour.name fl) (Rbft.Node.id node))
+          (Rbft.Params.ordering_name ordering)
+          (Rbft.Params.ordering_name (Rbft.Node.ordering node)))
+      (Rbft.Cluster.nodes c)
+  in
+  check Flavour.Rbft Bftnet.Network.Tcp Rbft.Params.Redundant;
+  check Flavour.Rbft_udp Bftnet.Network.Udp Rbft.Params.Redundant;
+  check Flavour.Rbft_concurrent Bftnet.Network.Tcp Rbft.Params.Concurrent;
+  List.iter
+    (fun fl ->
+      Alcotest.check_raises (Flavour.name fl ^ " is no RBFT flavour")
+        (Invalid_argument ("Flavour.rbft_cluster: " ^ Flavour.name fl))
+        (fun () -> ignore (Flavour.rbft_cluster ~f:1 fl)))
+    Flavour.[ Aardvark; Spinning; Prime ]
+
+(* ------------------------------------------------------------------ *)
+(* Experiment groups                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let all_ids () = List.concat_map (fun g -> g.Experiments.ids) Experiments.groups
+
+let test_groups_ids_unique () =
+  let ids = all_ids () in
+  Alcotest.(check int) "no id in two groups" (List.length ids)
+    (List.length (List.sort_uniq compare ids))
+
+let test_groups_resolve () =
+  List.iter
+    (fun g ->
+      List.iter
+        (fun key ->
+          let matching =
+            List.filter
+              (fun h ->
+                String.equal h.Experiments.label key || List.mem key h.Experiments.ids)
+              Experiments.groups
+          in
+          Alcotest.(check int) (key ^ " names one group") 1 (List.length matching);
+          Alcotest.(check (option string))
+            (key ^ " resolves to its group")
+            (Some g.Experiments.label)
+            (Option.map (fun h -> h.Experiments.label) (Experiments.find key)))
+        (g.Experiments.label :: g.Experiments.ids))
+    Experiments.groups;
+  Alcotest.(check bool) "unknown id" true (Experiments.find "fig4" = None)
+
+(* The tables bench/main.exe prints, in order: a renamed or dropped id
+   silently drops a figure from every report. *)
+let test_groups_cover_the_paper () =
+  Alcotest.(check (list string))
+    "table ids"
+    [
+      "fig1"; "fig2"; "fig3"; "table1"; "fig7a"; "fig7b"; "fig8"; "fig9"; "fig10";
+      "fig11"; "fig12"; "ablation-ordering"; "ablation-viewchange"; "ablation-delta";
+      "ablation-recovery"; "ablation-closedloop";
+    ]
+    (all_ids ())
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                             *)
@@ -180,6 +267,19 @@ let suites =
         Alcotest.test_case "paper orderings" `Quick test_calibrate_orderings;
         Alcotest.test_case "f=2 scaling" `Quick test_calibrate_f2_scales_down;
         Alcotest.test_case "saturating rates" `Quick test_saturating_vs_peak;
+      ] );
+    ( "harness.flavour",
+      [
+        Alcotest.test_case "slug round trip" `Quick test_flavour_slug_roundtrip;
+        Alcotest.test_case "rbft flavours build their transport and ordering" `Quick
+          test_flavour_rbft_clusters;
+      ] );
+    ( "harness.experiments",
+      [
+        Alcotest.test_case "table ids unique across groups" `Quick test_groups_ids_unique;
+        Alcotest.test_case "ids and labels resolve to one group" `Quick
+          test_groups_resolve;
+        Alcotest.test_case "ids are the paper's tables" `Quick test_groups_cover_the_paper;
       ] );
     ( "harness.report",
       [

@@ -111,7 +111,7 @@ let test_determinism () =
 let chaos_scenario ~name ~faults ~drain =
   {
     Bftchaos.Scenario.name;
-    protocol = Bftchaos.Scenario.Rbft;
+    protocol = Flavour.Rbft;
     f = 1;
     seed = 42L;
     duration = Time.ms 500;
