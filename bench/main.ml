@@ -16,8 +16,6 @@
                                           -- client-population capacity
                                              sweep only (peak live words,
                                              GC stats, footprint peaks)
-     dune exec bench/main.exe -- --prom FILE -- Prometheus dump of the
-                                             end-of-run metric registry
      dune exec bench/main.exe -- --seeds 5  -- fault-free baselines across
                                              5 seeds, mean +/- spread
 *)
@@ -342,7 +340,6 @@ let () =
   let only = ref [] in
   let audit = ref false in
   let metrics = ref None in
-  let prom = ref None in
   let seeds = ref 0 in
   let scale = ref None in
   let clients = ref None in
@@ -366,9 +363,6 @@ let () =
     | "--metrics" :: path :: rest ->
       metrics := Some path;
       parse rest
-    | "--prom" :: path :: rest ->
-      prom := Some path;
-      parse rest
     | "--seeds" :: n :: rest ->
       seeds := (match int_of_string_opt n with Some n when n > 0 -> n | _ -> 0);
       parse rest
@@ -390,12 +384,10 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let quick = !quick in
-  (* One probe carries every experiment and report run of this
-     invocation; the profile times them. *)
-  let probe = Bftmetrics.Probe.create () in
-  let audit = Audit.create ~enabled:!audit probe in
+  (* Every experiment and report run creates a probe of its own; the
+     audit totals and the profile span the invocation. *)
+  let audit = Audit.create ~enabled:!audit () in
   let profile = Bftmetrics.Profile.create () in
-  if !prom <> None then Bftmetrics.Probe.set_metrics probe true;
   Printf.printf "RBFT reproduction benchmarks (%s mode)\n"
     (if quick then "quick" else "full");
   if !seeds > 0 then begin
@@ -423,9 +415,6 @@ let () =
       Experiments.groups;
     Printf.printf "\nTotal experiment time: %.1fs\n%!" (Unix.gettimeofday () -. t0)
   end;
-  (* The last experiment's auditor must not see the micro-benchmarks'
-     or the sweeps' fresh replicas and clients. *)
-  Audit.end_run audit;
   if (not !skip_micro) && !only = [] && !seeds = 0 && !scale = None
      && !clients = None
   then
@@ -441,12 +430,6 @@ let () =
    | None -> ());
   (match Audit.summary audit with
    | Some s -> Printf.printf "Safety audit: %s\n%!" s
-   | None -> ());
-  (match !prom with
-   | Some path ->
-     Bftmetrics.Export.to_channel_or_file ~path
-       (Bftmetrics.Export.prometheus (Bftmetrics.Probe.registry probe));
-     if path <> "-" then Printf.printf "prometheus dump -> %s\n%!" path
    | None -> ());
   if Bftmetrics.Profile.total profile > 0.0 then begin
     print_endline "\n== Wall-clock profile ==";

@@ -498,7 +498,7 @@ let run_experiment id quick audit =
     Printf.eprintf "unknown experiment %S\n" id;
     exit 2
   | Some group ->
-    let audit = Audit.create ~enabled:audit (Bftmetrics.Probe.create ()) in
+    let audit = Audit.create ~enabled:audit () in
     List.iter Report.print (group.Experiments.run ~audit ~quick);
     Option.iter (Printf.printf "Safety audit: %s\n") (Audit.summary audit)
 

@@ -9,44 +9,11 @@ open Dessim
 
 let () =
   Printf.printf "== Unfair-primary demo (Fig 12): 2 clients, 4kB requests, f = 1 ==\n\n";
-  let params =
-    {
-      (Rbft.Params.default ~f:1) with
-      Rbft.Params.lambda = Time.of_us_f 1500.0;
-      batch_delay = Time.of_us_f 200.0;
-      delta = 0.5 (* keep the throughput check out of the way, as in the paper *);
-    }
-  in
-  let cluster = Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~clients:2 ~payload_size:4096 params in
-
-  (* Sample every ordering latency observed by (correct) node 1. *)
-  let count = ref 0 in
-  let samples = ref [] in
-  Rbft.Node.set_latency_probe (Rbft.Cluster.node cluster 1)
-    (fun ~instance ~client latency ->
-      if instance = 0 then begin
-        incr count;
-        samples := (!count, client, latency) :: !samples
-      end);
-
-  Array.iter (fun c -> Rbft.Client.set_rate c 350.0) (Rbft.Cluster.clients cluster);
-
   (* The unfair primary: fair for 500 requests, then holds client 0's
      requests 0.5 ms, then 1 ms — the same escalation as the paper. *)
-  let replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
-  (Pbftcore.Replica.adversary replica).Pbftcore.Replica.client_hold <-
-    (fun id ->
-      if id.Pbftcore.Types.client <> 0 then Time.zero
-      else begin
-        let ordered = Pbftcore.Replica.ordered_count replica in
-        if ordered < 500 then Time.zero
-        else if ordered < 1000 then Time.of_us_f 500.0
-        else Time.of_us_f 1000.0
-      end);
-  Rbft.Cluster.run_for cluster (Time.of_sec_f 3.0);
+  let samples, cluster = Bftharness.Experiments.unfair_primary () in
 
   (* Render the latency series, bucketed by 100 requests. *)
-  let samples = List.rev !samples in
   Printf.printf "%8s  %-22s  %-22s\n" "request" "client 0 (attacked)" "client 1";
   let bucket lo hi client =
     let s = Bftmetrics.Stats.create () in

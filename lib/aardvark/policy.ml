@@ -3,6 +3,8 @@ open Dessim
 type config = { grace : Time.t; view_warmup : Time.t }
 
 let default_config = { grace = Time.sec 5; view_warmup = Time.ms 700 }
+(* A new primary must sustain this share of the best recent view's
+   throughput. *)
 let baseline_fraction = 0.9
 let ratchet = 1.01
 

@@ -23,10 +23,6 @@ type config = {
 val default_config : config
 (** The paper's 5 s grace and a 700 ms view warm-up. *)
 
-val baseline_fraction : float
-(** 0.9: a new primary must sustain this share of the best recent
-    view's throughput. *)
-
 val ratchet : float
 (** 1.01: multiplicative raise of the requirement per monitoring
     period once the grace period is over. *)

@@ -68,6 +68,7 @@ let is_correct t node =
   node >= 0 && not (Hashtbl.mem t.faulty node)
   && not (Probe.is_declared t.probe node)
 
+(* The last few events seen, oldest first (context ring). *)
 let recent_events t =
   let len = Array.length t.recent in
   let rec collect i acc =

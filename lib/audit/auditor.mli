@@ -51,9 +51,6 @@ val invariant_digest : violation list -> string
     model checker uses it to confirm that a shrunk counterexample
     still reproduces the original violation. *)
 
-val recent_events : t -> Bftmetrics.Event.t list
-(** The last few events seen, oldest first (context ring). *)
-
 val report : t -> violation -> string
 (** Multi-line human-readable report with recent-event context. *)
 

@@ -7,8 +7,6 @@ type t = {
   votes : (int, int) Hashtbl.t;
   (* node -> highest cpi it completed an instance change for *)
   changes : (int, int) Hashtbl.t;
-  mutable vote_events : int;
-  mutable change_events : int;
   mutable detach : unit -> unit;
 }
 
@@ -16,19 +14,15 @@ let create () =
   {
     votes = Hashtbl.create 8;
     changes = Hashtbl.create 8;
-    vote_events = 0;
-    change_events = 0;
     detach = ignore;
   }
 
 let on_event t (ev : Event.t) =
   match ev.kind with
   | Event.Instance_change_vote { cpi } ->
-    t.vote_events <- t.vote_events + 1;
     let prev = Option.value ~default:(-1) (Hashtbl.find_opt t.votes ev.node) in
     if cpi > prev then Hashtbl.replace t.votes ev.node cpi
   | Event.Instance_changed { cpi; recovery = _ } ->
-    t.change_events <- t.change_events + 1;
     let prev = Option.value ~default:(-1) (Hashtbl.find_opt t.changes ev.node) in
     if cpi > prev then Hashtbl.replace t.changes ev.node cpi
   | _ -> ()
@@ -42,11 +36,10 @@ let detach t =
   t.detach ();
   t.detach <- ignore
 
-let vote_events t = t.vote_events
-let change_events t = t.change_events
-
+(* Highest cpi the node voted for; [-1] if it never voted. *)
 let max_voted t node = Option.value ~default:(-1) (Hashtbl.find_opt t.votes node)
 
+(* Highest cpi the node completed a change for; [-1] if none. *)
 let max_changed t node =
   Option.value ~default:(-1) (Hashtbl.find_opt t.changes node)
 

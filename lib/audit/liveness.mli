@@ -39,14 +39,4 @@ val check : t -> quorum:int -> correct:int list -> problem list
     quiescence over the given correct (non-crashed) node ids and the
     vote quorum (2f+1 in the unmutated protocol). Empty list = live. *)
 
-val max_voted : t -> int -> int
-(** Highest cpi the node voted for; [-1] if it never voted. *)
-
-val max_changed : t -> int -> int
-(** Highest cpi the node completed a change for; [-1] if none. *)
-
-val vote_events : t -> int
-
-val change_events : t -> int
-
 val pp_problem : Format.formatter -> problem -> unit

@@ -53,19 +53,14 @@ let build ~probe (s : Scenario.t) =
   let clients = s.Scenario.workload.Scenario.clients
   and payload_size = s.Scenario.workload.Scenario.payload in
   let rbft flavour =
-    let tweak p =
-      {
-        p with
-        Rbft.Params.lambda = s.Scenario.lambda;
-        ic_quorum =
-          (match s.Scenario.mutation with
-           | Some Scenario.Ic_quorum_low -> Some 1
-           | None -> None);
-      }
-    in
+    let tweak p = { p with Rbft.Params.lambda = s.Scenario.lambda } in
     let cluster =
       Flavour.rbft_cluster ~probe ~seed ~tweak ~clients ~payload_size ~f flavour
     in
+    if s.Scenario.mutation = Some Scenario.Ic_quorum_low then
+      Array.iter
+        (fun node -> (Rbft.Node.faults node).Rbft.Node.ic_quorum <- Some 1)
+        (Rbft.Cluster.nodes cluster);
     sys (module Rbft) cluster ~f ~describe:(Rbft.Cluster.describe cluster)
       ~context:
         (Some

@@ -23,9 +23,6 @@ type mutation = Ic_quorum_low
           instead of 2f+1 — the model checker's mutation self-test;
           the auditor's [instance-change-quorum] invariant must fire *)
 
-val mutation_name : mutation -> string
-val mutation_of_name : string -> mutation option
-
 type t = {
   name : string;
   protocol : Flavour.t;
@@ -49,9 +46,6 @@ type t = {
       (** protocol mutation to install ([None] = faithful protocol);
           serialized only when set *)
 }
-
-val to_sexp : t -> Sexp.t
-val of_sexp : Sexp.t -> (t, string) result
 
 val to_string : t -> string
 val of_string : string -> (t, string) result

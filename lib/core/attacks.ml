@@ -34,6 +34,11 @@ let worst_attack_1 cluster =
       faults.Node.no_propagate <- true)
     faulty_nodes
 
+(* Periodically (every monitoring period) read the faulty node's own
+   monitoring data and pace its [instance] replica's PRE-PREPAREs so
+   that the master/backup throughput ratio observed by correct nodes
+   stays just above Δ — the paper's "limit value such that the ratio
+   observed at the correct nodes is greater or equal than Δ". *)
 let install_delta_tracker cluster ~node ~instance ~margin =
   Bftmetrics.Probe.declare_faulty (Cluster.probe cluster) [ node ];
   let engine = Cluster.engine cluster in

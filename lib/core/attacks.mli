@@ -23,15 +23,8 @@ val worst_attack_2 : Cluster.t -> unit
     correct nodes below the NIC-closing threshold, skip the PROPAGATE
     phase, and their backup-instance replicas stay silent; the faulty
     master primary delays ordering down to the Δ envelope using the
-    adaptive controller of {!install_delta_tracker}. *)
-
-val install_delta_tracker :
-  Cluster.t -> node:int -> instance:int -> margin:float -> unit
-(** Periodically (every monitoring period) reads the faulty node's own
-    monitoring data and paces its [instance] replica's PRE-PREPAREs so
-    that the master/backup throughput ratio observed by correct nodes
-    stays just above Δ — the paper's "limit value such that the ratio
-    observed at the correct nodes is greater or equal than Δ". *)
+    adaptive controller that paces it every monitoring period, so the
+    ratio correct nodes observe stays just above Δ. *)
 
 val unfair_primary :
   Cluster.t -> node:int -> target_client:int -> after_requests:int -> hold:Time.t -> unit

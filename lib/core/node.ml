@@ -14,6 +14,7 @@ type faults = {
   mutable flood_rate : float;
   mutable no_propagate : bool;
   mutable drop_client_requests : bool;
+  mutable ic_quorum : int option;
 }
 
 (* One committed batch travelling from a replica's delivery to the
@@ -523,10 +524,10 @@ let perform_instance_change t target_cpi =
     t.master_instance <- (t.master_instance + 1) mod instance_count t;
     Monitoring.set_master t.monitoring t.master_instance
 
-(* The correct quorum is 2f+1; [ic_quorum] is the mutation knob the
-   model checker uses to plant a detectable protocol bug. *)
+(* The correct quorum is 2f+1; [faults.ic_quorum] is the mutation the
+   model checker plants as a detectable protocol bug. *)
 let ic_quorum t =
-  match t.params.Params.ic_quorum with
+  match t.faults.ic_quorum with
   | Some q -> q
   | None -> (2 * t.params.Params.f) + 1
 
@@ -943,6 +944,7 @@ let create engine net params ~id ~service =
           flood_rate = 0.0;
           no_propagate = false;
           drop_client_requests = false;
+          ic_quorum = None;
         };
       monitoring = Monitoring.create params;
       requests = Request_id_table.create 4096;

@@ -50,6 +50,12 @@ type faults = {
       (** do not take part in the PROPAGATE phase (worst-attack-2) *)
   mutable drop_client_requests : bool;
       (** ignore REQUESTs arriving straight from clients *)
+  mutable ic_quorum : int option;
+      (** override of the instance-change vote quorum; [None] means the
+          correct 2f+1. Anything else is a deliberately {e broken}
+          protocol: the [ic-quorum-low] mutation of the model checker's
+          self-test ({!Bftmc}) and of chaos scenarios sets it to 1 on
+          every node, to prove the checker detects quorum bugs *)
 }
 
 val faults : t -> faults

@@ -16,7 +16,6 @@ type t = {
   order_full_requests : bool;
   recovery : recovery;
   post_vc_quiet : Time.t;
-  ic_quorum : int option;
   ordering : ordering;
   admission_budget : int;
   busy_retry_base : Time.t;
@@ -35,7 +34,6 @@ let default ~f =
     order_full_requests = false;
     recovery = Change_primaries;
     post_vc_quiet = Time.zero;
-    ic_quorum = None;
     ordering = Redundant;
     admission_budget = 0;
     busy_retry_base = Time.ms 10;

@@ -8,7 +8,8 @@
     The record {!t} holds what real configurations set to different
     values: the fault bound, the paper's monitoring thresholds and the
     mode and flow-control switches. Every other setting has one value
-    everywhere and is a constant below. *)
+    everywhere and is a constant below. The model checker's planted
+    protocol bug is a node fault ([Node.faults]), not a setting. *)
 
 open Dessim
 
@@ -57,12 +58,6 @@ type t = {
           batches; zero for RBFT (its instance changes are rare and
           cheap) — used by the view-change ablation to model
           Aardvark-style recovery costs *)
-  ic_quorum : int option;
-      (** override of the instance-change vote quorum; [None] means the
-          correct 2f+1. Anything else is a deliberately {e broken}
-          protocol used by the model checker's mutation self-test
-          ({!Bftmc}) to prove the checker can detect quorum bugs —
-          never set it in a real configuration *)
   ordering : ordering;  (** redundant (paper) or concurrent (bftrcc) *)
   admission_budget : int;
       (** flow control ({!Bftflow.Admission}): max fresh client

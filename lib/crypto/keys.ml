@@ -23,6 +23,10 @@ let pair_key t a b =
     Hashtbl.add t.pair_cache key derived;
     derived
 
+(* The private signing key of a principal. In this reproduction,
+   signatures are keyed digests; unforgeability holds because only the
+   simulator's representation of a principal ever requests its own
+   signing key. *)
 let signing_key t p =
   match Hashtbl.find_opt t.sign_cache p with
   | Some k -> k

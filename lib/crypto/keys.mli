@@ -17,12 +17,6 @@ val pair_key : t -> Principal.t -> Principal.t -> string
     (symmetric in its arguments). Keys are cached after the first
     derivation. *)
 
-val signing_key : t -> Principal.t -> string
-(** The private signing key of a principal. In this reproduction,
-    signatures are keyed digests; unforgeability holds because only
-    the simulator's representation of a principal ever requests its
-    own signing key. *)
-
 val sign : t -> signer:Principal.t -> string -> string
 (** [sign t ~signer msg] is a 64-byte "signature" of [msg]. *)
 

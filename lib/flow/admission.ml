@@ -4,7 +4,6 @@ type t = {
   budget : int;
   retry_base : Time.t;
   mutable inflight : int;
-  mutable peak_inflight : int;
   mutable admitted_total : int;
   mutable shed_total : int;
 }
@@ -14,21 +13,18 @@ let create ~budget ~retry_base =
     budget;
     retry_base;
     inflight = 0;
-    peak_inflight = 0;
     admitted_total = 0;
     shed_total = 0;
   }
 
 let enabled t = t.budget > 0
 let inflight t = t.inflight
-let peak_inflight t = t.peak_inflight
 let admitted_total t = t.admitted_total
 let shed_total t = t.shed_total
 
 let admit t ~backlog =
   if t.budget <= 0 || t.inflight < t.budget then begin
     t.inflight <- t.inflight + 1;
-    if t.inflight > t.peak_inflight then t.peak_inflight <- t.inflight;
     t.admitted_total <- t.admitted_total + 1;
     Ok ()
   end

@@ -30,10 +30,5 @@ val release : t -> unit
 
 val inflight : t -> int
 
-val peak_inflight : t -> int
-(** High-water mark of concurrently admitted requests — how much of
-    the budget (and of the node's admission-held table) the workload
-    actually used; capacity probes report it. *)
-
 val admitted_total : t -> int
 val shed_total : t -> int

@@ -1,5 +1,6 @@
 open Dessim
 open Bftworkload
+module Probe = Bftmetrics.Probe
 
 let request_sizes ~quick =
   if quick then [ 8; 1024; 4096 ] else [ 8; 512; 1024; 2048; 4096 ]
@@ -7,14 +8,10 @@ let request_sizes ~quick =
 let scale ~quick t = if quick then Time.mul_f t 0.5 else t
 
 (* ------------------------------------------------------------------ *)
-(* One static/dynamic runner for every protocol                       *)
+(* One run function for every protocol                                *)
 (* ------------------------------------------------------------------ *)
 
 module type STACK = Pbftcore.Cluster_core.STACK
-
-(* Average executed throughput at a correct node over [from_, until]. *)
-let window_rate counter ~from_ ~until =
-  Bftmetrics.Throughput.rate_between counter from_ until
 
 let static_shape ~quick ~duration ~rate =
   let clients = 20 in
@@ -31,39 +28,104 @@ let dynamic_shape ~quick ~rate =
     ~step:(scale ~quick (Time.ms 300))
     ~rate:(0.022 *. rate) ()
 
+(* A fresh probe for one run, switched on before [body] builds the
+   cluster, and the run audited when [audit] is enabled. *)
+let instrumented ?audit ?(metrics = false) ?(span_sample = 0) ?(footprints = false) ~f
+    body =
+  let probe = Probe.create () in
+  if metrics then Probe.set_metrics probe true;
+  if span_sample > 0 then Probe.enable_spans ~sample:span_sample probe;
+  if footprints then Probe.set_footprints probe true;
+  match audit with
+  | None -> body probe
+  | Some audit -> Audit.run audit probe ~n:((3 * f) + 1) ~f (fun () -> body probe)
+
+type load = Shape of Loadshape.t | Population of Population.t
+type 'c run = { cluster : 'c; throughput : float; latencies : Bftmetrics.Hist.t option }
+
+let drain = Time.ms 200
+
 (* Measure at a correct node: under worst-attack-2, node 0 is faulty.
    The highest-indexed node is correct in attack-2 (faulty = node 0 ..)
    and faulty in attack-1 (faulty = last f nodes); node 1 is correct in
    both. *)
-let executed_counter (type c) (module S : STACK with type Cluster.t = c) (cluster : c) =
-  Pbftcore.Ledger.counter (S.Node.ledger (S.Cluster.node cluster 1))
+let run (type c) ?audit ?metrics ?span_sample ?footprints ?(attack = fun _ -> ())
+    ?(from_ = drain) ?until (module S : STACK with type Cluster.t = c) ~f ~load
+    (build : probe:Probe.t -> int -> c) =
+  instrumented ?audit ?metrics ?span_sample ?footprints ~f (fun probe ->
+      let clients, load_end, apply =
+        match load with
+        | Shape s ->
+          ( Loadshape.max_clients s,
+            Loadshape.total_duration s,
+            fun engine ~set_rate -> Loadshape.apply engine s ~set_rate )
+        | Population p ->
+          ( Population.clients p,
+            Population.duration p,
+            fun engine ~set_rate -> Population.apply engine p ~set_rate )
+      in
+      let cluster = build ~probe clients in
+      attack cluster;
+      apply (S.Cluster.engine cluster) ~set_rate:(fun c r ->
+          S.Client.set_rate (S.Cluster.client cluster c) r);
+      S.Cluster.run_for cluster (Time.add load_end drain);
+      let executed = Pbftcore.Ledger.counter (S.Node.ledger (S.Cluster.node cluster 1)) in
+      let latencies =
+        Array.fold_left
+          (fun acc c ->
+            let h = S.Client.latencies c in
+            if Bftmetrics.Hist.count h = 0 then acc
+            else
+              match acc with
+              | None -> Some (Bftmetrics.Hist.copy h)
+              | Some m -> Some (Bftmetrics.Hist.merge m h))
+          None (S.Cluster.clients cluster)
+      in
+      {
+        cluster;
+        throughput =
+          Bftmetrics.Throughput.rate_between executed from_
+            (Option.value until ~default:load_end);
+        latencies;
+      })
 
-(* [create] builds the cluster for the shape's client count. *)
-let run_shape (type c) ~audit (module S : STACK with type Cluster.t = c) ~f ~shape ~attack
-    (create : int -> c) =
-  Audit.begin_run audit ~n:((3 * f) + 1) ~f;
-  let cluster = create (Loadshape.max_clients shape) in
-  attack cluster;
-  Loadshape.apply (S.Cluster.engine cluster) shape ~set_rate:(fun c r ->
-      S.Client.set_rate (S.Cluster.client cluster c) r);
-  let total = Loadshape.total_duration shape in
-  S.Cluster.run_for cluster (Time.add total (Time.ms 200));
-  (window_rate (executed_counter (module S) cluster) ~from_:(Time.ms 200) ~until:total, cluster)
+(* A fault-free f = 1 run of [flavour]: the window throughput, and the
+   mean over the clients of each client's mean latency, in ms. *)
+let flavour_run ?audit ?seed ?(prime_exec_cost = Time.us 100) ~from_ ~payload ~shape
+    flavour =
+  let measure (type c) (module S : STACK with type Cluster.t = c) build =
+    let r = run ?audit ~from_ (module S) ~f:1 ~load:(Shape shape) build in
+    let lat = Bftmetrics.Stats.create () in
+    Array.iter
+      (fun c ->
+        let h = S.Client.latencies c in
+        if Bftmetrics.Hist.count h > 0 then Bftmetrics.Stats.add lat (Bftmetrics.Hist.mean h))
+      (S.Cluster.clients r.cluster);
+    (r.throughput, 1e3 *. Bftmetrics.Stats.mean lat)
+  in
+  match flavour with
+  | Flavour.Rbft | Flavour.Rbft_udp | Flavour.Rbft_concurrent ->
+    measure (module Rbft) (fun ~probe clients ->
+        Flavour.rbft_cluster ~probe ?seed ~clients ~payload_size:payload ~f:1 flavour)
+  | Flavour.Aardvark ->
+    measure (module Aardvark) (fun ~probe clients ->
+        Aardvark.Cluster.create ~probe ?seed ~clients ~payload_size:payload
+          (Aardvark.Node.simulation_config ~f:1))
+  | Flavour.Spinning ->
+    measure (module Spinning) (fun ~probe clients ->
+        Spinning.Cluster.create ~probe ?seed ~clients ~payload_size:payload
+          (Spinning.Node.default_config ~f:1))
+  | Flavour.Prime ->
+    measure (module Prime) (fun ~probe clients ->
+        Prime.Cluster.create ~probe ?seed ~clients ~payload_size:payload
+          { (Prime.Node.default_config ~f:1) with Prime.Node.exec_cost = prime_exec_cost })
 
-let rbft ?seed ?(flavour = Flavour.Rbft) ?tweak ~f ~payload ~probe clients =
-  Flavour.rbft_cluster ~probe ?seed ?tweak ~clients ~payload_size:payload ~f flavour
-
-let aardvark ?seed ?(tweak = fun c -> c) ~f ~payload ~probe clients =
-  Aardvark.Cluster.create ~probe ?seed ~clients ~payload_size:payload
-    (tweak (Aardvark.Node.simulation_config ~f))
-
-let spinning ?seed ~f ~payload ~probe clients =
-  Spinning.Cluster.create ~probe ?seed ~clients ~payload_size:payload
-    (Spinning.Node.default_config ~f)
-
-let prime ?seed ?(exec_cost = Time.us 100) ~f ~payload ~probe clients =
-  Prime.Cluster.create ~probe ?seed ~clients ~payload_size:payload
-    { (Prime.Node.default_config ~f) with Prime.Node.exec_cost }
+(* Throughput under [attack] relative to the same run fault-free, the
+   fault-free run first. *)
+let relative attack measure =
+  let ff = measure (fun _ -> ()) in
+  let att = measure attack in
+  if ff <= 0.0 then 0.0 else att /. ff
 
 (* ------------------------------------------------------------------ *)
 (* Figures 1-3 and Table I                                            *)
@@ -85,7 +147,7 @@ let fig1 ~audit ~quick =
        faulty, ignores the load shape and floods at its own rate; the
        malicious primary stretches its ordering period to the
        monitored limit. *)
-    Audit.declare_faulty audit [ 0 ];
+    Probe.declare_faulty (Prime.Cluster.probe cluster) [ 0 ];
     let heavy = Prime.Cluster.client cluster 0 in
     (Prime.Client.behaviour heavy).Prime.Client.heavy <- true;
     Prime.Client.set_rate heavy 300.0;
@@ -100,13 +162,12 @@ let fig1 ~audit ~quick =
     let dynamic =
       Loadshape.paper_dynamic ~step:(scale ~quick (Time.ms 300)) ~rate:(0.05 *. rate) ()
     in
-    let measure shape attack =
-      fst (run_shape ~audit (module Prime) ~f:1 ~shape ~attack (prime ~probe:(Audit.probe audit) ~f:1 ~payload:size))
-    in
     let rel shape =
-      let ff = measure shape (fun _ -> ()) in
-      let att = measure shape attack_prime in
-      if ff <= 0.0 then 0.0 else att /. ff
+      relative attack_prime (fun attack ->
+          (run ~audit ~attack (module Prime) ~f:1 ~load:(Shape shape) (fun ~probe clients ->
+               Prime.Cluster.create ~probe ~clients ~payload_size:size
+                 (Prime.Node.default_config ~f:1)))
+            .throughput)
     in
     let rs = rel static and rd = rel dynamic in
     ( [ string_of_int size; Report.pct rs; Report.pct rd ], Stdlib.min rs rd )
@@ -129,7 +190,7 @@ let fig1 ~audit ~quick =
 let fig2 ~audit ~quick =
   let sizes = request_sizes ~quick in
   let attack cluster =
-    Audit.declare_faulty audit [ 0 ];
+    Probe.declare_faulty (Aardvark.Cluster.probe cluster) [ 0 ];
     (Aardvark.Node.faults (Aardvark.Cluster.node cluster 0)).Aardvark.Node.track_required <-
       true
   in
@@ -153,39 +214,22 @@ let fig2 ~audit ~quick =
        (5 s grace): the malicious primary then reigns for the whole
        dynamic run and its spike is throttled at the stale, pre-spike
        requirement. *)
-    let long_grace c =
+    let config =
+      let c = Aardvark.Node.simulation_config ~f:1 in
       {
         c with
         Aardvark.Node.policy =
           { c.Aardvark.Node.policy with Aardvark.Policy.grace = Time.of_sec_f 2.5 };
       }
     in
-    let measure_windowed shape a ~from_ ~until =
-      let _, cluster =
-        run_shape ~audit (module Aardvark) ~f:1 ~shape ~attack:a
-          (aardvark ~probe:(Audit.probe audit) ~tweak:long_grace ~f:1 ~payload:size)
-      in
-      window_rate (executed_counter (module Aardvark) cluster) ~from_ ~until
+    let measure ?from_ ?until shape attack =
+      (run ~audit ~attack ?from_ ?until (module Aardvark) ~f:1 ~load:(Shape shape)
+         (fun ~probe clients ->
+           Aardvark.Cluster.create ~probe ~clients ~payload_size:size config))
+        .throughput
     in
-    let rel_static =
-      let window a =
-        measure_windowed static a ~from_:(Time.ms 300) ~until:(Time.of_sec_f 2.0)
-      in
-      let ff = window (fun _ -> ()) in
-      let att = window attack in
-      if ff <= 0.0 then 0.0 else att /. ff
-    in
-    let rel_dynamic =
-      let measure a =
-        fst
-          (run_shape ~audit (module Aardvark) ~f:1 ~shape:dynamic ~attack:a
-             (aardvark ~probe:(Audit.probe audit) ~tweak:long_grace ~f:1 ~payload:size))
-      in
-      let ff = measure (fun _ -> ()) in
-      let att = measure attack in
-      if ff <= 0.0 then 0.0 else att /. ff
-    in
-    let rs = rel_static and rd = rel_dynamic in
+    let rs = relative attack (measure ~from_:(Time.ms 300) ~until:(Time.of_sec_f 2.0) static) in
+    let rd = relative attack (measure dynamic) in
     ( [ string_of_int size; Report.pct rs; Report.pct rd ], Stdlib.min rs rd )
   in
   let rows = List.map row sizes in
@@ -207,7 +251,7 @@ let fig3 ~audit ~quick =
   let attack cluster =
     (* All f faulty nodes delay their proposals by a little less than
        Stimeout whenever the rotation hands them the primary slot. *)
-    Audit.declare_faulty audit [ 3 ];
+    Probe.declare_faulty (Spinning.Cluster.probe cluster) [ 3 ];
     (Spinning.Node.faults (Spinning.Cluster.node cluster 3)).Spinning.Node.delay_fraction <-
       0.95
   in
@@ -215,13 +259,12 @@ let fig3 ~audit ~quick =
     let rate = Calibrate.saturating_rate Flavour.Spinning ~size in
     let static = static_shape ~quick ~duration:(Time.of_sec_f 3.0) ~rate in
     let dynamic = dynamic_shape ~quick ~rate in
-    let measure shape a =
-      fst (run_shape ~audit (module Spinning) ~f:1 ~shape ~attack:a (spinning ~probe:(Audit.probe audit) ~f:1 ~payload:size))
-    in
     let rel shape =
-      let ff = measure shape (fun _ -> ()) in
-      let att = measure shape attack in
-      if ff <= 0.0 then 0.0 else att /. ff
+      relative attack (fun attack ->
+          (run ~audit ~attack (module Spinning) ~f:1 ~load:(Shape shape) (fun ~probe clients ->
+               Spinning.Cluster.create ~probe ~clients ~payload_size:size
+                 (Spinning.Node.default_config ~f:1)))
+            .throughput)
     in
     let rs = rel static and rd = rel dynamic in
     ( [ string_of_int size; Report.pct rs; Report.pct rd ], Stdlib.min rs rd )
@@ -277,28 +320,10 @@ let fig7_point ~audit ~proto ~payload ~fraction ~quick =
       (match proto with Flavour.Aardvark -> Time.of_sec_f 3.0 | _ -> Time.of_sec_f 1.6)
   in
   let shape = Loadshape.static ~duration ~clients ~rate:(offered /. float_of_int clients) in
-  let warm = Time.ms 400 in
-  let point (type c) (module S : STACK with type Cluster.t = c) create =
-    let _, cluster = run_shape ~audit (module S) ~f:1 ~shape ~attack:(fun _ -> ()) create in
-    let achieved =
-      window_rate (executed_counter (module S) cluster) ~from_:warm
-        ~until:(Loadshape.total_duration shape)
-    in
-    let lat = Bftmetrics.Stats.create () in
-    Array.iter
-      (fun c ->
-        let h = S.Client.latencies c in
-        if Bftmetrics.Hist.count h > 0 then Bftmetrics.Stats.add lat (Bftmetrics.Hist.mean h))
-      (S.Cluster.clients cluster);
-    { offered; achieved; latency_ms = 1e3 *. Bftmetrics.Stats.mean lat }
+  let achieved, latency_ms =
+    flavour_run ~audit ~prime_exec_cost:(Time.us 1) ~from_:(Time.ms 400) ~payload ~shape proto
   in
-  let probe = Audit.probe audit in
-  match proto with
-  | Flavour.Rbft | Flavour.Rbft_udp | Flavour.Rbft_concurrent ->
-    point (module Rbft) (rbft ~probe ~flavour:proto ~f:1 ~payload)
-  | Flavour.Aardvark -> point (module Aardvark) (aardvark ~probe ~f:1 ~payload)
-  | Flavour.Spinning -> point (module Spinning) (spinning ~probe ~f:1 ~payload)
-  | Flavour.Prime -> point (module Prime) (prime ~probe ~exec_cost:(Time.us 1) ~f:1 ~payload)
+  { offered; achieved; latency_ms }
 
 (* The flavours Figure 7 and the seed sweep compare, in table order. *)
 let compared = Flavour.[ Rbft; Rbft_udp; Aardvark; Spinning; Prime ]
@@ -350,10 +375,10 @@ let rbft_relative ~audit ~quick ~f ~attack_fn ~size ~dynamic =
     if dynamic then dynamic_shape ~quick ~rate
     else static_shape ~quick ~duration:(Time.of_sec_f 2.5) ~rate
   in
-  let measure attack = run_shape ~audit (module Rbft) ~f ~shape ~attack (rbft ~probe:(Audit.probe audit) ~f ~payload:size) in
-  let ff, _ = measure (fun _ -> ()) in
-  let att, cluster = measure attack_fn in
-  ((if ff <= 0.0 then 0.0 else att /. ff), cluster)
+  relative attack_fn (fun attack ->
+      (run ~audit ~attack (module Rbft) ~f ~load:(Shape shape) (fun ~probe clients ->
+           Flavour.rbft_cluster ~probe ~clients ~payload_size:size ~f Flavour.Rbft))
+        .throughput)
 
 let fig_rbft_attack ~audit ~quick ~attack_fn ~id ~title ~paper_note =
   let sizes = request_sizes ~quick in
@@ -363,8 +388,8 @@ let fig_rbft_attack ~audit ~quick ~attack_fn ~id ~title ~paper_note =
       (fun f ->
         List.map
           (fun size ->
-            let rs, _ = rbft_relative ~audit ~quick ~f ~attack_fn ~size ~dynamic:false in
-            let rd, _ = rbft_relative ~audit ~quick ~f ~attack_fn ~size ~dynamic:true in
+            let rs = rbft_relative ~audit ~quick ~f ~attack_fn ~size ~dynamic:false in
+            let rd = rbft_relative ~audit ~quick ~f ~attack_fn ~size ~dynamic:true in
             [ string_of_int f; string_of_int size; Report.pct rs; Report.pct rd ])
           sizes)
       fs
@@ -385,8 +410,9 @@ let fig_monitoring ~audit ~quick ~attack_fn ~correct_nodes ~id ~title ~paper_not
   let f = 1 in
   let rate = Calibrate.saturating_rate ~f Flavour.Rbft ~size in
   let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.5) ~rate in
-  let _, cluster =
-    run_shape ~audit (module Rbft) ~f ~shape ~attack:attack_fn (rbft ~probe:(Audit.probe audit) ~f ~payload:size)
+  let { cluster; _ } =
+    run ~audit ~attack:attack_fn (module Rbft) ~f ~load:(Shape shape) (fun ~probe clients ->
+        Flavour.rbft_cluster ~probe ~clients ~payload_size:size ~f Flavour.Rbft)
   in
   let rows =
     List.map
@@ -449,8 +475,7 @@ let fig10_11 ~audit ~quick =
 (* Figure 12: the unfair primary                                      *)
 (* ------------------------------------------------------------------ *)
 
-let fig12 ~audit ~quick =
-  ignore quick;
+let unfair_primary ?audit () =
   let params =
     {
       (Rbft.Params.default ~f:1) with
@@ -459,36 +484,36 @@ let fig12 ~audit ~quick =
       delta = 0.5 (* keep the throughput check out of the way, as the paper does *);
     }
   in
-  Audit.begin_run audit ~n:4 ~f:1;
-  let cluster = Rbft.Cluster.create ~probe:(Audit.probe audit) ~clients:2 ~payload_size:4096 params in
-  (* Per-request ordering latencies observed at correct node 1. *)
-  let samples = ref [] in
-  let count = ref 0 in
-  Rbft.Node.set_latency_probe (Rbft.Cluster.node cluster 1)
-    (fun ~instance ~client latency ->
-      if instance = 0 then begin
-        incr count;
-        samples := (!count, client, latency) :: !samples
-      end);
-  Array.iter
-    (fun c -> Rbft.Client.set_rate c 350.0)
-    (Rbft.Cluster.clients cluster);
-  (* The faulty master primary (node 0): fair for the first 500
-     requests, then holds client 0's requests by 0.5 ms, then by 1 ms
-     (the paper's escalation at request ~1000). *)
-  Audit.declare_faulty audit [ 0 ];
-  let replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
-  (Pbftcore.Replica.adversary replica).Pbftcore.Replica.client_hold <-
-    (fun id ->
-      if id.Pbftcore.Types.client <> 0 then Time.zero
-      else begin
-        let ordered = Pbftcore.Replica.ordered_count replica in
-        if ordered < 500 then Time.zero
-        else if ordered < 1000 then Time.of_us_f 500.0
-        else Time.of_us_f 1000.0
-      end);
-  Rbft.Cluster.run_for cluster (Time.of_sec_f 3.0);
-  let samples = List.rev !samples in
+  instrumented ?audit ~f:1 (fun probe ->
+      let cluster = Rbft.Cluster.create ~probe ~clients:2 ~payload_size:4096 params in
+      let samples = ref [] in
+      let count = ref 0 in
+      Rbft.Node.set_latency_probe (Rbft.Cluster.node cluster 1)
+        (fun ~instance ~client latency ->
+          if instance = 0 then begin
+            incr count;
+            samples := (!count, client, latency) :: !samples
+          end);
+      Array.iter (fun c -> Rbft.Client.set_rate c 350.0) (Rbft.Cluster.clients cluster);
+      (* The faulty master primary (node 0): fair for the first 500
+         requests, then holds client 0's requests by 0.5 ms, then by
+         1 ms (the paper's escalation at request ~1000). *)
+      Probe.declare_faulty probe [ 0 ];
+      let replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
+      (Pbftcore.Replica.adversary replica).Pbftcore.Replica.client_hold <-
+        (fun id ->
+          if id.Pbftcore.Types.client <> 0 then Time.zero
+          else begin
+            let ordered = Pbftcore.Replica.ordered_count replica in
+            if ordered < 500 then Time.zero
+            else if ordered < 1000 then Time.of_us_f 500.0
+            else Time.of_us_f 1000.0
+          end);
+      Rbft.Cluster.run_for cluster (Time.of_sec_f 3.0);
+      (List.rev !samples, cluster))
+
+let fig12 ~audit ~quick:_ =
+  let samples, cluster = unfair_primary ~audit () in
   let bucket lo hi client =
     let s = Bftmetrics.Stats.create () in
     List.iter
@@ -528,21 +553,20 @@ let fig12 ~audit ~quick =
 (* Ablations                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let peak_of ~audit ~quick ~tweak ~payload =
+(* A static saturated RBFT run at f = 1, measured from 400 ms. *)
+let ablation_run ~audit ~quick ?attack ?tweak ~duration ~payload () =
   let rate = Calibrate.saturating_rate Flavour.Rbft ~size:payload in
-  let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.0) ~rate in
-  let _, cluster =
-    run_shape ~audit (module Rbft) ~f:1 ~shape ~attack:(fun _ -> ())
-      (rbft ~probe:(Audit.probe audit) ~tweak ~f:1 ~payload)
-  in
-  window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
-    ~until:(Loadshape.total_duration shape)
+  let shape = static_shape ~quick ~duration:(Time.of_sec_f duration) ~rate in
+  run ~audit ?attack ~from_:(Time.ms 400) (module Rbft) ~f:1 ~load:(Shape shape)
+    (fun ~probe clients ->
+      Flavour.rbft_cluster ~probe ?tweak ~clients ~payload_size:payload ~f:1 Flavour.Rbft)
 
 let ablation_ordering ~audit ~quick =
-  let full = peak_of ~audit ~quick ~payload:4096
-      ~tweak:(fun p -> { p with Rbft.Params.order_full_requests = true })
+  let peak ?tweak () =
+    (ablation_run ~audit ~quick ?tweak ~duration:2.0 ~payload:4096 ()).throughput
   in
-  let ids = peak_of ~audit ~quick ~payload:4096 ~tweak:(fun p -> p) in
+  let full = peak ~tweak:(fun p -> { p with Rbft.Params.order_full_requests = true }) () in
+  let ids = peak () in
   {
     Report.id = "ablation-ordering";
     title = "RBFT at 4kB: ordering identifiers vs full requests";
@@ -574,25 +598,16 @@ let ablation_view_changes ~audit ~quick =
     in
     loop ()
   in
-  let rate = Calibrate.saturating_rate Flavour.Rbft ~size:8 in
-  let shape = static_shape ~quick ~duration:(Time.of_sec_f 3.0) ~rate in
-  let measure attack =
-    let _, cluster = run_shape ~audit (module Rbft) ~f:1 ~shape ~attack (rbft ~probe:(Audit.probe audit) ~f:1 ~payload:8) in
-    window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
-      ~until:(Loadshape.total_duration shape)
+  let measure ?attack ?tweak () =
+    (ablation_run ~audit ~quick ?attack ?tweak ~duration:3.0 ~payload:8 ()).throughput
   in
-  let normal = measure (fun _ -> ()) in
-  let forced = measure with_forced in
+  let normal = measure () in
+  let forced = measure ~attack:with_forced () in
   (* Aardvark-style changes also pay a recovery pause. *)
   let forced_with_recovery =
-    let _, cluster =
-      run_shape ~audit (module Rbft) ~f:1 ~shape ~attack:with_forced
-        (rbft ~probe:(Audit.probe audit)
-           ~tweak:(fun p -> { p with Rbft.Params.post_vc_quiet = Time.ms 120 })
-           ~f:1 ~payload:8)
-    in
-    window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
-      ~until:(Loadshape.total_duration shape)
+    measure ~attack:with_forced
+      ~tweak:(fun p -> { p with Rbft.Params.post_vc_quiet = Time.ms 120 })
+      ()
   in
   {
     Report.id = "ablation-viewchange";
@@ -618,22 +633,15 @@ let ablation_delta ~audit ~quick =
     List.map
       (fun delta ->
         let tweak p = { p with Rbft.Params.delta } in
-        let rate = Calibrate.saturating_rate Flavour.Rbft ~size:8 in
-        let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.0) ~rate in
         let measure attack =
-          let _, cluster =
-            run_shape ~audit (module Rbft) ~f:1 ~shape ~attack (rbft ~probe:(Audit.probe audit) ~tweak ~f:1 ~payload:8)
-          in
-          ( window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
-              ~until:(Loadshape.total_duration shape),
-            Rbft.Node.instance_changes (Rbft.Cluster.node cluster 1) )
+          ablation_run ~audit ~quick ~attack ~tweak ~duration:2.0 ~payload:8 ()
         in
-        let ff, _ = measure (fun _ -> ()) in
-        let att, changes = measure Rbft.Attacks.worst_attack_2 in
+        let ff = measure (fun _ -> ()) in
+        let att = measure Rbft.Attacks.worst_attack_2 in
         [
           Report.f2 delta;
-          Report.pct (if ff > 0.0 then att /. ff else 0.0);
-          string_of_int changes;
+          Report.pct (if ff.throughput > 0.0 then att.throughput /. ff.throughput else 0.0);
+          string_of_int (Rbft.Node.instance_changes (Rbft.Cluster.node att.cluster 1));
         ])
       deltas
   in
@@ -650,25 +658,23 @@ let ablation_delta ~audit ~quick =
   }
 
 let ablation_switch_master ~audit ~quick =
-  let tweak p = { p with Rbft.Params.recovery = Rbft.Params.Switch_master; delta = 0.9 } in
   let rate = Calibrate.saturating_rate Flavour.Rbft ~size:8 in
-  let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.5) ~rate in
   let slow_master cluster =
-    Audit.declare_faulty audit [ 0 ];
+    Probe.declare_faulty (Rbft.Cluster.probe cluster) [ 0 ];
     (Pbftcore.Replica.adversary
        (Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0))
       .Pbftcore.Replica.pp_rate_limit <- (fun () -> 0.3 *. rate)
   in
-  let measure tweak =
-    let _, cluster =
-      run_shape ~audit (module Rbft) ~f:1 ~shape ~attack:slow_master (rbft ~probe:(Audit.probe audit) ~tweak ~f:1 ~payload:8)
+  let measure recovery =
+    let r =
+      ablation_run ~audit ~quick ~attack:slow_master
+        ~tweak:(fun p -> { p with Rbft.Params.recovery; delta = 0.9 })
+        ~duration:2.5 ~payload:8 ()
     in
-    ( window_rate (executed_counter (module Rbft) cluster) ~from_:(Time.ms 400)
-        ~until:(Loadshape.total_duration shape),
-      Rbft.Node.master_instance (Rbft.Cluster.node cluster 1) )
+    (r.throughput, Rbft.Node.master_instance (Rbft.Cluster.node r.cluster 1))
   in
-  let tput_change, _ = measure (fun p -> { p with Rbft.Params.delta = 0.9 }) in
-  let tput_switch, master = measure tweak in
+  let tput_change, _ = measure Rbft.Params.Change_primaries in
+  let tput_switch, master = measure Rbft.Params.Switch_master in
   {
     Report.id = "ablation-recovery";
     title = "Recovery from a throttled master primary: change primaries vs switch master";
@@ -694,28 +700,28 @@ let ablation_closed_loop ~audit ~quick =
   let params = { (Rbft.Params.default ~f:1) with Rbft.Params.delta = 0.9 } in
   let duration = scale ~quick (Time.of_sec_f 2.5) in
   let run ~closed =
-    Audit.begin_run audit ~n:4 ~f:1;
-    let cluster = Rbft.Cluster.create ~probe:(Audit.probe audit) ~clients:20 params in
-    Array.iter
-      (fun c ->
-        if closed then Rbft.Client.set_closed_loop c ~outstanding:20
-        else
-          Rbft.Client.set_rate c (Calibrate.saturating_rate Flavour.Rbft ~size:8 /. 20.))
-      (Rbft.Cluster.clients cluster);
-    (* Reach steady state first, then have the master primary throttle
-       itself to ~40 % of capacity. *)
-    Rbft.Cluster.run_for cluster (Time.ms 500);
-    let attack_start = Engine.now (Rbft.Cluster.engine cluster) in
-    Audit.declare_faulty audit [ 0 ];
-    let replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
-    (Pbftcore.Replica.adversary replica).Pbftcore.Replica.pp_rate_limit <-
-      (fun () -> 0.4 *. Calibrate.peak_rate Flavour.Rbft ~size:8);
-    Rbft.Cluster.run_for cluster duration;
-    let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
-    ( window_rate counter
-        ~from_:(Time.add attack_start (Time.ms 300))
-        ~until:(Time.add attack_start duration),
-      Rbft.Node.instance_changes (Rbft.Cluster.node cluster 1) )
+    instrumented ~audit ~f:1 (fun probe ->
+        let cluster = Rbft.Cluster.create ~probe ~clients:20 params in
+        Array.iter
+          (fun c ->
+            if closed then Rbft.Client.set_closed_loop c ~outstanding:20
+            else
+              Rbft.Client.set_rate c (Calibrate.saturating_rate Flavour.Rbft ~size:8 /. 20.))
+          (Rbft.Cluster.clients cluster);
+        (* Reach steady state first, then have the master primary
+           throttle itself to ~40 % of capacity. *)
+        Rbft.Cluster.run_for cluster (Time.ms 500);
+        let attack_start = Engine.now (Rbft.Cluster.engine cluster) in
+        Probe.declare_faulty probe [ 0 ];
+        let replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
+        (Pbftcore.Replica.adversary replica).Pbftcore.Replica.pp_rate_limit <-
+          (fun () -> 0.4 *. Calibrate.peak_rate Flavour.Rbft ~size:8);
+        Rbft.Cluster.run_for cluster duration;
+        ( Bftmetrics.Throughput.rate_between
+            (Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1))
+            (Time.add attack_start (Time.ms 300))
+            (Time.add attack_start duration),
+          Rbft.Node.instance_changes (Rbft.Cluster.node cluster 1) ))
   in
   let open_tput, open_ics = run ~closed:false in
   let closed_tput, closed_ics = run ~closed:true in
@@ -794,21 +800,11 @@ let mean_spread samples =
 
 let seed_sweep ~audit ~quick ~seeds =
   let size = 8 in
-  let no_attack _ = () in
   let run proto seed =
-    let seed = Int64.of_int seed in
     let rate = Calibrate.saturating_rate proto ~size in
     let shape = static_shape ~quick ~duration:(Time.of_sec_f 2.0) ~rate in
-    let measure (type c) (module S : STACK with type Cluster.t = c) create =
-      fst (run_shape ~audit (module S) ~f:1 ~shape ~attack:no_attack create)
-    in
-    let probe = Audit.probe audit in
-    match proto with
-    | Flavour.Rbft | Flavour.Rbft_udp | Flavour.Rbft_concurrent ->
-      measure (module Rbft) (rbft ~probe ~seed ~flavour:proto ~f:1 ~payload:size)
-    | Flavour.Aardvark -> measure (module Aardvark) (aardvark ~probe ~seed ~f:1 ~payload:size)
-    | Flavour.Spinning -> measure (module Spinning) (spinning ~probe ~seed ~f:1 ~payload:size)
-    | Flavour.Prime -> measure (module Prime) (prime ~probe ~seed ~f:1 ~payload:size)
+    fst
+      (flavour_run ~audit ~seed:(Int64.of_int seed) ~from_:drain ~payload:size ~shape proto)
   in
   let row proto =
     let samples = List.init seeds (fun s -> run proto (s + 1)) in

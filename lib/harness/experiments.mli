@@ -4,8 +4,50 @@
     bench/main.ml) and [rbft_sim experiment] runs one.
 
     [quick] shortens windows and thins the request-size sweeps. Every
-    cluster an experiment builds reports to [audit]'s probe, and each
-    run is audited when [audit] is enabled. *)
+    run builds its cluster on a probe of its own, and is audited when
+    [audit] is enabled. *)
+
+type load = Shape of Bftworkload.Loadshape.t | Population of Bftworkload.Population.t
+
+type 'c run = {
+  cluster : 'c;
+  throughput : float;  (** executed req/s at correct node 1 over the window *)
+  latencies : Bftmetrics.Hist.t option;
+      (** every client's end-to-end latencies (seconds) merged; [None]
+          when no client completed a request *)
+}
+
+val run :
+  ?audit:Audit.t ->
+  ?metrics:bool ->
+  ?span_sample:int ->
+  ?footprints:bool ->
+  ?attack:('c -> unit) ->
+  ?from_:Dessim.Time.t ->
+  ?until:Dessim.Time.t ->
+  (module Pbftcore.Cluster_core.STACK with type Cluster.t = 'c) ->
+  f:int ->
+  load:load ->
+  (probe:Bftmetrics.Probe.t -> int -> 'c) ->
+  'c run
+(** One measured run. A fresh probe is created with metrics, 1/N
+    spans ([span_sample] > 0) and footprints switched on as asked
+    (default: all off), and an auditor is attached to it when [audit]
+    is enabled. The builder makes the cluster on that probe for the
+    load's client count; [attack] (default: none) is installed on it,
+    the load is applied, and the cluster runs to the end of the load
+    plus a 200 ms drain. The throughput window runs from [from_]
+    (default 200 ms) to [until] (default: the end of the load).
+    Attacks declare their faulty nodes on the cluster's probe. *)
+
+val unfair_primary :
+  ?audit:Audit.t -> unit -> (int * int * Dessim.Time.t) list * Rbft.Cluster.t
+(** Figure 12's scenario: 2 clients at 350 req/s each with 4 kB
+    requests, Λ = 1.5 ms and f = 1, for 3 s. The master primary
+    (node 0) is fair for 500 requests, then holds client 0's requests
+    0.5 ms, then 1 ms from request 1000. Returns every master-instance
+    ordering latency correct node 1 observed, in order, as
+    (ordinal from 1, client, latency), and the cluster. *)
 
 type group = {
   label : string;  (** e.g. ["fig1/2/3+table1"]; names the group's timing line *)

@@ -13,18 +13,14 @@ open Dessim
 open Bftworkload
 
 type run_result = {
-  throughput : float;  (* req/s at a correct node *)
-  p50_ms : float;  (* client end-to-end latency *)
+  throughput : float;
+  p50_ms : float;
   p99_ms : float;
-  order_p50_ms : float;  (* master-instance ordering latency at node 1 *)
+  order_p50_ms : float;
   order_p99_ms : float;
   host : host;
 }
 
-(* Host-side cost of one run, as deterministic counts per request a
-   client saw completed: engine events, delivered messages, words
-   allocated on the minor heap and SHA-256 blocks compressed while the
-   cluster ran; and the engine heap's high-water mark, in entries. *)
 and host = {
   events_per_req : float;
   msgs_per_req : float;
@@ -37,20 +33,21 @@ module Probe = Bftmetrics.Probe
 
 let duration ~quick = Time.of_sec_f (if quick then 1.0 else 2.0)
 
-(* Mirrors the harness' static saturated runner, with the registry
-   optionally live (reset per run so counters describe one run).
-   [span_sample] > 0 additionally runs the span tracer at 1/N sampling;
-   the caller reads the spans back from the probe. *)
-let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
-    ?(flavour = Flavour.Rbft) ?(flow = true) ~audit ~with_metrics ~quick ~payload () =
-  let probe = Audit.probe audit in
+(* Percentile [p] of a latency histogram in ms; 0 when it is empty. *)
+let percentile_ms h p =
+  if Bftmetrics.Hist.count h = 0 then 0.0 else 1e3 *. Bftmetrics.Hist.percentile h p
+
+(* Percentile [p] of a run's merged client latency in ms. *)
+let latency_ms (r : _ Experiments.run) p =
+  Option.fold ~none:0.0 ~some:(fun h -> percentile_ms h p) r.Experiments.latencies
+
+(* One static saturated report leg: [Experiments.run] on an RBFT
+   flavour, plus the host counts and the master-instance ordering
+   latency read back from the run's probe, which the caller also gets
+   (for the spans of a [span_sample] > 0 leg). *)
+let static_run ?(attack = fun _ -> ()) ?(f = 1) ?span_sample ?(flavour = Flavour.Rbft)
+    ?(flow = true) ~audit ~with_metrics ~quick ~payload () =
   let rate = Calibrate.saturating_rate ~f flavour ~size:payload in
-  Bftmetrics.Registry.reset (Probe.registry probe);
-  Probe.set_metrics probe with_metrics;
-  if span_sample > 0 then begin
-    Probe.reset_spans probe;
-    Probe.enable_spans ~sample:span_sample probe
-  end;
   let clients = 20 in
   let shape =
     Loadshape.static ~duration:(duration ~quick) ~clients
@@ -73,54 +70,27 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
     if flow then { p with Rbft.Params.admission_budget = 128; adaptive_batching = true }
     else p
   in
-  Audit.begin_run audit ~n:((3 * f) + 1) ~f;
-  let cluster =
-    Flavour.rbft_cluster ~probe ~tweak ~clients:(Loadshape.max_clients shape)
-      ~payload_size:payload ~f flavour
+  (* Host counts start once the attack is installed. *)
+  let words0 = ref 0.0 and blocks0 = ref 0 in
+  let attack cluster =
+    attack cluster;
+    words0 := Gc.minor_words ();
+    blocks0 := Bftcrypto.Sha256.blocks_hashed ()
   in
-  attack cluster;
-  let engine = Rbft.Cluster.engine cluster in
-  Loadshape.apply engine shape ~set_rate:(fun c r ->
-      Rbft.Client.set_rate (Rbft.Cluster.client cluster c) r);
-  let total = Loadshape.total_duration shape in
-  let words0 = Gc.minor_words () and blocks0 = Bftcrypto.Sha256.blocks_hashed () in
-  Rbft.Cluster.run_for cluster (Time.add total (Time.ms 200));
-  let minor_words = Gc.minor_words () -. words0 in
-  let sha_blocks = Bftcrypto.Sha256.blocks_hashed () - blocks0 in
-  Audit.end_run audit;
-  if span_sample > 0 then Probe.disable_spans probe;
-  let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
-  let throughput =
-    Bftmetrics.Throughput.rate_between counter (Time.ms 200) total
+  let r =
+    Experiments.run ~audit ~metrics:with_metrics ?span_sample ~attack (module Rbft) ~f
+      ~load:(Experiments.Shape shape) (fun ~probe clients ->
+        Flavour.rbft_cluster ~probe ~tweak ~clients ~payload_size:payload ~f flavour)
   in
-  (* Client end-to-end latency, merged over every client that got a
-     reply (values are seconds). *)
-  let merged =
-    Array.fold_left
-      (fun acc c ->
-        let h = Rbft.Client.latencies c in
-        if Bftmetrics.Hist.count h = 0 then acc
-        else
-          match acc with
-          | None -> Some (Bftmetrics.Hist.copy h)
-          | Some m -> Some (Bftmetrics.Hist.merge m h))
-      None (Rbft.Cluster.clients cluster)
-  in
-  let pctl h p =
-    match h with
-    | None -> 0.0
-    | Some h -> 1e3 *. Bftmetrics.Hist.percentile h p
-  in
+  let minor_words = Gc.minor_words () -. !words0 in
+  let sha_blocks = Bftcrypto.Sha256.blocks_hashed () - !blocks0 in
+  let cluster = r.Experiments.cluster in
+  let engine = Rbft.Cluster.engine cluster and probe = Rbft.Cluster.probe cluster in
   (* Master-instance ordering latency at correct node 1, read back
      from the registry (re-registration returns the live child). *)
   let order =
-    Bftmetrics.Registry.histogram (Probe.registry probe)
-      "bft_ordering_latency_seconds"
+    Bftmetrics.Registry.histogram (Probe.registry probe) "bft_ordering_latency_seconds"
       ~labels:[ ("node", "1"); ("instance", "0") ]
-  in
-  let opctl p =
-    if Bftmetrics.Hist.count order = 0 then 0.0
-    else 1e3 *. Bftmetrics.Hist.percentile order p
   in
   let completed =
     Array.fold_left
@@ -128,24 +98,25 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?(span_sample = 0)
       0 (Rbft.Cluster.clients cluster)
   in
   let per_req x = x /. float_of_int (max 1 completed) in
-  {
-    throughput;
-    p50_ms = pctl merged 50.0;
-    p99_ms = pctl merged 99.0;
-    order_p50_ms = opctl 50.0;
-    order_p99_ms = opctl 99.0;
-    host =
-      {
-        events_per_req = per_req (float_of_int (Engine.events_processed engine));
-        msgs_per_req =
-          per_req
-            (float_of_int
-               (Bftnet.Network.messages_delivered (Rbft.Cluster.network cluster)));
-        minor_words_per_req = per_req minor_words;
-        sha256_blocks_per_req = per_req (float_of_int sha_blocks);
-        queue_peak = Engine.queue_peak engine;
-      };
-  }
+  ( {
+      throughput = r.Experiments.throughput;
+      p50_ms = latency_ms r 50.0;
+      p99_ms = latency_ms r 99.0;
+      order_p50_ms = percentile_ms order 50.0;
+      order_p99_ms = percentile_ms order 99.0;
+      host =
+        {
+          events_per_req = per_req (float_of_int (Engine.events_processed engine));
+          msgs_per_req =
+            per_req
+              (float_of_int
+                 (Bftnet.Network.messages_delivered (Rbft.Cluster.network cluster)));
+          minor_words_per_req = per_req minor_words;
+          sha256_blocks_per_req = per_req (float_of_int sha_blocks);
+          queue_peak = Engine.queue_peak engine;
+        };
+    },
+    probe )
 
 let size_key = function 8 -> "8B" | 4096 -> "4kB" | n -> string_of_int n ^ "B"
 
@@ -161,7 +132,6 @@ let json_of_result r =
 let generate ~audit ~quick =
   let module Profile = Bftmetrics.Profile in
   let profile = Profile.create () in
-  let probe = Audit.probe audit in
   let sizes = [ 8; 4096 ] in
   (* Fault-free baselines, and the wall-clock cost of the very same
      8 B run with the registry off — the hot-path overhead measure. *)
@@ -171,7 +141,7 @@ let generate ~audit ~quick =
   let t_off = ref 0.0 in
   Profile.time profile "perfreport:baseline-nometrics" (fun () ->
       let t0 = Unix.gettimeofday () in
-      let r = static_run ~audit ~with_metrics:false ~quick ~payload:8 () in
+      let r, _ = static_run ~audit ~with_metrics:false ~quick ~payload:8 () in
       t_off := Unix.gettimeofday () -. t0;
       record "baseline-nometrics" r);
   let t_on = ref 0.0 in
@@ -182,7 +152,7 @@ let generate ~audit ~quick =
           (Printf.sprintf "perfreport:fault-free-%s" (size_key payload))
           (fun () ->
             let t0 = Unix.gettimeofday () in
-            let r = static_run ~audit ~with_metrics:true ~quick ~payload () in
+            let r, _ = static_run ~audit ~with_metrics:true ~quick ~payload () in
             if payload = 8 then t_on := Unix.gettimeofday () -. t0;
             record ("fault-free-" ^ size_key payload) r;
             (payload, r)))
@@ -197,14 +167,11 @@ let generate ~audit ~quick =
         Profile.time profile
           (Printf.sprintf "perfreport:breakdown-%s" (size_key payload))
           (fun () ->
-            record
-              ("breakdown-" ^ size_key payload)
-              (static_run ~audit ~with_metrics:false ~span_sample:8 ~quick ~payload ());
-            let summary =
-              Bftspan.Analyze.summarize (Probe.span_array probe)
+            let r, probe =
+              static_run ~audit ~with_metrics:false ~span_sample:8 ~quick ~payload ()
             in
-            Probe.reset_spans probe;
-            (payload, summary)))
+            record ("breakdown-" ^ size_key payload) r;
+            (payload, Bftspan.Analyze.summarize (Probe.span_array probe))))
       sizes
   in
   let attacks =
@@ -220,7 +187,7 @@ let generate ~audit ~quick =
               Profile.time profile
                 (Printf.sprintf "perfreport:%s-%s" name (size_key payload))
                 (fun () ->
-                  let att =
+                  let att, _ =
                     static_run ~attack ~audit ~with_metrics:true ~quick ~payload ()
                   in
                   record (name ^ "-" ^ size_key payload) att;
@@ -233,7 +200,6 @@ let generate ~audit ~quick =
             sizes ))
       attacks
   in
-  Probe.set_metrics probe false;
   let overhead_pct =
     if !t_off > 0.0 then 100.0 *. ((!t_on /. !t_off) -. 1.0) else 0.0
   in
@@ -335,7 +301,7 @@ let generate_scale ~audit ~quick =
         let n = (3 * f) + 1 and instances = f + 1 in
         let r =
           Profile.time profile (Printf.sprintf "perfreport:scale-f%d" f) (fun () ->
-              static_run ~f ~flow:false ~audit ~with_metrics:true ~quick ~payload ())
+              fst (static_run ~f ~flow:false ~audit ~with_metrics:true ~quick ~payload ()))
         in
         (* Same cluster size in concurrent (bftrcc) ordering, where the
            f+1 instances order disjoint client partitions instead of
@@ -344,13 +310,13 @@ let generate_scale ~audit ~quick =
         let c =
           Profile.time profile (Printf.sprintf "perfreport:scale-f%d-concurrent" f)
             (fun () ->
-              static_run ~f ~flavour:Flavour.Rbft_concurrent ~flow:false
-                ~audit ~with_metrics:true ~quick ~payload ())
+              fst
+                (static_run ~f ~flavour:Flavour.Rbft_concurrent ~flow:false ~audit
+                   ~with_metrics:true ~quick ~payload ()))
         in
         (f, n, instances, r, c))
       [ 1; 2; 3 ]
   in
-  Probe.set_metrics (Audit.probe audit) false;
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
@@ -417,8 +383,6 @@ type clients_point = {
 }
 
 let clients_run ~quick ~population =
-  let probe = Probe.create () in
-  Probe.set_footprints probe true;
   let duration = Time.of_sec_f (if quick then 0.6 else 1.5) in
   (* Fixed aggregate load well under saturation: the sweep variable is
      the population, and what it measures is what O(clients) state
@@ -435,62 +399,44 @@ let clients_run ~quick ~population =
       ~churn_fraction:0.1 ~clients:population ~aggregate_rate:4000.0
       ~duration ()
   in
-  let cluster =
-    Rbft.Cluster.create ~probe ~clients:(Population.clients pop) ~payload_size:8
-      params
+  (* Periodic GC/footprint sampling on virtual time, started with the
+     load. *)
+  let sampler = ref None in
+  let start_sampler cluster =
+    let engine = Rbft.Cluster.engine cluster in
+    let gcs = Bftcap.Gcstats.create ~window:128 (Rbft.Cluster.probe cluster) in
+    let tick = Time.mul_f duration (1.0 /. 24.0) in
+    let rec sampler_until stop =
+      ignore
+        (Engine.at engine
+           (Time.add (Engine.now engine) tick)
+           (fun () ->
+             Bftcap.Gcstats.sample gcs ~now:(Engine.now engine);
+             if Engine.now engine < stop then sampler_until stop))
+    in
+    sampler_until (Time.add (Engine.now engine) duration);
+    sampler := Some gcs
   in
-  let engine = Rbft.Cluster.engine cluster in
-  let gcs = Bftcap.Gcstats.create ~window:128 probe in
-  (* Periodic GC/footprint sampling on virtual time. *)
-  let tick = Time.mul_f duration (1.0 /. 24.0) in
-  let rec sampler_until stop =
-    ignore
-      (Engine.at engine
-         (Time.add (Engine.now engine) tick)
-         (fun () ->
-           Bftcap.Gcstats.sample gcs ~now:(Engine.now engine);
-           if Engine.now engine < stop then sampler_until stop))
+  let r =
+    Experiments.run ~footprints:true ~attack:start_sampler ~from_:(Time.ms 100) (module Rbft)
+      ~f:1 ~load:(Experiments.Population pop) (fun ~probe clients ->
+        Rbft.Cluster.create ~probe ~clients ~payload_size:8 params)
   in
-  sampler_until (Time.add (Engine.now engine) duration);
-  Population.apply engine pop ~set_rate:(fun c r ->
-      Rbft.Client.set_rate (Rbft.Cluster.client cluster c) r);
-  Rbft.Cluster.run_for cluster (Time.add duration (Time.ms 200));
-  Bftcap.Gcstats.sample gcs ~now:(Engine.now engine);
-  let counter = Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1) in
-  let throughput =
-    Bftmetrics.Throughput.rate_between counter (Time.ms 100) duration
-  in
-  let merged =
-    Array.fold_left
-      (fun acc c ->
-        let h = Rbft.Client.latencies c in
-        if Bftmetrics.Hist.count h = 0 then acc
-        else
-          match acc with
-          | None -> Some (Bftmetrics.Hist.copy h)
-          | Some m -> Some (Bftmetrics.Hist.merge m h))
-      None (Rbft.Cluster.clients cluster)
-  in
-  let pctl p =
-    match merged with
-    | None -> 0.0
-    | Some h -> 1e3 *. Bftmetrics.Hist.percentile h p
-  in
-  let point =
-    {
-      cp_clients = population;
-      cp_active = Population.active pop;
-      cp_offered = Population.offered_total pop;
-      cp_throughput = throughput;
-      cp_p50_ms = pctl 50.0;
-      cp_p99_ms = pctl 99.0;
-      cp_gc = Bftcap.Gcstats.deltas gcs;
-      cp_peak_live = Bftcap.Gcstats.peak_live_words gcs;
-      cp_peak_heap = Bftcap.Gcstats.peak_heap_words gcs;
-      cp_footprint = footprint_peaks_by_name probe;
-    }
-  in
-  point
+  let cluster = r.Experiments.cluster in
+  let gcs = Option.get !sampler in
+  Bftcap.Gcstats.sample gcs ~now:(Engine.now (Rbft.Cluster.engine cluster));
+  {
+    cp_clients = population;
+    cp_active = Population.active pop;
+    cp_offered = Population.offered_total pop;
+    cp_throughput = r.Experiments.throughput;
+    cp_p50_ms = latency_ms r 50.0;
+    cp_p99_ms = latency_ms r 99.0;
+    cp_gc = Bftcap.Gcstats.deltas gcs;
+    cp_peak_live = Bftcap.Gcstats.peak_live_words gcs;
+    cp_peak_heap = Bftcap.Gcstats.peak_heap_words gcs;
+    cp_footprint = footprint_peaks_by_name (Rbft.Cluster.probe cluster);
+  }
 
 let json_of_clients_point p =
   Printf.sprintf

@@ -11,11 +11,46 @@
     allocated and SHA-256 blocks compressed while the cluster ran, plus
     the engine heap's high-water mark ([queue_peak], in entries).
 
-    The runs of {!generate} and {!generate_scale} report to [audit]'s
-    probe (and are audited when [audit] is enabled); the client sweep
-    gives each point a probe of its own. Each report times its legs in
-    a {!Bftmetrics.Profile} of its own, written as the [profile]
-    section. *)
+    Every leg is one {!Experiments.run} on a probe of its own; the legs
+    of {!generate} and {!generate_scale} are audited when [audit] is
+    enabled. Each report times its legs in a {!Bftmetrics.Profile} of
+    its own, written as the [profile] section. *)
+
+type run_result = {
+  throughput : float;  (** req/s at correct node 1 *)
+  p50_ms : float;  (** client end-to-end latency *)
+  p99_ms : float;
+  order_p50_ms : float;  (** master-instance ordering latency at node 1 *)
+  order_p99_ms : float;
+  host : host;
+}
+
+(** Host-side cost of one run per request a client saw completed,
+    counted from the attack's installation to the end of the run. *)
+and host = {
+  events_per_req : float;
+  msgs_per_req : float;
+  minor_words_per_req : float;
+  sha256_blocks_per_req : float;
+  queue_peak : int;  (** the engine heap's high-water mark, in entries *)
+}
+
+val static_run :
+  ?attack:(Rbft.Cluster.t -> unit) ->
+  ?f:int ->
+  ?span_sample:int ->
+  ?flavour:Flavour.t ->
+  ?flow:bool ->
+  audit:Audit.t ->
+  with_metrics:bool ->
+  quick:bool ->
+  payload:int ->
+  unit ->
+  run_result * Bftmetrics.Probe.t
+(** One report leg: [flavour] (default RBFT) at [f] (default 1) under
+    a static load at its calibrated saturating rate, flow control on
+    unless [flow] is false. Returns the run's numbers and its probe,
+    which holds the spans of a [span_sample] > 0 leg. *)
 
 val generate : audit:Audit.t -> quick:bool -> string
 (** Run the pass and return the JSON document. *)

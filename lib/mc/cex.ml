@@ -98,6 +98,7 @@ let pp_principal ppf src =
   if src >= 0 then Format.fprintf ppf "n%d" src
   else Format.fprintf ppf "c%d" (-src - 1)
 
+(* The violating schedule, one delivery per line. *)
 let pp_schedule ppf (cex : Search.cex) =
   List.iteri
     (fun i (c : Engine.choice) ->

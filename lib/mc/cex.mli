@@ -38,8 +38,5 @@ val extract : ?budget:int -> ?out:string -> Search.cex -> repro
     counterexamples that reproduce are shrunk; everything else is
     saved as-is with [reproduced = false]. *)
 
-val pp_schedule : Format.formatter -> Search.cex -> unit
-(** The violating schedule, one delivery per line. *)
-
 val pp : Format.formatter -> Search.cex -> unit
 (** Full human-readable report: placement, schedule, problems. *)

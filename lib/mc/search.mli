@@ -29,9 +29,6 @@ type stats = {
   mutable choices_seen : int;  (** enabled-frontier sizes, summed *)
 }
 
-val fresh_stats : unit -> stats
-val add_stats : stats -> stats -> unit
-
 type cex = {
   cex_config : World.config;  (** includes the crash placement *)
   schedule : Engine.choice list;  (** fired deliveries, in order *)
@@ -45,11 +42,6 @@ type outcome = {
   per_placement : (int list * stats) list;
   counterexample : cex option;
 }
-
-val por_filter :
-  last:Engine.choice -> Engine.choice list -> Engine.choice list
-(** Drop children that commute with the last-fired choice into an
-    already-covered schedule ([id < last.id] and different receiver). *)
 
 val explore :
   ?por:bool -> ?on_progress:(stats -> unit) -> World.config -> outcome

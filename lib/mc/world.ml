@@ -104,7 +104,6 @@ let create cfg =
       (* Tiny batch delay so a whole ordering round fits in a few
          slices; λ above is measured against slice-quantised time. *)
       batch_delay = Time.us 10;
-      ic_quorum = (if cfg.mutate then Some 1 else None);
     }
   in
   (* Zero jitter: the only per-send randomness in the network. With it
@@ -120,6 +119,10 @@ let create cfg =
   let cluster =
     Rbft.Cluster.create ~probe ~seed:cfg.seed ~net_config ~clients:1 params
   in
+  if cfg.mutate then
+    Array.iter
+      (fun node -> (Rbft.Node.faults node).Rbft.Node.ic_quorum <- Some 1)
+      (Rbft.Cluster.nodes cluster);
   let engine = Rbft.Cluster.engine cluster in
   let net = Rbft.Cluster.network cluster in
   Bftnet.Network.set_describe net (Some describe);

@@ -11,7 +11,6 @@ val mean : t -> float
 val variance : t -> float
 (** Sample variance; 0 with fewer than two observations. *)
 
-val stddev : t -> float
 val min : t -> float
 (** [nan] when empty. *)
 

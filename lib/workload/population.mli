@@ -24,8 +24,6 @@ type profile =
           every client connects at once and the aggregate rate
           triples *)
 
-val profile_name : profile -> string
-
 type t
 
 val create :

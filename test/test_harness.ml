@@ -141,6 +141,42 @@ let test_groups_cover_the_paper () =
     ]
     (all_ids ())
 
+(* Auditing observes a run without changing it: Figure 12 audited
+   prints the tables it prints unaudited, and its one run is the one
+   run the audit counts. *)
+let test_fig12_audit_observes_one_run () =
+  let fig12 = Option.get (Experiments.find "fig12") in
+  let audit = Audit.create ~enabled:true () in
+  let audited = fig12.Experiments.run ~audit ~quick:true in
+  let plain = fig12.Experiments.run ~audit:(Audit.create ()) ~quick:true in
+  Alcotest.(check bool) "identical tables" true (audited = plain);
+  match Audit.summary audit with
+  | Some s ->
+    Alcotest.(check bool) ("one run audited: " ^ s) true
+      (String.starts_with ~prefix:"1 run(s) audited, " s)
+  | None -> Alcotest.fail "no audit summary"
+
+(* Each report leg runs on a probe of its own: a second traced leg with
+   metrics on sees neither the first leg's registry nor its spans. *)
+let test_perfreport_legs_share_nothing () =
+  let leg () =
+    Perfreport.static_run ~audit:(Audit.create ()) ~with_metrics:true ~span_sample:8
+      ~quick:true ~payload:8 ()
+  in
+  let r1, p1 = leg () in
+  let r2, p2 = leg () in
+  (* Allocated words and SHA-256 blocks depend on process-wide state
+     (the GC and the hash memo), not on the run alone. *)
+  let sim (r : Perfreport.run_result) =
+    ( (r.throughput, r.p50_ms, r.p99_ms, r.order_p50_ms, r.order_p99_ms),
+      (r.host.events_per_req, r.host.msgs_per_req, r.host.queue_peak) )
+  in
+  Alcotest.(check bool) "equal results" true (sim r1 = sim r2);
+  Alcotest.(check bool) "ordering latency recorded" true (r1.order_p50_ms > 0.0);
+  Alcotest.(check bool) "spans recorded" true (Bftmetrics.Probe.span_count p1 > 0);
+  Alcotest.(check int) "equal span counts" (Bftmetrics.Probe.span_count p1)
+    (Bftmetrics.Probe.span_count p2)
+
 (* ------------------------------------------------------------------ *)
 (* Report                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -280,6 +316,10 @@ let suites =
         Alcotest.test_case "ids and labels resolve to one group" `Quick
           test_groups_resolve;
         Alcotest.test_case "ids are the paper's tables" `Quick test_groups_cover_the_paper;
+        Alcotest.test_case "fig12 audited prints the unaudited tables" `Quick
+          test_fig12_audit_observes_one_run;
+        Alcotest.test_case "perfreport legs share no probe" `Quick
+          test_perfreport_legs_share_nothing;
       ] );
     ( "harness.report",
       [
