@@ -188,10 +188,9 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
       span_sample
   in
   let faulty =
-    match attack with
-    | "worst1" -> List.init f (fun i -> (3 * f) - i)
-    | "worst2" | "unfair" -> List.init f (fun i -> i)
-    | _ -> []
+    List.filter
+      (fun node -> Bftmetrics.Probe.is_declared probe node)
+      (List.init (Rbft.Params.n params) Fun.id)
   in
   Printf.printf "simulated %.1fs: executed %d requests (%.1f kreq/s)\n" seconds
     (Rbft.Cluster.total_executed cluster)

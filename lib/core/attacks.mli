@@ -19,12 +19,13 @@ val worst_attack_1 : Cluster.t -> unit
 
 val worst_attack_2 : Cluster.t -> unit
 (** Section VI-C2. Node 0 (primary of the master instance at view 0)
-    is faulty, along with nodes 1..f-1 when f > 1. Faulty nodes flood
-    correct nodes below the NIC-closing threshold, skip the PROPAGATE
-    phase, and their backup-instance replicas stay silent; the faulty
-    master primary delays ordering down to the Δ envelope using the
-    adaptive controller that paces it every monitoring period, so the
-    ratio correct nodes observe stays just above Δ. *)
+    is faulty, along with the last f-1 nodes (2f+2 .. 3f) when f > 1.
+    Faulty nodes flood correct nodes below the NIC-closing threshold,
+    skip the PROPAGATE phase, and their backup-instance replicas stay
+    silent; the faulty master primary delays ordering down to the Δ
+    envelope using the adaptive controller that paces it every
+    monitoring period, so the ratio correct nodes observe stays just
+    above Δ. *)
 
 val unfair_primary :
   Cluster.t -> node:int -> target_client:int -> after_requests:int -> hold:Time.t -> unit

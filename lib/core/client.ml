@@ -54,9 +54,7 @@ let backoff_of (t : t) =
   match t.ext.backoff with
   | Some b -> b
   | None ->
-    let b =
-      Bftflow.Backoff.create ~base:t.ext.params.Params.busy_retry_base (Rng.split t.rng)
-    in
+    let b = Bftflow.Backoff.create (Rng.split t.rng) in
     t.ext.backoff <- Some b;
     b
 
@@ -102,8 +100,8 @@ and arm_watchdog (t : t) (p : retry Core.pending) ~rto =
       (Engine.after t.engine rto (fun () ->
            t.ext.retries <- t.ext.retries + 1;
            transmit t ~span:p.span p.data.req;
-           let cap = Time.mul_f t.ext.params.Params.busy_retry_base 128.0 in
-           arm_watchdog t p ~rto:(Time.min cap (Time.mul_f rto 2.0))))
+           arm_watchdog t p
+             ~rto:(Time.min Bftflow.Backoff.watchdog_cap (Time.mul_f rto 2.0))))
 
 and send_one (t : t) =
   let req = make_request t in
@@ -113,7 +111,7 @@ and send_one (t : t) =
   in
   transmit t ~span:p.span req;
   if t.ext.params.Params.admission_budget > 0 then
-    arm_watchdog t p ~rto:(Time.mul_f t.ext.params.Params.busy_retry_base 16.0)
+    arm_watchdog t p ~rto:Bftflow.Backoff.watchdog_first
 
 and make_request (t : t) =
   t.rid <- t.rid + 1;

@@ -71,12 +71,11 @@ type t = {
   propagation : Resource.t;
   dispatch : Resource.t;
   execution : Resource.t;
+  (* The admission gate and its ledger of slots, keyed by request id
+     at ingress triage time — before any tracking state exists — and
+     released exactly once when the request executes, is dropped, or
+     its client is blacklisted. Empty while the gate is disabled. *)
   admission : Bftflow.Admission.t;
-  (* Requests holding an admission-gate slot ({!Bftflow.Admission}),
-     keyed at ingress triage time — before any tracking state exists —
-     and released exactly once when the request executes, is dropped,
-     or its client is blacklisted. Empty while the gate is disabled. *)
-  admission_held : unit Request_id_table.t;
   replica_threads : Resource.t array;
   mutable replicas : Pbftcore.Replica.t array;
   faults : faults;
@@ -348,13 +347,6 @@ let busy_to t (id : request_id) retry_after =
     ~dst:(Principal.client id.client)
     (Messages.Busy { id; retry_after })
 
-(* Release the admission slot a request holds, exactly once. *)
-let release_admission t (id : request_id) =
-  if Request_id_table.mem t.admission_held id then begin
-    Request_id_table.remove t.admission_held id;
-    Bftflow.Admission.release t.admission
-  end
-
 (* Schedule the (single) signature verification for a request on the
    verification thread, then resume on the propagation thread. Runs at
    most once per request: concurrent callers find [sig_inflight]. *)
@@ -404,7 +396,7 @@ let verify_signature_once t (req : Messages.request) =
         else begin
           (* The request will never execute; its admission slot must
              not leak. *)
-          release_admission t req.desc.id;
+          Bftflow.Admission.release t.admission req.desc.id;
           if not (List.mem req.desc.id.client t.blacklist) then begin
             (* Invalid signature: blacklist the client (Sec. IV-B, step 1). *)
             if Probe.audit t.core.probe then
@@ -417,17 +409,17 @@ let verify_signature_once t (req : Messages.request) =
 (* Runs on the verification thread (MAC cost already charged). *)
 let handle_client_request t ~span (req : Messages.request) =
   (* Drop paths must release any admission slot ingress triage granted
-     before this handler ran; [release_admission] is a no-op when the
-     request holds none. *)
-  if t.faults.drop_client_requests then release_admission t req.desc.id
+     before this handler ran; the release is a no-op when the request
+     holds none. *)
+  if t.faults.drop_client_requests then Bftflow.Admission.release t.admission req.desc.id
   else if List.mem req.desc.id.client t.blacklist then
-    release_admission t req.desc.id
+    Bftflow.Admission.release t.admission req.desc.id
   else if List.mem t.core.id req.mac_invalid_for then
     (* The authenticator entry for this node is broken: drop. *)
-    release_admission t req.desc.id
+    Bftflow.Admission.release t.admission req.desc.id
   else if Node_core.resend_reply t.core t.execution req.desc.id then
     (* Already executed: the reply was resent (Section IV-B, step 1). *)
-    release_admission t req.desc.id
+    Bftflow.Admission.release t.admission req.desc.id
   else begin
     Probe.request_received t.core.probe t.m (Engine.now t.core.engine)
       ~client:req.desc.id.client ~rid:req.desc.id.rid ~size:req.desc.op_size;
@@ -577,7 +569,7 @@ let execute_request t ~span (desc : request_desc) =
                 | Some state when state.dispatched -> Some state.dispatch_time
                 | Some _ | None -> None)
               (Engine.now t.core.engine);
-          release_admission t desc.id;
+          Bftflow.Admission.release t.admission desc.id;
           Node_core.reply t.core t.execution ~span:espan desc.id result
         end)
   end
@@ -727,20 +719,19 @@ let on_delivery t ~from ~recv ~verify (d : Messages.t Network.delivery) =
     let fresh =
       Bftflow.Admission.enabled t.admission
       && (not (Request_id_table.mem t.requests id))
-      && (not (Request_id_table.mem t.admission_held id))
+      && (not (Bftflow.Admission.holds t.admission id))
       && (not (Node_core.has_executed t.core id))
       && not (List.mem id.client t.blacklist)
     in
     let verdict =
       if not fresh then Ok ()
       else
-        Bftflow.Admission.admit t.admission
+        Bftflow.Admission.admit t.admission id
           ~backlog:(Resource.backlog t.verification)
     in
     (match verdict with
      | Error retry_after -> busy_to t id retry_after
      | Ok () ->
-       if fresh then Request_id_table.replace t.admission_held id ();
        let vspan =
          Probe.job t.core.probe ~parent:d.Network.span ~tag:Tag.Crypto_verify
            ~node:t.core.id ~instance:(-1) ~now:(Engine.now t.core.engine)
@@ -929,10 +920,7 @@ let create engine net params ~id ~service =
       propagation = Node_core.thread core "propagation";
       dispatch = Node_core.thread core "dispatch";
       execution = Node_core.thread core "execution";
-      admission_held = Request_id_table.create 256;
-      admission =
-        Bftflow.Admission.create ~budget:params.Params.admission_budget
-          ~retry_base:params.Params.busy_retry_base;
+      admission = Bftflow.Admission.create ~budget:params.Params.admission_budget;
       replica_threads =
         Array.init instances (fun i ->
             Node_core.thread core (Printf.sprintf "replica%d" i));
@@ -990,7 +978,7 @@ let create engine net params ~id ~service =
     if params.Params.adaptive_batching then
       Some
         (Bftflow.Batcher.make ~batch_size:Params.batch_size
-           ~batch_delay:params.Params.batch_delay ())
+           ~batch_delay:params.Params.batch_delay)
     else None
   in
   let hooks i =
@@ -1103,11 +1091,7 @@ let create engine net params ~id ~service =
         ~entries:(fun () -> Pbftcore.Replycache.clients t.core.executed)
         ~root:(fun () -> Some (Obj.repr t.core.executed))
         ());
-   ignore
-     (Probe.footprint t.core.probe ~owner ~name:"node.admission_held"
-        ~entries:(fun () -> Request_id_table.length t.admission_held)
-        ~root:(fun () -> Some (Obj.repr t.admission_held))
-        ());
+   Bftflow.Admission.register_probes t.admission t.core.probe ~owner;
    Monitoring.register_probes t.monitoring t.core.probe ~owner;
    Array.iteri
      (fun i r ->

@@ -18,7 +18,6 @@ type t = {
   post_vc_quiet : Time.t;
   ordering : ordering;
   admission_budget : int;
-  busy_retry_base : Time.t;
   adaptive_batching : bool;
   request_gc_age : Time.t;
   monitoring_idle_prune : Time.t;
@@ -36,7 +35,6 @@ let default ~f =
     post_vc_quiet = Time.zero;
     ordering = Redundant;
     admission_budget = 0;
-    busy_retry_base = Time.ms 10;
     adaptive_batching = false;
     request_gc_age = Time.zero;
     monitoring_idle_prune = Time.zero;

@@ -5,11 +5,12 @@
     master instance is instance 0, and primaries are placed so that at
     most one primary runs per node.
 
-    The record {!t} holds what real configurations set to different
-    values: the fault bound, the paper's monitoring thresholds and the
-    mode and flow-control switches. Every other setting has one value
-    everywhere and is a constant below. The model checker's planted
-    protocol bug is a node fault ([Node.faults]), not a setting. *)
+    The record {!t} (13 fields) holds what real configurations set to
+    different values: the fault bound, the paper's monitoring
+    thresholds and the mode and flow-control switches. Every other
+    setting has one value everywhere and is a constant below or, for
+    flow control, in {!Bftflow}. The model checker's planted protocol
+    bug is a node fault ([Node.faults]), not a setting. *)
 
 open Dessim
 
@@ -64,14 +65,9 @@ type t = {
           requests a node admits into its pipeline at once; past the
           budget it answers BUSY with a retry hint instead of letting
           the verification queue grow without bound. [0] (the default)
-          disables the gate *)
-  busy_retry_base : Time.t;
-      (** floor of the retry hint carried by a BUSY reply, and the base
-          of the client's exponential backoff. Must sit well above the
-          admitted pipeline's turnover time (budget / throughput): a
-          base far below it makes shed clients retry before any slot
-          could have freed, and the re-shed traffic snowballs into a
-          retry storm that starves the very stage the gate protects *)
+          disables the gate. The retry hint's floor, the clients'
+          backoff and their retransmit watchdog are the constants of
+          {!Bftflow.Backoff} *)
   adaptive_batching : bool;
       (** flow control ({!Bftflow.Batcher}): primaries scale batch
           size/delay from live verification-stage backlog probes

@@ -18,6 +18,7 @@
       causes. *)
 
 open Dessim
+module Jmini = Bftmetrics.Jmini
 
 type verdict = {
   cause : string;  (** one-line classification *)

@@ -8,11 +8,12 @@
     {!Bundle} freezes the rings into deterministic, chain-digested
     incident bundles; {!Analyze} reconstructs an incident's timeline
     and attributes its cause; {!Doctor} is the one-call attach point
-    tying them together. {!Ring} and {!Jmini} are the support
-    structures (bounded buffer, dependency-free JSON reader). *)
+    tying them together. {!Ring} is the bounded buffer they share;
+    [Jmini] is {!Bftmetrics.Jmini}, the JSON reader, under the name
+    its older callers use. *)
 
 module Ring = Ring
-module Jmini = Jmini
+module Jmini = Bftmetrics.Jmini
 module Trigger = Trigger
 module Recorder = Recorder
 module Bundle = Bundle

@@ -23,6 +23,7 @@
 
 open Dessim
 module Event = Bftmetrics.Event
+module Jmini = Bftmetrics.Jmini
 module Span = Bftspan.Span
 
 type incident = {

@@ -1,20 +1,37 @@
-(** Deterministic exponential backoff with jitter.
+(** The client's retry schedule under flow control.
 
-    Client-side policy for retrying after a BUSY reply: exponential in
-    the attempt number, capped, jittered by a dedicated {!Dessim.Rng}
-    stream so two runs with the same seed produce exactly the same
-    retry schedule (pinned by a determinism test), and never earlier
-    than the server's retry hint. *)
+    Retrying after a BUSY reply is exponential in the attempt number,
+    capped, jittered by a dedicated {!Dessim.Rng} stream so two runs
+    with the same seed produce exactly the same retry schedule (pinned
+    by a determinism test), and never earlier than the server's retry
+    hint. Every timing of the schedule derives from {!base}: the
+    admission gate floors its retry hint at it, and the client's
+    retransmit watchdog starts at {!watchdog_first} and doubles up to
+    {!watchdog_cap}. *)
 
 open Dessim
 
 type t
 
+val base : Time.t
+(** 10 ms: the first backoff step and the floor of a BUSY retry hint.
+    It sits well above the admitted pipeline's turnover time (budget /
+    throughput): a base far below it makes shed clients retry before
+    any slot could have freed, and the re-shed traffic snowballs into a
+    retry storm that starves the very stage the gate protects. *)
+
 val cap : Time.t
 (** 100 ms: the most the deterministic part of a delay grows to. *)
 
-val create : base:Time.t -> Rng.t -> t
-(** [base] is floored at 1ns. *)
+val watchdog_first : Time.t
+(** 160 ms (16 x {!base}): when a flow-controlled client first
+    retransmits a request nobody has answered. *)
+
+val watchdog_cap : Time.t
+(** 1.28 s (128 x {!base}): the most the doubling retransmit timeout
+    grows to. *)
+
+val create : Rng.t -> t
 
 val delay : t -> attempt:int -> hint:Time.t -> Time.t
 (** [delay t ~attempt ~hint] draws the wait before retry number

@@ -1,22 +1,20 @@
 open Dessim
 
-type t = {
-  min_size : int;
-  max_size : int;
-  base_delay : Time.t;
-  min_delay : Time.t;
-  target_backlog : Time.t;
-}
+(* The adaptive batch grows to at most [growth] times the configured
+   size, the flush delay shrinks no lower than [min_delay], and
+   adaptation starts at a probed backlog of [target_backlog]. *)
+let growth = 4
+let min_delay = Time.us 100
+let target_backlog = Time.ms 2
 
-let make ?(growth = 4) ?(min_delay = Time.us 100)
-    ?(target_backlog = Time.ms 2) ~batch_size ~batch_delay () =
-  let growth = Stdlib.max 1 growth in
+type t = { min_size : int; max_size : int; base_delay : Time.t; min_delay : Time.t }
+
+let make ~batch_size ~batch_delay =
   {
     min_size = Stdlib.max 1 batch_size;
     max_size = Stdlib.max 1 (batch_size * growth);
     base_delay = batch_delay;
     min_delay = Time.min min_delay batch_delay;
-    target_backlog = Time.max (Time.ns 1) target_backlog;
   }
 
 let clamp lo hi v = Stdlib.max lo (Stdlib.min hi v)
@@ -31,7 +29,7 @@ let clamp lo hi v = Stdlib.max lo (Stdlib.min hi v)
 let plan t ~backlog ~depth =
   let pressure =
     if backlog <= Time.zero then 0.0
-    else Time.to_sec_f backlog /. Time.to_sec_f t.target_backlog
+    else Time.to_sec_f backlog /. Time.to_sec_f target_backlog
   in
   let scaled =
     int_of_float (ceil (float_of_int t.min_size *. Float.max 1.0 pressure))

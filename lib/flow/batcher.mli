@@ -5,31 +5,23 @@
     own pending-queue depth — to a (batch size, flush delay) plan. At
     low load it keeps the configured batch size and delay (batching
     adds no latency when there is no queue to amortise); as the probed
-    backlog passes [target_backlog] the batch grows linearly with
-    pressure up to [growth] times the configured size and the flush
-    delay shrinks towards [min_delay], trading per-request latency it
-    was going to lose in the queue anyway for per-batch amortisation. *)
+    backlog passes 2 ms the batch grows linearly with pressure up to 4
+    times the configured size and the flush delay shrinks towards
+    100 us, trading per-request latency it was going to lose in the
+    queue anyway for per-batch amortisation. *)
 
 open Dessim
 
 type t
 
-val make :
-  ?growth:int ->
-  ?min_delay:Time.t ->
-  ?target_backlog:Time.t ->
-  batch_size:int ->
-  batch_delay:Time.t ->
-  unit ->
-  t
-(** [make ~batch_size ~batch_delay ()] plans around the configured
-    static point. [growth] (default 4) bounds the adaptive batch at
-    [growth * batch_size]; [min_delay] (default 100us, clamped to at
-    most [batch_delay]) floors the flush delay; [target_backlog]
-    (default 2ms) is the probed backlog at which adaptation starts. *)
+val make : batch_size:int -> batch_delay:Time.t -> t
+(** [make ~batch_size ~batch_delay] plans around the configured static
+    point. The adaptive batch is at most [4 * batch_size]; the flush
+    delay is floored at 100 us (or [batch_delay] if that is smaller);
+    adaptation starts at a probed backlog of 2 ms. *)
 
 val plan : t -> backlog:Time.t -> depth:int -> int * Time.t
 (** [plan t ~backlog ~depth] is the (batch size, flush delay) to use
     for the next flush. Monotone: size never decreases and delay never
     increases as [backlog] or [depth] grow; size is always within
-    [batch_size .. growth * batch_size]. *)
+    [batch_size .. 4 * batch_size]. *)

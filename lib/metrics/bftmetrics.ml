@@ -2,8 +2,9 @@
     ({!Stats}, {!Hist}, {!Throughput}), the per-run instrumentation
     plane ({!Probe}) and the records it carries ({!Event}, {!Span},
     {!Tag}), a labeled-family {!Registry}, a sim-time {!Sampler},
-    {!Export}ers (Prometheus text, CSV, JSON), the {!Chrome} trace
-    writer and a wall-clock {!Profile}r for the harness. *)
+    {!Export}ers (Prometheus text, CSV, JSON), the {!Jmini} JSON
+    reader, the {!Chrome} trace writer and a wall-clock {!Profile}r for
+    the harness. *)
 
 module Stats = Stats
 module Hist = Hist
@@ -24,5 +25,6 @@ end
 
 module Sampler = Sampler
 module Export = Export
+module Jmini = Jmini
 module Chrome = Chrome
 module Profile = Profile

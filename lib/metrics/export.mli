@@ -24,6 +24,7 @@ val json_of_snapshot : Registry.t -> string
 val json_of_samples : Registry.sample list -> string
 
 val json_escape : string -> string
+(** The one JSON string escaper, {!Event.json_escape}. *)
 
 val json_float : float -> string
 (** Shortest round-trip rendering; non-finite values become [null]. *)

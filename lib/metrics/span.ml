@@ -65,71 +65,32 @@ let to_json s =
   write_json buf s;
   Buffer.contents buf
 
-(* Hand-rolled flat-object JSONL parsing (the repository deliberately
-   carries no JSON dependency). Robust to field reordering and extra
-   whitespace, not to nesting — span lines are always flat. *)
-
-let index_of s pat =
-  let n = String.length s and m = String.length pat in
-  let rec go i =
-    if i + m > n then -1 else if String.sub s i m = pat then i else go (i + 1)
-  in
-  go 0
-
-let int_field s key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let i = index_of s pat in
-  if i < 0 then None
-  else begin
-    let n = String.length s in
-    let j = ref (i + String.length pat) in
-    while !j < n && s.[!j] = ' ' do incr j done;
-    let start = !j in
-    if !j < n && s.[!j] = '-' then incr j;
-    while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
-    if !j = start then None
-    else int_of_string_opt (String.sub s start (!j - start))
-  end
-
-let str_field s key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let i = index_of s pat in
-  if i < 0 then None
-  else begin
-    let n = String.length s in
-    let j = ref (i + String.length pat) in
-    while !j < n && s.[!j] = ' ' do incr j done;
-    if !j >= n || s.[!j] <> '"' then None
-    else begin
-      incr j;
-      let start = !j in
-      while !j < n && s.[!j] <> '"' do incr j done;
-      if !j >= n then None else Some (String.sub s start (!j - start))
-    end
-  end
-
 let of_json_opt line =
-  match
-    ( int_field line "id",
-      int_field line "parent",
-      int_field line "client",
-      int_field line "rid",
-      int_field line "node",
-      int_field line "instance",
-      str_field line "tag",
-      int_field line "t0",
-      int_field line "t1" )
-  with
-  | ( Some id,
-      Some parent,
-      Some client,
-      Some rid,
-      Some node,
-      Some instance,
-      Some tag,
-      Some t0,
-      Some t1 ) ->
-    let tag = match Tag.of_name tag with Some t -> t | None -> Tag.Other in
-    Some
-      { id; parent; client; rid; node; instance; tag; t0 = Time.ns t0; t1 = Time.ns t1 }
-  | _ -> None
+  match Jmini.parse_opt line with
+  | None -> None
+  | Some v -> (
+    let int k = Jmini.get_int k v in
+    match
+      ( int "id",
+        int "parent",
+        int "client",
+        int "rid",
+        int "node",
+        int "instance",
+        Jmini.get_str "tag" v,
+        int "t0",
+        int "t1" )
+    with
+    | ( Some id,
+        Some parent,
+        Some client,
+        Some rid,
+        Some node,
+        Some instance,
+        Some tag,
+        Some t0,
+        Some t1 ) ->
+      let tag = match Tag.of_name tag with Some t -> t | None -> Tag.Other in
+      Some
+        { id; parent; client; rid; node; instance; tag; t0 = Time.ns t0; t1 = Time.ns t1 }
+    | _ -> None)

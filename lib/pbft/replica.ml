@@ -826,24 +826,6 @@ let force_view_change t =
 let last_stable t = t.last_stable
 let state_transfers t = t.state_transfers
 
-let debug_dump t =
-  let head =
-    match Hashtbl.find_opt t.entries t.next_deliver with
-    | None -> "head:none"
-    | Some e ->
-      Printf.sprintf "head:{pp=%b view=%d prep=%d com=%d sp=%b sc=%b}"
-        (e.pp <> None) e.pp_view
-        (Voteset.Tagged.count e.slot.prepares)
-        (Voteset.Tagged.count e.slot.commits)
-        e.slot.sent_prepare e.slot.sent_commit
-  in
-  Printf.sprintf
-    "view=%d in_vc=%b next_seq=%d next_deliver=%d stable=%d pendbatch=%d waiting=%d release=%s %s"
-    t.view t.in_vc t.next_seq t.next_deliver t.last_stable t.pending_len
-    (List.length t.waiting_pps)
-    (Time.to_string (Time.sub t.pp_release (Engine.now t.engine)))
-    head
-
 (* Test hook: the live keys of the entry log, ascending. Pins the
    checkpoint GC behaviour (exactly the post-watermark entries
    survive) without exposing the table itself. *)

@@ -182,11 +182,6 @@ val state_transfers : t -> int
     because it had fallen behind (PBFT state transfer). A replica that
     state-transferred did not locally deliver the skipped batches. *)
 
-val debug_dump : t -> string
-(** One-line internal state summary (sequence counters, watermarks,
-    the entry blocking delivery), for development probes and failure
-    reports in tests. *)
-
 val debug_live_seqs : t -> seqno list
 (** Ascending sequence numbers currently held in the entry log, for
     tests pinning the checkpoint garbage collection. *)

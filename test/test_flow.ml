@@ -10,17 +10,14 @@ open Dessim
 (* ------------------------------------------------------------------ *)
 
 let test_batcher_idle_keeps_config () =
-  let b = Bftflow.Batcher.make ~batch_size:64 ~batch_delay:(Time.ms 1) () in
+  let b = Bftflow.Batcher.make ~batch_size:64 ~batch_delay:(Time.ms 1) in
   let size, delay = Bftflow.Batcher.plan b ~backlog:Time.zero ~depth:0 in
   Alcotest.(check int) "idle size" 64 size;
   Alcotest.(check int) "idle delay" (Time.ms 1) delay
 
 let test_batcher_monotone_and_bounded () =
   let growth = 4 and batch_size = 64 in
-  let b =
-    Bftflow.Batcher.make ~growth ~min_delay:(Time.us 100) ~batch_size
-      ~batch_delay:(Time.ms 1) ()
-  in
+  let b = Bftflow.Batcher.make ~batch_size ~batch_delay:(Time.ms 1) in
   let prev_size = ref 0 and prev_delay = ref max_int in
   for step = 0 to 40 do
     let backlog = Time.mul_f (Time.ms 1) (float_of_int step /. 2.0) in
@@ -51,36 +48,77 @@ let test_batcher_monotone_and_bounded () =
 (* Admission gate                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let ok r = match r with Ok () -> true | Error _ -> false
+let rid n = { Pbftcore.Types.client = 0; rid = n }
+
 let test_admission_budget_and_release () =
-  let a = Bftflow.Admission.create ~budget:2 ~retry_base:(Time.ms 10) in
+  let a = Bftflow.Admission.create ~budget:2 in
   Alcotest.(check bool) "enabled" true (Bftflow.Admission.enabled a);
-  let ok r = match r with Ok () -> true | Error _ -> false in
-  Alcotest.(check bool) "first" true (ok (Bftflow.Admission.admit a ~backlog:Time.zero));
-  Alcotest.(check bool) "second" true (ok (Bftflow.Admission.admit a ~backlog:Time.zero));
+  Alcotest.(check bool) "first" true (ok (Bftflow.Admission.admit a (rid 1) ~backlog:Time.zero));
+  Alcotest.(check bool) "second" true (ok (Bftflow.Admission.admit a (rid 2) ~backlog:Time.zero));
   Alcotest.(check int) "inflight" 2 (Bftflow.Admission.inflight a);
-  (match Bftflow.Admission.admit a ~backlog:(Time.ms 25) with
+  (match Bftflow.Admission.admit a (rid 3) ~backlog:(Time.ms 25) with
    | Ok () -> Alcotest.fail "third admit should shed"
    | Error hint ->
-     (* The hint is the larger of retry_base and the probed backlog. *)
+     (* The hint is the larger of the backoff base and the probed
+        backlog. *)
      Alcotest.(check int) "hint follows backlog" (Time.ms 25) hint);
-  (match Bftflow.Admission.admit a ~backlog:Time.zero with
+  (match Bftflow.Admission.admit a (rid 4) ~backlog:Time.zero with
    | Ok () -> Alcotest.fail "fourth admit should shed"
    | Error hint -> Alcotest.(check int) "hint floored at base" (Time.ms 10) hint);
   Alcotest.(check int) "shed counted" 2 (Bftflow.Admission.shed_total a);
-  Bftflow.Admission.release a;
+  Bftflow.Admission.release a (rid 1);
   Alcotest.(check int) "slot returned" 1 (Bftflow.Admission.inflight a);
   Alcotest.(check bool) "admits again" true
-    (ok (Bftflow.Admission.admit a ~backlog:Time.zero));
+    (ok (Bftflow.Admission.admit a (rid 3) ~backlog:Time.zero));
   Alcotest.(check int) "admitted total" 3 (Bftflow.Admission.admitted_total a)
 
 let test_admission_disabled () =
-  let a = Bftflow.Admission.create ~budget:0 ~retry_base:(Time.ms 10) in
+  let a = Bftflow.Admission.create ~budget:0 in
   Alcotest.(check bool) "disabled" false (Bftflow.Admission.enabled a);
-  for _ = 1 to 100 do
-    match Bftflow.Admission.admit a ~backlog:(Time.sec 1) with
+  for id = 1 to 100 do
+    match Bftflow.Admission.admit a (rid id) ~backlog:(Time.sec 1) with
     | Ok () -> ()
     | Error _ -> Alcotest.fail "disabled gate must admit everything"
   done
+
+(* The ledger frees a slot only for an id that holds one: a stray
+   release (a drop path for a request the gate never admitted) and a
+   second release of the same id leave the other slots alone. *)
+let test_admission_ledger () =
+  let a = Bftflow.Admission.create ~budget:3 in
+  let admit id = ok (Bftflow.Admission.admit a (rid id) ~backlog:Time.zero) in
+  Alcotest.(check bool) "admit 1" true (admit 1);
+  Alcotest.(check bool) "admit 2" true (admit 2);
+  Bftflow.Admission.release a (rid 99);
+  Alcotest.(check int) "unknown id is a no-op" 2 (Bftflow.Admission.inflight a);
+  Alcotest.(check bool) "unknown id holds nothing" false (Bftflow.Admission.holds a (rid 99));
+  Bftflow.Admission.release a (rid 1);
+  Bftflow.Admission.release a (rid 1);
+  Alcotest.(check int) "double release frees one slot" 1 (Bftflow.Admission.inflight a);
+  Alcotest.(check bool) "released id" false (Bftflow.Admission.holds a (rid 1));
+  Alcotest.(check bool) "other id still held" true (Bftflow.Admission.holds a (rid 2));
+  (* A mix of admits, sheds and releases: [inflight] always counts the
+     ids that hold a slot. *)
+  let held = ref [ 2 ] in
+  for id = 3 to 40 do
+    if admit id then held := id :: !held;
+    if id mod 3 = 0 then begin
+      let victim = id - 1 in
+      Bftflow.Admission.release a (rid victim);
+      held := List.filter (( <> ) victim) !held
+    end;
+    Bftflow.Admission.release a (rid (1000 + id));
+    Alcotest.(check int)
+      (Printf.sprintf "inflight is the held count after id %d" id)
+      (List.length !held) (Bftflow.Admission.inflight a);
+    List.iter
+      (fun h ->
+        Alcotest.(check bool) (Printf.sprintf "id %d held" h) true
+          (Bftflow.Admission.holds a (rid h)))
+      !held
+  done;
+  Alcotest.(check bool) "some were shed" true (Bftflow.Admission.shed_total a > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Backoff                                                            *)
@@ -91,7 +129,7 @@ let test_admission_disabled () =
 let test_backoff_determinism () =
   let schedule () =
     let rng = Rng.create 42L in
-    let b = Bftflow.Backoff.create ~base:(Time.ms 2) (Rng.split rng) in
+    let b = Bftflow.Backoff.create (Rng.split rng) in
     List.init 12 (fun attempt ->
         Bftflow.Backoff.delay b ~attempt ~hint:Time.zero)
   in
@@ -100,13 +138,14 @@ let test_backoff_determinism () =
 
 let test_backoff_growth_cap_and_hint () =
   let rng = Rng.create 7L in
-  (* 2 ms doubling reaches the 100 ms cap at attempt 6. *)
+  (* 10 ms doubling reaches the 100 ms cap at attempt 4. *)
   let cap = Bftflow.Backoff.cap in
   Alcotest.(check int) "cap" (Time.ms 100) cap;
-  let b = Bftflow.Backoff.create ~base:(Time.ms 2) (Rng.split rng) in
+  Alcotest.(check int) "base" (Time.ms 10) Bftflow.Backoff.base;
+  let b = Bftflow.Backoff.create (Rng.split rng) in
   for attempt = 0 to 14 do
     let d = Bftflow.Backoff.delay b ~attempt ~hint:Time.zero in
-    let base_d = min cap (Time.mul_f (Time.ms 2) (Float.pow 2.0 (float_of_int attempt))) in
+    let base_d = min cap (Time.mul_f (Time.ms 10) (Float.pow 2.0 (float_of_int attempt))) in
     Alcotest.(check bool)
       (Printf.sprintf "delay >= deterministic part at attempt %d" attempt)
       true (d >= base_d);
@@ -133,7 +172,6 @@ let test_flash_crowd_sheds_and_recovers () =
   let params =
     { (mk_params ()) with
       Rbft.Params.admission_budget = 8;
-      busy_retry_base = Time.ms 2;
       adaptive_batching = true }
   in
   let cluster = Rbft.Cluster.create ~probe:p ~clients:6 params in
@@ -239,6 +277,7 @@ let suites =
         Alcotest.test_case "budget and release" `Quick
           test_admission_budget_and_release;
         Alcotest.test_case "disabled gate" `Quick test_admission_disabled;
+        Alcotest.test_case "ledger" `Quick test_admission_ledger;
       ] );
     ( "flow.backoff",
       [

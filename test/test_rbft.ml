@@ -399,11 +399,11 @@ let test_switch_master_recovery () =
   Alcotest.(check bool) "agreement" true (Rbft.Cluster.agreement_ok cluster ~faulty:[])
 
 (* A flow-controlled client arms a retransmit watchdog per request, due
-   16 x [busy_retry_base] (160 ms) after the send. At low load every
-   request is answered long before that, and answering it must take its
-   watchdog out of the engine's queue: once all requests are served,
-   the loaded cluster holds no more events than one that never saw a
-   request, run for as long. *)
+   [Bftflow.Backoff.watchdog_first] (160 ms) after the send. At low
+   load every request is answered long before that, and answering it
+   must take its watchdog out of the engine's queue: once all requests
+   are served, the loaded cluster holds no more events than one that
+   never saw a request, run for as long. *)
 let test_completed_requests_leave_no_watchdog () =
   let params = { (mk_params ()) with Rbft.Params.admission_budget = 128 } in
   let run = Time.ms 200 and drain = Time.ms 50 in
