@@ -282,7 +282,7 @@ let micro_benchmarks () =
   let now = Dessim.Time.us 1 in
   let job_untraced () =
     ignore
-      (Bftmetrics.Probe.job probe ~parent:(-1) ~tag:Bftspan.Tag.Crypto_verify ~node:1
+      (Bftmetrics.Probe.job probe ~parent:(-1) ~tag:Bftmetrics.Tag.Crypto_verify ~node:1
          ~instance:0 ~now)
   in
   let root_guarded () = ignore (Bftmetrics.Probe.request_root probe ~client:0 ~rid:7 now) in

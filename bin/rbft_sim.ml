@@ -153,22 +153,17 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
      peaks and a growth slope. The gauges go to the registry only when
      an export was asked for (they are wall-runtime state). *)
   let gcstats =
-    if cap_on then
-      Some
-        (Bftcap.Gcstats.create
-           ~metrics:(metrics <> None || prom <> None)
-           ~window:256 probe)
+    if cap_on then begin
+      let g = Bftcap.Gcstats.create ~metrics:(metrics <> None || prom <> None) probe in
+      let engine = Rbft.Cluster.engine cluster in
+      let (_ : unit -> unit) =
+        Engine.every engine (Time.ms 100) (fun () ->
+            Bftcap.Gcstats.sample g ~now:(Engine.now engine))
+      in
+      Some g
+    end
     else None
   in
-  (match gcstats with
-   | Some g ->
-     let engine = Rbft.Cluster.engine cluster in
-     let rec tick () =
-       Bftcap.Gcstats.sample g ~now:(Engine.now engine);
-       ignore (Engine.after engine (Time.ms 100) tick)
-     in
-     ignore (Engine.after engine (Time.ms 100) tick)
-   | None -> ());
   (match attack with
    | "none" -> ()
    | "worst1" -> Rbft.Attacks.worst_attack_1 cluster

@@ -61,18 +61,18 @@ let default_skips =
     "host" ]
 
 (* Flatten a Jmini tree to (dotted-path, number) leaves. *)
-let rec flatten prefix (v : Bftdoctor.Jmini.v) acc =
+let rec flatten prefix (v : Bftmetrics.Jmini.v) acc =
   let join p k = if p = "" then k else p ^ "." ^ k in
   match v with
-  | Bftdoctor.Jmini.Num n -> (prefix, n) :: acc
-  | Bftdoctor.Jmini.Obj kvs ->
+  | Bftmetrics.Jmini.Num n -> (prefix, n) :: acc
+  | Bftmetrics.Jmini.Obj kvs ->
     List.fold_left (fun acc (k, v) -> flatten (join prefix k) v acc) acc kvs
-  | Bftdoctor.Jmini.Arr vs ->
+  | Bftmetrics.Jmini.Arr vs ->
     List.fold_left
       (fun (i, acc) v -> (i + 1, flatten (join prefix (string_of_int i)) v acc))
       (0, acc) vs
     |> snd
-  | Bftdoctor.Jmini.Null | Bftdoctor.Jmini.Bool _ | Bftdoctor.Jmini.Str _ ->
+  | Bftmetrics.Jmini.Null | Bftmetrics.Jmini.Bool _ | Bftmetrics.Jmini.Str _ ->
     acc
 
 let read_json path =
@@ -80,17 +80,17 @@ let read_json path =
   let n = in_channel_length ic in
   let s = really_input_string ic n in
   close_in ic;
-  try Bftdoctor.Jmini.parse s
-  with Bftdoctor.Jmini.Parse_error msg ->
+  try Bftmetrics.Jmini.parse s
+  with Bftmetrics.Jmini.Parse_error msg ->
     Printf.eprintf "%s: %s\n" path msg;
     exit 2
 
 (* Accessors over a parsed report, shared by the gates below. *)
-let obj = function Bftdoctor.Jmini.Obj kvs -> Some kvs | _ -> None
+let obj = function Bftmetrics.Jmini.Obj kvs -> Some kvs | _ -> None
 let field kvs k = List.assoc_opt k kvs
 
 let num kvs k =
-  match field kvs k with Some (Bftdoctor.Jmini.Num n) -> Some n | _ -> None
+  match field kvs k with Some (Bftmetrics.Jmini.Num n) -> Some n | _ -> None
 
 (* Structural gate over the scaling sweep: replaces the shell-side
    monotonicity check that used to live in CI. Exit 1 with every
@@ -190,7 +190,7 @@ let clients_check path =
     match obj v with
     | Some kvs ->
       (match field kvs "sweep" with
-       | Some (Bftdoctor.Jmini.Arr points) -> Some points
+       | Some (Bftmetrics.Jmini.Arr points) -> Some points
        | _ -> None)
     | None -> None
   in
@@ -247,7 +247,7 @@ let clients_check path =
               List.iter
                 (fun (name, v) ->
                   match v with
-                  | Bftdoctor.Jmini.Num peak ->
+                  | Bftmetrics.Jmini.Num peak ->
                     if not (Hashtbl.mem fp_first name) then
                       Hashtbl.replace fp_first name (clients, peak);
                     Hashtbl.replace fp_last name (clients, peak)

@@ -99,7 +99,7 @@ let make_replica t =
 
 let submit_for_ordering t ~span (desc : request_desc) =
   let dspan =
-    Probe.job t.core.probe ~parent:span ~tag:Bftspan.Tag.Dispatch ~node:t.core.id
+    Probe.job t.core.probe ~parent:span ~tag:Bftmetrics.Tag.Dispatch ~node:t.core.id
       ~instance:0 ~now:(Engine.now t.core.engine)
   in
   Resource.submit ~span:dspan t.ordering ~cost:(Time.ns 200) (fun () ->
@@ -126,7 +126,7 @@ let on_delivery t ~from ~recv ~verify (d : msg Network.delivery) =
   match d.Network.payload with
   | Request { desc; sig_valid } ->
     let vspan =
-      Probe.job t.core.probe ~parent:d.Network.span ~tag:Bftspan.Tag.Crypto_verify
+      Probe.job t.core.probe ~parent:d.Network.span ~tag:Bftmetrics.Tag.Crypto_verify
         ~node:t.core.id ~instance:0 ~now:(Engine.now t.core.engine)
     in
     Resource.submit ~span:vspan t.verification ~cost:base (fun () ->

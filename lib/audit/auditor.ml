@@ -49,8 +49,7 @@ type t = {
   raise_on_violation : bool;
   faulty : (int, unit) Hashtbl.t;
   mutable violations : violation list; (* newest first *)
-  recent : Event.t option array; (* context ring for reports *)
-  mutable recent_pos : int;
+  recent : Event.t Bftmetrics.Ring.t; (* context ring for reports *)
   mutable checked : int;
   (* (instance, seq) -> node -> digests voted via pre-prepare/prepare *)
   prepares : (int * int, (int, string list) Hashtbl.t) Hashtbl.t;
@@ -68,18 +67,6 @@ let is_correct t node =
   node >= 0 && not (Hashtbl.mem t.faulty node)
   && not (Probe.is_declared t.probe node)
 
-(* The last few events seen, oldest first (context ring). *)
-let recent_events t =
-  let len = Array.length t.recent in
-  let rec collect i acc =
-    if i >= len then acc
-    else
-      match t.recent.((t.recent_pos + i) mod len) with
-      | None -> collect (i + 1) acc
-      | Some e -> collect (i + 1) (e :: acc)
-  in
-  List.rev (collect 0 [])
-
 let report t (v : violation) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -91,7 +78,7 @@ let report t (v : violation) =
   Buffer.add_string buf "  recent events:\n";
   List.iter
     (fun e -> Buffer.add_string buf ("    " ^ Event.to_string e ^ "\n"))
-    (recent_events t);
+    (Bftmetrics.Ring.to_list t.recent);
   Buffer.contents buf
 
 let violate t ~time ~invariant fmt =
@@ -187,9 +174,7 @@ let check_instance_change t (ev : Event.t) ~cpi =
       cpi votes t.quorum
 
 let on_event t (ev : Event.t) =
-  let len = Array.length t.recent in
-  t.recent.(t.recent_pos) <- Some ev;
-  t.recent_pos <- (t.recent_pos + 1) mod len;
+  Bftmetrics.Ring.push t.recent ev;
   t.checked <- t.checked + 1;
   match ev.kind with
   | Pre_prepare_sent { seq; digest; _ } | Prepare_sent { seq; digest; _ } ->
@@ -222,8 +207,7 @@ let attach ?(probe = Probe.default) ?(faulty = []) ?(raise_on_violation = true) 
       raise_on_violation;
       faulty = Hashtbl.create 8;
       violations = [];
-      recent = Array.make 16 None;
-      recent_pos = 0;
+      recent = Bftmetrics.Ring.create 16;
       checked = 0;
       prepares = Hashtbl.create 4096;
       ordered = Hashtbl.create 4096;

@@ -18,9 +18,7 @@ type t = {
   probe : Bftmetrics.Probe.t;
   read_stat : unit -> Gc.stat;
   base : Gc.stat;
-  window : sample option array;
-  mutable next : int;
-  mutable taken : int;
+  window : sample Bftmetrics.Ring.t;
   mutable peak_live : int;
   mutable peak_heap : int;
 }
@@ -56,15 +54,15 @@ let register_metrics t =
   g "bft_gc_live_words" "Live words as of the last major GC"
     (fun () -> float_of_int (t.read_stat ()).Gc.live_words)
 
-let create ?(read_stat = Gc.quick_stat) ?(window = 64) ?(metrics = false) probe =
+let window = 256
+
+let create ?(read_stat = Gc.quick_stat) ?(metrics = false) probe =
   let t =
     {
       probe;
       read_stat;
       base = read_stat ();
-      window = Array.make (max 2 window) None;
-      next = 0;
-      taken = 0;
+      window = Bftmetrics.Ring.create window;
       peak_live = 0;
       peak_heap = 0;
     }
@@ -86,25 +84,11 @@ let sample t ~now =
   in
   if s.s_live_words > t.peak_live then t.peak_live <- s.s_live_words;
   if s.s_heap_words > t.peak_heap then t.peak_heap <- s.s_heap_words;
-  t.window.(t.next) <- Some s;
-  t.next <- (t.next + 1) mod Array.length t.window;
-  t.taken <- t.taken + 1
+  Bftmetrics.Ring.push t.window s
 
-let samples t =
-  let n = Array.length t.window in
-  let acc = ref [] in
-  for i = 0 to n - 1 do
-    match t.window.((t.next + n - 1 - i) mod n) with
-    | Some s -> acc := s :: !acc
-    | None -> ()
-  done;
-  !acc
-
-let last t =
-  let n = Array.length t.window in
-  t.window.((t.next + n - 1) mod n)
-
-let sample_count t = t.taken
+let samples t = Bftmetrics.Ring.to_list t.window
+let last t = Bftmetrics.Ring.last t.window
+let sample_count t = Bftmetrics.Ring.pushed t.window
 let baseline t = t.base
 let peak_live_words t = t.peak_live
 let peak_heap_words t = t.peak_heap

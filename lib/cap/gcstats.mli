@@ -2,14 +2,16 @@
     growth analysis, metric families and Chrome-trace counter series.
 
     A sampler owns a baseline [Gc.stat] captured at creation and a
-    bounded window of timestamped samples. Each {!sample} also folds
-    the current {!Footprint} probe entry counts into the window, so
-    growth analysis can name the fastest-growing structure — the
-    culprit the [mem-growth] doctor trigger reports.
+    window of the last 256 timestamped samples ({!samples},
+    {!growth}); {!deltas}, {!sample_count} and the peaks cover every
+    sample. Each {!sample} also folds the current {!Footprint} probe
+    entry counts into the window, so growth analysis can name the
+    fastest-growing structure (the culprit [rbft_sim run --cap]
+    prints).
 
-    [read_stat] is injectable so the synthetic-leak self-test can
-    fabricate a deterministic heap trajectory; the default is
-    [Gc.quick_stat] (cheap, no heap traversal).
+    [read_stat] is injectable so a test can fabricate a deterministic
+    heap trajectory; the default is [Gc.quick_stat] (cheap, no heap
+    traversal).
 
     Registering the [bft_gc_*] callback-gauge families is opt-in
     ([~metrics:true]) because GC word counts are wall-runtime state,
@@ -33,12 +35,10 @@ type sample = {
 
 type t
 
-val create :
-  ?read_stat:(unit -> Gc.stat) -> ?window:int -> ?metrics:bool -> Bftmetrics.Probe.t -> t
+val create : ?read_stat:(unit -> Gc.stat) -> ?metrics:bool -> Bftmetrics.Probe.t -> t
 (** Telemetry over the process heap, reading the footprints of
-    [probe]. [window] bounds the sample ring (default 64). [metrics]
-    (default false) registers the [bft_gc_*] callback gauges in the
-    probe's registry. *)
+    [probe]. [metrics] (default false) registers the [bft_gc_*]
+    callback gauges in the probe's registry. *)
 
 val sample : t -> now:Time.t -> unit
 (** Take one sample: read the stat, capture probe entries, fold

@@ -120,11 +120,14 @@ let run ?(probe = Bftmetrics.Probe.create ()) ?(capture = false) ?doctor_dir
     | None -> None
     | Some dir ->
       let config =
-        Bftdoctor.Doctor.default_config ~dir:(Some dir) ~seed:s.Scenario.seed
-          ~config_fields:(("scenario_name", s.Scenario.name) :: sys.describe)
-          ~context:sys.context
-          ~scenario:(Some (Scenario.to_string s))
-          ~triggers:doctor_triggers ()
+        {
+          Bftdoctor.Doctor.dir = Some dir;
+          seed = s.Scenario.seed;
+          config_fields = ("scenario_name", s.Scenario.name) :: sys.describe;
+          context = sys.context;
+          scenario = Some (Scenario.to_string s);
+          triggers = doctor_triggers;
+        }
       in
       Some (Bftdoctor.Doctor.attach config probe sys.hooks.Injector.engine)
   in

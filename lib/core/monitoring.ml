@@ -19,9 +19,7 @@ type t = {
   mutable tick_no : int;
   (* Bounded ring of past measurements: long-lived nodes tick every
      100 ms, so an unbounded list grows without limit. *)
-  hist : (Time.t * float array) array;
-  mutable hist_start : int;  (* index of the oldest measurement *)
-  mutable hist_len : int;
+  hist : (Time.t * float array) Bftmetrics.Ring.t;
   mutable recent : float array list;  (* last few windows, for the Δ verdict *)
   mutable offered_recent : float array list;  (* offered rates, same windows *)
 }
@@ -38,23 +36,10 @@ let create params =
     client_lat = Hashtbl.create 64;
     client_seen = Hashtbl.create 64;
     tick_no = 0;
-    hist = Array.make history_cap (Time.zero, [||]);
-    hist_start = 0;
-    hist_len = 0;
+    hist = Bftmetrics.Ring.create history_cap;
     recent = [];
     offered_recent = [];
   }
-
-let record_measurement t m =
-  if t.hist_len = history_cap then begin
-    (* Full: overwrite the oldest slot and advance the start. *)
-    t.hist.(t.hist_start) <- m;
-    t.hist_start <- (t.hist_start + 1) mod history_cap
-  end
-  else begin
-    t.hist.((t.hist_start + t.hist_len) mod history_cap) <- m;
-    t.hist_len <- t.hist_len + 1
-  end
 
 let note_ordered t ~instance ~count =
   t.counters.(instance) <- t.counters.(instance) + count
@@ -141,7 +126,7 @@ let tick t ~now =
   Array.fill t.counters 0 (Array.length t.counters) 0;
   Array.fill t.offered 0 (Array.length t.offered) 0;
   t.window_start <- now;
-  record_measurement t (now, rates);
+  Bftmetrics.Ring.push t.hist (now, rates);
   (* The Δ verdict uses a short moving average: single 100 ms windows
      carry several percent of sampling noise at moderate rates, which
      would make any Δ close to 1 fire spuriously. *)
@@ -253,12 +238,8 @@ let omega_violation t ~client =
 
 let set_master t instance = t.master <- instance
 
-let history t =
-  List.init t.hist_len (fun i -> t.hist.((t.hist_start + i) mod history_cap))
-
-let latest t =
-  if t.hist_len = 0 then None
-  else Some t.hist.((t.hist_start + t.hist_len - 1) mod history_cap)
+let history t = Bftmetrics.Ring.to_list t.hist
+let latest t = Bftmetrics.Ring.last t.hist
 
 let client_count t = Hashtbl.length t.client_lat
 
@@ -270,6 +251,6 @@ let register_probes t probe ~owner =
        ());
   ignore
     (Bftmetrics.Probe.footprint probe ~owner ~name:"monitoring.history"
-       ~entries:(fun () -> t.hist_len)
+       ~entries:(fun () -> Bftmetrics.Ring.length t.hist)
        ~root:(fun () -> Some (Obj.repr t.hist))
        ())

@@ -11,8 +11,13 @@
     - {e master under-performance}: [monitor-verdict] events with
       [suspicious] plus an [instance-changed] event identify the
       demoted master instance; the culprit node is that instance's
-      primary (recorded in the bundle config at attach time);
-    - {e stall / SLO}: the span rings' critical-path breakdown names
+      primary (recorded in the bundle config at dump time);
+    - {e Δ envelope}: no instance change, but the last metrics
+      snapshot puts some node's monitoring ratio within
+      {!Trigger.near_epsilon} above its Δ threshold (or a verdict was
+      already suspicious) — the master primary is throttling just
+      above demotion, the worst2 signature;
+    - {e stall}: the span rings' critical-path breakdown names
       the dominant stage; per-channel message/byte/drop deltas between
       the first and last metrics snapshots localise network-side
       causes. *)
@@ -59,6 +64,44 @@ let suspicious_verdicts (l : Bundle.loaded) =
 let instance_changes (l : Bundle.loaded) =
   List.filter (fun (e : Bundle.ev) -> e.Bundle.e_kind = "instance-changed")
     l.Bundle.l_events
+
+let master_primary (l : Bundle.loaded) =
+  Option.bind (List.assoc_opt "master_primary" l.Bundle.l_config) int_of_string_opt
+
+(* The master instance is the one whose requests execute and whose
+   rate the monitoring verdicts judge; the newest such event names it. *)
+let master_instance (l : Bundle.loaded) =
+  List.find_map
+    (fun (e : Bundle.ev) ->
+      if e.Bundle.e_kind = "monitor-verdict" || e.Bundle.e_kind = "executed" then
+        Some e.Bundle.e_instance
+      else None)
+    (List.rev l.Bundle.l_events)
+
+(* (node, ratio, delta) for every node whose monitoring ratio in the
+   last metrics snapshot lies in the Δ near-miss band. *)
+let near_delta (l : Bundle.loaded) =
+  match List.rev l.Bundle.l_snapshots with
+  | [] -> []
+  | (_, last) :: _ ->
+    let samples = Bundle.samples_of_snapshot last in
+    let gauge name node =
+      List.find_map
+        (fun (n, labels, v) ->
+          if n = name && List.assoc_opt "node" labels = Some node then Some v
+          else None)
+        samples
+    in
+    List.filter_map
+      (fun (name, labels, ratio) ->
+        match (name, List.assoc_opt "node" labels) with
+        | "bft_monitor_ratio", Some node -> (
+          match (int_of_string_opt node, gauge "bft_monitor_delta_threshold" node) with
+          | Some id, Some delta when Trigger.in_near_band ~delta ratio ->
+            Some (id, ratio, delta)
+          | _ -> None)
+        | _ -> None)
+      samples
 
 (* Per-channel (messages, bytes, drops) delta between the first and
    last metrics snapshots in the bundle. *)
@@ -149,27 +192,26 @@ let attribute (l : Bundle.loaded) =
     match ics with
     | ic :: _ ->
       (* The demoted instance is in the event; its primary at the time
-         of the incident is recorded by the attach-time config. *)
-      let primary =
-        Option.bind
-          (List.assoc_opt "master_primary" l.Bundle.l_config)
-          int_of_string_opt
-      in
+         of the incident is recorded in the bundle config. *)
+      let primary = master_primary l in
       (match primary with
       | Some p -> note "verdict: master instance %d (primary node %d) under-performed" ic.Bundle.e_instance p
       | None -> note "verdict: master instance %d under-performed" ic.Bundle.e_instance);
       finish "master-underperformance" primary (Some ic.Bundle.e_instance)
         (if suspicious <> [] then "high" else "medium")
     | [] ->
-      if suspicious <> [] then begin
-        let inst =
-          match suspicious with
-          | (e : Bundle.ev) :: _ ->
-            Jmini.get_int "instance" e.Bundle.e_args
-          | [] -> None
-        in
-        note "verdict: master skirting the Δ envelope (no instance change yet)";
-        finish "delta-envelope" None inst "medium"
+      let near = near_delta l in
+      List.iter
+        (fun (node, ratio, delta) ->
+          note "node %d: monitoring ratio %.4f within %.4f above Δ threshold %.4f"
+            node ratio Trigger.near_epsilon delta)
+        near;
+      if suspicious <> [] || near <> [] then begin
+        let primary = master_primary l and inst = master_instance l in
+        let opt = function Some i -> string_of_int i | None -> "?" in
+        note "verdict: master instance %s (primary node %s) skirting the Δ \
+              envelope, no instance change yet" (opt inst) (opt primary);
+        finish "delta-envelope" primary inst "medium"
       end
       else
         let cause, conf =

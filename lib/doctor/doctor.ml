@@ -9,14 +9,14 @@
       violation subscription and become edges on the auditor-violation
       trigger;
     - every recorder tick snapshots metrics, ripens armed edge
-      triggers, and evaluates the level triggers (liveness stall, p99
-      SLO, Δ-ratio near threshold);
+      triggers, and evaluates the level triggers (liveness stall,
+      Δ-ratio near threshold, sequencer stall);
     - a fire freezes the rings into a {!Bundle.incident}; when the
       config carries a directory the bundle is written to
       [dir/incident-NNN-<trigger>/], and either way the incident (and
       its digest) is kept on the doctor for the caller.
 
-    Incident dumping is capped by [max_incidents]; once reached,
+    Incident dumping is capped at {!max_incidents}; once reached,
     further fires are counted but not dumped. *)
 
 open Dessim
@@ -29,43 +29,10 @@ type config = {
   context : (unit -> (string * string) list) option;
       (** sampled at dump time (e.g. current master primary) *)
   scenario : string option;  (** active [.scn] text under chaos *)
-  read_gc : (unit -> Gc.stat) option;
-      (** GC stat source for the mem-growth trigger; [None] =
-          [Gc.quick_stat]. Injectable so the synthetic-leak self-test
-          can fabricate a deterministic heap trajectory. *)
   triggers : Trigger.spec list;
-  audit_cap : int;
-  span_cap : int;
-  metrics_cap : int;
-  roots_cap : int;
-  period : Time.t;
-  max_incidents : int;
 }
 
-let default_triggers =
-  [
-    Trigger.spec Trigger.Instance_change ~cooldown:(Time.sec 1);
-    Trigger.spec Trigger.Auditor_violation ~cooldown:(Time.sec 1);
-  ]
-
-let default_config ?(dir = None) ?(seed = 1L) ?(config_fields = [])
-    ?(context = None) ?(scenario = None) ?(read_gc = None)
-    ?(triggers = default_triggers) () =
-  {
-    dir;
-    seed;
-    config_fields;
-    context;
-    scenario;
-    read_gc;
-    triggers;
-    audit_cap = 4096;
-    span_cap = 4096;
-    metrics_cap = 16;
-    roots_cap = 512;
-    period = Time.ms 100;
-    max_incidents = 8;
-  }
+let max_incidents = 8
 
 type incident_ref = {
   i_seq : int;
@@ -79,7 +46,6 @@ type incident_ref = {
 type t = {
   config : config;
   recorder : Recorder.t;
-  gcstats : Bftcap.Gcstats.t;
   triggers : Trigger.t list;
   mutable incidents : incident_ref list;  (* newest first *)
   mutable fires_suppressed : int;
@@ -90,7 +56,7 @@ type t = {
 let bundle_name seq trigger = Printf.sprintf "incident-%03d-%s" seq trigger
 
 let dump t (fire : Trigger.fire) =
-  if List.length t.incidents >= t.config.max_incidents then
+  if List.length t.incidents >= max_incidents then
     t.fires_suppressed <- t.fires_suppressed + 1
   else begin
     (* Freeze the metrics at the incident instant so the last snapshot
@@ -180,7 +146,6 @@ let on_violation t (v : Bftaudit.Auditor.violation) =
     t.triggers
 
 let on_tick t (r : Recorder.t) now =
-  Bftcap.Gcstats.sample t.gcstats ~now;
   List.iter
     (fun trig ->
       match Trigger.kind trig with
@@ -198,15 +163,6 @@ let on_tick t (r : Recorder.t) now =
                (Printf.sprintf
                   "no execution for %s with requests pending (%d executed so far)"
                   (Time.to_string idle_for) (Recorder.executed r)))
-      | Trigger.Slo_p99 { threshold; min_count } ->
-        let count, p99 = Recorder.p99_latency r in
-        fire_opt t
-          (Trigger.level trig ~now
-             ~cond:(count >= min_count && p99 >= threshold)
-             ~reason:
-               (Printf.sprintf
-                  "sliding-window p99 latency %s over SLO %s (%d requests in window)"
-                  (Time.to_string p99) (Time.to_string threshold) count))
       | Trigger.Seq_stall { age = bound } -> (
         match Recorder.last_seq_stall r with
         | Some s ->
@@ -221,30 +177,7 @@ let on_tick t (r : Recorder.t) now =
                     (Time.to_string s.Recorder.s_age)
                     s.Recorder.s_waiting_on s.Recorder.s_pending))
         | None -> fire_opt t (Trigger.level trig ~now ~cond:false ~reason:""))
-      | Trigger.Mem_growth { slope; min_span } -> (
-        match Bftcap.Gcstats.growth t.gcstats with
-        | Some g ->
-          let cond =
-            g.Bftcap.Gcstats.g_span >= min_span
-            && g.Bftcap.Gcstats.g_live_slope >= slope
-          in
-          let culprit =
-            match g.Bftcap.Gcstats.g_culprit with
-            | Some (key, rate) ->
-              Printf.sprintf "; fastest-growing structure %s (+%.0f entries/s)"
-                key rate
-            | None -> ""
-          in
-          fire_opt t
-            (Trigger.level trig ~now ~cond
-               ~reason:
-                 (Printf.sprintf
-                    "live heap growing %.0f words/s over %s (threshold %.0f words/s)%s"
-                    g.Bftcap.Gcstats.g_live_slope
-                    (Time.to_string g.Bftcap.Gcstats.g_span)
-                    slope culprit))
-        | None -> fire_opt t (Trigger.level trig ~now ~cond:false ~reason:""))
-      | Trigger.Delta_ratio_near { delta; epsilon } -> (
+      | Trigger.Delta_ratio_near { delta } -> (
         match Recorder.last_verdict r with
         | Some v ->
           let ratio =
@@ -256,34 +189,25 @@ let on_tick t (r : Recorder.t) now =
             v.Recorder.v_backup >= Trigger.min_meaningful_rate
             && (not v.Recorder.v_suspicious)
             && (not (Float.is_nan ratio))
-            && ratio >= delta
-            && ratio < delta +. epsilon
+            && Trigger.in_near_band ~delta ratio
           in
           fire_opt t
             (Trigger.level trig ~now ~cond
                ~reason:
                  (Printf.sprintf
                     "monitoring ratio %.4f within %.4f of Δ threshold %.4f (master %.1f/s, backup %.1f/s)"
-                    ratio epsilon delta v.Recorder.v_master
+                    ratio Trigger.near_epsilon delta v.Recorder.v_master
                     v.Recorder.v_backup))
         | None ->
           fire_opt t (Trigger.level trig ~now ~cond:false ~reason:"")))
     t.triggers
 
 let attach config probe engine =
-  let recorder =
-    Recorder.attach ~audit_cap:config.audit_cap ~span_cap:config.span_cap
-      ~metrics_cap:config.metrics_cap ~roots_cap:config.roots_cap
-      ~period:config.period probe engine
-  in
+  let recorder = Recorder.attach probe engine in
   let t =
     {
       config;
       recorder;
-      gcstats =
-        (match config.read_gc with
-        | Some f -> Bftcap.Gcstats.create ~read_stat:f probe
-        | None -> Bftcap.Gcstats.create probe);
       triggers = List.map Trigger.make config.triggers;
       incidents = [];
       fires_suppressed = 0;
@@ -304,7 +228,6 @@ let detach t =
   end
 
 let recorder t = t.recorder
-let gcstats t = t.gcstats
 
 (** Oldest first. *)
 let incidents t = List.rev t.incidents

@@ -7,9 +7,9 @@
       happen: an instance change fired, the auditor recorded a
       violation ({!edge});
     - {e level} conditions are predicates re-evaluated at every
-      recorder tick: liveness stall, sliding-window p99 SLO breach,
-      monitoring Δ-ratio within ε of the instance-change threshold
-      ({!level}).
+      recorder tick: liveness stall, monitoring Δ-ratio within
+      {!near_epsilon} of the instance-change threshold, sequencer
+      head-of-line stall ({!level}).
 
     [debounce] is how long a condition must persist before the trigger
     fires. An edge occurrence arms the trigger and the fire happens
@@ -34,14 +34,10 @@ type kind =
           the forensic moment worth a bundle. *)
   | Liveness_stall of { idle : Time.t }
       (** No execution for [idle] sim-time while requests are pending. *)
-  | Slo_p99 of { threshold : Time.t; min_count : int }
-      (** p99 over the recorder's sliding window of committed
-          end-to-end latencies exceeds [threshold]; needs at least
-          [min_count] samples in the window before it can fire. *)
-  | Delta_ratio_near of { delta : float; epsilon : float }
+  | Delta_ratio_near of { delta : float }
       (** The monitoring ratio master/backup is above the
-          instance-change threshold [delta] but within [epsilon] of
-          it — the master is skirting the Δ envelope without (yet)
+          instance-change threshold [delta] but within {!near_epsilon}
+          of it — the master is skirting the Δ envelope without (yet)
           triggering an instance change, which is exactly the worst2
           attack profile. *)
   | Seq_stall of { age : Time.t }
@@ -51,26 +47,27 @@ type kind =
           below [Params.stall_change] to freeze a bundle while the
           stall is still live, before the stall-driven instance change
           re-homes the partition and clears it. *)
-  | Mem_growth of { slope : float; min_span : Time.t }
-      (** The live-heap watermark is growing at [slope] words per
-          sim-second or faster, sustained over a {!Bftcap.Gcstats}
-          sampling window spanning at least [min_span] — the leak
-          signature. The fire reason names the fastest-growing
-          footprint probe as the culprit structure. *)
 
 (* Mirrors Rbft.Monitoring.min_meaningful_rate: below this backup
    rate the ratio is noise, not evidence. *)
 let min_meaningful_rate = 50.0
+
+(* Width of the Δ near-miss band: wide enough to catch a throttle
+   tuned to 1-2% above Δ, narrow enough that an honest master at full
+   speed (ratio ≈ 1) never enters it. *)
+let near_epsilon = 0.04
+
+(* [delta <= ratio < delta + near_epsilon]: the band the near-miss
+   trigger watches and the analyzer attributes from. *)
+let in_near_band ~delta ratio = ratio >= delta && ratio < delta +. near_epsilon
 
 let kind_name = function
   | Instance_change -> "instance-change"
   | Auditor_violation -> "auditor-violation"
   | Nic_closure -> "nic-closure"
   | Liveness_stall _ -> "liveness-stall"
-  | Slo_p99 _ -> "slo-p99"
   | Delta_ratio_near _ -> "delta-ratio-near"
   | Seq_stall _ -> "seq-stall"
-  | Mem_growth _ -> "mem-growth"
 
 type spec = { kind : kind; debounce : Time.t; cooldown : Time.t }
 

@@ -404,7 +404,7 @@ let clients_run ~quick ~population =
   let sampler = ref None in
   let start_sampler cluster =
     let engine = Rbft.Cluster.engine cluster in
-    let gcs = Bftcap.Gcstats.create ~window:128 (Rbft.Cluster.probe cluster) in
+    let gcs = Bftcap.Gcstats.create (Rbft.Cluster.probe cluster) in
     let tick = Time.mul_f duration (1.0 /. 24.0) in
     let rec sampler_until stop =
       ignore

@@ -3,8 +3,8 @@
     plane ({!Probe}) and the records it carries ({!Event}, {!Span},
     {!Tag}), a labeled-family {!Registry}, a sim-time {!Sampler},
     {!Export}ers (Prometheus text, CSV, JSON), the {!Jmini} JSON
-    reader, the {!Chrome} trace writer and a wall-clock {!Profile}r for
-    the harness. *)
+    reader, the {!Chrome} trace writer, the bounded {!Ring} buffer and
+    a wall-clock {!Profile}r for the harness. *)
 
 module Stats = Stats
 module Hist = Hist
@@ -27,4 +27,5 @@ module Sampler = Sampler
 module Export = Export
 module Jmini = Jmini
 module Chrome = Chrome
+module Ring = Ring
 module Profile = Profile

@@ -1,10 +1,11 @@
 (** Fixed-capacity ring buffer: O(1) push keeping the most recent
     [capacity] items.
 
-    This is the flight recorder's bounded memory: every always-on
-    stream (audit events, closed spans, metrics snapshots, root
-    latencies) lands in one of these, so a week-long run holds exactly
-    as much evidence as a ten-second one. *)
+    Every bounded history in the system is one of these: the flight
+    recorder's streams (audit events, closed spans, metrics
+    snapshots), the monitoring measurement history, the auditor's
+    report context and the GC sample window. A week-long run holds
+    exactly as much of each as a ten-second one. *)
 
 type 'a t = {
   data : 'a option array;
@@ -16,7 +17,6 @@ let create capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { data = Array.make capacity None; next = 0; pushed = 0 }
 
-let capacity t = Array.length t.data
 let pushed t = t.pushed
 let length t = min t.pushed (Array.length t.data)
 
@@ -37,6 +37,7 @@ let to_list t =
   let start = ((t.next - n) mod cap + cap) mod cap in
   List.init n (fun i -> Option.get t.data.((start + i) mod cap))
 
-let iter f t = List.iter f (to_list t)
-
-let fold f acc t = List.fold_left f acc (to_list t)
+(** The newest item, if any. *)
+let last t =
+  let cap = Array.length t.data in
+  t.data.((t.next + cap - 1) mod cap)

@@ -9,9 +9,8 @@ type t = {
   registry : Registry.t;
   period : Time.t;
   epoch : Time.t;  (* attach instant; ticks land at epoch + k*period *)
-  mutable k : int;  (* index of the last armed tick *)
   mutable points : point list;  (* newest first *)
-  mutable stopped : bool;
+  mutable stop : unit -> unit;
 }
 
 let sample_now t =
@@ -19,22 +18,9 @@ let sample_now t =
     { p_time = Engine.now t.engine; p_samples = Registry.snapshot t.registry }
     :: t.points
 
-(* Ticks are armed at absolute engine-time boundaries [epoch +
-   k*period], never relative to the previous callback: the series is
-   anchored to engine sim-time by construction, so per-node
-   Dessim.Clock factors (bftchaos clock-skew faults stretch node-local
-   timers through those) cannot drift the sampling grid, and a clamped
-   or delayed callback never shifts the subsequent sample instants. *)
-let rec arm t =
-  t.k <- t.k + 1;
-  let next = Time.add t.epoch (Time.ns (t.k * (t.period : Time.t))) in
-  ignore
-    (Engine.at t.engine next (fun () ->
-         if not t.stopped then begin
-           sample_now t;
-           arm t
-         end))
-
+(* Ticks come from [Engine.every]: anchored to engine sim-time, so
+   per-node Dessim.Clock factors (bftchaos clock-skew faults stretch
+   node-local timers through those) cannot drift the sampling grid. *)
 let attach ?(period = Time.ms 100) engine registry =
   let t =
     {
@@ -42,15 +28,14 @@ let attach ?(period = Time.ms 100) engine registry =
       registry;
       period;
       epoch = Engine.now engine;
-      k = 0;
       points = [];
-      stopped = false;
+      stop = ignore;
     }
   in
-  arm t;
+  t.stop <- Engine.every engine period (fun () -> sample_now t);
   t
 
-let detach t = t.stopped <- true
+let detach t = t.stop ()
 
 let period t = t.period
 let epoch t = t.epoch

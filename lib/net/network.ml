@@ -321,7 +321,7 @@ let send_copy t ~src ~dst ~size ~corrupt ~extra_delay ~span ~span_tag payload =
        | Principal.Node _ | Principal.Client _ ->
          ignore (Engine.after t.engine delay deliver)))
 
-let send ?(span = -1) ?(span_tag = Bftspan.Tag.Net_transit) t ~src ~dst ~size
+let send ?(span = -1) ?(span_tag = Bftmetrics.Tag.Net_transit) t ~src ~dst ~size
     payload =
   match t.fault_hook with
   | None ->

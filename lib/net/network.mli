@@ -118,7 +118,7 @@ val register_client : 'a t -> int -> ('a delivery -> unit) -> unit
 
 val send :
   ?span:int ->
-  ?span_tag:Bftspan.Tag.t ->
+  ?span_tag:Bftmetrics.Tag.t ->
   'a t ->
   src:Principal.t ->
   dst:Principal.t ->
@@ -132,8 +132,8 @@ val send :
     [?span] (default [-1]) piggybacks a parent span id on the message:
     when the tracer is live, delivery records a completed transit span
     covering the full wire time and hands its id to the receiver in
-    {!delivery.span}. [?span_tag] (default {!Bftspan.Tag.Net_transit})
-    lets reply traffic label its transit {!Bftspan.Tag.Reply} so the
+    {!delivery.span}. [?span_tag] (default {!Bftmetrics.Tag.Net_transit})
+    lets reply traffic label its transit {!Bftmetrics.Tag.Reply} so the
     analyzer reports it as its own stage. Dropped messages (chaos,
     closed NIC, no handler) record nothing — the request's root span
     stays open, which is exactly how the analyzer flags loss. *)

@@ -88,7 +88,7 @@ let transmit t thread ~span ~tag ~dst m =
   if span < 0 then Network.send t.net ~src:t.self ~dst ~size m
   else Network.send ~span ~span_tag:tag t.net ~src:t.self ~dst ~size m
 
-let send t thread ~dst m = transmit t thread ~span:(-1) ~tag:Bftspan.Tag.Net_transit ~dst m
+let send t thread ~dst m = transmit t thread ~span:(-1) ~tag:Bftmetrics.Tag.Net_transit ~dst m
 
 let broadcast ?(span = -1) t thread m =
   let size = t.size m in
@@ -152,7 +152,7 @@ let apply t ~instance (desc : request_desc) =
 let reply t thread ~span (id : request_id) result =
   if t.authenticate_replies then
     Resource.charge thread (sign t ~bytes:(String.length result + 16));
-  transmit t thread ~span ~tag:Bftspan.Tag.Reply ~dst:(Principal.client id.client)
+  transmit t thread ~span ~tag:Bftmetrics.Tag.Reply ~dst:(Principal.client id.client)
     (t.reply_msg id result)
 
 let execute t thread ~span (desc : request_desc) =
@@ -161,7 +161,7 @@ let execute t thread ~span (desc : request_desc) =
 let submit_execution t thread ~parent (desc : request_desc) =
   if not (has_executed t desc.id) then begin
     let espan =
-      Probe.job t.probe ~parent ~tag:Bftspan.Tag.Execution ~node:t.id ~instance:0
+      Probe.job t.probe ~parent ~tag:Bftmetrics.Tag.Execution ~node:t.id ~instance:0
         ~now:(Engine.now t.engine)
     in
     Resource.submit ~span:espan thread ~cost:(exec_cost_of t desc) (fun () ->

@@ -167,10 +167,10 @@ let execute_one t (desc : request_desc) =
           Request_id_table.remove t.span_in desc.id;
           let now = Engine.now t.core.engine in
           let b =
-            Probe.span t.core.probe ~parent ~tag:Bftspan.Tag.Batch_wait ~node:t.core.id
+            Probe.span t.core.probe ~parent ~tag:Bftmetrics.Tag.Batch_wait ~node:t.core.id
               ~instance:0 ~t0:t_in ~t1:now
           in
-          Probe.span t.core.probe ~parent:b ~tag:Bftspan.Tag.Execution ~node:t.core.id
+          Probe.span t.core.probe ~parent:b ~tag:Bftmetrics.Tag.Execution ~node:t.core.id
             ~instance:0 ~t0:now ~t1:(Time.add now cost)
     in
     (* Execution happens on the main thread: heavy requests delay
@@ -355,14 +355,14 @@ let on_delivery t ~from ~recv ~verify (d : msg Network.delivery) =
   match d.Network.payload with
   | Request { desc; sig_valid } ->
     let vspan =
-      Probe.job t.core.probe ~parent:d.Network.span ~tag:Bftspan.Tag.Crypto_verify
+      Probe.job t.core.probe ~parent:d.Network.span ~tag:Bftmetrics.Tag.Crypto_verify
         ~node:t.core.id ~instance:0 ~now:(Engine.now t.core.engine)
     in
     Resource.submit ~span:vspan t.main ~cost:recv (fun () ->
         handle_request t ~span:vspan desc ~sig_valid)
   | Po_request { desc; po_seq } ->
     let pspan =
-      Probe.job t.core.probe ~parent:d.Network.span ~tag:Bftspan.Tag.Propagate
+      Probe.job t.core.probe ~parent:d.Network.span ~tag:Bftmetrics.Tag.Propagate
         ~node:t.core.id ~instance:0 ~now:(Engine.now t.core.engine)
     in
     Resource.submit ~span:pspan t.main ~cost:with_sig (fun () ->

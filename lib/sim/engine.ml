@@ -68,6 +68,23 @@ let at t instant action =
 
 let after t delay action = at t (Time.add t.clock (Time.max Time.zero delay)) action
 
+(* Ticks land on the absolute grid [epoch + k*period], never relative
+   to the previous callback, so a delayed callback cannot shift the
+   later ones. The next tick is armed after [f] returns. *)
+let every t period f =
+  let epoch = t.clock and k = ref 0 and stopped = ref false in
+  let rec arm () =
+    incr k;
+    ignore
+      (at t (Time.add epoch (Time.ns (!k * period))) (fun () ->
+           if not !stopped then begin
+             f ();
+             arm ()
+           end))
+  in
+  arm ();
+  fun () -> stopped := true
+
 let timer action = { action; state = Idle }
 
 let rearm t event instant =

@@ -46,6 +46,14 @@ val cancel : t -> timer -> unit
     leaves the heap when popped, or in a sweep once cancelled events
     outnumber live ones. The sweep keeps the survivors' order. *)
 
+val every : t -> Time.t -> (unit -> unit) -> unit -> unit
+(** [every t period f] runs [f] at [epoch + k * period] for k = 1, 2,
+    ..., where [epoch] is [now t] at the call: the grid is anchored to
+    engine time, so per-node {!Clock} skew cannot drift it. It returns
+    the function that stops the ticks (the pending one becomes a
+    no-op). The pending tick keeps the queue non-empty, so drive the
+    engine with [run ~until] while it ticks. *)
+
 val timer : (unit -> unit) -> timer
 (** [timer f] is an unscheduled event that runs [f]; schedule it with
     {!rearm}. *)

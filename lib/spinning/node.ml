@@ -77,7 +77,7 @@ let on_delivery t ~from ~recv ~verify (d : msg Network.delivery) =
     (* Per-request bookkeeping: request log entry plus ordering timer
        management. *)
     let vspan =
-      Probe.job t.core.probe ~parent:d.Network.span ~tag:Bftspan.Tag.Crypto_verify
+      Probe.job t.core.probe ~parent:d.Network.span ~tag:Bftmetrics.Tag.Crypto_verify
         ~node:t.core.id ~instance:0 ~now:(Engine.now t.core.engine)
     in
     Resource.submit ~span:vspan t.ordering ~cost:(Time.add base bookkeeping) (fun () ->

@@ -1,9 +1,9 @@
 (* Tests for the capacity-observability layer ({!Bftcap}) and the
    structures it watches: footprint probe accuracy and nested
-   accounting, GC-sampler growth analysis, the mem-growth doctor
-   trigger (synthetic-leak self-test), the compact per-client reply
-   cache, the client-population workload model, and the regression
-   pinning bounded per-client tables under churn. *)
+   accounting, GC-sampler growth analysis and culprit naming, the
+   compact per-client reply cache, the client-population workload
+   model, and the regression pinning bounded per-client tables under
+   churn. *)
 
 open Dessim
 module Footprint = Bftcap.Footprint
@@ -143,7 +143,7 @@ let test_gcstats_growth_and_culprit () =
            ~entries:(fun () -> !leak)
            ~root:(fun () -> None)
            ());
-      let g = Gcstats.create ~read_stat ~window:16 pr in
+      let g = Gcstats.create ~read_stat pr in
       for i = 1 to 8 do
         Gcstats.sample g ~now:(Time.ms (100 * i));
         live := !live + 200_000;
@@ -162,80 +162,6 @@ let test_gcstats_growth_and_culprit () =
              "t.leak/test" name;
            Alcotest.(check bool) "culprit rate positive" true (rate > 0.0)
          | None -> Alcotest.fail "expected a culprit"))
-
-(* ------------------------------------------------------------------ *)
-(* Synthetic-leak self-test: the mem-growth trigger end to end        *)
-(* ------------------------------------------------------------------ *)
-
-let leak_trigger =
-  Bftdoctor.Trigger.spec
-    (Bftdoctor.Trigger.Mem_growth
-       { slope = 100_000.0; min_span = Time.ms 300 })
-    ~cooldown:(Time.sec 10)
-
-let run_doctor_heap ~grow f =
-  with_probe (fun pr ->
-      let engine = Engine.create () in
-      let live = ref 1_000_000 in
-      let read_gc () =
-        { (Gc.quick_stat ()) with Gc.live_words = !live; heap_words = !live }
-      in
-      let leak = ref 0 in
-      ignore
-        (Bftmetrics.Probe.footprint pr ~name:"leak.table" ~owner:"node-9"
-           ~entries:(fun () -> !leak)
-           ~root:(fun () -> None)
-           ());
-      (* The fabricated heap climbs (or stays flat) on its own timer,
-         independent of the doctor's sampling period. *)
-      let rec churn () =
-        if Engine.now engine < Time.sec 1 then begin
-          if grow then begin
-            live := !live + 100_000;
-            leak := !leak + 500
-          end;
-          ignore (Engine.after engine (Time.ms 50) churn)
-        end
-      in
-      ignore (Engine.after engine (Time.ms 50) churn);
-      let config =
-        Bftdoctor.Doctor.default_config ~seed:7L ~read_gc:(Some read_gc)
-          ~triggers:[ leak_trigger ] ()
-      in
-      let d = Bftdoctor.Doctor.attach config pr engine in
-      Fun.protect
-        ~finally:(fun () -> Bftdoctor.Doctor.detach d)
-        (fun () ->
-          Engine.run ~until:(Time.sec 1) engine;
-          f d))
-
-let test_synthetic_leak_fires_mem_growth () =
-  run_doctor_heap ~grow:true (fun d ->
-      match Bftdoctor.Doctor.incidents d with
-      | [ i ] ->
-        Alcotest.(check string) "trigger kind" "mem-growth"
-          i.Bftdoctor.Doctor.i_trigger;
-        let reason = i.Bftdoctor.Doctor.i_reason in
-        let contains hay needle =
-          let nh = String.length hay and nn = String.length needle in
-          let rec go i =
-            i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-          in
-          go 0
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "reason names the culprit structure: %s" reason)
-          true
-          (contains reason "leak.table/node-9")
-      | l ->
-        Alcotest.fail
-          (Printf.sprintf "expected exactly one incident, got %d"
-             (List.length l)))
-
-let test_steady_heap_stays_quiet () =
-  run_doctor_heap ~grow:false (fun d ->
-      Alcotest.(check int) "no incident on a flat heap" 0
-        (List.length (Bftdoctor.Doctor.incidents d)))
 
 (* ------------------------------------------------------------------ *)
 (* Reply cache                                                        *)
@@ -569,13 +495,6 @@ let suites =
       [
         Alcotest.test_case "growth slope and culprit" `Quick
           test_gcstats_growth_and_culprit;
-      ] );
-    ( "cap.doctor",
-      [
-        Alcotest.test_case "synthetic leak fires mem-growth" `Quick
-          test_synthetic_leak_fires_mem_growth;
-        Alcotest.test_case "steady heap stays quiet" `Quick
-          test_steady_heap_stays_quiet;
       ] );
     ( "cap.replycache",
       [

@@ -1,20 +1,21 @@
 (* Tests for bftdoctor: flight recorder, anomaly triggers, incident
    bundles and forensics.
 
-   - ring: capacity, ordering, wraparound
+   - ring ({!Bftmetrics.Ring}): capacity, ordering, wraparound
    - triggers: edge debounce/cooldown, level arming/disarming
-   - recorder: rings fed from the bus and the tracer close hook,
-     sim-time watermarks, detach restores global state
-   - synthetic trigger scenarios on a bare engine: liveness stall,
-     p99 SLO breach, Δ-ratio near miss
+   - recorder: rings fed from the bus and the span-close
+     subscription, sim-time watermarks, detach unsubscribes
+   - synthetic trigger scenarios on a bare engine: instance change,
+     liveness stall, sequencer stall, Δ-ratio near miss, incident cap
    - bundles: write/load round trip, chained-digest verification,
      tamper detection, determinism
-   - forged incident (worst1): flooding a live RBFT cluster must
+   - forged incidents on a live RBFT cluster: worst1 flooding must
      produce a bundle whose analysis attributes the attacking node,
-     with a same-seed-identical digest *)
+     with a same-seed-identical digest; worst2's Δ near miss must be
+     attributed to the throttling master primary *)
 
 open Dessim
-module Ring = Bftdoctor.Ring
+module Ring = Bftmetrics.Ring
 module Trigger = Bftdoctor.Trigger
 module Recorder = Bftdoctor.Recorder
 module Bundle = Bftdoctor.Bundle
@@ -135,18 +136,20 @@ let test_trigger_level () =
 (* Recorder on a bare engine                                          *)
 (* ------------------------------------------------------------------ *)
 
-let with_recorder ?audit_cap ?span_cap ?roots_cap ?period f =
+let with_recorder f =
   let p = Bftmetrics.Probe.create () in
   let engine = Engine.create () in
-  let r = Recorder.attach ?audit_cap ?span_cap ?roots_cap ?period p engine in
+  let r = Recorder.attach p engine in
   Fun.protect ~finally:(fun () -> Recorder.detach r) (fun () -> f p engine r)
 
 let test_recorder_rings () =
-  with_recorder ~audit_cap:4 (fun p engine r ->
-      for i = 1 to 6 do
+  with_recorder (fun p engine r ->
+      (* two events more than the audit ring holds *)
+      let n = Recorder.audit_cap + 2 in
+      for i = 1 to n do
         ignore
-          (Engine.at engine (Time.ms i) (fun () ->
-               Bftmetrics.Probe.emit_at p (Time.ms i) ~node:i ~instance:0
+          (Engine.at engine (Time.us i) (fun () ->
+               Bftmetrics.Probe.emit_at p (Time.us i) ~node:i ~instance:0
                  (Bftmetrics.Event.Executed
                     { client = 0; rid = i; digest = "d" })))
       done;
@@ -155,20 +158,22 @@ let test_recorder_rings () =
         List.map (fun (e : Bftmetrics.Event.t) -> e.Bftmetrics.Event.node)
           (Recorder.audit_events r)
       in
-      Alcotest.(check (list int)) "ring keeps newest 4, oldest first"
-        [ 3; 4; 5; 6 ] nodes;
-      Alcotest.(check int) "events_seen counts all" 6 (Recorder.events_seen r);
-      Alcotest.(check int) "executed watermark" 6 (Recorder.executed r);
+      Alcotest.(check (list int))
+        (Printf.sprintf "ring keeps newest %d, oldest first" Recorder.audit_cap)
+        (List.init Recorder.audit_cap (fun i -> i + 3))
+        nodes;
+      Alcotest.(check int) "events_seen counts all" n (Recorder.events_seen r);
+      Alcotest.(check int) "executed watermark" n (Recorder.executed r);
       Alcotest.(check bool) "last_exec advanced" true
-        (Recorder.last_exec r = Time.ms 6))
+        (Recorder.last_exec r = Time.us n))
 
 let test_recorder_span_ring () =
   let attached = ref None in
   with_recorder (fun p _engine r ->
           attached := Some (p, r);
           Bftmetrics.Probe.enable_spans p;
-          (* roots closed through the span-close subscription land in
-             both rings *)
+          (* spans closed through the span-close subscription land in
+             the span ring *)
           for rid = 1 to 3 do
             let id =
               Bftmetrics.Probe.request_root p ~client:0 ~rid (Time.ms rid)
@@ -177,16 +182,7 @@ let test_recorder_span_ring () =
           done;
           Alcotest.(check int) "spans recorded" 3
             (List.length (Recorder.spans r));
-          let roots = Recorder.root_latencies r in
-          Alcotest.(check int) "roots recorded" 3 (List.length roots);
-          List.iter
-            (fun (root : Recorder.root) ->
-              Alcotest.(check bool) "latency 10ms" true
-                (root.Recorder.r_latency = Time.ms 10))
-            roots;
-          let n, p99 = Recorder.p99_latency r in
-          Alcotest.(check int) "window population" 3 n;
-          Alcotest.(check bool) "p99 latency" true (p99 = Time.ms 10));
+          Alcotest.(check int) "spans_seen" 3 (Recorder.spans_seen r));
   (* Detached: a span closed afterwards reaches no recorder ring. *)
   let p, r = Option.get !attached in
   let id =
@@ -195,19 +191,29 @@ let test_recorder_span_ring () =
   Bftmetrics.Probe.finish p id ~t1:(Time.ms 14);
   Alcotest.(check int) "span closed after detach" 4 (Bftmetrics.Probe.span_count p);
   Alcotest.(check int) "close subscription removed: spans" 3
-    (List.length (Recorder.spans r));
-  Alcotest.(check int) "close subscription removed: roots" 3
-    (List.length (Recorder.root_latencies r))
+    (List.length (Recorder.spans r))
 
 (* ------------------------------------------------------------------ *)
 (* Synthetic trigger scenarios                                        *)
 (* ------------------------------------------------------------------ *)
 
-let with_doctor ?(triggers = Doctor.default_triggers) f =
+let config ?dir triggers =
+  {
+    Doctor.dir;
+    seed = 7L;
+    config_fields = [];
+    context = None;
+    scenario = None;
+    triggers;
+  }
+
+let instance_change_trigger =
+  Trigger.spec Trigger.Instance_change ~cooldown:(Time.sec 1)
+
+let with_doctor ?(triggers = [ instance_change_trigger ]) f =
   let p = Bftmetrics.Probe.create () in
   let engine = Engine.create () in
-  let config = Doctor.default_config ~seed:7L ~triggers () in
-  let d = Doctor.attach config p engine in
+  let d = Doctor.attach (config triggers) p engine in
   Fun.protect ~finally:(fun () -> Doctor.detach d) (fun () -> f p engine d)
 
 let trigger_names d =
@@ -282,42 +288,11 @@ let test_doctor_no_stall_when_quiescent () =
       Alcotest.(check (list string)) "quiescence is not a stall" []
         (trigger_names d))
 
-let test_doctor_slo_p99 () =
-  let triggers =
-    [
-      Trigger.spec
-        (Trigger.Slo_p99 { threshold = Time.ms 50; min_count = 3 })
-        ~cooldown:(Time.sec 10);
-    ]
-  in
-  with_doctor ~triggers (fun p engine d ->
-          Bftmetrics.Probe.enable_spans p;
-          let close_root rid latency =
-            let id =
-              Bftmetrics.Probe.request_root p ~client:0 ~rid (Engine.now engine)
-            in
-            Bftmetrics.Probe.finish p id
-              ~t1:(Time.add (Engine.now engine) latency)
-          in
-          ignore
-            (Engine.at engine (Time.ms 10) (fun () ->
-                 close_root 1 (Time.ms 80);
-                 close_root 2 (Time.ms 90)));
-          Engine.run ~until:(Time.ms 150) engine;
-          Alcotest.(check (list string)) "below min_count stays silent" []
-            (trigger_names d);
-          ignore
-            (Engine.at engine (Time.ms 160) (fun () ->
-                 close_root 3 (Time.ms 100)));
-          Engine.run ~until:(Time.ms 400) engine;
-          Alcotest.(check (list string)) "p99 breach fires" [ "slo-p99" ]
-            (trigger_names d))
-
 let test_doctor_delta_ratio_near () =
   let triggers =
     [
       Trigger.spec
-        (Trigger.Delta_ratio_near { delta = 0.95; epsilon = 0.04 })
+        (Trigger.Delta_ratio_near { delta = 0.95 })
         ~debounce:(Time.ms 250) ~cooldown:(Time.sec 10);
     ]
   in
@@ -401,14 +376,12 @@ let test_doctor_max_incidents () =
   in
   let p = Bftmetrics.Probe.create () in
   let engine = Engine.create () in
-  let config =
-    { (Doctor.default_config ~seed:7L ~triggers ()) with Doctor.max_incidents = 2 }
-  in
-  let d = Doctor.attach config p engine in
+  let d = Doctor.attach (config triggers) p engine in
+  let fires = Doctor.max_incidents + 3 in
   Fun.protect
     ~finally:(fun () -> Doctor.detach d)
     (fun () ->
-      for i = 1 to 5 do
+      for i = 1 to fires do
         ignore
           (Engine.at engine (Time.ms (10 * i)) (fun () ->
                Bftmetrics.Probe.emit_at p
@@ -416,8 +389,8 @@ let test_doctor_max_incidents () =
                  ~node:1 ~instance:0
                  (Bftmetrics.Event.Instance_changed { cpi = i; recovery = false })))
       done;
-      Engine.run ~until:(Time.ms 100) engine;
-      Alcotest.(check int) "capped at max_incidents" 2
+      Engine.run ~until:(Time.ms (10 * (fires + 1))) engine;
+      Alcotest.(check int) "capped at max_incidents" Doctor.max_incidents
         (List.length (Doctor.incidents d));
       Alcotest.(check int) "suppressed fires counted" 3
         (Doctor.fires_suppressed d))
@@ -588,6 +561,47 @@ let test_forged_incident_worst1 () =
       Alcotest.(check string) "same-seed digest identical"
         first.Doctor.i_digest second.Doctor.i_digest)
 
+(* worst2 with the CLI's set-up (`rbft_sim run --attack worst2
+   --doctor`: 10 clients x 2,000 req/s, seed 42): the master primary
+   throttles to just above Δ, so at 1.1 s the near-miss trigger fires
+   before any instance change. At this load the audit ring holds no
+   monitor verdict; the metrics snapshot carries the ratio. *)
+let test_forged_incident_worst2 () =
+  let dir = tmp_dir "worst2" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let cluster =
+        Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~seed:42L
+          ~clients:10 ~payload_size:8 (Rbft.Params.default ~f:1)
+      in
+      let d = Bftharness.Incident.attach ~dir cluster in
+      let incidents =
+        Fun.protect
+          ~finally:(fun () -> Doctor.detach d)
+          (fun () ->
+            Rbft.Attacks.worst_attack_2 cluster;
+            Array.iter
+              (fun c -> Rbft.Client.set_rate c 2000.0)
+              (Rbft.Cluster.clients cluster);
+            Rbft.Cluster.run_for cluster (Time.of_sec_f 1.2);
+            Doctor.incidents d)
+      in
+      match
+        List.find_opt
+          (fun (i : Doctor.incident_ref) -> i.Doctor.i_trigger = "delta-ratio-near")
+          incidents
+      with
+      | None -> Alcotest.fail "no delta-ratio-near incident"
+      | Some i ->
+        let l = Bundle.load ~dir:(Option.get i.Doctor.i_dir) in
+        let v = Analyze.attribute l in
+        Alcotest.(check string) "cause" "delta-envelope" v.Analyze.cause;
+        Alcotest.(check (option int)) "culprit is the master primary" (Some 0)
+          v.Analyze.culprit_node;
+        Alcotest.(check (option int)) "culprit is the master instance" (Some 0)
+          v.Analyze.culprit_instance)
+
 let test_doctor_force_dump () =
   let dir = tmp_dir "force" in
   Fun.protect
@@ -595,8 +609,11 @@ let test_doctor_force_dump () =
     (fun () ->
       let engine = Engine.create () in
       let config =
-        Doctor.default_config ~dir:(Some dir) ~seed:9L
-          ~config_fields:[ ("protocol", "test") ] ()
+        {
+          (config ~dir [ instance_change_trigger ]) with
+          Doctor.seed = 9L;
+          config_fields = [ ("protocol", "test") ];
+        }
       in
       let d = Doctor.attach config (Bftmetrics.Probe.create ()) engine in
       Fun.protect
@@ -726,7 +743,6 @@ let suites =
         Alcotest.test_case "liveness stall" `Quick test_doctor_liveness_stall;
         Alcotest.test_case "quiescence is not a stall" `Quick
           test_doctor_no_stall_when_quiescent;
-        Alcotest.test_case "slo p99" `Quick test_doctor_slo_p99;
         Alcotest.test_case "sequencer head-of-line stall" `Quick
           test_doctor_seq_stall;
         Alcotest.test_case "delta ratio near miss" `Quick
@@ -744,6 +760,8 @@ let suites =
       [
         Alcotest.test_case "worst1 forged incident" `Quick
           test_forged_incident_worst1;
+        Alcotest.test_case "worst2 near miss names the master" `Quick
+          test_forged_incident_worst2;
         Alcotest.test_case "chaos runner bundles" `Quick
           test_runner_doctor_bundle;
       ] );

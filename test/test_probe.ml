@@ -113,8 +113,14 @@ let write_exports out =
     Rbft.Cluster.create ~probe ~seed:5L ~clients:1 ~payload_size:8 (Rbft.Params.default ~f:1)
   in
   let config =
-    Bftdoctor.Doctor.default_config ~dir:(Some (path "bundle")) ~seed:5L
-      ~config_fields:[ ("protocol", "rbft") ] ()
+    {
+      Bftdoctor.Doctor.dir = Some (path "bundle");
+      seed = 5L;
+      config_fields = [ ("protocol", "rbft") ];
+      context = None;
+      scenario = None;
+      triggers = [];
+    }
   in
   let doctor = Bftdoctor.Doctor.attach config probe (Rbft.Cluster.engine cluster) in
   Array.iter (fun c -> Rbft.Client.set_rate c 100.0) (Rbft.Cluster.clients cluster);
@@ -138,7 +144,7 @@ let write_exports out =
       major_collections = !live / 100_000;
       minor_words = float_of_int (3 * !live) }
   in
-  let g = Bftcap.Gcstats.create ~read_stat ~window:8 probe in
+  let g = Bftcap.Gcstats.create ~read_stat probe in
   for i = 1 to 6 do
     Bftcap.Gcstats.sample g ~now:(Time.ms (10 * i));
     live := !live + 12_345
