@@ -130,12 +130,17 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
     Rbft.Cluster.create ~probe ~seed:(Int64.of_int seed) ~transport ~clients
       ~payload_size:payload params
   in
+  (* Host-clock series (the --cap GC gauges) live in a registry of
+     their own, which the exporters read and the flight recorder never
+     snapshots: a bundle holds simulated state only. *)
+  let host_registry = Bftmetrics.Registry.create () in
   let sampler =
     match metrics with
     | Some _ ->
       Some
         (Bftmetrics.Sampler.attach ~period:(Time.ms 100)
-           (Rbft.Cluster.engine cluster) (Bftmetrics.Probe.registry probe))
+           (Rbft.Cluster.engine cluster)
+           [ Bftmetrics.Probe.registry probe; host_registry ])
     | None -> None
   in
   (* The doctor attaches before the attack so the flight recorder sees
@@ -150,11 +155,11 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
   in
   (* GC sampler for --cap: periodic Gc.quick_stat deltas folded with
      the footprint probe entries, so the end-of-run summary can report
-     peaks and a growth slope. The gauges go to the registry only when
-     an export was asked for (they are wall-runtime state). *)
+     peaks and a growth slope; its gauges go to the host registry. *)
   let gcstats =
     if cap_on then begin
-      let g = Bftcap.Gcstats.create ~metrics:(metrics <> None || prom <> None) probe in
+      let g = Bftcap.Gcstats.create probe in
+      Bftcap.Gcstats.register_gauges g host_registry;
       let engine = Rbft.Cluster.engine cluster in
       let (_ : unit -> unit) =
         Engine.every engine (Time.ms 100) (fun () ->
@@ -254,7 +259,8 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
   (match prom with
    | Some path ->
      Bftmetrics.Export.to_channel_or_file ~path
-       (Bftmetrics.Export.prometheus (Bftmetrics.Probe.registry probe));
+       (Bftmetrics.Export.prometheus (Bftmetrics.Probe.registry probe)
+       ^ Bftmetrics.Export.prometheus host_registry);
      if path <> "-" then Printf.printf "prometheus dump -> %s\n" path
    | None -> ());
   (match capture with

@@ -34,7 +34,11 @@
    capacity law the sweep exists to watch: peak live words must grow
    with the population (client endpoints cost memory), while no
    per-structure footprint peak may grow proportionally with it
-   (that would be an unbounded per-client table).
+   (that would be an unbounded per-client table). Each point's
+   [gc.setup_live_words] (what the cluster's construction adds) must
+   cost at most 100 words per registered client between the smallest
+   and the largest point, so a per-client structure allocated up
+   front fails even where no footprint probe covers it.
 
    [--breakdown-check] validates a single BENCH_rbft.json's latency
    attribution: per-stage shares must sum to ~1.0 for every request
@@ -176,6 +180,9 @@ let scale_check path =
     List.iter (fun p -> Printf.eprintf "  %s\n" p) ps;
     exit 1
 
+(* Live words an idle registered client may add to set-up. *)
+let max_words_per_client = 100.0
+
 (* Structural gate over the client-population capacity sweep. Numbers
    are virtual-time deterministic, so the structural laws hold exactly
    on every machine; the absolute values are gated by the committed
@@ -202,6 +209,8 @@ let clients_check path =
      let prev_clients = ref 0.0 in
      let max_clients = ref 0.0 in
      let first_live = ref None and last_live = ref None in
+     (* (clients, setup live words) of the first and last points. *)
+     let first_setup = ref None and last_setup = ref None in
      (* name -> (clients, peak) of first and last sightings, for the
         proportional-growth check. *)
      let fp_first = Hashtbl.create 16 and fp_last = Hashtbl.create 16 in
@@ -234,6 +243,11 @@ let clients_check path =
                  last_live := Some n
                | Some n -> complain "%s.gc.peak_live_words non-positive: %g" label n
                | None -> complain "%s.gc.peak_live_words missing" label);
+              (match num gc "setup_live_words" with
+               | Some w ->
+                 if !first_setup = None then first_setup := Some (clients, w);
+                 last_setup := Some (clients, w)
+               | None -> complain "%s.gc.setup_live_words missing" label);
               List.iter
                 (fun k ->
                   if num gc k = None then complain "%s.gc.%s missing" label k)
@@ -264,6 +278,16 @@ let clients_check path =
            smallest — population size should cost memory"
           b a
       | _ -> ());
+     (* Capacity law 1b: an idle registered client is cheap. *)
+     (match (!first_setup, !last_setup) with
+      | Some (c0, w0), Some (c1, w1) when c1 > c0 ->
+        let per_client = (w1 -. w0) /. (c1 -. c0) in
+        if per_client > max_words_per_client then
+          complain
+            "set-up costs %.1f live words per registered client between %g \
+             and %g clients (> %g)"
+            per_client c0 c1 max_words_per_client
+      | _ -> ());
      (* Capacity law 2: no per-structure peak may scale with the
         population — growing half as fast as clients (or worse) over
         a >= 10x population spread means an unbounded per-client
@@ -282,8 +306,8 @@ let clients_check path =
   | [] ->
     Printf.printf
       "clients-check ok: >= 3 increasing population points reaching >= 10^4 \
-       clients, GC and footprint series present, no structure scaling with \
-       the population\n"
+       clients, GC and footprint series present, <= 100 set-up words per \
+       registered client, no structure scaling with the population\n"
   | ps ->
     Printf.eprintf "clients-check: %d problem(s) in %s:\n" (List.length ps)
       path;

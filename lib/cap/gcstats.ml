@@ -36,8 +36,7 @@ let sample_of_stat ~now (st : Gc.stat) =
     s_entries = [];
   }
 
-let register_metrics t =
-  let reg = Bftmetrics.Probe.registry t.probe in
+let register_gauges t reg =
   let g name help f =
     Bftmetrics.Registry.gauge_fn reg ~help name ~labels:[] f
   in
@@ -56,19 +55,15 @@ let register_metrics t =
 
 let window = 256
 
-let create ?(read_stat = Gc.quick_stat) ?(metrics = false) probe =
-  let t =
-    {
-      probe;
-      read_stat;
-      base = read_stat ();
-      window = Bftmetrics.Ring.create window;
-      peak_live = 0;
-      peak_heap = 0;
-    }
-  in
-  if metrics then register_metrics t;
-  t
+let create ?(read_stat = Gc.quick_stat) probe =
+  {
+    probe;
+    read_stat;
+    base = read_stat ();
+    window = Bftmetrics.Ring.create window;
+    peak_live = 0;
+    peak_heap = 0;
+  }
 
 let sample t ~now =
   Footprint.observe_peaks t.probe;

@@ -13,11 +13,11 @@
     heap trajectory; the default is [Gc.quick_stat] (cheap, no heap
     traversal).
 
-    Registering the [bft_gc_*] callback-gauge families is opt-in
-    ([~metrics:true]) because GC word counts are wall-runtime state,
-    not sim state: putting them in the default registry would leak
-    nondeterminism into recorder snapshots and break byte-identical
-    incident-bundle replays. *)
+    The [bft_gc_*] callback gauges go only into a registry the caller
+    names ({!register_gauges}), never the probe's: GC word counts are
+    wall-runtime state, not sim state, and in the probe's registry
+    they would leak into the flight recorder's snapshots and break
+    byte-identical incident-bundle replays. *)
 
 open Dessim
 
@@ -35,10 +35,14 @@ type sample = {
 
 type t
 
-val create : ?read_stat:(unit -> Gc.stat) -> ?metrics:bool -> Bftmetrics.Probe.t -> t
+val create : ?read_stat:(unit -> Gc.stat) -> Bftmetrics.Probe.t -> t
 (** Telemetry over the process heap, reading the footprints of
-    [probe]. [metrics] (default false) registers the [bft_gc_*]
-    callback gauges in the probe's registry. *)
+    [probe]. *)
+
+val register_gauges : t -> Bftmetrics.Registry.t -> unit
+(** Register the [bft_gc_*] callback gauges in a registry of host-clock
+    series: one the exporters read and the flight recorder does not
+    (not the probe's). *)
 
 val sample : t -> now:Time.t -> unit
 (** Take one sample: read the stat, capture probe entries, fold

@@ -377,6 +377,7 @@ type clients_point = {
   cp_p50_ms : float;
   cp_p99_ms : float;
   cp_gc : (string * float) list;
+  cp_setup_live : int;
   cp_peak_live : int;
   cp_peak_heap : int;
   cp_footprint : (string * int) list;
@@ -400,27 +401,36 @@ let clients_run ~quick ~population =
       ~duration ()
   in
   (* Periodic GC/footprint sampling on virtual time, started with the
-     load. *)
+     load: 24 ticks, the last at the end of the load, which stops the
+     series so no further tick stays pending. *)
   let sampler = ref None in
   let start_sampler cluster =
     let engine = Rbft.Cluster.engine cluster in
     let gcs = Bftcap.Gcstats.create (Rbft.Cluster.probe cluster) in
-    let tick = Time.mul_f duration (1.0 /. 24.0) in
-    let rec sampler_until stop =
-      ignore
-        (Engine.at engine
-           (Time.add (Engine.now engine) tick)
-           (fun () ->
-             Bftcap.Gcstats.sample gcs ~now:(Engine.now engine);
-             if Engine.now engine < stop then sampler_until stop))
-    in
-    sampler_until (Time.add (Engine.now engine) duration);
+    let stop_at = Time.add (Engine.now engine) duration in
+    let stop = ref ignore in
+    stop :=
+      Engine.every engine (Time.mul_f duration (1.0 /. 24.0)) (fun () ->
+          Bftcap.Gcstats.sample gcs ~now:(Engine.now engine);
+          if Engine.now engine >= stop_at then !stop ());
     sampler := Some gcs
+  in
+  (* The live words the cluster's construction adds, measured between
+     full major collections (as benchmark/measure.ml measures set-up):
+     the per-registered-client cost that [bench_diff --clients-check]
+     bounds. *)
+  let setup_live_words = ref 0 in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words
   in
   let r =
     Experiments.run ~footprints:true ~attack:start_sampler ~from_:(Time.ms 100) (module Rbft)
       ~f:1 ~load:(Experiments.Population pop) (fun ~probe clients ->
-        Rbft.Cluster.create ~probe ~clients ~payload_size:8 params)
+        let before = live_words () in
+        let cluster = Rbft.Cluster.create ~probe ~clients ~payload_size:8 params in
+        setup_live_words := live_words () - before;
+        cluster)
   in
   let cluster = r.Experiments.cluster in
   let gcs = Option.get !sampler in
@@ -433,6 +443,7 @@ let clients_run ~quick ~population =
     cp_p50_ms = latency_ms r 50.0;
     cp_p99_ms = latency_ms r 99.0;
     cp_gc = Bftcap.Gcstats.deltas gcs;
+    cp_setup_live = !setup_live_words;
     cp_peak_live = Bftcap.Gcstats.peak_live_words gcs;
     cp_peak_heap = Bftcap.Gcstats.peak_heap_words gcs;
     cp_footprint = footprint_peaks_by_name (Rbft.Cluster.probe cluster);
@@ -441,7 +452,7 @@ let clients_run ~quick ~population =
 let json_of_clients_point p =
   Printf.sprintf
     {|    {"clients":%d,"active":%d,"offered_req":%s,"throughput_req_s":%s,"latency_p50_ms":%s,"latency_p99_ms":%s,
-     "gc":{%s,"peak_live_words":%d,"peak_heap_words":%d},
+     "gc":{%s,"setup_live_words":%d,"peak_live_words":%d,"peak_heap_words":%d},
      "footprint_peak":{%s}}|}
     p.cp_clients p.cp_active
     (Bftmetrics.Export.json_float p.cp_offered)
@@ -453,7 +464,7 @@ let json_of_clients_point p =
           (fun (k, v) ->
             Printf.sprintf {|"%s":%s|} k (Bftmetrics.Export.json_float v))
           p.cp_gc))
-    p.cp_peak_live p.cp_peak_heap
+    p.cp_setup_live p.cp_peak_live p.cp_peak_heap
     (String.concat ","
        (List.map
           (fun (k, v) -> Printf.sprintf {|"%s":%d|} k v)
@@ -462,7 +473,9 @@ let json_of_clients_point p =
 let generate_clients ~quick =
   let module Profile = Bftmetrics.Profile in
   let profile = Profile.create () in
-  let points = if quick then [ 100; 1_000; 10_000 ] else [ 1_000; 10_000; 50_000 ] in
+  let points =
+    if quick then [ 100; 1_000; 10_000; 100_000 ] else [ 1_000; 10_000; 50_000 ]
+  in
   let rows =
     List.map
       (fun population ->

@@ -74,9 +74,10 @@ val generate_clients : quick:bool -> string
 (** Client-population capacity sweep (BENCH_clients.json): run the
     {!Bftworkload.Population} model at growing population sizes under
     a fixed aggregate load and record, per point, throughput, client
-    latency percentiles, cumulative GC activity, peak live/heap words
-    and the per-structure footprint-probe peaks. Quick mode sweeps
-    100/1k/10k clients; full mode 1k/10k/50k. *)
+    latency percentiles, cumulative GC activity, the live words the
+    cluster's construction adds, peak live/heap words and the
+    per-structure footprint-probe peaks. Quick mode sweeps
+    100/1k/10k/100k clients; full mode 1k/10k/50k. *)
 
 val write_clients : quick:bool -> path:string -> unit
 (** {!generate_clients} and write to [path] ('-' for stdout). *)

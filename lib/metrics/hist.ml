@@ -12,7 +12,7 @@ let create ?(min_value = 1e-6) ?(gamma = 1.05) () =
   {
     min_value;
     log_gamma = log gamma;
-    buckets = Array.make 64 0;
+    buckets = [||];
     underflow = 0;
     count = 0;
     sum = 0.0;
@@ -23,6 +23,10 @@ let bucket_of t v = int_of_float (log (v /. t.min_value) /. t.log_gamma)
 
 let value_of t i = t.min_value *. exp (t.log_gamma *. (float_of_int i +. 0.5))
 
+(* The bucket array starts empty, so an idle histogram (a registered
+   client that never completes a request) costs only its record; the
+   first sample allocates up to its bucket, and later ones at least
+   double it. *)
 let ensure t i =
   if i >= Array.length t.buckets then begin
     let bigger = Array.make (Stdlib.max (i + 1) (2 * Array.length t.buckets)) 0 in

@@ -1,4 +1,4 @@
-(* Periodic sim-time snapshots of a registry into a time series. *)
+(* Periodic sim-time snapshots of registries into a time series. *)
 
 open Dessim
 
@@ -6,7 +6,7 @@ type point = { p_time : Time.t; p_samples : Registry.sample list }
 
 type t = {
   engine : Engine.t;
-  registry : Registry.t;
+  registries : Registry.t list;
   period : Time.t;
   epoch : Time.t;  (* attach instant; ticks land at epoch + k*period *)
   mutable points : point list;  (* newest first *)
@@ -15,17 +15,20 @@ type t = {
 
 let sample_now t =
   t.points <-
-    { p_time = Engine.now t.engine; p_samples = Registry.snapshot t.registry }
+    {
+      p_time = Engine.now t.engine;
+      p_samples = List.concat_map Registry.snapshot t.registries;
+    }
     :: t.points
 
 (* Ticks come from [Engine.every]: anchored to engine sim-time, so
    per-node Dessim.Clock factors (bftchaos clock-skew faults stretch
    node-local timers through those) cannot drift the sampling grid. *)
-let attach ?(period = Time.ms 100) engine registry =
+let attach ?(period = Time.ms 100) engine registries =
   let t =
     {
       engine;
-      registry;
+      registries;
       period;
       epoch = Engine.now engine;
       points = [];

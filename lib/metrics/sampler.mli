@@ -1,5 +1,5 @@
-(** Sim-time periodic sampler: snapshots a {!Registry} into a time
-    series that the CSV/JSON exporters can dump after the run.
+(** Sim-time periodic sampler: snapshots {!Registry} values into a
+    time series that the CSV/JSON exporters can dump after the run.
 
     Sampling is anchored to {e engine} sim-time: ticks fire at the
     absolute instants [epoch + k*period] (epoch = the attach instant),
@@ -20,8 +20,11 @@ type t
 
 type point = { p_time : Time.t; p_samples : Registry.sample list }
 
-val attach : ?period:Time.t -> Engine.t -> Registry.t -> t
-(** Snapshot every [period] (default 100 ms of virtual time). *)
+val attach : ?period:Time.t -> Engine.t -> Registry.t list -> t
+(** Snapshot the registries, in order, every [period] (default 100 ms
+    of virtual time): a probe's registry, and beside it any registry
+    of host-clock series that must stay out of what the flight
+    recorder snapshots. *)
 
 val detach : t -> unit
 (** Stop sampling (the pending tick becomes a no-op). *)

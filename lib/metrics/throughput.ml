@@ -3,7 +3,14 @@
 
    Windows are half-open [start, stop): adjacent windows tile exactly
    (count [a,b) + count [b,c) = count [a,c)) and a partition of
-   [zero, horizon) with horizon past the last event sums to [total]. *)
+   [zero, horizon) with horizon past the last event sums to [total].
+
+   A window starts with no arrays at all: most registered clients of a
+   large population never complete a request, and an empty window
+   costs only its record. The first [record] allocates a 1024-slot
+   block, and each later overflow doubles it. (Smaller first blocks
+   cost the busy windows more heap: the chain of short arrays they
+   outgrow is promoted and then left behind.) *)
 
 type t = {
   mutable times : Dessim.Time.t array;
@@ -12,12 +19,14 @@ type t = {
   mutable total : int;
 }
 
-let create () = { times = Array.make 1024 0; cumulative = Array.make 1024 0; len = 0; total = 0 }
+let create () = { times = [||]; cumulative = [||]; len = 0; total = 0 }
+
+let first_block = 1024
 
 let grow t =
-  let cap = Array.length t.times in
-  let times = Array.make (2 * cap) 0 in
-  let cumulative = Array.make (2 * cap) 0 in
+  let cap = Stdlib.max first_block (2 * Array.length t.times) in
+  let times = Array.make cap 0 in
+  let cumulative = Array.make cap 0 in
   Array.blit t.times 0 times 0 t.len;
   Array.blit t.cumulative 0 cumulative 0 t.len;
   t.times <- times;

@@ -48,7 +48,12 @@ type fault_hook = src:Principal.t -> dst:Principal.t -> size:int -> fault_verdic
    reorder messages of one (src, dst) pair. Each port therefore keeps
    the latest arrival instant it has scheduled towards every peer node
    ([last_to_node], [c_last_to_node]), and a client port also the
-   latest arrival from every node ([c_last_from_node]). *)
+   latest arrival from every node ([c_last_from_node]).
+
+   A client's port is built on its first send or delivery, not when
+   the client registers: most clients of a large population never
+   send, and a registered client costs only its handler. Building a
+   port draws no randomness, so when it happens changes no run. *)
 type node_ports = {
   egress_to_node : Resource.t array;
   ingress_from_node : Resource.t array;
@@ -58,10 +63,9 @@ type node_ports = {
   last_to_node : Time.t array;
 }
 
-type 'a client_port = {
+type client_port = {
   c_egress : Resource.t;
   c_ingress : Resource.t;
-  mutable c_handler : ('a delivery -> unit) option;
   c_last_to_node : Time.t array;
   c_last_from_node : Time.t array;
 }
@@ -74,7 +78,8 @@ type 'a t = {
   rng : Rng.t;
   node_ports : node_ports array;
   node_handlers : ('a delivery -> unit) option array;
-  clients : (int, 'a client_port) Hashtbl.t;
+  client_handlers : (int, 'a delivery -> unit) Hashtbl.t;
+  client_ports : (int, client_port) Hashtbl.t;
   (* Latest arrival per client-to-client pair: the one pairing with
      no port array (only test fakes send it). *)
   last_client_to_client : (int, Time.t) Hashtbl.t;
@@ -117,7 +122,8 @@ let create ~probe engine cfg =
     rng = Engine.fresh_rng engine;
     node_ports = Array.init cfg.nodes make_ports;
     node_handlers = Array.make cfg.nodes None;
-    clients = Hashtbl.create 32;
+    client_handlers = Hashtbl.create 32;
+    client_ports = Hashtbl.create 32;
     last_client_to_client = Hashtbl.create 8;
     delivered = 0;
     dropped = 0;
@@ -138,22 +144,21 @@ let register_node t i handler =
   t.node_handlers.(i) <- Some handler
 
 let client_port t c =
-  match Hashtbl.find t.clients c with
+  match Hashtbl.find t.client_ports c with
   | port -> port
   | exception Not_found ->
     let port =
       {
         c_egress = Resource.create t.engine ~name:(Printf.sprintf "c%d->" c);
         c_ingress = Resource.create t.engine ~name:(Printf.sprintf "c%d<-" c);
-        c_handler = None;
         c_last_to_node = Array.make t.cfg.nodes Time.zero;
         c_last_from_node = Array.make t.cfg.nodes Time.zero;
       }
     in
-    Hashtbl.add t.clients c port;
+    Hashtbl.add t.client_ports c port;
     port
 
-let register_client t c handler = (client_port t c).c_handler <- Some handler
+let register_client t c handler = Hashtbl.replace t.client_handlers c handler
 
 let serialization_time ~size =
   let bits = float_of_int ((size + frame_overhead_bytes) * 8) in
@@ -211,10 +216,9 @@ let deliver_to t ~src ~dst =
      | None -> None
      | Some handler -> Some (ingress, handler))
   | Principal.Client c ->
-    let port = client_port t c in
-    (match port.c_handler with
-     | None -> None
-     | Some handler -> Some (port.c_ingress, handler))
+    (match Hashtbl.find t.client_handlers c with
+     | handler -> Some ((client_port t c).c_ingress, handler)
+     | exception Not_found -> None)
 
 (* TCP FIFO per connection: the arrival instant of a message sent now
    with [delay] is never earlier than the previous arrival of the same

@@ -114,7 +114,10 @@ val register_node : 'a t -> int -> ('a delivery -> unit) -> unit
     [i]. Must be called before traffic reaches the node. *)
 
 val register_client : 'a t -> int -> ('a delivery -> unit) -> unit
-(** Registers a client endpoint (one NIC per client). *)
+(** Registers a client endpoint: records only its handler. The
+    client's NIC (one per client) is built on its first send or the
+    first delivery to it, so an idle registered client costs no
+    port. *)
 
 val send :
   ?span:int ->

@@ -70,7 +70,8 @@ let after t delay action = at t (Time.add t.clock (Time.max Time.zero delay)) ac
 
 (* Ticks land on the absolute grid [epoch + k*period], never relative
    to the previous callback, so a delayed callback cannot shift the
-   later ones. The next tick is armed after [f] returns. *)
+   later ones. The next tick is armed after [f] returns, unless [f]
+   stopped the ticks. *)
 let every t period f =
   let epoch = t.clock and k = ref 0 and stopped = ref false in
   let rec arm () =
@@ -79,7 +80,7 @@ let every t period f =
       (at t (Time.add epoch (Time.ns (!k * period))) (fun () ->
            if not !stopped then begin
              f ();
-             arm ()
+             if not !stopped then arm ()
            end))
   in
   arm ();

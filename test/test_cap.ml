@@ -2,8 +2,8 @@
    structures it watches: footprint probe accuracy and nested
    accounting, GC-sampler growth analysis and culprit naming, the
    compact per-client reply cache, the client-population workload
-   model, and the regression pinning bounded per-client tables under
-   churn. *)
+   model, the live words of an idle registered client, and the
+   regression pinning bounded per-client tables under churn. *)
 
 open Dessim
 module Footprint = Bftcap.Footprint
@@ -162,6 +162,25 @@ let test_gcstats_growth_and_culprit () =
              "t.leak/test" name;
            Alcotest.(check bool) "culprit rate positive" true (rate > 0.0)
          | None -> Alcotest.fail "expected a culprit"))
+
+(* The GC gauges are host-clock series: they go to the registry the
+   caller names and never to the probe's, which the flight recorder
+   snapshots into bundles. *)
+let test_gcstats_gauges_stay_host () =
+  with_probe (fun pr ->
+      let host = Bftmetrics.Registry.create () in
+      let g = Gcstats.create pr in
+      Gcstats.register_gauges g host;
+      let gc_families reg =
+        List.length
+          (List.filter
+             (fun f ->
+               String.starts_with ~prefix:"bft_gc_" (Bftmetrics.Registry.family_name f))
+             (Bftmetrics.Registry.families reg))
+      in
+      Alcotest.(check int) "probe registry" 0
+        (gc_families (Bftmetrics.Probe.registry pr));
+      Alcotest.(check int) "host registry" 6 (gc_families host))
 
 (* ------------------------------------------------------------------ *)
 (* Reply cache                                                        *)
@@ -400,6 +419,48 @@ let test_churn_bounded_with_knobs () =
     (req_on * 2 < req_off)
 
 (* ------------------------------------------------------------------ *)
+(* Cost of an idle registered client                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The live words [build n] adds, after full major collections on both
+   sides (the way benchmark/measure.ml measures set-up). *)
+let setup_live_words build n =
+  let live () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words
+  in
+  let before = live () in
+  let cluster = build n in
+  let after = live () in
+  ignore (Sys.opaque_identity cluster);
+  after - before
+
+(* A registered client that never sends holds its identity, counters
+   and handler, and nothing sized for traffic: its throughput window,
+   latency histogram and network port are built on first use. The
+   marginal cost between 1,000 and 10,000 registered clients must stay
+   under 100 live words per client. *)
+let check_idle_client_cost name build =
+  let small = 1_000 and large = 10_000 in
+  let words =
+    float_of_int (setup_live_words build large - setup_live_words build small)
+    /. float_of_int (large - small)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.1f live words per registered client <= 100" name words)
+    true (words <= 100.0)
+
+let test_idle_client_cost_rbft () =
+  check_idle_client_cost "rbft" (fun clients ->
+      Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~clients
+        (Rbft.Params.default ~f:1))
+
+let test_idle_client_cost_aardvark () =
+  check_idle_client_cost "aardvark" (fun clients ->
+      Aardvark.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~clients
+        (Aardvark.Node.default_config ~f:1))
+
+(* ------------------------------------------------------------------ *)
 (* BENCH_clients.json structural determinism                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -495,6 +556,8 @@ let suites =
       [
         Alcotest.test_case "growth slope and culprit" `Quick
           test_gcstats_growth_and_culprit;
+        Alcotest.test_case "gauges stay out of the probe registry" `Quick
+          test_gcstats_gauges_stay_host;
       ] );
     ( "cap.replycache",
       [
@@ -520,6 +583,10 @@ let suites =
       ] );
     ( "cap.capacity",
       [
+        Alcotest.test_case "idle rbft client costs <= 100 words" `Quick
+          test_idle_client_cost_rbft;
+        Alcotest.test_case "idle aardvark client costs <= 100 words" `Quick
+          test_idle_client_cost_aardvark;
         Alcotest.test_case "churn-bounded tables with knobs on" `Slow
           test_churn_bounded_with_knobs;
         Alcotest.test_case "clients report structurally deterministic" `Slow

@@ -183,6 +183,132 @@ let test_hist_reset_merge () =
   Alcotest.(check int) "reset count" 0 (Hist.count a);
   Alcotest.(check (float 0.0)) "reset p50" 0.0 (Hist.percentile a 50.0)
 
+(* --- empty-start structures ----------------------------------------
+
+   A registered client that never completes a request must not pay for
+   a throughput window or latency buckets: both start empty and
+   allocate on their first sample. Each test checks the results and
+   the words the structure holds. *)
+
+let words x = Obj.reachable_words (Obj.repr x)
+
+(* An unused histogram is its record and four boxed floats. *)
+let idle_hist_words = 24
+
+let test_throughput_unused () =
+  let t = Throughput.create () in
+  Alcotest.(check bool) (Printf.sprintf "unused window holds %d words" (words t)) true
+    (words t <= 8);
+  Alcotest.(check int) "total" 0 (Throughput.total t);
+  Alcotest.(check int) "count" 0 (Throughput.count_between t Time.zero (Time.sec 10));
+  Alcotest.(check int) "count from the past" 0
+    (Throughput.count_between t (Time.sec 1) (Time.sec 2));
+  Alcotest.(check (float 0.0)) "rate" 0.0
+    (Throughput.rate_between t Time.zero (Time.sec 10))
+
+(* 5,000 breakpoints cross the first allocation (1024 slots) and three
+   doublings. At each crossing every breakpoint must read back from the
+   reference list, and the arrays may hold at most twice the
+   breakpoints (the first block aside); before the first record they
+   hold nothing. Every third instant is recorded twice, which merges
+   into one breakpoint. *)
+let test_throughput_growth_keeps_breakpoints () =
+  let t = Throughput.create () in
+  let footprint_ok len = words t <= 5 + (2 * (Stdlib.max 1024 (2 * len) + 1)) in
+  Alcotest.(check bool) (Printf.sprintf "empty window holds %d words" (words t)) true
+    (words t <= 8);
+  let checkpoints = [ 1; 1023; 1024; 1025; 2048; 2049; 4096; 4097; 5000 ] in
+  let reference = ref [] and total = ref 0 in
+  for i = 1 to 5000 do
+    let now = Time.us (3 * i) in
+    let n = if i mod 3 = 0 then 2 else 1 in
+    for _ = 1 to n do
+      Throughput.record t ~now
+    done;
+    total := !total + n;
+    reference := (now, !total) :: !reference;
+    if List.mem i checkpoints then begin
+      let before = ref 0 in
+      List.iter
+        (fun (at, cumulative) ->
+          if Throughput.count_between t Time.zero (Time.add at (Time.ns 1)) <> cumulative
+             || Throughput.count_between t Time.zero at <> !before
+          then
+            Alcotest.failf "breakpoint at %.0f us lost after %d records" (Time.to_us_f at) i;
+          before := cumulative)
+        (List.rev !reference);
+      if not (footprint_ok i) then
+        Alcotest.failf "%d breakpoints hold %d words" i (words t)
+    end
+  done;
+  Alcotest.(check int) "total" !total (Throughput.total t)
+
+let test_hist_unused_is_neutral () =
+  let unused = Hist.create () in
+  let a = Hist.create () in
+  List.iter (Hist.add a) [ 3e-7; 2e-4; 1e-3; 1e-3; 4.5e-3; 0.02 ];
+  Alcotest.(check bool)
+    (Printf.sprintf "unused histogram holds %d words" (words unused))
+    true
+    (words unused <= idle_hist_words);
+  let bounds = [ 1e-7; 1e-6; 5e-4; 1e-3; 5e-3; 0.02; 1.0 ] in
+  let same label h =
+    List.iter
+      (fun p ->
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "%s p%g" label p)
+          (Hist.percentile a p) (Hist.percentile h p))
+      [ 1.0; 25.0; 50.0; 90.0; 99.0; 100.0 ];
+    List.iter
+      (fun b ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s cumulative_le %g" label b)
+          (Hist.cumulative_le a b) (Hist.cumulative_le h b))
+      bounds;
+    Alcotest.(check int) (label ^ " count") (Hist.count a) (Hist.count h);
+    Alcotest.(check (float 0.0)) (label ^ " sum") (Hist.sum a) (Hist.sum h)
+  in
+  same "merge a unused" (Hist.merge a unused);
+  same "merge unused a" (Hist.merge unused a);
+  same "copy a" (Hist.copy a);
+  List.iter
+    (fun (label, h) ->
+      Alcotest.(check int) (label ^ " count") 0 (Hist.count h);
+      Alcotest.(check (float 0.0)) (label ^ " p50") 0.0 (Hist.percentile h 50.0);
+      Alcotest.(check int) (label ^ " cumulative_le") 0 (Hist.cumulative_le h 1.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s holds %d words" label (words h))
+        true
+        (words h <= idle_hist_words))
+    [ ("copy unused", Hist.copy unused); ("merge unused unused", Hist.merge unused unused) ];
+  (* The first sample past an empty start lands where it always did. *)
+  let late = Hist.create () in
+  Hist.add late 1e-3;
+  Alcotest.(check int) "first sample counted" 1 (Hist.cumulative_le late 1e-3)
+
+(* The exposition of a histogram nobody observed: every fixed bucket at
+   0, as before the bucket array started empty. *)
+let test_export_unused_histogram () =
+  let r = Registry.create () in
+  let h =
+    Registry.histogram r "idle_seconds" ~help:"Never observed" ~labels:[ ("node", "0") ]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "unused registry histogram holds %d words" (words h))
+    true
+    (words h <= idle_hist_words);
+  let bucket le = Printf.sprintf {|idle_seconds_bucket{node="0",le="%s"} 0|} le in
+  let expected =
+    String.concat "\n"
+      ([ "# HELP idle_seconds Never observed"; "# TYPE idle_seconds histogram" ]
+      @ List.map bucket
+          [ "1e-06"; "2.5e-06"; "5e-06"; "1e-05"; "2.5e-05"; "5e-05"; "0.0001";
+            "0.00025"; "0.0005"; "0.001"; "0.0025"; "0.005"; "0.01"; "0.025";
+            "0.05"; "0.1"; "0.25"; "0.5"; "1"; "2.5"; "5"; "10"; "+Inf" ]
+      @ [ {|idle_seconds_sum{node="0"} 0|}; {|idle_seconds_count{node="0"} 0|}; "" ])
+  in
+  Alcotest.(check string) "prometheus text" expected (Export.prometheus r)
+
 (* --- registry ----------------------------------------------------- *)
 
 let test_registry_families () =
@@ -245,7 +371,7 @@ let test_sampler_series () =
   let r = Registry.create () in
   let c = Registry.counter r "ticks_total" ~labels:[] in
   ignore (Engine.after e (Time.ms 25) (fun () -> Registry.Counter.add c 10));
-  let s = Sampler.attach ~period:(Time.ms 10) e r in
+  let s = Sampler.attach ~period:(Time.ms 10) e [ r ] in
   Engine.run ~until:(Time.ms 55) e;
   Sampler.detach s;
   let pts = Sampler.points s in
@@ -288,7 +414,7 @@ let test_sampler_skew_anchoring () =
       ignore (Clock.after clock (Time.ms 7) work)
     in
     ignore (Clock.after clock (Time.ms 7) work);
-    let s = Sampler.attach ~period:(Time.ms 10) e r in
+    let s = Sampler.attach ~period:(Time.ms 10) e [ r ] in
     Engine.run ~until:(Time.ms 95) e;
     Sampler.detach s;
     let value_at (p : Sampler.point) =
@@ -371,7 +497,7 @@ let test_export_csv_json () =
   let e = Engine.create () in
   let r = Registry.create () in
   let c = Registry.counter r "x_total" ~labels:[] in
-  let s = Sampler.attach ~period:(Time.ms 10) e r in
+  let s = Sampler.attach ~period:(Time.ms 10) e [ r ] in
   ignore (Engine.after e (Time.ms 5) (fun () -> Registry.Counter.inc c));
   Engine.run ~until:(Time.ms 30) e;
   Sampler.detach s;
@@ -404,6 +530,8 @@ let suites =
         Alcotest.test_case "all equal" `Quick test_hist_all_equal;
         Alcotest.test_case "beyond top bucket" `Quick test_hist_beyond_top_bucket;
         Alcotest.test_case "reset and merge" `Quick test_hist_reset_merge;
+        Alcotest.test_case "unused histogram is neutral" `Quick
+          test_hist_unused_is_neutral;
       ] );
     ( "metrics.throughput",
       [
@@ -411,6 +539,9 @@ let suites =
         Alcotest.test_case "batched records" `Quick test_throughput_batch;
         Alcotest.test_case "zero-length and reversed" `Quick
           test_throughput_zero_and_reversed;
+        Alcotest.test_case "unused window" `Quick test_throughput_unused;
+        Alcotest.test_case "growth keeps breakpoints" `Quick
+          test_throughput_growth_keeps_breakpoints;
       ]
       @ qsuite
           [
@@ -436,5 +567,6 @@ let suites =
       [
         Alcotest.test_case "prometheus text" `Quick test_export_prometheus;
         Alcotest.test_case "csv and json" `Quick test_export_csv_json;
+        Alcotest.test_case "unused histogram text" `Quick test_export_unused_histogram;
       ] );
   ]

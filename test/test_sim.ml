@@ -476,6 +476,30 @@ let test_engine_past_event_clamped () =
           check_int "clamped to now" (Time.ms 5) (Engine.now e)))));
   Engine.run e
 
+(* Ticks land on [epoch + k*period]. A tick that stops the series
+   arms no further one, so no event follows it; a stop from outside
+   leaves the pending tick, which then runs nothing. *)
+let test_engine_every () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let stop = ref ignore in
+  stop :=
+    Engine.every e (Time.ms 10) (fun () ->
+        fired := Engine.now e :: !fired;
+        if Engine.now e >= Time.ms 30 then !stop ());
+  Engine.run e;
+  Alcotest.(check (list int)) "ticks on the grid"
+    [ Time.ms 10; Time.ms 20; Time.ms 30 ] (List.rev !fired);
+  check_int "no event after the stopping tick" 3 (Engine.events_processed e);
+  check_int "clock rests at the last tick" (Time.ms 30) (Engine.now e);
+  let outside = ref 0 in
+  let stop = Engine.every e (Time.ms 10) (fun () -> incr outside) in
+  Engine.run ~until:(Time.ms 55) e;
+  stop ();
+  check_int "an outside stop leaves the pending tick" 1 (Engine.queue_size e);
+  Engine.run e;
+  check_int "which runs nothing" 2 !outside
+
 (* ------------------------------------------------------------------ *)
 (* Engine choice seam (the model checker's scheduler hook)            *)
 (* ------------------------------------------------------------------ *)
@@ -815,6 +839,7 @@ let suites =
         Alcotest.test_case "FIFO ties" `Quick test_engine_same_time_fifo;
         Alcotest.test_case "event count" `Quick test_engine_events_processed;
         Alcotest.test_case "past events clamped" `Quick test_engine_past_event_clamped;
+        Alcotest.test_case "every: grid and stop from a tick" `Quick test_engine_every;
       ] );
     ( "sim.choice",
       [
