@@ -53,11 +53,12 @@
    [--host-check] gates the host cost of the simulator itself: the
    [host] section of two BENCH_rbft.json reports holds, per leg,
    engine events, delivered messages, minor-heap words and SHA-256
-   blocks per completed request, and the engine heap's high-water mark
-   ([queue_peak], in entries). Events, messages, blocks and the peak
-   are exact counts of the simulation, so any rise fails; minor words depend on
-   the compiler and runtime too, so they may rise by at most 5%. Falls
-   always pass. The section is skipped by the two-file diff, whose symmetric
+   blocks per completed request, the engine heap's high-water mark
+   ([queue_peak], in entries) and the summed per-node peaks of the
+   request-state tables ([tracked_peak], in entries). Events, messages,
+   blocks and both peaks are exact counts of the simulation, so any
+   rise fails; minor words depend on the compiler and runtime too, so
+   they may rise by at most 5%. Falls always pass. The section is skipped by the two-file diff, whose symmetric
    tolerance would fail a large allocation cut. *)
 
 let default_skips =
@@ -393,8 +394,9 @@ let breakdown_check ~queue_wait_max ~min_throughput path =
     exit 1
 
 (* Host-cost gate: per leg, no rise in events, messages or SHA-256
-   blocks per request or in the engine heap's peak, and at most
-   [words_slack] more minor words per request. *)
+   blocks per request, in the engine heap's peak or in the tracked
+   request peak, and at most [words_slack] more minor words per
+   request. *)
 let host_check ~words_slack base_path fresh_path =
   let problems = ref [] in
   let complain fmt =
@@ -415,7 +417,7 @@ let host_check ~words_slack base_path fresh_path =
   let limits =
     [ ("events_per_req", 0.0); ("msgs_per_req", 0.0);
       ("minor_words_per_req", words_slack); ("sha256_blocks_per_req", 0.0);
-      ("queue_peak", 0.0) ]
+      ("queue_peak", 0.0); ("tracked_peak", 0.0) ]
   in
   List.iter
     (fun (leg, row) ->
@@ -440,7 +442,7 @@ let host_check ~words_slack base_path fresh_path =
   | [] ->
     Printf.printf
       "host-check ok: no leg rose in events, messages or SHA-256 blocks per \
-       request or in queue peak, minor words within +%.0f%%\n"
+       request or in queue or tracked-request peak, minor words within +%.0f%%\n"
       (100.0 *. words_slack)
   | ps ->
     Printf.eprintf "host-check: %d problem(s):\n" (List.length ps);

@@ -3,6 +3,7 @@ open Bftcrypto
 open Bftnet
 open Pbftcore.Types
 module Node_core = Pbftcore.Node_core
+module Idset = Pbftcore.Idset
 module Probe = Bftmetrics.Probe
 
 type msg =
@@ -37,7 +38,7 @@ type t = {
   mutable replica : Pbftcore.Replica.t option;
   policy : Policy.t;
   faults : faults;
-  sig_checked : unit Request_id_table.t;
+  sig_checked : Idset.t;
   mutable started : bool;
 }
 
@@ -107,7 +108,7 @@ let submit_for_ordering t ~span (desc : request_desc) =
 
 let handle_request t ~span (desc : request_desc) ~sig_valid =
   if Node_core.resend_reply t.core t.execution desc.id then ()
-  else if Request_id_table.mem t.sig_checked desc.id then submit_for_ordering t ~span desc
+  else if Idset.mem t.sig_checked desc.id then submit_for_ordering t ~span desc
   else begin
     if Probe.audit t.core.probe then
       Node_core.audit t.core ~instance:0
@@ -116,7 +117,7 @@ let handle_request t ~span (desc : request_desc) ~sig_valid =
     Resource.charge t.verification
       (Costmodel.sig_verify t.core.probe ~bytes:desc.op_size);
     if sig_valid then begin
-      Request_id_table.replace t.sig_checked desc.id ();
+      Idset.add t.sig_checked desc.id;
       submit_for_ordering t ~span desc
     end
   end
@@ -185,7 +186,7 @@ let create engine net cfg ~id ~service =
       replica = None;
       policy = Policy.create ~n cfg.policy;
       faults = { track_required = false; attack_margin = 1.10 };
-      sig_checked = Request_id_table.create 4096;
+      sig_checked = Idset.create ();
       started = false;
     }
   in

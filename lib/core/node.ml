@@ -3,6 +3,7 @@ open Bftcrypto
 open Bftnet
 open Pbftcore.Types
 module Node_core = Pbftcore.Node_core
+module Idset = Pbftcore.Idset
 module Probe = Bftmetrics.Probe
 module Event = Bftmetrics.Event
 module Tag = Bftmetrics.Tag
@@ -61,6 +62,7 @@ type request_state = {
   mutable dispatched : bool;
   mutable dispatch_time : Time.t;
   mutable span : int;  (* latest span of this request on this node; -1 untraced *)
+  mutable ordered : int;  (* instances that ordered it while tracked *)
 }
 
 type t = {
@@ -81,6 +83,11 @@ type t = {
   faults : faults;
   monitoring : Monitoring.t;
   requests : request_state Request_id_table.t;
+  (* Ids whose tracking state was retired (see [retire_if_done]): a
+     subset of the executed ids, kept apart from them because an
+     executed id this node never tracked still takes the tracked path. *)
+  retired : Idset.t;
+  mutable tracked_peak : int;  (* high-water mark of [requests] *)
   (* Footprint over [requests], noted on insertion so peaks are exact
      between sampler ticks; bound in [create]. *)
   mutable fp_requests : Probe.footprint option;
@@ -122,6 +129,7 @@ let is_blacklisted t ~client = List.mem client t.blacklist
 let suspicious t = t.suspicious
 let ic_vote_count t = Pbftcore.Voteset.count t.ic_votes
 let ordering t = t.params.Params.ordering
+let tracked_peak t = t.tracked_peak
 
 let degraded_partitions t =
   match t.rcc with
@@ -200,43 +208,69 @@ let request_state t rid =
         dispatched = false;
         dispatch_time = Time.zero;
         span = -1;
+        ordered = 0;
       }
     in
     Request_id_table.add t.requests rid state;
+    t.tracked_peak <- max t.tracked_peak (Request_id_table.length t.requests);
     (match t.fp_requests with Some fp -> Probe.note t.core.probe fp | None -> ());
     state
+
+let retired t id = Idset.mem t.retired id
+
+(* A request's tracking state is needed until it has been dispatched
+   (the f+1 PROPAGATE guard passed on a checked signature), this node
+   has sent its own PROPAGATE, every instance has ordered it (the
+   monitor times each one from [dispatch_time]) and the master has
+   executed it. Past that point every entry path would find all its
+   flags set and do nothing, so the state is dropped and the id kept
+   as a range in [retired]; the entry paths check [retired] first.
+   Called on the live state after each of those flags is set. *)
+let retire_if_done t id (state : request_state) =
+  if
+    state.dispatched && state.propagated && state.sig_checked
+    && (not state.sig_inflight)
+    && state.ordered = Array.length t.replicas
+    && Node_core.has_executed t.core id
+  then begin
+    Request_id_table.remove t.requests id;
+    Idset.add t.retired id
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch: hand a request to the f+1 local replicas (step 2 end).   *)
 (* ------------------------------------------------------------------ *)
 
 let dispatch_request t ~span (req : Messages.request) =
-  let state = request_state t req.desc.id in
-  if not state.dispatched then begin
-    state.dispatched <- true;
-    state.dispatch_time <- Engine.now t.core.engine;
-    Probe.request_dispatched t.core.probe t.m state.dispatch_time
-      ~client:req.desc.id.client ~rid:req.desc.id.rid ~first_seen:state.first_seen;
-    (* Concurrent ordering: count the request against its owning
-       partition so monitoring can normalize observed rates by the
-       offered load per instance. *)
-    (match t.rcc with
-     | Some rcc ->
-       Monitoring.note_offered t.monitoring
-         ~instance:
-           (Bftrcc.Partitioner.owner rcc.partitioner ~client:req.desc.id.client)
-         ~count:1
-     | None -> ());
-    Array.iteri
-      (fun i replica_thread ->
-        let replica = t.replicas.(i) in
-        let rspan =
-          Probe.job t.core.probe ~parent:span ~tag:Tag.Dispatch ~node:t.core.id
-            ~instance:i ~now:state.dispatch_time
-        in
-        Resource.submit ~span:rspan replica_thread ~cost:(Time.ns 200)
-          (fun () -> Pbftcore.Replica.submit ~span:rspan replica req.desc))
-      t.replica_threads
+  let id = req.desc.id in
+  if not (retired t id) then begin
+    let state = request_state t id in
+    if not state.dispatched then begin
+      state.dispatched <- true;
+      state.dispatch_time <- Engine.now t.core.engine;
+      Probe.request_dispatched t.core.probe t.m state.dispatch_time
+        ~client:id.client ~rid:id.rid ~first_seen:state.first_seen;
+      (* Concurrent ordering: count the request against its owning
+         partition so monitoring can normalize observed rates by the
+         offered load per instance. *)
+      (match t.rcc with
+       | Some rcc ->
+         Monitoring.note_offered t.monitoring
+           ~instance:(Bftrcc.Partitioner.owner rcc.partitioner ~client:id.client)
+           ~count:1
+       | None -> ());
+      Array.iteri
+        (fun i replica_thread ->
+          let replica = t.replicas.(i) in
+          let rspan =
+            Probe.job t.core.probe ~parent:span ~tag:Tag.Dispatch ~node:t.core.id
+              ~instance:i ~now:state.dispatch_time
+          in
+          Resource.submit ~span:rspan replica_thread ~cost:(Time.ns 200)
+            (fun () -> Pbftcore.Replica.submit ~span:rspan replica req.desc))
+        t.replica_threads;
+      retire_if_done t id state
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -296,22 +330,26 @@ let buffer_propagate t rcc (req : Messages.request) =
   end
 
 let propagate_request t (req : Messages.request) =
-  let state = request_state t req.desc.id in
-  if not state.propagated then begin
-    state.propagated <- true;
-    if not t.faults.no_propagate then begin
-      if Probe.audit t.core.probe then
-        audit t
-          (Event.Request_propagated
-             { client = req.desc.id.client; rid = req.desc.id.rid });
-      match t.rcc with
-      | Some rcc -> buffer_propagate t rcc req
-      | None ->
-        Node_core.broadcast ~span:state.span t.core t.propagation
-          (Messages.Propagate { req; junk = false })
-    end
-  end;
-  note_sender t state t.core.id (Some req)
+  let id = req.desc.id in
+  if not (retired t id) then begin
+    let state = request_state t id in
+    if not state.propagated then begin
+      state.propagated <- true;
+      if not t.faults.no_propagate then begin
+        if Probe.audit t.core.probe then
+          audit t
+            (Event.Request_propagated
+               { client = req.desc.id.client; rid = req.desc.id.rid });
+        match t.rcc with
+        | Some rcc -> buffer_propagate t rcc req
+        | None ->
+          Node_core.broadcast ~span:state.span t.core t.propagation
+            (Messages.Propagate { req; junk = false })
+      end
+    end;
+    note_sender t state t.core.id (Some req);
+    retire_if_done t id state
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Flood defence                                                      *)
@@ -349,7 +387,9 @@ let busy_to t (id : request_id) retry_after =
 
 (* Schedule the (single) signature verification for a request on the
    verification thread, then resume on the propagation thread. Runs at
-   most once per request: concurrent callers find [sig_inflight]. *)
+   most once per request: concurrent callers find [sig_inflight]. Both
+   callers have already turned a retired id away (it is executed, and
+   [handle_propagate] checks [retired]). *)
 let verify_signature_once t (req : Messages.request) =
   let state = request_state t req.desc.id in
   if (not state.sig_checked) && not state.sig_inflight then begin
@@ -444,15 +484,17 @@ let handle_client_request t ~span (req : Messages.request) =
 let handle_propagate t ~span ~from (req : Messages.request) ~junk =
   if junk then note_invalid_from t from
   else if
-    (* With the request-GC sweep on, a straggler PROPAGATE for a
-       request whose tracking state was already swept must not
-       resurrect it — the fresh state would never dispatch and so
-       never be swept again. Gated on the sweep so default-config
-       behaviour (and model-checker fingerprints) are untouched. *)
+    (* With the request sweep on, a straggler PROPAGATE for a request
+       whose tracking state was already swept must not resurrect it —
+       the fresh state would never dispatch and so never be swept
+       again. Gated on the sweep: without it, an executed id this node
+       never tracked takes the tracked path, as it always has. A
+       retired id is a no-op: its state had every flag set. *)
     t.params.Params.request_gc_age > Time.zero
     && (not (Request_id_table.mem t.requests req.desc.id))
     && Node_core.has_executed t.core req.desc.id
   then ()
+  else if retired t req.desc.id then ()
   else begin
     let state = request_state t req.desc.id in
     if state.span < 0 && span >= 0 then state.span <- span;
@@ -561,14 +603,15 @@ let execute_request t ~span (desc : request_desc) =
       (fun () ->
         if not (Node_core.has_executed t.core desc.id) then begin
           let result = Node_core.apply t.core ~instance:t.master_instance desc in
-          (* The lookup only feeds the execution-latency metric. *)
+          let state = Request_id_table.find_opt t.requests desc.id in
           if Probe.metrics t.core.probe then
             Probe.request_executed t.core.probe t.m
               ~dispatched:
-                (match Request_id_table.find_opt t.requests desc.id with
+                (match state with
                 | Some state when state.dispatched -> Some state.dispatch_time
                 | Some _ | None -> None)
               (Engine.now t.core.engine);
+          Option.iter (retire_if_done t desc.id) state;
           Bftflow.Admission.release t.admission desc.id;
           Node_core.reply t.core t.execution ~span:espan desc.id result
         end)
@@ -589,6 +632,39 @@ let seq_emit t ~instance (b : seq_batch) =
       execute_request t ~span:(if sspan >= 0 then sspan else ospan) desc)
     b.sb_descs
 
+(* Monitoring's view of one instance ordering a dispatched request:
+   its latency from [dispatch_time], and the master's λ/Ω checks. *)
+let note_ordered_latency t ~instance ~is_master (desc : request_desc)
+    (state : request_state) now =
+  let latency = Time.sub now state.dispatch_time in
+  Monitoring.note_latency t.monitoring ~instance ~client:desc.id.client latency;
+  Probe.request_ordered t.core.probe t.m ~instance ~latency;
+  (match t.latency_probe with
+   | Some probe -> probe ~instance ~client:desc.id.client latency
+   | None -> ());
+  (* Requests dispatched before the last instance change were
+     held by the previous primary; their latency says nothing
+     about the current one. *)
+  if is_master && state.dispatch_time >= t.last_change_at then begin
+    let lambda = Monitoring.lambda_violation t.monitoring ~latency in
+    let omega =
+      Monitoring.omega_violation t.monitoring ~client:desc.id.client
+    in
+    if lambda || omega then begin
+      if Probe.audit t.core.probe then begin
+        if lambda then
+          audit t ~instance
+            (Event.Lambda_exceeded
+               { client = desc.id.client; latency });
+        if omega then
+          audit t ~instance
+            (Event.Omega_exceeded { client = desc.id.client })
+      end;
+      t.suspicious <- true;
+      send_instance_change t
+    end
+  end
+
 let on_ordered t ~instance ~seq descs =
   (* Runs on the dispatch & monitoring thread. *)
   Monitoring.note_ordered t.monitoring ~instance ~count:(List.length descs);
@@ -606,37 +682,12 @@ let on_ordered t ~instance ~seq descs =
         else -1
       in
       (match Request_id_table.find_opt t.requests desc.id with
-       | Some state when state.dispatched ->
-         let latency = Time.sub now state.dispatch_time in
-         Monitoring.note_latency t.monitoring ~instance ~client:desc.id.client
-           latency;
-         Probe.request_ordered t.core.probe t.m ~instance ~latency;
-         (match t.latency_probe with
-          | Some probe -> probe ~instance ~client:desc.id.client latency
-          | None -> ());
-         (* Requests dispatched before the last instance change were
-            held by the previous primary; their latency says nothing
-            about the current one. *)
-         if is_master && state.dispatch_time >= t.last_change_at then begin
-           let lambda = Monitoring.lambda_violation t.monitoring ~latency in
-           let omega =
-             Monitoring.omega_violation t.monitoring ~client:desc.id.client
-           in
-           if lambda || omega then begin
-             if Probe.audit t.core.probe then begin
-               if lambda then
-                 audit t ~instance
-                   (Event.Lambda_exceeded
-                      { client = desc.id.client; latency });
-               if omega then
-                 audit t ~instance
-                   (Event.Omega_exceeded { client = desc.id.client })
-             end;
-             t.suspicious <- true;
-             send_instance_change t
-           end
-         end
-       | Some _ | None -> ());
+       | Some state ->
+         state.ordered <- state.ordered + 1;
+         if state.dispatched then
+           note_ordered_latency t ~instance ~is_master desc state now;
+         retire_if_done t desc.id state
+       | None -> ());
       match t.rcc with
       | Some _ -> pairs := (desc, ospan) :: !pairs
       | None -> if is_master then execute_request t ~span:ospan desc)
@@ -780,10 +831,9 @@ let on_delivery t ~from ~recv ~verify (d : Messages.t Network.delivery) =
 let monitoring_tick t =
   let verdict = Monitoring.tick t.monitoring ~now:(Engine.now t.core.engine) in
   Array.fill t.invalid_counts 0 (Array.length t.invalid_counts) 0;
-  (* Request-table GC ({!Params.request_gc_age} > 0): tracking state
-     for a request that was dispatched, executed and has sat past the
-     age is pure history — sweep it so the table stays O(in-flight)
-     under population-scale load instead of O(ever-received). *)
+  (* Request-table sweep ({!Params.request_gc_age} > 0), the backstop
+     for state [retire_if_done] never retires: dispatched and executed
+     state past the age is pure history. *)
   (let age = t.params.Params.request_gc_age in
    if age > Time.zero then begin
      let now = Engine.now t.core.engine in
@@ -936,6 +986,8 @@ let create engine net params ~id ~service =
         };
       monitoring = Monitoring.create params;
       requests = Request_id_table.create 4096;
+      retired = Idset.create ();
+      tracked_peak = 0;
       fp_requests = None;
       blacklist = [];
       cpi = 0;
@@ -1087,6 +1139,11 @@ let create engine net params ~id ~service =
           ~root:(fun () -> Some (Obj.repr t.requests))
           ());
    ignore
+     (Probe.footprint t.core.probe ~owner ~name:"node.retired"
+        ~entries:(fun () -> Idset.range_count t.retired)
+        ~root:(fun () -> Some (Obj.repr t.retired))
+        ());
+   ignore
      (Probe.footprint t.core.probe ~owner ~name:"node.reply_cache"
         ~entries:(fun () -> Pbftcore.Replycache.clients t.core.executed)
         ~root:(fun () -> Some (Obj.repr t.core.executed))
@@ -1160,6 +1217,9 @@ let mc_fingerprint t =
               (List.map string_of_int (Pbftcore.Voteset.to_list rs.senders)))
            rs.propagated rs.sig_checked rs.sig_inflight rs.dispatched
            (rs.req <> None));
+  Idset.fold (fun id acc -> id :: acc) t.retired []
+  |> List.sort compare_request_id
+  |> List.iter (fun id -> add "R%d/%d;" id.client id.rid);
   Pbftcore.Replycache.fold_ids
     (fun ~client ~rid acc -> { client; rid } :: acc)
     t.core.executed []

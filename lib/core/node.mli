@@ -113,6 +113,13 @@ val admission_shed : t -> int
 (** Client requests this node has answered BUSY instead of admitting
     ({!Bftflow.Admission}); [0] with the gate disabled. *)
 
+val tracked_peak : t -> int
+(** Most requests this node has tracked at once: the high-water mark
+    of its per-request state table. A request's state is retired once
+    it is dispatched, propagated, ordered by every instance and
+    executed, so in redundant mode the table holds only requests in
+    flight. *)
+
 (** {1 Concurrent (bftrcc) ordering} *)
 
 val ordering : t -> Params.ordering
@@ -128,7 +135,8 @@ val degraded_partitions : t -> int list
 val mc_fingerprint : t -> string
 (** Canonical, printable rendering of all schedule-relevant node state:
     instance-change machinery, execution log digest, per-request
-    propagation/dispatch flags, blacklist, and every hosted replica's
+    propagation/dispatch flags, retired request ids, blacklist, and
+    every hosted replica's
     {!Pbftcore.Replica.fingerprint}. Deliberately excludes virtual-time
     values and metric state. The model checker hashes this per node
     into its visited-state set. *)

@@ -73,11 +73,17 @@ type t = {
           size/delay from live verification-stage backlog probes
           instead of the static {!batch_size}/[batch_delay] *)
   request_gc_age : Time.t;
-      (** age after which an executed request's tracking state
-          (PROPAGATE dedup votes, span ids) is swept from the request
-          table on the monitoring tick. [0] (the default) disables the
-          sweep, keeping the table append-only as before; population-
-          scale runs enable it to bound the table at O(in-flight) *)
+      (** backstop sweep for request state that can never be retired.
+          A node retires a request's tracking state (PROPAGATE votes,
+          flags, span id) structurally, once it is dispatched,
+          propagated, ordered by every instance and executed, so the
+          table is O(in-flight) with this at [0] (the default, no
+          sweep). A request one of whose instances ordered it before
+          the node tracked it (learned from a PRE-PREPARE), or one
+          that concurrent ordering orders on a single instance, is
+          never retired; with an age set, executed and dispatched
+          state older than it is swept on the monitoring tick. Kept
+          because the benchmark's population workload sets it *)
   monitoring_idle_prune : Time.t;
       (** drop a client's per-instance latency EMAs after this much
           inactivity, bounding the monitoring table under client churn.

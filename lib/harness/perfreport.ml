@@ -27,6 +27,7 @@ and host = {
   minor_words_per_req : float;
   sha256_blocks_per_req : float;
   queue_peak : int;
+  tracked_peak : int;
 }
 
 module Probe = Bftmetrics.Probe
@@ -114,6 +115,10 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?span_sample ?(flavour = Flavour
           minor_words_per_req = per_req minor_words;
           sha256_blocks_per_req = per_req (float_of_int sha_blocks);
           queue_peak = Engine.queue_peak engine;
+          tracked_peak =
+            Array.fold_left
+              (fun acc n -> acc + Rbft.Node.tracked_peak n)
+              0 (Rbft.Cluster.nodes cluster);
         };
     },
     probe )
@@ -261,13 +266,13 @@ let generate ~audit ~quick =
        (List.rev_map
           (fun (leg, h) ->
             Printf.sprintf
-              {|    "%s": {"events_per_req":%s,"msgs_per_req":%s,"minor_words_per_req":%s,"sha256_blocks_per_req":%s,"queue_peak":%d}|}
+              {|    "%s": {"events_per_req":%s,"msgs_per_req":%s,"minor_words_per_req":%s,"sha256_blocks_per_req":%s,"queue_peak":%d,"tracked_peak":%d}|}
               leg
               (Bftmetrics.Export.json_float h.events_per_req)
               (Bftmetrics.Export.json_float h.msgs_per_req)
               (Bftmetrics.Export.json_float h.minor_words_per_req)
               (Bftmetrics.Export.json_float h.sha256_blocks_per_req)
-              h.queue_peak)
+              h.queue_peak h.tracked_peak)
           !hosts));
   Buffer.add_string buf "\n  },\n";
   Buffer.add_string buf

@@ -9,7 +9,9 @@
     simulator's own cost per completed request as deterministic
     counts: engine events, delivered messages, minor-heap words
     allocated and SHA-256 blocks compressed while the cluster ran, plus
-    the engine heap's high-water mark ([queue_peak], in entries).
+    the engine heap's high-water mark ([queue_peak], in entries) and
+    the summed per-node peaks of the request-state tables
+    ([tracked_peak], in entries).
 
     Every leg is one {!Experiments.run} on a probe of its own; the legs
     of {!generate} and {!generate_scale} are audited when [audit] is
@@ -33,6 +35,9 @@ and host = {
   minor_words_per_req : float;
   sha256_blocks_per_req : float;
   queue_peak : int;  (** the engine heap's high-water mark, in entries *)
+  tracked_peak : int;
+      (** {!Rbft.Node.tracked_peak} summed over the nodes: requests
+          tracked at once, a count of simulated state *)
 }
 
 val static_run :

@@ -10,6 +10,7 @@ module Messages = Messages
 module Replica = Replica
 module Codec = Codec
 module Ledger = Ledger
+module Idset = Idset
 module Replycache = Replycache
 module Node_core = Node_core
 module Client_core = Client_core

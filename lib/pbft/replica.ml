@@ -75,7 +75,10 @@ type t = {
   mutable vc_completed : int;
   entries : (seqno, entry) Hashtbl.t;
   known : request_desc Request_id_table.t;  (* submitted, available for ordering *)
-  delivered_ids : unit Request_id_table.t;
+  delivered_ids : Idset.t;
+  (* Ids in [known] but not in [delivered_ids], kept in step with both
+     so [pending_count] is O(1). *)
+  mutable undelivered : int;
   mutable pending_batch : request_desc list;  (* primary: reversed accumulation *)
   mutable pending_len : int;  (* length of [pending_batch], kept in step *)
   mutable batch_timer : Engine.timer option;
@@ -118,11 +121,22 @@ let ordered_count t = t.ordered_count
 let last_delivered_seq t = t.next_deliver - 1
 let view_changes_completed t = t.vc_completed
 
-let pending_count t =
+let pending_count t = t.undelivered
+
+let debug_pending_fold t =
   Request_id_table.fold
-    (fun id _ acc ->
-      if Request_id_table.mem t.delivered_ids id then acc else acc + 1)
+    (fun id _ acc -> if Idset.mem t.delivered_ids id then acc else acc + 1)
     t.known 0
+
+(* The two insertions that move [undelivered], each for an id not yet
+   in its set. *)
+let add_known t (d : request_desc) =
+  Request_id_table.replace t.known d.id d;
+  if not (Idset.mem t.delivered_ids d.id) then t.undelivered <- t.undelivered + 1
+
+let add_delivered t id =
+  Idset.add t.delivered_ids id;
+  if Request_id_table.mem t.known id then t.undelivered <- t.undelivered - 1
 
 let entry_for t seq =
   match Hashtbl.find_opt t.entries seq with
@@ -246,12 +260,8 @@ let rec try_deliver t =
     t.next_deliver <- t.next_deliver + 1;
     (* Filter requests already delivered under an earlier sequence
        number (can happen when a view change re-proposes a batch). *)
-    let fresh =
-      List.filter
-        (fun d -> not (Request_id_table.mem t.delivered_ids d.id))
-        pp.descs
-    in
-    List.iter (fun d -> Request_id_table.replace t.delivered_ids d.id ()) fresh;
+    let fresh = List.filter (fun d -> not (Idset.mem t.delivered_ids d.id)) pp.descs in
+    List.iter (fun d -> add_delivered t d.id) fresh;
     let count = List.length fresh in
     t.ordered_count <- t.ordered_count + count;
     let now = Engine.now t.engine in
@@ -392,7 +402,7 @@ let admits t desc =
   match t.hooks.batch_filter with None -> true | Some f -> f desc
 
 let enqueue_for_batching t desc =
-  if (not (Request_id_table.mem t.delivered_ids desc.id)) && admits t desc
+  if (not (Idset.mem t.delivered_ids desc.id)) && admits t desc
   then begin
     t.pending_batch <- desc :: t.pending_batch;
     t.pending_len <- t.pending_len + 1;
@@ -453,7 +463,8 @@ let create ~probe ?clock ?(hooks = no_hooks) engine cfg cb =
         vc_completed = 0;
         entries = Hashtbl.create 512;
         known = Request_id_table.create 1024;
-        delivered_ids = Request_id_table.create 4096;
+        delivered_ids = Idset.create ();
+        undelivered = 0;
         pending_batch = [];
         pending_len = 0;
         batch_timer = None;
@@ -485,8 +496,7 @@ let create ~probe ?clock ?(hooks = no_hooks) engine cfg cb =
 let have_all_requests t (pp : Messages.pre_prepare) =
   List.for_all
     (fun d ->
-      Request_id_table.mem t.known d.id
-      || Request_id_table.mem t.delivered_ids d.id)
+      Request_id_table.mem t.known d.id || Idset.mem t.delivered_ids d.id)
     pp.descs
 
 let maybe_send_prepare t (pp : Messages.pre_prepare) =
@@ -523,8 +533,7 @@ let accept_pp t ~from (pp : Messages.pre_prepare) =
       (* Track requests for cross-view re-proposal. *)
       List.iter
         (fun d ->
-          if not (Request_id_table.mem t.known d.id) then
-            Request_id_table.replace t.known d.id d)
+          if not (Request_id_table.mem t.known d.id) then add_known t d)
         pp.descs;
       maybe_send_prepare t pp;
       maybe_send_commit t pp.seq e
@@ -736,7 +745,7 @@ and new_primary_repropose t v =
   Request_id_table.iter
     (fun id d ->
       if
-        (not (Request_id_table.mem t.delivered_ids id))
+        (not (Idset.mem t.delivered_ids id))
         && (not (Request_id_set.mem id !reproposed))
         && admits t d
       then begin
@@ -787,10 +796,11 @@ let accept_new_view t ~from (v : view) pps =
 (* ------------------------------------------------------------------ *)
 
 let submit ?(span = -1) t desc =
-  Slot.Spans.submit t.spans ~span ~now:(Engine.now t.engine) ~delivered:t.delivered_ids
-    desc.id;
+  if span >= 0 then
+    Slot.Spans.submit t.spans ~span ~now:(Engine.now t.engine)
+      ~delivered:(Idset.mem t.delivered_ids) desc.id;
   if not (Request_id_table.mem t.known desc.id) then begin
-    Request_id_table.replace t.known desc.id desc;
+    add_known t desc;
     if is_primary t && not t.in_vc then begin
       let hold = t.adv.client_hold desc.id in
       if hold = Time.zero then enqueue_for_batching t desc
@@ -832,16 +842,11 @@ let state_transfers t = t.state_transfers
 let debug_live_seqs t =
   List.sort compare (Hashtbl.fold (fun s _ acc -> s :: acc) t.entries [])
 
-(* Canonical protocol-state digest input for the model checker. Every
-   ingredient is sorted or enumerated in a fixed order, so two replicas
-   reached by different-but-equivalent schedules stringify identically.
-   Deliberately excluded: wall-clock-relative values ([pp_release],
-   span/timing bookkeeping, metric handles) — they do not influence
-   which protocol actions are possible next. *)
-(* Footprints over the replica's ordering
-   state: the per-seqno log (checkpoint-pruned), the submitted-request
-   pool and the delivered-id set (both still append-only — the probes
-   exist to make that growth visible per structure). *)
+(* Footprints over the replica's ordering state: the per-seqno log
+   (checkpoint-pruned), the submitted-request pool (still append-only:
+   the probe makes that growth visible) and the delivered-id set, whose
+   entries are its ranges (one per client while delivery is in client
+   order). *)
 let register_probes t ~owner =
   ignore
     (Probe.footprint t.probe ~owner ~name:"replica.log"
@@ -855,10 +860,16 @@ let register_probes t ~owner =
        ());
   ignore
     (Probe.footprint t.probe ~owner ~name:"replica.delivered_ids"
-       ~entries:(fun () -> Request_id_table.length t.delivered_ids)
+       ~entries:(fun () -> Idset.range_count t.delivered_ids)
        ~root:(fun () -> Some (Obj.repr t.delivered_ids))
        ())
 
+(* Canonical protocol-state digest input for the model checker. Every
+   ingredient is sorted or enumerated in a fixed order, so two replicas
+   reached by different-but-equivalent schedules stringify identically.
+   Deliberately excluded: wall-clock-relative values ([pp_release],
+   span/timing bookkeeping, metric handles) — they do not influence
+   which protocol actions are possible next. *)
 let fingerprint t =
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

@@ -169,7 +169,12 @@ val ordered_count : t -> int
 
 val last_delivered_seq : t -> seqno
 val pending_count : t -> int
-(** Requests submitted but not yet delivered. *)
+(** Requests known (submitted, or learned from a PRE-PREPARE) but not
+    yet delivered. O(1): a counter kept in step with both sets. *)
+
+val debug_pending_fold : t -> int
+(** [pending_count] recomputed by a fold over the known requests, for
+    tests checking the counter. *)
 
 val view_changes_completed : t -> int
 

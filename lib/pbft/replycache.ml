@@ -1,13 +1,8 @@
 (* Compact per-client reply cache. See replycache.mli. *)
 
 type entry = {
-  (* Executed rids as sorted, disjoint, non-adjacent [lo, hi] ranges.
-     In-order execution keeps this at one range per client; transient
-     disorder (degraded-mode fallback streams, view-change replay
-     delivering committed batches out of client order) opens extra
-     ranges that merge away as the gaps fill. Exact under ANY
-     execution order, unlike a bounded ring of recent rids. *)
-  mutable ranges : (int * int) list;
+  (* Executed rids, exact under any execution order ({!Idset.Ranges}). *)
+  ranges : Idset.Ranges.t;
   (* Ring of the last [window] (rid, result) pairs for re-replies;
      -1 = empty slot. *)
   rids : int array;
@@ -15,114 +10,63 @@ type entry = {
   mutable next : int;
 }
 
-(* Client ids are dense (clients are numbered 0..population-1), so the
-   primary store is a doubling array. A spoofed id past [dense_limit]
-   must not force a gigantic allocation: those few fall back to a
-   hashtable. *)
-let dense_limit = 1 lsl 20
-
-type t = {
-  window : int;
-  mutable slots : entry option array;
-  overflow : (int, entry) Hashtbl.t;
-  mutable clients : int;
-}
+type t = { window : int; entries : entry Idset.Per_client.t }
 
 let create ?(window = 4) () =
-  {
-    window = max 1 window;
-    slots = [||];
-    overflow = Hashtbl.create 8;
-    clients = 0;
-  }
-
-let fresh_entry t =
-  {
-    ranges = [];
-    rids = Array.make t.window (-1);
-    results = Array.make t.window "";
-    next = 0;
-  }
-
-let lookup t client =
-  if client >= 0 && client < dense_limit then
-    if client < Array.length t.slots then t.slots.(client) else None
-  else Hashtbl.find_opt t.overflow client
+  { window = max 1 window; entries = Idset.Per_client.create () }
 
 let ensure t client =
-  match lookup t client with
+  match Idset.Per_client.find t.entries client with
   | Some e -> e
   | None ->
-    let e = fresh_entry t in
-    t.clients <- t.clients + 1;
-    if client >= 0 && client < dense_limit then begin
-      if client >= Array.length t.slots then begin
-        let cap = max 16 (max (client + 1) (2 * Array.length t.slots)) in
-        let a = Array.make cap None in
-        Array.blit t.slots 0 a 0 (Array.length t.slots);
-        t.slots <- a
-      end;
-      t.slots.(client) <- Some e
-    end
-    else Hashtbl.replace t.overflow client e;
+    let e =
+      {
+        ranges = Idset.Ranges.create ();
+        rids = Array.make t.window (-1);
+        results = Array.make t.window "";
+        next = 0;
+      }
+    in
+    Idset.Per_client.add t.entries client e;
     e
-
-(* Insert [rid] into the sorted range list, coalescing with adjacent
-   or overlapping ranges. *)
-let rec range_insert rid = function
-  | [] -> [ (rid, rid) ]
-  | (lo, hi) :: rest when rid < lo - 1 -> (rid, rid) :: (lo, hi) :: rest
-  | (lo, hi) :: rest when rid = lo - 1 -> (rid, hi) :: rest
-  | (lo, hi) :: rest when rid <= hi -> (lo, hi) :: rest
-  | (lo, hi) :: ((lo2, hi2) :: rest2 as rest) ->
-    if rid = hi + 1 then
-      if lo2 = rid + 1 then (lo, hi2) :: rest2 else (lo, rid) :: rest
-    else (lo, hi) :: range_insert rid rest
-  | [ (lo, hi) ] ->
-    if rid = hi + 1 then [ (lo, rid) ] else [ (lo, hi); (rid, rid) ]
 
 let mark t ~client ~rid ~result =
   let e = ensure t client in
-  e.ranges <- range_insert rid e.ranges;
+  ignore (Idset.Ranges.add e.ranges rid);
   e.rids.(e.next) <- rid;
   e.results.(e.next) <- result;
   e.next <- (e.next + 1) mod t.window
 
 let seen t ~client ~rid =
-  match lookup t client with
+  match Idset.Per_client.find t.entries client with
   | None -> false
-  | Some e -> List.exists (fun (lo, hi) -> rid >= lo && rid <= hi) e.ranges
+  | Some e -> Idset.Ranges.mem e.ranges rid
 
 let find t ~client ~rid =
-  match lookup t client with
+  match Idset.Per_client.find t.entries client with
   | None -> None
   | Some e ->
     let res = ref None in
     Array.iteri (fun i r -> if r = rid then res := Some e.results.(i)) e.rids;
     !res
 
-let clients t = t.clients
+let clients t = Idset.Per_client.count t.entries
 let window t = t.window
 
 let ranges t ~client =
-  match lookup t client with None -> [] | Some e -> e.ranges
+  match Idset.Per_client.find t.entries client with
+  | None -> []
+  | Some e -> Idset.Ranges.to_list e.ranges
 
 let fold_ids f t acc =
-  let fold_entry client e acc =
-    List.fold_left
-      (fun acc (lo, hi) ->
-        let acc = ref acc in
-        for rid = lo to hi do
-          acc := f ~client ~rid !acc
-        done;
-        !acc)
-      acc e.ranges
-  in
   let acc = ref acc in
-  Array.iteri
-    (fun client -> function
-      | Some e -> acc := fold_entry client e !acc
-      | None -> ())
-    t.slots;
-  Hashtbl.iter (fun client e -> acc := fold_entry client e !acc) t.overflow;
+  Idset.Per_client.iter
+    (fun client e ->
+      List.iter
+        (fun (lo, hi) ->
+          for rid = lo to hi do
+            acc := f ~client ~rid !acc
+          done)
+        (Idset.Ranges.to_list e.ranges))
+    t.entries;
   !acc

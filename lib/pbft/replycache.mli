@@ -2,21 +2,12 @@
     every stack's node ({!Node_core}).
 
     Instead of one entry per request ever executed, O(total requests),
-    it keeps per client (a) the set of executed rids stored as merged
-    [lo, hi] ranges and (b) a small ring of the last [window]
-    (rid, result) pairs for re-replies.
-
-    The range set makes duplicate suppression {e exact under any
-    execution order}: the merged execution stream is normally in
-    per-client rid order (one range per client, O(clients) total),
-    but degraded-mode fallback streams and view-change replay can
-    deliver committed batches out of client order — transient gaps
-    open extra ranges that coalesce away as they fill. Memory is
-    O(clients × ranges), with ranges ≈ 1 in steady state.
-
-    The rare non-dense client id (negative, or a Byzantine spoof far
-    above the population) falls back to a side table so an adversary
-    cannot force a huge array allocation. *)
+    it keeps per client (a) the set of executed rids as merged ranges
+    ({!Idset.Ranges}: exact under any execution order, one range per
+    client in steady state) and (b) a small ring of the last [window]
+    (rid, result) pairs for re-replies. Clients are stored as in
+    {!Idset.Per_client}, so a spoofed client id cannot force a huge
+    allocation. *)
 
 type t
 

@@ -80,7 +80,7 @@ module Spans = struct
   let create () = Request_id_table.create 64
 
   let submit t ~span ~now ~delivered id =
-    if span >= 0 && (not (Request_id_table.mem delivered id)) && not (Request_id_table.mem t id)
+    if span >= 0 && (not (delivered id)) && not (Request_id_table.mem t id)
     then Request_id_table.replace t id (span, now)
 
   (* Stamps are clamped monotonic: a backup can learn a request *from*

@@ -87,9 +87,10 @@ module Spans : sig
   val create : unit -> t
 
   val submit :
-    t -> span:int -> now:Time.t -> delivered:unit Request_id_table.t -> request_id -> unit
+    t -> span:int -> now:Time.t -> delivered:(request_id -> bool) -> request_id -> unit
   (** Track a traced request ([span >= 0], its parent span) submitted
-      at [now], unless it is in [delivered] or already tracked. *)
+      at [now], unless [delivered] holds for it or it is already
+      tracked. *)
 
   val record :
     t ->

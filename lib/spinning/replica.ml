@@ -1,6 +1,7 @@
 open Dessim
 module Probe = Bftmetrics.Probe
 module Slot = Pbftcore.Slot
+module Idset = Pbftcore.Idset
 open Pbftcore.Types
 
 type config = { n : int; f : int; replica_id : int }
@@ -38,7 +39,7 @@ type t = {
   entries : (int, entry) Hashtbl.t;
   known : request_desc Request_id_table.t;
   claimed : unit Request_id_table.t;  (* in some in-flight proposal *)
-  delivered_ids : unit Request_id_table.t;
+  delivered_ids : Idset.t;
   mutable next_deliver : int;
   mutable blacklist : int list;  (* most recently blacklisted first *)
   mutable timeout : Time.t;
@@ -61,7 +62,7 @@ let create ~probe ?clock engine cfg cb =
     entries = Hashtbl.create 256;
     known = Request_id_table.create 1024;
     claimed = Request_id_table.create 1024;
-    delivered_ids = Request_id_table.create 4096;
+    delivered_ids = Idset.create ();
     next_deliver = 1;
     blacklist = [];
     timeout = s_timeout;
@@ -227,9 +228,9 @@ and try_deliver t =
         let seq = t.next_deliver in
         t.next_deliver <- seq + 1;
         let fresh =
-          List.filter (fun d -> not (Request_id_table.mem t.delivered_ids d.id)) descs
+          List.filter (fun d -> not (Idset.mem t.delivered_ids d.id)) descs
         in
-        List.iter (fun d -> Request_id_table.replace t.delivered_ids d.id ()) fresh;
+        List.iter (fun d -> Idset.add t.delivered_ids d.id) fresh;
         (* Delivered requests leave the pending pool for good. *)
         List.iter
           (fun (d : request_desc) ->
@@ -274,7 +275,7 @@ and unclaimed_batch t =
      Request_id_table.iter
        (fun id d ->
          if
-           (not (Request_id_table.mem t.delivered_ids id))
+           (not (Idset.mem t.delivered_ids id))
            && not (Request_id_table.mem t.claimed id)
          then begin
            acc := d :: !acc;
@@ -346,8 +347,7 @@ and accept_pp t ~from ~seq ~descs ~attempt =
     let all_known =
       List.for_all
         (fun d ->
-          Request_id_table.mem t.known d.id
-          || Request_id_table.mem t.delivered_ids d.id)
+          Request_id_table.mem t.known d.id || Idset.mem t.delivered_ids d.id)
         descs
     in
     if not all_known then
@@ -384,8 +384,9 @@ let recheck_waiting t =
     ready
 
 let submit ?(span = -1) t desc =
-  Slot.Spans.submit t.spans ~span ~now:(Engine.now t.engine) ~delivered:t.delivered_ids
-    desc.id;
+  if span >= 0 then
+    Slot.Spans.submit t.spans ~span ~now:(Engine.now t.engine)
+      ~delivered:(Idset.mem t.delivered_ids) desc.id;
   if not (Request_id_table.mem t.known desc.id) then begin
     Request_id_table.replace t.known desc.id desc;
     recheck_waiting t;

@@ -1,9 +1,10 @@
 (* Tests for the capacity-observability layer ({!Bftcap}) and the
    structures it watches: footprint probe accuracy and nested
    accounting, GC-sampler growth analysis and culprit naming, the
-   compact per-client reply cache, the client-population workload
-   model, the live words of an idle registered client, and the
-   regression pinning bounded per-client tables under churn. *)
+   compact id set and the per-client reply cache built on it, the
+   client-population workload model, the live words of an idle
+   registered client, and the regressions pinning per-client and
+   per-request tables to the live set rather than the run's history. *)
 
 open Dessim
 module Footprint = Bftcap.Footprint
@@ -183,6 +184,97 @@ let test_gcstats_gauges_stay_host () =
       Alcotest.(check int) "host registry" 6 (gc_families host))
 
 (* ------------------------------------------------------------------ *)
+(* Id set                                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Idset = Pbftcore.Idset
+
+(* Clients from the dense range and from the overflow path (negative,
+   past the dense limit, [max_int]); rids mostly from a small window,
+   so inserts collide, leave gaps and fill them, plus the extremes
+   that would overflow a careless [rid + 1]. *)
+let gen_id =
+  QCheck.Gen.(
+    map2
+      (fun client rid -> { Pbftcore.Types.client; rid })
+      (frequency
+         [ (6, int_range 0 5); (1, int_range (-3) (-1));
+           (1, map (fun d -> (1 lsl 20) + d) (int_range 0 2));
+           (1, return max_int) ])
+      (frequency
+         [ (8, int_range 0 40); (1, return max_int); (1, return min_int);
+           (1, int_range (max_int - 2) max_int) ]))
+
+let test_idset_matches_hashtbl =
+  QCheck.Test.make ~count:300 ~name:"id set mem matches a hashtable"
+    QCheck.(
+      make
+        ~print:(Print.list (fun (id : Pbftcore.Types.request_id) ->
+             Printf.sprintf "%d/%d" id.client id.rid))
+        Gen.(list_size (int_range 0 150) gen_id))
+    (fun ids ->
+      let set = Idset.create () and reference = Hashtbl.create 64 in
+      let agree (id : Pbftcore.Types.request_id) =
+        Idset.mem set id = Hashtbl.mem reference (id.client, id.rid)
+      in
+      (* Every inserted id and its rid neighbours, after every insert. *)
+      let probes (id : Pbftcore.Types.request_id) =
+        [ id; { id with rid = id.rid - 1 }; { id with rid = id.rid + 1 };
+          { id with client = id.client + 1 } ]
+      in
+      List.for_all
+        (fun (id : Pbftcore.Types.request_id) ->
+          Idset.add set id;
+          Hashtbl.replace reference (id.client, id.rid) ();
+          List.for_all agree (probes id))
+        ids
+      && List.for_all (fun id -> List.for_all agree (probes id)) ids
+      (* The ranges are sorted, disjoint and non-adjacent, and the
+         running count is their number. *)
+      &&
+      let clients =
+        List.sort_uniq compare
+          (List.map (fun (id : Pbftcore.Types.request_id) -> id.client) ids)
+      in
+      let rec well_formed = function
+        | (lo, hi) :: ((lo2, _) :: _ as rest) ->
+          lo <= hi && hi < lo2 - 1 && well_formed rest
+        | [ (lo, hi) ] -> lo <= hi
+        | [] -> true
+      in
+      List.for_all (fun client -> well_formed (Idset.ranges set ~client)) clients
+      && Idset.range_count set
+         = List.fold_left
+             (fun acc client -> acc + List.length (Idset.ranges set ~client))
+             0 clients
+      && Idset.fold (fun _ n -> n + 1) set 0 = Hashtbl.length reference)
+
+(* The steady-state insert (the next rid of a client) is two field
+   writes: after a client's first insert, in-order inserts allocate no
+   minor-heap words, through the set and through its per-client ranges
+   alike. *)
+let test_idset_in_order_allocates_nothing () =
+  let n = 10_000 in
+  let ids = Array.init (n + 1) (fun rid -> { Pbftcore.Types.client = 7; rid }) in
+  let set = Idset.create () in
+  Idset.add set ids.(0);
+  let ranges = Idset.Ranges.create () in
+  ignore (Idset.Ranges.add ranges 0);
+  (* The probe itself boxes a float: measure it empty first. *)
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for i = 1 to n do
+    Idset.add set ids.(i);
+    ignore (Idset.Ranges.add ranges i)
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words over 2 x 10,000 in-order inserts" 0.0
+    (w2 -. w1 -. (w1 -. w0));
+  Alcotest.(check (list (pair int int))) "one range" [ (0, n) ] (Idset.ranges set ~client:7);
+  Alcotest.(check (list (pair int int))) "one range in Ranges" [ (0, n) ]
+    (Idset.Ranges.to_list ranges)
+
+(* ------------------------------------------------------------------ *)
 (* Reply cache                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -354,11 +446,18 @@ let test_population_flash_triples_midrun () =
 (* Bounded per-client tables under churn (regression)                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Run a churning population against a cluster twice — once with the
-   capacity knobs on, once off — and read the per-client tables
-   through the footprint probes. The knobs must keep the request
-   table and the monitoring latency table bounded near the live set
-   while the unswept run grows with every client ever seen. *)
+(* Footprint rows of a probe by (name, owner). *)
+let footprint pr name owner =
+  match
+    List.find_opt
+      (fun r -> r.Footprint.r_name = name && r.Footprint.r_owner = owner)
+      (Footprint.snapshot pr)
+  with
+  | Some r -> r
+  | None -> Alcotest.failf "probe %s/%s not registered" name owner
+
+(* Run a churning population against a cluster and read the per-client
+   and per-request tables through the footprint probes. *)
 let churn_run ~params =
   with_probe (fun pr ->
       let duration = Time.ms 800 in
@@ -374,38 +473,29 @@ let churn_run ~params =
       Population.apply engine pop ~set_rate:(fun c r ->
           Rbft.Client.set_rate (Rbft.Cluster.client cluster c) r);
       Rbft.Cluster.run_for cluster (Time.add duration (Time.ms 200));
-      let entries name owner =
-        match
-          List.find_opt
-            (fun r ->
-              r.Footprint.r_name = name && r.Footprint.r_owner = owner)
-            (Footprint.snapshot pr)
-        with
-        | Some r -> r.Footprint.r_entries
-        | None -> Alcotest.failf "probe %s/%s not registered" name owner
-      in
-      let requests = entries "node.requests" "node-1" in
-      let client_lat = entries "monitoring.client_lat" "node-1" in
+      let requests = footprint pr "node.requests" "node-1" in
+      let client_lat = (footprint pr "monitoring.client_lat" "node-1").Footprint.r_entries in
       let monitoring_count =
         Rbft.Monitoring.client_count
           (Rbft.Node.monitoring (Rbft.Cluster.node cluster 1))
       in
       Alcotest.(check int) "probe and accessor agree" client_lat
         monitoring_count;
-      (requests, client_lat))
+      let executed = Rbft.Node.executed_count (Rbft.Cluster.node cluster 1) in
+      (requests, client_lat, executed))
 
+(* The idle-client prune must keep the monitoring latency table near
+   the live client set while the unpruned one grows with every client
+   ever seen. The request table needs no knob: with the request sweep
+   off ([request_gc_age] = 0) finished requests are retired, so the
+   table holds the requests in flight, not the run's history. *)
 let test_churn_bounded_with_knobs () =
   let base = Rbft.Params.default ~f:1 in
-  let on =
-    { base with
-      Rbft.Params.request_gc_age = Time.ms 100;
-      monitoring_idle_prune = Time.ms 200 }
-  in
-  let req_on, lat_on = churn_run ~params:on in
-  let req_off, lat_off = churn_run ~params:base in
+  let on = { base with Rbft.Params.monitoring_idle_prune = Time.ms 200 } in
+  let requests, lat_on, executed = churn_run ~params:on in
+  let _, lat_off, _ = churn_run ~params:base in
   (* ~200 distinct clients are seen over the run (40 live + 10 fresh
-     per 50 ms churn); the pruned table must track the live set, the
-     unpruned one the whole history. *)
+     per 50 ms churn). *)
   Alcotest.(check bool)
     (Printf.sprintf "unpruned latency table grows with history (%d)" lat_off)
     true (lat_off >= 120);
@@ -413,10 +503,54 @@ let test_churn_bounded_with_knobs () =
     (Printf.sprintf "pruned latency table near the live set (%d)" lat_on)
     true
     (lat_on < 120 && lat_on * 2 < lat_off);
+  (* 2,000 req/s at a few ms each is a few dozen requests in flight;
+     the run executes ~1,600. *)
   Alcotest.(check bool)
-    (Printf.sprintf "swept request table bounded (%d vs %d)" req_on req_off)
+    (Printf.sprintf "request table peak near the in-flight set (%d of %d executed)"
+       requests.Footprint.r_peak executed)
     true
-    (req_on * 2 < req_off)
+    (executed > 1000 && requests.Footprint.r_peak * 10 < executed);
+  Alcotest.(check bool)
+    (Printf.sprintf "request table drained after the run (%d)" requests.Footprint.r_entries)
+    true (requests.Footprint.r_entries <= 10)
+
+(* The flow-controlled configuration the benchmark measures (admission
+   gate, adaptive batching, 8 B requests) at 20 kreq/s, about 0.7x its
+   peak, run for 0.5 s and for 1 s: the peaks of the node request table
+   and of the replicas' delivered sets are set by what is in flight, so
+   doubling the run must not grow them. Both grew linearly with the run
+   while they kept every id ever seen. (Past the peak an open loop's
+   client backlog itself grows with the run, and the rids it defers
+   after BUSY replies open delivered-set gaps in step with it.) *)
+let test_request_state_bounded_by_run_length () =
+  let peaks seconds =
+    with_probe (fun pr ->
+        let cluster =
+          Rbft.Cluster.create ~probe:pr ~seed:42L ~clients:20 ~payload_size:8
+            { (Rbft.Params.default ~f:1) with
+              Rbft.Params.admission_budget = 128;
+              adaptive_batching = true }
+        in
+        Array.iter (fun c -> Rbft.Client.set_rate c 1000.0) (Rbft.Cluster.clients cluster);
+        Rbft.Cluster.run_for cluster (Time.of_sec_f seconds);
+        ( (footprint pr "node.requests" "node-1").Footprint.r_peak,
+          (footprint pr "replica.delivered_ids" "node-1/i0").Footprint.r_peak,
+          Rbft.Node.executed_count (Rbft.Cluster.node cluster 1) ))
+  in
+  let req_short, del_short, exec_short = peaks 0.5 in
+  let req_long, del_long, exec_long = peaks 1.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "the longer run executes more (%d vs %d)" exec_long exec_short)
+    true
+    (exec_long > exec_short + (exec_short / 2));
+  Alcotest.(check bool)
+    (Printf.sprintf "request table peak flat (%d at 0.5 s, %d at 1 s)" req_short req_long)
+    true
+    (req_long * 4 <= req_short * 5);
+  Alcotest.(check bool)
+    (Printf.sprintf "delivered set peak flat (%d at 0.5 s, %d at 1 s)" del_short del_long)
+    true
+    (del_long * 4 <= del_short * 5)
 
 (* ------------------------------------------------------------------ *)
 (* Cost of an idle registered client                                  *)
@@ -559,6 +693,12 @@ let suites =
         Alcotest.test_case "gauges stay out of the probe registry" `Quick
           test_gcstats_gauges_stay_host;
       ] );
+    ( "cap.idset",
+      qsuite [ test_idset_matches_hashtbl ]
+      @ [
+          Alcotest.test_case "in-order inserts allocate nothing" `Quick
+            test_idset_in_order_allocates_nothing;
+        ] );
     ( "cap.replycache",
       [
         Alcotest.test_case "out-of-order marks coalesce" `Quick
@@ -591,5 +731,7 @@ let suites =
           test_churn_bounded_with_knobs;
         Alcotest.test_case "clients report structurally deterministic" `Slow
           test_clients_report_structure_deterministic;
+        Alcotest.test_case "request state bounded by run length" `Slow
+          test_request_state_bounded_by_run_length;
       ] );
   ]

@@ -465,6 +465,66 @@ let test_new_primary_reproposes_inflight () =
     rig.replicas;
   check_agreement rig
 
+(* [pending_count] is a counter kept in step with the known pool and
+   the delivered set; it must equal the fold over the pool it replaced
+   at every point of a run with a view change whose new primary
+   re-proposes in-flight batches and re-batches the rest, including
+   requests some replicas only learn from a PRE-PREPARE and one the new
+   primary delivers without ever having been submitted it. *)
+let test_pending_count_matches_fold () =
+  let rig = make_rig () in
+  let check_all label =
+    Array.iteri
+      (fun i r ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: replica %d" label i)
+          (Replica.debug_pending_fold r) (Replica.pending_count r))
+      rig.replicas
+  in
+  let submit_to ids desc =
+    List.iter (fun i -> Replica.submit rig.replicas.(i) desc) ids
+  in
+  (* Request 1 reaches every replica but 1, the primary of view 1, and
+     nothing reaches replicas 0 and 1: only 2 and 3 prepare it and
+     send their commits, so the batch is in flight when the view
+     changes and the new primary re-proposes it from their
+     certificates, without knowing the request. *)
+  rig.drop_to := [ 0; 1 ];
+  submit_to [ 0; 2; 3 ] (req 1);
+  ignore
+    (Engine.after rig.engine (Time.ms 3) (fun () ->
+         check_all "before the view change";
+         rig.drop_to := [];
+         (* Known to all but replica 3, which learns them from the
+            re-batch. *)
+         for rid = 2 to 5 do
+           submit_to [ 0; 1; 2 ] (req rid)
+         done;
+         Array.iter Replica.force_view_change rig.replicas));
+  ignore
+    (Engine.after rig.engine (Time.us 3100) (fun () ->
+         for rid = 6 to 8 do
+           submit_all rig (req rid)
+         done;
+         check_all "during the view change"));
+  for k = 1 to 100 do
+    ignore (Engine.after rig.engine (Time.us (50 * k)) (fun () -> check_all "sampled"))
+  done;
+  Engine.run rig.engine;
+  Alcotest.(check bool) "the view changed" true
+    (Array.for_all (fun r -> Replica.view r = 1) rig.replicas);
+  (* The late submission of a request the replica delivered without
+     knowing it. *)
+  submit_all rig (req 1);
+  check_all "after the run";
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check int) (Printf.sprintf "replica %d ordered all" i) 8
+        (Replica.ordered_count r);
+      Alcotest.(check int) (Printf.sprintf "replica %d drained" i) 0 (Replica.pending_count r))
+    rig.replicas;
+  check_agreement rig
+
 (* Regression: a delay-attack primary schedules its PRE-PREPARE
    broadcasts in closures; a view change completing before a closure
    fires must kill it. Without the [pp.view = t.view && is_primary]
@@ -734,6 +794,8 @@ let suites =
           test_demoted_primary_batch_timer_cancelled;
         Alcotest.test_case "delivered-slot revote unwedges new primary" `Quick
           test_delivered_slot_revote_unwedges_new_primary;
+        Alcotest.test_case "pending count matches the fold" `Quick
+          test_pending_count_matches_fold;
       ] );
     ( "pbft.checkpoint",
       [

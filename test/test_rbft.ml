@@ -202,6 +202,38 @@ let test_backup_orders_but_does_not_execute () =
   Alcotest.(check bool) "backup ordered as much as master" true (backup >= master * 9 / 10);
   Alcotest.(check int) "executions = master orders" master (Rbft.Node.executed_count node)
 
+(* The monitor times a request on every instance from its dispatch
+   time, so a node keeps a request's state until every instance has
+   ordered it, and retires it only then. Run to quiescence, each
+   instance has timed every request the node executed, and no state
+   is left behind. *)
+let test_every_instance_timed_before_retirement () =
+  let p = Bftmetrics.Probe.create () in
+  Bftmetrics.Probe.set_footprints p true;
+  let cluster = Rbft.Cluster.create ~probe:p ~clients:3 ~payload_size:8 (mk_params ()) in
+  let node = Rbft.Cluster.node cluster 1 in
+  let timed = Array.make 2 0 in
+  Rbft.Node.set_latency_probe node (fun ~instance ~client:_ _ ->
+      timed.(instance) <- timed.(instance) + 1);
+  Array.iter (fun c -> Rbft.Client.set_rate c 800.0) (Rbft.Cluster.clients cluster);
+  Rbft.Cluster.run_for cluster (Time.sec 1);
+  stop_clients cluster;
+  Rbft.Cluster.run_for cluster (Time.sec 1);
+  let executed = Rbft.Node.executed_count node in
+  Alcotest.(check bool) "requests were executed" true (executed > 2000);
+  Alcotest.(check int) "master timed every executed request" executed timed.(0);
+  Alcotest.(check int) "backup timed every executed request" executed timed.(1);
+  let tracked =
+    List.find
+      (fun r ->
+        r.Bftcap.Footprint.r_name = "node.requests"
+        && r.Bftcap.Footprint.r_owner = "node-1")
+      (Bftcap.Footprint.snapshot p)
+  in
+  Alcotest.(check int) "no request state left" 0 tracked.Bftcap.Footprint.r_entries;
+  Alcotest.(check bool) "peak held the requests in flight only" true
+    (tracked.Bftcap.Footprint.r_peak * 20 < executed)
+
 let test_instance_change_on_slow_master_primary () =
   let params = mk_params ~delta:0.9 () in
   let cluster = saturate ~params () in
@@ -738,6 +770,8 @@ let suites =
         Alcotest.test_case "closed-loop client" `Quick test_closed_loop_client;
         Alcotest.test_case "completed requests leave no watchdog" `Quick
           test_completed_requests_leave_no_watchdog;
+        Alcotest.test_case "every instance timed before retirement" `Quick
+          test_every_instance_timed_before_retirement;
       ] );
     ( "rbft.client",
       [
