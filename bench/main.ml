@@ -5,7 +5,7 @@
    Usage:
      dune exec bench/main.exe             -- everything, full windows
      dune exec bench/main.exe -- --quick  -- everything, short windows
-     dune exec bench/main.exe -- --only fig7a,fig12
+     dune exec bench/main.exe -- --only fig7a,fig12  -- 'none': no figures
      dune exec bench/main.exe -- --skip-micro | --only-micro
      dune exec bench/main.exe -- --audit     -- safety-audit every run
      dune exec bench/main.exe -- --metrics BENCH_rbft.json
@@ -332,6 +332,16 @@ let micro_benchmarks () =
     [ Test.make ~name:"cap-note-enabled" (Staged.stage note_guarded) ]
 
 let want only id = match only with [] -> true | ids -> List.mem id ids
+let ids = List.concat_map (fun g -> g.Experiments.ids) Experiments.groups
+
+(* A malformed command line runs nothing: the error, the usage and exit 2. *)
+let bad msg =
+  Printf.eprintf
+    "main.exe: %s\nusage: main.exe [--quick] [--skip-micro | --only-micro] [--audit]\n\
+    \  [--only none|ID,...] [--metrics FILE] [--seeds N] [--scale [FILE]] [--clients [FILE]]\n\
+     ids: %s\n"
+    msg (String.concat " " ids);
+  exit 2
 
 let () =
   let quick = ref false in
@@ -339,32 +349,33 @@ let () =
   let only_micro = ref false in
   let only = ref [] in
   let audit = ref false in
+  let switches =
+    [ ("--quick", quick); ("--skip-micro", skip_micro); ("--only-micro", only_micro);
+      ("--audit", audit) ]
+  in
   let metrics = ref None in
   let seeds = ref 0 in
   let scale = ref None in
   let clients = ref None in
   let rec parse = function
     | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
+    | switch :: rest when List.mem_assoc switch switches ->
+      List.assoc switch switches := true;
       parse rest
-    | "--skip-micro" :: rest ->
-      skip_micro := true;
-      parse rest
-    | "--only-micro" :: rest ->
-      only_micro := true;
-      parse rest
-    | "--only" :: ids :: rest ->
-      only := String.split_on_char ',' ids;
-      parse rest
-    | "--audit" :: rest ->
-      audit := true;
+    | "--only" :: arg :: rest ->
+      only := String.split_on_char ',' arg;
+      List.iter
+        (fun id -> if id <> "none" && not (List.mem id ids) then bad ("unknown id " ^ id))
+        !only;
       parse rest
     | "--metrics" :: path :: rest ->
       metrics := Some path;
       parse rest
     | "--seeds" :: n :: rest ->
-      seeds := (match int_of_string_opt n with Some n when n > 0 -> n | _ -> 0);
+      seeds :=
+        (match int_of_string_opt n with
+         | Some n when n > 0 -> n
+         | _ -> bad ("--seeds takes a positive integer, not " ^ n));
       parse rest
     | "--scale" :: path :: rest
       when path = "-" || not (String.length path > 1 && path.[0] = '-') ->
@@ -380,7 +391,7 @@ let () =
     | "--clients" :: rest ->
       clients := Some "BENCH_clients.json";
       parse rest
-    | _ :: rest -> parse rest
+    | arg :: _ -> bad ("unknown or incomplete option " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
   let quick = !quick in

@@ -4,8 +4,8 @@
    relative throughput under attack) are derived from *virtual* time
    in a seeded deterministic simulation, so a fresh run on any machine
    reproduces the committed baseline exactly unless the code's
-   behaviour changed. Wall-clock sections (profile, metrics_overhead)
-   are machine-dependent and skipped by default.
+   behaviour changed. The wall-clock profile section is
+   machine-dependent and skipped by default.
 
    Usage:
      bench_diff BASELINE.json FRESH.json [--tolerance 0.15]
@@ -62,8 +62,7 @@
    tolerance would fail a large allocation cut. *)
 
 let default_skips =
-  [ "profile"; "metrics_overhead"; "seconds"; "share"; "sample"; "calls";
-    "host" ]
+  [ "profile"; "seconds"; "share"; "sample"; "calls"; "host" ]
 
 (* Flatten a Jmini tree to (dotted-path, number) leaves. *)
 let rec flatten prefix (v : Bftmetrics.Jmini.v) acc =

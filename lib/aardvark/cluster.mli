@@ -7,7 +7,7 @@ include
      and type msg = Node.msg
 
 val create :
-  ?probe:Bftmetrics.Probe.t ->
+  probe:Bftmetrics.Probe.t ->
   ?seed:int64 ->
   ?clients:int ->
   ?payload_size:int ->

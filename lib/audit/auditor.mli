@@ -23,17 +23,18 @@ type violation = Bftmetrics.Probe.violation = {
 }
 
 val reset_declared : unit -> unit
-(** Clear {!Bftmetrics.Probe.default}'s declared-faulty set. Code that
-    owns its probe calls {!Bftmetrics.Probe.reset_declared}. *)
+(** Clear {!Bftmetrics.Probe.default}'s declared-faulty set, for
+    [benchmark/] (DESIGN §9). Code that owns its probe calls
+    {!Bftmetrics.Probe.reset_declared}. *)
 
 type t
 
 val attach :
   ?probe:Bftmetrics.Probe.t ->
   ?faulty:int list -> ?raise_on_violation:bool -> n:int -> f:int -> unit -> t
-(** An auditor subscribed to [probe]'s events (default
-    {!Bftmetrics.Probe.default}). It also excludes the nodes declared
-    faulty on [probe] and reports every violation to the probe's
+(** An auditor subscribed to [probe]'s events (for [benchmark/] only,
+    {!Bftmetrics.Probe.default} when none is given). It also excludes
+    the nodes declared faulty on [probe] and reports every violation to the probe's
     violation subscribers, before any raise. [raise_on_violation]
     defaults to [true]; when [false], violations are only recorded and
     available via {!violations}. *)

@@ -7,7 +7,11 @@
     subscribers. {!Auditor} subscribes and checks global safety
     invariants online; {!Liveness} watches for stalls; {!Capture}
     records events for JSONL / Chrome trace export and computes a
-    deterministic per-run SHA-256 trace digest. *)
+    deterministic per-run SHA-256 trace digest.
+
+    Kept only for [benchmark/] (DESIGN §9): {!Auditor.attach}'s
+    fallback to {!Bftmetrics.Probe.default} when given no probe, and
+    {!Auditor.reset_declared}. *)
 
 module Auditor = Auditor
 module Liveness = Liveness

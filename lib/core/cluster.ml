@@ -32,7 +32,8 @@ end)
 
 let params = config
 
-let create ?probe ?(seed = 42L) ?(transport = Bftnet.Network.Tcp) ?net_config
+let create ?(probe = Bftmetrics.Probe.default) ?(seed = 42L)
+    ?(transport = Bftnet.Network.Tcp) ?net_config
     ?(service = fun () -> Null_service.create ()) ?clients:(n_clients = 0)
     ?(payload_size = 8) params =
   let net_config =
@@ -40,9 +41,8 @@ let create ?probe ?(seed = 42L) ?(transport = Bftnet.Network.Tcp) ?net_config
     | Some cfg -> cfg
     | None -> { (Bftnet.Network.default_config ~nodes:(Params.n params)) with transport }
   in
-  let t = assemble ?probe ~seed ~net_config ~service ~clients:n_clients ~payload_size params in
+  let t = assemble ~probe ~seed ~net_config ~service ~clients:n_clients ~payload_size params in
   let engine = engine t in
-  let probe = Bftnet.Network.probe (network t) in
   let reg = Bftmetrics.Probe.registry probe in
   (* Engine-level gauges are callback-backed: read only at sample or
      export time, and re-registering rebinds them to the newest

@@ -26,8 +26,9 @@ val create :
     started (monitoring armed). [net_config] overrides the whole
     network configuration (it wins over [transport]); the model checker
     passes a zero-jitter config so no per-send randomness survives.
-    Every node, replica and client reports to [probe]
-    ({!Bftmetrics.Probe.default} when none is given). *)
+    Every node, replica and client reports to [probe]. The fallback to
+    {!Bftmetrics.Probe.default} when none is given serves
+    [benchmark/] only (DESIGN §9). *)
 
 val params : t -> Params.t
 

@@ -7,7 +7,10 @@
     throughput and fairness. A slow or unfair master primary triggers
     a coordinated protocol instance change.
 
-    Entry point: {!Cluster.create} with {!Params.default}. *)
+    Entry point: {!Cluster.create} with {!Params.default}.
+
+    Kept only for [benchmark/] (DESIGN §9): {!Cluster.create}'s
+    fallback to {!Bftmetrics.Probe.default} when given no probe. *)
 
 module Params = Params
 module Messages = Messages
@@ -16,4 +19,3 @@ module Node = Node
 module Client = Client
 module Cluster = Cluster
 module Attacks = Attacks
-module Codec = Codec

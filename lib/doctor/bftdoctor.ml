@@ -9,8 +9,10 @@
     freezes the rings into deterministic, chain-digested incident
     bundles; {!Analyze} reconstructs an incident's timeline and
     attributes its cause; {!Doctor} is the one-call attach point tying
-    them together. [Jmini] is {!Bftmetrics.Jmini}, the JSON reader,
-    under the name its older callers use. *)
+    them together.
+
+    Kept only for [benchmark/] (DESIGN §9): [Jmini], the JSON reader
+    {!Bftmetrics.Jmini} under the name [benchmark/] reads it by. *)
 
 module Jmini = Bftmetrics.Jmini
 module Trigger = Trigger

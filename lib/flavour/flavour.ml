@@ -20,7 +20,7 @@ let slug = function
 
 let of_slug s = List.find_opt (fun t -> String.equal (slug t) s) all
 
-let rbft_cluster ?probe ?seed ?(tweak = Fun.id) ?clients ?payload_size ~f t =
+let rbft_cluster ~probe ?seed ?(tweak = Fun.id) ?clients ?payload_size ~f t =
   let transport, ordering =
     match t with
     | Rbft -> (Bftnet.Network.Tcp, Rbft.Params.Redundant)
@@ -28,5 +28,5 @@ let rbft_cluster ?probe ?seed ?(tweak = Fun.id) ?clients ?payload_size ~f t =
     | Rbft_concurrent -> (Bftnet.Network.Tcp, Rbft.Params.Concurrent)
     | Aardvark | Spinning | Prime -> invalid_arg ("Flavour.rbft_cluster: " ^ name t)
   in
-  Rbft.Cluster.create ?probe ?seed ~transport ?clients ?payload_size
+  Rbft.Cluster.create ~probe ?seed ~transport ?clients ?payload_size
     (tweak { (Rbft.Params.default ~f) with Rbft.Params.ordering })

@@ -30,7 +30,7 @@ val slug : t -> string
 val of_slug : string -> t option
 
 val rbft_cluster :
-  ?probe:Bftmetrics.Probe.t ->
+  probe:Bftmetrics.Probe.t ->
   ?seed:int64 ->
   ?tweak:(Rbft.Params.t -> Rbft.Params.t) ->
   ?clients:int ->

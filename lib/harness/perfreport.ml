@@ -138,34 +138,21 @@ let generate ~audit ~quick =
   let module Profile = Bftmetrics.Profile in
   let profile = Profile.create () in
   let sizes = [ 8; 4096 ] in
-  (* Fault-free baselines, and the wall-clock cost of the very same
-     8 B run with the registry off — the hot-path overhead measure. *)
   (* Every leg's host counts, keyed by its profile label. *)
   let hosts = ref [] in
   let record leg r = hosts := (leg, r.host) :: !hosts in
-  let t_off = ref 0.0 in
-  Profile.time profile "perfreport:baseline-nometrics" (fun () ->
-      let t0 = Unix.gettimeofday () in
-      let r, _ = static_run ~audit ~with_metrics:false ~quick ~payload:8 () in
-      t_off := Unix.gettimeofday () -. t0;
-      record "baseline-nometrics" r);
-  let t_on = ref 0.0 in
   let fault_free =
     List.map
       (fun payload ->
         Profile.time profile
           (Printf.sprintf "perfreport:fault-free-%s" (size_key payload))
           (fun () ->
-            let t0 = Unix.gettimeofday () in
             let r, _ = static_run ~audit ~with_metrics:true ~quick ~payload () in
-            if payload = 8 then t_on := Unix.gettimeofday () -. t0;
             record ("fault-free-" ^ size_key payload) r;
             (payload, r)))
       sizes
   in
-  (* Fault-free per-stage latency attribution from dedicated traced
-     runs (separate from the metric runs so the wall-clock overhead
-     numbers above stay clean). *)
+  (* Fault-free per-stage latency attribution from dedicated traced runs. *)
   let breakdown =
     List.map
       (fun payload ->
@@ -204,9 +191,6 @@ let generate ~audit ~quick =
                   (payload, att, rel)))
             sizes ))
       attacks
-  in
-  let overhead_pct =
-    if !t_off > 0.0 then 100.0 *. ((!t_on /. !t_off) -. 1.0) else 0.0
   in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
@@ -275,13 +259,6 @@ let generate ~audit ~quick =
               h.queue_peak h.tracked_peak)
           !hosts));
   Buffer.add_string buf "\n  },\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|  "metrics_overhead": {"run_no_metrics_s":%s,"run_with_metrics_s":%s,"overhead_pct":%s},%s|}
-       (Bftmetrics.Export.json_float !t_off)
-       (Bftmetrics.Export.json_float !t_on)
-       (Bftmetrics.Export.json_float overhead_pct)
-       "\n");
   Buffer.add_string buf
     (Printf.sprintf {|  "profile": %s%s|} (Bftmetrics.Profile.json profile) "\n");
   Buffer.add_string buf "}\n";

@@ -1,8 +1,7 @@
 (** Machine-readable performance report ([BENCH_rbft.json]).
 
     Runs a short evaluation pass — fault-free RBFT at 8 B and 4 kB,
-    the two worst attacks, and an instrumentation-off rerun to price
-    the registry's hot-path overhead — and reduces it to a JSON
+    and the two worst attacks — and reduces it to a JSON
     document with the headline numbers (throughput, client p50/p99,
     master-instance ordering p50/p99, relative under-attack
     throughput, self-profile). Its [host] section gives, per leg, the
@@ -14,7 +13,7 @@
     ([tracked_peak], in entries).
 
     Every leg is one {!Experiments.run} on a probe of its own; the legs
-    of {!generate} and {!generate_scale} are audited when [audit] is
+    of {!write} and {!write_scale} are audited when [audit] is
     enabled. Each report times its legs in a {!Bftmetrics.Profile} of
     its own, written as the [profile] section. *)
 
@@ -57,23 +56,18 @@ val static_run :
     unless [flow] is false. Returns the run's numbers and its probe,
     which holds the spans of a [span_sample] > 0 leg. *)
 
-val generate : audit:Audit.t -> quick:bool -> string
-(** Run the pass and return the JSON document. *)
-
 val write : audit:Audit.t -> quick:bool -> path:string -> unit
-(** {!generate} and write to [path] ('-' for stdout). *)
-
-val generate_scale : audit:Audit.t -> quick:bool -> string
-(** Scaling sweep ([BENCH_scale.json]): fault-free 8 B RBFT at
-    f = 1, 2, 3 (4, 7 and 10 nodes; f+1 protocol instances), each at
-    its calibrated saturation point, reduced to throughput and
-    latency percentiles per cluster size. Each row also carries a
-    [concurrent] column — the same cluster in disjoint-partition
-    (bftrcc) ordering, where added instances add capacity instead of
-    redundancy. *)
+(** Run the pass and write the JSON document to [path] ('-' for
+    stdout). *)
 
 val write_scale : audit:Audit.t -> quick:bool -> path:string -> unit
-(** {!generate_scale} and write to [path] ('-' for stdout). *)
+(** Scaling sweep ([BENCH_scale.json]), written to [path] ('-' for
+    stdout): fault-free 8 B RBFT at f = 1, 2, 3 (4, 7 and 10 nodes;
+    f+1 protocol instances), each at its calibrated saturation point,
+    reduced to throughput and latency percentiles per cluster size.
+    Each row also carries a [concurrent] column — the same cluster in
+    disjoint-partition (bftrcc) ordering, where added instances add
+    capacity instead of redundancy. *)
 
 val generate_clients : quick:bool -> string
 (** Client-population capacity sweep (BENCH_clients.json): run the

@@ -42,11 +42,11 @@ let target_digest (cex : Search.cex) =
    realistic ordering latency re-triggers the instance-change path on
    every run. For the mutation family this reproduces the identical
    invariant deterministically, which is what the shrinker needs. *)
-let to_scenario ?(name = "mc-cex") (cex : Search.cex) =
+let to_scenario (cex : Search.cex) =
   let cfg = cex.Search.cex_config in
   let duration = Time.ms 500 in
   {
-    Bftchaos.Scenario.name;
+    Bftchaos.Scenario.name = "mc-cex";
     protocol = Flavour.Rbft;
     f = cfg.World.f;
     seed = cfg.World.seed;

@@ -25,9 +25,6 @@ val target_digest : Search.cex -> string
     {!Bftaudit.Auditor.invariant_digest}. The reproduction criterion:
     a replay that yields the same digest found the same bug. *)
 
-val to_scenario : ?name:string -> Search.cex -> Bftchaos.Scenario.t
-(** The scenario-coordinates rendering of the counterexample. *)
-
 val reproduces : target:string -> Bftchaos.Scenario.t -> bool
 (** Run the scenario under {!Bftchaos.Runner} and compare the safety
     invariant digest against [target]. The shrinker's predicate. *)

@@ -4,7 +4,10 @@
     {!Tag}), a labeled-family {!Registry}, a sim-time {!Sampler},
     {!Export}ers (Prometheus text, CSV, JSON), the {!Jmini} JSON
     reader, the {!Chrome} trace writer, the bounded {!Ring} buffer and
-    a wall-clock {!Profile}r for the harness. *)
+    a wall-clock {!Profile}r for the harness.
+
+    Kept only for [benchmark/] (DESIGN §9): [Registry.default],
+    [enable] and [disable], which act on {!Probe.default}. *)
 
 module Stats = Stats
 module Hist = Hist
@@ -14,7 +17,8 @@ module Tag = Tag
 module Span = Span
 module Probe = Probe
 
-(** {!Registry} plus the entry points that act on {!Probe.default}. *)
+(** {!Registry} plus the [benchmark/] entry points that act on
+    {!Probe.default}. *)
 module Registry = struct
   include Registry
 

@@ -5,10 +5,6 @@
     (one row per time/metric/labels/field), and JSON (snapshot and
     series), used by the bench's [BENCH_rbft.json] report. *)
 
-val histogram_bounds : float list
-(** The fixed log-scale bucket boundaries (seconds) every histogram
-    family is exposed with: 1 / 2.5 / 5 per decade, 1 us to 10 s. *)
-
 val prometheus : Registry.t -> string
 (** Text exposition format: [# HELP] / [# TYPE] headers, one line per
     child; histograms as cumulative [_bucket{le=...}] plus [_sum] and

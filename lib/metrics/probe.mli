@@ -14,10 +14,12 @@
     behind the probe's switches. With every switch off a call costs a
     few field reads and branches and allocates nothing.
 
-    {!default} is the probe of a cluster built without one. The legacy
-    entry points [Bftmetrics.Registry.default/enable/disable],
+    {!default} is the one process-global probe. It serves only the
+    [benchmark/] entry points DESIGN §9 lists: [Rbft.Cluster.create]
+    and [Bftaudit.Auditor.attach] fall back to it when given no probe,
+    and [Bftmetrics.Registry.default/enable/disable],
     [Bftspan.Tracer.enable/disable/reset/to_array] and
-    [Bftaudit.Auditor.attach/reset_declared] act on it. *)
+    [Bftaudit.Auditor.reset_declared] act on it. *)
 
 type t
 

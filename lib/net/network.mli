@@ -129,7 +129,7 @@ val send :
   'a ->
   unit
 (** [send t ~src ~dst ~size payload] queues one message. [size] is the
-    wire size of the payload as computed by the protocol's codec.
+    wire size of the payload as the protocol's size model computes it.
     Messages to unregistered endpoints are counted as dropped.
 
     [?span] (default [-1]) piggybacks a parent span id on the message:

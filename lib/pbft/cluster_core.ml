@@ -92,10 +92,8 @@ module Make (P : PARTS) = struct
   (** Build the deployment: nodes are created, then clients, then the
       nodes are started. [service] is instantiated once per node. The
       engine and the network (and through it every node, replica and
-      client) report to [probe], {!Bftmetrics.Probe.default} when none
-      is given. *)
-  let assemble ?(probe = Bftmetrics.Probe.default) ~seed ~net_config ~service ~clients
-      ~payload_size config =
+      client) report to [probe]. *)
+  let assemble ~probe ~seed ~net_config ~service ~clients ~payload_size config =
     let on_job_start id ~start ~finish = Bftmetrics.Probe.on_job_start probe id ~start ~finish in
     let engine = Engine.create ~seed ~on_job_start () in
     let net = Bftnet.Network.create ~probe engine net_config in
@@ -112,7 +110,7 @@ module Make (P : PARTS) = struct
   (** [assemble] on the stack's default network ([P.transport] over
       {!Bftnet.Network.default_config}), serving {!Bftapp.Null_service}
       by default. *)
-  let create ?probe ?(seed = 42L) ?(clients = 0) ?(payload_size = 8)
+  let create ~probe ?(seed = 42L) ?(clients = 0) ?(payload_size = 8)
       ?(service = fun () -> Bftapp.Null_service.create ()) config =
     let net_config =
       {
@@ -120,7 +118,7 @@ module Make (P : PARTS) = struct
         Bftnet.Network.transport = P.transport;
       }
     in
-    assemble ?probe ~seed ~net_config ~service ~clients ~payload_size config
+    assemble ~probe ~seed ~net_config ~service ~clients ~payload_size config
 
   let engine t = t.engine
   let network t = t.net

@@ -8,7 +8,6 @@ module Voteset = Voteset
 module Slot = Slot
 module Messages = Messages
 module Replica = Replica
-module Codec = Codec
 module Ledger = Ledger
 module Idset = Idset
 module Replycache = Replycache

@@ -21,8 +21,8 @@ type msg =
 type config = { f : int; exec_cost : Time.t }
 
 let default_config ~f = { f; exec_cost = Time.us 100 }
-let origin_window = 30
-let heavy_exec_cost = Time.ms 1
+let origin_window = 30 (* requests per origin one PRE-PREPARE may cover *)
+let heavy_exec_cost = Time.ms 1 (* a request flagged heavy, as in the paper's attack *)
 let body_copy_factor = 6.0
 
 type faults = { mutable delay_to_limit : bool; mutable limit_fraction : float }

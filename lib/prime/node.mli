@@ -38,15 +38,6 @@ val default_config : f:int -> config
 (** 100 us per request: the paper's Figure 1 requests. The fault-free
     comparisons use 1 us, like the other stacks. *)
 
-val origin_window : int
-(** 30: max requests per origin covered by one PRE-PREPARE — Prime's
-    aggregation/flow-control bound; with the ordering period it caps
-    throughput. *)
-
-val heavy_exec_cost : Time.t
-(** 1 ms: the execution cost of a request flagged heavy, as in the
-    paper's attack. *)
-
 val body_copy_factor : float
 (** 6.0: body-copy overhead of the PO dissemination path. *)
 

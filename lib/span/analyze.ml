@@ -11,6 +11,7 @@
     bound of "within 1%" holds by construction. *)
 
 open Dessim
+open Bftmetrics
 
 type seg = { seg_tag : Tag.t; seg_node : int; seg_from : Time.t; seg_to : Time.t }
 
@@ -327,7 +328,7 @@ let read_jsonl path =
    spans (node = -1) keep pid = -1 and use tid = client so each client
    gets its own lane. *)
 let chrome_span ~args (s : Span.t) =
-  Bftmetrics.Chrome.Complete
+  Chrome.Complete
     {
       name = Tag.name s.tag;
       ts = s.t0;
@@ -347,7 +348,7 @@ let write_chrome ?audit spans path =
     Printf.sprintf {|"id":%d,"parent":%d,"client":%d,"rid":%d|} s.id s.parent s.client
       s.rid
   in
-  Bftmetrics.Chrome.write path
+  Chrome.write path
     (chrome_spans ~args spans
     @ (match audit with
       | None -> []

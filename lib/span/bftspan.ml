@@ -8,10 +8,15 @@
     {!Tracer} reads a capture back (digest, JSONL). {!Analyze} turns a capture into per-stage latency budgets (critical
     path via a last-finisher backward walk), slowest-request
     breakdowns, per-client fairness tables, and Chrome trace_event
-    exports aligned with {!Bftaudit.Capture}. *)
+    exports aligned with {!Bftaudit.Capture}.
 
-module Tag = Tag
-module Span = Span
+    Kept for [benchmark/] (DESIGN §9): [Tracer.enable], [disable],
+    [reset] and [to_array] on {!Bftmetrics.Probe.default}, and the
+    names {!Tag} and {!Span}, aliases of {!Bftmetrics.Tag} and
+    {!Bftmetrics.Span}. *)
+
+module Tag = Bftmetrics.Tag
+module Span = Bftmetrics.Span
 module Chunkdig = Chunkdig
 module Tracer = Tracer
 module Analyze = Analyze

@@ -1,8 +1,9 @@
 (** Chunk-chained SHA-256 over a line stream.
 
-    The capture digest discipline shared by span captures (and reused
-    by the doctor's bundles): lines are accumulated into ~64 KiB
-    chunks and each full chunk folds into a running chain,
+    The digest of span captures ({!Tracer.digest}; doctor bundles chain
+    whole parts in [Bundle.chain_digest] instead): lines are
+    accumulated into ~64 KiB chunks and each full chunk folds into a
+    running chain,
 
     {[ chain := SHA-256 (chain ^ chunk) ]}
 
@@ -17,28 +18,22 @@
     last 64 KiB boundary silently drops out of the digest and a
     truncated capture can collide with its own prefix. {!hex} flushes
     before reading the chain, so callers cannot observe an unflushed
-    digest; {!flush} is exposed for streaming writers that sync the
-    chain at checkpoints. *)
+    digest. *)
 
 (* Chunk boundary policy: a chunk closes when, after appending a line,
    the buffer has reached [chunk - slack] bytes. [slack] keeps the
    boundary decision identical to the historical per-line check, so
    digests of existing captures are unchanged. *)
-let default_chunk = 64 * 1024
+let chunk = 64 * 1024
 let slack = 256
 
 type t = {
-  chunk : int;
   mutable chain : string;  (* raw 32-byte digest *)
   buf : Buffer.t;
 }
 
-let create ?(chunk = default_chunk) ~seed () =
-  {
-    chunk;
-    chain = Bftcrypto.Sha256.digest_string seed;
-    buf = Buffer.create (min chunk default_chunk);
-  }
+let create ~seed () =
+  { chain = Bftcrypto.Sha256.digest_string seed; buf = Buffer.create chunk }
 
 let flush t =
   if Buffer.length t.buf > 0 then begin
@@ -51,7 +46,7 @@ let flush t =
 let add_line t writer =
   writer t.buf;
   Buffer.add_char t.buf '\n';
-  if Buffer.length t.buf >= t.chunk - slack then flush t
+  if Buffer.length t.buf >= chunk - slack then flush t
 
 let add_string_line t s = add_line t (fun buf -> Buffer.add_string buf s)
 

@@ -1,13 +1,13 @@
 (** Read-outs of a run's span capture (digest, JSONL), plus the span
-    entry points that act on {!Bftmetrics.Probe.default}. The run's
-    probe records the spans: ids are allocation order, so a capture of
-    a deterministic run is deterministic, and context propagates as a
-    bare span id ([-1] = none) carried in resource jobs and network
-    deliveries. *)
+    entry points that act on {!Bftmetrics.Probe.default} for
+    [benchmark/] (DESIGN §9). The run's probe records the spans: ids
+    are allocation order, so a capture of a deterministic run is
+    deterministic, and context propagates as a bare span id ([-1] =
+    none) carried in resource jobs and network deliveries. *)
 
-module Probe = Bftmetrics.Probe
+open Bftmetrics
 
-(* The entry points over {!Probe.default}. *)
+(* [benchmark/]'s entry points over {!Probe.default}. *)
 let enable ?sample () = Probe.enable_spans ?sample Probe.default
 let disable () = Probe.disable_spans Probe.default
 let reset () = Probe.reset_spans Probe.default

@@ -1,3 +1,19 @@
+(* Binary wire codec for instance messages, kept with the tests.
+
+   The simulator passes messages as values and only charges for their
+   [Pbftcore.Messages.wire_size]; no run encodes a message. This codec
+   makes the format concrete (what the bytes on the simulated wire
+   would look like) so the tests can check that [wire_size] agrees
+   with the encoded length.
+
+   With identifier ordering (RBFT), PRE-PREPAREs carry request
+   identifiers only: the operation body is not on the wire, so decoding
+   restores every field except [op] (left empty, with [op_size]
+   preserved). With [order_full_requests] the body travels too and the
+   roundtrip is exact. [decode] returns [None] on malformed input
+   (truncated, bad tag, trailing bytes). *)
+
+open Pbftcore
 open Types
 open Bftnet
 

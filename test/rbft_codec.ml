@@ -1,5 +1,16 @@
+(* Binary wire codec for RBFT's node-level messages (Figure 5), kept
+   with the tests like [Pbft_codec], which it complements for the
+   per-instance traffic: REQUEST/PROPAGATE/REPLY and INSTANCE-CHANGE
+   are node-level. Authentication material travels as placeholder
+   bytes of the real size (a signature slot and a one-byte validity
+   marker standing for the simulator's validity flags); the tests check
+   the encoded length matches [Rbft.Messages.wire_size] up to the
+   authenticated envelope the network frames add: the MAC
+   authenticator and the sender's id. *)
+
 open Bftnet
 open Pbftcore.Types
+open Rbft
 
 let tag_request = 10
 let tag_propagate = 11
@@ -52,7 +63,7 @@ let encode ~order_full_requests msg =
    | Messages.Instance { instance; msg } ->
      Wire.Writer.u8 w tag_instance;
      Wire.Writer.u8 w instance;
-     Wire.Writer.string w (Pbftcore.Codec.encode ~order_full_requests msg)
+     Wire.Writer.string w (Pbft_codec.encode ~order_full_requests msg)
    | Messages.Instance_change { cpi } ->
      Wire.Writer.u8 w tag_instance_change;
      Wire.Writer.u64 w cpi
@@ -97,7 +108,7 @@ let decode ~order_full_requests s =
       else if tag = tag_instance then begin
         let instance = Wire.Reader.u8 r in
         let inner = Wire.Reader.string r in
-        match Pbftcore.Codec.decode ~order_full_requests inner with
+        match Pbft_codec.decode ~order_full_requests inner with
         | Some msg -> Some (Messages.Instance { instance; msg })
         | None -> None
       end

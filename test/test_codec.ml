@@ -66,8 +66,8 @@ let strip_ops (msg : Pbftcore.Messages.t) =
 let test_pbft_roundtrip_identifiers () =
   List.iter
     (fun msg ->
-      match Pbftcore.Codec.decode ~order_full_requests:false
-              (Pbftcore.Codec.encode ~order_full_requests:false msg)
+      match Pbft_codec.decode ~order_full_requests:false
+              (Pbft_codec.encode ~order_full_requests:false msg)
       with
       | Some decoded ->
         Alcotest.(check bool)
@@ -80,8 +80,8 @@ let test_pbft_roundtrip_identifiers () =
 let test_pbft_roundtrip_full () =
   List.iter
     (fun msg ->
-      match Pbftcore.Codec.decode ~order_full_requests:true
-              (Pbftcore.Codec.encode ~order_full_requests:true msg)
+      match Pbft_codec.decode ~order_full_requests:true
+              (Pbft_codec.encode ~order_full_requests:true msg)
       with
       | Some decoded ->
         (* New-view re-proposals and view-change certificate batches
@@ -100,16 +100,16 @@ let test_pbft_roundtrip_full () =
 
 let test_pbft_garbage_rejected () =
   Alcotest.(check bool) "empty" true
-    (Pbftcore.Codec.decode ~order_full_requests:false "" = None);
+    (Pbft_codec.decode ~order_full_requests:false "" = None);
   Alcotest.(check bool) "bad tag" true
-    (Pbftcore.Codec.decode ~order_full_requests:false "\xFF rest" = None);
+    (Pbft_codec.decode ~order_full_requests:false "\xFF rest" = None);
   let valid =
-    Pbftcore.Codec.encode ~order_full_requests:false (List.hd sample_pbft_messages)
+    Pbft_codec.encode ~order_full_requests:false (List.hd sample_pbft_messages)
   in
   Alcotest.(check bool) "trailing bytes" true
-    (Pbftcore.Codec.decode ~order_full_requests:false (valid ^ "x") = None);
+    (Pbft_codec.decode ~order_full_requests:false (valid ^ "x") = None);
   Alcotest.(check bool) "truncated" true
-    (Pbftcore.Codec.decode ~order_full_requests:false
+    (Pbft_codec.decode ~order_full_requests:false
        (String.sub valid 0 (String.length valid / 2))
     = None)
 
@@ -134,8 +134,8 @@ let test_rbft_roundtrip () =
   List.iter
     (fun msg ->
       match
-        Rbft.Codec.decode ~order_full_requests:false
-          (Rbft.Codec.encode ~order_full_requests:false msg)
+        Rbft_codec.decode ~order_full_requests:false
+          (Rbft_codec.encode ~order_full_requests:false msg)
       with
       | Some decoded ->
         Alcotest.(check bool) (Rbft.Messages.type_tag msg ^ " roundtrip") true
@@ -157,8 +157,8 @@ let test_rbft_junk_propagate_roundtrip () =
       }
   in
   match
-    Rbft.Codec.decode ~order_full_requests:false
-      (Rbft.Codec.encode ~order_full_requests:false junk)
+    Rbft_codec.decode ~order_full_requests:false
+      (Rbft_codec.encode ~order_full_requests:false junk)
   with
   | Some decoded -> Alcotest.(check bool) "junk roundtrip exact" true (decoded = junk)
   | None -> Alcotest.fail "junk roundtrip failed"
@@ -175,8 +175,8 @@ let test_rbft_busy_roundtrip () =
             Rbft.Messages.Busy { id = { client = 2; rid = 41 }; retry_after }
           in
           match
-            Rbft.Codec.decode ~order_full_requests
-              (Rbft.Codec.encode ~order_full_requests msg)
+            Rbft_codec.decode ~order_full_requests
+              (Rbft_codec.encode ~order_full_requests msg)
           with
           | Some decoded ->
             Alcotest.(check bool)
@@ -199,7 +199,7 @@ let test_sizes_track_model () =
     (fun msg ->
       let model = Pbftcore.Messages.wire_size ~n ~order_full_requests:false msg in
       let actual =
-        String.length (Pbftcore.Codec.encode ~order_full_requests:false msg) + envelope
+        String.length (Pbft_codec.encode ~order_full_requests:false msg) + envelope
       in
       let drift = abs (model - actual) in
       Alcotest.(check bool)
@@ -218,8 +218,8 @@ let prop_pbft_pp_roundtrip =
       let descs = List.map (fun (c, rid, op) -> desc ~client:c ~rid op) reqs in
       let msg = Pbftcore.Messages.Pre_prepare { view; seq = view + 1; descs } in
       match
-        Pbftcore.Codec.decode ~order_full_requests:true
-          (Pbftcore.Codec.encode ~order_full_requests:true msg)
+        Pbft_codec.decode ~order_full_requests:true
+          (Pbft_codec.encode ~order_full_requests:true msg)
       with
       | Some decoded -> decoded = msg
       | None -> false)
@@ -233,8 +233,8 @@ let prop_rbft_request_roundtrip =
           { desc = desc ~client ~rid op; sig_valid = client mod 2 = 0; mac_invalid_for = [] }
       in
       match
-        Rbft.Codec.decode ~order_full_requests:false
-          (Rbft.Codec.encode ~order_full_requests:false msg)
+        Rbft_codec.decode ~order_full_requests:false
+          (Rbft_codec.encode ~order_full_requests:false msg)
       with
       | Some decoded -> decoded = msg
       | None -> false)

@@ -95,7 +95,7 @@ let test_flavour_rbft_clusters () =
     (fun fl ->
       Alcotest.check_raises (Flavour.name fl ^ " is no RBFT flavour")
         (Invalid_argument ("Flavour.rbft_cluster: " ^ Flavour.name fl))
-        (fun () -> ignore (Flavour.rbft_cluster ~f:1 fl)))
+        (fun () -> ignore (Flavour.rbft_cluster ~probe:(Bftmetrics.Probe.create ()) ~f:1 fl)))
     Flavour.[ Aardvark; Spinning; Prime ]
 
 (* ------------------------------------------------------------------ *)

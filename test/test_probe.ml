@@ -1,7 +1,8 @@
 (* Tests for the per-run probe: runs interleaved in one process observe
-   exactly what each observes alone, a run on its own probe leaves
-   Probe.default untouched, and the one Chrome trace writer reproduces
-   the committed exports of a fixed run byte for byte. *)
+   exactly what each observes alone, a run on its own probe and every
+   driver leave Probe.default untouched, and the one Chrome trace
+   writer reproduces the committed exports of a fixed run byte for
+   byte. *)
 
 open Dessim
 module Probe = Bftmetrics.Probe
@@ -82,6 +83,34 @@ let test_all_off_probe_leaves_default () =
   Rbft.Cluster.run_for cluster (Time.ms 200);
   Alcotest.(check bool) "the run made progress" true (Rbft.Cluster.total_executed cluster > 0);
   Alcotest.(check bool) "attack declared on the run's probe" true (Probe.is_declared probe 3);
+  Alcotest.(check bool) "Probe.default untouched" true (before = default_state ())
+
+(* Every driver builds on a probe of its own: an audited harness leg
+   per stack with metrics and spans on, a chaos scenario and a
+   model-checker search all leave Probe.default as they found it. *)
+let test_drivers_leave_default () =
+  let before = default_state () in
+  let audit = Bftharness.Audit.create ~enabled:true () in
+  let leg (type c) (module S : Pbftcore.Cluster_core.STACK with type Cluster.t = c) build =
+    let load = Bftworkload.Loadshape.static ~duration:(Time.ms 100) ~clients:2 ~rate:200.0 in
+    let r =
+      Bftharness.Experiments.run ~audit ~metrics:true ~span_sample:2 (module S) ~f:1
+        ~load:(Bftharness.Experiments.Shape load) build
+    in
+    Alcotest.(check bool) "the leg made progress" true (S.Cluster.total_executed r.cluster > 0)
+  in
+  leg (module Rbft) (fun ~probe clients -> Flavour.rbft_cluster ~probe ~clients ~f:1 Rbft);
+  leg (module Aardvark) (fun ~probe clients ->
+      Aardvark.Cluster.create ~probe ~clients (Aardvark.Node.default_config ~f:1));
+  leg (module Spinning) (fun ~probe clients ->
+      Spinning.Cluster.create ~probe ~clients (Spinning.Node.default_config ~f:1));
+  leg (module Prime) (fun ~probe clients ->
+      Prime.Cluster.create ~probe ~clients (Prime.Node.default_config ~f:1));
+  Alcotest.(check int) "four audited legs" 4 audit.Bftharness.Audit.runs;
+  Alcotest.(check bool) "the scenario passed" true
+    (Bftchaos.Runner.ok (Bftchaos.Runner.run (Test_chaos.base_scenario ())));
+  Alcotest.(check bool) "the search was clean" true
+    ((Bftmc.Search.run Test_mc.small_cfg).Bftmc.Search.counterexample = None);
   Alcotest.(check bool) "Probe.default untouched" true (before = default_state ())
 
 (* ------------------------------------------------------------------ *)
@@ -174,6 +203,8 @@ let suites =
           test_interleaved_runs_isolated;
         Alcotest.test_case "an all-off probe leaves Probe.default untouched" `Quick
           test_all_off_probe_leaves_default;
+        Alcotest.test_case "every driver leaves Probe.default untouched" `Quick
+          test_drivers_leave_default;
       ] );
     ( "probe.chrome",
       [
