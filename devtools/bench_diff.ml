@@ -54,12 +54,15 @@
    [host] section of two BENCH_rbft.json reports holds, per leg,
    engine events, delivered messages, minor-heap words and SHA-256
    blocks per completed request, the engine heap's high-water mark
-   ([queue_peak], in entries) and the summed per-node peaks of the
-   request-state tables ([tracked_peak], in entries). Events, messages,
-   blocks and both peaks are exact counts of the simulation, so any
-   rise fails; minor words depend on the compiler and runtime too, so
-   they may rise by at most 5%. Falls always pass. The section is skipped by the two-file diff, whose symmetric
-   tolerance would fail a large allocation cut. *)
+   ([queue_peak], in entries), the summed per-node peaks of the
+   request-state tables ([tracked_peak], in entries) and the summed
+   per-replica peaks of the pools of undelivered requests
+   ([known_peak], in entries). Events, messages, blocks and the three
+   peaks are exact counts of the simulation, so any rise fails; minor
+   words depend on the compiler and runtime too, so they may rise by
+   at most 5%. Falls always pass. The section is skipped by the
+   two-file diff, whose symmetric tolerance would fail a large
+   allocation cut. *)
 
 let default_skips =
   [ "profile"; "seconds"; "share"; "sample"; "calls"; "host" ]
@@ -393,8 +396,8 @@ let breakdown_check ~queue_wait_max ~min_throughput path =
     exit 1
 
 (* Host-cost gate: per leg, no rise in events, messages or SHA-256
-   blocks per request, in the engine heap's peak or in the tracked
-   request peak, and at most [words_slack] more minor words per
+   blocks per request, in the engine heap's peak or in the tracked or
+   known request peaks, and at most [words_slack] more minor words per
    request. *)
 let host_check ~words_slack base_path fresh_path =
   let problems = ref [] in
@@ -416,7 +419,7 @@ let host_check ~words_slack base_path fresh_path =
   let limits =
     [ ("events_per_req", 0.0); ("msgs_per_req", 0.0);
       ("minor_words_per_req", words_slack); ("sha256_blocks_per_req", 0.0);
-      ("queue_peak", 0.0); ("tracked_peak", 0.0) ]
+      ("queue_peak", 0.0); ("tracked_peak", 0.0); ("known_peak", 0.0) ]
   in
   List.iter
     (fun (leg, row) ->
@@ -441,7 +444,8 @@ let host_check ~words_slack base_path fresh_path =
   | [] ->
     Printf.printf
       "host-check ok: no leg rose in events, messages or SHA-256 blocks per \
-       request or in queue or tracked-request peak, minor words within +%.0f%%\n"
+       request or in queue, tracked- or known-request peak, minor words \
+       within +%.0f%%\n"
       (100.0 *. words_slack)
   | ps ->
     Printf.eprintf "host-check: %d problem(s):\n" (List.length ps);

@@ -5,9 +5,8 @@
    with the metric registry enabled, reduced to the headline numbers a
    CI job can diff: achieved throughput, client end-to-end latency
    percentiles, master-instance ordering percentiles, the under-attack
-   throughput ratios, the registry's own hot-path overhead (the same
-   fault-free run with collection off vs on) and the wall-clock
-   self-profile. *)
+   throughput ratios, the instance changes each leg completed, the
+   simulator's host cost per request and the wall-clock self-profile. *)
 
 open Dessim
 open Bftworkload
@@ -18,6 +17,7 @@ type run_result = {
   p99_ms : float;
   order_p50_ms : float;
   order_p99_ms : float;
+  instance_changes : int;
   host : host;
 }
 
@@ -28,6 +28,7 @@ and host = {
   sha256_blocks_per_req : float;
   queue_peak : int;
   tracked_peak : int;
+  known_peak : int;
 }
 
 module Probe = Bftmetrics.Probe
@@ -71,12 +72,15 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?span_sample ?(flavour = Flavour
     if flow then { p with Rbft.Params.admission_budget = 128; adaptive_batching = true }
     else p
   in
-  (* Host counts start once the attack is installed. *)
+  (* Host counts start once the attack is installed, from the same state
+     in every leg: a domain's first batch digest builds its hashing
+     state and digest memos, so one is taken before the counts start. *)
   let words0 = ref 0.0 and blocks0 = ref 0 in
   let attack cluster =
     attack cluster;
-    words0 := Gc.minor_words ();
-    blocks0 := Bftcrypto.Sha256.blocks_hashed ()
+    ignore (Pbftcore.Messages.batch_digest [ Pbftcore.Types.desc_of_op ~client:0 ~rid:0 "" ]);
+    blocks0 := Bftcrypto.Sha256.blocks_hashed ();
+    words0 := Gc.minor_words ()
   in
   let r =
     Experiments.run ~audit ~metrics:with_metrics ?span_sample ~attack (module Rbft) ~f
@@ -93,18 +97,18 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?span_sample ?(flavour = Flavour
     Bftmetrics.Registry.histogram (Probe.registry probe) "bft_ordering_latency_seconds"
       ~labels:[ ("node", "1"); ("instance", "0") ]
   in
-  let completed =
-    Array.fold_left
-      (fun acc c -> acc + Rbft.Client.completed c)
-      0 (Rbft.Cluster.clients cluster)
-  in
+  let sum f a = Array.fold_left (fun acc x -> acc + f x) 0 a in
+  let completed = sum Rbft.Client.completed (Rbft.Cluster.clients cluster) in
   let per_req x = x /. float_of_int (max 1 completed) in
+  let nodes = Rbft.Cluster.nodes cluster in
   ( {
       throughput = r.Experiments.throughput;
       p50_ms = latency_ms r 50.0;
       p99_ms = latency_ms r 99.0;
       order_p50_ms = percentile_ms order 50.0;
       order_p99_ms = percentile_ms order 99.0;
+      instance_changes =
+        Array.fold_left (fun acc n -> max acc (Rbft.Node.instance_changes n)) 0 nodes;
       host =
         {
           events_per_req = per_req (float_of_int (Engine.events_processed engine));
@@ -115,10 +119,14 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?span_sample ?(flavour = Flavour
           minor_words_per_req = per_req minor_words;
           sha256_blocks_per_req = per_req (float_of_int sha_blocks);
           queue_peak = Engine.queue_peak engine;
-          tracked_peak =
-            Array.fold_left
-              (fun acc n -> acc + Rbft.Node.tracked_peak n)
-              0 (Rbft.Cluster.nodes cluster);
+          tracked_peak = sum Rbft.Node.tracked_peak nodes;
+          known_peak =
+            sum
+              (fun n ->
+                sum
+                  (fun instance -> Pbftcore.Replica.known_peak (Rbft.Node.replica n ~instance))
+                  (Array.init (f + 1) Fun.id))
+              nodes;
         };
     },
     probe )
@@ -134,36 +142,32 @@ let json_of_result r =
     (Bftmetrics.Export.json_float r.order_p50_ms)
     (Bftmetrics.Export.json_float r.order_p99_ms)
 
+(* The fields of a JSON object, to splice into another. *)
+let splice s = String.sub s 1 (String.length s - 2)
+
 let generate ~audit ~quick =
   let module Profile = Bftmetrics.Profile in
   let profile = Profile.create () in
   let sizes = [ 8; 4096 ] in
-  (* Every leg's host counts, keyed by its profile label. *)
+  (* Every leg's host counts, keyed by its label. *)
   let hosts = ref [] in
-  let record leg r = hosts := (leg, r.host) :: !hosts in
+  (* One leg, timed in the profile under its label. *)
+  let leg ?attack ?span_sample ~with_metrics name payload =
+    let label = name ^ "-" ^ size_key payload in
+    Profile.time profile ("perfreport:" ^ label) (fun () ->
+        let r, probe = static_run ?attack ?span_sample ~audit ~with_metrics ~quick ~payload () in
+        hosts := (label, r.host) :: !hosts;
+        (r, probe))
+  in
   let fault_free =
-    List.map
-      (fun payload ->
-        Profile.time profile
-          (Printf.sprintf "perfreport:fault-free-%s" (size_key payload))
-          (fun () ->
-            let r, _ = static_run ~audit ~with_metrics:true ~quick ~payload () in
-            record ("fault-free-" ^ size_key payload) r;
-            (payload, r)))
-      sizes
+    List.map (fun payload -> (payload, fst (leg ~with_metrics:true "fault-free" payload))) sizes
   in
   (* Fault-free per-stage latency attribution from dedicated traced runs. *)
   let breakdown =
     List.map
       (fun payload ->
-        Profile.time profile
-          (Printf.sprintf "perfreport:breakdown-%s" (size_key payload))
-          (fun () ->
-            let r, probe =
-              static_run ~audit ~with_metrics:false ~span_sample:8 ~quick ~payload ()
-            in
-            record ("breakdown-" ^ size_key payload) r;
-            (payload, Bftspan.Analyze.summarize (Probe.span_array probe))))
+        let _, probe = leg ~with_metrics:false ~span_sample:8 "breakdown" payload in
+        (payload, Bftspan.Analyze.summarize (Probe.span_array probe)))
       sizes
   in
   let attacks =
@@ -176,19 +180,10 @@ let generate ~audit ~quick =
         ( name,
           List.map
             (fun payload ->
-              Profile.time profile
-                (Printf.sprintf "perfreport:%s-%s" name (size_key payload))
-                (fun () ->
-                  let att, _ =
-                    static_run ~attack ~audit ~with_metrics:true ~quick ~payload ()
-                  in
-                  record (name ^ "-" ^ size_key payload) att;
-                  let ff = List.assoc payload fault_free in
-                  let rel =
-                    if ff.throughput > 0.0 then att.throughput /. ff.throughput
-                    else 0.0
-                  in
-                  (payload, att, rel)))
+              let att, _ = leg ~attack ~with_metrics:true name payload in
+              let ff = List.assoc payload fault_free in
+              let rel = if ff.throughput > 0.0 then att.throughput /. ff.throughput else 0.0 in
+              (payload, att, rel))
             sizes ))
       attacks
   in
@@ -203,8 +198,8 @@ let generate ~audit ~quick =
     (String.concat ",\n"
        (List.map
           (fun (payload, r) ->
-            Printf.sprintf {|    "%s": %s|} (size_key payload)
-              (json_of_result r))
+            Printf.sprintf {|    "%s": {%s,"instance_changes":%d}|} (size_key payload)
+              (splice (json_of_result r)) r.instance_changes)
           fault_free));
   Buffer.add_string buf "\n  },\n";
   Buffer.add_string buf "  \"under_attack\": {\n";
@@ -217,10 +212,10 @@ let generate ~audit ~quick =
                  (List.map
                     (fun (payload, att, rel) ->
                       Printf.sprintf
-                        {|"%s":{"throughput_req_s":%s,"relative_throughput":%s}|}
+                        {|"%s":{"throughput_req_s":%s,"relative_throughput":%s,"instance_changes":%d}|}
                         (size_key payload)
                         (Bftmetrics.Export.json_float att.throughput)
-                        (Bftmetrics.Export.json_float rel))
+                        (Bftmetrics.Export.json_float rel) att.instance_changes)
                     rows)))
           under_attack));
   Buffer.add_string buf "\n  },\n";
@@ -250,13 +245,13 @@ let generate ~audit ~quick =
        (List.rev_map
           (fun (leg, h) ->
             Printf.sprintf
-              {|    "%s": {"events_per_req":%s,"msgs_per_req":%s,"minor_words_per_req":%s,"sha256_blocks_per_req":%s,"queue_peak":%d,"tracked_peak":%d}|}
+              {|    "%s": {"events_per_req":%s,"msgs_per_req":%s,"minor_words_per_req":%s,"sha256_blocks_per_req":%s,"queue_peak":%d,"tracked_peak":%d,"known_peak":%d}|}
               leg
               (Bftmetrics.Export.json_float h.events_per_req)
               (Bftmetrics.Export.json_float h.msgs_per_req)
               (Bftmetrics.Export.json_float h.minor_words_per_req)
               (Bftmetrics.Export.json_float h.sha256_blocks_per_req)
-              h.queue_peak h.tracked_peak)
+              h.queue_peak h.tracked_peak h.known_peak)
           !hosts));
   Buffer.add_string buf "\n  },\n";
   Buffer.add_string buf
@@ -311,10 +306,8 @@ let generate_scale ~audit ~quick =
     (String.concat ",\n"
        (List.map
           (fun (f, n, instances, r, c) ->
-            let splice s = String.sub s 1 (String.length s - 2) in
             Printf.sprintf {|    "f%d": {"n":%d,"instances":%d,%s,"concurrent":%s}|}
               f n instances
-              (* splice the result fields into the same object *)
               (splice (json_of_result r))
               (json_of_result c))
           rows));

@@ -8,9 +8,12 @@
     simulator's own cost per completed request as deterministic
     counts: engine events, delivered messages, minor-heap words
     allocated and SHA-256 blocks compressed while the cluster ran, plus
-    the engine heap's high-water mark ([queue_peak], in entries) and
-    the summed per-node peaks of the request-state tables
-    ([tracked_peak], in entries).
+    the engine heap's high-water mark ([queue_peak], in entries), the
+    summed per-node peaks of the request-state tables ([tracked_peak],
+    in entries) and the summed per-replica peaks of the pools of known,
+    undelivered requests ([known_peak], in entries). Each fault-free
+    and under-attack leg also reports the most instance changes any
+    node completed ([instance_changes]).
 
     Every leg is one {!Experiments.run} on a probe of its own; the legs
     of {!write} and {!write_scale} are audited when [audit] is
@@ -23,6 +26,7 @@ type run_result = {
   p99_ms : float;
   order_p50_ms : float;  (** master-instance ordering latency at node 1 *)
   order_p99_ms : float;
+  instance_changes : int;  (** the most any node completed *)
   host : host;
 }
 
@@ -37,6 +41,9 @@ and host = {
   tracked_peak : int;
       (** {!Rbft.Node.tracked_peak} summed over the nodes: requests
           tracked at once, a count of simulated state *)
+  known_peak : int;
+      (** {!Pbftcore.Replica.known_peak} summed over every replica of
+          every node: undelivered requests known at once *)
 }
 
 val static_run :

@@ -19,18 +19,19 @@ module Ranges = struct
 
   (* Insert into a highest-first list of ranges, each ending at least
      two below the range above it; the caller guarantees [rid] + 1 is
-     below that range. Only the cons cells above the insertion point
-     are rebuilt: a deferred rid is normally near the top. *)
-  let rec insert_below rid = function
-    | [] -> [ (rid, rid) ]
+     below that range. [grew] receives the change in the number of
+     ranges (it starts at 0). Only the cons cells above the insertion
+     point are rebuilt. *)
+  let rec insert_below grew rid = function
+    | [] -> grew := 1; [ (rid, rid) ]
     | ((l, h) as range) :: rest as all ->
-      if rid > h then if rid - 1 = h then (l, rid) :: rest else (rid, rid) :: all
+      if rid > h then if rid - 1 = h then (l, rid) :: rest else (grew := 1; (rid, rid) :: all)
       else if rid >= l then all
       else if rid + 1 = l then
         match rest with
-        | (l2, h2) :: rest2 when h2 + 1 = rid -> (l2, h) :: rest2
+        | (l2, h2) :: rest2 when h2 + 1 = rid -> grew := -1; (l2, h) :: rest2
         | _ -> (rid, h) :: rest
-      else range :: insert_below rid rest
+      else range :: insert_below grew rid rest
 
   let add r rid =
     if r.lo > r.hi then begin
@@ -60,9 +61,9 @@ module Ranges = struct
       | _ -> 0
     end
     else begin
-      let before = List.length r.below in
-      r.below <- insert_below rid r.below;
-      List.length r.below - before
+      let grew = ref 0 in
+      r.below <- insert_below grew rid r.below;
+      !grew
     end
 
   let rec mem_below rid = function

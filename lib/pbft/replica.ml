@@ -74,11 +74,13 @@ type t = {
   mutable vc_target : view;
   mutable vc_completed : int;
   entries : (seqno, entry) Hashtbl.t;
-  known : request_desc Request_id_table.t;  (* submitted, available for ordering *)
+  (* Requests submitted or learned from a PRE-PREPARE and not yet
+     delivered, each with the number of requests learned before it: a
+     new primary re-batches them in that order. *)
+  known : (request_desc * int) Request_id_table.t;
+  mutable arrivals : int;
+  mutable known_peak : int;  (* high-water mark of [known] *)
   delivered_ids : Idset.t;
-  (* Ids in [known] but not in [delivered_ids], kept in step with both
-     so [pending_count] is O(1). *)
-  mutable undelivered : int;
   mutable pending_batch : request_desc list;  (* primary: reversed accumulation *)
   mutable pending_len : int;  (* length of [pending_batch], kept in step *)
   mutable batch_timer : Engine.timer option;
@@ -121,22 +123,15 @@ let ordered_count t = t.ordered_count
 let last_delivered_seq t = t.next_deliver - 1
 let view_changes_completed t = t.vc_completed
 
-let pending_count t = t.undelivered
+let pending_count t = Request_id_table.length t.known
+let known_peak t = t.known_peak
+let knows t id = Request_id_table.mem t.known id || Idset.mem t.delivered_ids id
 
-let debug_pending_fold t =
-  Request_id_table.fold
-    (fun id _ acc -> if Idset.mem t.delivered_ids id then acc else acc + 1)
-    t.known 0
-
-(* The two insertions that move [undelivered], each for an id not yet
-   in its set. *)
+(* For an id this replica does not know yet. *)
 let add_known t (d : request_desc) =
-  Request_id_table.replace t.known d.id d;
-  if not (Idset.mem t.delivered_ids d.id) then t.undelivered <- t.undelivered + 1
-
-let add_delivered t id =
-  Idset.add t.delivered_ids id;
-  if Request_id_table.mem t.known id then t.undelivered <- t.undelivered - 1
+  Request_id_table.add t.known d.id (d, t.arrivals);
+  t.arrivals <- t.arrivals + 1;
+  t.known_peak <- Stdlib.max t.known_peak (Request_id_table.length t.known)
 
 let entry_for t seq =
   match Hashtbl.find_opt t.entries seq with
@@ -261,7 +256,11 @@ let rec try_deliver t =
     (* Filter requests already delivered under an earlier sequence
        number (can happen when a view change re-proposes a batch). *)
     let fresh = List.filter (fun d -> not (Idset.mem t.delivered_ids d.id)) pp.descs in
-    List.iter (fun d -> add_delivered t d.id) fresh;
+    List.iter
+      (fun d ->
+        Idset.add t.delivered_ids d.id;
+        Request_id_table.remove t.known d.id)
+      fresh;
     let count = List.length fresh in
     t.ordered_count <- t.ordered_count + count;
     let now = Engine.now t.engine in
@@ -463,8 +462,9 @@ let create ~probe ?clock ?(hooks = no_hooks) engine cfg cb =
         vc_completed = 0;
         entries = Hashtbl.create 512;
         known = Request_id_table.create 1024;
+        arrivals = 0;
+        known_peak = 0;
         delivered_ids = Idset.create ();
-        undelivered = 0;
         pending_batch = [];
         pending_len = 0;
         batch_timer = None;
@@ -494,10 +494,7 @@ let create ~probe ?clock ?(hooks = no_hooks) engine cfg cb =
 (* ------------------------------------------------------------------ *)
 
 let have_all_requests t (pp : Messages.pre_prepare) =
-  List.for_all
-    (fun d ->
-      Request_id_table.mem t.known d.id || Idset.mem t.delivered_ids d.id)
-    pp.descs
+  List.for_all (fun d -> knows t d.id) pp.descs
 
 let maybe_send_prepare t (pp : Messages.pre_prepare) =
   let e = entry_for t pp.seq in
@@ -531,10 +528,7 @@ let accept_pp t ~from (pp : Messages.pre_prepare) =
       e.pp_view <- pp.view;
       Slot.fix e.slot digest ~now:(Engine.now t.engine);
       (* Track requests for cross-view re-proposal. *)
-      List.iter
-        (fun d ->
-          if not (Request_id_table.mem t.known d.id) then add_known t d)
-        pp.descs;
+      List.iter (fun d -> if not (knows t d.id) then add_known t d) pp.descs;
       maybe_send_prepare t pp;
       maybe_send_commit t pp.seq e
     in
@@ -679,7 +673,8 @@ and new_primary_repropose t v =
      batch committed at some replica into the new view — this
      replica's log alone may hold a different (or no) batch for the
      slot, e.g. when the PRE-PREPARE raced the previous view change.
-     Every known undelivered request not covered is then re-batched. *)
+     Every known request not covered is then re-batched, in the order
+     this replica learned them. *)
   let best : (seqno, view * request_desc list) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -739,20 +734,16 @@ and new_primary_repropose t v =
   broadcast t (Messages.New_view { view = v; pre_prepares = pps });
   (* Treat own re-issued PPs as accepted. *)
   List.iter (fun pp -> primary_prepare t pp.Messages.seq) pps;
-  (* Re-batch the rest. *)
-  t.pending_batch <- [];
-  t.pending_len <- 0;
-  Request_id_table.iter
-    (fun id d ->
-      if
-        (not (Idset.mem t.delivered_ids id))
-        && (not (Request_id_set.mem id !reproposed))
-        && admits t d
-      then begin
-        t.pending_batch <- d :: t.pending_batch;
-        t.pending_len <- t.pending_len + 1
-      end)
-    t.known;
+  (* Re-batch the rest, newest first like [pending_batch]. The sort
+     makes the order independent of the table's bucket layout. *)
+  let rest =
+    Request_id_table.fold
+      (fun id ((d, _) as e) acc ->
+        if Request_id_set.mem id !reproposed || not (admits t d) then acc else e :: acc)
+      t.known []
+  in
+  t.pending_batch <- List.map fst (List.sort (fun (_, a) (_, b) -> Int.compare b a) rest);
+  t.pending_len <- List.length rest;
   maybe_batch t
 
 and check_new_view t target =
@@ -799,7 +790,7 @@ let submit ?(span = -1) t desc =
   if span >= 0 then
     Slot.Spans.submit t.spans ~span ~now:(Engine.now t.engine)
       ~delivered:(Idset.mem t.delivered_ids) desc.id;
-  if not (Request_id_table.mem t.known desc.id) then begin
+  if not (knows t desc.id) then begin
     add_known t desc;
     if is_primary t && not t.in_vc then begin
       let hold = t.adv.client_hold desc.id in
@@ -843,10 +834,9 @@ let debug_live_seqs t =
   List.sort compare (Hashtbl.fold (fun s _ acc -> s :: acc) t.entries [])
 
 (* Footprints over the replica's ordering state: the per-seqno log
-   (checkpoint-pruned), the submitted-request pool (still append-only:
-   the probe makes that growth visible) and the delivered-id set, whose
-   entries are its ranges (one per client while delivery is in client
-   order). *)
+   (checkpoint-pruned), the pool of undelivered requests and the
+   delivered-id set, whose entries are its ranges (one per client while
+   delivery is in client order). *)
 let register_probes t ~owner =
   ignore
     (Probe.footprint t.probe ~owner ~name:"replica.log"

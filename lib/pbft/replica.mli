@@ -170,11 +170,11 @@ val ordered_count : t -> int
 val last_delivered_seq : t -> seqno
 val pending_count : t -> int
 (** Requests known (submitted, or learned from a PRE-PREPARE) but not
-    yet delivered. O(1): a counter kept in step with both sets. *)
+    yet delivered: the pool a new primary re-batches, which drops each
+    request as it is delivered. *)
 
-val debug_pending_fold : t -> int
-(** [pending_count] recomputed by a fold over the known requests, for
-    tests checking the counter. *)
+val known_peak : t -> int
+(** The most requests {!pending_count} has held at once. *)
 
 val view_changes_completed : t -> int
 

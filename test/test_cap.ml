@@ -516,10 +516,11 @@ let test_churn_bounded_with_knobs () =
 
 (* The flow-controlled configuration the benchmark measures (admission
    gate, adaptive batching, 8 B requests) at 20 kreq/s, about 0.7x its
-   peak, run for 0.5 s and for 1 s: the peaks of the node request table
-   and of the replicas' delivered sets are set by what is in flight, so
-   doubling the run must not grow them. Both grew linearly with the run
-   while they kept every id ever seen. (Past the peak an open loop's
+   peak, run for 0.5 s and for 1 s: the peaks of the node request table,
+   of the replicas' delivered sets and of every replica's pool of
+   undelivered requests are set by what is in flight, so doubling the
+   run must not grow them. Each grew linearly with the run while it
+   kept every id ever seen. (Past the peak an open loop's
    client backlog itself grows with the run, and the rids it defers
    after BUSY replies open delivered-set gaps in step with it.) *)
 let test_request_state_bounded_by_run_length () =
@@ -535,10 +536,16 @@ let test_request_state_bounded_by_run_length () =
         Rbft.Cluster.run_for cluster (Time.of_sec_f seconds);
         ( (footprint pr "node.requests" "node-1").Footprint.r_peak,
           (footprint pr "replica.delivered_ids" "node-1/i0").Footprint.r_peak,
-          Rbft.Node.executed_count (Rbft.Cluster.node cluster 1) ))
+          Rbft.Node.executed_count (Rbft.Cluster.node cluster 1),
+          Array.to_list (Rbft.Cluster.nodes cluster)
+          |> List.concat_map (fun n ->
+                 List.map
+                   (fun instance ->
+                     Pbftcore.Replica.known_peak (Rbft.Node.replica n ~instance))
+                   [ 0; 1 ]) ))
   in
-  let req_short, del_short, exec_short = peaks 0.5 in
-  let req_long, del_long, exec_long = peaks 1.0 in
+  let req_short, del_short, exec_short, known_short = peaks 0.5 in
+  let req_long, del_long, exec_long, known_long = peaks 1.0 in
   Alcotest.(check bool)
     (Printf.sprintf "the longer run executes more (%d vs %d)" exec_long exec_short)
     true
@@ -550,7 +557,15 @@ let test_request_state_bounded_by_run_length () =
   Alcotest.(check bool)
     (Printf.sprintf "delivered set peak flat (%d at 0.5 s, %d at 1 s)" del_short del_long)
     true
-    (del_long * 4 <= del_short * 5)
+    (del_long * 4 <= del_short * 5);
+  List.iteri
+    (fun i (short, long) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "replica %d known pool peak flat (%d at 0.5 s, %d at 1 s)" i short
+           long)
+        true
+        (long * 4 <= short * 5))
+    (List.combine known_short known_long)
 
 (* ------------------------------------------------------------------ *)
 (* Cost of an idle registered client                                  *)

@@ -157,20 +157,30 @@ let test_fig12_audit_observes_one_run () =
   | None -> Alcotest.fail "no audit summary"
 
 (* Each report leg runs on a probe of its own: a second traced leg with
-   metrics on sees neither the first leg's registry nor its spans. *)
+   metrics on sees neither the first leg's registry nor its spans. Its
+   host counts start from the same state too: the first leg runs alone
+   in a fresh domain (whose hashing state and digest memos are not
+   built yet) and the second after it, and both report the same minor
+   words and SHA-256 blocks. *)
 let test_perfreport_legs_share_nothing () =
   let leg () =
     Perfreport.static_run ~audit:(Audit.create ()) ~with_metrics:true ~span_sample:8
       ~quick:true ~payload:8 ()
   in
-  let r1, p1 = leg () in
-  let r2, p2 = leg () in
-  (* Allocated words and SHA-256 blocks depend on process-wide state
-     (the GC and the hash memo), not on the run alone. *)
+  let (r1, p1), (r2, p2) =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let first = leg () in
+           (first, leg ())))
+  in
   let sim (r : Perfreport.run_result) =
     ( (r.throughput, r.p50_ms, r.p99_ms, r.order_p50_ms, r.order_p99_ms),
       (r.host.events_per_req, r.host.msgs_per_req, r.host.queue_peak) )
   in
+  Alcotest.(check (float 0.0)) "equal minor words" r1.host.minor_words_per_req
+    r2.host.minor_words_per_req;
+  Alcotest.(check (float 0.0)) "equal SHA-256 blocks" r1.host.sha256_blocks_per_req
+    r2.host.sha256_blocks_per_req;
   Alcotest.(check bool) "equal results" true (sim r1 = sim r2);
   Alcotest.(check bool) "ordering latency recorded" true (r1.order_p50_ms > 0.0);
   Alcotest.(check bool) "spans recorded" true (Bftmetrics.Probe.span_count p1 > 0);

@@ -12,6 +12,7 @@ type rig = {
   replicas : Replica.t array;
   deliveries : (Types.seqno * Types.request_id list) list ref array;
   drop_to : int list ref;  (* replica ids whose inbound messages are dropped *)
+  on_receive : (int -> Messages.t -> unit) ref;  (* sees each message a replica gets *)
 }
 
 let make_rig ?(n = 4) ?(f = 1) ?(tweak = fun _ c -> c) () =
@@ -19,7 +20,7 @@ let make_rig ?(n = 4) ?(f = 1) ?(tweak = fun _ c -> c) () =
   let probe = Bftmetrics.Probe.create () in
   let deliveries = Array.init n (fun _ -> ref []) in
   let replicas = Array.make n None in
-  let rig_drop = ref [] in
+  let rig_drop = ref [] and on_receive = ref (fun _ _ -> ()) in
   let delay = Time.us 100 in
   let get i = match replicas.(i) with Some r -> r | None -> assert false in
   let mk i =
@@ -28,6 +29,7 @@ let make_rig ?(n = 4) ?(f = 1) ?(tweak = fun _ c -> c) () =
       if not (List.mem dst !rig_drop) then
         ignore
           (Engine.after engine delay (fun () ->
+               !on_receive dst msg;
                Replica.receive (get dst) ~from:i msg))
     in
     let broadcast msg =
@@ -51,6 +53,7 @@ let make_rig ?(n = 4) ?(f = 1) ?(tweak = fun _ c -> c) () =
     replicas = Array.map (function Some r -> r | None -> assert false) replicas;
     deliveries;
     drop_to = rig_drop;
+    on_receive;
   }
 
 let req ?(client = 0) rid = Types.desc_of_op ~client ~rid (Printf.sprintf "op-%d-%d" client rid)
@@ -465,25 +468,64 @@ let test_new_primary_reproposes_inflight () =
     rig.replicas;
   check_agreement rig
 
-(* [pending_count] is a counter kept in step with the known pool and
-   the delivered set; it must equal the fold over the pool it replaced
-   at every point of a run with a view change whose new primary
+(* A new primary re-batches the requests it holds in the order it was
+   submitted them, whatever their client ids: neither the pool's hash
+   layout nor request-id order. Only replica 1, the primary of view 1,
+   is submitted them, so nothing orders them in view 0. *)
+let test_new_primary_rebatches_in_arrival_order () =
+  let rig = make_rig () in
+  let order = [ req ~client:7 1; req ~client:2 1; req ~client:5 3 ] in
+  List.iter (Replica.submit rig.replicas.(1)) order;
+  Array.iter Replica.force_view_change rig.replicas;
+  Engine.run rig.engine;
+  let ids = List.map (fun (d : Types.request_desc) -> d.id) order in
+  Array.iteri
+    (fun i _ ->
+      Alcotest.(check bool)
+        (Printf.sprintf "replica %d delivers in submission order" i)
+        true
+        (List.rev !(rig.deliveries.(i)) = [ (1, ids) ]))
+    rig.replicas
+
+(* [pending_count] is the size of the pool of known, undelivered
+   requests. The test tracks, per replica, every request it was
+   submitted or was sent in a PRE-PREPARE or NEW-VIEW, and every
+   request it delivered; the pool must hold exactly the difference at
+   every point of a run with a view change whose new primary
    re-proposes in-flight batches and re-batches the rest, including
    requests some replicas only learn from a PRE-PREPARE and one the new
    primary delivers without ever having been submitted it. *)
-let test_pending_count_matches_fold () =
+let test_pending_count_tracks_undelivered () =
   let rig = make_rig () in
+  let offered = Array.make 4 Types.Request_id_set.empty in
+  let offer i (d : Types.request_desc) =
+    offered.(i) <- Types.Request_id_set.add d.id offered.(i)
+  in
+  (rig.on_receive :=
+     fun dst -> function
+       | Messages.Pre_prepare pp -> List.iter (offer dst) pp.descs
+       | Messages.New_view { pre_prepares; _ } ->
+         List.iter (fun (pp : Messages.pre_prepare) -> List.iter (offer dst) pp.descs)
+           pre_prepares
+       | _ -> ());
   let check_all label =
     Array.iteri
       (fun i r ->
+        let delivered = Types.Request_id_set.of_list (delivered_ids rig i) in
         Alcotest.(check int)
           (Printf.sprintf "%s: replica %d" label i)
-          (Replica.debug_pending_fold r) (Replica.pending_count r))
+          (Types.Request_id_set.cardinal (Types.Request_id_set.diff offered.(i) delivered))
+          (Replica.pending_count r))
       rig.replicas
   in
   let submit_to ids desc =
-    List.iter (fun i -> Replica.submit rig.replicas.(i) desc) ids
+    List.iter
+      (fun i ->
+        offer i desc;
+        Replica.submit rig.replicas.(i) desc)
+      ids
   in
+  let submit_all desc = submit_to [ 0; 1; 2; 3 ] desc in
   (* Request 1 reaches every replica but 1, the primary of view 1, and
      nothing reaches replicas 0 and 1: only 2 and 3 prepare it and
      send their commits, so the batch is in flight when the view
@@ -504,7 +546,7 @@ let test_pending_count_matches_fold () =
   ignore
     (Engine.after rig.engine (Time.us 3100) (fun () ->
          for rid = 6 to 8 do
-           submit_all rig (req rid)
+           submit_all (req rid)
          done;
          check_all "during the view change"));
   for k = 1 to 100 do
@@ -515,7 +557,7 @@ let test_pending_count_matches_fold () =
     (Array.for_all (fun r -> Replica.view r = 1) rig.replicas);
   (* The late submission of a request the replica delivered without
      knowing it. *)
-  submit_all rig (req 1);
+  submit_all (req 1);
   check_all "after the run";
   Array.iteri
     (fun i r ->
@@ -794,8 +836,10 @@ let suites =
           test_demoted_primary_batch_timer_cancelled;
         Alcotest.test_case "delivered-slot revote unwedges new primary" `Quick
           test_delivered_slot_revote_unwedges_new_primary;
-        Alcotest.test_case "pending count matches the fold" `Quick
-          test_pending_count_matches_fold;
+        Alcotest.test_case "re-batch in arrival order" `Quick
+          test_new_primary_rebatches_in_arrival_order;
+        Alcotest.test_case "pending count = undelivered" `Quick
+          test_pending_count_tracks_undelivered;
       ] );
     ( "pbft.checkpoint",
       [
