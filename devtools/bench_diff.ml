@@ -55,12 +55,14 @@
    engine events, delivered messages, minor-heap words and SHA-256
    blocks per completed request, the engine heap's high-water mark
    ([queue_peak], in entries), the summed per-node peaks of the
-   request-state tables ([tracked_peak], in entries) and the summed
+   request-state tables ([tracked_peak], in entries), the summed
    per-replica peaks of the pools of undelivered requests
-   ([known_peak], in entries). Events, messages, blocks and the three
-   peaks are exact counts of the simulation, so any rise fails; minor
-   words depend on the compiler and runtime too, so they may rise by
-   at most 5%. Falls always pass. The section is skipped by the
+   ([known_peak], in entries) and the words the cluster holds after
+   the drain ([retained_words_per_req], [Obj.reachable_words] per
+   request). Events, messages, blocks, the three peaks and the
+   retained words are exact counts, so any rise fails; minor words
+   depend on the compiler and runtime too, so they may rise by at
+   most 5%. Falls always pass. The section is skipped by the
    two-file diff, whose symmetric tolerance would fail a large
    allocation cut. *)
 
@@ -396,9 +398,9 @@ let breakdown_check ~queue_wait_max ~min_throughput path =
     exit 1
 
 (* Host-cost gate: per leg, no rise in events, messages or SHA-256
-   blocks per request, in the engine heap's peak or in the tracked or
-   known request peaks, and at most [words_slack] more minor words per
-   request. *)
+   blocks per request, in the engine heap's peak, in the tracked or
+   known request peaks or in the retained words per request, and at
+   most [words_slack] more minor words per request. *)
 let host_check ~words_slack base_path fresh_path =
   let problems = ref [] in
   let complain fmt =
@@ -419,7 +421,8 @@ let host_check ~words_slack base_path fresh_path =
   let limits =
     [ ("events_per_req", 0.0); ("msgs_per_req", 0.0);
       ("minor_words_per_req", words_slack); ("sha256_blocks_per_req", 0.0);
-      ("queue_peak", 0.0); ("tracked_peak", 0.0); ("known_peak", 0.0) ]
+      ("queue_peak", 0.0); ("tracked_peak", 0.0); ("known_peak", 0.0);
+      ("retained_words_per_req", 0.0) ]
   in
   List.iter
     (fun (leg, row) ->
@@ -444,8 +447,8 @@ let host_check ~words_slack base_path fresh_path =
   | [] ->
     Printf.printf
       "host-check ok: no leg rose in events, messages or SHA-256 blocks per \
-       request or in queue, tracked- or known-request peak, minor words \
-       within +%.0f%%\n"
+       request, in queue, tracked- or known-request peak or in retained \
+       words per request, minor words within +%.0f%%\n"
       (100.0 *. words_slack)
   | ps ->
     Printf.eprintf "host-check: %d problem(s):\n" (List.length ps);

@@ -55,7 +55,11 @@ let register_gauges t reg =
 
 let window = 256
 
-let create ?(read_stat = Gc.quick_stat) probe =
+(* [Gc.quick_stat] with the exact allocation count: under OCaml 5.1
+   its [minor_words] only advances at minor collections. *)
+let quick_stat () = { (Gc.quick_stat ()) with Gc.minor_words = Gc.minor_words () }
+
+let create ?(read_stat = quick_stat) probe =
   {
     probe;
     read_stat;

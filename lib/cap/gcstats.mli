@@ -11,7 +11,9 @@
 
     [read_stat] is injectable so a test can fabricate a deterministic
     heap trajectory; the default is [Gc.quick_stat] (cheap, no heap
-    traversal).
+    traversal) with [minor_words] from [Gc.minor_words ()], which counts
+    every word allocated so far (under OCaml 5.1 [Gc.quick_stat]'s own
+    field only advances at minor collections).
 
     The [bft_gc_*] callback gauges go only into a registry the caller
     names ({!register_gauges}), never the probe's: GC word counts are

@@ -29,6 +29,7 @@ and host = {
   queue_peak : int;
   tracked_peak : int;
   known_peak : int;
+  retained_words_per_req : float;
 }
 
 module Probe = Bftmetrics.Probe
@@ -90,6 +91,7 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?span_sample ?(flavour = Flavour
   let minor_words = Gc.minor_words () -. !words0 in
   let sha_blocks = Bftcrypto.Sha256.blocks_hashed () - !blocks0 in
   let cluster = r.Experiments.cluster in
+  let retained = Obj.reachable_words (Obj.repr cluster) in
   let engine = Rbft.Cluster.engine cluster and probe = Rbft.Cluster.probe cluster in
   (* Master-instance ordering latency at correct node 1, read back
      from the registry (re-registration returns the live child). *)
@@ -127,6 +129,7 @@ let static_run ?(attack = fun _ -> ()) ?(f = 1) ?span_sample ?(flavour = Flavour
                   (fun instance -> Pbftcore.Replica.known_peak (Rbft.Node.replica n ~instance))
                   (Array.init (f + 1) Fun.id))
               nodes;
+          retained_words_per_req = per_req (float_of_int retained);
         };
     },
     probe )
@@ -245,13 +248,14 @@ let generate ~audit ~quick =
        (List.rev_map
           (fun (leg, h) ->
             Printf.sprintf
-              {|    "%s": {"events_per_req":%s,"msgs_per_req":%s,"minor_words_per_req":%s,"sha256_blocks_per_req":%s,"queue_peak":%d,"tracked_peak":%d,"known_peak":%d}|}
+              {|    "%s": {"events_per_req":%s,"msgs_per_req":%s,"minor_words_per_req":%s,"sha256_blocks_per_req":%s,"queue_peak":%d,"tracked_peak":%d,"known_peak":%d,"retained_words_per_req":%s}|}
               leg
               (Bftmetrics.Export.json_float h.events_per_req)
               (Bftmetrics.Export.json_float h.msgs_per_req)
               (Bftmetrics.Export.json_float h.minor_words_per_req)
               (Bftmetrics.Export.json_float h.sha256_blocks_per_req)
-              h.queue_peak h.tracked_peak h.known_peak)
+              h.queue_peak h.tracked_peak h.known_peak
+              (Bftmetrics.Export.json_float h.retained_words_per_req))
           !hosts));
   Buffer.add_string buf "\n  },\n";
   Buffer.add_string buf

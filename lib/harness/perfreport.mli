@@ -10,8 +10,10 @@
     allocated and SHA-256 blocks compressed while the cluster ran, plus
     the engine heap's high-water mark ([queue_peak], in entries), the
     summed per-node peaks of the request-state tables ([tracked_peak],
-    in entries) and the summed per-replica peaks of the pools of known,
-    undelivered requests ([known_peak], in entries). Each fault-free
+    in entries), the summed per-replica peaks of the pools of known,
+    undelivered requests ([known_peak], in entries) and the words the
+    cluster still holds after the drain ([retained_words_per_req],
+    [Obj.reachable_words] per completed request). Each fault-free
     and under-attack leg also reports the most instance changes any
     node completed ([instance_changes]).
 
@@ -44,6 +46,9 @@ and host = {
   known_peak : int;
       (** {!Pbftcore.Replica.known_peak} summed over every replica of
           every node: undelivered requests known at once *)
+  retained_words_per_req : float;
+      (** [Obj.reachable_words] of the cluster after the drain: the
+          words its state holds, an exact count *)
 }
 
 val static_run :

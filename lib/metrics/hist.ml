@@ -1,6 +1,7 @@
 type t = {
   min_value : float;
   log_gamma : float;
+  mutable first : int;  (* the bucket index of [buckets.(0)] *)
   mutable buckets : int array;
   mutable underflow : int;
   mutable count : int;
@@ -12,6 +13,7 @@ let create ?(min_value = 1e-6) ?(gamma = 1.05) () =
   {
     min_value;
     log_gamma = log gamma;
+    first = 0;
     buckets = [||];
     underflow = 0;
     count = 0;
@@ -24,13 +26,23 @@ let bucket_of t v = int_of_float (log (v /. t.min_value) /. t.log_gamma)
 let value_of t i = t.min_value *. exp (t.log_gamma *. (float_of_int i +. 0.5))
 
 (* The bucket array starts empty, so an idle histogram (a registered
-   client that never completes a request) costs only its record; the
-   first sample allocates up to its bucket, and later ones at least
-   double it. *)
+   client that never completes a request) costs only its record. It
+   covers the buckets from [first] on: the first sample allocates its
+   own bucket only, and a later sample outside the array at least
+   doubles it towards that sample's side. A latency of a few ms sits
+   ~150 buckets above [min_value]; none of the empty ones below the
+   lowest sample is stored. *)
 let ensure t i =
-  if i >= Array.length t.buckets then begin
-    let bigger = Array.make (Stdlib.max (i + 1) (2 * Array.length t.buckets)) 0 in
-    Array.blit t.buckets 0 bigger 0 (Array.length t.buckets);
+  let n = Array.length t.buckets in
+  if n = 0 then t.first <- i;
+  if i < t.first || i >= t.first + n then begin
+    let first, last =
+      if i < t.first then (Stdlib.max 0 (Stdlib.min i (t.first - n)), t.first + n)
+      else (t.first, Stdlib.max (i + 1) (t.first + (2 * n)))
+    in
+    let bigger = Array.make (last - first) 0 in
+    Array.blit t.buckets 0 bigger (t.first - first) n;
+    t.first <- first;
     t.buckets <- bigger
   end
 
@@ -42,7 +54,8 @@ let add t v =
   else begin
     let i = bucket_of t v in
     ensure t i;
-    t.buckets.(i) <- t.buckets.(i) + 1
+    let j = i - t.first in
+    t.buckets.(j) <- t.buckets.(j) + 1
   end
 
 let count t = t.count
@@ -62,7 +75,7 @@ let percentile t p =
              if n > 0 then begin
                remaining := !remaining - n;
                if !remaining <= 0 then begin
-                 result := value_of t i;
+                 result := value_of t (t.first + i);
                  raise Exit
                end
              end)
@@ -89,13 +102,26 @@ let compatible a b =
 let merge a b =
   if not (compatible a b) then
     invalid_arg "Hist.merge: different bucket layouts";
-  let n = Stdlib.max (Array.length a.buckets) (Array.length b.buckets) in
-  let buckets = Array.make n 0 in
-  Array.iteri (fun i c -> buckets.(i) <- c) a.buckets;
-  Array.iteri (fun i c -> buckets.(i) <- buckets.(i) + c) b.buckets;
+  let na = Array.length a.buckets and nb = Array.length b.buckets in
+  let first, last =
+    if na = 0 then (b.first, b.first + nb)
+    else if nb = 0 then (a.first, a.first + na)
+    else (Stdlib.min a.first b.first, Stdlib.max (a.first + na) (b.first + nb))
+  in
+  let buckets = Array.make (last - first) 0 in
+  let add h =
+    Array.iteri
+      (fun i c ->
+        let j = h.first - first + i in
+        buckets.(j) <- buckets.(j) + c)
+      h.buckets
+  in
+  add a;
+  add b;
   {
     min_value = a.min_value;
     log_gamma = a.log_gamma;
+    first;
     buckets;
     underflow = a.underflow + b.underflow;
     count = a.count + b.count;
@@ -114,7 +140,7 @@ let cumulative_le t bound =
   else begin
     let acc = ref t.underflow in
     Array.iteri
-      (fun i n -> if n > 0 && value_of t i <= bound then acc := !acc + n)
+      (fun i n -> if n > 0 && value_of t (t.first + i) <= bound then acc := !acc + n)
       t.buckets;
     Stdlib.min !acc t.count
   end

@@ -3,7 +3,18 @@
     Mirrors the paper's monitoring mechanism: a counter is bumped per
     ordered/executed request and sampled periodically; it also serves
     the harness' measurement windows (count events inside
-    [\[start, stop)] and divide by the window length). *)
+    [\[start, stop)] and divide by the window length).
+
+    A window holds one breakpoint (time, cumulative count) per distinct
+    instant. The newest is kept whole; the older ones are delta-encoded
+    as two LEB128 varints each in 255-byte chunks, with each chunk's
+    first breakpoint kept whole beside it. A breakpoint costs a few
+    bytes: 4 at 28 µs spacing with one event each, about 0.57 words
+    with the chunk's header and index. Nothing is copied as the window
+    grows but the chunk index (three words per chunk). A query
+    binary-searches the chunks and decodes one, so counts are exact.
+    An unused window is its record of four words; the first record
+    allocates nothing, the second instant allocates the first chunk. *)
 
 type t
 

@@ -4,34 +4,82 @@ open Types
 
 module Ranges = struct
   (* The highest range lives in [lo]/[hi] so the common in-order insert
-     ([rid = hi + 1]) is two field writes; [below] holds every lower
-     range, highest first, each ending at least two below the range
-     above it. Empty while [lo > hi]. Comparisons are written so no
-     [+ 1] can overflow: [rid - 1 = hi] is only evaluated when
-     [rid > hi], [rid + 1 = lo] when [rid < lo]. *)
+     ([rid = hi + 1]) is two field writes. Every lower range is in
+     [los]/[his] at [0, n), ascending, each ending at least two below
+     the next one (and the last at least two below [lo]): a lookup
+     binary-searches them, and an out-of-order insert extends a range
+     in place or shifts the ranges above it by a blit. The arrays only
+     grow, so once they have room an insert allocates nothing. Empty
+     while [lo > hi]. Comparisons are written so no [+ 1] can overflow:
+     [rid - 1 = hi] is only evaluated when [rid > hi], [rid + 1 = lo]
+     when [rid < lo]. *)
   type t = {
     mutable lo : int;
     mutable hi : int;
-    mutable below : (int * int) list;
+    mutable los : int array;
+    mutable his : int array;
+    mutable n : int;
   }
 
-  let create () = { lo = 1; hi = 0; below = [] }
+  let create () = { lo = 1; hi = 0; los = [||]; his = [||]; n = 0 }
 
-  (* Insert into a highest-first list of ranges, each ending at least
-     two below the range above it; the caller guarantees [rid] + 1 is
-     below that range. [grew] receives the change in the number of
-     ranges (it starts at 0). Only the cons cells above the insertion
-     point are rebuilt. *)
-  let rec insert_below grew rid = function
-    | [] -> grew := 1; [ (rid, rid) ]
-    | ((l, h) as range) :: rest as all ->
-      if rid > h then if rid - 1 = h then (l, rid) :: rest else (grew := 1; (rid, rid) :: all)
-      else if rid >= l then all
-      else if rid + 1 = l then
-        match rest with
-        | (l2, h2) :: rest2 when h2 + 1 = rid -> grew := -1; (l2, h) :: rest2
-        | _ -> (rid, h) :: rest
-      else range :: insert_below grew rid rest
+  (* The number of lower ranges starting at or below [rid]: the range
+     that may hold it is the one before. *)
+  let search r rid =
+    let a = ref 0 and b = ref r.n in
+    while !a < !b do
+      let mid = (!a + !b) / 2 in
+      if r.los.(mid) <= rid then a := mid + 1 else b := mid
+    done;
+    !a
+
+  (* Open the range [rid, rid] at index [k], shifting those above. *)
+  let insert r k rid =
+    if r.n = Array.length r.los then begin
+      let cap = max 4 (2 * r.n) in
+      let los = Array.make cap 0 and his = Array.make cap 0 in
+      Array.blit r.los 0 los 0 r.n;
+      Array.blit r.his 0 his 0 r.n;
+      r.los <- los;
+      r.his <- his
+    end;
+    Array.blit r.los k r.los (k + 1) (r.n - k);
+    Array.blit r.his k r.his (k + 1) (r.n - k);
+    r.los.(k) <- rid;
+    r.his.(k) <- rid;
+    r.n <- r.n + 1
+
+  (* Drop the lower range at index [k], shifting those above. *)
+  let remove r k =
+    Array.blit r.los (k + 1) r.los k (r.n - k - 1);
+    Array.blit r.his (k + 1) r.his k (r.n - k - 1);
+    r.n <- r.n - 1
+
+  (* Insert [rid], with [rid + 1 < lo], among the lower ranges. *)
+  let add_below r rid =
+    let k = search r rid in
+    (* Range [k - 1] starts at or below [rid], range [k] above it. *)
+    if k > 0 && rid <= r.his.(k - 1) then 0
+    else
+      let joins_below = k > 0 && r.his.(k - 1) + 1 = rid in
+      let joins_above = k < r.n && rid + 1 = r.los.(k) in
+      if joins_below && joins_above then begin
+        r.his.(k - 1) <- r.his.(k);
+        remove r k;
+        -1
+      end
+      else if joins_below then begin
+        r.his.(k - 1) <- rid;
+        0
+      end
+      else if joins_above then begin
+        r.los.(k) <- rid;
+        0
+      end
+      else begin
+        insert r k rid;
+        1
+      end
 
   let add r rid =
     if r.lo > r.hi then begin
@@ -45,34 +93,34 @@ module Ranges = struct
         0
       end
       else begin
-        r.below <- (r.lo, r.hi) :: r.below;
+        insert r r.n r.lo;
+        r.his.(r.n - 1) <- r.hi;
         r.lo <- rid;
         r.hi <- rid;
         1
       end
     else if rid >= r.lo then 0
-    else if rid + 1 = r.lo then begin
-      r.lo <- rid;
-      match r.below with
-      | (l, h) :: rest when h + 1 = rid ->
-        r.lo <- l;
-        r.below <- rest;
+    else if rid + 1 = r.lo then
+      if r.n > 0 && r.his.(r.n - 1) + 1 = rid then begin
+        r.lo <- r.los.(r.n - 1);
+        r.n <- r.n - 1;
         -1
-      | _ -> 0
-    end
-    else begin
-      let grew = ref 0 in
-      r.below <- insert_below grew rid r.below;
-      !grew
-    end
+      end
+      else begin
+        r.lo <- rid;
+        0
+      end
+    else add_below r rid
 
-  let rec mem_below rid = function
-    | [] -> false
-    | (l, h) :: rest -> if rid > h then false else rid >= l || mem_below rid rest
+  let mem r rid =
+    if rid >= r.lo then rid <= r.hi
+    else
+      let k = search r rid in
+      k > 0 && rid <= r.his.(k - 1)
 
-  let mem r rid = (rid >= r.lo && rid <= r.hi) || (rid < r.lo && mem_below rid r.below)
-
-  let to_list r = if r.lo > r.hi then [] else List.rev ((r.lo, r.hi) :: r.below)
+  let to_list r =
+    if r.lo > r.hi then []
+    else List.init r.n (fun k -> (r.los.(k), r.his.(k))) @ [ (r.lo, r.hi) ]
 end
 
 module Per_client = struct

@@ -12,7 +12,11 @@
     fill. Membership is exact under any insertion order.
 
     The highest range of a client is kept in mutable fields: an
-    in-order insert after the first allocates nothing.
+    in-order insert after the first allocates nothing. The lower ranges
+    sit in two sorted int arrays: a lookup below the highest range is a
+    binary search, and an out-of-order insert extends a range in place
+    or shifts the ranges above it, allocating nothing once the arrays
+    have grown.
 
     The rare non-dense client id (negative, or a Byzantine spoof far
     above the population) falls back to a side table so an adversary

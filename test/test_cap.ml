@@ -164,6 +164,19 @@ let test_gcstats_growth_and_culprit () =
            Alcotest.(check bool) "culprit rate positive" true (rate > 0.0)
          | None -> Alcotest.fail "expected a culprit"))
 
+(* Minor words are exact between minor collections: 9,000 words
+   allocated right after one read as at least that many, not as 0. *)
+let test_gcstats_exact_minor_words () =
+  with_probe (fun pr ->
+      Gc.minor ();
+      let g = Gcstats.create pr in
+      let blocks = List.init 1000 (fun i -> Sys.opaque_identity [| i; i; i; i; i |]) in
+      Gcstats.sample g ~now:(Time.ms 1);
+      ignore (Sys.opaque_identity blocks);
+      let words = List.assoc "minor_words" (Gcstats.deltas g) in
+      Alcotest.(check bool) (Printf.sprintf "%.0f minor words" words) true
+        (words >= 9000.0 && words < 12000.0))
+
 (* The GC gauges are host-clock series: they go to the registry the
    caller names and never to the probe's, which the flight recorder
    snapshots into bundles. *)
@@ -272,6 +285,59 @@ let test_idset_in_order_allocates_nothing () =
     (w2 -. w1 -. (w1 -. w0));
   Alcotest.(check (list (pair int int))) "one range" [ (0, n) ] (Idset.ranges set ~client:7);
   Alcotest.(check (list (pair int int))) "one range in Ranges" [ (0, n) ]
+    (Idset.Ranges.to_list ranges)
+
+(* Out-of-order inserts (view-change replay, requests an attack holds
+   back) open, extend and merge lower ranges in place: once the range
+   arrays have grown to the most lower ranges a client has held, they
+   allocate nothing, through the set and through its per-client ranges
+   alike, and neither do lookups below the highest range. *)
+let test_idset_out_of_order_allocates_nothing () =
+  let n = 1_000 in
+  let ids = Array.init ((10 * n) + 1) (fun rid -> { Pbftcore.Types.client = 7; rid }) in
+  let set = Idset.create () and ranges = Idset.Ranges.create () in
+  let add rid =
+    Idset.add set ids.(rid);
+    ignore (Idset.Ranges.add ranges rid)
+  in
+  let found = ref 0 in
+  let lookup rid =
+    if Idset.mem set ids.(rid) then incr found;
+    if Idset.Ranges.mem ranges rid then incr found
+  in
+  (* Grow: 2n lower ranges, then merged back into one. *)
+  for i = 0 to 2 * n do
+    add (2 * i)
+  done;
+  for i = 2 * n downto 1 do
+    add ((2 * i) - 1)
+  done;
+  add (10 * n);
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  (* Open 2n - 1 ranges above [0, 4n], highest first, so each insert
+     shifts the ones above it; look every rid up; fill the gaps in an
+     interleaved order that extends ranges from below, from above and
+     merges them. *)
+  for i = (4 * n) - 1 downto (2 * n) + 1 do
+    add (2 * i)
+  done;
+  for rid = 0 to 10 * n do
+    lookup rid
+  done;
+  for i = (2 * n) + 1 to 4 * n do
+    if i mod 2 = 0 then add ((2 * i) - 1)
+  done;
+  for i = 4 * n downto (2 * n) + 1 do
+    if i mod 2 = 1 then add ((2 * i) - 1)
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words over out-of-order inserts and lookups" 0.0
+    (w2 -. w1 -. (w1 -. w0));
+  Alcotest.(check int) "lookups" (2 * ((4 * n) + 1 + (2 * n) - 1 + 1)) !found;
+  let expected = [ (0, (8 * n) - 1); (10 * n, 10 * n) ] in
+  Alcotest.(check (list (pair int int))) "merged" expected (Idset.ranges set ~client:7);
+  Alcotest.(check (list (pair int int))) "merged in Ranges" expected
     (Idset.Ranges.to_list ranges)
 
 (* ------------------------------------------------------------------ *)
@@ -707,12 +773,15 @@ let suites =
           test_gcstats_growth_and_culprit;
         Alcotest.test_case "gauges stay out of the probe registry" `Quick
           test_gcstats_gauges_stay_host;
+        Alcotest.test_case "exact minor words" `Quick test_gcstats_exact_minor_words;
       ] );
     ( "cap.idset",
       qsuite [ test_idset_matches_hashtbl ]
       @ [
           Alcotest.test_case "in-order inserts allocate nothing" `Quick
             test_idset_in_order_allocates_nothing;
+          Alcotest.test_case "out-of-order inserts allocate nothing" `Quick
+            test_idset_out_of_order_allocates_nothing;
         ] );
     ( "cap.replycache",
       [

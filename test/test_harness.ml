@@ -161,7 +161,7 @@ let test_fig12_audit_observes_one_run () =
    host counts start from the same state too: the first leg runs alone
    in a fresh domain (whose hashing state and digest memos are not
    built yet) and the second after it, and both report the same minor
-   words and SHA-256 blocks. *)
+   words, SHA-256 blocks and retained words. *)
 let test_perfreport_legs_share_nothing () =
   let leg () =
     Perfreport.static_run ~audit:(Audit.create ()) ~with_metrics:true ~span_sample:8
@@ -181,6 +181,8 @@ let test_perfreport_legs_share_nothing () =
     r2.host.minor_words_per_req;
   Alcotest.(check (float 0.0)) "equal SHA-256 blocks" r1.host.sha256_blocks_per_req
     r2.host.sha256_blocks_per_req;
+  Alcotest.(check (float 0.0)) "equal retained words" r1.host.retained_words_per_req
+    r2.host.retained_words_per_req;
   Alcotest.(check bool) "equal results" true (sim r1 = sim r2);
   Alcotest.(check bool) "ordering latency recorded" true (r1.order_p50_ms > 0.0);
   Alcotest.(check bool) "spans recorded" true (Bftmetrics.Probe.span_count p1 > 0);

@@ -54,6 +54,84 @@ let test_hist_mean () =
   List.iter (Hist.add h) [ 0.001; 0.003 ];
   Alcotest.(check (float 1e-9)) "mean" 0.002 (Hist.mean h)
 
+(* A histogram stores its buckets from the lowest one it has seen. Every
+   query must read exactly as over a dense array from bucket 0, which is
+   rebuilt here with the same bucket formula and the queries' old
+   loops: a histogram of all samples, a merge of two halves and a copy
+   give the same floats. *)
+let prop_hist_offset_reads_dense =
+  let min_value = 1e-6 and log_gamma = log 1.05 in
+  let value_of i = min_value *. exp (log_gamma *. (float_of_int i +. 0.5)) in
+  let dense samples =
+    let counts = Array.make 2048 0 and underflow = ref 0 in
+    List.iter
+      (fun v ->
+        if v < min_value then incr underflow
+        else
+          let i = int_of_float (log (v /. min_value) /. log_gamma) in
+          counts.(i) <- counts.(i) + 1)
+      samples;
+    (counts, !underflow)
+  in
+  (* The old queries' loops over [samples]' dense buckets. *)
+  let reference samples =
+    let count = List.length samples and counts, underflow = dense samples in
+    let max_observed = List.fold_left Float.max 0.0 samples in
+    let percentile p =
+      if count = 0 then 0.0
+      else
+        let rank = int_of_float (ceil (p /. 100.0 *. float_of_int count)) in
+        let rank = max 1 (min count rank) in
+        if rank <= underflow then min_value
+        else begin
+          let remaining = ref (rank - underflow) and result = ref None in
+          Array.iteri
+            (fun i n ->
+              if n > 0 && !result = None then begin
+                remaining := !remaining - n;
+                if !remaining <= 0 then result := Some (value_of i)
+              end)
+            counts;
+          Option.value !result ~default:max_observed
+        end
+    in
+    let cumulative_le bound =
+      if count = 0 || bound < min_value then 0
+      else if bound >= max_observed then count
+      else begin
+        let acc = ref underflow in
+        Array.iteri (fun i n -> if n > 0 && value_of i <= bound then acc := !acc + n) counts;
+        min !acc count
+      end
+    in
+    (percentile, cumulative_le)
+  in
+  let latency = QCheck.Gen.(map (fun e -> 10.0 ** e) (float_range (-7.0) 1.0)) in
+  QCheck.Test.make ~count:200 ~name:"offset buckets read as dense ones"
+    QCheck.(
+      make
+        ~print:Print.(pair (list float) (list float))
+        Gen.(pair (list_size (int_range 0 40) latency) (list_size (int_range 0 40) latency)))
+    (fun (xs, ys) ->
+      let of_list l =
+        let h = Hist.create () in
+        List.iter (Hist.add h) l;
+        h
+      in
+      let all = xs @ ys in
+      let percentile, cumulative_le = reference all in
+      let a = of_list xs and b = of_list ys in
+      List.for_all
+        (fun h ->
+          Hist.count h = List.length all
+          && List.for_all
+               (fun p -> Hist.percentile h p = percentile p)
+               [ 0.0; 1.0; 25.0; 50.0; 90.0; 99.0; 100.0 ]
+          && List.for_all
+               (fun bound -> Hist.cumulative_le h bound = cumulative_le bound)
+               (1e-7 :: 1e-3 :: 20.0 :: all))
+        [ of_list all; Hist.merge a b; Hist.merge b a; Hist.copy (Hist.merge a b) ])
+
 let test_throughput_windows () =
   let t = Throughput.create () in
   (* 100 events in the first second, 50 in the second. *)
@@ -206,18 +284,25 @@ let test_throughput_unused () =
   Alcotest.(check (float 0.0)) "rate" 0.0
     (Throughput.rate_between t Time.zero (Time.sec 10))
 
-(* 5,000 breakpoints cross the first allocation (1024 slots) and three
-   doublings. At each crossing every breakpoint must read back from the
-   reference list, and the arrays may hold at most twice the
-   breakpoints (the first block aside); before the first record they
-   hold nothing. Every third instant is recorded twice, which merges
-   into one breakpoint. *)
+(* 5,000 breakpoints fill about sixty 255-byte chunks (3-byte pairs at
+   3 us spacing, 85 to a chunk after its first breakpoint, so the second
+   chunk starts at the 88th record and the third at the 174th): the
+   first record allocates nothing, the second instant the first chunk,
+   and the chunk index doubles at 2, 4, ... 64 chunks.
+   At each checkpoint every breakpoint must read back from the
+   reference list, and the window may hold at most 64 words plus half a
+   word per breakpoint; before the first record it holds no more than
+   its record. Every third instant is recorded twice, which merges into
+   one breakpoint. *)
 let test_throughput_growth_keeps_breakpoints () =
   let t = Throughput.create () in
-  let footprint_ok len = words t <= 5 + (2 * (Stdlib.max 1024 (2 * len) + 1)) in
+  let footprint_ok len = words t <= 64 + (len / 2) in
   Alcotest.(check bool) (Printf.sprintf "empty window holds %d words" (words t)) true
     (words t <= 8);
-  let checkpoints = [ 1; 1023; 1024; 1025; 2048; 2049; 4096; 4097; 5000 ] in
+  let checkpoints =
+    [ 1; 2; 3; 86; 87; 88; 89; 173; 174; 175; 1023; 1024; 1025; 2048; 2049; 4096; 4097;
+      5000 ]
+  in
   let reference = ref [] and total = ref 0 in
   for i = 1 to 5000 do
     let now = Time.us (3 * i) in
@@ -242,6 +327,89 @@ let test_throughput_growth_keeps_breakpoints () =
     end
   done;
   Alcotest.(check int) "total" !total (Throughput.total t)
+
+(* The encoded stream's cost: 100,000 in-order records 28 us apart (a
+   3-byte time delta and a 1-byte count delta each) hold at most 0.75
+   words per breakpoint, chunk headers and index included. *)
+let test_throughput_ceiling () =
+  let t = Throughput.create () in
+  let n = 100_000 in
+  for i = 1 to n do
+    Throughput.record t ~now:(Time.us (28 * i))
+  done;
+  let per = float_of_int (words t) /. float_of_int n in
+  Alcotest.(check bool) (Printf.sprintf "%.3f words per breakpoint" per) true (per <= 0.75);
+  Alcotest.(check int) "total" n (Throughput.total t);
+  Alcotest.(check int) "first half" (n / 2)
+    (Throughput.count_between t Time.zero (Time.add (Time.us (28 * (n / 2))) (Time.ns 1)));
+  Alcotest.(check int) "one instant" 1
+    (Throughput.count_between t (Time.us (28 * 777)) (Time.us ((28 * 777) + 1)))
+
+(* One step of a recorded stream: the clock moves by [gap] ns (0 repeats
+   the instant, a negative gap steps back and is clamped, a gap over
+   2^35 ns needs a 6-byte varint), then [n] events are recorded (n = 0
+   records nothing). *)
+let gen_step =
+  QCheck.Gen.(
+    pair
+      (frequency
+         [ (4, int_range 1 100); (3, int_range 100 100_000); (2, return 0);
+           (1, int_range (-50_000) (-1));
+           (1, map (fun d -> (1 lsl 35) + d) (int_range 0 1_000_000)) ])
+      (frequency
+         [ (1, return 0); (6, return 1); (2, int_range 2 200); (1, int_range 200 100_000) ]))
+
+(* Against a sorted reference of every event's clamped time: [total],
+   the count before every breakpoint, one past it and one before it
+   (every chunk starts at a breakpoint, so chunk boundaries are among
+   them), the windows between consecutive bounds, and reversed
+   windows. Streams of up to 3,000 steps span dozens of chunks. *)
+let prop_throughput_matches_reference =
+  QCheck.Test.make ~count:60 ~name:"counts match a sorted reference list"
+    QCheck.(
+      make
+        ~print:(Print.list (fun (gap, n) -> Printf.sprintf "%+d:%d" gap n))
+        Gen.(list_size (int_range 0 3000) gen_step))
+    (fun steps ->
+      let t = Throughput.create () in
+      let clock = ref 0 and newest = ref None and events = ref [] in
+      List.iter
+        (fun (gap, n) ->
+          clock := !clock + gap;
+          Throughput.record_many t ~now:!clock n;
+          if n > 0 then begin
+            let at = match !newest with None -> !clock | Some l -> max l !clock in
+            newest := Some at;
+            events := (at, n) :: !events
+          end)
+        steps;
+      let events = Array.of_list (List.rev !events) in
+      (* [prefix.(i)]: events in the first [i] entries. *)
+      let prefix = Array.make (Array.length events + 1) 0 in
+      Array.iteri (fun i (_, n) -> prefix.(i + 1) <- prefix.(i) + n) events;
+      let before bound =
+        let lo = ref 0 and hi = ref (Array.length events) in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if fst events.(mid) < bound then lo := mid + 1 else hi := mid
+        done;
+        prefix.(!lo)
+      in
+      let total = prefix.(Array.length events) in
+      let bounds =
+        List.sort_uniq compare
+          (min_int :: 0 :: max_int
+           :: List.concat_map (fun (at, _) -> [ at - 1; at; at + 1 ]) (Array.to_list events))
+      in
+      let from_origin b = Throughput.count_between t min_int b = before b in
+      let rec windows = function
+        | a :: (b :: _ as rest) ->
+          Throughput.count_between t a b = before b - before a
+          && Throughput.count_between t b a = 0
+          && windows rest
+        | _ -> true
+      in
+      Throughput.total t = total && List.for_all from_origin bounds && windows bounds)
 
 let test_hist_unused_is_neutral () =
   let unused = Hist.create () in
@@ -532,7 +700,8 @@ let suites =
         Alcotest.test_case "reset and merge" `Quick test_hist_reset_merge;
         Alcotest.test_case "unused histogram is neutral" `Quick
           test_hist_unused_is_neutral;
-      ] );
+      ]
+      @ qsuite [ prop_hist_offset_reads_dense ] );
     ( "metrics.throughput",
       [
         Alcotest.test_case "windows" `Quick test_throughput_windows;
@@ -542,12 +711,14 @@ let suites =
         Alcotest.test_case "unused window" `Quick test_throughput_unused;
         Alcotest.test_case "growth keeps breakpoints" `Quick
           test_throughput_growth_keeps_breakpoints;
+        Alcotest.test_case "words per breakpoint" `Quick test_throughput_ceiling;
       ]
       @ qsuite
           [
             prop_throughput_counts;
             prop_throughput_tiling;
             prop_throughput_degenerate;
+            prop_throughput_matches_reference;
           ] );
     ( "metrics.registry",
       [
