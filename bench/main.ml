@@ -28,8 +28,6 @@ let micro_benchmarks () =
   let probe = Bftmetrics.Probe.create () in
   let open Bechamel in
   let payload_4k = String.make 4096 'x' in
-  let keys = Bftcrypto.Keys.create ~master:"bench" in
-  let src = Bftcrypto.Principal.client 0 and dst = Bftcrypto.Principal.node 0 in
   let tests =
     [
       Test.make ~name:"sha256-8B"
@@ -51,8 +49,6 @@ let micro_benchmarks () =
               incr n;
               Bytes.set_int64_le msg 0 (Int64.of_int !n);
               ignore (Bftcrypto.Hmac.mac ~key:"key" (Bytes.to_string msg)))));
-      Test.make ~name:"wire-mac-tag"
-        (Staged.stage (fun () -> ignore (Bftcrypto.Keys.mac keys ~src ~dst "payload")));
       Test.make ~name:"wire-codec-roundtrip"
         (Staged.stage (fun () ->
              let w = Bftnet.Wire.Writer.create () in

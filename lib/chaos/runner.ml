@@ -178,8 +178,7 @@ let liveness_ok r =
       || r.scenario.Scenario.workload.Scenario.clients = 0
       || r.sent > 0)
 
-let safety_ok r = r.safety_violations = []
-let ok r = safety_ok r && liveness_ok r
+let ok r = r.safety_violations = [] && liveness_ok r
 
 let summary r =
   Printf.sprintf "%s [%s]: %s, %d/%d completed, %d executed, %d violations, %d events"

@@ -43,8 +43,6 @@ val liveness_ok : result -> bool
 (** [completed = sent] (and something was actually sent when the
     workload has a positive rate). *)
 
-val safety_ok : result -> bool
-
 val ok : result -> bool
 (** Both oracles pass. *)
 

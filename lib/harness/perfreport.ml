@@ -396,7 +396,7 @@ let clients_run ~quick ~population =
   in
   (* The live words the cluster's construction adds, measured between
      full major collections (as benchmark/measure.ml measures set-up):
-     the per-registered-client cost that [bench_diff --clients-check]
+     the per-registered-client cost that a [bench_diff --gates] row
      bounds. *)
   let setup_live_words = ref 0 in
   let live_words () =

@@ -176,8 +176,6 @@ let json_of_samples samples =
          samples)
   ^ "]"
 
-let json_of_snapshot reg = json_of_samples (Registry.snapshot reg)
-
 let write_file path contents =
   let oc = open_out path in
   Fun.protect

@@ -14,10 +14,9 @@ val csv_of_series : Sampler.t -> string
 (** Header [time_s,metric,labels,field,value]; histogram samples
     expand into count/sum/mean/p50/p90/p99/max rows. *)
 
-val json_of_snapshot : Registry.t -> string
-(** JSON array of [{name, labels, value}] for the current values. *)
-
 val json_of_samples : Registry.sample list -> string
+(** JSON array of [{name, labels, value}]; [Registry.snapshot] gives
+    the current values. *)
 
 val json_escape : string -> string
 (** The one JSON string escaper, {!Event.json_escape}. *)

@@ -179,55 +179,55 @@ let test_principal_ordering () =
   Alcotest.(check bool) "encode distinct" true (encode (node 1) <> encode (client 1))
 
 let test_keys_pair_symmetric () =
-  let keys = Keys.create ~master:"m" in
+  let keys = Keyring.create ~master:"m" in
   let a = Principal.node 0 and b = Principal.client 4 in
-  Alcotest.(check string) "symmetric" (Keys.pair_key keys a b) (Keys.pair_key keys b a);
+  Alcotest.(check string) "symmetric" (Keyring.pair_key keys a b) (Keyring.pair_key keys b a);
   Alcotest.(check bool) "distinct pairs" true
-    (Keys.pair_key keys a b <> Keys.pair_key keys a (Principal.client 5))
+    (Keyring.pair_key keys a b <> Keyring.pair_key keys a (Principal.client 5))
 
 let test_keys_deterministic () =
-  let k1 = Keys.create ~master:"seed" and k2 = Keys.create ~master:"seed" in
+  let k1 = Keyring.create ~master:"seed" and k2 = Keyring.create ~master:"seed" in
   let a = Principal.node 1 and b = Principal.node 2 in
-  Alcotest.(check string) "same master same keys" (Keys.pair_key k1 a b) (Keys.pair_key k2 a b);
-  let k3 = Keys.create ~master:"other" in
+  Alcotest.(check string) "same master same keys" (Keyring.pair_key k1 a b) (Keyring.pair_key k2 a b);
+  let k3 = Keyring.create ~master:"other" in
   Alcotest.(check bool) "different master different keys" true
-    (Keys.pair_key k1 a b <> Keys.pair_key k3 a b)
+    (Keyring.pair_key k1 a b <> Keyring.pair_key k3 a b)
 
 let test_signature_roundtrip () =
-  let keys = Keys.create ~master:"m" in
+  let keys = Keyring.create ~master:"m" in
   let signer = Principal.client 1 in
-  let signature = Keys.sign keys ~signer "request body" in
+  let signature = Keyring.sign keys ~signer "request body" in
   Alcotest.(check int) "size" Keys.signature_size (String.length signature);
   Alcotest.(check bool) "verifies" true
-    (Keys.verify_signature keys ~signer ~signature "request body");
+    (Keyring.verify_signature keys ~signer ~signature "request body");
   Alcotest.(check bool) "wrong message" false
-    (Keys.verify_signature keys ~signer ~signature "tampered");
+    (Keyring.verify_signature keys ~signer ~signature "tampered");
   Alcotest.(check bool) "wrong signer" false
-    (Keys.verify_signature keys ~signer:(Principal.client 2) ~signature "request body")
+    (Keyring.verify_signature keys ~signer:(Principal.client 2) ~signature "request body")
 
 let test_mac_roundtrip () =
-  let keys = Keys.create ~master:"m" in
+  let keys = Keyring.create ~master:"m" in
   let src = Principal.client 0 and dst = Principal.node 3 in
-  let tag = Keys.mac keys ~src ~dst "msg" in
+  let tag = Keyring.mac keys ~src ~dst "msg" in
   Alcotest.(check int) "tag size" Keys.mac_tag_size (String.length tag);
-  Alcotest.(check bool) "verifies" true (Keys.verify_mac keys ~src ~dst ~tag "msg");
+  Alcotest.(check bool) "verifies" true (Keyring.verify_mac keys ~src ~dst ~tag "msg");
   Alcotest.(check bool) "direction-insensitive key" true
-    (Keys.verify_mac keys ~src:dst ~dst:src ~tag "msg");
+    (Keyring.verify_mac keys ~src:dst ~dst:src ~tag "msg");
   Alcotest.(check bool) "wrong peer" false
-    (Keys.verify_mac keys ~src ~dst:(Principal.node 1) ~tag "msg")
+    (Keyring.verify_mac keys ~src ~dst:(Principal.node 1) ~tag "msg")
 
 let test_authenticator () =
-  let keys = Keys.create ~master:"m" in
+  let keys = Keyring.create ~master:"m" in
   let src = Principal.client 0 in
   let all = List.init 4 Principal.node in
-  let auth = Keys.authenticator keys ~src ~all "msg" in
+  let auth = Keyring.authenticator keys ~src ~all "msg" in
   Alcotest.(check int) "one tag per node" 4 (List.length auth);
   List.iter
     (fun (dst, tag) ->
       Alcotest.(check bool)
         (Printf.sprintf "entry for %s verifies" (Principal.to_string dst))
         true
-        (Keys.verify_mac keys ~src ~dst ~tag "msg"))
+        (Keyring.verify_mac keys ~src ~dst ~tag "msg"))
     auth
 
 let test_costmodel_ratios () =

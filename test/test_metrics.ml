@@ -674,7 +674,7 @@ let test_export_csv_json () =
    | header :: _ ->
      Alcotest.(check string) "csv header" "time_s,metric,labels,field,value" header
    | [] -> Alcotest.fail "empty csv");
-  let json = Export.json_of_snapshot r in
+  let json = Export.json_of_samples (Registry.snapshot r) in
   Alcotest.(check bool) "json mentions metric" true (contains json "\"x_total\"");
   Alcotest.(check string) "json_float nan" "null" (Export.json_float Float.nan);
   Alcotest.(check string) "json escaping" {|"a\"b"|} ({|"|} ^ Export.json_escape {|a"b|} ^ {|"|})

@@ -35,7 +35,7 @@ let start ~seed ~attack =
 let observe r =
   ( Bftaudit.Capture.digest r.capture,
     Bftspan.Tracer.digest r.probe,
-    Bftmetrics.Export.json_of_snapshot (Probe.registry r.probe),
+    Bftmetrics.Export.json_of_samples (Bftmetrics.Registry.snapshot (Probe.registry r.probe)),
     Bftaudit.Auditor.events_checked r.auditor )
 
 let horizon = Time.ms 300
@@ -47,7 +47,7 @@ let alone ~seed ~attack =
 
 let default_state () =
   let p = Probe.default in
-  ( Bftmetrics.Export.json_of_snapshot (Probe.registry p),
+  ( Bftmetrics.Export.json_of_samples (Bftmetrics.Registry.snapshot (Probe.registry p)),
     Probe.span_count p,
     List.length (Probe.footprint_list p),
     (Probe.audit p, Probe.metrics p, Probe.spans p),
