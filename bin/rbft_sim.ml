@@ -99,16 +99,15 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
     | other -> failwith ("unknown mode: " ^ other)
   in
   let params = { (Rbft.Params.default ~f) with Rbft.Params.ordering } in
-  (* The unfair-primary attack is detected by the latency check, which
-     is disabled by default (it is workload-dependent, Sec. IV-C). *)
-  let params =
-    if attack = "unfair" then
-      {
-        params with
-        Rbft.Params.lambda = Dessim.Time.of_us_f 1500.0;
-        batch_delay = Dessim.Time.of_us_f 200.0;
-      }
-    else params
+  let params = if attack = "unfair" then Rbft.Attacks.unfair_params params else params in
+  let plan =
+    match attack with
+    | "none" -> None
+    | "worst1" -> Some (Rbft.Attacks.worst1 params)
+    | "worst2" -> Some (Rbft.Attacks.worst2 params)
+    | "unfair" ->
+      Some (Rbft.Attacks.unfair_primary params ~client:0 ~steps:[ (100, Time.ms 1) ])
+    | other -> failwith ("unknown attack: " ^ other)
   in
   let transport =
     match transport with "udp" -> Bftnet.Network.Udp | _ -> Bftnet.Network.Tcp
@@ -169,14 +168,7 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
     end
     else None
   in
-  (match attack with
-   | "none" -> ()
-   | "worst1" -> Rbft.Attacks.worst_attack_1 cluster
-   | "worst2" -> Rbft.Attacks.worst_attack_2 cluster
-   | "unfair" ->
-     Rbft.Attacks.unfair_primary cluster ~node:0 ~target_client:0 ~after_requests:100
-       ~hold:(Time.ms 1)
-   | other -> failwith ("unknown attack: " ^ other));
+  Option.iter (Rbft.Attacks.install cluster) plan;
   Array.iter (fun c -> Rbft.Client.set_rate c rate) (Rbft.Cluster.clients cluster);
   let duration = Time.of_sec_f seconds in
   Rbft.Cluster.run_for cluster duration;
@@ -187,11 +179,7 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
         (sample, Bftmetrics.Probe.span_array probe))
       span_sample
   in
-  let faulty =
-    List.filter
-      (fun node -> Bftmetrics.Probe.is_declared probe node)
-      (List.init (Rbft.Params.n params) Fun.id)
-  in
+  let faulty = Option.fold ~none:[] ~some:Rbft.Attacks.faulty plan in
   Printf.printf "simulated %.1fs: executed %d requests (%.1f kreq/s)\n" seconds
     (Rbft.Cluster.total_executed cluster)
     (Rbft.Cluster.throughput_between cluster (Time.ms 200) duration /. 1e3);

@@ -61,9 +61,8 @@ let () =
     ~label:"monitoring under attack (primary hugs the Delta envelope):";
 
   Printf.printf "phase 3: the primary gets greedy (drops to 30%% of backups)\n";
-  let replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
-  (Pbftcore.Replica.adversary replica).Pbftcore.Replica.pp_rate_limit <-
-    (fun () -> 0.3 *. 34_000.0);
+  Rbft.Attacks.install cluster
+    (Rbft.Attacks.node 0 [ Throttle_pre_prepares (0.3 *. 34_000.0) ]);
   Rbft.Cluster.run_for cluster (Time.sec 1);
   print_monitoring cluster ~label:"monitoring after the greedy move:";
   (* Drain in-flight requests before comparing execution logs. *)

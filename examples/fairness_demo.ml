@@ -5,8 +5,6 @@
 
    Run with: dune exec examples/fairness_demo.exe *)
 
-open Dessim
-
 let () =
   Printf.printf "== Unfair-primary demo (Fig 12): 2 clients, 4kB requests, f = 1 ==\n\n";
   (* The unfair primary: fair for 500 requests, then holds client 0's
@@ -15,14 +13,7 @@ let () =
 
   (* Render the latency series, bucketed by 100 requests. *)
   Printf.printf "%8s  %-22s  %-22s\n" "request" "client 0 (attacked)" "client 1";
-  let bucket lo hi client =
-    let s = Bftmetrics.Stats.create () in
-    List.iter
-      (fun (i, c, lat) ->
-        if i >= lo && i < hi && c = client then Bftmetrics.Stats.add s (Time.to_ms_f lat))
-      samples;
-    s
-  in
+  let bucket lo hi client = Bftharness.Experiments.latencies_ms samples ~lo ~hi ~client in
   let bar ms = String.make (Stdlib.min 40 (int_of_float (ms *. 12.0))) '#' in
   let rec render lo =
     if lo < 1400 then begin

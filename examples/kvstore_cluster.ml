@@ -49,12 +49,7 @@ let () =
   Rbft.Cluster.run_for cluster (Time.sec 1);
 
   Printf.printf "phase 2: node 3 turns Byzantine (silent everywhere)\n";
-  let faulty = Rbft.Cluster.node cluster 3 in
-  (Rbft.Node.faults faulty).Rbft.Node.no_propagate <- true;
-  for i = 0 to 1 do
-    (Pbftcore.Replica.adversary (Rbft.Node.replica faulty ~instance:i))
-      .Pbftcore.Replica.silent <- true
-  done;
+  Rbft.Attacks.install cluster (Rbft.Attacks.node 3 [ No_propagate; Silent [ 0; 1 ] ]);
   for i = 501 to 1000 do
     send (Kvstore.Put (Printf.sprintf "late:%d" (i mod 30), string_of_int i))
   done;

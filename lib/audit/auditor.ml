@@ -19,7 +19,7 @@
 
     Nodes under adversarial control are excluded from the checks'
     conclusions (their votes still count, as they do in the real
-    protocol).  Attack installers declare them on the run's probe
+    protocol).  Attack plans declare them on the run's probe
     ({!Bftmetrics.Probe.declare_faulty}); violations raise {!Violation} with a readable
     report that includes the most recent bus events for context. *)
 
@@ -47,7 +47,6 @@ type t = {
   f : int;
   quorum : int;
   raise_on_violation : bool;
-  faulty : (int, unit) Hashtbl.t;
   mutable violations : violation list; (* newest first *)
   recent : Event.t Bftmetrics.Ring.t; (* context ring for reports *)
   mutable checked : int;
@@ -63,9 +62,7 @@ type t = {
   mutable detach : unit -> unit;
 }
 
-let is_correct t node =
-  node >= 0 && not (Hashtbl.mem t.faulty node)
-  && not (Probe.is_declared t.probe node)
+let is_correct t node = node >= 0 && not (Probe.is_declared t.probe node)
 
 let report t (v : violation) =
   let buf = Buffer.create 1024 in
@@ -198,14 +195,13 @@ let on_event t (ev : Event.t) =
   | _ -> ()
 
 (** Create an auditor and subscribe it to the probe's events. *)
-let attach ?(probe = Probe.default) ?(faulty = []) ?(raise_on_violation = true) ~n ~f () =
+let attach ?(probe = Probe.default) ?(raise_on_violation = true) ~n ~f () =
   let t =
     {
       n;
       f;
       quorum = (2 * f) + 1;
       raise_on_violation;
-      faulty = Hashtbl.create 8;
       violations = [];
       recent = Bftmetrics.Ring.create 16;
       checked = 0;
@@ -218,7 +214,6 @@ let attach ?(probe = Probe.default) ?(faulty = []) ?(raise_on_violation = true) 
       detach = ignore;
     }
   in
-  List.iter (fun i -> Hashtbl.replace t.faulty i ()) faulty;
   t.detach <- Probe.subscribe probe (on_event t);
   t
 

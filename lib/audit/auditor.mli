@@ -31,10 +31,10 @@ type t
 
 val attach :
   ?probe:Bftmetrics.Probe.t ->
-  ?faulty:int list -> ?raise_on_violation:bool -> n:int -> f:int -> unit -> t
+  ?raise_on_violation:bool -> n:int -> f:int -> unit -> t
 (** An auditor subscribed to [probe]'s events (for [benchmark/] only,
-    {!Bftmetrics.Probe.default} when none is given). It also excludes
-    the nodes declared faulty on [probe] and reports every violation to the probe's
+    {!Bftmetrics.Probe.default} when none is given). It exempts the
+    nodes declared faulty on [probe] and reports every violation to the probe's
     violation subscribers, before any raise. [raise_on_violation]
     defaults to [true]; when [false], violations are only recorded and
     available via {!violations}. *)

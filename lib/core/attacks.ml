@@ -1,54 +1,78 @@
 open Dessim
 
-let for_all_clients cluster f = Array.iter f (Cluster.clients cluster)
+type flood = Aggressive | Below_threshold
 
-let flood_rate_for ~aggressive =
-  (* The NIC-closing threshold admits [flood_threshold] invalid
-     messages per monitoring period; a smart attacker floods just
-     below it, a brute-force one well above. *)
+type behaviour =
+  | Flood of { targets : int list; flood : flood }
+  | No_propagate
+  | Drop_client_requests
+  | Silent of int list
+  | Delay_pre_prepares of Time.t
+  | Throttle_pre_prepares of float
+  | Pace_to_delta of float
+  | Hold_client of { client : int; steps : (int * Time.t) list }
+
+type plan = { nodes : (int * behaviour list) list; broken_macs_for : int list }
+
+let faulty plan = List.map fst plan.nodes
+let node id behaviours = { nodes = [ (id, behaviours) ]; broken_macs_for = [] }
+
+let unfair_params params =
+  { params with Params.lambda = Time.of_us_f 1500.0; batch_delay = Time.of_us_f 200.0 }
+
+let master_primary params =
+  Params.primary_of params ~instance:Params.master_instance ~view:0
+
+let worst1 params =
+  let n = Params.n params and f = params.Params.f in
+  let primary = master_primary params in
+  let behaviours =
+    [
+      Flood { targets = [ primary ]; flood = Aggressive };
+      Silent [ Params.master_instance ];
+      No_propagate;
+    ]
+  in
+  { nodes = List.init f (fun i -> (n - 1 - i, behaviours)); broken_macs_for = [ primary ] }
+
+let worst2 params =
+  let n = Params.n params and f = params.Params.f in
+  let primary = master_primary params in
+  let faulty_nodes = primary :: List.init (f - 1) (fun i -> (primary + n - 1 - i) mod n) in
+  let correct = List.filter (fun j -> not (List.mem j faulty_nodes)) (List.init n Fun.id) in
+  let backups =
+    List.filter (( <> ) Params.master_instance) (List.init (Params.instances params) Fun.id)
+  in
+  (* Flooding below the NIC-closing threshold: closing the master
+     primary's NIC would also cut off its ordering messages and end the
+     attack. *)
+  let behaviours id =
+    [ Flood { targets = correct; flood = Below_threshold }; No_propagate; Silent backups ]
+    @ if id = primary then [ Pace_to_delta 0.035 ] else []
+  in
+  { nodes = List.map (fun id -> (id, behaviours id)) faulty_nodes; broken_macs_for = [] }
+
+let unfair_primary params ~client ~steps =
+  node (master_primary params) [ Hold_client { client; steps } ]
+
+(* The NIC-closing threshold admits [flood_threshold] invalid messages
+   per monitoring period; a smart attacker floods just below it, a
+   brute-force one well above. *)
+let flood_rate flood =
   let per_period = float_of_int Params.flood_threshold in
   let period = Time.to_sec_f Params.monitoring_period in
-  if aggressive then 4.0 *. per_period /. period else 0.8 *. per_period /. period
+  let factor = match flood with Aggressive -> 4.0 | Below_threshold -> 0.8 in
+  factor *. per_period /. period
 
-let worst_attack_1 cluster =
-  let params = Cluster.params cluster in
-  let n = Params.n params and f = params.Params.f in
-  let master_primary_node = Params.primary_of params ~instance:Params.master_instance ~view:0 in
-  let faulty_nodes = List.init f (fun i -> n - 1 - i) in
-  Bftmetrics.Probe.declare_faulty (Cluster.probe cluster) faulty_nodes;
-  (* (i) clients: authenticator broken for the master-primary node. *)
-  for_all_clients cluster (fun c ->
-      (Client.behaviour c).Client.mac_invalid_for <- [ master_primary_node ]);
-  List.iter
-    (fun id ->
-      let node = Cluster.node cluster id in
-      let faults = Node.faults node in
-      (* (ii)+(iii) flood the master-primary node with junk of maximal
-         size; it will close the offending NICs. *)
-      faults.Node.flood_targets <- [ master_primary_node ];
-      faults.Node.flood_rate <- flood_rate_for ~aggressive:true;
-      (* (iv) the faulty master-instance replicas stop participating;
-         backup replicas keep running at full speed. *)
-      (Pbftcore.Replica.adversary (Node.replica node ~instance:Params.master_instance))
-        .Pbftcore.Replica.silent <- true;
-      faults.Node.no_propagate <- true)
-    faulty_nodes
-
-(* Periodically (every monitoring period) read the faulty node's own
-   monitoring data and pace its [instance] replica's PRE-PREPAREs so
-   that the master/backup throughput ratio observed by correct nodes
-   stays just above Δ — the paper's "limit value such that the ratio
-   observed at the correct nodes is greater or equal than Δ". *)
-let install_delta_tracker cluster ~node ~instance ~margin =
-  Bftmetrics.Probe.declare_faulty (Cluster.probe cluster) [ node ];
-  let engine = Cluster.engine cluster in
-  let params = Cluster.params cluster in
-  let the_node = Cluster.node cluster node in
-  let replica = Node.replica the_node ~instance in
-  let cap = ref 0.0 in
-  let prev_backup = ref 0.0 in
-  (Pbftcore.Replica.adversary replica).Pbftcore.Replica.pp_rate_limit <-
-    (fun () -> !cap);
+(* Every monitoring period, read the faulty node's own monitoring data
+   and pace its master replica's PRE-PREPAREs so that the master/backup
+   throughput ratio observed by correct nodes stays just above Δ — the
+   paper's "limit value such that the ratio observed at the correct
+   nodes is greater or equal than Δ". *)
+let pace_to_delta cluster node adversary ~margin =
+  let engine = Cluster.engine cluster and params = Cluster.params cluster in
+  let cap = ref 0.0 and prev_backup = ref 0.0 in
+  adversary.Pbftcore.Replica.pp_rate_limit <- (fun () -> !cap);
   let rec loop () =
     ignore
       (Engine.after engine Params.monitoring_period (fun () ->
@@ -58,69 +82,57 @@ let install_delta_tracker cluster ~node ~instance ~margin =
               while the backup rate is stable: throttling against a
               rising rate would push the observed ratio under Δ and
               get it evicted. *)
-           (match Monitoring.latest (Node.monitoring the_node) with
-            | Some (_, rates) when Array.length rates > 1 ->
-              let backups = Array.length rates - 1 in
-              let sum = ref 0.0 in
-              Array.iteri
-                (fun i r -> if i <> Params.master_instance then sum := !sum +. r)
-                rates;
-              let backup_rate = !sum /. float_of_int backups in
+           (match Monitoring.latest (Node.monitoring node) with
+            | Some (_, rates) ->
+              let backup_rate = Monitoring.backup_mean ~master:Params.master_instance rates in
               let stable =
                 !prev_backup > 0.0
                 && Float.abs (backup_rate -. !prev_backup) /. !prev_backup <= 0.05
               in
               prev_backup := backup_rate;
               let target = (params.Params.delta +. margin) *. backup_rate in
-              cap := (if stable && target > 0.0 then target else 0.0)
-            | Some _ | None -> ());
+              cap := if stable && target > 0.0 then target else 0.0
+            | None -> ());
            loop ()))
   in
   loop ()
 
-let worst_attack_2 cluster =
-  let params = Cluster.params cluster in
-  let f = params.Params.f in
-  let n = Params.n params in
-  (* The faulty nodes include the master primary's node (node 0 at
-     view 0). *)
-  let master_primary_node = Params.primary_of params ~instance:Params.master_instance ~view:0 in
-  let faulty_nodes =
-    master_primary_node :: List.init (f - 1) (fun i -> (master_primary_node + n - 1 - i) mod n)
-  in
-  Bftmetrics.Probe.declare_faulty (Cluster.probe cluster) faulty_nodes;
+let hold_after steps ordered =
+  List.fold_left (fun held (after, hold) -> if ordered >= after then hold else held)
+    Time.zero steps
+
+let install cluster plan =
+  Bftmetrics.Probe.declare_faulty (Cluster.probe cluster) (faulty plan);
+  if plan.broken_macs_for <> [] then
+    Array.iter
+      (fun c -> (Client.behaviour c).Client.mac_invalid_for <- plan.broken_macs_for)
+      (Cluster.clients cluster);
   List.iter
-    (fun id ->
+    (fun (id, behaviours) ->
       let node = Cluster.node cluster id in
       let faults = Node.faults node in
-      let correct =
-        List.filter (fun j -> not (List.mem j faulty_nodes)) (List.init n (fun j -> j))
-      in
-      (* (ii) flood all correct nodes, but below the NIC-closing
-         threshold: closing the faulty node's NIC would also cut off
-         the master primary's ordering messages and end the attack. *)
-      faults.Node.flood_targets <- correct;
-      faults.Node.flood_rate <- flood_rate_for ~aggressive:false;
-      faults.Node.no_propagate <- true;
-      (* (iii) backup-instance replicas on faulty nodes stay silent. *)
-      for i = 0 to Params.instances params - 1 do
-        if i <> Params.master_instance then
-          (Pbftcore.Replica.adversary (Node.replica node ~instance:i))
-            .Pbftcore.Replica.silent <- true
-      done)
-    faulty_nodes;
-  (* The malicious master primary delays down to the Δ envelope. *)
-  install_delta_tracker cluster ~node:master_primary_node
-    ~instance:Params.master_instance ~margin:0.035
+      let adversary instance = Pbftcore.Replica.adversary (Node.replica node ~instance) in
+      let master = Node.replica node ~instance:Params.master_instance in
+      let adv = Pbftcore.Replica.adversary master in
+      List.iter
+        (function
+          | Flood { targets; flood } ->
+            faults.Node.flood_targets <- targets;
+            faults.Node.flood_rate <- flood_rate flood
+          | No_propagate -> faults.Node.no_propagate <- true
+          | Drop_client_requests -> faults.Node.drop_client_requests <- true
+          | Silent instances ->
+            List.iter (fun i -> (adversary i).Pbftcore.Replica.silent <- true) instances
+          | Delay_pre_prepares delay -> adv.Pbftcore.Replica.pp_extra_delay <- (fun () -> delay)
+          | Throttle_pre_prepares rate -> adv.Pbftcore.Replica.pp_rate_limit <- (fun () -> rate)
+          | Pace_to_delta margin -> pace_to_delta cluster node adv ~margin
+          | Hold_client { client; steps } ->
+            adv.Pbftcore.Replica.client_hold <-
+              (fun id ->
+                if id.Pbftcore.Types.client <> client then Time.zero
+                else hold_after steps (Pbftcore.Replica.ordered_count master)))
+        behaviours)
+    plan.nodes
 
-let unfair_primary cluster ~node ~target_client ~after_requests ~hold =
-  Bftmetrics.Probe.declare_faulty (Cluster.probe cluster) [ node ];
-  let the_node = Cluster.node cluster node in
-  let replica = Node.replica the_node ~instance:Params.master_instance in
-  (Pbftcore.Replica.adversary replica).Pbftcore.Replica.client_hold <-
-    (fun id ->
-      if
-        id.Pbftcore.Types.client = target_client
-        && Pbftcore.Replica.ordered_count replica >= after_requests
-      then hold
-      else Time.zero)
+let worst_attack_1 cluster = install cluster (worst1 (Cluster.params cluster))
+let worst_attack_2 cluster = install cluster (worst2 (Cluster.params cluster))

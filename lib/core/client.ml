@@ -8,7 +8,6 @@ type behaviour = {
   mutable sig_valid : bool;
   mutable mac_invalid_for : int list;
   mutable heavy : bool;
-  mutable send_only_to : int list;
   mutable make_op : (int -> string) option;
 }
 
@@ -71,16 +70,10 @@ and transmit (t : t) ~span (req : Messages.request) =
   let msg = Messages.Request req in
   let n = Params.n t.ext.params in
   let size = Messages.request_wire_size req ~n in
-  let targets =
-    match t.ext.behaviour.send_only_to with
-    | [] -> List.init n (fun i -> i)
-    | subset -> subset
-  in
-  List.iter
-    (fun node ->
-      Network.send ~span t.net ~src:(Principal.client t.id) ~dst:(Principal.node node)
-        ~size msg)
-    targets
+  for node = 0 to n - 1 do
+    Network.send ~span t.net ~src:(Principal.client t.id) ~dst:(Principal.node node) ~size
+      msg
+  done
 
 (* Retransmit watchdog, armed only when the admission gate exists
    (zero scheduled events otherwise, so gate-off runs replay
@@ -197,7 +190,6 @@ let create engine net params ~id ?(payload_size = 8) () =
             sig_valid = true;
             mac_invalid_for = [];
             heavy = false;
-            send_only_to = [];
             make_op = None;
           };
         closed_loop = 0;

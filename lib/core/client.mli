@@ -19,8 +19,6 @@ type behaviour = {
   mutable mac_invalid_for : int list;
       (** nodes receiving a broken authenticator entry *)
   mutable heavy : bool;  (** send heavy (10x execution cost) requests *)
-  mutable send_only_to : int list;
-      (** restrict which nodes receive the request ([[]] = all) *)
   mutable make_op : (int -> string) option;
       (** custom operation builder (rid → op), e.g. encoded
           {!Bftapp.Kvstore} operations; [None] (the default) sends the
@@ -80,6 +78,8 @@ val pending_count : t -> int
     table; capacity probes sum it across the population). *)
 
 val latencies : t -> Bftmetrics.Hist.t
-(** End-to-end latency distribution (seconds). *)
+(** End-to-end latency distribution (seconds). Until the first request
+    completes it is one empty histogram that all idle clients share:
+    read it, never add to it. *)
 
 val completion_counter : t -> Bftmetrics.Throughput.t

@@ -112,6 +112,15 @@ let prune_idle_clients t =
       stale
   end
 
+let backup_mean ~master rates =
+  let n = Array.length rates in
+  if n <= 1 then 0.0
+  else begin
+    let sum = ref 0.0 in
+    Array.iteri (fun i r -> if i <> master then sum := !sum +. r) rates;
+    !sum /. float_of_int (n - 1)
+  end
+
 let tick t ~now =
   t.tick_no <- t.tick_no + 1;
   prune_idle_clients t;
@@ -181,16 +190,9 @@ let tick t ~now =
       averaged;
     if !backups = 0 then 0.0 else !sum /. float_of_int !backups
   in
-  let backup_rate =
-    (* Raw mean over all backups, reported for observability (the
-       verdict's decision uses the normalized figures). *)
-    if n_inst <= 1 then 0.0
-    else begin
-      let sum = ref 0.0 in
-      Array.iteri (fun i r -> if i <> t.master then sum := !sum +. r) averaged;
-      !sum /. float_of_int (n_inst - 1)
-    end
-  in
+  (* Raw mean over all backups, reported for observability (the
+     verdict's decision uses the normalized figures). *)
+  let backup_rate = backup_mean ~master:t.master averaged in
   let suspicious =
     (not (Float.is_nan master_norm))
     && backup_norm >= min_meaningful_rate

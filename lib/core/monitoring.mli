@@ -56,6 +56,10 @@ type verdict = {
           identity *)
 }
 
+val backup_mean : master:int -> float array -> float
+(** The mean of the per-instance [rates] of every instance but
+    [master]; 0 with no backup instance. *)
+
 val tick : t -> now:Time.t -> verdict
 (** Close the current window, compute throughputs, reset the counters
     and remember the measurement (for {!history}). The Δ test is only

@@ -11,7 +11,6 @@ module Registry = Bftmetrics.Registry
 
 type faults = {
   mutable flood_targets : int list;
-  mutable flood_size : int;
   mutable flood_rate : float;
   mutable no_propagate : bool;
   mutable drop_client_requests : bool;
@@ -911,8 +910,8 @@ let rec arm_monitoring t =
    so attacks can be switched on and off at any virtual time. *)
 let start_flooding t =
   (* One junk op and digest for the whole flood, built when the first
-     flood tick fires; each message stamps its target and the current
-     flood size onto it. *)
+     flood tick fires; each message stamps its target and the maximal
+     request size, 9,000 bytes, onto it. *)
   let junk = lazy (desc_of_op ~client:(-1) ~rid:0 "junk") in
   let junk_msg target =
     Messages.Propagate
@@ -922,7 +921,7 @@ let start_flooding t =
             desc =
               { (Lazy.force junk) with
                 id = { client = -1; rid = target };
-                op_size = t.faults.flood_size };
+                op_size = 9_000 };
             sig_valid = false;
             mac_invalid_for = [];
           };
@@ -978,7 +977,6 @@ let create engine net params ~id ~service =
       faults =
         {
           flood_targets = [];
-          flood_size = 9_000;
           flood_rate = 0.0;
           no_propagate = false;
           drop_client_requests = false;

@@ -37,14 +37,13 @@ val params : t -> Params.t
 
 (** {1 Fault injection}
 
-    Scripted Byzantine behaviours. All default to benign; attack
-    scenarios mutate the returned record and the per-replica
-    adversaries (via {!replica} and {!Pbftcore.Replica.adversary}). *)
+    Scripted Byzantine behaviours. All default to benign. An attack is
+    an {!Attacks.plan}; {!Attacks.install} writes this record and the
+    per-replica adversaries ({!Pbftcore.Replica.adversary}). *)
 
 type faults = {
   mutable flood_targets : int list;
-      (** peer nodes to flood with junk PROPAGATEs of maximal size *)
-  mutable flood_size : int;  (** bytes per junk message *)
+      (** peers to flood with junk PROPAGATEs of maximal size, 9,000 bytes *)
   mutable flood_rate : float;  (** junk messages per second, per target *)
   mutable no_propagate : bool;
       (** do not take part in the PROPAGATE phase (worst-attack-2) *)

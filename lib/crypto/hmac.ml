@@ -14,12 +14,3 @@ let mac ~key msg =
   let key = normalize_key key in
   let ipad = xor_pad key 0x36 and opad = xor_pad key 0x5c in
   Sha256.digest_concat opad (Sha256.digest_concat ipad msg)
-
-let mac_truncated ~key ~len msg =
-  let full = mac ~key msg in
-  assert (len > 0 && len <= String.length full);
-  String.sub full 0 len
-
-let verify ~key ~tag msg =
-  let expected = mac_truncated ~key ~len:(String.length tag) msg in
-  String.equal expected tag

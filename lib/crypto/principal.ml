@@ -22,10 +22,6 @@ let pp fmt = function
 
 let to_string t = Format.asprintf "%a" pp t
 
-let encode = function
-  | Node i -> Printf.sprintf "N%08x" i
-  | Client i -> Printf.sprintf "C%08x" i
-
 module Ord = struct
   type nonrec t = t
 

@@ -18,9 +18,5 @@ val index : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val encode : t -> string
-(** Stable binary rendering, used in key-derivation labels and wire
-    formats. *)
-
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

@@ -45,10 +45,8 @@ type 'c run = { cluster : 'c; throughput : float; latencies : Bftmetrics.Hist.t 
 
 let drain = Time.ms 200
 
-(* Measure at a correct node: under worst-attack-2, node 0 is faulty.
-   The highest-indexed node is correct in attack-2 (faulty = node 0 ..)
-   and faulty in attack-1 (faulty = last f nodes); node 1 is correct in
-   both. *)
+(* Measure at node 1, correct under every RBFT attack plan: worst1
+   corrupts the last f nodes, worst2 node 0 and the last f - 1. *)
 let run (type c) ?audit ?metrics ?span_sample ?footprints ?(attack = fun _ -> ())
     ?(from_ = drain) ?until (module S : STACK with type Cluster.t = c) ~f ~load
     (build : probe:Probe.t -> int -> c) =
@@ -429,10 +427,7 @@ let fig_monitoring ~audit ~quick ~attack_fn ~correct_nodes ~id ~title ~paper_not
         List.iter
           (fun (_, rates) ->
             Bftmetrics.Stats.add master rates.(0);
-            let backups = Array.length rates - 1 in
-            let sum = ref 0.0 in
-            Array.iteri (fun i r -> if i > 0 then sum := !sum +. r) rates;
-            Bftmetrics.Stats.add backup (!sum /. float_of_int backups))
+            Bftmetrics.Stats.add backup (Rbft.Monitoring.backup_mean ~master:0 rates))
           mid;
         [
           Printf.sprintf "node %d" node_id;
@@ -478,10 +473,8 @@ let fig10_11 ~audit ~quick =
 let unfair_primary ?audit () =
   let params =
     {
-      (Rbft.Params.default ~f:1) with
-      Rbft.Params.lambda = Time.of_us_f 1500.0;
-      batch_delay = Time.of_us_f 200.0;
-      delta = 0.5 (* keep the throughput check out of the way, as the paper does *);
+      (Rbft.Attacks.unfair_params (Rbft.Params.default ~f:1)) with
+      Rbft.Params.delta = 0.5 (* keep the throughput check out of the way, as the paper does *);
     }
   in
   instrumented ?audit ~f:1 (fun probe ->
@@ -498,31 +491,23 @@ let unfair_primary ?audit () =
       (* The faulty master primary (node 0): fair for the first 500
          requests, then holds client 0's requests by 0.5 ms, then by
          1 ms (the paper's escalation at request ~1000). *)
-      Probe.declare_faulty probe [ 0 ];
-      let replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
-      (Pbftcore.Replica.adversary replica).Pbftcore.Replica.client_hold <-
-        (fun id ->
-          if id.Pbftcore.Types.client <> 0 then Time.zero
-          else begin
-            let ordered = Pbftcore.Replica.ordered_count replica in
-            if ordered < 500 then Time.zero
-            else if ordered < 1000 then Time.of_us_f 500.0
-            else Time.of_us_f 1000.0
-          end);
+      Rbft.Attacks.install cluster
+        (Rbft.Attacks.unfair_primary params ~client:0
+           ~steps:[ (500, Time.of_us_f 500.0); (1000, Time.of_us_f 1000.0) ]);
       Rbft.Cluster.run_for cluster (Time.of_sec_f 3.0);
       (List.rev !samples, cluster))
 
+let latencies_ms samples ~lo ~hi ~client =
+  let s = Bftmetrics.Stats.create () in
+  List.iter
+    (fun (i, c, lat) ->
+      if i >= lo && i < hi && c = client then Bftmetrics.Stats.add s (Time.to_ms_f lat))
+    samples;
+  s
+
 let fig12 ~audit ~quick:_ =
   let samples, cluster = unfair_primary ~audit () in
-  let bucket lo hi client =
-    let s = Bftmetrics.Stats.create () in
-    List.iter
-      (fun (i, c, lat) ->
-        if i >= lo && i < hi && c = client then
-          Bftmetrics.Stats.add s (Time.to_ms_f lat))
-      samples;
-    Bftmetrics.Stats.mean s
-  in
+  let bucket lo hi client = Bftmetrics.Stats.mean (latencies_ms samples ~lo ~hi ~client) in
   let phases = [ (0, 500, "fair"); (500, 1000, "hold 0.5ms"); (1000, 1400, "hold 1ms") ] in
   let rows =
     List.map
@@ -660,10 +645,7 @@ let ablation_delta ~audit ~quick =
 let ablation_switch_master ~audit ~quick =
   let rate = Calibrate.saturating_rate Flavour.Rbft ~size:8 in
   let slow_master cluster =
-    Probe.declare_faulty (Rbft.Cluster.probe cluster) [ 0 ];
-    (Pbftcore.Replica.adversary
-       (Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0))
-      .Pbftcore.Replica.pp_rate_limit <- (fun () -> 0.3 *. rate)
+    Rbft.Attacks.install cluster (Rbft.Attacks.node 0 [ Throttle_pre_prepares (0.3 *. rate) ])
   in
   let measure recovery =
     let r =
@@ -712,10 +694,9 @@ let ablation_closed_loop ~audit ~quick =
            throttle itself to ~40 % of capacity. *)
         Rbft.Cluster.run_for cluster (Time.ms 500);
         let attack_start = Engine.now (Rbft.Cluster.engine cluster) in
-        Probe.declare_faulty probe [ 0 ];
-        let replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
-        (Pbftcore.Replica.adversary replica).Pbftcore.Replica.pp_rate_limit <-
-          (fun () -> 0.4 *. Calibrate.peak_rate Flavour.Rbft ~size:8);
+        Rbft.Attacks.install cluster
+          (Rbft.Attacks.node 0
+             [ Throttle_pre_prepares (0.4 *. Calibrate.peak_rate Flavour.Rbft ~size:8) ]);
         Rbft.Cluster.run_for cluster duration;
         ( Bftmetrics.Throughput.rate_between
             (Rbft.Node.executed_counter (Rbft.Cluster.node cluster 1))

@@ -49,6 +49,10 @@ val unfair_primary :
     ordering latency correct node 1 observed, in order, as
     (ordinal from 1, client, latency), and the cluster. *)
 
+val latencies_ms :
+  (int * int * Dessim.Time.t) list -> lo:int -> hi:int -> client:int -> Bftmetrics.Stats.t
+(** The latencies, in ms, of [client]'s samples with ordinal in [[lo, hi)]. *)
+
 type group = {
   label : string;  (** e.g. ["fig1/2/3+table1"]; names the group's timing line *)
   ids : string list;  (** the {!Report.table} ids [run] returns, in order *)

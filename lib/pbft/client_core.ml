@@ -37,10 +37,14 @@ type ('msg, 'x, 'r) t = {
   mutable rate_epoch : int;
   pending : 'r pending Request_id_table.t;
   mutable completed : int;
-  latencies : Bftmetrics.Hist.t;
+  mutable latencies : Bftmetrics.Hist.t;  (** [idle] until a request completes *)
   rng : Rng.t;
   ext : 'x;  (** the stack's own per-client state *)
 }
+
+(* The empty histogram all idle clients share, never written: most
+   clients of a large population never complete a request. *)
+let idle = Bftmetrics.Hist.create ()
 
 (** Draws the client's random stream from the engine. *)
 let create engine net ~f ~id ~payload_size ext =
@@ -57,7 +61,7 @@ let create engine net ~f ~id ~payload_size ext =
     rate_epoch = 0;
     pending = Request_id_table.create 8;  (* grows on demand; 10^5-client populations exist *)
     completed = 0;
-    latencies = Bftmetrics.Hist.create ();
+    latencies = idle;
     rng = Engine.fresh_rng engine;
     ext;
   }
@@ -127,6 +131,7 @@ let completed_by t (id : request_id) ~from ~result =
       p.done_ <- true;
       t.completed <- t.completed + 1;
       let now = Engine.now t.engine in
+      if t.latencies == idle then t.latencies <- Bftmetrics.Hist.create ();
       Bftmetrics.Hist.add t.latencies (Time.to_sec_f (Time.sub now p.sent_at));
       Bftmetrics.Probe.finish (Network.probe t.net) p.span ~t1:now;
       Request_id_table.remove t.pending id;

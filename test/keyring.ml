@@ -17,6 +17,22 @@ type t = {
 
 let create ~master = { master; pair_cache = Hashtbl.create 64; sign_cache = Hashtbl.create 64 }
 
+(* Stable rendering of a principal in key-derivation labels. *)
+let encode = function
+  | Principal.Node i -> Printf.sprintf "N%08x" i
+  | Principal.Client i -> Printf.sprintf "C%08x" i
+
+(* The first [len] bytes of the HMAC-SHA-256 tag: the short UMAC-style
+   tags BFT implementations put on the wire. *)
+let mac_truncated ~key ~len msg =
+  let full = Hmac.mac ~key msg in
+  assert (len > 0 && len <= String.length full);
+  String.sub full 0 len
+
+(* Compare a (possibly truncated) tag with the one [key] gives [msg]. *)
+let hmac_verify ~key ~tag msg =
+  String.equal (mac_truncated ~key ~len:(String.length tag) msg) tag
+
 let ordered_pair a b = if Principal.compare a b <= 0 then (a, b) else (b, a)
 
 (* The symmetric key shared by [a] and [b], cached after the first
@@ -28,7 +44,7 @@ let pair_key t a b =
   | None ->
     let a, b = key in
     let derived =
-      Hmac.mac ~key:t.master ("pair:" ^ Principal.encode a ^ ":" ^ Principal.encode b)
+      Hmac.mac ~key:t.master ("pair:" ^ encode a ^ ":" ^ encode b)
     in
     Hashtbl.add t.pair_cache key derived;
     derived
@@ -39,7 +55,7 @@ let signing_key t p =
   match Hashtbl.find_opt t.sign_cache p with
   | Some k -> k
   | None ->
-    let derived = Hmac.mac ~key:t.master ("sign:" ^ Principal.encode p) in
+    let derived = Hmac.mac ~key:t.master ("sign:" ^ encode p) in
     Hashtbl.add t.sign_cache p derived;
     derived
 
@@ -54,10 +70,10 @@ let verify_signature t ~signer ~signature msg =
 
 (* A short wire MAC from [src] to [dst]. *)
 let mac t ~src ~dst msg =
-  Hmac.mac_truncated ~key:(pair_key t src dst) ~len:Keys.mac_tag_size msg
+  mac_truncated ~key:(pair_key t src dst) ~len:Keys.mac_tag_size msg
 
 let verify_mac t ~src ~dst ~tag msg =
-  Hmac.verify ~key:(pair_key t src dst) ~tag msg
+  hmac_verify ~key:(pair_key t src dst) ~tag msg
 
 (* A MAC authenticator: one tag per destination principal, the paper's
    ⟨m⟩μ⃗i notation. *)

@@ -163,11 +163,13 @@ let test_hmac_vectors () =
 
 let test_hmac_truncated_verify () =
   let key = "secret" and msg = "payload" in
-  let tag = Hmac.mac_truncated ~key ~len:8 msg in
+  let tag = Keyring.mac_truncated ~key ~len:8 msg in
   Alcotest.(check int) "tag length" 8 (String.length tag);
-  Alcotest.(check bool) "verifies" true (Hmac.verify ~key ~tag msg);
-  Alcotest.(check bool) "rejects other message" false (Hmac.verify ~key ~tag "other");
-  Alcotest.(check bool) "rejects other key" false (Hmac.verify ~key:"wrong" ~tag msg)
+  Alcotest.(check bool) "verifies" true (Keyring.hmac_verify ~key ~tag msg);
+  Alcotest.(check bool) "rejects other message" false
+    (Keyring.hmac_verify ~key ~tag "other");
+  Alcotest.(check bool) "rejects other key" false
+    (Keyring.hmac_verify ~key:"wrong" ~tag msg)
 
 let test_principal_ordering () =
   let open Principal in
@@ -176,7 +178,8 @@ let test_principal_ordering () =
   Alcotest.(check bool) "equal" true (equal (client 3) (client 3));
   Alcotest.(check string) "pp node" "node2" (to_string (node 2));
   Alcotest.(check string) "pp client" "client7" (to_string (client 7));
-  Alcotest.(check bool) "encode distinct" true (encode (node 1) <> encode (client 1))
+  Alcotest.(check bool) "encode distinct" true
+    (Keyring.encode (node 1) <> Keyring.encode (client 1))
 
 let test_keys_pair_symmetric () =
   let keys = Keyring.create ~master:"m" in

@@ -214,37 +214,37 @@ let test_report_print_smoke () =
 (* Attacks                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_worst_attack_1_configures () =
-  let p = Bftmetrics.Probe.create () in
+(* A fresh two-client f = 1 cluster with [plan] installed. *)
+let attacked plan =
   let params = Rbft.Params.default ~f:1 in
-  let cluster = Rbft.Cluster.create ~probe:p ~clients:2 params in
-  Rbft.Attacks.worst_attack_1 cluster;
+  let cluster = Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~clients:2 params in
+  Rbft.Attacks.install cluster (plan params);
+  cluster
+
+let silent cluster ~node ~instance =
+  (Pbftcore.Replica.adversary (Rbft.Node.replica (Rbft.Cluster.node cluster node) ~instance))
+    .Pbftcore.Replica.silent
+
+let test_worst_attack_1_configures () =
+  let cluster = attacked Rbft.Attacks.worst1 in
   (* Faulty node is node 3; master primary node is node 0. *)
   let faults = Rbft.Node.faults (Rbft.Cluster.node cluster 3) in
   Alcotest.(check (list int)) "floods the master primary node" [ 0 ]
     faults.Rbft.Node.flood_targets;
   Alcotest.(check bool) "does not propagate" true faults.Rbft.Node.no_propagate;
-  Alcotest.(check bool) "master replica silent" true
-    (Pbftcore.Replica.adversary (Rbft.Node.replica (Rbft.Cluster.node cluster 3) ~instance:0))
-      .Pbftcore.Replica.silent;
+  Alcotest.(check bool) "master replica silent" true (silent cluster ~node:3 ~instance:0);
   (* Clients' authenticators broken for node 0 only. *)
   Alcotest.(check (list int)) "client macs" [ 0 ]
     (Rbft.Client.behaviour (Rbft.Cluster.client cluster 0)).Rbft.Client.mac_invalid_for
 
 let test_worst_attack_2_configures () =
-  let p = Bftmetrics.Probe.create () in
-  let params = Rbft.Params.default ~f:1 in
-  let cluster = Rbft.Cluster.create ~probe:p ~clients:2 params in
-  Rbft.Attacks.worst_attack_2 cluster;
+  let cluster = attacked Rbft.Attacks.worst2 in
   let faults = Rbft.Node.faults (Rbft.Cluster.node cluster 0) in
   Alcotest.(check (list int)) "floods correct nodes" [ 1; 2; 3 ]
     (List.sort compare faults.Rbft.Node.flood_targets);
-  Alcotest.(check bool) "backup replica silent" true
-    (Pbftcore.Replica.adversary (Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:1))
-      .Pbftcore.Replica.silent;
+  Alcotest.(check bool) "backup replica silent" true (silent cluster ~node:0 ~instance:1);
   Alcotest.(check bool) "master replica NOT silent (it is the attacker's tool)" false
-    (Pbftcore.Replica.adversary (Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0))
-      .Pbftcore.Replica.silent
+    (silent cluster ~node:0 ~instance:0)
 
 let test_worst_attack_2_contained_end_to_end () =
   let p = Bftmetrics.Probe.create () in
@@ -271,11 +271,9 @@ let test_worst_attack_2_contained_end_to_end () =
     (rel > 0.90 && rel < 1.02)
 
 let test_unfair_primary_configures () =
-  let p = Bftmetrics.Probe.create () in
-  let params = Rbft.Params.default ~f:1 in
-  let cluster = Rbft.Cluster.create ~probe:p ~clients:2 params in
-  Rbft.Attacks.unfair_primary cluster ~node:0 ~target_client:1 ~after_requests:0
-    ~hold:(Time.ms 2);
+  let cluster =
+    attacked (Rbft.Attacks.unfair_primary ~client:1 ~steps:[ (0, Time.ms 2) ])
+  in
   let adv =
     Pbftcore.Replica.adversary (Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0)
   in
@@ -283,6 +281,39 @@ let test_unfair_primary_configures () =
     (adv.Pbftcore.Replica.client_hold { Pbftcore.Types.client = 1; rid = 5 });
   Alcotest.(check int) "others untouched" Time.zero
     (adv.Pbftcore.Replica.client_hold { Pbftcore.Types.client = 0; rid = 5 })
+
+(* The paper's faulty sets (Section VI-C) at f = 1, 2 and 3, in the plan
+   and, after [install], on the probe — exactly those nodes, no more:
+   worst-attack-1 corrupts the last f nodes, worst-attack-2 the master
+   primary's node and the last f - 1, the unfair primary its own node. *)
+let test_plans_declare_the_papers_faulty_sets () =
+  List.iter
+    (fun f ->
+      let params = Rbft.Params.default ~f in
+      let n = Rbft.Params.n params in
+      let primary =
+        Rbft.Params.primary_of params ~instance:Rbft.Params.master_instance ~view:0
+      in
+      let last k = List.init k (fun i -> n - 1 - i) in
+      List.iter
+        (fun (name, plan, expected) ->
+          let label what = Printf.sprintf "%s at f = %d: %s" name f what in
+          let expected = List.sort compare expected in
+          Alcotest.(check (list int)) (label "plan") expected
+            (List.sort compare (Rbft.Attacks.faulty (plan params)));
+          let p = Bftmetrics.Probe.create () in
+          let cluster = Rbft.Cluster.create ~probe:p ~clients:1 params in
+          Rbft.Attacks.install cluster (plan params);
+          Alcotest.(check (list int)) (label "declared") expected
+            (List.filter (Bftmetrics.Probe.is_declared p) (List.init n Fun.id)))
+        [
+          ("worst-attack-1", Rbft.Attacks.worst1, last f);
+          ("worst-attack-2", Rbft.Attacks.worst2, primary :: last (f - 1));
+          ( "unfair primary",
+            Rbft.Attacks.unfair_primary ~client:0 ~steps:[ (0, Time.ms 1) ],
+            [ primary ] );
+        ])
+    [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Load shape end-to-end through a cluster                            *)
@@ -345,6 +376,8 @@ let suites =
         Alcotest.test_case "worst-attack-2 contained" `Quick
           test_worst_attack_2_contained_end_to_end;
         Alcotest.test_case "unfair primary wiring" `Quick test_unfair_primary_configures;
+        Alcotest.test_case "plans declare the paper's faulty sets" `Quick
+          test_plans_declare_the_papers_faulty_sets;
       ] );
     ( "harness.endtoend",
       [

@@ -239,9 +239,7 @@ let test_instance_change_on_slow_master_primary () =
   let cluster = saturate ~params () in
   (* The master primary (instance 0, view 0) runs on node 0. Make it
      hugely slow: ordering rate collapses while backups stay fast. *)
-  let master_replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
-  (Pbftcore.Replica.adversary master_replica).Pbftcore.Replica.pp_extra_delay <-
-    (fun () -> Time.ms 50);
+  Rbft.Attacks.install cluster (Rbft.Attacks.node 0 [ Delay_pre_prepares (Time.ms 50) ]);
   Rbft.Cluster.run_for cluster (Time.sec 2);
   stop_clients cluster;
   Rbft.Cluster.run_for cluster (Time.sec 2);
@@ -264,9 +262,7 @@ let test_no_instance_change_when_master_within_delta () =
   let params = mk_params ~delta:0.9 () in
   let cluster = saturate ~params () in
   (* A very mild delay keeps the ratio above delta: no change. *)
-  let master_replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
-  (Pbftcore.Replica.adversary master_replica).Pbftcore.Replica.pp_extra_delay <-
-    (fun () -> Time.us 30);
+  Rbft.Attacks.install cluster (Rbft.Attacks.node 0 [ Delay_pre_prepares (Time.us 30) ]);
   Rbft.Cluster.run_for cluster (Time.sec 2);
   Alcotest.(check int) "no instance change" 0
     (Rbft.Node.instance_changes (Rbft.Cluster.node cluster 1))
@@ -340,9 +336,8 @@ let test_unfair_primary_lambda_triggers_change () =
     { (mk_params ~delta:0.5 ()) with Rbft.Params.lambda = Time.ms 15 }
   in
   let cluster = saturate ~nclients:2 ~rate:200.0 ~params () in
-  let master_replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
-  (Pbftcore.Replica.adversary master_replica).Pbftcore.Replica.client_hold <-
-    (fun id -> if id.Pbftcore.Types.client = 0 then Time.ms 25 else Time.zero);
+  Rbft.Attacks.install cluster
+    (Rbft.Attacks.unfair_primary params ~client:0 ~steps:[ (0, Time.ms 25) ]);
   Rbft.Cluster.run_for cluster (Time.sec 2);
   Alcotest.(check bool) "instance change happened" true
     (Rbft.Node.instance_changes (Rbft.Cluster.node cluster 1) >= 1);
@@ -412,9 +407,7 @@ let test_switch_master_recovery () =
     { (mk_params ~delta:0.9 ()) with Rbft.Params.recovery = Rbft.Params.Switch_master }
   in
   let cluster = saturate ~params () in
-  let master_replica = Rbft.Node.replica (Rbft.Cluster.node cluster 0) ~instance:0 in
-  (Pbftcore.Replica.adversary master_replica).Pbftcore.Replica.pp_extra_delay <-
-    (fun () -> Time.ms 50);
+  Rbft.Attacks.install cluster (Rbft.Attacks.node 0 [ Delay_pre_prepares (Time.ms 50) ]);
   Rbft.Cluster.run_for cluster (Time.sec 2);
   (* Check the switch while the load is still running: stopping the
      clients lets the throttled old master drain its backlog faster

@@ -379,14 +379,13 @@ let test_concurrent_stall_change_on_crashed_owner () =
      1's requests through the other primaries. *)
   let params = conc_params () in
   let cluster = saturate ~nclients:4 ~rate:400.0 ~params () in
-  let dead = Rbft.Cluster.node cluster 1 in
-  let faults = Rbft.Node.faults dead in
-  faults.Rbft.Node.drop_client_requests <- true;
-  faults.Rbft.Node.no_propagate <- true;
-  for i = 0 to Rbft.Params.instances params - 1 do
-    (Pbftcore.Replica.adversary (Rbft.Node.replica dead ~instance:i))
-      .Pbftcore.Replica.silent <- true
-  done;
+  Rbft.Attacks.install cluster
+    (Rbft.Attacks.node 1
+       [
+         Drop_client_requests;
+         No_propagate;
+         Silent (List.init (Rbft.Params.instances params) Fun.id);
+       ]);
   Rbft.Cluster.run_for cluster (Time.sec 3);
   stop_clients cluster;
   Rbft.Cluster.run_for cluster (Time.sec 2);

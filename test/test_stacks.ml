@@ -500,6 +500,45 @@ let test_pin_spinning_attack () =
     ~clients:[ (1013, 287); (970, 290); (1042, 257) ]
     ()
 
+(* RBFT under the paper's three attack plans (Section VI-C), installed
+   once the clients run. The ledger digest chains the requests' payload
+   digests, so besides the counts each case pins
+   node 1's instance changes and the engine's event count: a moved
+   flood tick or Delta-tracker wake-up shifts the latter. The unfair
+   primary runs the CLI's plan: Lambda = 1.5 ms, batch delay 200 us,
+   and node 0 holding client 0's requests by 1 ms once it has ordered
+   100. *)
+let pin_attack ?(params = Rbft.Params.default ~f:1) plan ~executed ~digest ~clients
+    ~instance_changes ~events () =
+  let p = Bftmetrics.Probe.create () in
+  let cluster = Rbft.Cluster.create ~probe:p ~seed:42L ~clients:3 params in
+  let attack cluster = Rbft.Attacks.install cluster (plan params) in
+  pin (module Rbft) ~attack cluster ~executed ~digest ~clients ();
+  Alcotest.(check int) "instance changes at node 1" instance_changes
+    (Rbft.Node.instance_changes (Rbft.Cluster.node cluster 1));
+  Alcotest.(check int) "events simulated" events
+    (Engine.events_processed (Rbft.Cluster.engine cluster))
+
+let test_pin_rbft_worst1 () =
+  pin_attack Rbft.Attacks.worst1 ~executed:3012
+    ~digest:"4dc5433751578433dd10db6e675fd8da21257be1e122e8c60fd7adb68bd154d3"
+    ~clients:[ (1013, 1009); (970, 963); (1042, 1037) ]
+    ~instance_changes:0 ~events:350305 ()
+
+let test_pin_rbft_worst2 () =
+  pin_attack Rbft.Attacks.worst2 ~executed:2982
+    ~digest:"a0071f5f6f020c8468e60984e18adfb3324066eb6502400a31380a4c03845d14"
+    ~clients:[ (1013, 999); (970, 952); (1042, 1031) ]
+    ~instance_changes:0 ~events:347403 ()
+
+let test_pin_rbft_unfair () =
+  pin_attack
+    ~params:(Rbft.Attacks.unfair_params (Rbft.Params.default ~f:1))
+    (Rbft.Attacks.unfair_primary ~client:0 ~steps:[ (100, Time.ms 1) ])
+    ~executed:3012
+    ~digest:"4dc5433751578433dd10db6e675fd8da21257be1e122e8c60fd7adb68bd154d3"
+    ~clients:open_loop ~instance_changes:1 ~events:577835 ()
+
 let suites =
   [
     ( "stacks.client-core",
@@ -521,5 +560,8 @@ let suites =
           test_pin_aardvark_attack;
         Alcotest.test_case "spinning under the Fig 3 attack" `Quick
           test_pin_spinning_attack;
+        Alcotest.test_case "rbft under worst-attack-1" `Quick test_pin_rbft_worst1;
+        Alcotest.test_case "rbft under worst-attack-2" `Quick test_pin_rbft_worst2;
+        Alcotest.test_case "rbft under the unfair primary" `Quick test_pin_rbft_unfair;
       ] );
   ]
