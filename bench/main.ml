@@ -164,6 +164,20 @@ let micro_benchmarks () =
        done;
        Test.make ~name:"engine-event-depth-8k"
          (Staged.stage (fun () -> Dessim.Engine.run e)));
+      (* At the same depth, one event armed at a random instant and
+         cancelled straight away: the push and the removal from the
+         middle of the heap that a completed request's watchdog or
+         backoff retry costs. *)
+      (let e = Dessim.Engine.create () in
+       let rng = Dessim.Rng.create 1L in
+       let arm () =
+         Dessim.Engine.after e (Dessim.Time.ns (1 + Dessim.Rng.int rng 1_000_000)) ignore
+       in
+       for _ = 1 to 8_066 do
+         ignore (arm ())
+       done;
+       Test.make ~name:"engine-cancel-depth-8k"
+         (Staged.stage (fun () -> Dessim.Engine.cancel e (arm ()))));
       Test.make ~name:"pbft-order-100-requests"
         (Staged.stage (fun () ->
              let e = Dessim.Engine.create () in

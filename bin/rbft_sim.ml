@@ -43,16 +43,18 @@ let parse_sample s =
   | None -> (
     match int_of_string_opt s with Some n when n >= 1 -> n | _ -> bad ())
 
-let print_analysis ~slowest spans =
+let analysis ~slowest spans =
   let summary = Bftspan.Analyze.summarize spans in
-  print_string (Bftspan.Analyze.report ~slowest summary);
-  print_newline ();
-  print_string (Bftspan.Analyze.client_report summary);
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Bftspan.Analyze.report ~slowest summary);
+  Buffer.add_char b '\n';
+  Buffer.add_string b (Bftspan.Analyze.client_report summary);
   (match Bftspan.Analyze.check_trees spans with
    | [] -> ()
    | errs ->
-     Printf.printf "\nspan-tree violations (%d):\n" (List.length errs);
-     List.iter (fun e -> Printf.printf "  %s\n" e) errs)
+     Printf.bprintf b "\nspan-tree violations (%d):\n" (List.length errs);
+     List.iter (fun e -> Printf.bprintf b "  %s\n" e) errs);
+  Buffer.contents b
 
 let slowest_arg =
   Arg.(
@@ -62,6 +64,11 @@ let slowest_arg =
 (* ------------------------------------------------------------------ *)
 (* run                                                                *)
 (* ------------------------------------------------------------------ *)
+
+(* The agreement verdict waits for a bounded drain: no new load, until
+   no client has a request pending or [drain_limit] of simulated time
+   has passed. *)
+let drain_limit = Time.sec 5
 
 let run_cluster f clients rate seconds payload attack mode transport seed trace
     chrome audit metrics prom doctor cap cap_deep cap_chrome span_sample spans_out
@@ -83,12 +90,11 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
     if trace <> None || chrome <> None then Some (Bftaudit.Capture.attach probe)
     else None
   in
-  if trace = Some "-" then begin
-    let (_ : unit -> unit) =
+  let stop_printing =
+    if trace = Some "-" then
       Bftmetrics.Probe.subscribe probe (fun ev -> print_endline (Bftmetrics.Event.to_string ev))
-    in
-    ()
-  end;
+    else ignore
+  in
   let auditor =
     if audit then Some (Bftaudit.Auditor.attach ~probe ~n:((3 * f) + 1) ~f ()) else None
   in
@@ -160,11 +166,11 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
       let g = Bftcap.Gcstats.create probe in
       Bftcap.Gcstats.register_gauges g host_registry;
       let engine = Rbft.Cluster.engine cluster in
-      let (_ : unit -> unit) =
+      let stop_sampling =
         Engine.every engine (Time.ms 100) (fun () ->
             Bftcap.Gcstats.sample g ~now:(Engine.now engine))
       in
-      Some g
+      Some (g, stop_sampling)
     end
     else None
   in
@@ -190,38 +196,45 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
         (Rbft.Node.instance_changes node)
         (if List.mem (Rbft.Node.id node) faulty then "  [faulty]" else ""))
     (Rbft.Cluster.nodes cluster);
-  Printf.printf "agreement among correct nodes: %b\n"
-    (Rbft.Cluster.agreement_ok cluster ~faulty);
-  Printf.printf "events simulated: %d\n"
+  (* Every line but the agreement verdict reports the state at
+     [duration]: it is written to [report], and every observer is
+     detached, before the drain the verdict waits for. *)
+  let report = Buffer.create 4096 in
+  let out ~path contents =
+    if path = "-" then Buffer.add_string report contents
+    else Bftmetrics.Export.write_file path contents
+  in
+  Printf.bprintf report "events simulated: %d\n"
     (Engine.events_processed (Rbft.Cluster.engine cluster));
   Option.iter
     (fun (sample, spans) ->
-      Printf.printf "\nspans sampled 1/%d:\n\n" sample;
-      print_analysis ~slowest spans;
-      Printf.printf "\nspan digest: %s\n" (Bftspan.Tracer.digest probe);
+      Printf.bprintf report "\nspans sampled 1/%d:\n\n" sample;
+      Buffer.add_string report (analysis ~slowest spans);
+      Printf.bprintf report "\nspan digest: %s\n" (Bftspan.Tracer.digest probe);
       Option.iter
         (fun path ->
           Bftspan.Tracer.write_jsonl probe path;
-          Printf.printf "spans: %d -> %s\n" (Array.length spans) path)
+          Printf.bprintf report "spans: %d -> %s\n" (Array.length spans) path)
         spans_out)
     traced;
   (match gcstats with
-   | Some g ->
+   | Some (g, stop_sampling) ->
+     stop_sampling ();
      Bftcap.Gcstats.sample g ~now:(Engine.now (Rbft.Cluster.engine cluster));
-     print_newline ();
-     print_string (Bftcap.Footprint.table ~deep:cap_deep probe);
-     Printf.printf "\nGC over the run (%d samples):\n"
+     Buffer.add_char report '\n';
+     Buffer.add_string report (Bftcap.Footprint.table ~deep:cap_deep probe);
+     Printf.bprintf report "\nGC over the run (%d samples):\n"
        (Bftcap.Gcstats.sample_count g);
      List.iter
-       (fun (k, v) -> Printf.printf "  %-24s %14.0f\n" k v)
+       (fun (k, v) -> Printf.bprintf report "  %-24s %14.0f\n" k v)
        (Bftcap.Gcstats.deltas g);
-     Printf.printf "  %-24s %14d\n" "peak_live_words"
+     Printf.bprintf report "  %-24s %14d\n" "peak_live_words"
        (Bftcap.Gcstats.peak_live_words g);
-     Printf.printf "  %-24s %14d\n" "peak_heap_words"
+     Printf.bprintf report "  %-24s %14d\n" "peak_heap_words"
        (Bftcap.Gcstats.peak_heap_words g);
      (match Bftcap.Gcstats.growth g with
       | Some gr ->
-        Printf.printf "  %-24s %14.0f words/s%s\n" "live_growth_slope"
+        Printf.bprintf report "  %-24s %14.0f words/s%s\n" "live_growth_slope"
           gr.Bftcap.Gcstats.g_live_slope
           (match gr.Bftcap.Gcstats.g_culprit with
            | Some (name, per_s) ->
@@ -231,32 +244,31 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
      (match cap_chrome with
       | Some path ->
         Bftcap.Gcstats.write_chrome_counters g path;
-        Printf.printf "gc counter trace -> %s\n" path
+        Printf.bprintf report "gc counter trace -> %s\n" path
       | None -> ())
    | None -> ());
   (match sampler with
    | Some s ->
      Bftmetrics.Sampler.detach s;
      let path = Option.get metrics in
-     Bftmetrics.Export.to_channel_or_file ~path
-       (Bftmetrics.Export.csv_of_series s);
+     out ~path (Bftmetrics.Export.csv_of_series s);
      if path <> "-" then
-       Printf.printf "metrics: %d sample points -> %s\n"
+       Printf.bprintf report "metrics: %d sample points -> %s\n"
          (Bftmetrics.Sampler.count s) path
    | None -> ());
   (match prom with
    | Some path ->
-     Bftmetrics.Export.to_channel_or_file ~path
+     out ~path
        (Bftmetrics.Export.prometheus (Bftmetrics.Probe.registry probe)
        ^ Bftmetrics.Export.prometheus host_registry);
-     if path <> "-" then Printf.printf "prometheus dump -> %s\n" path
+     if path <> "-" then Printf.bprintf report "prometheus dump -> %s\n" path
    | None -> ());
   (match capture with
    | Some c ->
      (match trace with
       | Some path when path <> "-" ->
         Bftaudit.Capture.write_jsonl c path;
-        Printf.printf "trace: %d events -> %s\n" (Bftaudit.Capture.count c) path
+        Printf.bprintf report "trace: %d events -> %s\n" (Bftaudit.Capture.count c) path
       | Some _ | None -> ());
      (match chrome with
       | Some path ->
@@ -265,44 +277,53 @@ let run_cluster f clients rate seconds payload attack mode transport seed trace
         (match traced with
          | Some (_, spans) -> Bftspan.Analyze.write_chrome ~audit:c spans path
          | None -> Bftaudit.Capture.write_chrome_trace c path);
-        Printf.printf "chrome trace: %d events -> %s\n"
+        Printf.bprintf report "chrome trace: %d events -> %s\n"
           (Bftaudit.Capture.count c) path
       | None -> ());
-     Printf.printf "trace digest: %s\n" (Bftaudit.Capture.digest c);
+     Printf.bprintf report "trace digest: %s\n" (Bftaudit.Capture.digest c);
      Bftaudit.Capture.detach c
    | None -> ());
   (match doctor_t with
    | Some d ->
      let incidents = Bftdoctor.Doctor.incidents d in
-     Printf.printf "doctor: %d incident(s) recorded%s\n" (List.length incidents)
+     Printf.bprintf report "doctor: %d incident(s) recorded%s\n" (List.length incidents)
        (match Bftdoctor.Doctor.fires_suppressed d with
         | 0 -> ""
         | n -> Printf.sprintf " (%d further fire(s) suppressed)" n);
      List.iter
        (fun (i : Bftdoctor.Doctor.incident_ref) ->
-         Printf.printf "  #%d [%s] at %s: %s\n" i.Bftdoctor.Doctor.i_seq
+         Printf.bprintf report "  #%d [%s] at %s: %s\n" i.Bftdoctor.Doctor.i_seq
            i.Bftdoctor.Doctor.i_trigger
            (Time.to_string i.Bftdoctor.Doctor.i_at)
            i.Bftdoctor.Doctor.i_reason;
          (match i.Bftdoctor.Doctor.i_dir with
-          | Some dir -> Printf.printf "      bundle: %s\n" dir
+          | Some dir -> Printf.bprintf report "      bundle: %s\n" dir
           | None -> ());
-         Printf.printf "      digest: %s\n" i.Bftdoctor.Doctor.i_digest)
+         Printf.bprintf report "      digest: %s\n" i.Bftdoctor.Doctor.i_digest)
        incidents;
      Bftdoctor.Doctor.detach d
    | None -> ());
-  match auditor with
-  | Some a ->
-    let viols = Bftaudit.Auditor.violations a in
-    Printf.printf "safety audit: %d events checked, %d violation(s)\n"
-      (Bftaudit.Auditor.events_checked a)
-      (List.length viols);
-    List.iter
-      (fun v -> Format.printf "  %a@." Bftaudit.Auditor.pp_violation v)
-      viols;
-    Bftaudit.Auditor.detach a;
-    if viols <> [] then exit 1
-  | None -> ()
+  let violations =
+    match auditor with
+    | Some a ->
+      let viols = Bftaudit.Auditor.violations a in
+      Printf.bprintf report "safety audit: %d events checked, %d violation(s)\n"
+        (Bftaudit.Auditor.events_checked a)
+        (List.length viols);
+      List.iter
+        (fun v ->
+          Printf.bprintf report "  %s\n" (Format.asprintf "%a" Bftaudit.Auditor.pp_violation v))
+        viols;
+      Bftaudit.Auditor.detach a;
+      viols
+    | None -> []
+  in
+  stop_printing ();
+  let (_ : int) = Rbft.Cluster.drain cluster ~limit:drain_limit in
+  Printf.printf "agreement among correct nodes: %b\n"
+    (Rbft.Cluster.agreement_ok cluster ~faulty);
+  print_string (Buffer.contents report);
+  if violations <> [] then exit 1
 
 let run_cmd =
   let f =
@@ -472,7 +493,8 @@ let spans_cmd =
          "Print the per-stage critical-path latency attribution of a \
           captured span JSONL, without running a simulation")
     Term.(
-      const (fun path slowest -> print_analysis ~slowest (Bftspan.Analyze.read_jsonl path))
+      const (fun path slowest ->
+          print_string (analysis ~slowest (Bftspan.Analyze.read_jsonl path)))
       $ input $ slowest_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -12,14 +12,16 @@ type behaviour = {
 }
 
 (* Per-request state on top of the core's: the request itself, retained
-   for retries, its armed retransmit watchdog (cancelled when the
-   request completes), and the backpressure state — distinct nodes that
-   answered BUSY since the last (re)send, the largest retry hint among
-   them, and how many retries happened (drives the exponential
-   backoff). *)
+   for retries, the retransmissions it has queued (its watchdog, or
+   [no_timer], and the BUSY backoff retries still to fire, all
+   cancelled when the request completes), and the backpressure state —
+   distinct nodes that answered BUSY since the last (re)send, the
+   largest retry hint among them, and how many retries happened
+   (drives the exponential backoff). *)
 type retry = {
   req : Messages.request;
-  mutable watchdog : Engine.timer option;
+  mutable watchdog : Engine.timer;
+  mutable backoffs : Engine.timer list;
   mutable busy_from : int list;
   mutable busy_hint : Time.t;
   mutable attempt : int;
@@ -57,11 +59,17 @@ let backoff_of (t : t) =
     t.ext.backoff <- Some b;
     b
 
+(* The watchdog of a request that has none. It is never scheduled, so
+   cancelling it is a no-op that writes nothing, and all requests can
+   share it. *)
+let no_timer = Engine.timer ignore
+
 let rec on_reply (t : t) (id : request_id) ~from ~result =
   match Core.completed_by t id ~from ~result with
   | None -> ()
   | Some p ->
-    Option.iter (Engine.cancel t.engine) p.data.watchdog;
+    Engine.cancel t.engine p.data.watchdog;
+    List.iter (Engine.cancel t.engine) p.data.backoffs;
     Bftmetrics.Throughput.record t.ext.completions ~now:(Engine.now t.engine);
     (* Closed loop: each completion funds the next request. *)
     if t.ext.closed_loop > 0 then send_one t
@@ -85,22 +93,23 @@ and transmit (t : t) ~span (req : Messages.request) =
    that accepted it. The watchdog retransmits unanswered requests on a
    doubling timer; retransmits are idempotent (admitted nodes treat
    them as duplicates) and a fresh competitor for a slot everywhere
-   the request was shed. A completed request cancels its watchdog, so
-   the engine's queue holds no timers for answered requests. *)
+   the request was shed. A completed request cancels its watchdog and
+   every backoff retry still to fire, and a cancelled event leaves the
+   engine's heap at once: the heap holds no timer, and no closure, of
+   an answered request. *)
 and arm_watchdog (t : t) (p : retry Core.pending) ~rto =
   p.data.watchdog <-
-    Some
-      (Engine.after t.engine rto (fun () ->
-           t.ext.retries <- t.ext.retries + 1;
-           transmit t ~span:p.span p.data.req;
-           arm_watchdog t p
-             ~rto:(Time.min Bftflow.Backoff.watchdog_cap (Time.mul_f rto 2.0))))
+    Engine.after t.engine rto (fun () ->
+        t.ext.retries <- t.ext.retries + 1;
+        transmit t ~span:p.span p.data.req;
+        arm_watchdog t p ~rto:(Time.min Bftflow.Backoff.watchdog_cap (Time.mul_f rto 2.0)))
 
 and send_one (t : t) =
   let req = make_request t in
   let p =
     Core.track t req.Messages.desc.id
-      { req; watchdog = None; busy_from = []; busy_hint = Time.zero; attempt = 0 }
+      { req; watchdog = no_timer; backoffs = []; busy_from = []; busy_hint = Time.zero;
+        attempt = 0 }
   in
   transmit t ~span:p.span req;
   if t.ext.params.Params.admission_budget > 0 then
@@ -149,9 +158,13 @@ let on_busy (t : t) (id : request_id) ~from ~retry_after =
         ignore
           (Bftmetrics.Probe.span (Network.probe t.net) ~parent:p.span ~tag:Backoff ~node:(-1)
              ~instance:(-1) ~t0:now ~t1:(Time.add now delay));
-        ignore
-          (Engine.after t.engine delay (fun () ->
-               if not p.done_ then transmit t ~span:p.span r.req))
+        (* The retry drops itself, and any other that fired, from the
+           list as it fires, so the list holds only queued timers. *)
+        r.backoffs <-
+          Engine.after t.engine delay (fun () ->
+              p.data.backoffs <- List.filter Engine.pending p.data.backoffs;
+              transmit t ~span:p.span p.data.req)
+          :: r.backoffs
       end
     end
 

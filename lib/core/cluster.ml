@@ -95,3 +95,15 @@ let master_primary t =
   let mi = Node.master_instance node0 in
   let view = Pbftcore.Replica.view (Node.replica node0 ~instance:mi) in
   Params.primary_of (params t) ~instance:mi ~view
+
+let drain t ~limit =
+  let open Dessim in
+  let clients = clients t in
+  Array.iter (fun c -> Client.set_rate c 0.0) clients;
+  let engine = engine t in
+  let stop = Time.add (Engine.now engine) limit in
+  let pending () = Array.fold_left (fun acc c -> acc + Client.pending_count c) 0 clients in
+  while pending () > 0 && Engine.now engine < stop do
+    Engine.run ~until:(Time.min stop (Time.add (Engine.now engine) (Time.ms 50))) engine
+  done;
+  pending ()

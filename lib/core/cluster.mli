@@ -40,3 +40,12 @@ val describe : t -> (string * string) list
 val master_primary : t -> int
 (** The node currently acting as primary of node 0's master instance
     (re-read at incident-dump time, after any instance change). *)
+
+val drain : t -> limit:Dessim.Time.t -> int
+(** [drain t ~limit] stops every client's open-loop load, then runs the
+    engine in 50 ms slices until no client has a request pending or
+    [limit] of simulated time has passed, and returns the requests
+    still pending. Clients never give up on a request, so one pending
+    then is a request the cluster failed to serve. A verdict that
+    compares nodes, such as {!agreement_ok}, needs it: a run stopped at
+    an arbitrary instant catches nodes a batch apart. *)

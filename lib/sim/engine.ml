@@ -1,10 +1,12 @@
-(* An event is [Idle] (fired, cancelled, or made but never scheduled),
-   [Queued] in the heap, [Parked] for the model checker, or [Dead]:
-   cancelled while queued and still in the heap until it is popped or
-   swept. *)
-type state = Idle | Queued | Parked | Dead
+(* Where an event is: [idle] (fired, cancelled, or made but never
+   scheduled), [parked] for the model checker, or, when it is a
+   non-negative heap pool slot, queued in that slot. Cancelling a
+   queued event takes it out of the heap at once, so the heap holds
+   only events that will run. *)
+let idle = -1
+let parked = -2
 
-type event = { action : unit -> unit; mutable state : state }
+type event = { action : unit -> unit; mutable slot : int }
 
 type choice = {
   id : int;  (* creation order; unique, monotonically increasing *)
@@ -21,7 +23,6 @@ type t = {
   root_rng : Rng.t;
   mutable stopped : bool;
   mutable processed : int;
-  mutable dead : int;  (* [Dead] events in the heap *)
   (* Model-checker seam: while [capture] is set, events scheduled
      through [at_choice] are parked here instead of entering the heap,
      and an external scheduler decides their firing order. *)
@@ -43,7 +44,6 @@ let create ?(seed = 1L) ?(on_job_start = no_job_hook) () =
     root_rng = Rng.create seed;
     stopped = false;
     processed = 0;
-    dead = 0;
     capture = false;
     choice_seq = 0;
     parked = Hashtbl.create 64;
@@ -58,11 +58,10 @@ let fresh_rng t = Rng.split t.root_rng
 
 let enqueue t instant event =
   t.seq <- t.seq + 1;
-  event.state <- Queued;
-  Heap.push t.queue ~key:(Time.max instant t.clock) ~seq:t.seq event
+  event.slot <- Heap.push t.queue ~key:(Time.max instant t.clock) ~seq:t.seq event
 
 let at t instant action =
-  let event = { action; state = Idle } in
+  let event = { action; slot = idle } in
   enqueue t instant event;
   event
 
@@ -86,34 +85,20 @@ let every t period f =
   arm ();
   fun () -> stopped := true
 
-let timer action = { action; state = Idle }
+let timer action = { action; slot = idle }
 
 let rearm t event instant =
-  if event.state <> Idle then invalid_arg "Engine.rearm: timer is scheduled";
+  if event.slot <> idle then invalid_arg "Engine.rearm: timer is scheduled";
   enqueue t instant event
 
-(* Drop the dead events once they outnumber the live ones. Each sweep
-   removes at least half of the heap, every entry of which was
-   cancelled once, so sweeping costs O(1) amortised per cancel. *)
-let sweep t =
-  Heap.sweep t.queue ~keep:(fun event ->
-      match event.state with
-      | Dead ->
-        event.state <- Idle;
-        false
-      | Idle | Queued | Parked -> true);
-  t.dead <- 0
-
 let cancel t event =
-  match event.state with
-  | Queued ->
-    event.state <- Dead;
-    t.dead <- t.dead + 1;
-    if 2 * t.dead > Heap.size t.queue then sweep t
-  | Parked -> event.state <- Idle
-  | Idle | Dead -> ()
+  let slot = event.slot in
+  if slot <> idle then begin
+    if slot >= 0 then Heap.remove t.queue slot;
+    event.slot <- idle
+  end
 
-let pending event = event.state = Queued || event.state = Parked
+let pending event = event.slot <> idle
 
 (* ------------------------------------------------------------------ *)
 (* Choice events (the model-checker scheduler seam)                    *)
@@ -126,7 +111,7 @@ let at_choice t instant ~src ~dst ~label action =
   if not t.capture then at t instant action
   else begin
     let instant = Time.max instant t.clock in
-    let event = { action; state = Parked } in
+    let event = { action; slot = parked } in
     t.choice_seq <- t.choice_seq + 1;
     let c = { id = t.choice_seq; key = instant; src; dst; label } in
     Hashtbl.replace t.parked c.id (c, event);
@@ -135,18 +120,18 @@ let at_choice t instant ~src ~dst ~label action =
 
 let pending_choices t =
   Hashtbl.fold
-    (fun _ (c, (event : event)) acc -> if event.state = Parked then c :: acc else acc)
+    (fun _ (c, (event : event)) acc -> if event.slot = parked then c :: acc else acc)
     t.parked []
   |> List.sort (fun a b -> compare a.id b.id)
 
 let pending_choice_count t =
   Hashtbl.fold
-    (fun _ ((_ : choice), (event : event)) n -> if event.state = Parked then n + 1 else n)
+    (fun _ ((_ : choice), (event : event)) n -> if event.slot = parked then n + 1 else n)
     t.parked 0
 
 let fire t event =
   t.processed <- t.processed + 1;
-  event.state <- Idle;
+  event.slot <- idle;
   event.action ()
 
 (* Deliberately leaves the clock alone: the checker's schedule replaces
@@ -157,14 +142,14 @@ let fire_choice t id =
   | None -> false
   | Some (_, event) ->
     Hashtbl.remove t.parked id;
-    if event.state = Parked then fire t event;
+    if event.slot = parked then fire t event;
     true
 
 let release_choices t =
-  let parked = Hashtbl.fold (fun _ ce acc -> ce :: acc) t.parked [] in
+  let choices = Hashtbl.fold (fun _ ce acc -> ce :: acc) t.parked [] in
   Hashtbl.reset t.parked;
-  List.sort (fun ((a : choice), _) (b, _) -> compare a.id b.id) parked
-  |> List.iter (fun (c, event) -> if event.state = Parked then enqueue t c.key event)
+  List.sort (fun ((a : choice), _) (b, _) -> compare a.id b.id) choices
+  |> List.iter (fun (c, event) -> if event.slot = parked then enqueue t c.key event)
 
 let run ?until t =
   t.stopped <- false;
@@ -174,12 +159,7 @@ let run ?until t =
     (not t.stopped) && (not (Heap.is_empty queue)) && Heap.min_key queue <= horizon
   do
     t.clock <- Heap.min_key queue;
-    let event = Heap.pop_min queue in
-    if event.state = Queued then fire t event
-    else begin
-      event.state <- Idle;
-      t.dead <- t.dead - 1
-    end
+    fire t (Heap.pop_min queue)
   done;
   match until with
   | Some horizon when not t.stopped -> t.clock <- Time.max t.clock horizon
@@ -187,5 +167,5 @@ let run ?until t =
 
 let stop t = t.stopped <- true
 let events_processed t = t.processed
-let queue_size t = Heap.size t.queue - t.dead
+let queue_size t = Heap.size t.queue
 let queue_peak t = Heap.peak t.queue

@@ -42,9 +42,10 @@ val at : t -> Time.t -> (unit -> unit) -> timer
 val cancel : t -> timer -> unit
 (** [cancel t timer] prevents a pending event of [t] from running.
     Cancelling an already-fired or already-cancelled timer is a no-op.
-    A cancelled event stops counting in {!queue_size} at once; it
-    leaves the heap when popped, or in a sweep once cancelled events
-    outnumber live ones. The sweep keeps the survivors' order. *)
+    A queued event leaves the heap at once, in O(log n): the engine
+    keeps no reference to its action, so whatever only that closure
+    captures can be collected, and the other events keep their order.
+    The timer can be {!rearm}ed straight away. *)
 
 val every : t -> Time.t -> (unit -> unit) -> unit -> unit
 (** [every t period f] runs [f] at [epoch + k * period] for k = 1, 2,
@@ -65,8 +66,7 @@ val rearm : t -> timer -> Time.t -> unit
     as for {!at}. It lets a component that fires the same action over
     and over reuse one event record instead of allocating one per
     firing.
-    @raise Invalid_argument if [timer] is pending, or cancelled but
-    still queued. *)
+    @raise Invalid_argument if [timer] is pending. *)
 
 val pending : timer -> bool
 (** [pending timer] is [true] when the event has not yet fired nor been
@@ -139,8 +139,9 @@ val events_processed : t -> int
     cost metric for the simulation itself. *)
 
 val queue_size : t -> int
-(** Events still to fire (parked choices not included). *)
+(** Events still to fire (parked choices not included): the heap's
+    size, since a cancelled event leaves it at once. *)
 
 val queue_peak : t -> int
-(** The heap's high-water mark: the most entries it has held at once,
-    counting cancelled events not yet popped or swept. *)
+(** The most events the queue has held at once: the high-water mark of
+    {!queue_size}. *)

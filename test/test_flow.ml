@@ -227,6 +227,38 @@ let test_gate_off_is_silent () =
         (Rbft.Client.completed c))
     (Rbft.Cluster.clients cluster)
 
+(* A flow-controlled cluster driven past its admission budget, so
+   clients see BUSY and retry: once the load stops and no client has a
+   request pending, no retransmission may stay queued. A completed
+   request cancels its watchdog and every backoff retry still to fire,
+   and cancelled events leave the engine's heap at once, so after a
+   short drain for the last replies in flight the loaded cluster
+   queues exactly what a cluster that never saw a request queues at
+   the same instant. *)
+let test_completed_requests_leave_no_retransmission () =
+  let params =
+    { (mk_params ()) with
+      Rbft.Params.admission_budget = 8;
+      adaptive_batching = true }
+  in
+  let cluster = Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~clients:6 params in
+  let clients = Rbft.Cluster.clients cluster in
+  Array.iter (fun c -> Rbft.Client.send_burst c ~count:40) clients;
+  let engine = Rbft.Cluster.engine cluster in
+  let pending () = Array.fold_left (fun acc c -> acc + Rbft.Client.pending_count c) 0 clients in
+  while pending () > 0 && Engine.now engine < Time.sec 4 do
+    Rbft.Cluster.run_for cluster (Time.ms 1)
+  done;
+  Alcotest.(check int) "no client has a request pending" 0 (pending ());
+  Alcotest.(check bool) "clients retried" true
+    (Array.exists (fun c -> Rbft.Client.retries c > 0) clients);
+  Rbft.Cluster.run_for cluster (Time.ms 5);
+  let idle = Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~clients:6 params in
+  Rbft.Cluster.run_for idle (Engine.now engine);
+  Alcotest.(check int) "no retransmission left queued"
+    (Engine.queue_size (Rbft.Cluster.engine idle))
+    (Engine.queue_size engine)
+
 (* ------------------------------------------------------------------ *)
 (* Cluster: kvstore execution                                         *)
 (* ------------------------------------------------------------------ *)
@@ -290,6 +322,8 @@ let suites =
         Alcotest.test_case "flash crowd sheds and recovers" `Quick
           test_flash_crowd_sheds_and_recovers;
         Alcotest.test_case "gate off is silent" `Quick test_gate_off_is_silent;
+        Alcotest.test_case "completed requests leave no retransmission" `Quick
+          test_completed_requests_leave_no_retransmission;
         Alcotest.test_case "kvstore agreement" `Quick test_kvstore_agreement;
       ] );
   ]

@@ -345,6 +345,24 @@ let test_unfair_primary_lambda_triggers_change () =
   Rbft.Cluster.run_for cluster (Time.sec 1);
   Alcotest.(check bool) "agreement" true (Rbft.Cluster.agreement_ok cluster ~faulty:[])
 
+(* `rbft_sim run --f 1 --seconds 0.5 --attack unfair`, as the CLI sets
+   it up: at the 0.5 s cut-off the correct nodes are a batch apart
+   (9946 against 9948 executed), which an agreement check taken there
+   reads as disagreement. After the bounded drain the CLI takes its
+   verdict behind, every request is served and the correct nodes
+   agree. *)
+let test_unfair_plan_agrees_after_drain () =
+  let params = Rbft.Attacks.unfair_params (Rbft.Params.default ~f:1) in
+  let plan = Rbft.Attacks.unfair_primary params ~client:0 ~steps:[ (100, Time.ms 1) ] in
+  let cluster = saturate ~nclients:10 ~rate:2000.0 ~params () in
+  Rbft.Attacks.install cluster plan;
+  Rbft.Cluster.run_for cluster (Time.ms 500);
+  let faulty = Rbft.Attacks.faulty plan in
+  Alcotest.(check int) "every request served" 0
+    (Rbft.Cluster.drain cluster ~limit:(Time.sec 5));
+  Alcotest.(check bool) "agreement after the drain" true
+    (Rbft.Cluster.agreement_ok cluster ~faulty)
+
 let test_invalid_signature_blacklists () =
   let p = Bftmetrics.Probe.create () in
   let params = mk_params () in
@@ -799,6 +817,8 @@ let suites =
           test_forged_junk_spares_named_peer;
         Alcotest.test_case "unfair primary evicted (Fig 12)" `Quick
           test_unfair_primary_lambda_triggers_change;
+        Alcotest.test_case "unfair plan agrees after the drain" `Quick
+          test_unfair_plan_agrees_after_drain;
         Alcotest.test_case "invalid signature blacklists" `Quick
           test_invalid_signature_blacklists;
         Alcotest.test_case "selective MAC (attack-1 action i)" `Quick

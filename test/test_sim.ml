@@ -101,6 +101,9 @@ let prop_rng_int_uniformish =
 (* Heap                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Push for the tests that never remove: the slot handle is dropped. *)
+let push h ~key ~seq v = ignore (Heap.push h ~key ~seq v)
+
 (* Pop every entry through the one pop API: read the key, then pop. *)
 let drain_heap h =
   let rec go acc =
@@ -114,13 +117,13 @@ let drain_heap h =
 
 let test_heap_order () =
   let h = Heap.create () in
-  List.iteri (fun i k -> Heap.push h ~key:k ~seq:i k) [ 5; 3; 9; 1; 7; 3 ];
+  List.iteri (fun i k -> push h ~key:k ~seq:i k) [ 5; 3; 9; 1; 7; 3 ];
   Alcotest.(check (list int)) "sorted" [ 1; 3; 3; 5; 7; 9 ]
     (List.map fst (drain_heap h))
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  List.iteri (fun i v -> Heap.push h ~key:10 ~seq:i v) [ "a"; "b"; "c" ];
+  List.iteri (fun i v -> push h ~key:10 ~seq:i v) [ "a"; "b"; "c" ];
   Alcotest.(check (list string)) "fifo" [ "a"; "b"; "c" ]
     (List.map snd (drain_heap h))
 
@@ -133,7 +136,7 @@ let test_heap_empty () =
     (Invalid_argument "Heap.min_key: empty heap") (fun () ->
       ignore (Heap.min_key h));
   (* Emptied by pops rather than never filled: the same answers. *)
-  Heap.push h ~key:1 ~seq:0 ();
+  push h ~key:1 ~seq:0 ();
   Heap.pop_min h;
   check_bool "empty again" true (Heap.is_empty h);
   Alcotest.check_raises "pop_min after draining"
@@ -141,7 +144,7 @@ let test_heap_empty () =
 
 let test_heap_clear () =
   let h = Heap.create () in
-  Heap.push h ~key:1 ~seq:0 ();
+  push h ~key:1 ~seq:0 ();
   Heap.clear h;
   check_bool "cleared" true (Heap.is_empty h)
 
@@ -155,7 +158,7 @@ let test_heap_drops_popped_references () =
   for i = 0 to n - 1 do
     let v = ref i in
     Weak.set weak i (Some v);
-    Heap.push h ~key:i ~seq:i v
+    push h ~key:i ~seq:i v
   done;
   for i = 0 to (n / 2) - 1 do
     check_int "pop order" i (Heap.min_key h);
@@ -178,22 +181,23 @@ let test_heap_drops_popped_references () =
       true
       (Weak.get weak i = None)
   done;
-  (* The heap stays usable after the sweep. *)
-  Heap.push h ~key:42 ~seq:0 (ref 42);
+  (* The heap stays usable after the clear. *)
+  push h ~key:42 ~seq:0 (ref 42);
   check_int "usable after clear" 42 (Heap.min_key h)
 
-let test_heap_drops_swept_references () =
-  (* A swept entry's pool slot must not keep its value alive, and the
+let test_heap_drops_removed_references () =
+  (* A removed entry's pool slot must not keep its value alive, and the
      slot is reused without disturbing the entries that stayed. *)
   let h = Heap.create () in
   let n = 100 in
   let weak = Weak.create n in
-  for i = 0 to n - 1 do
-    let v = ref i in
-    Weak.set weak i (Some v);
-    Heap.push h ~key:(n - i) ~seq:i v
-  done;
-  Heap.sweep h ~keep:(fun v -> !v mod 3 = 0);
+  let slots =
+    Array.init n (fun i ->
+        let v = ref i in
+        Weak.set weak i (Some v);
+        Heap.push h ~key:(n - i) ~seq:i v)
+  in
+  Array.iteri (fun i slot -> if i mod 3 <> 0 then Heap.remove h slot) slots;
   Gc.full_major ();
   for i = 0 to n - 1 do
     check_bool
@@ -201,8 +205,10 @@ let test_heap_drops_swept_references () =
       (i mod 3 = 0)
       (Weak.get weak i <> None)
   done;
+  Alcotest.check_raises "removing a vacated slot"
+    (Invalid_argument "Heap.remove: slot not queued") (fun () -> Heap.remove h slots.(1));
   for i = 0 to 9 do
-    Heap.push h ~key:0 ~seq:(n + i) (ref (-1))
+    push h ~key:0 ~seq:(n + i) (ref (-1))
   done;
   check_int "size" (((n + 2) / 3) + 10) (Heap.size h);
   let popped = List.map (fun (_, v) -> !v) (drain_heap h) in
@@ -216,7 +222,7 @@ let prop_heap_sorts =
     QCheck.(list (int_bound 10_000))
     (fun keys ->
       let h = Heap.create () in
-      List.iteri (fun i k -> Heap.push h ~key:k ~seq:i ()) keys;
+      List.iteri (fun i k -> push h ~key:k ~seq:i ()) keys;
       List.map fst (drain_heap h) = List.sort compare keys)
 
 let prop_heap_tie_total_order =
@@ -227,7 +233,7 @@ let prop_heap_tie_total_order =
     QCheck.(list_of_size Gen.(int_range 0 200) (int_bound 3))
     (fun keys ->
       let h = Heap.create () in
-      List.iteri (fun i k -> Heap.push h ~key:k ~seq:i (k, i)) keys;
+      List.iteri (fun i k -> push h ~key:k ~seq:i (k, i)) keys;
       List.map snd (drain_heap h)
       = List.stable_sort
           (fun (a, _) (b, _) -> compare a b)
@@ -235,18 +241,16 @@ let prop_heap_tie_total_order =
 
 (* Model test: random interleavings of heap operations, checked step by
    step against a list kept sorted by (key, seq). Keys come from {0..7}
-   so most comparisons are ties. An entry's value is its (key, seq) and
-   a cancelled flag: [Cancel i] flags the i-th live entry of the model
-   (mod its length), as the engine flags a cancelled event, and [Sweep]
-   removes every flagged entry from both. A pop surfaces flagged
-   entries too: only a sweep removes them. *)
-type heap_op = Push of int | Pop | Cancel of int | Sweep
+   so most comparisons are ties. An entry's value is its (key, seq)
+   and the slot [push] returned for it: [Remove i] removes the i-th
+   entry of the model (mod its length) from both, by that slot, as the
+   engine removes a cancelled event. *)
+type heap_op = Push of int | Pop | Remove of int
 
 let print_heap_op = function
   | Push k -> Printf.sprintf "push %d" k
   | Pop -> "pop"
-  | Cancel i -> Printf.sprintf "cancel %d" i
-  | Sweep -> "sweep"
+  | Remove i -> Printf.sprintf "remove %d" i
 
 let heap_matches_model ops =
   let h = Heap.create () in
@@ -264,8 +268,9 @@ let heap_matches_model ops =
   let step = function
     | Push key ->
       incr seq;
-      let v = (key, !seq, ref false) in
-      Heap.push h ~key ~seq:!seq v;
+      let slot = ref (-1) in
+      let v = (key, !seq, slot) in
+      slot := Heap.push h ~key ~seq:!seq v;
       model := insert v !model
     | Pop -> (
       match !model with
@@ -274,15 +279,13 @@ let heap_matches_model ops =
         model := rest;
         (* The very entry the model expects, not an equal one. *)
         if Heap.pop_min h != v then failwith "pop surfaced another entry")
-    | Cancel i -> (
+    | Remove i -> (
       match !model with
       | [] -> ()
       | l ->
-        let _, _, cancelled = List.nth l (i mod List.length l) in
-        cancelled := true)
-    | Sweep ->
-      Heap.sweep h ~keep:(fun (_, _, cancelled) -> not !cancelled);
-      model := List.filter (fun (_, _, cancelled) -> not !cancelled) !model
+        let ((_, _, slot) as v) = List.nth l (i mod List.length l) in
+        Heap.remove h !slot;
+        model := List.filter (fun e -> e != v) l)
   in
   List.for_all (fun op -> step op; consistent ()) ops
   && List.map (fun (k, s, _) -> (k, s)) (List.map snd (drain_heap h))
@@ -302,13 +305,12 @@ let prop_heap_matches_sorted_model =
     QCheck.Gen.(
       list_size (int_range 0 1200) (frequency [ (3, push_gen); (1, return Pop) ]))
 
-let prop_heap_interleaved_cancels =
-  heap_model_test ~name:"interleaved cancels and sweeps match the model"
+let prop_heap_interleaved_removes =
+  heap_model_test ~name:"interleaved removes match the model"
     QCheck.Gen.(
       list_size (int_range 0 1200)
         (frequency
-           [ (6, push_gen); (2, return Pop); (3, map (fun i -> Cancel i) nat);
-             (1, return Sweep) ]))
+           [ (6, push_gen); (2, return Pop); (3, map (fun i -> Remove i) nat) ]))
 
 (* Bursts that fill past a growth boundary, drain most of the heap and
    fill again: pool slots freed by pops are handed out again, before
@@ -323,16 +325,17 @@ let prop_heap_slot_reuse_across_growth =
                 List.init pushes (fun k -> Push (k land 7)) @ List.init pops (fun _ -> Pop))
               (int_range 1 300) (int_range 0 300))))
 
-(* Cancel most of a large heap of ties, sweep, and keep going: what
-   survives a sweep pops in exactly its (key, seq) order. *)
-let prop_heap_sweep =
-  heap_model_test ~count:100 ~name:"sweeps keep the (key, seq) order"
+(* Remove most of a large heap of ties, at every depth and across the
+   growth boundaries, and keep going: what stays pops in exactly its
+   (key, seq) order. *)
+let prop_heap_mass_removes =
+  heap_model_test ~count:100 ~name:"mass removes keep the (key, seq) order"
     QCheck.Gen.(
       map List.concat
         (list_size (int_range 1 4)
            (map3
-              (fun pushes cancels pops ->
-                pushes @ List.map (fun i -> Cancel i) cancels @ [ Sweep ]
+              (fun pushes removes pops ->
+                pushes @ List.map (fun i -> Remove i) removes
                 @ List.init pops (fun _ -> Pop))
               (list_size (int_range 0 300) push_gen)
               (list_size (int_range 0 300) nat)
@@ -376,11 +379,10 @@ let test_engine_cancel () =
   check_bool "cancelled" false !fired;
   check_bool "not pending" false (Engine.pending t)
 
-let test_engine_cancel_sweeps () =
+let test_engine_cancel_keeps_order () =
   (* 120 events over 4 instants, scheduled in a scrambled order;
-     cancelling 80 of them triggers sweeps mid-way. The queue counts
-     only live events at once, and the survivors fire in (instant,
-     scheduling) order. *)
+     cancelling 80 of them takes them out of the heap at once, and the
+     survivors fire in (instant, scheduling) order. *)
   let e = Engine.create () in
   let fired = ref [] in
   let timers =
@@ -390,7 +392,7 @@ let test_engine_cancel_sweeps () =
   in
   check_int "queued" 120 (Engine.queue_size e);
   Array.iter (fun (_, i, t) -> if i mod 3 <> 0 then Engine.cancel e t) timers;
-  check_int "cancelled events leave the count" 40 (Engine.queue_size e);
+  check_int "cancelled events leave the queue" 40 (Engine.queue_size e);
   check_int "peak" 120 (Engine.queue_peak e);
   Engine.run e;
   let expected =
@@ -402,6 +404,38 @@ let test_engine_cancel_sweeps () =
   Alcotest.(check (list int)) "survivors in order" expected (List.rev !fired);
   check_int "drained" 0 (Engine.queue_size e);
   check_int "events" 40 (Engine.events_processed e)
+
+(* Arm an event whose action alone holds a fresh block, and return the
+   timer with a weak pointer to the block. Not inlined, so no register
+   or stack slot of the caller keeps the block alive. *)
+let[@inline never] arm_holding_block e weak =
+  let block = Sys.opaque_identity (ref 0) in
+  Weak.set weak 0 (Some block);
+  Engine.after e (Time.ms 2) (fun () -> incr block)
+
+let test_engine_cancel_frees_action () =
+  (* Live events stay queued on both sides of the cancelled one, so
+     the heap is never empty or mostly cancelled: a cancelled event
+     that waited in the heap to be popped would keep its closure, and
+     the block only the closure holds, reachable. *)
+  let e = Engine.create () in
+  let fired = ref 0 in
+  ignore (Engine.after e (Time.ms 1) (fun () -> incr fired));
+  ignore (Engine.after e (Time.ms 3) (fun () -> incr fired));
+  let weak = Weak.create 1 in
+  let t = arm_holding_block e weak in
+  Engine.cancel e t;
+  Gc.full_major ();
+  check_bool "the cancelled action's block is collected" true (Weak.get weak 0 = None);
+  check_int "only live events queued" 2 (Engine.queue_size e);
+  (* A cancelled timer re-arms at once, with live events around it. *)
+  let r = Engine.timer (fun () -> incr fired) in
+  Engine.rearm e r (Time.ms 4);
+  Engine.cancel e r;
+  Engine.rearm e r (Time.ms 5);
+  Engine.run e;
+  check_int "the live events and the re-armed timer fired" 3 !fired;
+  check_int "at the re-armed instant" (Time.ms 5) (Engine.now e)
 
 let test_engine_rearm () =
   let e = Engine.create () in
@@ -420,7 +454,6 @@ let test_engine_rearm () =
   Engine.run e;
   check_int "fired twice" 2 !count;
   check_int "at the re-armed instant" (Time.ms 3) (Engine.now e);
-  (* Alone in the heap, the cancelled event is swept at once. *)
   Engine.rearm e t (Time.ms 4);
   Engine.cancel e t;
   Engine.rearm e t (Time.ms 5);
@@ -815,24 +848,26 @@ let suites =
         Alcotest.test_case "clear" `Quick test_heap_clear;
         Alcotest.test_case "pop/clear drop value references" `Quick
           test_heap_drops_popped_references;
-        Alcotest.test_case "sweep drops value references" `Quick
-          test_heap_drops_swept_references;
+        Alcotest.test_case "remove drops value references" `Quick
+          test_heap_drops_removed_references;
       ]
       @ qsuite
           [
             prop_heap_sorts;
             prop_heap_tie_total_order;
             prop_heap_matches_sorted_model;
-            prop_heap_interleaved_cancels;
+            prop_heap_interleaved_removes;
             prop_heap_slot_reuse_across_growth;
-            prop_heap_sweep;
+            prop_heap_mass_removes;
           ] );
     ( "sim.engine",
       [
         Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;
         Alcotest.test_case "run until" `Quick test_engine_until;
         Alcotest.test_case "cancel" `Quick test_engine_cancel;
-        Alcotest.test_case "cancel and sweep keep order" `Quick test_engine_cancel_sweeps;
+        Alcotest.test_case "cancel keeps order" `Quick test_engine_cancel_keeps_order;
+        Alcotest.test_case "cancel frees the action at once" `Quick
+          test_engine_cancel_frees_action;
         Alcotest.test_case "re-armed timer" `Quick test_engine_rearm;
         Alcotest.test_case "stop/resume" `Quick test_engine_stop;
         Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule;
