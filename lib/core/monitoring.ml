@@ -10,13 +10,9 @@ type t = {
   counters : int array;  (* nbreqs, one per instance *)
   offered : int array;  (* requests offered per owning instance (bftrcc) *)
   mutable window_start : Time.t;
-  (* client -> per-instance EMA latency in seconds *)
+  (* client -> per-instance EMA latency in seconds, for the Ω check
+     only: empty while Ω is disabled *)
   client_lat : (int, float array) Hashtbl.t;
-  (* Idle pruning ({!Params.monitoring_idle_prune} > 0): tick number of
-     each client's last latency sample, so churned-away clients do not
-     hold their EMA rows forever. Unused (empty) when pruning is off. *)
-  client_seen : (int, int) Hashtbl.t;
-  mutable tick_no : int;
   (* Bounded ring of past measurements: long-lived nodes tick every
      100 ms, so an unbounded list grows without limit. *)
   hist : (Time.t * float array) Bftmetrics.Ring.t;
@@ -34,8 +30,6 @@ let create params =
     offered = Array.make (Params.instances params) 0;
     window_start = Time.zero;
     client_lat = Hashtbl.create 64;
-    client_seen = Hashtbl.create 64;
-    tick_no = 0;
     hist = Bftmetrics.Ring.create history_cap;
     recent = [];
     offered_recent = [];
@@ -63,13 +57,13 @@ let client_slot t client =
     arr
 
 let note_latency t ~instance ~client lat =
-  if t.params.Params.monitoring_idle_prune > Time.zero then
-    Hashtbl.replace t.client_seen client t.tick_no;
-  let arr = client_slot t client in
-  let l = Time.to_sec_f lat in
-  arr.(instance) <-
-    (if Float.is_nan arr.(instance) then l
-     else ((1.0 -. ema_alpha) *. arr.(instance)) +. (ema_alpha *. l))
+  if t.params.Params.omega > Time.zero then begin
+    let arr = client_slot t client in
+    let l = Time.to_sec_f lat in
+    arr.(instance) <-
+      (if Float.is_nan arr.(instance) then l
+       else ((1.0 -. ema_alpha) *. arr.(instance)) +. (ema_alpha *. l))
+  end
 
 type verdict = {
   rates : float array;
@@ -92,26 +86,6 @@ let min_weight_share = 0.05
    with no meaningful traffic the ratio is noise. *)
 let min_meaningful_rate = 50.0
 
-let prune_idle_clients t =
-  let prune = t.params.Params.monitoring_idle_prune in
-  if prune > Time.zero then begin
-    let period = Time.to_sec_f Params.monitoring_period in
-    let keep_ticks =
-      Stdlib.max 1 (int_of_float (ceil (Time.to_sec_f prune /. period)))
-    in
-    let stale =
-      Hashtbl.fold
-        (fun client seen acc ->
-          if t.tick_no - seen > keep_ticks then client :: acc else acc)
-        t.client_seen []
-    in
-    List.iter
-      (fun client ->
-        Hashtbl.remove t.client_lat client;
-        Hashtbl.remove t.client_seen client)
-      stale
-  end
-
 let backup_mean ~master rates =
   let n = Array.length rates in
   if n <= 1 then 0.0
@@ -122,8 +96,6 @@ let backup_mean ~master rates =
   end
 
 let tick t ~now =
-  t.tick_no <- t.tick_no + 1;
-  prune_idle_clients t;
   let window = Time.to_sec_f (Time.sub now t.window_start) in
   let per_window counters =
     Array.map

@@ -38,7 +38,8 @@ val note_offered : t -> instance:int -> count:int -> unit
 val note_latency : t -> instance:int -> client:int -> Time.t -> unit
 (** One request from [client] was ordered by [instance] with the given
     ordering latency (dispatch → delivery); feeds the per-client
-    averages used by the Ω check. *)
+    averages used by the Ω check, and does nothing while Ω is
+    disabled. *)
 
 type verdict = {
   rates : float array;  (** per-instance raw throughput over the window, req/s *)
@@ -82,9 +83,9 @@ val latest : t -> (Time.t * float array) option
 (** The most recent measurement, if any. *)
 
 val client_count : t -> int
-(** Clients currently holding per-instance latency EMAs. With
-    {!Params.monitoring_idle_prune} > 0, {!tick} drops clients idle
-    past the threshold, bounding this under client churn. *)
+(** Clients holding per-instance latency EMAs: 0 while Ω is disabled,
+    otherwise one per client whose request an instance ordered (the
+    same bound as the reply cache's clients). *)
 
 val register_probes : t -> Bftmetrics.Probe.t -> owner:string -> unit
 (** Register footprints on the probe over the monitor's

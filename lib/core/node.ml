@@ -219,17 +219,30 @@ let retired t id = Idset.mem t.retired id
 
 (* A request's tracking state is needed until it has been dispatched
    (the f+1 PROPAGATE guard passed on a checked signature), this node
-   has sent its own PROPAGATE, every instance has ordered it (the
-   monitor times each one from [dispatch_time]) and the master has
-   executed it. Past that point every entry path would find all its
-   flags set and do nothing, so the state is dropped and the id kept
-   as a range in [retired]; the entry paths check [retired] first.
-   Called on the live state after each of those flags is set. *)
+   has sent its own PROPAGATE, every instance that orders it has
+   ordered it (the monitor times each one from [dispatch_time]) and
+   the master has executed it. Past that point every entry path would
+   find all its flags set and do nothing, so the state is dropped and
+   the id kept as a range in [retired]; the entry paths check
+   [retired] first. Called on the live state after each of those flags
+   is set.
+
+   Redundant ordering orders every request on every instance.
+   Concurrent ordering orders it on its partition's owner, so the
+   first ordering suffices: a degraded helper instance that orders it
+   later finds no state, and the sequencer's execution of that copy
+   is a no-op ([has_executed]), as for a retired id in redundant
+   mode. *)
 let retire_if_done t id (state : request_state) =
+  let orderings =
+    match t.params.Params.ordering with
+    | Params.Concurrent -> 1
+    | Params.Redundant -> Array.length t.replicas
+  in
   if
     state.dispatched && state.propagated && state.sig_checked
     && (not state.sig_inflight)
-    && state.ordered = Array.length t.replicas
+    && state.ordered >= orderings
     && Node_core.has_executed t.core id
   then begin
     Request_id_table.remove t.requests id;
@@ -482,18 +495,9 @@ let handle_client_request t ~span (req : Messages.request) =
 (* Runs on the propagation thread (MAC cost already charged). *)
 let handle_propagate t ~span ~from (req : Messages.request) ~junk =
   if junk then note_invalid_from t from
-  else if
-    (* With the request sweep on, a straggler PROPAGATE for a request
-       whose tracking state was already swept must not resurrect it —
-       the fresh state would never dispatch and so never be swept
-       again. Gated on the sweep: without it, an executed id this node
-       never tracked takes the tracked path, as it always has. A
-       retired id is a no-op: its state had every flag set. *)
-    t.params.Params.request_gc_age > Time.zero
-    && (not (Request_id_table.mem t.requests req.desc.id))
-    && Node_core.has_executed t.core req.desc.id
-  then ()
-  else if retired t req.desc.id then ()
+  else if retired t req.desc.id then
+    (* A no-op: the retired state had every flag set. *)
+    ()
   else begin
     let state = request_state t req.desc.id in
     if state.span < 0 && span >= 0 then state.span <- span;
@@ -830,25 +834,6 @@ let on_delivery t ~from ~recv ~verify (d : Messages.t Network.delivery) =
 let monitoring_tick t =
   let verdict = Monitoring.tick t.monitoring ~now:(Engine.now t.core.engine) in
   Array.fill t.invalid_counts 0 (Array.length t.invalid_counts) 0;
-  (* Request-table sweep ({!Params.request_gc_age} > 0), the backstop
-     for state [retire_if_done] never retires: dispatched and executed
-     state past the age is pure history. *)
-  (let age = t.params.Params.request_gc_age in
-   if age > Time.zero then begin
-     let now = Engine.now t.core.engine in
-     let stale =
-       Request_id_table.fold
-         (fun id rs acc ->
-           if
-             rs.dispatched
-             && Node_core.has_executed t.core id
-             && Time.sub now rs.first_seen >= age
-           then id :: acc
-           else acc)
-         t.requests []
-     in
-     List.iter (fun id -> Request_id_table.remove t.requests id) stale
-   end);
   Probe.monitor_verdict t.core.probe t.m (Engine.now t.core.engine)
     ~instance:t.master_instance ~master_rate:verdict.Monitoring.master_rate
     ~backup_rate:verdict.Monitoring.backup_rate

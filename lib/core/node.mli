@@ -115,9 +115,9 @@ val admission_shed : t -> int
 val tracked_peak : t -> int
 (** Most requests this node has tracked at once: the high-water mark
     of its per-request state table. A request's state is retired once
-    it is dispatched, propagated, ordered by every instance and
-    executed, so in redundant mode the table holds only requests in
-    flight. *)
+    it is dispatched, propagated, ordered by every instance that
+    orders it (all f+1 in redundant mode, the owner in concurrent
+    mode) and executed, so the table holds only requests in flight. *)
 
 (** {1 Concurrent (bftrcc) ordering} *)
 

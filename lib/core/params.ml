@@ -19,6 +19,7 @@ type t = {
   ordering : ordering;
   admission_budget : int;
   adaptive_batching : bool;
+  (* Inert (see params.mli): set only by the benchmark. *)
   request_gc_age : Time.t;
   monitoring_idle_prune : Time.t;
 }

@@ -7,10 +7,13 @@
 
     The record {!t} (13 fields) holds what real configurations set to
     different values: the fault bound, the paper's monitoring
-    thresholds and the mode and flow-control switches. Every other
-    setting has one value everywhere and is a constant below or, for
-    flow control, in {!Bftflow}. The model checker's planted protocol
-    bug is a node fault ([Node.faults]), not a setting. *)
+    thresholds and the mode and flow-control switches. Two of its
+    fields, [request_gc_age] and [monitoring_idle_prune], are inert:
+    no code reads them, and they remain only because the benchmark's
+    population workload sets them. Every other setting has one value
+    everywhere and is a constant below or, for flow control, in
+    {!Bftflow}. The model checker's planted protocol bug is a node
+    fault ([Node.faults]), not a setting. *)
 
 open Dessim
 
@@ -73,21 +76,16 @@ type t = {
           size/delay from live verification-stage backlog probes
           instead of the static {!batch_size}/[batch_delay] *)
   request_gc_age : Time.t;
-      (** backstop sweep for request state that can never be retired.
-          A node retires a request's tracking state (PROPAGATE votes,
-          flags, span id) structurally, once it is dispatched,
-          propagated, ordered by every instance and executed, so the
-          table is O(in-flight) with this at [0] (the default, no
-          sweep). A request one of whose instances ordered it before
-          the node tracked it (learned from a PRE-PREPARE), or one
-          that concurrent ordering orders on a single instance, is
-          never retired; with an age set, executed and dispatched
-          state older than it is swept on the monitoring tick. Kept
-          because the benchmark's population workload sets it *)
+      (** inert: read by no code, kept so that the benchmark's
+          population workload, which sets it, builds. A node's request
+          state leaves its table only by structural retirement, once
+          the request is dispatched, propagated, ordered by every
+          instance that orders it and executed *)
   monitoring_idle_prune : Time.t;
-      (** drop a client's per-instance latency EMAs after this much
-          inactivity, bounding the monitoring table under client churn.
-          [0] (the default) disables pruning *)
+      (** inert: read by no code, kept so that the benchmark's
+          population workload, which sets it, builds. The monitoring's
+          per-client latency table is written only while Ω is on, and
+          then holds one row per client seen *)
 }
 
 val default : f:int -> t

@@ -332,7 +332,8 @@ let write_scale ~audit ~quick ~path =
 
 (* Aggregate footprint peaks per structure name: the per-owner detail
    (4 nodes x ~12 probes) is incident-bundle material; the bench
-   records the worst owner of each structure. *)
+   records the worst owner of each structure, so a structure that
+   stays empty reads 0 rather than going missing. *)
 let footprint_peaks_by_name probe =
   let tbl = Hashtbl.create 16 in
   List.iter
@@ -342,8 +343,9 @@ let footprint_peaks_by_name probe =
         | Some i -> String.sub key 0 i
         | None -> key
       in
-      let prev = Option.value ~default:0 (Hashtbl.find_opt tbl name) in
-      if peak > prev then Hashtbl.replace tbl name peak)
+      match Hashtbl.find_opt tbl name with
+      | Some prev when prev >= peak -> ()
+      | Some _ | None -> Hashtbl.replace tbl name peak)
     (Bftcap.Footprint.peak_entries probe);
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -366,14 +368,10 @@ let clients_run ~quick ~population =
   let duration = Time.of_sec_f (if quick then 0.6 else 1.5) in
   (* Fixed aggregate load well under saturation: the sweep variable is
      the population, and what it measures is what O(clients) state
-     costs — not another throughput ceiling. The capacity knobs are
-     on: bounded reply cache (default), executed-request sweeping and
-     idle-client pruning, so the curve reports the bounded design. *)
-  let params =
-    { (Rbft.Params.default ~f:1) with
-      Rbft.Params.request_gc_age = Time.ms 300;
-      monitoring_idle_prune = Time.ms 500 }
-  in
+     costs — not another throughput ceiling. The defaults are the
+     bounded design: request state is retired structurally, and the
+     Ω latency table stays empty while Ω is off. *)
+  let params = Rbft.Params.default ~f:1 in
   let pop =
     Population.create ~active:(Stdlib.min population 200)
       ~churn_fraction:0.1 ~clients:population ~aggregate_rate:4000.0

@@ -522,8 +522,22 @@ let footprint pr name owner =
   | Some r -> r
   | None -> Alcotest.failf "probe %s/%s not registered" name owner
 
-(* Run a churning population against a cluster and read the per-client
-   and per-request tables through the footprint probes. *)
+(* What one churn run left behind: node 1's request, Ω-latency and
+   reply-cache tables, its executions, the engine's event count and
+   each client's (completed, p50, p99). *)
+type churn = {
+  requests : Footprint.row;
+  client_lat : int;
+  reply_clients : int;
+  executed : int;
+  digest : string;
+  events : int;
+  latencies : (int * float * float) list;
+}
+
+(* Run a churning population against a seeded cluster, then let it
+   drain for 200 ms, and read the tables through the footprint
+   probes. *)
 let churn_run ~params =
   with_probe (fun pr ->
       let duration = Time.ms 800 in
@@ -532,53 +546,84 @@ let churn_run ~params =
           ~aggregate_rate:2000.0 ~duration ()
       in
       let cluster =
-        Rbft.Cluster.create ~probe:pr ~clients:(Population.clients pop)
+        Rbft.Cluster.create ~probe:pr ~seed:42L ~clients:(Population.clients pop)
           ~payload_size:8 params
       in
       let engine = Rbft.Cluster.engine cluster in
       Population.apply engine pop ~set_rate:(fun c r ->
           Rbft.Client.set_rate (Rbft.Cluster.client cluster c) r);
       Rbft.Cluster.run_for cluster (Time.add duration (Time.ms 200));
-      let requests = footprint pr "node.requests" "node-1" in
+      let node = Rbft.Cluster.node cluster 1 in
       let client_lat = (footprint pr "monitoring.client_lat" "node-1").Footprint.r_entries in
-      let monitoring_count =
-        Rbft.Monitoring.client_count
-          (Rbft.Node.monitoring (Rbft.Cluster.node cluster 1))
-      in
       Alcotest.(check int) "probe and accessor agree" client_lat
-        monitoring_count;
-      let executed = Rbft.Node.executed_count (Rbft.Cluster.node cluster 1) in
-      (requests, client_lat, executed))
+        (Rbft.Monitoring.client_count (Rbft.Node.monitoring node));
+      {
+        requests = footprint pr "node.requests" "node-1";
+        client_lat;
+        reply_clients = (footprint pr "node.reply_cache" "node-1").Footprint.r_entries;
+        executed = Rbft.Node.executed_count node;
+        digest = Rbft.Node.execution_digest node;
+        events = Engine.events_processed engine;
+        latencies =
+          Array.to_list
+            (Array.map
+               (fun c ->
+                 let h = Rbft.Client.latencies c in
+                 ( Rbft.Client.completed c,
+                   Bftmetrics.Hist.percentile h 50.0,
+                   Bftmetrics.Hist.percentile h 99.0 ))
+               (Rbft.Cluster.clients cluster));
+      })
 
-(* The idle-client prune must keep the monitoring latency table near
-   the live client set while the unpruned one grows with every client
-   ever seen. The request table needs no knob: with the request sweep
-   off ([request_gc_age] = 0) finished requests are retired, so the
-   table holds the requests in flight, not the run's history. *)
-let test_churn_bounded_with_knobs () =
+(* With no parameter set, the per-request and per-client tables are
+   bounded by structure alone. Finished requests are retired, so the
+   request table holds the requests in flight, not the run's history.
+   The monitoring's per-client latency table feeds only the Ω check:
+   with Ω off it stays empty, and with Ω on it holds one row per
+   client seen, no more than the reply cache's clients. *)
+let test_churn_bounded_without_knobs () =
   let base = Rbft.Params.default ~f:1 in
-  let on = { base with Rbft.Params.monitoring_idle_prune = Time.ms 200 } in
-  let requests, lat_on, executed = churn_run ~params:on in
-  let _, lat_off, _ = churn_run ~params:base in
-  (* ~200 distinct clients are seen over the run (40 live + 10 fresh
-     per 50 ms churn). *)
-  Alcotest.(check bool)
-    (Printf.sprintf "unpruned latency table grows with history (%d)" lat_off)
-    true (lat_off >= 120);
-  Alcotest.(check bool)
-    (Printf.sprintf "pruned latency table near the live set (%d)" lat_on)
-    true
-    (lat_on < 120 && lat_on * 2 < lat_off);
+  let off = churn_run ~params:base in
+  let on = churn_run ~params:{ base with Rbft.Params.omega = Time.sec 1 } in
+  Alcotest.(check int) "Ω off: no latency rows" 0 off.client_lat;
   (* 2,000 req/s at a few ms each is a few dozen requests in flight;
      the run executes ~1,600. *)
   Alcotest.(check bool)
     (Printf.sprintf "request table peak near the in-flight set (%d of %d executed)"
-       requests.Footprint.r_peak executed)
+       off.requests.Footprint.r_peak off.executed)
     true
-    (executed > 1000 && requests.Footprint.r_peak * 10 < executed);
+    (off.executed > 1000 && off.requests.Footprint.r_peak * 10 < off.executed);
   Alcotest.(check bool)
-    (Printf.sprintf "request table drained after the run (%d)" requests.Footprint.r_entries)
-    true (requests.Footprint.r_entries <= 10)
+    (Printf.sprintf "request table drained after the run (%d)"
+       off.requests.Footprint.r_entries)
+    true
+    (off.requests.Footprint.r_entries <= 10);
+  (* Well over a hundred distinct clients are seen over the run (40
+     live + 10 fresh per 50 ms churn; 147 reach an ordering). *)
+  Alcotest.(check bool)
+    (Printf.sprintf "Ω on: latency rows (%d) for the clients seen, at most the reply \
+                     cache's (%d)"
+       on.client_lat on.reply_clients)
+    true
+    (on.client_lat >= 120 && on.client_lat <= on.reply_clients)
+
+(* [request_gc_age] and [monitoring_idle_prune] are inert: the values
+   the benchmark's population workload sets change nothing a run
+   produces. *)
+let test_capacity_fields_inert () =
+  let base = Rbft.Params.default ~f:1 in
+  let set = churn_run
+      ~params:
+        { base with
+          Rbft.Params.request_gc_age = Time.ms 300;
+          monitoring_idle_prune = Time.ms 500 }
+  in
+  let unset = churn_run ~params:base in
+  Alcotest.(check int) "executed at node 1" unset.executed set.executed;
+  Alcotest.(check string) "execution digest" unset.digest set.digest;
+  Alcotest.(check int) "events simulated" unset.events set.events;
+  Alcotest.(check (list (triple int (float 0.0) (float 0.0))))
+    "client (completed, p50, p99)" unset.latencies set.latencies
 
 (* The flow-controlled configuration the benchmark measures (admission
    gate, adaptive batching, 8 B requests) at 20 kreq/s, about 0.7x its
@@ -811,8 +856,9 @@ let suites =
           test_idle_client_cost_rbft;
         Alcotest.test_case "idle aardvark client costs <= 100 words" `Quick
           test_idle_client_cost_aardvark;
-        Alcotest.test_case "churn-bounded tables with knobs on" `Slow
-          test_churn_bounded_with_knobs;
+        Alcotest.test_case "churn-bounded tables with knobs unset" `Slow
+          test_churn_bounded_without_knobs;
+        Alcotest.test_case "capacity fields inert" `Slow test_capacity_fields_inert;
         Alcotest.test_case "clients report structurally deterministic" `Slow
           test_clients_report_structure_deterministic;
         Alcotest.test_case "request state bounded by run length" `Slow

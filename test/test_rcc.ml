@@ -292,6 +292,33 @@ let test_concurrent_f2_scales () =
   Alcotest.(check bool) "agreement" true
     (Rbft.Cluster.agreement_ok cluster ~faulty:[])
 
+(* Each instance orders only its own partition, so a request's state
+   is retired after its one ordering, and the request table holds what
+   is in flight rather than every request seen. *)
+let test_concurrent_request_state_retired () =
+  let p = Bftmetrics.Probe.create () in
+  Bftmetrics.Probe.set_footprints p true;
+  let cluster =
+    Rbft.Cluster.create ~probe:p ~seed:42L ~clients:20 ~payload_size:8 (conc_params ())
+  in
+  Array.iter (fun c -> Rbft.Client.set_rate c 500.0) (Rbft.Cluster.clients cluster);
+  Rbft.Cluster.run_for cluster (Time.ms 700);
+  Array.iter
+    (fun node ->
+      let owner = Printf.sprintf "node-%d" (Rbft.Node.id node) in
+      let requests =
+        List.find
+          (fun r -> r.Bftcap.Footprint.r_name = "node.requests" && r.r_owner = owner)
+          (Bftcap.Footprint.snapshot p)
+      in
+      let executed = Rbft.Node.executed_count node in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s request table (%d, peak %d) under a tenth of %d executed"
+           owner requests.r_entries requests.r_peak executed)
+        true
+        (executed > 5000 && requests.r_peak * 10 < executed))
+    (Rbft.Cluster.nodes cluster)
+
 let auditor_invariants a =
   List.map
     (fun v -> v.Bftaudit.Auditor.invariant)
@@ -462,6 +489,8 @@ let suites =
         Alcotest.test_case "empty partition progress" `Quick
           test_concurrent_empty_partition_progress;
         Alcotest.test_case "f=2 scales" `Quick test_concurrent_f2_scales;
+        Alcotest.test_case "request state retired after one ordering" `Quick
+          test_concurrent_request_state_retired;
         Alcotest.test_case "worst1 resisted" `Slow
           test_concurrent_worst1_resisted;
         Alcotest.test_case "worst2 demoted by normalized delta" `Slow

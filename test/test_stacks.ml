@@ -352,15 +352,37 @@ let rereply_suite =
 (* Same-seed pins                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* A SHA-256 chain over the (client, rid) of node 1's [Executed] audit
+   events, in execution order. The null service's ledger digest chains
+   the requests' payload digests, which are equal for every request, so
+   it cannot tell two execution orders apart; this chain can. Returns
+   the function that stops listening and renders the chain. *)
+let order_digest probe =
+  let chain = ref "" in
+  let stop =
+    Bftmetrics.Probe.subscribe probe (fun (e : Bftmetrics.Event.t) ->
+        match e.kind with
+        | Bftmetrics.Event.Executed { client; rid; _ } when e.node = 1 ->
+          chain :=
+            Bftcrypto.Sha256.digest_string (Printf.sprintf "%s%d:%d" !chain client rid)
+        | _ -> ())
+  in
+  fun () ->
+    stop ();
+    Bftcrypto.Sha256.to_hex !chain
+
 (* f = 1, seed 42, three clients at [rate] (default 2000) req/s each for
-   [duration] (default 0.5 s), after [attack] arms any faults: node 1's executed count and execution digest, and each
+   [duration] (default 0.5 s), after [attack] arms any faults: node 1's
+   executed count, execution digest and execution order digest
+   ({!order_digest}, over [probe], the cluster's probe), and each
    client's (sent, completed). A simulation is exact for a seed, so any
    drift means a stack's client, cluster or execution ledger changed
    behaviour. The open-loop clients draw the same Poisson streams on
    every stack, so they send the same requests everywhere. *)
 let pin (type c) (module S : Pbftcore.Cluster_core.STACK with type Cluster.t = c)
-    ?(rate = 2000.0) ?(duration = Time.ms 500) ?(attack = fun (_ : c) -> ()) (cluster : c) ~executed ~digest
-    ~clients () =
+    ?(rate = 2000.0) ?(duration = Time.ms 500) ?(attack = fun (_ : c) -> ()) ~probe
+    (cluster : c) ~executed ~digest ~order ~clients () =
+  let order_of = order_digest probe in
   Array.iter (fun c -> S.Client.set_rate c rate) (S.Cluster.clients cluster);
   attack cluster;
   S.Cluster.run_for cluster duration;
@@ -368,6 +390,7 @@ let pin (type c) (module S : Pbftcore.Cluster_core.STACK with type Cluster.t = c
   Alcotest.(check int) "executed at node 1" executed (Pbftcore.Ledger.count ledger);
   Alcotest.(check string) "execution digest" digest
     (Bftcrypto.Sha256.to_hex (Pbftcore.Ledger.digest ledger));
+  Alcotest.(check string) "execution order digest" order (order_of ());
   Alcotest.(check (list (pair int int))) "clients (sent, completed)" clients
     (Array.to_list
        (Array.map
@@ -378,10 +401,11 @@ let open_loop = [ (1013, 1010); (970, 965); (1042, 1037) ]
 
 let test_pin_rbft () =
   let p = Bftmetrics.Probe.create () in
-  pin (module Rbft)
+  pin (module Rbft) ~probe:p
     (Rbft.Cluster.create ~probe:p ~seed:42L ~clients:3 (Rbft.Params.default ~f:1))
     ~executed:3012
     ~digest:"4dc5433751578433dd10db6e675fd8da21257be1e122e8c60fd7adb68bd154d3"
+    ~order:"10bf42fe803014e2a4f59809774f9af7e0d54b911d41abeaf47bda573797bc83"
     ~clients:open_loop ()
 
 (* The configuration the benchmark measures: admission gate and
@@ -395,8 +419,9 @@ let test_pin_rbft_flow () =
         Rbft.Params.admission_budget = 128;
         adaptive_batching = true }
   in
-  pin (module Rbft) ~rate:12000.0 cluster ~executed:17420
+  pin (module Rbft) ~rate:12000.0 ~probe:p cluster ~executed:17420
     ~digest:"539d420f83b8fc79d51b92f4f475068cff7308fcb806419bf259eaa2e636dd70"
+    ~order:"91a0ae606b0b951292b23558fd0d8bd610fe580c3e629b3e3c4864deac432705"
     ~clients:[ (6125, 5895); (5927, 5721); (6010, 5796) ]
     ();
   Alcotest.(check int) "shed at node 1" 11187
@@ -410,37 +435,41 @@ let test_pin_rbft_flow () =
    merge-stall watch all run. *)
 let test_pin_rbft_concurrent () =
   let p = Bftmetrics.Probe.create () in
-  pin (module Rbft)
+  pin (module Rbft) ~probe:p
     (Rbft.Cluster.create ~probe:p ~seed:42L ~clients:3
        { (Rbft.Params.default ~f:1) with Rbft.Params.ordering = Rbft.Params.Concurrent })
     ~executed:2845
     ~digest:"6e4594a698f7cb130fd80c1bbbbc1aec5ba14b0471ea97470178d976ce4c0ad2"
+    ~order:"acafb7049c06906e39f66e1117d137b1ca241a6bdfeb730fb07492b72ae3e566"
     ~clients:[ (1013, 936); (970, 872); (1042, 1037) ]
     ()
 
 let test_pin_aardvark () =
   let p = Bftmetrics.Probe.create () in
-  pin (module Aardvark)
+  pin (module Aardvark) ~probe:p
     (Aardvark.Cluster.create ~probe:p ~seed:42L ~clients:3 (Aardvark.Node.default_config ~f:1))
     ~executed:3012
     ~digest:"4dc5433751578433dd10db6e675fd8da21257be1e122e8c60fd7adb68bd154d3"
+    ~order:"af1fefca07cd581cb9fd1d401503977de3a276e6ce796b46766a2b8692b22c90"
     ~clients:open_loop ()
 
 let test_pin_spinning () =
   let p = Bftmetrics.Probe.create () in
-  pin (module Spinning)
+  pin (module Spinning) ~probe:p
     (Spinning.Cluster.create ~probe:p ~seed:42L ~clients:3 (Spinning.Node.default_config ~f:1))
     ~executed:3018
     ~digest:"116a8ea662486f93a990439899a8f32894f2ebb52427e313d80aa7e3a2a74757"
+    ~order:"45c94851dada6b240a68aed8db3a103d2c1ebd57a18a50f57e78e5d9d92f9db9"
     ~clients:[ (1013, 1012); (970, 967); (1042, 1039) ]
     ()
 
 let test_pin_prime () =
   let p = Bftmetrics.Probe.create () in
-  pin (module Prime)
+  pin (module Prime) ~probe:p
     (Prime.Cluster.create ~probe:p ~seed:42L ~clients:3 (Prime.Node.default_config ~f:1))
     ~executed:2925
     ~digest:"a2004c53afc0613a87754c81c8f420efa2a7e8bd076cc507b6cf648dcdd88e92"
+    ~order:"2be30b24c50e13bfd403ebb82a197fbf92d3c0f84fb5b6a93524be79a35ebbcc"
     ~clients:[ (1013, 986); (970, 926); (1042, 1013) ]
     ()
 
@@ -461,10 +490,11 @@ let test_pin_prime_attack () =
     Prime.Client.set_rate heavy 300.0;
     (Prime.Node.faults (Prime.Cluster.node cluster 0)).Prime.Node.delay_to_limit <- true
   in
-  pin (module Prime) ~attack
+  pin (module Prime) ~attack ~probe:p
     (Prime.Cluster.create ~probe:p ~seed:42L ~clients:3 (Prime.Node.default_config ~f:1))
     ~executed:1024
     ~digest:"fa215162e2cb621a8ae5f1a57e19bb92f188e8f8bfde98f9fa02e1233c63f09e"
+    ~order:"5cb2fb3b0c81ea265ac64391496cb480421c5923d63494a611622c1e7b64b00c"
     ~clients:[ (161, 82); (970, 451); (1042, 491) ]
     ()
 
@@ -479,10 +509,11 @@ let test_pin_aardvark_attack () =
     (Aardvark.Node.faults (Aardvark.Cluster.node cluster 0)).Aardvark.Node.track_required <-
       true
   in
-  pin (module Aardvark) ~duration:(Time.ms 2900) ~attack
+  pin (module Aardvark) ~duration:(Time.ms 2900) ~attack ~probe:p
     (Aardvark.Cluster.create ~probe:p ~seed:42L ~clients:3 (Aardvark.Node.simulation_config ~f:1))
     ~executed:16878
     ~digest:"1fd3009d4259172bb3a564682e0bd1ace035280a5032d8312dec57d0668f1ae3"
+    ~order:"7ec32b101bfc061075e34068c0623dcb7fd5e07ce0089f0b94de8489da8c10c8"
     ~clients:[ (5925, 5722); (5754, 5534); (5802, 5622) ]
     ()
 
@@ -493,10 +524,11 @@ let test_pin_spinning_attack () =
     (Spinning.Node.faults (Spinning.Cluster.node cluster 3)).Spinning.Node.delay_fraction <-
       0.95
   in
-  pin (module Spinning) ~attack
+  pin (module Spinning) ~attack ~probe:p
     (Spinning.Cluster.create ~probe:p ~seed:42L ~clients:3 (Spinning.Node.default_config ~f:1))
     ~executed:834
     ~digest:"c5ca5a8fa5faeefaac488464d18c346983ca856660220bf13c481f3d72ea361e"
+    ~order:"c89fa96551b7081f0577c92dd7adc3eef550d5bffb36138152df07b0849acef5"
     ~clients:[ (1013, 287); (970, 290); (1042, 257) ]
     ()
 
@@ -508,12 +540,12 @@ let test_pin_spinning_attack () =
    primary runs the CLI's plan: Lambda = 1.5 ms, batch delay 200 us,
    and node 0 holding client 0's requests by 1 ms once it has ordered
    100. *)
-let pin_attack ?(params = Rbft.Params.default ~f:1) plan ~executed ~digest ~clients
+let pin_attack ?(params = Rbft.Params.default ~f:1) plan ~executed ~digest ~order ~clients
     ~instance_changes ~events () =
   let p = Bftmetrics.Probe.create () in
   let cluster = Rbft.Cluster.create ~probe:p ~seed:42L ~clients:3 params in
   let attack cluster = Rbft.Attacks.install cluster (plan params) in
-  pin (module Rbft) ~attack cluster ~executed ~digest ~clients ();
+  pin (module Rbft) ~attack ~probe:p cluster ~executed ~digest ~order ~clients ();
   Alcotest.(check int) "instance changes at node 1" instance_changes
     (Rbft.Node.instance_changes (Rbft.Cluster.node cluster 1));
   Alcotest.(check int) "events simulated" events
@@ -522,12 +554,14 @@ let pin_attack ?(params = Rbft.Params.default ~f:1) plan ~executed ~digest ~clie
 let test_pin_rbft_worst1 () =
   pin_attack Rbft.Attacks.worst1 ~executed:3012
     ~digest:"4dc5433751578433dd10db6e675fd8da21257be1e122e8c60fd7adb68bd154d3"
+    ~order:"9210fa649631207da3af9e2612d92cac384b3bd34f0141c229617d8698a2672e"
     ~clients:[ (1013, 1009); (970, 963); (1042, 1037) ]
     ~instance_changes:0 ~events:350305 ()
 
 let test_pin_rbft_worst2 () =
   pin_attack Rbft.Attacks.worst2 ~executed:2982
     ~digest:"a0071f5f6f020c8468e60984e18adfb3324066eb6502400a31380a4c03845d14"
+    ~order:"3a5442cbbd6574753c6e75aa863572a19ef2eb1b57ff6b031313ba08c51c1e79"
     ~clients:[ (1013, 999); (970, 952); (1042, 1031) ]
     ~instance_changes:0 ~events:347403 ()
 
@@ -537,6 +571,7 @@ let test_pin_rbft_unfair () =
     (Rbft.Attacks.unfair_primary ~client:0 ~steps:[ (100, Time.ms 1) ])
     ~executed:3012
     ~digest:"4dc5433751578433dd10db6e675fd8da21257be1e122e8c60fd7adb68bd154d3"
+    ~order:"75d8ebc3d008fbbfd786795f41c14c0f03d5275c3520fa6e2c66c39088e68f7e"
     ~clients:open_loop ~instance_changes:1 ~events:577835 ()
 
 let suites =
