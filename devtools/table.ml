@@ -84,8 +84,8 @@ let clients =
       "Every point has a footprint table (DESIGN §18)";
     r "sweep.*" (Sweep { y = "gc.peak_live_words"; law = Rising })
       "Clients cost memory: peak live words rise with the population (DESIGN §18)";
-    r "sweep.*" (Sweep { y = "gc.setup_live_words"; law = Slope_max { x = "clients"; max = 100.0 } })
-      "An idle registered client costs at most 100 set-up words (DESIGN §18)";
+    r "sweep.*" (Sweep { y = "gc.setup_live_words"; law = Slope_max { x = "clients"; max = 45.0 } })
+      "An idle registered client costs at most 45 set-up words (DESIGN §18)";
     r "sweep.*"
       (Sweep { y = "footprint_peak.*"; law = Growth_below { x = "clients"; spread = 10.0; ratio = 0.5 } })
       "No probed structure grows with the population: no unbounded per-client table (DESIGN §18)" ]

@@ -29,9 +29,9 @@ type retry = {
 
 type state = {
   params : Params.t;
-  behaviour : behaviour;
+  mutable behaviour : behaviour;  (* [shared_honest] until {!behaviour} is asked *)
   mutable closed_loop : int;  (* outstanding-request window; 0 = open loop *)
-  completions : Bftmetrics.Throughput.t;
+  mutable completions : Bftmetrics.Throughput.t;  (* [idle] until a completion *)
   (* Lazily created on the first BUSY so runs that never shed draw
      exactly the same random streams as before the gate existed. *)
   mutable backoff : Bftflow.Backoff.t option;
@@ -46,7 +46,20 @@ let sent = Core.sent
 let completed = Core.completed
 let latencies = Core.latencies
 let pending_count = Core.pending_count
-let behaviour (t : t) = t.ext.behaviour
+(* The behaviour every client starts with and the completion window
+   of every client that has completed nothing: one of each, shared by
+   all clients and never written. Most clients of a large population
+   never misbehave, and many never complete a request. *)
+let honest () = { sig_valid = true; mac_invalid_for = []; heavy = false; make_op = None }
+let shared_honest = honest ()
+let idle = Bftmetrics.Throughput.create ()
+
+(* A caller may write the record it gets, so a client gets its own
+   copy before the first one leaves. *)
+let behaviour (t : t) =
+  if t.ext.behaviour == shared_honest then t.ext.behaviour <- honest ();
+  t.ext.behaviour
+
 let completion_counter (t : t) = t.ext.completions
 let busy_replies (t : t) = t.ext.busy_replies
 let retries (t : t) = t.ext.retries
@@ -70,6 +83,7 @@ let rec on_reply (t : t) (id : request_id) ~from ~result =
   | Some p ->
     Engine.cancel t.engine p.data.watchdog;
     List.iter (Engine.cancel t.engine) p.data.backoffs;
+    if t.ext.completions == idle then t.ext.completions <- Bftmetrics.Throughput.create ();
     Bftmetrics.Throughput.record t.ext.completions ~now:(Engine.now t.engine);
     (* Closed loop: each completion funds the next request. *)
     if t.ext.closed_loop > 0 then send_one t
@@ -135,7 +149,7 @@ and make_request (t : t) =
    of {!Bftflow.Backoff}, drawn from this client's own stream for
    determinism. *)
 let on_busy (t : t) (id : request_id) ~from ~retry_after =
-  match Request_id_table.find_opt t.pending id with
+  match Core.find_pending t id with
   | None -> ()
   | Some p when p.done_ -> ()
   | Some p ->
@@ -198,15 +212,9 @@ let create engine net params ~id ?(payload_size = 8) () =
     Core.create engine net ~f:params.Params.f ~id ~payload_size
       {
         params;
-        behaviour =
-          {
-            sig_valid = true;
-            mac_invalid_for = [];
-            heavy = false;
-            make_op = None;
-          };
+        behaviour = shared_honest;
         closed_loop = 0;
-        completions = Bftmetrics.Throughput.create ();
+        completions = idle;
         backoff = None;
         busy_replies = 0;
         retries = 0;

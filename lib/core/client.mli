@@ -35,7 +35,12 @@ val create :
   t
 
 val id : t -> int
+
 val behaviour : t -> behaviour
+(** The client's fault-injection switches, for the caller to read or
+    write. Until the first call every client shares one honest record
+    that nothing writes; the first call gives the client its own copy,
+    so writing it changes no other client. *)
 
 val set_rate : t -> float -> unit
 (** [set_rate t r] starts (or retunes) open-loop sending at [r]
@@ -83,3 +88,6 @@ val latencies : t -> Bftmetrics.Hist.t
     read it, never add to it. *)
 
 val completion_counter : t -> Bftmetrics.Throughput.t
+(** Completions over time. Until the first request completes it is one
+    empty window that all idle clients share: read it, never record in
+    it. *)

@@ -379,8 +379,12 @@ let clients_run ~quick ~population =
   in
   (* Periodic GC/footprint sampling on virtual time, started with the
      load: 24 ticks, the last at the end of the load, which stops the
-     series so no further tick stays pending. *)
-  let sampler = ref None in
+     series so no further tick stays pending. Each tick also takes the
+     words the cluster reaches ([Obj.reachable_words]): an exact count
+     of its live state at a fixed simulated instant, where
+     [Gc.quick_stat]'s live words date from the last major cycle and
+     move with the GC schedule. Their maximum is the point's peak. *)
+  let sampler = ref None and peak_live = ref 0 in
   let start_sampler cluster =
     let engine = Rbft.Cluster.engine cluster in
     let gcs = Bftcap.Gcstats.create (Rbft.Cluster.probe cluster) in
@@ -389,6 +393,7 @@ let clients_run ~quick ~population =
     stop :=
       Engine.every engine (Time.mul_f duration (1.0 /. 24.0)) (fun () ->
           Bftcap.Gcstats.sample gcs ~now:(Engine.now engine);
+          peak_live := Stdlib.max !peak_live (Obj.reachable_words (Obj.repr cluster));
           if Engine.now engine >= stop_at then !stop ());
     sampler := Some gcs
   in
@@ -421,7 +426,7 @@ let clients_run ~quick ~population =
     cp_p99_ms = latency_ms r 99.0;
     cp_gc = Bftcap.Gcstats.deltas gcs;
     cp_setup_live = !setup_live_words;
-    cp_peak_live = Bftcap.Gcstats.peak_live_words gcs;
+    cp_peak_live = !peak_live;
     cp_peak_heap = Bftcap.Gcstats.peak_heap_words gcs;
     cp_footprint = footprint_peaks_by_name (Rbft.Cluster.probe cluster);
   }
@@ -447,6 +452,8 @@ let json_of_clients_point p =
           (fun (k, v) -> Printf.sprintf {|"%s":%d|} k v)
           p.cp_footprint))
 
+let clients_point ~quick ~population = json_of_clients_point (clients_run ~quick ~population)
+
 let generate_clients ~quick =
   let module Profile = Bftmetrics.Profile in
   let profile = Profile.create () in
@@ -457,7 +464,7 @@ let generate_clients ~quick =
     List.map
       (fun population ->
         Profile.time profile (Printf.sprintf "perfreport:clients-%d" population)
-          (fun () -> clients_run ~quick ~population))
+          (fun () -> clients_point ~quick ~population))
       points
   in
   let buf = Buffer.create 2048 in
@@ -470,7 +477,7 @@ let generate_clients ~quick =
        "\n");
   Buffer.add_string buf "  \"sweep\": [\n";
   Buffer.add_string buf
-    (String.concat ",\n" (List.map json_of_clients_point rows));
+    (String.concat ",\n" rows);
   Buffer.add_string buf "\n  ],\n";
   Buffer.add_string buf
     (Printf.sprintf {|  "profile": %s%s|} (Bftmetrics.Profile.json profile) "\n");

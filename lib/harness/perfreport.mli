@@ -87,8 +87,16 @@ val generate_clients : quick:bool -> string
     a fixed aggregate load and record, per point, throughput, client
     latency percentiles, cumulative GC activity, the live words the
     cluster's construction adds, peak live/heap words and the
-    per-structure footprint-probe peaks. Quick mode sweeps
-    100/1k/10k/100k clients; full mode 1k/10k/50k. *)
+    per-structure footprint-probe peaks. The peak live words are the
+    most words the cluster reaches ([Obj.reachable_words]) at the 24
+    fixed simulated instants of the GC sampler, so they are exact and
+    the same for the same point; the other [gc] leaves are host
+    counts. Quick mode sweeps 100/1k/10k/100k clients; full mode
+    1k/10k/50k. *)
+
+val clients_point : quick:bool -> population:int -> string
+(** One point of that sweep at [population] clients: its JSON object
+    as {!generate_clients} writes it. *)
 
 val write_clients : quick:bool -> path:string -> unit
 (** {!generate_clients} and write to [path] ('-' for stdout). *)

@@ -78,7 +78,9 @@ type 'a t = {
   rng : Rng.t;
   node_ports : node_ports array;
   node_handlers : ('a delivery -> unit) option array;
-  client_handlers : (int, 'a delivery -> unit) Hashtbl.t;
+  mutable client_handlers : ('a delivery -> unit) array;
+      (* indexed by client id, [no_handler] where none is registered;
+         doubles as ids grow *)
   client_ports : (int, client_port) Hashtbl.t;
   (* Latest arrival per client-to-client pair: the one pairing with
      no port array (only test fakes send it). *)
@@ -122,7 +124,7 @@ let create ~probe engine cfg =
     rng = Engine.fresh_rng engine;
     node_ports = Array.init cfg.nodes make_ports;
     node_handlers = Array.make cfg.nodes None;
-    client_handlers = Hashtbl.create 32;
+    client_handlers = [||];
     client_ports = Hashtbl.create 32;
     last_client_to_client = Hashtbl.create 8;
     delivered = 0;
@@ -158,7 +160,20 @@ let client_port t c =
     Hashtbl.add t.client_ports c port;
     port
 
-let register_client t c handler = Hashtbl.replace t.client_handlers c handler
+let no_handler _ = ()
+
+let register_client t c handler =
+  if c < 0 then invalid_arg "Network.register_client: negative client id";
+  let len = Array.length t.client_handlers in
+  if c >= len then begin
+    let grown = Array.make (Stdlib.max (c + 1) (2 * len)) no_handler in
+    Array.blit t.client_handlers 0 grown 0 len;
+    t.client_handlers <- grown
+  end;
+  t.client_handlers.(c) <- handler
+
+let client_handler t c =
+  if c >= 0 && c < Array.length t.client_handlers then t.client_handlers.(c) else no_handler
 
 let serialization_time ~size =
   let bits = float_of_int ((size + frame_overhead_bytes) * 8) in
@@ -216,9 +231,8 @@ let deliver_to t ~src ~dst =
      | None -> None
      | Some handler -> Some (ingress, handler))
   | Principal.Client c ->
-    (match Hashtbl.find t.client_handlers c with
-     | handler -> Some ((client_port t c).c_ingress, handler)
-     | exception Not_found -> None)
+    let handler = client_handler t c in
+    if handler == no_handler then None else Some ((client_port t c).c_ingress, handler)
 
 (* TCP FIFO per connection: the arrival instant of a message sent now
    with [delay] is never earlier than the previous arrival of the same

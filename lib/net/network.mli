@@ -114,10 +114,12 @@ val register_node : 'a t -> int -> ('a delivery -> unit) -> unit
     [i]. Must be called before traffic reaches the node. *)
 
 val register_client : 'a t -> int -> ('a delivery -> unit) -> unit
-(** Registers a client endpoint: records only its handler. The
+(** Registers a client endpoint: records only its handler, in an array
+    indexed by client id; registering an id again replaces its handler.
+    A message to an id with no handler is dropped ("no-handler"). The
     client's NIC (one per client) is built on its first send or the
-    first delivery to it, so an idle registered client costs no
-    port. *)
+    first delivery to it, so an idle registered client costs no port.
+    Raises [Invalid_argument] on a negative id. *)
 
 val send :
   ?span:int ->

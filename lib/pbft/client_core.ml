@@ -35,7 +35,9 @@ type ('msg, 'x, 'r) t = {
           first use (see {!synthetic}) *)
   mutable rate : float;
   mutable rate_epoch : int;
-  pending : 'r pending Request_id_table.t;
+  mutable pending : 'r pending Request_id_table.t option;
+      (** built on the first {!track}: most clients of a large
+          population never send *)
   mutable completed : int;
   mutable latencies : Bftmetrics.Hist.t;  (** [idle] until a request completes *)
   rng : Rng.t;
@@ -59,7 +61,7 @@ let create engine net ~f ~id ~payload_size ext =
     heavy_template = None;
     rate = 0.0;
     rate_epoch = 0;
-    pending = Request_id_table.create 8;  (* grows on demand; 10^5-client populations exist *)
+    pending = None;
     completed = 0;
     latencies = idle;
     rng = Engine.fresh_rng engine;
@@ -79,7 +81,12 @@ let id t = t.id
 let sent t = t.rid
 let completed t = t.completed
 let latencies t = t.latencies
-let pending_count t = Request_id_table.length t.pending
+let pending_count t =
+  match t.pending with Some tbl -> Request_id_table.length tbl | None -> 0
+
+(** The pending-table entry of request [id], if any. *)
+let find_pending t id =
+  match t.pending with Some tbl -> Request_id_table.find_opt tbl id | None -> None
 
 (** The descriptor of request [t.rid] carrying the synthetic
     null-service payload ([payload_size] bytes of ['x'], with the heavy
@@ -109,7 +116,15 @@ let track t (id : request_id) data =
   let now = Engine.now t.engine in
   let span = Bftmetrics.Probe.request_root (Network.probe t.net) ~client:t.id ~rid:id.rid now in
   let p = { sent_at = now; span; replies = []; done_ = false; data } in
-  Request_id_table.replace t.pending id p;
+  let tbl =
+    match t.pending with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Request_id_table.create 8 in
+      t.pending <- Some tbl;
+      tbl
+  in
+  Request_id_table.replace tbl id p;
   p
 
 (** Count one REPLY from node [from]. Each node counts once per
@@ -118,7 +133,7 @@ let track t (id : request_id) data =
     from the pending table. [Some p] exactly when this reply completed
     the request [p]. *)
 let completed_by t (id : request_id) ~from ~result =
-  match Request_id_table.find_opt t.pending id with
+  match find_pending t id with
   | None -> None
   | Some p when p.done_ || List.mem_assoc from p.replies -> None
   | Some p ->
@@ -134,7 +149,7 @@ let completed_by t (id : request_id) ~from ~result =
       if t.latencies == idle then t.latencies <- Bftmetrics.Hist.create ();
       Bftmetrics.Hist.add t.latencies (Time.to_sec_f (Time.sub now p.sent_at));
       Bftmetrics.Probe.finish (Network.probe t.net) p.span ~t1:now;
-      Request_id_table.remove t.pending id;
+      (match t.pending with Some tbl -> Request_id_table.remove tbl id | None -> ());
       Some p
     end
 

@@ -2,24 +2,30 @@
    splitting. Reference: Steele, Lea, Flood, "Fast splittable
    pseudorandom number generators", OOPSLA 2014. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state is kept as the float with the same bits: a record
+   of floats stores them unboxed, so a generator is two words (header
+   and state) and a draw writes the state back without boxing it. With
+   [int64] and [mix64] inlined, a draw of [int], [bool] or [bytes]
+   allocates nothing. *)
+type t = { mutable bits : float }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed }
+let create seed = { bits = Int64.float_of_bits seed }
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] int64 t =
+  let state = Int64.add (Int64.bits_of_float t.bits) golden_gamma in
+  t.bits <- Int64.float_of_bits state;
+  mix64 state
 
 let split t =
   let seed = int64 t in
-  { state = mix64 seed }
+  create (mix64 seed)
 
 let int t bound =
   assert (bound > 0);

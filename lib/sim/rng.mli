@@ -2,7 +2,9 @@
 
     Every stochastic component of the simulation draws from its own
     [Rng.t] stream obtained by {!split}, so adding a component never
-    perturbs the random choices of the others. *)
+    perturbs the random choices of the others. A generator is two
+    words, and a draw of {!int}, {!bool} or {!bytes} allocates
+    nothing beyond what it returns. *)
 
 type t
 

@@ -695,11 +695,13 @@ let setup_live_words build n =
   ignore (Sys.opaque_identity cluster);
   after - before
 
-(* A registered client that never sends holds its identity, counters
-   and handler, and nothing sized for traffic: its throughput window,
-   latency histogram and network port are built on first use. The
+(* A registered client that never sends holds its identity, counters,
+   rng and handler, and nothing sized for traffic: its pending table,
+   throughput window, latency histogram and network port are built on
+   first use, and its behaviour record is shared until asked for. The
    marginal cost between 1,000 and 10,000 registered clients must stay
-   under 100 live words per client. *)
+   under 45 live words per client (DESIGN §18: 33.7 for rbft, 25.7 for
+   aardvark). *)
 let check_idle_client_cost name build =
   let small = 1_000 and large = 10_000 in
   let words =
@@ -707,8 +709,8 @@ let check_idle_client_cost name build =
     /. float_of_int (large - small)
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: %.1f live words per registered client <= 100" name words)
-    true (words <= 100.0)
+    (Printf.sprintf "%s: %.1f live words per registered client <= 45" name words)
+    true (words <= 45.0)
 
 let test_idle_client_cost_rbft () =
   check_idle_client_cost "rbft" (fun clients ->
@@ -719,6 +721,67 @@ let test_idle_client_cost_aardvark () =
   check_idle_client_cost "aardvark" (fun clients ->
       Aardvark.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~clients
         (Aardvark.Node.default_config ~f:1))
+
+(* Idle clients share one honest behaviour record and one empty
+   completion window. Writing a client's behaviour (the worst-attack-1
+   plan breaks every client's MAC for the primary, a test breaks one
+   client's signatures and gives another its own operations) and
+   running traffic must leave the other clients as they were, and a
+   client created afterwards on the same cluster must read the honest
+   defaults and an empty window: nothing wrote the shared ones. *)
+let test_shared_client_defaults_never_written () =
+  let params = Rbft.Params.default ~f:1 in
+  let cluster = Rbft.Cluster.create ~probe:(Bftmetrics.Probe.create ()) ~clients:4 params in
+  Rbft.Attacks.install cluster (Rbft.Attacks.worst1 params);
+  let client = Rbft.Cluster.client cluster in
+  let b i = Rbft.Client.behaviour (client i) in
+  (b 1).Rbft.Client.sig_valid <- false;
+  (b 2).Rbft.Client.make_op <- Some (fun rid -> Printf.sprintf "op-%d" rid);
+  List.iter (fun i -> Rbft.Client.set_rate (client i) 500.0) [ 0; 1; 2 ];
+  Rbft.Cluster.run_for cluster (Time.ms 400);
+  let primary = Rbft.Params.primary_of params ~instance:Rbft.Params.master_instance ~view:0 in
+  let check_behaviour what ~sig_valid ~macs ~own_op (c : Rbft.Client.behaviour) =
+    Alcotest.(check bool) (what ^ ": sig_valid") sig_valid c.Rbft.Client.sig_valid;
+    Alcotest.(check (list int)) (what ^ ": mac_invalid_for") macs c.Rbft.Client.mac_invalid_for;
+    Alcotest.(check bool) (what ^ ": heavy") false c.Rbft.Client.heavy;
+    Alcotest.(check bool) (what ^ ": make_op") own_op (Option.is_some c.Rbft.Client.make_op)
+  in
+  check_behaviour "client 0" ~sig_valid:true ~macs:[ primary ] ~own_op:false (b 0);
+  check_behaviour "client 1" ~sig_valid:false ~macs:[ primary ] ~own_op:false (b 1);
+  check_behaviour "client 2" ~sig_valid:true ~macs:[ primary ] ~own_op:true (b 2);
+  check_behaviour "client 3" ~sig_valid:true ~macs:[ primary ] ~own_op:false (b 3);
+  let c0 = client 0 in
+  Alcotest.(check bool) "client 0 completed requests" true (Rbft.Client.completed c0 > 0);
+  Alcotest.(check int) "client 0's window counts its completions" (Rbft.Client.completed c0)
+    (Bftmetrics.Throughput.total (Rbft.Client.completion_counter c0));
+  let fresh =
+    Rbft.Client.create (Rbft.Cluster.engine cluster) (Rbft.Cluster.network cluster) params ~id:4
+      ()
+  in
+  List.iter
+    (fun (what, c) ->
+      Alcotest.(check int) (what ^ ": completion_counter") 0
+        (Bftmetrics.Throughput.total (Rbft.Client.completion_counter c));
+      Alcotest.(check int) (what ^ ": pending_count") 0 (Rbft.Client.pending_count c))
+    [ ("client 3", client 3); ("a client created afterwards", fresh) ];
+  check_behaviour "a client created afterwards" ~sig_valid:true ~macs:[] ~own_op:false
+    (Rbft.Client.behaviour fresh)
+
+(* BENCH_clients' peak live words are the cluster's reachable words at
+   the sampler's fixed simulated instants: the same point run twice
+   reads the same peak, whatever the GC did in between. *)
+let test_clients_peak_live_words_exact () =
+  let peak () =
+    let module J = Bftmetrics.Jmini in
+    let point = J.parse (Bftharness.Perfreport.clients_point ~quick:true ~population:100) in
+    match Option.bind (J.mem "gc" point) (J.get_int "peak_live_words") with
+    | Some w -> w
+    | None -> Alcotest.fail "no gc.peak_live_words"
+  in
+  let a = peak () in
+  let b = peak () in
+  Alcotest.(check bool) "a peak was measured" true (a > 0);
+  Alcotest.(check int) "same seed, same peak live words" a b
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_clients.json structural determinism                          *)
@@ -852,10 +915,14 @@ let suites =
       ] );
     ( "cap.capacity",
       [
-        Alcotest.test_case "idle rbft client costs <= 100 words" `Quick
+        Alcotest.test_case "idle rbft client costs <= 45 words" `Quick
           test_idle_client_cost_rbft;
-        Alcotest.test_case "idle aardvark client costs <= 100 words" `Quick
+        Alcotest.test_case "idle aardvark client costs <= 45 words" `Quick
           test_idle_client_cost_aardvark;
+        Alcotest.test_case "shared client defaults never written" `Quick
+          test_shared_client_defaults_never_written;
+        Alcotest.test_case "clients peak live words exact" `Slow
+          test_clients_peak_live_words_exact;
         Alcotest.test_case "churn-bounded tables with knobs unset" `Slow
           test_churn_bounded_without_knobs;
         Alcotest.test_case "capacity fields inert" `Slow test_capacity_fields_inert;

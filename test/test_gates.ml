@@ -184,8 +184,8 @@ let test_ported_clients_checks () =
   let v = committed "BENCH_clients.json" and report = "BENCH_clients.json" in
   let c i = get [ "sweep"; i; "clients" ] v in
   let w0 = get [ "sweep"; "0"; "gc"; "setup_live_words" ] v in
-  caught "101 set-up words per client" ~report ~row:"sweep.*  gc.setup_live_words per clients <= 100"
-    (set [ "sweep"; "3"; "gc"; "setup_live_words" ] (fun _ -> w0 +. (101.0 *. (c "3" -. c "0"))) v);
+  caught "46 set-up words per client" ~report ~row:"sweep.*  gc.setup_live_words per clients <= 45"
+    (set [ "sweep"; "3"; "gc"; "setup_live_words" ] (fun _ -> w0 +. (46.0 *. (c "3" -. c "0"))) v);
   let fp = [ "footprint_peak"; "node.requests" ] in
   caught "a footprint peak growing with the population" ~report
     ~row:"sweep.*  footprint_peak.* grows < 0.5x as fast as clients over a >= 10x spread"

@@ -325,6 +325,27 @@ let test_net_unregistered_dropped () =
   Alcotest.(check int) "dropped" 1 (Network.messages_dropped net);
   Alcotest.(check int) "none delivered" 0 (Network.messages_delivered net)
 
+(* Client handlers sit in an array indexed by client id: a message to
+   an id with no handler, below, past or outside the array, is dropped,
+   registering an id again replaces its handler, and a negative id is
+   rejected. *)
+let test_net_client_handler_ids () =
+  let e = Engine.create () in
+  let net = make_net e in
+  let got = ref [] in
+  Network.register_client net 7 (fun _ -> got := "first" :: !got);
+  Network.register_client net 7 (fun d -> got := d.Network.payload :: !got);
+  Alcotest.check_raises "negative id"
+    (Invalid_argument "Network.register_client: negative client id") (fun () ->
+      Network.register_client net (-1) ignore);
+  List.iter
+    (fun c -> Network.send net ~src:(Principal.node 0) ~dst:(Principal.client c) ~size:8 "to-c")
+    [ 3; 7; 1_000; -2 ];
+  Engine.run e;
+  Alcotest.(check (list string)) "only the registered id, by its latest handler" [ "to-c" ] !got;
+  Alcotest.(check int) "three no-handler drops" 3 (Network.messages_dropped net);
+  Alcotest.(check int) "one delivered" 1 (Network.messages_delivered net)
+
 let test_net_client_nic_shared () =
   (* All clients share one ingress NIC at the node: heavy client
      traffic queues behind itself. *)
@@ -367,6 +388,7 @@ let suites =
         Alcotest.test_case "close NIC drops flooder" `Quick test_net_close_nic_drops;
         Alcotest.test_case "client endpoints" `Quick test_net_clients;
         Alcotest.test_case "unregistered dropped" `Quick test_net_unregistered_dropped;
+        Alcotest.test_case "client handlers by id" `Quick test_net_client_handler_ids;
         Alcotest.test_case "client NIC is shared" `Quick test_net_client_nic_shared;
       ]
       @ qsuite [ prop_close_nic_reopens_at_expiry; prop_close_nic_overlap_extends ] );

@@ -86,6 +86,135 @@ let test_rng_bytes_len () =
     (fun n -> check_int "length" n (Bytes.length (Rng.bytes r n)))
     [ 0; 1; 7; 8; 9; 64; 1000 ]
 
+(* The first 16 outputs of [int64], [int r 1_000_000_007], [float r 1.]
+   and [exponential ~mean:2.5] for three seeds, and of one split stream
+   with the next output of the stream it was split from. Every run's randomness comes
+   from this stream, so it is pinned bit for bit: a change of the
+   generator's representation must not move it. Floats are compared
+   by their bits. *)
+let rng_pins =
+  [
+    ( 1L,
+      [
+        0x910a2dec89025cc1L; 0xbeeb8da1658eec67L; 0xf893a2eefb32555eL; 0x71c18690ee42c90bL;
+        0x71bb54d8d101b5b9L; 0xc34d0bff90150280L; 0xe099ec6cd7363ca5L; 0x85e7bb0f12278575L;
+        0x491718de357e3da8L; 0xcb435c8e74616796L; 0x6775dc7701564f61L; 0x9afcd44d14cf8bfeL;
+        0x7476cf8a4baa5dc0L; 0x87b341d690d7a28aL; 0x6f9b6dae6f4c57a8L; 0x2ac2ce17a5794a3bL ],
+      [
+        510577084; 691428183; 225004110; 110728840; 940077132; 88526880; 713570260;
+        131464052; 756354344; 380018104; 419406745; 330615550; 447132292; 328178942;
+        816042286; 615459508 ],
+      [
+        0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1; 0x1.f12745ddf664ap-1;
+        0x1.c7061a43b90b2p-2; 0x1.c6ed53634406cp-2; 0x1.869a17ff202ap-1;
+        0x1.c133d8d9ae6c7p-1; 0x1.0bcf761e244fp-1; 0x1.245c6378d5f8ep-2;
+        0x1.9686b91ce8c2cp-1; 0x1.9dd771dc05592p-2; 0x1.35f9a89a299f1p-1;
+        0x1.d1db3e292ea96p-2; 0x1.0f6683ad21af4p-1; 0x1.be6db6b9bd314p-2;
+        0x1.561670bd2bca4p-3 ],
+      [
+        0x1.6ba0e4803387fp+0; 0x1.7773d796b4144p-1; 0x1.2d526d74a05dfp-4;
+        0x1.038f1d2a96f49p+1; 0x1.03a08a54daaf8p+1; 0x1.5a69e55fda3f6p-1;
+        0x1.4efa5d336c138p-2; 0x1.9ebfc0f7e5fe7p+0; 0x1.911d5048b42ecp+1;
+        0x1.2743f12b3160ap-1; 0x1.21ea95311de38p+1; 0x1.412c319c1ccbfp+0;
+        0x1.f80f74c1d5121p+0; 0x1.963a098d6a58dp+0; 0x1.09a95c750896dp+1;
+        0x1.1e540c7e45915p+2 ] );
+    ( 42L,
+      [
+        0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L; 0x581ce1ff0e4ae394L;
+        0x9bc585a244823f2L; 0xde4431fa3c80db06L; 0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L;
+        0x5705b8770b3d7dd5L; 0x9e54d738297f77aeL; 0x3474724a775b19bfL; 0x7e348a0e451650beL;
+        0x836ded897f3e46e6L; 0x851f977347ed6db7L; 0xaa47e31c02e78edcL; 0x341452c54d7c33f2L ],
+      [
+        249768340; 869527453; 121944468; 953467420; 307808447; 387780494; 143893034;
+        901104342; 429534045; 96951697; 241973209; 450705678; 984426131; 389589051;
+        337836908; 649869638 ],
+      [
+        0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2;
+        0x1.607387fc392b8p-2; 0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1;
+        0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1; 0x1.5c16e1dc2cf5ep-2;
+        0x1.3ca9ae7052feep-1; 0x1.a3a39253bad8cp-3; 0x1.f8d2283914594p-2;
+        0x1.06dbdb12fe7c8p-1; 0x1.0a3f2ee68fdadp-1; 0x1.548fc63805cf1p-1;
+        0x1.a0a2962a6be18p-3 ],
+      [
+        0x1.7eb5e739732f4p-1; 0x1.254d7b8bf9696p+2; 0x1.98f3a4abdc3b1p+1;
+        0x1.554c8b17397aep+1; 0x1.058ccf8dd1f3p+3; 0x1.69baeac629d84p-2;
+        0x1.e6d95ac87e9cbp+1; 0x1.1c9cf6dfbfffdp-1; 0x1.5948b467d47bfp+1;
+        0x1.338300f09316dp+0; 0x1.fb4592c5bfe93p+1; 0x1.c4a6cbb8a6584p+0;
+        0x1.aab15e7eabf68p+0; 0x1.a27f1f4055ceap+0; 0x1.04f23ef28b729p+0;
+        0x1.fd921460444bcp+1 ] );
+    ( 0x9E3779B97F4A7C15L,
+      [
+        0x6e789e6aa1b965f4L; 0x6c45d188009454fL; 0xf88bb8a8724c81ecL; 0x1b39896a51a8749bL;
+        0x53cb9f0c747ea2eaL; 0x2c829abe1f4532e1L; 0xc584133ac916ab3cL; 0x3ee5789041c98ac3L;
+        0xf3b8488c368cb0a6L; 0x657eecdd3cb13d09L; 0xc2d326e0055bdef6L; 0x8621a03fe0bbdb7bL;
+        0x8e1f7555983aa92fL; 0xb54e0f1600cc4d19L; 0x84bb3f97971d80abL; 0x7d29825c75521255L ],
+      [
+        618087613; 14556641; 853315927; 173460857; 749125049; 887308728; 493173648;
+        316873850; 761498918; 162909401; 194538742; 967827470; 115804329; 193675342;
+        752282079; 817715738 ],
+      [
+        0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6; 0x1.f1177150e499p-1; 0x1.b39896a51a87p-4;
+        0x1.4f2e7c31d1fa8p-2; 0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1;
+        0x1.f72bc4820e4c4p-3; 0x1.e77091186d196p-1; 0x1.95fbb374f2c4ep-2;
+        0x1.85a64dc00ab7bp-1; 0x1.0c43407fc177bp-1; 0x1.1c3eeaab30755p-1;
+        0x1.6a9c1e2c01989p-1; 0x1.09767f2f2e3bp-1; 0x1.f4a60971d5484p-2 ],
+      [
+        0x1.0cef7164b212p+1; 0x1.22a626bf7f41cp+3; 0x1.2e98821c5ff81p-4;
+        0x1.669171539dc15p+2; 0x1.656034996fc49p+1; 0x1.17e9de1df1abcp+2;
+        0x1.4bfa84108fcafp-1; 0x1.c12e337dc3571p+1; 0x1.f760c34f6ba36p-4;
+        0x1.280d1ba0c763ep+1; 0x1.5d89c51131e0ap-1; 0x1.9dab46d3f3eacp+0;
+        0x1.78a171d42e3b7p+0; 0x1.b998aeed0fc49p-1; 0x1.a4623d940583cp+0;
+        0x1.c9f68f6eb1446p+0 ] )
+  ]
+
+let rng_split_pin =
+  [
+    0xf33dc6bd55ffa86bL; 0xe1332a7db412c5a9L; 0xe6af094f768935b3L; 0xfdf2d08f5c29727L;
+    0xba657f8e9030a6f9L; 0x29284f19efd46b47L; 0x3a16c2caea412322L; 0xaeb6a94d34aa8643L;
+    0xe4b3086004ea0c08L; 0xa420dadc022663c8L; 0x56af9fa6a8749ec5L; 0xbb16dfd9c21e4fd5L;
+    0x7af3056c8c38b722L; 0xd3712b7ea3d2045fL; 0x32e690b064f30ca9L; 0xeba6dac3791d436cL ]
+
+let rng_split_source_next = 0x44c3cd7f43c661cL
+
+let test_rng_pinned () =
+  let draws n f = List.init n (fun _ -> f ()) in
+  let bits = List.map Int64.bits_of_float in
+  List.iter
+    (fun (seed, i64, ints, floats, exps) ->
+      let what kind = Printf.sprintf "seed %Ld: %s" seed kind in
+      let r = Rng.create seed in
+      Alcotest.(check (list int64)) (what "int64") i64 (draws 16 (fun () -> Rng.int64 r));
+      let r = Rng.create seed in
+      Alcotest.(check (list int)) (what "int") ints
+        (draws 16 (fun () -> Rng.int r 1_000_000_007));
+      let r = Rng.create seed in
+      Alcotest.(check (list int64)) (what "float") (bits floats)
+        (bits (draws 16 (fun () -> Rng.float r 1.0)));
+      let r = Rng.create seed in
+      Alcotest.(check (list int64)) (what "exponential") (bits exps)
+        (bits (draws 16 (fun () -> Rng.exponential r ~mean:2.5))))
+    rng_pins;
+  let source = Rng.create 7L in
+  let s = Rng.split source in
+  Alcotest.(check (list int64)) "split stream" rng_split_pin (draws 16 (fun () -> Rng.int64 s));
+  Alcotest.(check int64) "source after the split" rng_split_source_next (Rng.int64 source)
+
+(* Every message draws its jitter from an rng: a draw allocates
+   nothing. *)
+let test_rng_int_allocates_nothing () =
+  let r = Rng.create 3L in
+  let sum = ref 0 in
+  (* The probe itself boxes a float: measure it empty first. *)
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    sum := !sum + Rng.int r 1000
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words over 10^5 Rng.int draws" 0.0
+    (w2 -. w1 -. (w1 -. w0));
+  check_bool "draws in range" true (!sum >= 0 && !sum < 100_000_000)
+
 let prop_rng_int_uniformish =
   QCheck.Test.make ~name:"rng ints hit all small buckets"
     QCheck.(int_bound 1000)
@@ -838,6 +967,8 @@ let suites =
         Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
         Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
         Alcotest.test_case "bytes length" `Quick test_rng_bytes_len;
+        Alcotest.test_case "streams pinned" `Quick test_rng_pinned;
+        Alcotest.test_case "int draws allocate nothing" `Quick test_rng_int_allocates_nothing;
       ]
       @ qsuite [ prop_rng_int_uniformish ] );
     ( "sim.heap",
