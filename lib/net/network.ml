@@ -40,9 +40,10 @@ let pass_verdict =
 type fault_hook = src:Principal.t -> dst:Principal.t -> size:int -> fault_verdict
 
 (* Each node owns, per peer node: an egress NIC queue and an ingress
-   NIC queue (the same physical NIC, two directions). Client traffic
-   at a node shares a single client-facing NIC; each client owns its
-   own NIC.
+   NIC queue (the same physical NIC, two directions), in slot [j] of
+   [egress] and [ingress] for peer node [j]. Client traffic at a node
+   shares a single client-facing NIC, in slot [nodes]; each client
+   owns its own NIC.
 
    Under TCP, arrivals on a connection are FIFO: jitter must not
    reorder messages of one (src, dst) pair. Each port therefore keeps
@@ -55,10 +56,8 @@ type fault_hook = src:Principal.t -> dst:Principal.t -> size:int -> fault_verdic
    send, and a registered client costs only its handler. Building a
    port draws no randomness, so when it happens changes no run. *)
 type node_ports = {
-  egress_to_node : Resource.t array;
-  ingress_from_node : Resource.t array;
-  client_egress : Resource.t;
-  client_ingress : Resource.t;
+  egress : Resource.t array;
+  ingress : Resource.t array;
   mutable closed_until : Time.t Principal.Map.t;
   last_to_node : Time.t array;
 }
@@ -77,10 +76,10 @@ type 'a t = {
   cfg : config;
   rng : Rng.t;
   node_ports : node_ports array;
-  node_handlers : ('a delivery -> unit) option array;
+  node_handlers : ('a delivery -> unit) array;
   mutable client_handlers : ('a delivery -> unit) array;
-      (* indexed by client id, [no_handler] where none is registered;
-         doubles as ids grow *)
+      (* indexed by client id, doubles as ids grow; [no_handler] where
+         none is registered, in both arrays *)
   client_ports : (int, client_port) Hashtbl.t;
   (* Latest arrival per client-to-client pair: the one pairing with
      no port array (only test fakes send it). *)
@@ -103,17 +102,18 @@ let chan_of ~src ~dst =
   | Principal.Node _, Principal.Client _ -> Probe.Node_client
   | Principal.Client _, _ -> Probe.Client_node
 
+let no_handler _ = ()
+
 let create ~probe engine cfg =
+  let nics i dir =
+    Array.init (cfg.nodes + 1) (fun j ->
+        let peer = if j = cfg.nodes then "clients" else Printf.sprintf "n%d" j in
+        Resource.create engine ~name:(Printf.sprintf "n%d%s%s" i dir peer))
+  in
   let make_ports i =
     {
-      egress_to_node =
-        Array.init cfg.nodes (fun j ->
-            Resource.create engine ~name:(Printf.sprintf "n%d->n%d" i j));
-      ingress_from_node =
-        Array.init cfg.nodes (fun j ->
-            Resource.create engine ~name:(Printf.sprintf "n%d<-n%d" i j));
-      client_egress = Resource.create engine ~name:(Printf.sprintf "n%d->clients" i);
-      client_ingress = Resource.create engine ~name:(Printf.sprintf "n%d<-clients" i);
+      egress = nics i "->";
+      ingress = nics i "<-";
       closed_until = Principal.Map.empty;
       last_to_node = Array.make cfg.nodes Time.zero;
     }
@@ -123,7 +123,7 @@ let create ~probe engine cfg =
     cfg;
     rng = Engine.fresh_rng engine;
     node_ports = Array.init cfg.nodes make_ports;
-    node_handlers = Array.make cfg.nodes None;
+    node_handlers = Array.make cfg.nodes no_handler;
     client_handlers = [||];
     client_ports = Hashtbl.create 32;
     last_client_to_client = Hashtbl.create 8;
@@ -143,7 +143,7 @@ let config t = t.cfg
 
 let register_node t i handler =
   assert (i >= 0 && i < t.cfg.nodes);
-  t.node_handlers.(i) <- Some handler
+  t.node_handlers.(i) <- handler
 
 let client_port t c =
   match Hashtbl.find t.client_ports c with
@@ -159,8 +159,6 @@ let client_port t c =
     in
     Hashtbl.add t.client_ports c port;
     port
-
-let no_handler _ = ()
 
 let register_client t c handler =
   if c < 0 then invalid_arg "Network.register_client: negative client id";
@@ -211,46 +209,36 @@ let set_describe t f = t.describe <- f
 
 (* Resolve the egress queue at the sender and the ingress queue at the
    receiver for a (src, dst) pair. *)
+let nic_slot t = function Principal.Node j -> j | Principal.Client _ -> t.cfg.nodes
+
 let egress_of t ~src ~dst =
   match src with
-  | Principal.Node i ->
-    (match dst with
-     | Principal.Node j -> t.node_ports.(i).egress_to_node.(j)
-     | Principal.Client _ -> t.node_ports.(i).client_egress)
+  | Principal.Node i -> t.node_ports.(i).egress.(nic_slot t dst)
   | Principal.Client c -> (client_port t c).c_egress
 
-let deliver_to t ~src ~dst =
+let ingress_of t ~src ~dst =
   match dst with
-  | Principal.Node j ->
-    let ingress =
-      match src with
-      | Principal.Node i -> t.node_ports.(j).ingress_from_node.(i)
-      | Principal.Client _ -> t.node_ports.(j).client_ingress
-    in
-    (match t.node_handlers.(j) with
-     | None -> None
-     | Some handler -> Some (ingress, handler))
-  | Principal.Client c ->
-    let handler = client_handler t c in
-    if handler == no_handler then None else Some ((client_port t c).c_ingress, handler)
+  | Principal.Node j -> t.node_ports.(j).ingress.(nic_slot t src)
+  | Principal.Client c -> (client_port t c).c_ingress
 
-(* TCP FIFO per connection: the arrival instant of a message sent now
-   with [delay] is never earlier than the previous arrival of the same
-   (src, dst) pair. Records and returns it. *)
+(* TCP FIFO per connection: the arrival instant of a message is never
+   earlier than the previous arrival of the same (src, dst) pair.
+   Records and returns it. UDP keeps the jittered instant. *)
 let clamp_arrival slots i arrival =
   let arrival = Time.max arrival slots.(i) in
   slots.(i) <- arrival;
   arrival
 
 let fifo_arrival t ~src ~dst arrival =
-  match (src, dst) with
-  | Principal.Node i, Principal.Node j ->
+  match (t.cfg.transport, src, dst) with
+  | Udp, _, _ -> arrival
+  | Tcp, Principal.Node i, Principal.Node j ->
     clamp_arrival t.node_ports.(i).last_to_node j arrival
-  | Principal.Node i, Principal.Client c ->
+  | Tcp, Principal.Node i, Principal.Client c ->
     clamp_arrival (client_port t c).c_last_from_node i arrival
-  | Principal.Client c, Principal.Node j ->
+  | Tcp, Principal.Client c, Principal.Node j ->
     clamp_arrival (client_port t c).c_last_to_node j arrival
-  | Principal.Client a, Principal.Client b ->
+  | Tcp, Principal.Client a, Principal.Client b ->
     (* Client ids are non-negative and far below 2^31, so one int
        names the pair without allocating a tuple. *)
     let key = (a lsl 31) lor b in
@@ -271,88 +259,99 @@ let drop t ~src ~dst ~reason =
     ~node:(match dst with Principal.Node j -> j | Principal.Client _ -> -1)
     ~src ~show:Principal.to_string ~reason
 
+(* One message on the wire. Its three steps (egress completion,
+   arrival, ingress completion) share this record and one continuation,
+   which runs the step [next] names. So a message allocates the record,
+   the continuation, its arrival event and the delivery it hands over. *)
+type 'a msg = {
+  net : 'a t;
+  m_src : Principal.t;
+  m_dst : Principal.t;
+  m_size : int;
+  m_payload : 'a;
+  m_sent_at : Time.t;
+  m_ser : Time.t;
+  m_corrupt : bool;
+  m_extra_delay : Time.t;
+  m_span : int;
+  m_span_tag : Bftmetrics.Tag.t;
+  mutable next : 'a msg -> (unit -> unit) -> unit;
+  mutable handler : 'a delivery -> unit;  (* looked up on arrival *)
+}
+
+let ingress_done m _ =
+  let t = m.net and src = m.m_src and dst = m.m_dst and size = m.m_size in
+  t.delivered <- t.delivered + 1;
+  t.bytes <- t.bytes + size;
+  Probe.delivered t.probe t.m (chan_of ~src ~dst) ~size;
+  let now = Engine.now t.engine in
+  (* Traced message: the whole wire time — sender serialization +
+     propagation + ingress — is one transit span, attributed to the
+     receiver. *)
+  let span =
+    Probe.span t.probe ~parent:m.m_span ~tag:m.m_span_tag
+      ~node:(match dst with Principal.Node j -> j | Principal.Client _ -> -1)
+      ~instance:(-1) ~t0:m.m_sent_at ~t1:now
+  in
+  m.handler
+    { src; dst; size; payload = m.m_payload; sent_at = m.m_sent_at; delivered_at = now;
+      corrupted = m.m_corrupt; span }
+
+let arrive m k =
+  let t = m.net and src = m.m_src and dst = m.m_dst in
+  let handler =
+    match dst with
+    | Principal.Node j -> t.node_handlers.(j)
+    | Principal.Client c -> client_handler t c
+  in
+  if handler == no_handler then drop t ~src ~dst ~reason:"no-handler"
+  else if
+    match dst with
+    | Principal.Node j -> nic_closed t ~node:j ~peer:src
+    | Principal.Client _ -> false
+  then drop t ~src ~dst ~reason:"nic-closed"
+  else begin
+    m.handler <- handler;
+    m.next <- ingress_done;
+    Resource.submit (ingress_of t ~src ~dst) ~cost:m.m_ser k
+  end
+
+(* The jitter is drawn, and TCP's FIFO clamp applied, as the message
+   leaves the sender. Node-bound arrivals are scheduling choices for
+   the model checker; everything else (and every arrival when capture
+   is off) keeps the ordinary timestamp-ordered path. *)
+let egress_done m k =
+  let t = m.net in
+  let delay = Time.add (propagation_delay t) m.m_extra_delay in
+  let now = Engine.now t.engine in
+  let arrival = fifo_arrival t ~src:m.m_src ~dst:m.m_dst (Time.add now delay) in
+  m.next <- arrive;
+  match m.m_dst with
+  | Principal.Node j when Engine.choice_capture t.engine ->
+    let src = match m.m_src with Principal.Node i -> i | Principal.Client c -> -(c + 1) in
+    let label = match t.describe with Some f -> f m.m_payload | None -> "" in
+    ignore (Engine.at_choice t.engine arrival ~src ~dst:j ~label k)
+  | Principal.Node _ | Principal.Client _ -> ignore (Engine.at t.engine arrival k)
+
 let send_copy t ~src ~dst ~size ~corrupt ~extra_delay ~span ~span_tag payload =
-  let sent_at = Engine.now t.engine in
-  let ser = serialization_time ~size in
-  Resource.submit (egress_of t ~src ~dst) ~cost:ser (fun () ->
-      let delay = Time.add (propagation_delay t) extra_delay in
-      let delay =
-        match t.cfg.transport with
-        | Udp -> delay
-        | Tcp ->
-          let now = Engine.now t.engine in
-          Time.sub (fifo_arrival t ~src ~dst (Time.add now delay)) now
-      in
-      let deliver () =
-        match deliver_to t ~src ~dst with
-        | None -> drop t ~src ~dst ~reason:"no-handler"
-        | Some (ingress, handler) ->
-          let closed =
-            match dst with
-            | Principal.Node j -> nic_closed t ~node:j ~peer:src
-            | Principal.Client _ -> false
-          in
-          if closed then drop t ~src ~dst ~reason:"nic-closed"
-          else
-            Resource.submit ingress ~cost:ser (fun () ->
-                t.delivered <- t.delivered + 1;
-                t.bytes <- t.bytes + size;
-                Probe.delivered t.probe t.m (chan_of ~src ~dst) ~size;
-                let now = Engine.now t.engine in
-                (* Traced message: the whole wire time — sender
-                   serialization + propagation + ingress — is one
-                   transit span, attributed to the receiver. *)
-                let span' =
-                  Probe.span t.probe ~parent:span ~tag:span_tag
-                    ~node:(match dst with Principal.Node j -> j | Principal.Client _ -> -1)
-                    ~instance:(-1) ~t0:sent_at ~t1:now
-                in
-                handler
-                  {
-                    src;
-                    dst;
-                    size;
-                    payload;
-                    sent_at;
-                    delivered_at = now;
-                    corrupted = corrupt;
-                    span = span';
-                  })
-      in
-      (* Node-bound deliveries are scheduling choices for the model
-         checker; everything else (and every delivery when capture is
-         off) keeps the ordinary timestamp-ordered path. *)
-      (match dst with
-       | Principal.Node j when Engine.choice_capture t.engine ->
-         let src_id =
-           match src with
-           | Principal.Node i -> i
-           | Principal.Client c -> -(c + 1)
-         in
-         let label =
-           match t.describe with Some f -> f payload | None -> ""
-         in
-         ignore
-           (Engine.at_choice t.engine
-              (Time.add (Engine.now t.engine) delay)
-              ~src:src_id ~dst:j ~label deliver)
-       | Principal.Node _ | Principal.Client _ ->
-         ignore (Engine.after t.engine delay deliver)))
+  let m =
+    { net = t; m_src = src; m_dst = dst; m_size = size; m_payload = payload;
+      m_sent_at = Engine.now t.engine; m_ser = serialization_time ~size;
+      m_corrupt = corrupt; m_extra_delay = extra_delay; m_span = span;
+      m_span_tag = span_tag; next = egress_done; handler = no_handler }
+  in
+  let rec k () = m.next m k in
+  Resource.submit (egress_of t ~src ~dst) ~cost:m.m_ser k
 
 let send ?(span = -1) ?(span_tag = Bftmetrics.Tag.Net_transit) t ~src ~dst ~size
     payload =
-  match t.fault_hook with
-  | None ->
-    send_copy t ~src ~dst ~size ~corrupt:false ~extra_delay:Time.zero ~span
-      ~span_tag payload
-  | Some hook ->
-    let v = hook ~src ~dst ~size in
-    if v.fv_drop then drop t ~src ~dst ~reason:"chaos"
-    else
-      for _ = 0 to v.fv_duplicates do
-        send_copy t ~src ~dst ~size ~corrupt:v.fv_corrupt
-          ~extra_delay:v.fv_extra_delay ~span ~span_tag payload
-      done
+  let v = match t.fault_hook with None -> pass_verdict | Some hook -> hook ~src ~dst ~size in
+  if v.fv_drop then drop t ~src ~dst ~reason:"chaos"
+  else
+    for _ = 0 to v.fv_duplicates do
+      send_copy t ~src ~dst ~size ~corrupt:v.fv_corrupt ~extra_delay:v.fv_extra_delay
+        ~span ~span_tag payload
+    done
 
 let messages_delivered t = t.delivered
 let messages_dropped t = t.dropped

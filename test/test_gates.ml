@@ -152,6 +152,9 @@ let test_ported_rbft_checks () =
     (set [ "host"; "worst1-4kB"; "retained_words_per_req" ] (( +. ) 1.0) v);
   caught "minor words +6%" ~report ~row:"host.*.minor_words_per_req  no rise (+5%)"
     (set [ "host"; "fault-free-8B"; "minor_words_per_req" ] (( *. ) 1.06) v);
+  caught "fault-free 8 B at 3,228 minor words" ~report
+    ~row:"host.fault-free-8B.minor_words_per_req  each in (-inf, 3227]"
+    (set [ "host"; "fault-free-8B"; "minor_words_per_req" ] (fun _ -> 3228.0) v);
   caught "8 B queue-wait share 0.5" ~report
     ~row:"latency_breakdown.8B.stages.queue-wait.share  each in (-inf, 0.5)"
     (set [ "latency_breakdown"; "8B"; "stages"; "queue-wait"; "share" ] (fun _ -> 0.5) v);

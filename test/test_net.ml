@@ -325,6 +325,31 @@ let test_net_unregistered_dropped () =
   Alcotest.(check int) "dropped" 1 (Network.messages_dropped net);
   Alcotest.(check int) "none delivered" 0 (Network.messages_delivered net)
 
+(* One node-to-node message, from [send] to its handler, allocates
+   its in-flight record (13 fields), the one continuation its three
+   steps share (a closure over the record), its arrival event and the
+   delivery handed over: (1 + 13) + (1 + 3) + (1 + 2) + (1 + 8) = 30
+   words, whatever its jitter. A closure per step, each capturing the
+   message context, costs more. *)
+let test_net_message_words () =
+  let e = Engine.create () in
+  let net = make_net ~jitter:(Time.us 20) e in
+  let got = ref 0 in
+  Network.register_node net 1 (fun d -> got := !got + d.Network.size);
+  let send () =
+    Network.send net ~src:(Principal.node 0) ~dst:(Principal.node 1) ~size:8 "m";
+    Engine.run e
+  in
+  (* The first message builds each NIC's completion event and grows
+     the engine's heap. *)
+  send ();
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  send ();
+  let w2 = Gc.minor_words () in
+  Alcotest.(check int) "delivered" 16 !got;
+  Alcotest.(check (float 0.0)) "minor words of one message" 30.0 (w2 -. w1 -. (w1 -. w0))
+
 (* Client handlers sit in an array indexed by client id: a message to
    an id with no handler, below, past or outside the array, is dropped,
    registering an id again replaces its handler, and a negative id is
@@ -388,6 +413,7 @@ let suites =
         Alcotest.test_case "close NIC drops flooder" `Quick test_net_close_nic_drops;
         Alcotest.test_case "client endpoints" `Quick test_net_clients;
         Alcotest.test_case "unregistered dropped" `Quick test_net_unregistered_dropped;
+        Alcotest.test_case "one message allocates 30 words" `Quick test_net_message_words;
         Alcotest.test_case "client handlers by id" `Quick test_net_client_handler_ids;
         Alcotest.test_case "client NIC is shared" `Quick test_net_client_nic_shared;
       ]

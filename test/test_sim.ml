@@ -29,6 +29,23 @@ let test_time_pp () =
   Alcotest.(check string) "ms" "3.00ms" (Time.to_string (Time.ms 3));
   Alcotest.(check string) "s" "4.000s" (Time.to_string (Time.sec 4))
 
+(* Guards the build decision: the workspace compiles in the release
+   profile, so a call across a module boundary can be inlined. Under
+   the dev profile's -opaque, [Time.to_sec_f] is an opaque call whose
+   float result comes back boxed: 2 words per call, 200,000 here. *)
+let test_time_cross_module_inlining () =
+  let sum = Array.make 1 0.0 in
+  (* The probe itself boxes a float: measure it empty first. *)
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    sum.(0) <- sum.(0) +. Time.to_sec_f i
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words over 10^5 Time.to_sec_f calls" 0.0
+    (w2 -. w1 -. (w1 -. w0));
+  Alcotest.(check (float 1e-9)) "sum" 5.000050000 sum.(0)
+
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -589,6 +606,30 @@ let test_engine_rearm () =
   Engine.run e;
   check_int "a cancelled timer re-arms" 3 !count
 
+(* The engine loop allocates nothing of its own: with no span hook,
+   firing 10^5 re-armed timers allocates only what their actions do,
+   and these actions allocate nothing. *)
+let test_engine_loop_allocates_nothing () =
+  let e = Engine.create () in
+  let fired = ref 0 and n = 100_000 in
+  let timers = Array.make 64 (Engine.timer ignore) in
+  Array.iteri
+    (fun i _ ->
+      timers.(i) <-
+        Engine.timer (fun () ->
+            incr fired;
+            if !fired <= n - Array.length timers then
+              Engine.rearm e timers.(i) (Time.add (Engine.now e) (Time.us (1 + i)))))
+    timers;
+  Array.iteri (fun i t -> Engine.rearm e t (Time.us i)) timers;
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  Engine.run e;
+  let w2 = Gc.minor_words () in
+  check_int "timers fired" n !fired;
+  Alcotest.(check (float 0.0)) "minor words over 10^5 re-armed timers" 0.0
+    (w2 -. w1 -. (w1 -. w0))
+
 let test_engine_stop () =
   let e = Engine.create () in
   let count = ref 0 in
@@ -957,6 +998,8 @@ let suites =
         Alcotest.test_case "units" `Quick test_time_units;
         Alcotest.test_case "arithmetic" `Quick test_time_arith;
         Alcotest.test_case "pretty-printing" `Quick test_time_pp;
+        Alcotest.test_case "cross-module inlining is on" `Quick
+          test_time_cross_module_inlining;
       ] );
     ( "sim.rng",
       [
@@ -1000,6 +1043,8 @@ let suites =
         Alcotest.test_case "cancel frees the action at once" `Quick
           test_engine_cancel_frees_action;
         Alcotest.test_case "re-armed timer" `Quick test_engine_rearm;
+        Alcotest.test_case "loop allocates nothing" `Quick
+          test_engine_loop_allocates_nothing;
         Alcotest.test_case "stop/resume" `Quick test_engine_stop;
         Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule;
         Alcotest.test_case "FIFO ties" `Quick test_engine_same_time_fifo;
